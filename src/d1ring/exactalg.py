@@ -155,6 +155,14 @@ class FieldSpec:
     def _normalize_array(self, a: np.ndarray) -> np.ndarray:
         return a % self.p if self.kind == "Fp" else a
 
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b reduced into the field.  An int64 sum of a.shape[1]
+        products, each up to (p-1)^2, can overflow; such sums are taken
+        over Python ints instead."""
+        if a.dtype == np.int64 and (self.p - 1) ** 2 * a.shape[1] >= 1 << 63:
+            return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
+        return self._normalize_array(a @ b)
+
 
 class Matrix:
     """A dense exact matrix over a FieldSpec."""
@@ -219,7 +227,7 @@ class Matrix:
             raise UsageError("matrix product over different fields")
         if self.cols != other.rows:
             raise UsageError("matrix product shape mismatch")
-        return Matrix(self.field, self.field._normalize_array(self.data @ other.data))
+        return Matrix(self.field, self.field._product(self.data, other.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.data.shape != other.data.shape:
@@ -233,7 +241,7 @@ class Matrix:
         col = np.empty((self.cols,), dtype=self.field._dtype())
         for i, x in enumerate(v):
             col[i] = x
-        out = self.field._normalize_array(self.data @ col)
+        out = self.field._product(self.data, col)
         return tuple(self.field.coerce(x) for x in out)
 
     def to_lists(self) -> list[list]:

@@ -18,10 +18,8 @@ record any counterexample in full.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
@@ -134,24 +132,6 @@ class SuiteReport:
 
 def _trial_rng(config: SuiteConfig, index: int) -> random.Random:
     return random.Random(config.seed * 1_000_000_007 + index)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("D1_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_trials(config: SuiteConfig, trial_fn) -> list[dict]:
-    indices = range(config.trials)
-    threads = min(_thread_count(), config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(trial_fn, indices))
-    else:
-        outcomes = [trial_fn(i) for i in indices]
-    return outcomes  # trial_fn is pure per index, so order is by construction
 
 
 # -- unit generation ------------------------------------------------------------------
@@ -324,7 +304,7 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
             outcome["inverse"] = twisted_matrix_payload(inverse)
         return outcome
 
-    outcomes = _run_trials(config, trial)
+    outcomes = [trial(i) for i in range(config.trials)]
     failures = sum(1 for o in outcomes if not o["ok"])
     return SuiteReport(
         suite="direct_finiteness",
@@ -382,7 +362,7 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
             outcome["certificate"] = twisted_payload(cert.element)
         return outcome
 
-    outcomes = _run_trials(config, trial)
+    outcomes = [trial(i) for i in range(config.trials)]
     failures = sum(1 for o in outcomes if not o["ok"])
     return SuiteReport(
         suite="surjunctivity_pipeline",

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, Subspace, kernel_basis, solve
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, coeff_one
 from .groups import FiniteSubset
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement
@@ -106,51 +106,6 @@ def verify_identity(u: Nuca, v: Nuca) -> bool:
     return (u.element * v.element).is_one()
 
 
-def _matrix_unit(fld, n: int, i: int, j: int):
-    return tuple(
-        tuple(fld.one if (a, b) == (i, j) else fld.zero for b in range(n))
-        for a in range(n)
-    )
-
-
-def _elementary_unknowns(t: Nuca, params: InverseSearchParams):
-    """One single-slot ring element per unknown coefficient of the inverse."""
-    grp, fld, n = t.group, t.field, t.n
-    unknowns = []
-    for g in params.memory_set:
-        for i in range(n):
-            for j in range(n):
-                reg = GroupRingElement.monomial(grp, fld, n, g, _matrix_unit(fld, n, i, j))
-                unknowns.append(TwistedElement(reg, ()))
-    for e in params.exceptional_set:
-        for g in params.memory_set:
-            for i in range(n):
-                for j in range(n):
-                    part = GroupRingElement.monomial(grp, fld, n, g, _matrix_unit(fld, n, i, j))
-                    unknowns.append(
-                        TwistedElement.make(GroupRingElement.zero(grp, fld, n), [(e, part)])
-                    )
-    return unknowns
-
-
-def _coordinates(t: Nuca, elem: TwistedElement):
-    """Nonzero scalar slots of a twisted element, as (key, value) pairs."""
-    grp, n = t.group, t.n
-    out = []
-    for g, c in elem.regular.terms:
-        for i in range(n):
-            for j in range(n):
-                if c[i][j] != 0:
-                    out.append((("r", grp.key(g), i, j), c[i][j]))
-    for e, part in elem.singular:
-        for g, c in part.terms:
-            for i in range(n):
-                for j in range(n):
-                    if c[i][j] != 0:
-                        out.append((("s", grp.key(e), grp.key(g), i, j), c[i][j]))
-    return out
-
-
 def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nuca]:
     """Exact search for an inverse supported in the given window.
 
@@ -158,55 +113,78 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     unknown's coefficients; the constraint set is finite because every
     product's support lies inside computable finite sets.  Free variables
     are set to zero, so the output is deterministic.
+
+    The unknown has one n x n coefficient per support slot: a regular site
+    g of the memory set, or an exceptional pair (e, g).  The system needs
+    one twisted product per slot, P = (slot monomial with identity
+    coefficient) times t on the searched side.  The product is bilinear
+    and the slot's coefficient matrix factors out on its own side, so P
+    yields all n^2 columns of the slot: row i of E_ij P is row j of P
+    (left search), and column j of P E_ij is column i of P (right search).
+    Columns run over the slots (regular sites, then exceptional pairs),
+    then over (i, j) row-major within a slot.
     """
-    fld = t.field
-    unknowns = _elementary_unknowns(t, params)
-    if params.side == "left":
-        products = [u * t.element for u in unknowns]
-    else:
-        products = [t.element * u for u in unknowns]
-    target = TwistedElement.one(t.group, fld, t.n)
+    grp, fld, n = t.group, t.field, t.n
+    left = params.side == "left"
+    ident = coeff_one(fld, n)
+    zero = GroupRingElement.zero(grp, fld, n)
+    slots = [(None, g) for g in params.memory_set]
+    slots += [(e, g) for e in params.exceptional_set for g in params.memory_set]
 
-    coord_index: dict = {}
-    prod_coords = []
-    for p in products:
-        coords = _coordinates(t, p)
-        prod_coords.append(coords)
-        for key, _ in coords:
-            coord_index.setdefault(key, None)
-    target_coords = _coordinates(t, target)
-    for key, _ in target_coords:
-        coord_index.setdefault(key, None)
-    for row, key in enumerate(sorted(coord_index)):
-        coord_index[key] = row
+    # (row key, column, value) for every nonzero entry; a row key names one
+    # scalar coordinate of the product: ("r", g, a, b) or ("s", e, g, a, b)
+    entries = []
+    for s, (e, g) in enumerate(slots):
+        mono = GroupRingElement.monomial(grp, fld, n, g, ident)
+        unit = TwistedElement(mono, ()) if e is None else TwistedElement.make(zero, [(e, mono)])
+        prod = unit * t.element if left else t.element * unit
+        parts = [(("r",), prod.regular)]
+        parts += [(("s", grp.key(site)), part) for site, part in prod.singular]
+        for prefix, part in parts:
+            for h, c in part.terms:
+                key = prefix + (grp.key(h),)
+                for i in range(n):
+                    for j in range(n):
+                        col = (s * n + i) * n + j
+                        for k in range(n):
+                            if left:
+                                row, value = key + (i, k), c[j][k]
+                            else:
+                                row, value = key + (k, j), c[k][i]
+                            if value != 0:
+                                entries.append((row, col, value))
+    target = [(("r", grp.key(grp.identity), i, i), fld.one) for i in range(n)]
+    keys = sorted({row for row, _, _ in entries} | {row for row, _ in target})
+    index = {row: k for k, row in enumerate(keys)}
 
-    a = Matrix.zeros(fld, len(coord_index), len(unknowns))
-    for k, coords in enumerate(prod_coords):
-        for key, value in coords:
-            a.data[coord_index[key], k] = value
-    b = [fld.zero] * len(coord_index)
-    for key, value in target_coords:
-        b[coord_index[key]] = value
+    a = Matrix.zeros(fld, len(keys), len(slots) * n * n)
+    for row, col, value in entries:
+        a.data[index[row], col] = value
+    b = [fld.zero] * len(keys)
+    for row, value in target:
+        b[index[row]] = value
 
     x = solve(a, b)
     if x is None:
         return None
 
-    # reassemble the solution element from the elementary basis
-    grp, n = t.group, t.n
-    acc = TwistedElement.zero(grp, fld, n)
-    for coeff, u in zip(x, unknowns):
-        if coeff != 0:
-            acc = acc + u.scale(coeff)
-    candidate = Nuca(acc)
-    ok = (
-        verify_identity(candidate, t)
-        if params.side == "left"
-        else verify_identity(t, candidate)
-    )
+    terms: dict = {}
+    for s, (e, g) in enumerate(slots):
+        coeff = tuple(tuple(x[(s * n + i) * n + j] for j in range(n)) for i in range(n))
+        terms.setdefault(e, []).append((g, coeff))
+    regular = GroupRingElement.from_terms(grp, fld, n, terms.pop(None))
+    singular = [(e, GroupRingElement.from_terms(grp, fld, n, ts)) for e, ts in terms.items()]
+    candidate = Nuca(TwistedElement.make(regular, singular))
+    ok = verify_identity(candidate, t) if left else verify_identity(t, candidate)
     if not ok:
         raise AssertionError("inverse solver produced a non-inverse; this is a bug")
     return candidate
+
+
+def _inverse_in_ball(t: Nuca, side: str, r: int) -> Optional[Nuca]:
+    """The one-sided inverse with memory and exceptional window ball(r), if any."""
+    ball = FiniteSubset.ball(t.group, r)
+    return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:
@@ -215,8 +193,7 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
     for r in range(max_radius + 1):
-        ball = FiniteSubset.ball(t.group, r)
-        cert = solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
+        cert = _inverse_in_ball(t, side, r)
         if cert is not None:
             return cert, r
     return None
@@ -343,8 +320,7 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     """
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
-        ball = FiniteSubset.ball(t.group, r)
-        cert = solve_one_sided_inverse(t, InverseSearchParams.make("left", ball, ball))
+        cert = _inverse_in_ball(t, "left", r)
         if cert is not None:
             if not verify_identity(cert, t):
                 raise AssertionError("certificate failed re-verification; this is a bug")

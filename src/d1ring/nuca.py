@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
 from .exactalg import FieldSpec, Matrix
-from .groupring import GroupRingElement, coeff_zero
+from .groupring import GroupRingElement, coeff_add, coeff_neg, coeff_zero
 from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
 
@@ -53,10 +53,6 @@ def _mat_vec(field: FieldSpec, m, v: Vector) -> Vector:
             acc = field.add(acc, field.mul(x, y))
         out.append(acc)
     return tuple(out)
-
-
-def _mat_add(field: FieldSpec, a, b):
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -225,12 +221,7 @@ class LocalRule:
         mem = self.memory.union(other.memory)
         field = self.field
         blocks = tuple(
-            _mat_add(
-                field,
-                self.block(h),
-                tuple(tuple(field.neg(x) for x in row) for row in other.block(h)),
-            )
-            for h in mem
+            coeff_add(field, self.block(h), coeff_neg(field, other.block(h))) for h in mem
         )
         return LocalRule(self.group, field, self.n, mem, blocks)
 
@@ -322,7 +313,7 @@ class Nuca:
         for h in self.memory:
             b = reg.get(h, coeff_zero(field, n))
             if h in sing:
-                b = _mat_add(field, b, sing[h])
+                b = coeff_add(field, b, sing[h])
             blocks.append(b)
         return LocalRule(self.group, field, n, self.memory, tuple(blocks))
 
@@ -336,7 +327,7 @@ class Nuca:
 
         total = coeff_zero(field, n)
         for _, c in self.element.regular.terms:
-            total = _mat_add(field, total, c)
+            total = coeff_add(field, total, c)
         new_base = _mat_vec(field, total, x.base)
 
         # candidate output sites: where a deviation is visible or a rule differs

@@ -95,6 +95,22 @@ class TestImageRank:
         assert rank(Matrix.zeros(F2, 3, 2)) == 0
 
 
+class TestLargePrimeProducts:
+    # (p-1)^2 is close to 2^62, so an int64 sum of three such products wraps
+    P = FieldSpec.fp(2**31 - 1)
+
+    def test_matmul_does_not_overflow(self):
+        p = self.P.p
+        a = Matrix.from_rows(self.P, [[p - 1] * 3])
+        b = Matrix.from_rows(self.P, [[p - 1]] * 3)
+        assert (a @ b).to_lists() == [[3]]
+
+    def test_mul_vector_does_not_overflow(self):
+        p = self.P.p
+        a = Matrix.from_rows(self.P, [[p - 1] * 3])
+        assert a.mul_vector([p - 1] * 3) == (3,)
+
+
 def _random_matrix(rng, field, rows, cols):
     if rows == 0:
         return Matrix.zeros(field, 0, cols)
