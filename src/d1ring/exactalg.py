@@ -1,7 +1,12 @@
-"""Exact dense linear algebra over prime fields F_p and the rationals Q.
+"""Exact linear algebra over prime fields F_p and the rationals Q.
 
-Matrices are numpy arrays (int64 residues for F_p, Fraction objects for Q),
-so all arithmetic is exact; there is no floating point anywhere.  Subspaces
+Elimination is sparse: every row is a {column: nonzero value} dict of
+Python ints mod p or Fractions, and one kernel (`_echelon`) serves
+solving, rank, kernels and subspaces.  `Matrix` is the dense container
+(a numpy array of int64 residues, or of objects for large p and for Q)
+used for products, window maps and subspace bases; `SparseMatrix` hands
+a system to `solve` without ever building the dense array.  All
+arithmetic is exact; there is no floating point anywhere.  Subspaces
 carry a reduced-row-echelon basis, which makes subspace equality a plain
 structural comparison.
 """
@@ -83,7 +88,7 @@ class FieldSpec:
         """Coerce an int/Fraction into canonical form for this field."""
         if self.kind == "Fp":
             return int(x) % self.p
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
@@ -165,7 +170,9 @@ class FieldSpec:
 
 
 class Matrix:
-    """A dense exact matrix over a FieldSpec."""
+    """A dense exact matrix over a FieldSpec: the container for products,
+    window maps and subspace bases.  Elimination reads its nonzero
+    entries into row dicts (`_row_dicts`) and never works on the array."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -248,31 +255,87 @@ class Matrix:
         return [[self.field.coerce(x) for x in row] for row in self.data]
 
 
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A matrix given by its nonzero entries: data[i] maps column -> value
+    for row i, with values already in canonical field form."""
+
+    field: FieldSpec
+    rows: int
+    cols: int
+    data: list[dict]
+
+
+def _row_dicts(field: FieldSpec, a: np.ndarray) -> list[dict]:
+    """The nonzero entries of a dense array, one {column: value} per row."""
+    rows: list[dict] = [{} for _ in range(a.shape[0])]
+    ii, jj = np.nonzero(a)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        x = field.coerce(x)
+        if x:
+            rows[i][j] = x
+    return rows
+
+
+def _subtract(row: dict, other: dict, f, p: Optional[int]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for j, v in other.items():
+        w = row.get(j, 0) - f * v
+        if p:
+            w %= p
+        if w:
+            row[j] = w
+        else:
+            row.pop(j, None)
+
+
+def _echelon(field: FieldSpec, rows: Iterable[dict]) -> dict[int, dict]:
+    """Semi-echelon basis {leading column: row} of the span of the rows.
+
+    Each row is reduced against the basis, leftmost column first, and
+    joins it (scaled to a leading 1) if anything is left.  Reducing by a
+    row with leading column c only touches columns >= c, so the leading
+    columns of the basis are the pivot columns of the RREF.  The rows are
+    copied, never changed.
+    """
+    p = field.p
+    basis: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            pivot_row = basis.get(c)
+            if pivot_row is None:
+                s = field.inv(row[c])
+                if s != 1:
+                    row = {j: v * s % p if p else v * s for j, v in row.items()}
+                basis[c] = row
+                break
+            _subtract(row, pivot_row, row[c], p)
+    return basis
+
+
+def _reduced_echelon(field: FieldSpec, rows: Iterable[dict]) -> dict[int, dict]:
+    """The RREF basis {pivot column: row} of the span of the rows."""
+    basis = _echelon(field, rows)
+    # back-reduce from the right: the rows with later leading columns
+    # are already free of every other pivot column
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        for c2 in [j for j in row if j != c and j in basis]:
+            _subtract(row, basis[c2], row[c2], field.p)
+    return basis
+
+
 def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
-    a = a.copy()
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        pivot = field.coerce(a[r, c])
-        if pivot != field.one:
-            a[r] = field._normalize_array(a[r] * field.inv(pivot))
-        rows = np.nonzero(a[:, c])[0]
-        for i in rows:
-            if i != r:
-                a[i] = field._normalize_array(a[i] - a[i, c] * a[r])
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    basis = _reduced_echelon(field, _row_dicts(field, a))
+    pivots = sorted(basis)
+    r = Matrix.zeros(field, *a.shape).data
+    for i, c in enumerate(pivots):
+        for j, v in basis[c].items():
+            r[i, j] = v
+    return r, pivots
 
 
 @dataclass(frozen=True)
@@ -323,40 +386,47 @@ class Subspace:
 
 
 def rank(a: Matrix) -> int:
-    _, pivots = _rref(a.field, a.data)
-    return len(pivots)
+    return len(_echelon(a.field, _row_dicts(a.field, a.data)))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
     field = a.field
-    r, pivots = _rref(field, a.data)
-    free_cols = [c for c in range(a.cols) if c not in set(pivots)]
-    vectors = []
-    for f in free_cols:
-        v = [field.zero] * a.cols
+    basis = _reduced_echelon(field, _row_dicts(field, a.data))
+    # one vector per free column f: 1 at f, minus column f of the RREF
+    # at the pivot columns
+    vectors = {f: [field.zero] * a.cols for f in range(a.cols) if f not in basis}
+    for f, v in vectors.items():
         v[f] = field.one
-        for row_idx, c in enumerate(pivots):
-            v[c] = field.neg(field.coerce(r[row_idx, f]))
-        vectors.append(v)
-    return Subspace.from_vectors(field, a.cols, vectors)
+    for c, row in basis.items():
+        for f, w in row.items():
+            if f != c:
+                vectors[f][c] = field.neg(w)
+    return Subspace.from_vectors(field, a.cols, list(vectors.values()))
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
+def solve(a: Matrix | SparseMatrix, b: Sequence) -> Optional[tuple]:
     """Some x with Ax = b (free variables zero), or None if infeasible."""
     field = a.field
     if len(b) != a.rows:
         raise UsageError("right-hand side length mismatch")
-    col = np.empty((a.rows, 1), dtype=field._dtype())
-    for i, x in enumerate(b):
-        col[i, 0] = field.coerce(x)
-    aug = np.concatenate([a.data, col], axis=1)
-    r, pivots = _rref(field, aug)
-    if pivots and pivots[-1] == a.cols:
+    rows = a.data if isinstance(a, SparseMatrix) else _row_dicts(field, a.data)
+    rhs = a.cols
+    augmented = []
+    for row, y in zip(rows, b):
+        y = field.coerce(y)
+        augmented.append({**row, rhs: y} if y else row)
+    basis = _echelon(field, augmented)
+    if rhs in basis:
         return None
     x = [field.zero] * a.cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = field.coerce(r[row_idx, a.cols])
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        v = row.get(rhs, 0)
+        for j, w in row.items():
+            if j != c and j != rhs:
+                v -= w * x[j]
+        x[c] = field.coerce(v)
     return tuple(x)
 
 

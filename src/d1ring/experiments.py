@@ -113,6 +113,10 @@ class SuiteConfig:
             raise UsageError("support_radius must be >= 0")
         if self.n < 1:
             raise UsageError("n must be >= 1")
+        if self.max_factors < 1:
+            raise UsageError("max_factors must be >= 1")
+        if self.decoy_every < 0:
+            raise UsageError("decoy_every must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def gen_unit(
     group, field, n = config.group, config.field, config.n
     for _ in range(20):
         factors: list[tuple[TwistedMatrix, TwistedMatrix, dict]] = []
-        count = n_factors if n_factors is not None else rng.randint(1, max(1, config.max_factors))
+        count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
         for _ in range(count):
             kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])
             kind = rng.choice(kinds)

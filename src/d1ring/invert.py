@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, Subspace, kernel_basis, solve
+from .exactalg import Matrix, SparseMatrix, Subspace, kernel_basis, solve
 from .groupring import GroupRingElement, coeff_one
 from .groups import FiniteSubset
 from .nuca import Configuration, Nuca, constant_part
@@ -157,14 +157,14 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     keys = sorted({row for row, _, _ in entries} | {row for row, _ in target})
     index = {row: k for k, row in enumerate(keys)}
 
-    a = Matrix.zeros(fld, len(keys), len(slots) * n * n)
+    rows: list[dict] = [{} for _ in keys]
     for row, col, value in entries:
-        a.data[index[row], col] = value
+        rows[index[row]][col] = value
     b = [fld.zero] * len(keys)
     for row, value in target:
         b[index[row]] = value
 
-    x = solve(a, b)
+    x = solve(SparseMatrix(fld, len(keys), len(slots) * n * n, rows), b)
     if x is None:
         return None
 

@@ -87,6 +87,24 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["payload"]["failures"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["direct-finiteness", "--group", "free:2", "--field", "Fp:3",
+             "--max-factors", "-1", "--trials", "1"],
+            ["direct-finiteness", "--group", "free:2", "--field", "Fp:3",
+             "--max-factors", "0", "--trials", "1"],
+            ["pipeline", "--group", "Zd:1", "--field", "Fp:2", "--n", "1",
+             "--trials", "1", "--decoy-every", "-1"],
+        ],
+        ids=["max-factors-negative", "max-factors-zero", "decoy-every-negative"],
+    )
+    def test_bad_suite_config_is_usage_error(self, argv):
+        code, out, err = run_cli(["experiment", *argv, "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert "must be >=" in err
+
 
 class TestFmtWarning:
     def test_noncanonical_input_warns(self):

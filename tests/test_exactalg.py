@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import (
     FieldSpec,
     Matrix,
+    SparseMatrix,
     Subspace,
+    _rref,
     image,
     kernel_basis,
     rank,
@@ -178,3 +181,121 @@ def test_rational_exactness(num, den):
     x = Fraction(num, den)
     enc = Q.encode_scalar(x)
     assert Q.parse_scalar(enc) == (x, False)
+
+
+# -- the dense Gauss-Jordan elimination the sparse kernel replaced ---------------
+
+def reference_rref(field, a):
+    """Reduced row echelon form by dense row operations on the array."""
+    a = a.copy()
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        pivot = field.coerce(a[r, c])
+        if pivot != field.one:
+            a[r] = field._normalize_array(a[r] * field.inv(pivot))
+        rows = np.nonzero(a[:, c])[0]
+        for i in rows:
+            if i != r:
+                a[i] = field._normalize_array(a[i] - a[i, c] * a[r])
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def reference_canonical(field, vectors):
+    if not vectors:
+        return []
+    r, pivots = reference_rref(field, Matrix.from_rows(field, vectors).data)
+    return [[field.coerce(x) for x in row] for row in r[: len(pivots)]]
+
+
+def reference_kernel(a):
+    field = a.field
+    r, pivots = reference_rref(field, a.data)
+    vectors = []
+    for f in range(a.cols):
+        if f in pivots:
+            continue
+        v = [field.zero] * a.cols
+        v[f] = field.one
+        for row_idx, c in enumerate(pivots):
+            v[c] = field.neg(field.coerce(r[row_idx, f]))
+        vectors.append(v)
+    return reference_canonical(field, vectors)
+
+
+def reference_solve(a, b):
+    field = a.field
+    col = np.empty((a.rows, 1), dtype=field._dtype())
+    for i, x in enumerate(b):
+        col[i, 0] = field.coerce(x)
+    r, pivots = reference_rref(field, np.concatenate([a.data, col], axis=1))
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [field.zero] * a.cols
+    for row_idx, c in enumerate(pivots):
+        x[c] = field.coerce(r[row_idx, a.cols])
+    return tuple(x)
+
+
+# F_p on int64 arrays (2^31 - 1 is the largest prime they hold), F_p on
+# object arrays (2^31 + 11 is the least prime above that limit), and Q
+AGREEMENT_FIELDS = [F2, F5, FieldSpec.fp(2**31 - 1), FieldSpec.fp(2**31 + 11), Q]
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b) with up to 6 x 5 entries, biased towards zeros, extreme
+    residues, all-zero matrices and repeated rows."""
+    field = draw(st.sampled_from(AGREEMENT_FIELDS))
+    if field.kind == "Fp":
+        scalar = st.sampled_from([0, 0, 1, field.p - 1]) | st.integers(0, field.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if draw(st.integers(0, 7)) == 0:
+        scalar = st.just(field.zero)
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = [[draw(scalar) for _ in range(cols)] for _ in range(rows)]
+    if entries and draw(st.booleans()):
+        entries.append(list(draw(st.sampled_from(entries))))
+    a = Matrix.from_rows(field, entries) if entries else Matrix.zeros(field, 0, cols)
+    b = [field.coerce(draw(scalar)) for _ in entries]
+    return a, b
+
+
+def _sparse(a):
+    return SparseMatrix(
+        a.field, a.rows, a.cols, [{j: x for j, x in enumerate(row) if x} for row in a.to_lists()]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+@example((Matrix.zeros(F5, 0, 3), []))
+@example((Matrix.from_rows(Q, [[], []]), [Fraction(0), Fraction(1)]))
+@example((Matrix.zeros(F2, 2, 2), [0, 1]))
+@example((Matrix.from_rows(F5, [[1, 2], [1, 2]]), [1, 3]))
+def test_sparse_elimination_agrees_with_dense_reference(system):
+    a, b = system
+    field = a.field
+    r, pivots = _rref(field, a.data)
+    ref_r, ref_pivots = reference_rref(field, a.data)
+    assert pivots == ref_pivots
+    assert r.shape == ref_r.shape and bool(np.all(r == ref_r))
+    assert rank(a) == len(ref_pivots)
+    assert kernel_basis(a).vectors() == [tuple(v) for v in reference_kernel(a)]
+    x = solve(a, b)
+    assert x == reference_solve(a, b)
+    assert solve(_sparse(a), b) == x
+    if x is not None:
+        assert a.mul_vector(x) == tuple(b)
