@@ -327,17 +327,6 @@ def _reduced_echelon(field: FieldSpec, rows: Iterable[dict]) -> dict[int, dict]:
     return basis
 
 
-def _rref(field: FieldSpec, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    basis = _reduced_echelon(field, _row_dicts(field, a))
-    pivots = sorted(basis)
-    r = Matrix.zeros(field, *a.shape).data
-    for i, c in enumerate(pivots):
-        for j, v in basis[c].items():
-            r[i, j] = v
-    return r, pivots
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace given by its canonical reduced-echelon basis.
@@ -356,14 +345,12 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
-            return Subspace.zero(field, ambient_dim)
-        m = Matrix.from_rows(field, vectors)
-        if m.cols != ambient_dim:
-            raise UsageError("vector length != ambient dimension")
-        r, pivots = _rref(field, m.data)
-        return Subspace(field, ambient_dim, Matrix(field, r[: len(pivots)]))
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise UsageError("vector length != ambient dimension")
+            rows.append({j: x for j, x in enumerate(map(field.coerce, v)) if x})
+        return _subspace_from_rows(field, ambient_dim, rows)
 
     @property
     def dim(self) -> int:
@@ -385,6 +372,16 @@ class Subspace:
         return stacked.dim == other.dim
 
 
+def _subspace_from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[dict]) -> Subspace:
+    """The span of {column: value} rows, with its canonical RREF basis."""
+    basis = _reduced_echelon(field, rows)
+    m = Matrix.zeros(field, len(basis), ambient_dim)
+    for i, c in enumerate(sorted(basis)):
+        for j, v in basis[c].items():
+            m.data[i, j] = v
+    return Subspace(field, ambient_dim, m)
+
+
 def rank(a: Matrix) -> int:
     return len(_echelon(a.field, _row_dicts(a.field, a.data)))
 
@@ -395,14 +392,12 @@ def kernel_basis(a: Matrix) -> Subspace:
     basis = _reduced_echelon(field, _row_dicts(field, a.data))
     # one vector per free column f: 1 at f, minus column f of the RREF
     # at the pivot columns
-    vectors = {f: [field.zero] * a.cols for f in range(a.cols) if f not in basis}
-    for f, v in vectors.items():
-        v[f] = field.one
+    vectors = {f: {f: field.one} for f in range(a.cols) if f not in basis}
     for c, row in basis.items():
         for f, w in row.items():
             if f != c:
                 vectors[f][c] = field.neg(w)
-    return Subspace.from_vectors(field, a.cols, list(vectors.values()))
+    return _subspace_from_rows(field, a.cols, vectors.values())
 
 
 def solve(a: Matrix | SparseMatrix, b: Sequence) -> Optional[tuple]:

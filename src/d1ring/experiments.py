@@ -28,7 +28,13 @@ from .errors import UsageError
 from .exactalg import FieldSpec
 from .groupring import GroupRingElement
 from .groups import Element, GroupSpec
-from .invert import SearchBudget, search_left_inverse, verify_identity
+from .invert import (
+    SearchBudget,
+    check_search_radius,
+    search_left_inverse,
+    search_radius_limit,
+    verify_identity,
+)
 from .nuca import Nuca
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
 
@@ -262,6 +268,21 @@ def decoy_nuca(group: GroupSpec, field: FieldSpec, n: int) -> Nuca:
 
 # -- suites ----------------------------------------------------------------------------
 
+def _search_radius(config: SuiteConfig, inverse: TwistedMatrix) -> tuple[int, str]:
+    """The radius a trial searches for a left inverse, with the reason to
+    record if none is found: the budget's radius, widened to the known
+    inverse's radius as far as the search size limit allows.  The suite
+    has already checked that the budget's radius itself is within it."""
+    wanted = max(config.budget.max_radius, element_radius(f_shuffle_inv(inverse)))
+    limit = search_radius_limit(config.group, config.n, wanted)
+    if limit < wanted:
+        return limit, (
+            f"no left inverse found up to radius {limit}, the largest within the"
+            f" search size limit (the known inverse has radius {wanted})"
+        )
+    return wanted, "no left inverse found within budget"
+
+
 _NOTE = (
     "Over the supported universes every one-sided unit is expected to be "
     "two-sided; each trial verifies that implication on a random unit and "
@@ -273,10 +294,13 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
     """Per trial: build (u, v) with u*v = 1 and assert v*u = 1.
 
     With rediscover_inverse set, the left inverse is recomputed by the
-    exact solver instead of taken from the construction.
+    exact solver instead of taken from the construction, up to the
+    budget's radius widened to the known inverse's (see _search_radius).
     """
     from .envelope import twisted_matrix_payload  # local import to avoid a cycle
 
+    if config.rediscover_inverse:
+        check_search_radius(config.group, config.n, config.budget.max_radius)
     start = time.monotonic()
 
     def trial(index: int) -> dict:
@@ -285,13 +309,11 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
         outcome: dict = {"trial": index, "word": word}
         if config.rediscover_inverse:
             tau = Nuca.from_matrix(unit)
-            radius = max(
-                config.budget.max_radius, element_radius(f_shuffle_inv(inverse))
-            )
+            radius, reason = _search_radius(config, inverse)
             hit = search_left_inverse(tau, radius)
             if hit is None:
                 outcome["ok"] = False
-                outcome["reason"] = "no left inverse found within budget"
+                outcome["reason"] = reason
                 outcome["unit"] = twisted_matrix_payload(unit)
                 return outcome
             cert, r = hit
@@ -332,6 +354,7 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
     from .envelope import twisted_payload  # local import to avoid a cycle
     from .invert import stable_injectivity_verdict
 
+    check_search_radius(config.group, config.n, config.budget.max_radius)
     start = time.monotonic()
 
     def trial(index: int) -> dict:
@@ -347,12 +370,12 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
             return out
         unit, inverse, word = gen_unit(rng, config)
         tau = Nuca.from_matrix(unit)
-        radius = max(config.budget.max_radius, element_radius(f_shuffle_inv(inverse)))
+        radius, reason = _search_radius(config, inverse)
         outcome: dict = {"trial": index, "decoy": False, "word": word}
         hit = search_left_inverse(tau, radius)
         if hit is None:
             outcome["ok"] = False
-            outcome["reason"] = "no left inverse found within budget"
+            outcome["reason"] = reason
             outcome["unit"] = twisted_payload(tau.element)
             return outcome
         cert, r = hit

@@ -198,6 +198,9 @@ class GroupRingElement:
         return coeff_zero(self.field, self.shape)
 
     def _check_compatible(self, other: "GroupRingElement") -> None:
+        # shared specs are the common case; equal but distinct ones still pass
+        if self.group is other.group and self.field is other.field and self.shape == other.shape:
+            return
         if self.group != other.group:
             raise UsageError("group mismatch")
         if self.field != other.field:

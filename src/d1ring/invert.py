@@ -23,9 +23,18 @@ from typing import Optional
 from .errors import UsageError
 from .exactalg import Matrix, SparseMatrix, Subspace, kernel_basis, solve
 from .groupring import GroupRingElement, coeff_one
-from .groups import FiniteSubset
+from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement
+
+
+# Inverse-search systems with more unknowns are refused before any work.
+# Measured on 2 vCPUs (Python 3.11, one ball system of a random radius-1
+# map over F_5): 0.9-1.3 KB of peak memory and 12-62 us per unknown, e.g.
+# Z^3 radius 3 with n = 3 (1.06 M unknowns) 23 s and 1.08 GB, Z^2 radius 12
+# with n = 2 (1.57 M) 38 s and 1.36 GB; so one system at the limit needs
+# about 2 GB.  free:26 at radius 2 would need 7.3 M.
+MAX_UNKNOWNS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -122,9 +131,15 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     yields all n^2 columns of the slot: row i of E_ij P is row j of P
     (left search), and column j of P E_ij is column i of P (right search).
     Columns run over the slots (regular sites, then exceptional pairs),
-    then over (i, j) row-major within a slot.
+    then over (i, j) row-major within a slot.  A system of more than
+    MAX_UNKNOWNS unknowns is refused before it is assembled.
     """
     grp, fld, n = t.group, t.field, t.n
+    unknowns = len(params.memory_set) * (1 + len(params.exceptional_set)) * n * n
+    if unknowns > MAX_UNKNOWNS:
+        raise UsageError(
+            f"the inverse search needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
+        )
     left = params.side == "left"
     ident = coeff_one(fld, n)
     zero = GroupRingElement.zero(grp, fld, n)
@@ -187,11 +202,39 @@ def _inverse_in_ball(t: Nuca, side: str, r: int) -> Optional[Nuca]:
     return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
+def _ball_unknowns(group: GroupSpec, n: int, radius: int) -> int:
+    size = group.ball_size(radius)
+    return size * (1 + size) * n * n
+
+
+def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
+    """The largest radius up to max_radius whose ball system has at most
+    MAX_UNKNOWNS unknowns (-1 if even radius 0 has more)."""
+    r = -1
+    while r < max_radius and _ball_unknowns(group, n, r + 1) <= MAX_UNKNOWNS:
+        r += 1
+    return r
+
+
+def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
+    """Refuse a ball search up to max_radius whose last system would have
+    more than MAX_UNKNOWNS unknowns, before any work is done."""
+    unknowns = _ball_unknowns(group, n, max_radius)
+    if unknowns > MAX_UNKNOWNS:
+        raise UsageError(
+            f"an inverse search to radius {max_radius} over {group.label()} with n = {n}"
+            f" needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
+            f" (largest radius within it: {search_radius_limit(group, n, max_radius)})"
+        )
+
+
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:
     """Grow support balls until a one-sided inverse appears.  None is not
-    a proof of non-invertibility; the needed radius has no a-priori bound."""
+    a proof of non-invertibility; the needed radius has no a-priori bound.
+    A search past search_radius_limit is refused before radius 0 runs."""
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
+    check_search_radius(t.group, t.n, max_radius)
     for r in range(max_radius + 1):
         cert = _inverse_in_ball(t, side, r)
         if cert is not None:
@@ -317,7 +360,10 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     A left-inverse certificate proves stable injectivity; a finitely
     supported kernel witness (for the map or for its constant part alone)
     refutes it; otherwise the verdict carries bounded tower evidence only.
+    A budget whose largest certificate search is past the size limit is
+    refused before any search runs.
     """
+    check_search_radius(t.group, t.n, budget.max_radius)
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
         cert = _inverse_in_ball(t, "left", r)

@@ -23,8 +23,8 @@ In code each slot reduces to ordinary group ring convolutions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import UsageError
 from .exactalg import FieldSpec
@@ -33,7 +33,6 @@ from .groupring import (
     Shape,
     matrix_shuffle,
     matrix_unshuffle,
-    shape_label,
 )
 from .groups import Element, FiniteSubset, GroupSpec
 
@@ -108,19 +107,17 @@ class TwistedElement:
         return FiniteSubset(self.group, self.group.sort(sites))
 
     def _check_compatible(self, other: "TwistedElement") -> None:
-        if self.group != other.group:
-            raise UsageError("group mismatch")
-        if self.field != other.field:
-            raise UsageError("field mismatch")
-        if self.shape != other.shape:
-            raise UsageError(
-                f"coefficient shape mismatch: {shape_label(self.shape)} vs {shape_label(other.shape)}"
-            )
+        self.regular._check_compatible(other.regular)
 
     # -- ring operations -----------------------------------------------------------
 
     def __add__(self, other: "TwistedElement") -> "TwistedElement":
+        # operands are canonical, so a zero summand leaves the other as is
         self._check_compatible(other)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
         return TwistedElement.make(
             self.regular + other.regular, self.singular + other.singular
         )
@@ -140,6 +137,10 @@ class TwistedElement:
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         self._check_compatible(other)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
         grp, field, shape = self.group, self.field, self.shape
         reg = self.regular * other.regular
         acc: dict[Element, GroupRingElement] = {}
@@ -240,13 +241,18 @@ class TwistedMatrix:
             raise UsageError("matrix size mismatch")
         self.entries[0][0]._check_compatible(other.entries[0][0])
         n = self.n
+        zero = TwistedElement.zero(self.group, self.field, self.shape)
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = TwistedElement.zero(self.group, self.field, self.shape)
+                acc = zero
                 for r in range(n):
-                    acc = acc + self.entries[i][r] * other.entries[r][j]
+                    a, b = self.entries[i][r], other.entries[r][j]
+                    # `*` and `+` would return at once on a zero too; skipping
+                    # here also saves their two calls and compatibility checks
+                    if not (a.is_zero() or b.is_zero()):
+                        acc = acc + a * b
                 row.append(acc)
             rows.append(tuple(row))
         return TwistedMatrix(n, tuple(rows))

@@ -5,6 +5,12 @@ import json
 import pytest
 
 from d1ring.cli import main
+from d1ring.envelope import envelope_for, serialize_envelope
+from d1ring.exactalg import FieldSpec
+from d1ring.groupring import GroupRingElement
+from d1ring.groups import GroupSpec
+from d1ring.nuca import Nuca
+from d1ring.twisted import TwistedElement
 
 import golden_cases
 from golden_cases import CASES, EXPECTED, path
@@ -104,6 +110,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "must be >=" in err
+
+
+    def test_oversized_inverse_search_is_usage_error(self, tmp_path):
+        # 1 + a has no inverse in any ball; radius 2 in free:26 would need
+        # 7.3 M unknowns, so the search stops there with a usage error
+        group = GroupSpec.free(26)
+        a = GroupRingElement.from_terms(group, FieldSpec.fp(3), 1, [((), ((1,),)), ((1,), ((1,),))])
+        src = tmp_path / "free26.json"
+        src.write_text(serialize_envelope(envelope_for(Nuca(TwistedElement.make(a)))))
+        code, out, err = run_cli(["invert", str(src), "--max-radius", "3", "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
 
 
 class TestFmtWarning:

@@ -1,9 +1,11 @@
 import os
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
+from d1ring import experiments, invert
 from d1ring.errors import UsageError
 from d1ring.experiments import (
     SuiteConfig,
@@ -14,6 +16,8 @@ from d1ring.experiments import (
     run_surjunctivity_pipeline,
 )
 from d1ring.groupring import GroupRingElement
+from d1ring.groups import GroupSpec
+from d1ring.invert import SearchBudget
 from d1ring.twisted import TwistedElement, TwistedMatrix
 
 from conftest import F2, F2FREE, F3, F5, Q, Z1, Z2, f3_pair, gre
@@ -109,6 +113,34 @@ class TestPipeline:
     def test_free_group_trials(self):
         rep = run_surjunctivity_pipeline(cfg(trials=4, group=F2FREE, field=F5))
         assert rep.failures == 0
+
+
+class TestSearchSizeLimit:
+    def test_oversized_budget_refused_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "gen_unit", lambda *args: calls.append(args))
+        config = cfg(trials=3, group=GroupSpec.free(26), budget=SearchBudget(max_radius=2))
+        with pytest.raises(UsageError, match="limit"):
+            run_surjunctivity_pipeline(config)
+        with pytest.raises(UsageError, match="limit"):
+            run_direct_finiteness(replace(config, rediscover_inverse=True))
+        assert calls == []
+
+    def test_suite_without_searches_is_not_limited(self):
+        rep = run_direct_finiteness(cfg(trials=2, group=GroupSpec.free(26)))
+        assert rep.failures == 0
+
+    def test_trial_past_the_limit_is_a_failed_trial(self, monkeypatch):
+        # with room for radius 0 only, units whose inverse needs radius 1
+        # are recorded as failed trials and the suite still reports
+        monkeypatch.setattr(invert, "MAX_UNKNOWNS", 2)
+        rep = run_surjunctivity_pipeline(
+            cfg(trials=6, field=F5, max_factors=3, budget=SearchBudget(max_radius=0))
+        )
+        assert len(rep.outcomes) == 6
+        limited = [o for o in rep.outcomes if not o["ok"]]
+        assert limited
+        assert all("largest within the search size limit" in o["reason"] for o in limited)
 
 
 class TestReportDeterminism:

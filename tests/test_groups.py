@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.groups import FiniteSubset, GroupSpec, product_set, reduce_word
+from d1ring.groups import MAX_BALL_SIZE, FiniteSubset, GroupSpec, product_set, reduce_word
 
 from conftest import F2FREE, Z1, Z2
 
@@ -86,6 +86,21 @@ class TestBalls:
     def test_all_reduced(self):
         for g in FiniteSubset.ball(F2FREE, 3):
             F2FREE.check(g)
+
+    @pytest.mark.parametrize(
+        "group",
+        [Z1, Z2, GroupSpec.zd(3), GroupSpec.free(1), F2FREE, GroupSpec.free(3)],
+        ids=lambda g: g.label(),
+    )
+    def test_size_closed_form(self, group):
+        for r in range(4):
+            assert group.ball_size(r) == len(group.ball(r))
+
+    def test_oversized_ball_refused(self):
+        free26 = GroupSpec.free(26)
+        assert free26.ball_size(3) == 137_957 <= MAX_BALL_SIZE < free26.ball_size(4)
+        with pytest.raises(UsageError, match="limit"):
+            free26.ball(4)
 
 
 class TestValidation:

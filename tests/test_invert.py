@@ -7,14 +7,18 @@ from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
 from d1ring.groupring import GroupRingElement
-from d1ring.groups import FiniteSubset
+from d1ring.groups import FiniteSubset, GroupSpec
+from d1ring import invert
 from d1ring.invert import (
+    MAX_UNKNOWNS,
     InverseSearchParams,
     SearchBudget,
+    check_search_radius,
     finitely_supported_kernel,
     kernel_tower,
     search_left_inverse,
     search_one_sided_inverse,
+    search_radius_limit,
     solve_one_sided_inverse,
     stable_injectivity_verdict,
     verify_identity,
@@ -82,6 +86,47 @@ class TestSolveOneSided:
     def test_bad_side(self):
         with pytest.raises(UsageError):
             InverseSearchParams.make("up", FiniteSubset.ball(Z1, 0), FiniteSubset.ball(Z1, 0))
+
+    def test_oversized_system_refused(self):
+        # 2705 * 2706 unknowns at radius 2 in free:26
+        ball = FiniteSubset.ball(GroupSpec.free(26), 2)
+        params = InverseSearchParams.make("left", ball, ball)
+        assert len(ball) * (1 + len(ball)) > MAX_UNKNOWNS
+        with pytest.raises(UsageError, match="limit"):
+            solve_one_sided_inverse(Nuca.identity(ball.group, F3, 1), params)
+
+
+class TestSearchSizeLimit:
+    @pytest.mark.parametrize("label, n", [("free:4", 1), ("free:3", 3), ("Zd:3", 2)])
+    def test_default_budget_fits(self, label, n):
+        # 209,306, 316,404 and 471,968 unknowns at radius 3
+        group = GroupSpec.from_label(label)
+        size = group.ball_size(SearchBudget().max_radius)
+        assert size * (size + 1) * n * n <= MAX_UNKNOWNS
+        check_search_radius(group, n, SearchBudget().max_radius)
+
+    def test_radius_limit(self):
+        free26 = GroupSpec.free(26)
+        assert search_radius_limit(free26, 1, 5) == 1
+        assert search_radius_limit(free26, 1, 0) == 0
+        assert search_radius_limit(Z2, 2, 3) == 3
+        with pytest.raises(UsageError, match="largest radius within it: 1"):
+            check_search_radius(free26, 1, 2)
+
+    def test_refused_before_any_work(self, monkeypatch):
+        # the identity has an inverse at radius 0, but a search to radius 2
+        # in free:26 is refused before radius 0 runs
+        calls = []
+        record = lambda *args: calls.append(args)
+        monkeypatch.setattr(invert, "_inverse_in_ball", record)
+        monkeypatch.setattr(invert, "finitely_supported_kernel", record)
+        monkeypatch.setattr(invert, "kernel_tower", record)
+        t = Nuca.identity(GroupSpec.free(26), F3, 1)
+        with pytest.raises(UsageError, match="limit"):
+            stable_injectivity_verdict(t, SearchBudget(max_radius=2))
+        with pytest.raises(UsageError, match="limit"):
+            search_one_sided_inverse(t, "right", 2)
+        assert calls == []
 
 
 class TestSearchLeftInverse:

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
+from d1ring.exactalg import FieldSpec
 from d1ring.experiments import rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement
+from d1ring.groups import GroupSpec
 from d1ring.twisted import (
     TwistedElement,
     TwistedMatrix,
@@ -14,8 +17,8 @@ from d1ring.twisted import (
     f_shuffle_inv,
 )
 
-from conftest import F2, F3, F5, GROUPS, Q, Z1, Z2, f3_pair, gre
-from oracles import field_modulus, naive_twisted_mul, plain_twisted
+from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_pair, gre
+from oracles import field_modulus, naive_twisted_mul, o_add, o_is_zero, plain_twisted
 
 
 def assert_matches_oracle(u, v):
@@ -125,13 +128,7 @@ class TestMatMul:
         b = [[rand_twisted(rng, Z1, F2, None, radius=1) for _ in range(2)] for _ in range(2)]
         ma = TwistedMatrix(2, tuple(tuple(r) for r in a))
         mb = TwistedMatrix(2, tuple(tuple(r) for r in b))
-        prod = ma @ mb
-        for i in range(2):
-            for j in range(2):
-                acc = TwistedElement.zero(Z1, F2)
-                for r in range(2):
-                    acc = acc + a[i][r] * b[r][j]
-                assert prod.entries[i][j] == acc
+        assert ma @ mb == reference_matmul(ma, mb)
 
 
 class TestFShuffle:
@@ -234,3 +231,130 @@ def test_singular_support_containment(rng):
                 allowed.add(Z2.compose(s, Z2.inverse(t)))
         for g, _ in prod.singular:
             assert g in allowed
+
+
+def reference_matmul(a, b):
+    """The entrywise defining sum: each entry starts from a fresh zero and
+    adds every product, zero factors included."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = TwistedElement.zero(a.group, a.field, a.shape)
+            for r in range(n):
+                acc = acc + a.entries[i][r] * b.entries[r][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return TwistedMatrix(n, tuple(rows))
+
+
+def plain_sum(p, x, y):
+    """(regular, singular) of a sum, added up from the plain dicts."""
+
+    def add(a, b):
+        out = dict(a)
+        for g, c in b.items():
+            out[g] = o_add(p, out[g], c) if g in out else c
+        return {g: c for g, c in out.items() if not o_is_zero(c)}
+
+    (r1, s1), (r2, s2) = x, y
+    sing = {g: add(s1.get(g, {}), s2.get(g, {})) for g in s1.keys() | s2.keys()}
+    return add(r1, r2), {g: part for g, part in sing.items() if part}
+
+
+def canonical(x):
+    """x rebuilt through the canonicalizing constructors."""
+
+    def part(a):
+        return GroupRingElement.from_terms(a.group, a.field, a.shape, a.terms)
+
+    return TwistedElement.make(part(x.regular), [(g, part(q)) for g, q in x.singular])
+
+
+def draw_operand(rng, group, field, shape):
+    """Zero and the identity, each about as often as a random element."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return TwistedElement.zero(group, field, shape)
+    if kind == 1:
+        return TwistedElement.one(group, field, shape)
+    return rand_twisted(rng, group, field, shape, radius=1)
+
+
+def draw_matrix(rng, group, field, shape):
+    return TwistedMatrix(
+        2, tuple(tuple(draw_operand(rng, group, field, shape) for _ in range(2)) for _ in range(2))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F3, Q]),
+    shape=st.sampled_from([None, 2]),
+)
+def test_fast_paths_agree_with_oracles(seed, group, field, shape):
+    # zero operands take the short-circuits in * and +, and zero entries
+    # are skipped by @; every result must match the defining sums
+    rng = random.Random(seed)
+    p = field_modulus(field)
+    u = draw_operand(rng, group, field, shape)
+    v = draw_operand(rng, group, field, shape)
+
+    prod = u * v
+    reg, sing = naive_twisted_mul(group.kind, p, plain_twisted(u), plain_twisted(v))
+    assert plain_twisted(prod) == (reg, sing)
+    assert prod == canonical(prod)
+
+    total = u + v
+    assert plain_twisted(total) == plain_sum(p, plain_twisted(u), plain_twisted(v))
+    assert total == canonical(total)
+
+    a, b = draw_matrix(rng, group, field, shape), draw_matrix(rng, group, field, shape)
+    prod = a @ b
+    assert prod == reference_matmul(a, b)
+    assert all(e == canonical(e) for row in prod.entries for e in row)
+
+
+class TestCompatibilityChecks:
+    # zero operands skip the arithmetic, never the checks
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    def test_field_mismatch(self, op):
+        zero = TwistedElement.zero(F2FREE, F3)
+        one = TwistedElement.one(F2FREE, F5)
+        for x, y in ((zero, one), (one, zero)):
+            with pytest.raises(UsageError, match="field"):
+                x * y if op == "mul" else x + y
+
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    def test_group_mismatch(self, op):
+        zero = TwistedElement.zero(Z1, F3)
+        for other in (TwistedElement.one(Z2, F3), TwistedElement.zero(F2FREE, F3)):
+            for x, y in ((zero, other), (other, zero)):
+                with pytest.raises(UsageError, match="group"):
+                    x * y if op == "mul" else x + y
+
+    def test_shape_mismatch_through_matmul(self):
+        def antidiagonal(shape):
+            zero, one = TwistedElement.zero(Z1, F3, shape), TwistedElement.one(Z1, F3, shape)
+            return TwistedMatrix(2, ((zero, one), (one, zero)))
+
+        with pytest.raises(UsageError, match="shape"):
+            antidiagonal(None) @ antidiagonal(2)
+
+    def test_equal_but_distinct_specs(self):
+        def element(group, field):
+            return TwistedElement.make(
+                gre(group, field, None, [((1,), 1), ((), 2)]),
+                [((-2,), gre(group, field, None, [((1, 2), 2)]))],
+            )
+
+        group, field = GroupSpec.free(2), FieldSpec.fp(3)
+        assert group is not F2FREE and field is not F3
+        u, v = element(F2FREE, F3), element(group, field)
+        assert u * v == u * u
+        assert u + v == u + u
+        m = TwistedMatrix.diagonal([u, v])
+        assert m @ TwistedMatrix.diagonal([v, u]) == TwistedMatrix.diagonal([u * u, u * u])
