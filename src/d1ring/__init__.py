@@ -2,7 +2,7 @@
 automata over Z^d and free groups."""
 
 from .errors import FormatError, UsageError
-from .exactalg import FieldSpec, Matrix, SparseMatrix, Subspace, image, kernel_basis, rank, solve
+from .exactalg import FieldSpec, Matrix, Subspace, image, kernel_basis, rank, solve
 from .groupring import GroupRingElement, matrix_shuffle, matrix_unshuffle
 from .groups import FiniteSubset, GroupSpec, product_set
 from .invert import (
@@ -53,7 +53,6 @@ __all__ = [
     "Nuca",
     "Pattern",
     "SearchBudget",
-    "SparseMatrix",
     "Subspace",
     "SuiteConfig",
     "SuiteReport",

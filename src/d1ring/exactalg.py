@@ -1,14 +1,12 @@
 """Exact linear algebra over prime fields F_p and the rationals Q.
 
-Elimination is sparse: every row is a {column: nonzero value} dict of
-Python ints mod p or Fractions, and one kernel (`_echelon`) serves
-solving, rank, kernels and subspaces.  `Matrix` is the dense container
-(a numpy array of int64 residues, or of objects for large p and for Q)
-used for products, window maps and subspace bases; `SparseMatrix` hands
-a system to `solve` without ever building the dense array.  All
-arithmetic is exact; there is no floating point anywhere.  Subspaces
-carry a reduced-row-echelon basis, which makes subspace equality a plain
-structural comparison.
+`Matrix` is the one matrix type: every row is a {column: nonzero value}
+dict of Python ints mod p or Fractions, so window maps, bases and linear
+systems cost memory in their nonzeros only.  One elimination kernel
+(`_echelon`) reads those rows as they are and serves solving, rank,
+kernels and subspaces.  All arithmetic is exact; there is no floating
+point anywhere.  Subspaces carry a reduced-row-echelon basis, which makes
+subspace equality a plain structural comparison.
 """
 
 from __future__ import annotations
@@ -17,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import FormatError, UsageError
-
-# plain Python ints beyond this would overflow int64 in a*b accumulations
-_INT64_PRIME_LIMIT = 1 << 31
 
 
 def _is_prime(n: int) -> bool:
@@ -152,79 +145,48 @@ class FieldSpec:
             raise FormatError(f"bad rational {value!r}") from None
         return f, self.encode_scalar(f) != value
 
-    def _dtype(self):
-        if self.kind == "Fp" and self.p < _INT64_PRIME_LIMIT:
-            return np.int64
-        return object
-
-    def _normalize_array(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p if self.kind == "Fp" else a
-
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b reduced into the field.  An int64 sum of a.shape[1]
-        products, each up to (p-1)^2, can overflow; such sums are taken
-        over Python ints instead."""
-        if a.dtype == np.int64 and (self.p - 1) ** 2 * a.shape[1] >= 1 << 63:
-            return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
-        return self._normalize_array(a @ b)
-
 
 class Matrix:
-    """A dense exact matrix over a FieldSpec: the container for products,
-    window maps and subspace bases.  Elimination reads its nonzero
-    entries into row dicts (`_row_dicts`) and never works on the array."""
+    """An exact matrix over a FieldSpec, stored by rows: data[i] maps each
+    column of row i that holds a nonzero entry to that entry, in canonical
+    field form (an int in [0, p) or a Fraction).  Products, window maps,
+    subspace bases and linear systems all use it, and elimination reads
+    the row dicts as they are."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: FieldSpec, data: np.ndarray):
-        if data.ndim != 2:
-            raise UsageError("matrix data must be 2-dimensional")
+    def __init__(self, field: FieldSpec, rows: int, cols: int, data: list[dict]):
+        if len(data) != rows:
+            raise UsageError("matrix data must have one dict per row")
         self.field = field
-        self.rows, self.cols = data.shape
+        self.rows = rows
+        self.cols = cols
         self.data = data
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        a = np.empty((nrows, ncols), dtype=field._dtype())
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise UsageError("ragged matrix rows")
-            for j, x in enumerate(row):
-                a[i, j] = field.coerce(x)
-        return Matrix(field, a)
+        ncols = len(rows[0]) if rows else 0
+        return Matrix(field, len(rows), ncols, [_row_dict(field, ncols, row) for row in rows])
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        dtype = field._dtype()
-        if dtype is object:
-            a = np.empty((rows, cols), dtype=object)
-            a[:] = field.zero
-        else:
-            a = np.zeros((rows, cols), dtype=dtype)
-        return Matrix(field, a)
+        return Matrix(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        m = Matrix.zeros(field, n, n)
-        for i in range(n):
-            m.data[i, i] = field.one
-        return m
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data.copy())
+        return Matrix(field, n, n, [{i: field.one} for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.all(self.data == other.data))
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(self.data.flat)))
+        rows = tuple(tuple(sorted(row.items())) for row in self.data)
+        return hash((self.field, self.rows, self.cols, rows))
 
     def __repr__(self):
         return f"Matrix({self.field.label()}, {self.to_lists()!r})"
@@ -234,47 +196,40 @@ class Matrix:
             raise UsageError("matrix product over different fields")
         if self.cols != other.rows:
             raise UsageError("matrix product shape mismatch")
-        return Matrix(self.field, self.field._product(self.data, other.data))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.data.shape != other.data.shape:
-            raise UsageError("matrix sum shape mismatch")
-        return Matrix(self.field, self.field._normalize_array(self.data + other.data))
+        p = self.field.p
+        data = []
+        for row in self.data:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other.data[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if p:
+                acc = {j: v % p for j, v in acc.items()}
+            data.append({j: v for j, v in acc.items() if v})
+        return Matrix(self.field, self.rows, other.cols, data)
 
     def mul_vector(self, v: Sequence) -> tuple:
         """Apply to a coordinate vector, returning a tuple of field values."""
         if len(v) != self.cols:
             raise UsageError("vector length mismatch")
-        col = np.empty((self.cols,), dtype=self.field._dtype())
-        for i, x in enumerate(v):
-            col[i] = x
-        out = self.field._product(self.data, col)
-        return tuple(self.field.coerce(x) for x in out)
+        coerce = self.field.coerce
+        return tuple(coerce(sum(a * v[j] for j, a in row.items())) for row in self.data)
 
     def to_lists(self) -> list[list]:
-        return [[self.field.coerce(x) for x in row] for row in self.data]
+        out = []
+        for row in self.data:
+            dense = [self.field.zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """A matrix given by its nonzero entries: data[i] maps column -> value
-    for row i, with values already in canonical field form."""
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    data: list[dict]
-
-
-def _row_dicts(field: FieldSpec, a: np.ndarray) -> list[dict]:
-    """The nonzero entries of a dense array, one {column: value} per row."""
-    rows: list[dict] = [{} for _ in range(a.shape[0])]
-    ii, jj = np.nonzero(a)
-    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-        x = field.coerce(x)
-        if x:
-            rows[i][j] = x
-    return rows
+def _row_dict(field: FieldSpec, length: int, v: Sequence) -> dict:
+    """The nonzero entries of a coordinate vector, coerced into the field."""
+    if len(v) != length:
+        raise UsageError(f"expected a vector of length {length}, got {len(v)}")
+    return {j: x for j, x in enumerate(map(field.coerce, v)) if x}
 
 
 def _subtract(row: dict, other: dict, f, p: Optional[int]) -> None:
@@ -344,52 +299,44 @@ class Subspace:
         return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
 
     @staticmethod
+    def from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
+        """The span of {column: nonzero canonical value} rows, which are
+        read but not changed."""
+        basis = _reduced_echelon(field, rows)
+        data = [basis[c] for c in sorted(basis)]
+        return Subspace(field, ambient_dim, Matrix(field, len(data), ambient_dim, data))
+
+    @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise UsageError("vector length != ambient dimension")
-            rows.append({j: x for j, x in enumerate(map(field.coerce, v)) if x})
-        return _subspace_from_rows(field, ambient_dim, rows)
+        rows = (_row_dict(field, ambient_dim, v) for v in vectors)
+        return Subspace.from_rows(field, ambient_dim, rows)
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
     def vectors(self) -> list[tuple]:
-        return [tuple(self.field.coerce(x) for x in row) for row in self.basis.data]
+        return [tuple(row) for row in self.basis.to_lists()]
 
     def contains(self, v: Sequence) -> bool:
-        stacked = Subspace.from_vectors(self.field, self.ambient_dim, self.vectors() + [list(v)])
-        return stacked.dim == self.dim
+        row = _row_dict(self.field, self.ambient_dim, v)
+        return Subspace.from_rows(self.field, self.ambient_dim, self.basis.data + [row]).dim == self.dim
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise UsageError("ambient dimension mismatch")
-        stacked = Subspace.from_vectors(
-            self.field, self.ambient_dim, other.vectors() + self.vectors()
-        )
+        stacked = Subspace.from_rows(self.field, self.ambient_dim, other.basis.data + self.basis.data)
         return stacked.dim == other.dim
 
 
-def _subspace_from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[dict]) -> Subspace:
-    """The span of {column: value} rows, with its canonical RREF basis."""
-    basis = _reduced_echelon(field, rows)
-    m = Matrix.zeros(field, len(basis), ambient_dim)
-    for i, c in enumerate(sorted(basis)):
-        for j, v in basis[c].items():
-            m.data[i, j] = v
-    return Subspace(field, ambient_dim, m)
-
-
 def rank(a: Matrix) -> int:
-    return len(_echelon(a.field, _row_dicts(a.field, a.data)))
+    return len(_echelon(a.field, a.data))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
     field = a.field
-    basis = _reduced_echelon(field, _row_dicts(field, a.data))
+    basis = _reduced_echelon(field, a.data)
     # one vector per free column f: 1 at f, minus column f of the RREF
     # at the pivot columns
     vectors = {f: {f: field.one} for f in range(a.cols) if f not in basis}
@@ -397,18 +344,17 @@ def kernel_basis(a: Matrix) -> Subspace:
         for f, w in row.items():
             if f != c:
                 vectors[f][c] = field.neg(w)
-    return _subspace_from_rows(field, a.cols, vectors.values())
+    return Subspace.from_rows(field, a.cols, vectors.values())
 
 
-def solve(a: Matrix | SparseMatrix, b: Sequence) -> Optional[tuple]:
+def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
     """Some x with Ax = b (free variables zero), or None if infeasible."""
     field = a.field
     if len(b) != a.rows:
         raise UsageError("right-hand side length mismatch")
-    rows = a.data if isinstance(a, SparseMatrix) else _row_dicts(field, a.data)
     rhs = a.cols
     augmented = []
-    for row, y in zip(rows, b):
+    for row, y in zip(a.data, b):
         y = field.coerce(y)
         augmented.append({**row, rhs: y} if y else row)
     basis = _echelon(field, augmented)
@@ -426,8 +372,12 @@ def solve(a: Matrix | SparseMatrix, b: Sequence) -> Optional[tuple]:
 
 
 def image(a: Matrix, s: Subspace) -> Subspace:
-    """Canonical basis of {Av : v in s}."""
+    """Canonical basis of {Av : v in s}: the row space of s.basis @ A^T."""
     if s.ambient_dim != a.cols:
         raise UsageError("subspace ambient dimension != matrix columns")
-    vectors = [a.mul_vector(v) for v in s.vectors()]
-    return Subspace.from_vectors(a.field, a.rows, vectors)
+    columns: list[dict] = [{} for _ in range(a.cols)]
+    for i, row in enumerate(a.data):
+        for j, x in row.items():
+            columns[j][i] = x
+    rows = s.basis @ Matrix(a.field, a.cols, a.rows, columns)
+    return Subspace.from_rows(a.field, a.rows, rows.data)

@@ -31,6 +31,7 @@ from .groups import Element, GroupSpec
 from .invert import (
     SearchBudget,
     check_search_radius,
+    check_tower_depth,
     search_left_inverse,
     search_radius_limit,
     verify_identity,
@@ -355,6 +356,8 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
     from .invert import stable_injectivity_verdict
 
     check_search_radius(config.group, config.n, config.budget.max_radius)
+    if config.decoy_every > 0:
+        check_tower_depth(config.group, config.n, config.budget.depth, config.budget.window)
     start = time.monotonic()
 
     def trial(index: int) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, SparseMatrix, Subspace, kernel_basis, solve
+from .exactalg import Matrix, Subspace, kernel_basis, solve
 from .groupring import GroupRingElement, coeff_one
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
@@ -35,6 +35,22 @@ from .twisted import TwistedElement
 # with n = 2 (1.57 M) 38 s and 1.36 GB; so one system at the limit needs
 # about 2 GB.  free:26 at radius 2 would need 7.3 M.
 MAX_UNKNOWNS = 2_000_000
+
+# A kernel tower follows each level's projections at most this many levels
+# past depth + stabilization window.
+MAX_EXTRA_LEVELS = 8
+
+# Kernel towers whose window coordinates n * ball_size(m), summed over every
+# level m <= depth + window + MAX_EXTRA_LEVELS they may build, exceed this
+# are refused before level 0.  The sum, not the last level alone, sets the
+# cost: on Z^1 the last window grows linearly in the depth but the tower
+# quadratically.  Measured on 2 vCPUs (Python 3.11, the decoy map, window 2):
+# 15-29 us and about 0.2 KB of peak memory per coordinate, e.g. Z^1 over F_5
+# with n = 1 at depth 1000 (1.02 M coordinates) 15.6 s and 228 MB, Z^2 over
+# Q with n = 2 at depth 35 (0.26 M) 4.5 s and 56 MB.  At the limit, which
+# allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with n = 1 and window 2:
+# Z^1 over Q 28.8 s and 269 MB, Z^2 over F_5 13.7 s and 209 MB.
+MAX_TOWER_COORDINATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -146,9 +162,9 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     slots = [(None, g) for g in params.memory_set]
     slots += [(e, g) for e in params.exceptional_set for g in params.memory_set]
 
-    # (row key, column, value) for every nonzero entry; a row key names one
+    # {row key: {column: value}} for every nonzero entry; a row key names one
     # scalar coordinate of the product: ("r", g, a, b) or ("s", e, g, a, b)
-    entries = []
+    system: dict[tuple, dict] = {}
     for s, (e, g) in enumerate(slots):
         mono = GroupRingElement.monomial(grp, fld, n, g, ident)
         unit = TwistedElement(mono, ()) if e is None else TwistedElement.make(zero, [(e, mono)])
@@ -167,19 +183,11 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
                             else:
                                 row, value = key + (k, j), c[k][i]
                             if value != 0:
-                                entries.append((row, col, value))
-    target = [(("r", grp.key(grp.identity), i, i), fld.one) for i in range(n)]
-    keys = sorted({row for row, _, _ in entries} | {row for row, _ in target})
-    index = {row: k for k, row in enumerate(keys)}
-
-    rows: list[dict] = [{} for _ in keys]
-    for row, col, value in entries:
-        rows[index[row]][col] = value
-    b = [fld.zero] * len(keys)
-    for row, value in target:
-        b[index[row]] = value
-
-    x = solve(SparseMatrix(fld, len(keys), len(slots) * n * n, rows), b)
+                                system.setdefault(row, {})[col] = value
+    target = {("r", grp.key(grp.identity), i, i): fld.one for i in range(n)}
+    keys = sorted(system.keys() | target.keys())
+    b = [target.get(row, fld.zero) for row in keys]
+    x = solve(Matrix(fld, len(keys), len(slots) * n * n, [system.get(row, {}) for row in keys]), b)
     if x is None:
         return None
 
@@ -228,6 +236,31 @@ def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
         )
 
 
+def _tower_depth_limit(group: GroupSpec, n: int, window: int) -> int:
+    """The largest depth whose tower, with this stabilization window, has at
+    most MAX_TOWER_COORDINATES window coordinates over all the levels it may
+    build (-1 if none)."""
+    level, total = -1, 0
+    while total + n * group.ball_size(level + 1) <= MAX_TOWER_COORDINATES:
+        level += 1
+        total += n * group.ball_size(level)
+    return max(level - window - MAX_EXTRA_LEVELS, -1)
+
+
+def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None:
+    """Refuse a kernel tower over Z^d past _tower_depth_limit before any
+    work is done.  Other groups have no tower, so nothing is refused."""
+    if group.kind != "Zd":
+        return
+    limit = _tower_depth_limit(group, n, window)
+    if depth > limit:
+        raise UsageError(
+            f"a kernel tower to depth {depth} with window {window} over {group.label()}"
+            f" with n = {n} would build more window coordinates over its levels than"
+            f" the limit of {MAX_TOWER_COORDINATES} (largest depth within it: {limit})"
+        )
+
+
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:
     """Grow support balls until a one-sided inverse appears.  None is not
     a proof of non-invertibility; the needed radius has no a-priori bound.
@@ -266,14 +299,11 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
         return Configuration.make(grp, fld, n, (fld.zero,) * n, [(support.elements[0], vec)])
 
     local = t.induced_local_map(window)
-    a = Matrix.zeros(fld, local.matrix.rows, n * len(support))
-    for col_site, u in enumerate(support):
-        if u in local.domain_set:
-            src = local.domain_set.position(u)
-            a.data[:, col_site * n : (col_site + 1) * n] = local.matrix.data[
-                :, src * n : (src + 1) * n
-            ]
-    ker = kernel_basis(a)
+    # keep the columns of the domain sites inside the support, re-keyed to
+    # the support's order; the others meet only zero entries of the vector
+    cols = _column_map(local.domain_set, support, n)
+    rows = [{cols[j]: x for j, x in row.items() if j in cols} for row in local.matrix.data]
+    ker = kernel_basis(Matrix(fld, local.matrix.rows, n * len(support), rows))
     if ker.dim == 0:
         return None
     first = ker.vectors()[0]
@@ -287,14 +317,25 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     return witness
 
 
-def kernel_tower(t: Nuca, depth: int, stabilization_window: int, max_extra_levels: int = 8) -> KernelTowerReport:
+def _column_map(domain: FiniteSubset, sites: FiniteSubset, n: int) -> dict[int, int]:
+    """{column of `domain`: column of `sites`} for the n coordinates of each
+    site of `sites` that lies in `domain`."""
+    return {
+        domain.position(u) * n + i: k * n + i
+        for k, u in enumerate(sites) if u in domain
+        for i in range(n)
+    }
+
+
+def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerReport:
     """Kernels of the induced maps over the box exhaustion of Z^d, with
     their projections to lower levels tracked until they sit still.
 
     Stationarity is guaranteed eventually (the projections form a
     decreasing chain of subspaces) but carries no effective bound, so the
     detection is heuristic: a level stabilizes once its projected subspace
-    is unchanged for `stabilization_window` consecutive steps.
+    is unchanged for `stabilization_window` consecutive steps.  A tower
+    past the size limit (check_tower_depth) is refused before level 0.
     """
     if t.group.kind != "Zd":
         raise UsageError("kernel_tower needs the box exhaustion of Z^d")
@@ -302,8 +343,8 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int, max_extra_level
         raise UsageError("depth must be >= 0 and window >= 1")
     fld, n = t.field, t.n
 
-    max_level = depth + stabilization_window + max_extra_levels
-    windows: list[FiniteSubset] = []
+    check_tower_depth(t.group, n, depth, stabilization_window)
+    max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
     kernels: list[Subspace] = []
     domains: list[FiniteSubset] = []
 
@@ -311,18 +352,14 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int, max_extra_level
         while len(kernels) <= m:
             box = FiniteSubset.ball(t.group, len(kernels))
             local = t.induced_local_map(box)
-            windows.append(box)
             domains.append(local.domain_set)
             kernels.append(kernel_basis(local.matrix))
 
     def project(level: int, m: int) -> Subspace:
         """Restrict kernel vectors at level m to the coordinates of level `level`."""
-        cols = []
-        for site in domains[level]:
-            base = domains[m].position(site) * n
-            cols.extend(range(base, base + n))
-        vectors = [tuple(v[c] for c in cols) for v in kernels[m].vectors()]
-        return Subspace.from_vectors(fld, n * len(domains[level]), vectors)
+        cols = _column_map(domains[m], domains[level], n)
+        rows = ({cols[j]: x for j, x in row.items() if j in cols} for row in kernels[m].basis.data)
+        return Subspace.from_rows(fld, n * len(domains[level]), rows)
 
     levels = []
     for lv in range(depth + 1):
@@ -360,10 +397,11 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     A left-inverse certificate proves stable injectivity; a finitely
     supported kernel witness (for the map or for its constant part alone)
     refutes it; otherwise the verdict carries bounded tower evidence only.
-    A budget whose largest certificate search is past the size limit is
-    refused before any search runs.
+    A budget whose largest certificate search or kernel tower is past its
+    size limit is refused before any search runs.
     """
     check_search_radius(t.group, t.n, budget.max_radius)
+    check_tower_depth(t.group, t.n, budget.depth, budget.window)
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
         cert = _inverse_in_ball(t, "left", r)

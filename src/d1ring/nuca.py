@@ -409,15 +409,18 @@ class Nuca:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        mat = Matrix.zeros(field, n * len(window), n * len(domain))
-        for gi, g in enumerate(window):
+        rows: list[dict] = []
+        for g in window:
             rule = self.rule_at(g)
+            block_rows: list[dict] = [{} for _ in range(n)]
             for h, block in zip(rule.memory, rule.blocks):
-                q = grp.compose(g, h)
-                qi = domain.position(q)
-                for i in range(n):
-                    for j in range(n):
-                        mat.data[gi * n + i, qi * n + j] = block[i][j]
+                base = domain.position(grp.compose(g, h)) * n
+                for row, entries in zip(block_rows, block):
+                    for j, x in enumerate(entries):
+                        if x:
+                            row[base + j] = x
+            rows.extend(block_rows)
+        mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
 
 

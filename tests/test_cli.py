@@ -7,6 +7,7 @@ import pytest
 from d1ring.cli import main
 from d1ring.envelope import envelope_for, serialize_envelope
 from d1ring.exactalg import FieldSpec
+from d1ring.experiments import decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.nuca import Nuca
@@ -123,6 +124,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "limit" in err
+
+    @pytest.mark.parametrize("command", ["kernel-tower", "verdict"])
+    def test_oversized_tower_depth_is_usage_error(self, tmp_path, monkeypatch, command):
+        # the decoy over Z^2 may build at most depth 79 with window 2; no
+        # window map may be built before the refusal
+        def no_window_map(*args):
+            raise AssertionError("a window map was built before the refusal")
+
+        monkeypatch.setattr(Nuca, "induced_local_map", no_window_map)
+        src = tmp_path / "decoy.json"
+        src.write_text(serialize_envelope(envelope_for(decoy_nuca(GroupSpec.zd(2), FieldSpec.fp(3), 1))))
+        code, out, err = run_cli([command, str(src), "--depth", "1000000", "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert "largest depth within it: 79" in err
 
 
 class TestFmtWarning:

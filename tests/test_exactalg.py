@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,6 @@ from d1ring.errors import UsageError
 from d1ring.exactalg import (
     FieldSpec,
     Matrix,
-    SparseMatrix,
     Subspace,
     image,
     kernel_basis,
@@ -18,6 +20,8 @@ from d1ring.exactalg import (
 )
 
 from conftest import F2, F5, Q
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestFieldSpec:
@@ -189,6 +193,15 @@ def test_rational_exactness(num, den):
 
 # -- the dense Gauss-Jordan elimination the sparse kernel replaced ---------------
 
+def _normalize(field, a):
+    return a % field.p if field.kind == "Fp" else a
+
+
+def dense_array(a):
+    """A Matrix as a numpy object array, built from its dense rows."""
+    return np.array(a.to_lists(), dtype=object).reshape(a.rows, a.cols)
+
+
 def reference_rref(field, a):
     """Reduced row echelon form by dense row operations on the array."""
     a = a.copy()
@@ -206,11 +219,11 @@ def reference_rref(field, a):
             a[[r, i]] = a[[i, r]]
         pivot = field.coerce(a[r, c])
         if pivot != field.one:
-            a[r] = field._normalize_array(a[r] * field.inv(pivot))
+            a[r] = _normalize(field, a[r] * field.inv(pivot))
         rows = np.nonzero(a[:, c])[0]
         for i in rows:
             if i != r:
-                a[i] = field._normalize_array(a[i] - a[i, c] * a[r])
+                a[i] = _normalize(field, a[i] - a[i, c] * a[r])
         pivots.append(c)
         r += 1
     return a, pivots
@@ -219,13 +232,13 @@ def reference_rref(field, a):
 def reference_canonical(field, vectors):
     if not vectors:
         return []
-    r, pivots = reference_rref(field, Matrix.from_rows(field, vectors).data)
+    r, pivots = reference_rref(field, dense_array(Matrix.from_rows(field, vectors)))
     return [[field.coerce(x) for x in row] for row in r[: len(pivots)]]
 
 
 def reference_kernel(a):
     field = a.field
-    r, pivots = reference_rref(field, a.data)
+    r, pivots = reference_rref(field, dense_array(a))
     vectors = []
     for f in range(a.cols):
         if f in pivots:
@@ -240,10 +253,10 @@ def reference_kernel(a):
 
 def reference_solve(a, b):
     field = a.field
-    col = np.empty((a.rows, 1), dtype=field._dtype())
+    col = np.empty((a.rows, 1), dtype=object)
     for i, x in enumerate(b):
         col[i, 0] = field.coerce(x)
-    r, pivots = reference_rref(field, np.concatenate([a.data, col], axis=1))
+    r, pivots = reference_rref(field, np.concatenate([dense_array(a), col], axis=1))
     if pivots and pivots[-1] == a.cols:
         return None
     x = [field.zero] * a.cols
@@ -252,9 +265,27 @@ def reference_solve(a, b):
     return tuple(x)
 
 
-# F_p on int64 arrays (2^31 - 1 is the largest prime they hold), F_p on
-# object arrays (2^31 + 11 is the least prime above that limit), and Q
+def assert_canonical(m):
+    """Every stored entry is nonzero, in canonical field form and inside the shape."""
+    assert len(m.data) == m.rows
+    for row in m.data:
+        for j, x in row.items():
+            assert 0 <= j < m.cols
+            if m.field.kind == "Fp":
+                assert type(x) is int and 0 < x < m.field.p
+            else:
+                assert type(x) is Fraction and x != 0
+
+
+# small primes, the largest prime below 2^31 and the least above it (sums of
+# a few products (p-1)^2 there pass 2^63), and Q
 AGREEMENT_FIELDS = [F2, F5, FieldSpec.fp(2**31 - 1), FieldSpec.fp(2**31 + 11), Q]
+
+
+def _scalars(field):
+    if field.kind == "Fp":
+        return st.sampled_from([0, 0, 1, field.p - 1]) | st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
@@ -262,10 +293,7 @@ def linear_systems(draw):
     """(A, b) with up to 6 x 5 entries, biased towards zeros, extreme
     residues, all-zero matrices and repeated rows."""
     field = draw(st.sampled_from(AGREEMENT_FIELDS))
-    if field.kind == "Fp":
-        scalar = st.sampled_from([0, 0, 1, field.p - 1]) | st.integers(0, field.p - 1)
-    else:
-        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    scalar = _scalars(field)
     if draw(st.integers(0, 7)) == 0:
         scalar = st.just(field.zero)
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
@@ -277,12 +305,6 @@ def linear_systems(draw):
     return a, b
 
 
-def _sparse(a):
-    return SparseMatrix(
-        a.field, a.rows, a.cols, [{j: x for j, x in enumerate(row) if x} for row in a.to_lists()]
-    )
-
-
 @settings(max_examples=80, deadline=None)
 @given(linear_systems())
 @example((Matrix.zeros(F5, 0, 3), []))
@@ -292,16 +314,90 @@ def _sparse(a):
 def test_sparse_elimination_agrees_with_dense_reference(system):
     a, b = system
     field = a.field
-    ref_r, ref_pivots = reference_rref(field, a.data)
+    ref_r, ref_pivots = reference_rref(field, dense_array(a))
     basis = Subspace.from_vectors(field, a.cols, a.to_lists()).basis
-    assert basis == Matrix(field, ref_r[: len(ref_pivots)])
-    assert basis.data.dtype == a.data.dtype
+    assert (basis.rows, basis.cols) == (len(ref_pivots), a.cols)
+    assert basis.to_lists() == [[field.coerce(x) for x in row] for row in ref_r[: len(ref_pivots)]]
+    assert_canonical(basis)
     assert rank(a) == len(ref_pivots)
     kernel = kernel_basis(a)
     assert kernel.vectors() == [tuple(v) for v in reference_kernel(a)]
-    assert kernel.basis.data.dtype == a.data.dtype
+    assert_canonical(kernel.basis)
     x = solve(a, b)
     assert x == reference_solve(a, b)
-    assert solve(_sparse(a), b) == x
+    by_rows = Matrix(
+        field, a.rows, a.cols, [{j: x for j, x in enumerate(row) if x} for row in a.to_lists()]
+    )
+    assert by_rows == a and solve(by_rows, b) == x
     if x is not None:
         assert a.mul_vector(x) == tuple(b)
+
+
+# -- Matrix against plain lists ---------------------------------------------------
+
+def list_product(field, a, b):
+    """The defining sum of a matrix product on plain lists of field values."""
+    cols = len(b[0]) if b else 0
+    return [
+        [field.coerce(sum(row[k] * b[k][j] for k in range(len(b)))) for j in range(cols)]
+        for row in a
+    ]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Plain-list matrices A (r x k) and B (k x c) and a vector of length k."""
+    field = draw(st.sampled_from(AGREEMENT_FIELDS))
+    scalar = _scalars(field).map(field.coerce)
+    r, k, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [[draw(scalar) for _ in range(k)] for _ in range(r)]
+    b = [[draw(scalar) for _ in range(c)] for _ in range(k)]
+    return field, a, b, [draw(scalar) for _ in range(k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_pairs())
+def test_matrix_agrees_with_plain_lists(case):
+    field, a, b, v = case
+    ma, mb = Matrix.from_rows(field, a), Matrix.from_rows(field, b)
+    assert ma.to_lists() == a and mb.to_lists() == b
+    assert (ma.rows, ma.cols) == (len(a), len(a[0]))
+    assert_canonical(ma)
+    product = ma @ mb
+    assert product.to_lists() == list_product(field, a, b)
+    assert (product.rows, product.cols) == (len(a), len(b[0]))
+    assert_canonical(product)
+    assert ma.mul_vector(v) == tuple(row[0] for row in list_product(field, a, [[x] for x in v]))
+    again = Matrix.from_rows(field, [list(row) for row in a])
+    assert again == ma and hash(again) == hash(ma)
+    if any(x for row in a for x in row):
+        assert Matrix.zeros(field, ma.rows, ma.cols) != ma
+    assert Matrix.identity(field, len(a[0])) @ mb == mb
+    assert ma @ Matrix.identity(field, ma.cols) == ma
+
+
+def test_matrix_equality_needs_shape_and_field():
+    assert Matrix.zeros(F5, 2, 3) != Matrix.zeros(F5, 2, 2)
+    assert Matrix.zeros(F5, 0, 3) != Matrix.zeros(F5, 0, 2)
+    assert Matrix.identity(F5, 2) != Matrix.identity(F2, 2)
+    assert Matrix.from_rows(F5, [[6, -1]]) == Matrix.from_rows(F5, [[1, 4]])
+    one = Matrix.from_rows(Q, [[1, 0]])
+    assert one == Matrix.identity(Q, 1) @ Matrix.from_rows(Q, [[Fraction(1), 0]])
+    assert hash(one) == hash(Matrix.from_rows(Q, [[Fraction(1), Fraction(0)]]))
+    # row dicts that differ only in insertion order hold the same matrix
+    a, b = Matrix(F5, 1, 3, [{2: 1, 0: 3}]), Matrix(F5, 1, 3, [{0: 3, 2: 1}])
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(UsageError):
+        Matrix.from_rows(F5, [[1, 2], [3]])
+    with pytest.raises(UsageError):
+        Matrix.identity(F5, 2) @ Matrix.identity(F5, 3)
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, d1ring, d1ring.cli; print('numpy' in sys.modules)"
+    path = [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -126,6 +126,17 @@ class TestSearchSizeLimit:
             run_direct_finiteness(replace(config, rediscover_inverse=True))
         assert calls == []
 
+    def test_decoy_tower_past_the_limit_refused_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "gen_unit", lambda *args: calls.append(args))
+        config = cfg(trials=3, group=Z2, decoy_every=2, budget=SearchBudget(max_radius=0, depth=10**6))
+        with pytest.raises(UsageError, match="largest depth within it"):
+            run_surjunctivity_pipeline(config)
+        assert calls == []
+        # without decoys no tower runs, so the depth is not limited
+        monkeypatch.undo()
+        assert run_surjunctivity_pipeline(replace(config, decoy_every=0)).failures == 0
+
     def test_suite_without_searches_is_not_limited(self):
         rep = run_direct_finiteness(cfg(trials=2, group=GroupSpec.free(26)))
         assert rep.failures == 0

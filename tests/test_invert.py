@@ -1,19 +1,25 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.exactalg import Matrix, solve
+from d1ring.exactalg import Matrix, Subspace, kernel_basis, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import invert
 from d1ring.invert import (
+    MAX_EXTRA_LEVELS,
+    MAX_TOWER_COORDINATES,
     MAX_UNKNOWNS,
     InverseSearchParams,
+    KernelTowerLevel,
+    KernelTowerReport,
     SearchBudget,
     check_search_radius,
+    check_tower_depth,
     finitely_supported_kernel,
     kernel_tower,
     search_left_inverse,
@@ -23,7 +29,7 @@ from d1ring.invert import (
     stable_injectivity_verdict,
     verify_identity,
 )
-from d1ring.nuca import Nuca
+from d1ring.nuca import Configuration, Nuca
 from d1ring.twisted import TwistedElement
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_nuca_pair, gre, nilpotent_nuca
@@ -127,6 +133,48 @@ class TestSearchSizeLimit:
         with pytest.raises(UsageError, match="limit"):
             search_one_sided_inverse(t, "right", 2)
         assert calls == []
+
+
+class TestTowerSizeLimit:
+    @pytest.mark.parametrize("label, n", [("Zd:1", 3), ("Zd:2", 3), ("Zd:3", 3)])
+    def test_default_budget_fits(self, label, n):
+        budget = SearchBudget()
+        check_tower_depth(GroupSpec.from_label(label), n, budget.depth, budget.window)
+
+    def test_depth_limit(self):
+        # levels 0..79+2+8 = 89 of Z^2 hold sum (2m+1)^2 = 999,810 coordinates
+        def total(depth):
+            return sum(Z2.ball_size(m) for m in range(depth + 2 + MAX_EXTRA_LEVELS + 1))
+
+        assert total(79) <= MAX_TOWER_COORDINATES < total(80)
+        check_tower_depth(Z2, 1, 79, 2)
+        with pytest.raises(UsageError, match="largest depth within it: 79"):
+            check_tower_depth(Z2, 1, 80, 2)
+        with pytest.raises(UsageError, match="largest depth within it: -1"):
+            check_tower_depth(Z2, 1, 0, 10**9)
+        # a tower exists only on Z^d, so other groups are never refused
+        check_tower_depth(F2FREE, 1, 10**9, 2)
+
+    def test_refused_before_any_work(self, monkeypatch):
+        # the depth is huge, so the tower and the verdict stop before
+        # level 0 and before the radius-0 searches
+        calls = []
+        record = lambda *args: calls.append(args)
+        monkeypatch.setattr(invert, "_inverse_in_ball", record)
+        monkeypatch.setattr(invert, "finitely_supported_kernel", record)
+        monkeypatch.setattr(invert, "kernel_basis", record)
+        monkeypatch.setattr(Nuca, "induced_local_map", record)
+        t = decoy_nuca(Z2, F3, 1)
+        with pytest.raises(UsageError, match="limit"):
+            kernel_tower(t, 10**12, 2)
+        with pytest.raises(UsageError, match="limit"):
+            stable_injectivity_verdict(t, SearchBudget(max_radius=1, depth=10**12))
+        assert calls == []
+
+    def test_verdict_off_z_d_ignores_depth(self):
+        t = Nuca.identity(F2FREE, F3, 1)
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=0, depth=10**12))
+        assert verdict.kind == "proven_stably_injective"
 
 
 class TestSearchLeftInverse:
@@ -335,10 +383,11 @@ def reference_one_sided_inverse(t, params):
     target = coordinates(TwistedElement.one(grp, fld, n))
     keys = sorted({k for col in columns for k, _ in col} | {k for k, _ in target})
     index = {k: r for r, k in enumerate(keys)}
-    a = Matrix.zeros(fld, len(keys), len(unknowns))
+    rows = [{} for _ in keys]
     for col, coords in enumerate(columns):
         for k, v in coords:
-            a.data[index[k], col] = v
+            rows[index[k]][col] = v
+    a = Matrix(fld, len(keys), len(unknowns), rows)
     b = [fld.zero] * len(keys)
     for k, v in target:
         b[index[k]] = v
@@ -380,3 +429,124 @@ def test_slot_products_agree_with_per_unknown_assembly(seed, group, field, n, si
         side, FiniteSubset.make(group, memory), FiniteSubset.make(group, exceptional)
     )
     assert solve_one_sided_inverse(t, params) == reference_one_sided_inverse(t, params)
+
+
+# -- window maps and towers against the dense path --------------------------------
+
+def reference_local_map(t, window):
+    """The dense block fill of the window map: a list of dense rows with
+    block (g, q) the rule-at-g block at h = g^-1 q, and the domain E M."""
+    grp, fld, n = t.group, t.field, t.n
+    domain = window.product(t.memory) if len(t.memory) else FiniteSubset.make(grp, ())
+    dense = [[fld.zero] * (n * len(domain)) for _ in range(n * len(window))]
+    for gi, g in enumerate(window):
+        rule = t.rule_at(g)
+        for h, block in zip(rule.memory, rule.blocks):
+            qi = domain.position(grp.compose(g, h))
+            for i in range(n):
+                for j in range(n):
+                    dense[gi * n + i][qi * n + j] = block[i][j]
+    return domain, dense
+
+
+def reference_kernel_vectors(t, radius):
+    """Kernel vectors of the dense window map with the columns of
+    ball(radius) copied out in support order (zero for sites outside E M)."""
+    grp, fld, n = t.group, t.field, t.n
+    support = FiniteSubset.ball(grp, radius)
+    window = support.product(t.memory.inverse()) if len(t.memory) else FiniteSubset.make(grp, ())
+    domain, dense = reference_local_map(t, window.union(t.exceptional_set))
+    cols = [
+        domain.position(u) * n + i if u in domain else None for u in support for i in range(n)
+    ]
+    a = [[fld.zero if c is None else row[c] for c in cols] for row in dense]
+    return support, kernel_basis(Matrix.from_rows(fld, a)).vectors()
+
+
+def reference_kernel_tower(t, depth, window):
+    """The tower with dense window maps, every level built up front, and
+    projections sliced from dense kernel vectors."""
+    fld, n = t.field, t.n
+    max_level = depth + window + invert.MAX_EXTRA_LEVELS
+    domains, kernels = [], []
+    for m in range(max_level + 1):
+        domain, dense = reference_local_map(t, FiniteSubset.ball(t.group, m))
+        domains.append(domain)
+        kernels.append(kernel_basis(Matrix.from_rows(fld, dense)))
+
+    def project(level, m):
+        cols = [domains[m].position(u) * n + i for u in domains[level] for i in range(n)]
+        vectors = [[v[c] for c in cols] for v in kernels[m].vectors()]
+        return Subspace.from_vectors(fld, len(cols), vectors)
+
+    levels = []
+    for lv in range(depth + 1):
+        current, run, stabilized_at, stable_dim = kernels[lv], 0, None, None
+        for m in range(lv + 1, max_level + 1):
+            nxt = project(lv, m)
+            run = run + 1 if nxt == current else 0
+            if run >= window:
+                stabilized_at, stable_dim = m - window, current.dim
+                break
+            current = nxt
+        levels.append(KernelTowerLevel(lv, kernels[lv].dim, stable_dim, stabilized_at))
+    return KernelTowerReport(depth, window, tuple(levels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F3, Q]),
+    n=st.sampled_from([1, 2]),
+)
+def test_window_map_agrees_with_dense_fill(seed, group, field, n):
+    rng = random.Random(seed)
+    t = Nuca(rand_twisted(rng, group, field, n, radius=1))
+    window = FiniteSubset.make(group, rng.sample(group.ball(2), rng.randint(1, 5)))
+    local = t.induced_local_map(window)
+    domain, dense = reference_local_map(t, window)
+    assert local.domain_set == domain
+    assert (local.matrix.rows, local.matrix.cols) == (n * len(window), n * len(domain))
+    assert local.matrix.to_lists() == dense
+    assert all(x != 0 for row in local.matrix.data for x in row.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F3, Q]),
+    n=st.sampled_from([1, 2]),
+    radius=st.integers(0, 2),
+)
+def test_kernel_witness_agrees_with_dense_path(seed, group, field, n, radius):
+    t = Nuca(rand_twisted(random.Random(seed), group, field, n, radius=1))
+    witness = finitely_supported_kernel(t, radius)
+    if len(t.memory) == 0 and len(t.exceptional_set) == 0:
+        return  # no window: the first basis probe is the witness
+    support, vectors = reference_kernel_vectors(t, radius)
+    if not vectors:
+        assert witness is None
+        return
+    dev = [(u, tuple(vectors[0][i * n : (i + 1) * n])) for i, u in enumerate(support)]
+    assert witness == Configuration.make(group, field, n, (field.zero,) * n, dev)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z1, Z2]),
+    field=st.sampled_from([F3, Q]),
+    n=st.sampled_from([1, 2]),
+    depth=st.integers(0, 2),
+    window=st.integers(1, 2),
+    decoy_map=st.booleans(),
+)
+def test_kernel_tower_agrees_with_dense_path(seed, group, field, n, depth, window, decoy_map):
+    if decoy_map:
+        t = decoy_nuca(group, field, n)
+    else:
+        t = Nuca(rand_twisted(random.Random(seed), group, field, n, radius=1))
+    with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
+        assert kernel_tower(t, depth, window) == reference_kernel_tower(t, depth, window)
