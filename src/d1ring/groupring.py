@@ -44,9 +44,12 @@ def coeff_is_zero(c) -> bool:
 
 def coeff_add(field: FieldSpec, a, b):
     if isinstance(a, tuple):
-        return tuple(
-            tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-        )
+        p = field.p
+        if p:
+            return tuple(
+                tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+            )
+        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
     return field.add(a, b)
 
 
@@ -57,24 +60,21 @@ def coeff_neg(field: FieldSpec, a):
 
 
 def coeff_mul(field: FieldSpec, a, b):
-    """Scalar product or matrix product, depending on shape."""
+    """Scalar product or matrix product, depending on shape.  Over F_p each
+    matrix entry sums plain int products and is reduced once; over Q the
+    sums of Fractions are exact as they are."""
     if isinstance(a, tuple):
-        n = len(a)
-        return tuple(
-            tuple(
-                _dot(field, a[i], tuple(b[t][j] for t in range(n)))
-                for j in range(n)
+        p = field.p
+        cols = tuple(zip(*b))
+        if p:
+            return tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+                for row in a
             )
-            for i in range(n)
+        return tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
         )
     return field.mul(a, b)
-
-
-def _dot(field: FieldSpec, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def coeff_scale(field: FieldSpec, c, a):

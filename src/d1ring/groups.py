@@ -11,6 +11,7 @@ immutable; a GroupSpec carries the operations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -90,7 +91,7 @@ class GroupSpec:
 
     def compose(self, g: Element, h: Element) -> Element:
         if self.kind == "Zd":
-            return tuple(a + b for a, b in zip(g, h))
+            return tuple(map(operator.add, g, h))
         out = list(g)
         for c in h:
             if out and out[-1] == -c:
@@ -101,7 +102,7 @@ class GroupSpec:
 
     def inverse(self, g: Element) -> Element:
         if self.kind == "Zd":
-            return tuple(-a for a in g)
+            return tuple(map(operator.neg, g))
         return tuple(-c for c in reversed(g))
 
     def key(self, g: Element):

@@ -4,7 +4,8 @@ Four complementary tools:
 
 * exact one-sided-inverse solving over a finite support window (the
   defining identity is linear in the unknown coefficients, and every
-  product support is computable, so the search is a finite linear system);
+  product support is computable, so the search is a finite linear system
+  whose columns are read straight off the map's terms);
 * identity verification by ring equality (sound and complete because the
   NUCA <-> ring-element correspondence is injective over infinite groups);
 * finitely supported kernel search (a witness refutes pre-injectivity,
@@ -22,18 +23,18 @@ from typing import Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, Subspace, kernel_basis, solve
-from .groupring import GroupRingElement, coeff_one
+from .groupring import GroupRingElement, coeff_is_zero
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
-from .twisted import TwistedElement
+from .twisted import TwistedElement, basis_product_terms
 
 
 # Inverse-search systems with more unknowns are refused before any work.
-# Measured on 2 vCPUs (Python 3.11, one ball system of a random radius-1
-# map over F_5): 0.9-1.3 KB of peak memory and 12-62 us per unknown, e.g.
-# Z^3 radius 3 with n = 3 (1.06 M unknowns) 23 s and 1.08 GB, Z^2 radius 12
-# with n = 2 (1.57 M) 38 s and 1.36 GB; so one system at the limit needs
-# about 2 GB.  free:26 at radius 2 would need 7.3 M.
+# Measured on 2 vCPUs (Python 3.11, one solvable left-search ball system of
+# a random radius-1 map over F_5): about 0.75 KB of peak memory and 14-15 us
+# per unknown, e.g. Z^3 radius 3 with n = 3 (1.06 M unknowns) 15 s and
+# 754 MB, Z^2 radius 12 with n = 2 (1.57 M) 22 s and 1.17 GB; so one system
+# at the limit needs about 1.5 GB.  free:26 at radius 2 would need 7.3 M.
 MAX_UNKNOWNS = 2_000_000
 
 # A kernel tower follows each level's projections at most this many levels
@@ -140,15 +141,19 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     are set to zero, so the output is deterministic.
 
     The unknown has one n x n coefficient per support slot: a regular site
-    g of the memory set, or an exceptional pair (e, g).  The system needs
-    one twisted product per slot, P = (slot monomial with identity
-    coefficient) times t on the searched side.  The product is bilinear
-    and the slot's coefficient matrix factors out on its own side, so P
-    yields all n^2 columns of the slot: row i of E_ij P is row j of P
-    (left search), and column j of P E_ij is column i of P (right search).
-    Columns run over the slots (regular sites, then exceptional pairs),
-    then over (i, j) row-major within a slot.  A system of more than
-    MAX_UNKNOWNS unknowns is refused before it is assembled.
+    g of the memory set, or an exceptional pair (e, g).  Each slot's
+    columns come from P = (slot basis element with identity coefficient)
+    times t on the searched side.  Such a product only relabels t's terms,
+    so basis_product_terms reads P straight off t without a twisted
+    product.  The product is bilinear and the slot's coefficient matrix
+    factors out on its own side, so P yields all n^2 columns of the slot:
+    row i of E_ij P is row j of P (left search), and column j of P E_ij is
+    column i of P (right search).  Columns run over the slots (regular
+    sites, then exceptional pairs), then over (i, j) row-major within a
+    slot; rows are the product coordinates with a nonzero entry (or a
+    nonzero target), in canonical order.  The one twisted product is the
+    re-verification of a solution.  A system of more than MAX_UNKNOWNS
+    unknowns is refused before it is assembled.
     """
     grp, fld, n = t.group, t.field, t.n
     unknowns = len(params.memory_set) * (1 + len(params.exceptional_set)) * n * n
@@ -157,45 +162,43 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
             f"the inverse search needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
         )
     left = params.side == "left"
-    ident = coeff_one(fld, n)
-    zero = GroupRingElement.zero(grp, fld, n)
     slots = [(None, g) for g in params.memory_set]
     slots += [(e, g) for e in params.exceptional_set for g in params.memory_set]
 
-    # {row key: {column: value}} for every nonzero entry; a row key names one
-    # scalar coordinate of the product: ("r", g, a, b) or ("s", e, g, a, b)
+    # {row: {column: value}} for every nonzero entry; a row (site key, h key,
+    # a, b) names one scalar coordinate of the product: entry (a, b) of the
+    # coefficient at h of the regular part (site key ()) or of the singular
+    # part at a site, so sorted rows follow the canonical coordinate order
+    key = grp.key
     system: dict[tuple, dict] = {}
     for s, (e, g) in enumerate(slots):
-        mono = GroupRingElement.monomial(grp, fld, n, g, ident)
-        unit = TwistedElement(mono, ()) if e is None else TwistedElement.make(zero, [(e, mono)])
-        prod = unit * t.element if left else t.element * unit
-        parts = [(("r",), prod.regular)]
-        parts += [(("s", grp.key(site)), part) for site, part in prod.singular]
-        for prefix, part in parts:
-            for h, c in part.terms:
-                key = prefix + (grp.key(h),)
-                for i in range(n):
-                    for j in range(n):
-                        col = (s * n + i) * n + j
-                        for k in range(n):
-                            if left:
-                                row, value = key + (i, k), c[j][k]
-                            else:
-                                row, value = key + (k, j), c[k][i]
-                            if value != 0:
-                                system.setdefault(row, {})[col] = value
-    target = {("r", grp.key(grp.identity), i, i): fld.one for i in range(n)}
+        base = s * n * n
+        for (site, h), c in basis_product_terms(t.element, params.side, e, g).items():
+            site_key = () if site is None else key(site)
+            h_key = key(h)
+            for i in range(n):
+                for j in range(n):
+                    col = base + i * n + j
+                    for k in range(n):
+                        if left:
+                            row, value = (site_key, h_key, i, k), c[j][k]
+                        else:
+                            row, value = (site_key, h_key, k, j), c[k][i]
+                        if value:
+                            system.setdefault(row, {})[col] = value
+    target = {((), key(grp.identity), i, i): fld.one for i in range(n)}
     keys = sorted(system.keys() | target.keys())
-    b = [target.get(row, fld.zero) for row in keys]
-    x = solve(Matrix(fld, len(keys), len(slots) * n * n, [system.get(row, {}) for row in keys]), b)
+    rhs = [target.get(row, fld.zero) for row in keys]
+    x = solve(Matrix(fld, len(keys), len(slots) * n * n, [system.get(row, {}) for row in keys]), rhs)
     if x is None:
         return None
 
     terms: dict = {}
     for s, (e, g) in enumerate(slots):
         coeff = tuple(tuple(x[(s * n + i) * n + j] for j in range(n)) for i in range(n))
-        terms.setdefault(e, []).append((g, coeff))
-    regular = GroupRingElement.from_terms(grp, fld, n, terms.pop(None))
+        if not coeff_is_zero(coeff):
+            terms.setdefault(e, []).append((g, coeff))
+    regular = GroupRingElement.from_terms(grp, fld, n, terms.pop(None, ()))
     singular = [(e, GroupRingElement.from_terms(grp, fld, n, ts)) for e, ts in terms.items()]
     candidate = Nuca(TwistedElement.make(regular, singular))
     ok = verify_identity(candidate, t) if left else verify_identity(t, candidate)
@@ -249,16 +252,24 @@ def _tower_depth_limit(group: GroupSpec, n: int, window: int) -> int:
 
 def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None:
     """Refuse a kernel tower over Z^d past _tower_depth_limit before any
-    work is done.  Other groups have no tower, so nothing is refused."""
+    work is done.  Other groups have no tower, so nothing is refused.
+
+    The window coordinates of the levels the tower may build are summed
+    until the sum passes the limit, so an accepted depth costs one
+    ball_size per level and a refused one stops at the first level past
+    the limit, however large the depth."""
     if group.kind != "Zd":
         return
-    limit = _tower_depth_limit(group, n, window)
-    if depth > limit:
-        raise UsageError(
-            f"a kernel tower to depth {depth} with window {window} over {group.label()}"
-            f" with n = {n} would build more window coordinates over its levels than"
-            f" the limit of {MAX_TOWER_COORDINATES} (largest depth within it: {limit})"
-        )
+    total = 0
+    for m in range(depth + window + MAX_EXTRA_LEVELS + 1):
+        total += n * group.ball_size(m)
+        if total > MAX_TOWER_COORDINATES:
+            raise UsageError(
+                f"a kernel tower to depth {depth} with window {window} over {group.label()}"
+                f" with n = {n} would build more window coordinates over its levels than"
+                f" the limit of {MAX_TOWER_COORDINATES}"
+                f" (largest depth within it: {_tower_depth_limit(group, n, window)})"
+            )
 
 
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:

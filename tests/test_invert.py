@@ -171,10 +171,54 @@ class TestTowerSizeLimit:
             stable_injectivity_verdict(t, SearchBudget(max_radius=1, depth=10**12))
         assert calls == []
 
+    @pytest.mark.parametrize("group", [Z1, Z2, GroupSpec.zd(3)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_limit_is_the_boundary(self, group, n):
+        def total(depth):
+            return sum(n * group.ball_size(m) for m in range(depth + 2 + MAX_EXTRA_LEVELS + 1))
+
+        limit = invert._tower_depth_limit(group, n, 2)
+        assert total(limit) <= MAX_TOWER_COORDINATES < total(limit + 1)
+        check_tower_depth(group, n, limit, 2)
+        with pytest.raises(UsageError, match=f"largest depth within it: {limit}\\)"):
+            check_tower_depth(group, n, limit + 1, 2)
+
     def test_verdict_off_z_d_ignores_depth(self):
         t = Nuca.identity(F2FREE, F3, 1)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=0, depth=10**12))
         assert verdict.kind == "proven_stably_injective"
+
+
+class TestTwistedProductCount:
+    """The inverse search reads its system off t's terms; the only twisted
+    product it makes is the final re-verification of a solution."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        mul = TwistedElement.__mul__
+
+        def counting(self, other):
+            calls.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(TwistedElement, "__mul__", counting)
+        return calls
+
+    def test_one_product_per_search(self, products):
+        config = SuiteConfig(seed=0, trials=1, group=Z2, field=F5, n=2, max_factors=2)
+        unit, _, _ = gen_unit(random.Random(3), config)
+        t = Nuca.from_matrix(unit)
+        products.clear()
+        cert, radius = search_left_inverse(t, 2)
+        assert radius >= 1
+        assert products == [(cert.element, t.element)]
+
+    def test_no_product_without_solution(self, products):
+        ball = FiniteSubset.ball(Z2, 1)
+        t = decoy_nuca(Z2, F3, 2)
+        assert solve_one_sided_inverse(t, InverseSearchParams.make("right", ball, ball)) is None
+        assert products == []
 
 
 class TestSearchLeftInverse:
@@ -429,6 +473,53 @@ def test_slot_products_agree_with_per_unknown_assembly(seed, group, field, n, si
         side, FiniteSubset.make(group, memory), FiniteSubset.make(group, exceptional)
     )
     assert solve_one_sided_inverse(t, params) == reference_one_sided_inverse(t, params)
+
+
+def cancelling_maps():
+    """Maps over Z^1, F3 whose slot products each cancel at one (site, h),
+    where a regular and a singular contribution meet: two 1x1 maps, and a
+    2x2 one whose coefficients also have zero rows and columns."""
+    left = TwistedElement.make(
+        gre(Z1, F3, 1, [((0,), ((1,),)), ((1,), ((1,),))]),
+        [((1,), gre(Z1, F3, 1, [((0,), ((2,),))]))],
+    )
+    right = TwistedElement.make(
+        gre(Z1, F3, 1, [((1,), ((1,),)), ((2,), ((1,),))]),
+        [((-1,), gre(Z1, F3, 1, [((1,), ((2,),)), ((2,), ((1,),))]))],
+    )
+    one, two = ((1, 0), (0, 1)), ((2, 0), (0, 2))
+    matrix = TwistedElement.make(
+        gre(Z1, F3, 2, [((0,), one), ((1,), ((1, 1), (0, 1)))]),
+        [((1,), gre(Z1, F3, 2, [((0,), two), ((1,), two), ((2,), ((0, 1), (0, 0)))]))],
+    )
+    return [Nuca(left), Nuca(right), Nuca(matrix)]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "t",
+    cancelling_maps() + [f3_nuca_pair()[0], decoy()],
+    ids=["cancel-left", "cancel-right", "cancel-matrix", "f3", "decoy"],
+)
+def test_system_equals_per_unknown_assembly(monkeypatch, side, t):
+    # the same rows in the same order with the same nonzeros, so the
+    # elimination and its cell counts are unchanged
+    systems = {}
+    real = solve
+
+    def capture(name):
+        def recording(a, b):
+            systems[name] = (a, list(b))
+            return real(a, b)
+
+        return recording
+
+    monkeypatch.setattr(invert, "solve", capture("slots"))
+    monkeypatch.setitem(reference_one_sided_inverse.__globals__, "solve", capture("reference"))
+    ball = FiniteSubset.ball(Z1, 2)
+    params = InverseSearchParams.make(side, ball, ball)
+    assert solve_one_sided_inverse(t, params) == reference_one_sided_inverse(t, params)
+    assert systems["slots"] == systems["reference"]
 
 
 # -- window maps and towers against the dense path --------------------------------
