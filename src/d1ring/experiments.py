@@ -37,7 +37,7 @@ from .invert import (
     verify_identity,
 )
 from .nuca import Nuca
-from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
+from .twisted import TwistedElement, TwistedMatrix, embed, f_shuffle_inv
 
 
 # -- random draws ----------------------------------------------------------------
@@ -86,13 +86,15 @@ def rand_twisted(
     radius: int,
     max_sites: int = 2,
     max_terms: int = 2,
+    sites: Optional[tuple[Element, ...]] = None,
 ) -> TwistedElement:
-    reg = rand_groupring(rng, group, field, shape, radius, max_terms + 1)
-    pool = group.ball(radius)
+    """Sites and terms are drawn from `sites`, by default group.ball(radius)."""
+    pool = sites if sites is not None else group.ball(radius)
+    reg = rand_groupring(rng, group, field, shape, radius, max_terms + 1, sites=pool)
     sing = {}
     for _ in range(rng.randint(0, max_sites)):
         g = rng.choice(pool)
-        part = rand_groupring(rng, group, field, shape, radius, max_terms)
+        part = rand_groupring(rng, group, field, shape, radius, max_terms, sites=pool)
         if not part.is_zero():
             sing[g] = part
     return TwistedElement.make(reg, sing)
@@ -147,18 +149,6 @@ def _trial_rng(config: SuiteConfig, index: int) -> random.Random:
 
 # -- unit generation ------------------------------------------------------------------
 
-def _unipotent_part(
-    rng: random.Random, group: GroupSpec, field: FieldSpec, radius: int
-) -> TwistedElement:
-    """(0, b) with b at a single site and no identity term, so (0,b)^2 = 0."""
-    site = rng.choice(group.ball(radius))
-    pool = tuple(g for g in group.ball(max(radius, 1)) if g != group.identity)
-    part = rand_groupring(rng, group, field, None, radius, max_terms=2, sites=pool)
-    return TwistedElement.make(
-        GroupRingElement.zero(group, field, None), [(site, part)] if part else []
-    )
-
-
 def gen_unit(
     rng: random.Random, config: SuiteConfig, n_factors: Optional[int] = None
 ) -> tuple[TwistedMatrix, TwistedMatrix, list]:
@@ -168,6 +158,12 @@ def gen_unit(
     returning; degenerate draws are retried.
     """
     group, field, n = config.group, config.field, config.n
+    radius = config.support_radius
+    ball = group.ball(radius)
+    # each ball is enumerated once; unipotent parts draw their terms from
+    # ball(max(radius, 1)) minus e
+    pool = tuple(g for g in (ball if radius else group.ball(1)) if g != group.identity)
+    one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
     for _ in range(20):
         factors: list[tuple[TwistedMatrix, TwistedMatrix, dict]] = []
         count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
@@ -175,26 +171,15 @@ def gen_unit(
             kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])
             kind = rng.choice(kinds)
             if kind == "monomial":
-                sites = [rng.choice(group.ball(config.support_radius)) for _ in range(n)]
+                sites = [rng.choice(ball) for _ in range(n)]
                 coeffs = [rand_scalar(rng, field, nonzero=True) for _ in range(n)]
                 fwd = TwistedMatrix.diagonal(
-                    [
-                        TwistedElement(
-                            GroupRingElement.monomial(group, field, None, g, c), ()
-                        )
-                        for g, c in zip(sites, coeffs)
-                    ]
+                    embed(GroupRingElement.monomial(group, field, None, g, c))
+                    for g, c in zip(sites, coeffs)
                 )
                 bwd = TwistedMatrix.diagonal(
-                    [
-                        TwistedElement(
-                            GroupRingElement.monomial(
-                                group, field, None, group.inverse(g), field.inv(c)
-                            ),
-                            (),
-                        )
-                        for g, c in zip(sites, coeffs)
-                    ]
+                    embed(GroupRingElement.monomial(group, field, None, group.inverse(g), field.inv(c)))
+                    for g, c in zip(sites, coeffs)
                 )
                 word = {
                     "kind": "monomial",
@@ -202,42 +187,38 @@ def gen_unit(
                     "coeffs": [field.encode_scalar(c) for c in coeffs],
                 }
             elif kind == "unipotent":
+                # (0, b) with b at one site and no term at e, so (0, b)^2 = 0
                 slot = rng.randrange(n)
-                nil = _unipotent_part(rng, group, field, config.support_radius)
-                one = TwistedElement.one(group, field, None)
-                diag_fwd = [one] * n
-                diag_bwd = [one] * n
-                diag_fwd[slot] = one + nil
-                diag_bwd[slot] = one - nil
-                fwd = TwistedMatrix.diagonal(diag_fwd)
-                bwd = TwistedMatrix.diagonal(diag_bwd)
+                site = rng.choice(ball)
+                part = rand_groupring(rng, group, field, None, radius, max_terms=2, sites=pool)
+                nil = TwistedElement.make(zero.regular, [(site, part)])
+                fwd = TwistedMatrix.diagonal(one + nil if k == slot else one for k in range(n))
+                bwd = TwistedMatrix.diagonal(one - nil if k == slot else one for k in range(n))
                 word = {"kind": "unipotent", "slot": slot}
             else:
                 i = rng.randrange(n)
                 j = rng.choice([x for x in range(n) if x != i])
-                w = rand_twisted(rng, group, field, None, config.support_radius)
-                ident = TwistedMatrix.identity(n, group, field, None)
-                bump = [
-                    [
-                        w if (a, b) == (i, j) else TwistedElement.zero(group, field, None)
-                        for b in range(n)
-                    ]
-                    for a in range(n)
-                ]
-                bump_m = TwistedMatrix(n, tuple(tuple(r) for r in bump))
-                neg_m = TwistedMatrix(
-                    n, tuple(tuple(-e for e in row) for row in bump_m.entries)
+                w = rand_twisted(rng, group, field, None, radius, sites=ball)
+                # J + E_ij w and J - E_ij w, entry by entry
+                fwd, bwd = (
+                    TwistedMatrix(n, tuple(
+                        tuple(one if a == b else x if (a, b) == (i, j) else zero for b in range(n))
+                        for a in range(n)
+                    ))
+                    for x in (w, -w)
                 )
-                fwd = ident + bump_m
-                bwd = ident + neg_m
                 word = {"kind": "elementary", "i": i, "j": j}
             factors.append((fwd, bwd, word))
 
-        unit = TwistedMatrix.identity(n, group, field, None)
-        inverse = TwistedMatrix.identity(n, group, field, None)
-        for fwd, _, _ in factors:
+        if not factors:
+            ident = TwistedMatrix.identity(n, group, field, None)
+            return ident, ident, []
+        # both chains start from a factor, not from a product with the identity
+        unit = factors[0][0]
+        for fwd, _, _ in factors[1:]:
             unit = unit @ fwd
-        for _, bwd, _ in reversed(factors):
+        inverse = factors[-1][1]
+        for _, bwd, _ in reversed(factors[:-1]):
             inverse = bwd @ inverse
         if (unit @ inverse).is_identity():
             return unit, inverse, [w for _, _, w in factors]
@@ -320,11 +301,10 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
             cert, r = hit
             outcome["radius"] = r
             ok = verify_identity(tau, cert)
-            fwd_ok = True
         else:
+            # gen_unit has checked unit @ inverse; only v u = 1 is open
             ok = (inverse @ unit).is_identity()
-            fwd_ok = (unit @ inverse).is_identity()
-        outcome["ok"] = bool(ok and fwd_ok)
+        outcome["ok"] = bool(ok)
         if not outcome["ok"]:
             outcome["reason"] = "one-sided unit failed the two-sided check"
             outcome["unit"] = twisted_matrix_payload(unit)

@@ -130,6 +130,40 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
     return tuple(tuple(field.coerce(x) for x in row) for row in c)
 
 
+# -- convolution accumulator ----------------------------------------------------
+
+def _convolve_into(acc: dict, group: GroupSpec, field: FieldSpec, shape: Shape, a_terms, b_terms) -> None:
+    """Add a(g) b(h) at g h into acc = {h: coefficient} for every term pair.
+    Scalars are summed as raw ints (F_p, reduced later by _canonical_terms)
+    or Fractions (Q); n x n coefficients stay canonical via coeff_mul/coeff_add."""
+    compose = group.compose
+    if shape is None:
+        get = acc.get
+        for g, a in a_terms:
+            for h, b in b_terms:
+                k = compose(g, h)
+                acc[k] = get(k, 0) + a * b
+        return
+    for g, a in a_terms:
+        for h, b in b_terms:
+            k = compose(g, h)
+            c = coeff_mul(field, a, b)
+            acc[k] = coeff_add(field, acc[k], c) if k in acc else c
+
+
+def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict) -> tuple:
+    """The canonical terms of an accumulator: reduced, zeros dropped,
+    sorted by group.key."""
+    p = field.p if shape is None else None
+    if p:
+        items = [(g, r) for g, c in acc.items() if (r := c % p)]
+    else:
+        items = [(g, c) for g, c in acc.items() if not coeff_is_zero(c)]
+    key = group.key
+    items.sort(key=lambda t: key(t[0]))
+    return tuple(items)
+
+
 # -- group ring elements -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -154,13 +188,8 @@ class GroupRingElement:
         for g, c in terms:
             group.check(g)
             c = coerce_coeff(field, shape, c)
-            if g in acc:
-                acc[g] = coeff_add(field, acc[g], c)
-            else:
-                acc[g] = c
-        items = [(g, c) for g, c in acc.items() if not coeff_is_zero(c)]
-        items.sort(key=lambda t: group.key(t[0]))
-        return GroupRingElement(group, field, shape, tuple(items))
+            acc[g] = coeff_add(field, acc[g], c) if g in acc else c
+        return GroupRingElement(group, field, shape, _canonical_terms(group, field, shape, acc))
 
     @staticmethod
     def zero(group: GroupSpec, field: FieldSpec, shape: Shape = None) -> "GroupRingElement":
@@ -241,19 +270,10 @@ class GroupRingElement:
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """Convolution: (ab)(g) = sum_t a(t) b(t^-1 g)."""
         self._check_compatible(other)
-        grp, field = self.group, self.field
+        grp, field, shape = self.group, self.field, self.shape
         acc: dict[Element, object] = {}
-        for g, a in self.terms:
-            for h, b in other.terms:
-                k = grp.compose(g, h)
-                c = coeff_mul(field, a, b)
-                if k in acc:
-                    acc[k] = coeff_add(field, acc[k], c)
-                else:
-                    acc[k] = c
-        items = [(g, c) for g, c in acc.items() if not coeff_is_zero(c)]
-        items.sort(key=lambda t: grp.key(t[0]))
-        return GroupRingElement(grp, field, self.shape, tuple(items))
+        _convolve_into(acc, grp, field, shape, self.terms, other.terms)
+        return GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc))
 
     def translate(self, g: Element) -> "GroupRingElement":
         """Left multiplication by the basis element g (coefficient 1)."""
@@ -269,17 +289,13 @@ def matrix_shuffle(a: GroupRingElement) -> list[list[GroupRingElement]]:
     if a.shape is None:
         raise UsageError("matrix_shuffle requires matrix-shaped coefficients")
     n = a.shape
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(
-                GroupRingElement.from_terms(
-                    a.group, a.field, None, ((g, c[i][j]) for g, c in a.terms)
-                )
-            )
-        grid.append(row)
-    return grid
+    return [
+        [
+            GroupRingElement.from_terms(a.group, a.field, None, ((g, c[i][j]) for g, c in a.terms))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
@@ -296,11 +312,8 @@ def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
             if e.shape is not None:
                 raise UsageError("grid entries must be scalar-shaped")
             sites.update(g for g, _ in e.terms)
-    field = first.field
-    terms = []
-    for g in sites:
-        coeff = tuple(
-            tuple(grid[i][j].coefficient(g) for j in range(n)) for i in range(n)
-        )
-        terms.append((g, coeff))
-    return GroupRingElement.from_terms(first.group, field, n, terms)
+    terms = [
+        (g, tuple(tuple(grid[i][j].coefficient(g) for j in range(n)) for i in range(n)))
+        for g in sites
+    ]
+    return GroupRingElement.from_terms(first.group, first.field, n, terms)

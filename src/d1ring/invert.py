@@ -415,10 +415,9 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     check_tower_depth(t.group, t.n, budget.depth, budget.window)
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
+        # solve_one_sided_inverse has re-verified the certificate
         cert = _inverse_in_ball(t, "left", r)
         if cert is not None:
-            if not verify_identity(cert, t):
-                raise AssertionError("certificate failed re-verification; this is a bug")
             return InjectivityVerdict(
                 kind="proven_stably_injective",
                 budget=budget,

@@ -15,10 +15,14 @@ where the three singular products are defined slot-wise by
 
 These are NOT the convolution of the iterated group ring (k[G])[G]; the
 site argument of the right factor is shifted by the summation variable.
-In code each slot reduces to ordinary group ring convolutions:
+In code each slot reduces to group ring convolutions:
 (a b)(g) = sum over t in supp(a) with site u = gt of (a(t) t) * b(u),
 (b a)(g) = b(g) * a2, and (b c)(g) = sum over t in supp(b(g)) of
-(b(g)(t) t) * c(gt).
+(b(g)(t) t) * c(gt).  One fused kernel, _mul_into, convolves a1 a2 and
+these three slot sums term by term into a single accumulator
+{site or None: {h: coefficient}}.  A product, or a sum of products such
+as an entry of a matrix product, is made canonical once at the end
+(_sum_of_products), not once per partial convolution and sum.
 """
 
 from __future__ import annotations
@@ -31,8 +35,11 @@ from .exactalg import FieldSpec
 from .groupring import (
     GroupRingElement,
     Shape,
+    _canonical_terms,
+    _convolve_into,
     coeff_add,
     coeff_is_zero,
+    coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
 )
@@ -89,7 +96,8 @@ class TwistedElement:
         return self.regular.is_zero() and not self.singular
 
     def is_one(self) -> bool:
-        return self == TwistedElement.one(self.group, self.field, self.shape)
+        one = ((self.group.identity, coeff_one(self.field, self.shape)),)
+        return not self.singular and self.regular.terms == one
 
     def singular_part(self, g: Element) -> GroupRingElement:
         for h, part in self.singular:
@@ -139,39 +147,55 @@ class TwistedElement:
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         self._check_compatible(other)
-        if self.is_zero():
-            return self
-        if other.is_zero():
-            return other
-        grp, field, shape = self.group, self.field, self.shape
-        reg = self.regular * other.regular
-        acc: dict[Element, GroupRingElement] = {}
+        return _sum_of_products(self.group, self.field, self.shape, ((self, other),))
 
-        def add_into(site: Element, part: GroupRingElement) -> None:
-            acc[site] = acc[site] + part if site in acc else part
 
-        # regular1 * singular2: contributions land at site u t^-1 for each
-        # term t of the regular part and each singular site u.
-        for t, c in self.regular.terms:
-            mono = GroupRingElement.monomial(grp, field, shape, t, c)
+def _mul_into(
+    acc: dict, grp: GroupSpec, field: FieldSpec, shape: Shape, x: TwistedElement, y: TwistedElement
+) -> None:
+    """Add the raw terms of x * y into acc = {site: {h: coefficient}}, with
+    site None for the regular part; x and y are trusted to share grp, field
+    and shape."""
+    compose = grp.compose
+    a1, a2 = x.regular.terms, y.regular.terms
+    _convolve_into(acc.setdefault(None, {}), grp, field, shape, a1, a2)
+    # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
+    if y.singular:
+        for t, c in a1:
             t_inv = grp.inverse(t)
-            for u, part in other.singular:
-                add_into(grp.compose(u, t_inv), mono * part)
-
-        # singular1 * regular2: sitewise right convolution.
-        for g, part in self.singular:
-            add_into(g, part * other.regular)
-
-        # singular1 * singular2: only terms t of b1(g) whose shifted site
-        # g t hits supp(b2) contribute.
-        other_sites = dict(other.singular)
-        for g, part in self.singular:
+            for u, part in y.singular:
+                slot = acc.setdefault(compose(u, t_inv), {})
+                _convolve_into(slot, grp, field, shape, ((t, c),), part.terms)
+    if not x.singular:
+        return
+    # b1 a2 is sitewise; in b1 b2 only the terms t of b1(g) whose shifted
+    # site g t hits supp(b2) contribute
+    other_sites = dict(y.singular)
+    for g, part in x.singular:
+        slot = acc.setdefault(g, {})
+        _convolve_into(slot, grp, field, shape, part.terms, a2)
+        if other_sites:
             for t, c in part.terms:
-                hit = other_sites.get(grp.compose(g, t))
+                hit = other_sites.get(compose(g, t))
                 if hit is not None:
-                    add_into(g, GroupRingElement.monomial(grp, field, shape, t, c) * hit)
+                    _convolve_into(slot, grp, field, shape, ((t, c),), hit.terms)
 
-        return TwistedElement.make(reg, acc)
+
+def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
+    """The sum of x * y over the pairs, accumulated by _mul_into and made
+    canonical once: every part reduced, empty parts dropped, sites sorted.
+    The sites are composed from validated elements, so they are trusted."""
+    acc: dict = {}
+    for x, y in pairs:
+        _mul_into(acc, grp, field, shape, x, y)
+    regular = GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {})))
+    singular = []
+    for g, slot in acc.items():
+        terms = _canonical_terms(grp, field, shape, slot)
+        if terms:
+            singular.append((g, GroupRingElement(grp, field, shape, terms)))
+    singular.sort(key=lambda t: grp.key(t[0]))
+    return TwistedElement(regular, tuple(singular))
 
 
 def basis_product_terms(
@@ -204,13 +228,7 @@ def basis_product_terms(
     acc: dict[tuple[Element | None, Element], object] = {}
 
     def add(key: tuple[Element | None, Element], c) -> None:
-        # acc holds the nonzero partial sums; a missing key means zero
-        if key in acc:
-            c = coeff_add(field, acc[key], c)
-            if coeff_is_zero(c):
-                del acc[key]
-                return
-        acc[key] = c
+        acc[key] = coeff_add(field, acc[key], c) if key in acc else c
 
     if side == "left":
         if site is None:
@@ -242,7 +260,7 @@ def basis_product_terms(
             for h, c in part.terms:
                 if compose(u, h) == site:
                     add((u, compose(h, g)), c)
-    return acc
+    return {key: c for key, c in acc.items() if not coeff_is_zero(c)}
 
 
 def embed(a: GroupRingElement) -> TwistedElement:
@@ -307,28 +325,23 @@ class TwistedMatrix:
         )
 
     def is_identity(self) -> bool:
-        return self == TwistedMatrix.identity(self.n, self.group, self.field, self.shape)
+        return all(
+            e.is_one() if i == j else e.is_zero()
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:
             raise UsageError("matrix size mismatch")
         self.entries[0][0]._check_compatible(other.entries[0][0])
-        n = self.n
-        zero = TwistedElement.zero(self.group, self.field, self.shape)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for r in range(n):
-                    a, b = self.entries[i][r], other.entries[r][j]
-                    # `*` and `+` would return at once on a zero too; skipping
-                    # here also saves their two calls and compatibility checks
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return TwistedMatrix(n, tuple(rows))
+        grp, field, shape = self.group, self.field, self.shape
+        cols = tuple(zip(*other.entries))
+        # all n products of an entry go into one accumulator
+        return TwistedMatrix(self.n, tuple(
+            tuple(_sum_of_products(grp, field, shape, zip(row, col)) for col in cols)
+            for row in self.entries
+        ))
 
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:
@@ -351,14 +364,14 @@ def f_shuffle(x: TwistedElement) -> TwistedMatrix:
     n = x.shape
     reg_grid = matrix_shuffle(x.regular)
     sing_grids = [(g, matrix_shuffle(part)) for g, part in x.singular]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sing = [(g, grid[i][j]) for g, grid in sing_grids if not grid[i][j].is_zero()]
-            row.append(TwistedElement.make(reg_grid[i][j], sing))
-        rows.append(tuple(row))
-    return TwistedMatrix(n, tuple(rows))
+    # make drops the parts that are zero in entry (i, j)
+    return TwistedMatrix(n, tuple(
+        tuple(
+            TwistedElement.make(reg_grid[i][j], [(g, grid[i][j]) for g, grid in sing_grids])
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
 
 
 def f_shuffle_inv(m: TwistedMatrix) -> TwistedElement:
@@ -367,14 +380,9 @@ def f_shuffle_inv(m: TwistedMatrix) -> TwistedElement:
         raise UsageError("f_shuffle_inv expects scalar-shaped entries")
     n = m.n
     reg = matrix_unshuffle([[m.entries[i][j].regular for j in range(n)] for i in range(n)])
-    sites: set[Element] = set()
-    for row in m.entries:
-        for e in row:
-            sites.update(g for g, _ in e.singular)
-    sing = []
-    for g in sites:
-        part = matrix_unshuffle(
-            [[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]
-        )
-        sing.append((g, part))
+    sites = {g for row in m.entries for e in row for g, _ in e.singular}
+    sing = [
+        (g, matrix_unshuffle([[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]))
+        for g in sites
+    ]
     return TwistedElement.make(reg, sing)

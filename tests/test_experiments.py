@@ -96,6 +96,39 @@ class TestDirectFiniteness:
         assert sequential.outcomes == threaded.outcomes
 
 
+class TestProductCount:
+    def test_matmuls_per_trial(self, monkeypatch):
+        # gen_unit's accepted draw makes the unit and inverse chains
+        # (len(word) - 1 products each) and its check of u v; the trial then
+        # makes one more product, for v u.  A rejected draw also ends in a
+        # check, so the draws are split at the is_identity calls.
+        events = []
+        matmul, is_identity, gen = TwistedMatrix.__matmul__, TwistedMatrix.is_identity, gen_unit
+
+        def tracked_gen(*args):
+            events.append("gen")
+            out = gen(*args)
+            events.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(TwistedMatrix, "__matmul__", lambda a, b: events.append("@") or matmul(a, b))
+        monkeypatch.setattr(TwistedMatrix, "is_identity", lambda m: events.append("?") or is_identity(m))
+        monkeypatch.setattr(experiments, "gen_unit", tracked_gen)
+        rep = run_direct_finiteness(cfg(trials=12, group=F2FREE, field=F5, n=2, max_factors=3))
+        assert rep.failures == 0
+
+        trials = "".join(e if isinstance(e, str) else f"<{e}>" for e in events).split("gen")[1:]
+        assert len(trials) == 12
+        for trial, outcome in zip(trials, rep.outcomes):
+            draws, rest = trial.split(">")
+            draws, length = draws.split("<")
+            assert int(length) == len(outcome["word"])
+            accepted = draws.split("?")[-2]
+            assert accepted == "@" * (2 * (len(outcome["word"]) - 1) + 1)
+            assert rest == "@?"
+        assert any(len(o["word"]) > 1 for o in rep.outcomes)
+
+
 class TestPipeline:
     def test_fixed_f3_style_config(self):
         rep = run_surjunctivity_pipeline(cfg(trials=5))

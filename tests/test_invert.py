@@ -349,6 +349,22 @@ class TestVerdict:
         assert verdict.kind == "bounded_evidence"
         assert verdict.tower is None
 
+    def test_proven_verdict_verifies_its_certificate_once(self, monkeypatch):
+        # solve_one_sided_inverse re-verifies the certificate and raises on
+        # failure, so the verdict makes no second identity check
+        calls = []
+        verify = invert.verify_identity
+
+        def counting(u, v):
+            calls.append((u, v))
+            return verify(u, v)
+
+        monkeypatch.setattr(invert, "verify_identity", counting)
+        u, v = f3_nuca_pair()
+        verdict = stable_injectivity_verdict(u, SearchBudget(max_radius=3))
+        assert verdict.kind == "proven_stably_injective"
+        assert calls == [(v, u)]
+
 
 class TestZeroMap:
     def test_verdict_is_not_injective_at_radius_zero(self):

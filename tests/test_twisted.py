@@ -446,3 +446,93 @@ def test_basis_product_terms_drop_cancelled_collisions():
 def test_basis_product_terms_bad_side():
     with pytest.raises(UsageError, match="side"):
         basis_product_terms(TwistedElement.one(Z1, F3), "up", None, (0,))
+
+
+# -- structural unit checks and the fused matrix product ---------------------------
+
+def near_one(kind, group, field, shape):
+    """The unit, zero, a random element, or a near-miss of the unit."""
+    e = group.identity
+    step = (1,) + (0,) * (group.dim - 1) if group.kind == "Zd" else (1,)
+    one = coeff_one(field, shape)
+    two = 2 if shape is None else tuple(tuple(2 * x for x in row) for row in one)
+    if kind == "one":
+        return TwistedElement.one(group, field, shape)
+    if kind == "zero":
+        return TwistedElement.zero(group, field, shape)
+    if kind == "two_at_e":
+        return TwistedElement.make(gre(group, field, shape, [(e, two)]))
+    if kind == "one_off_e":
+        return TwistedElement.make(gre(group, field, shape, [(step, one)]))
+    if kind == "one_plus_term":
+        return TwistedElement.make(gre(group, field, shape, [(e, one), (step, one)]))
+    if kind == "one_plus_singular_at_e":
+        return TwistedElement.make(
+            GroupRingElement.one(group, field, shape), [(e, gre(group, field, shape, [(e, one)]))]
+        )
+    if kind == "off_diagonal_coeff" and shape is not None:
+        bumped = tuple(
+            tuple(1 if (i, j) == (0, 1) else x for j, x in enumerate(row)) for i, row in enumerate(one)
+        )
+        return TwistedElement.make(gre(group, field, shape, [(e, bumped)]))
+    return rand_twisted(random.Random(kind), group, field, shape, radius=1)
+
+
+NEAR_ONE_KINDS = [
+    "one", "zero", "two_at_e", "one_off_e", "one_plus_term",
+    "one_plus_singular_at_e", "off_diagonal_coeff", "random-1", "random-2",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    group=st.sampled_from([Z2, F2FREE]),
+    field=st.sampled_from([F2, F5, Q]),
+    shape=st.sampled_from([None, 2]),
+    kinds=st.lists(st.sampled_from(NEAR_ONE_KINDS), min_size=4, max_size=4),
+)
+def test_is_one_and_is_identity_agree_with_equality(group, field, shape, kinds):
+    # is_one and is_identity read the structure; == compares with the
+    # constructed unit and identity
+    x = near_one(kinds[0], group, field, shape)
+    assert x.is_one() == (x == TwistedElement.one(group, field, shape))
+    entries = [near_one(k, group, field, shape) for k in kinds]
+    m = TwistedMatrix(2, ((entries[0], entries[1]), (entries[2], entries[3])))
+    assert m.is_identity() == (m == TwistedMatrix.identity(2, group, field, shape))
+    one, zero = TwistedElement.one(group, field, shape), TwistedElement.zero(group, field, shape)
+    bumped = TwistedMatrix(2, ((one, x), (zero, one)))
+    assert bumped.is_identity() == x.is_zero()
+
+
+def test_is_one_rejects_near_misses():
+    for kind in NEAR_ONE_KINDS[1:7]:
+        assert not near_one(kind, Z2, F5, 2).is_one(), kind
+    assert TwistedMatrix.identity(2, Z2, Q).is_identity()
+    two = near_one("two_at_e", Z2, Q, None)
+    assert not TwistedMatrix.diagonal([TwistedElement.one(Z2, Q), two]).is_identity()
+
+
+@pytest.mark.parametrize("field", [F2, Q], ids=lambda f: f.label())
+def test_matmul_entry_whose_products_cancel(field):
+    # entry (0,0) is u v + u (-v), which cancels completely, singular parts
+    # included; entry (1,0) is u v + (u - 1)(-v) = v, where the singular
+    # parts of u v cancel and v's stay
+    def tw(regular, singular):
+        return TwistedElement.make(
+            gre(Z1, field, None, regular), [(g, gre(Z1, field, None, t)) for g, t in singular]
+        )
+
+    u = tw([((0,), 1), ((1,), 1)], [((0,), [((1,), 1)]), ((2,), [((-1,), 1)])])
+    v = tw([((1,), 1)], [((1,), [((0,), 1), ((1,), 1)]), ((3,), [((1,), 1)])])
+    zero = TwistedElement.zero(Z1, field)
+    a = TwistedMatrix(2, ((u, u), (u, u - TwistedElement.one(Z1, field))))
+    b = TwistedMatrix(2, ((v, zero), (-v, v)))
+    prod = a @ b
+    assert (u * v).singular and v.singular
+    assert prod == reference_matmul(a, b)
+    assert prod.entries[0][0].is_zero()
+    assert prod.entries[1][0] == v
+    for row in prod.entries:
+        for e in row:
+            assert all(part.terms for _, part in e.singular)
+            assert e == canonical(e)
