@@ -3,8 +3,13 @@
 `Matrix` is the one matrix type: every row is a {column: nonzero value}
 dict of Python ints mod p or Fractions, so window maps, bases and linear
 systems cost memory in their nonzeros only.  One elimination kernel
-(`_echelon`) reads those rows as they are and serves solving, rank,
-kernels and subspaces.  All arithmetic is exact; there is no floating
+(`_echelon`) serves solving, rank, kernels and subspaces.  Over F_p it
+works on the residues as they are.  Over Q it is fraction-free: each row
+enters as its primitive integer multiple (times the lcm of its
+denominators, divided by the gcd of the result), a reduction step is
+row <- a*row - b*pivot followed by one content division, and Fractions
+are made only where a caller reads values: subspace bases, kernel
+vectors and solutions.  All arithmetic is exact; there is no floating
 point anywhere.  Subspaces carry a reduced-row-echelon basis, which makes
 subspace equality a plain structural comparison.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, UsageError
@@ -40,6 +46,10 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Fractions are immutable, so every zero and one over Q can be these two
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,11 +81,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.kind == "Fp" else Fraction(0)
+        return 0 if self.kind == "Fp" else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.kind == "Fp" else Fraction(1)
+        return 1 if self.kind == "Fp" else _Q_ONE
 
     def coerce(self, x):
         """Coerce an int/Fraction into canonical form for this field."""
@@ -232,53 +242,105 @@ def _row_dict(field: FieldSpec, length: int, v: Sequence) -> dict:
     return {j: x for j, x in enumerate(map(field.coerce, v)) if x}
 
 
-def _subtract(row: dict, other: dict, f, p: Optional[int]) -> None:
-    """row -= f * other in place, dropping the entries that cancel."""
-    for j, v in other.items():
-        w = row.get(j, 0) - f * v
+def _integer_rows(field: FieldSpec, rows: Iterable[dict]) -> Iterable[dict]:
+    """Fresh copies of canonical rows as the integer rows elimination works
+    on: the residues themselves over F_p, primitive integer rows over Q."""
+    return map(dict, rows) if field.p else map(_primitive_row, rows)
+
+
+def _primitive_row(row: dict) -> dict:
+    """The primitive integer multiple of a row of rationals (or integers):
+    the row times the lcm of its denominators, divided by the gcd of the
+    result."""
+    den = lcm(*(v.denominator for v in row.values()))
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+def _field_rows(field: FieldSpec, basis: dict[int, dict]) -> list[dict]:
+    """The rows of a reduced basis in canonical field form, by pivot
+    column: over Q each integer row is divided by its leading entry."""
+    out = []
+    for c in sorted(basis):
+        row = basis[c]
+        if not field.p:
+            d = row[c]
+            row = {j: Fraction(v, d) for j, v in row.items()}
+        out.append(row)
+    return out
+
+
+def _reduce(row: dict, pivot: dict, c: int, p: Optional[int]) -> None:
+    """Clear column c of row in place: row <- a*row - b*pivot, dropping the
+    entries that cancel.  Over F_p the pivot leads with 1, so a = 1 and
+    b = row[c].  Over Q the pivot leads with a positive integer, a and b
+    are pivot[c] and row[c] divided by their gcd, and the row is divided
+    by its content afterwards, so it stays a primitive integer row."""
+    b = row[c]
+    if not p:
+        a = pivot[c]
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+    for j, v in pivot.items():
+        w = row.get(j, 0) - b * v
         if p:
             w %= p
         if w:
             row[j] = w
         else:
             row.pop(j, None)
+    if not p and row:
+        g = gcd(*row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
 
 
-def _echelon(field: FieldSpec, rows: Iterable[dict]) -> dict[int, dict]:
-    """Semi-echelon basis {leading column: row} of the span of the rows.
+def _echelon(p: Optional[int], rows: Iterable[dict]) -> dict[int, dict]:
+    """Semi-echelon basis {leading column: row} of the span of the rows,
+    which are integer rows (_integer_rows) and are consumed.
 
     Each row is reduced against the basis, leftmost column first, and
-    joins it (scaled to a leading 1) if anything is left.  Reducing by a
-    row with leading column c only touches columns >= c, so the leading
-    columns of the basis are the pivot columns of the RREF.  The rows are
-    copied, never changed.
+    joins it if anything is left: over F_p scaled to a leading 1, over Q
+    with a positive leading entry.  Reducing by a row with leading column
+    c only touches columns >= c, so the leading columns of the basis are
+    the pivot columns of the RREF.
     """
-    p = field.p
     basis: dict[int, dict] = {}
     for row in rows:
-        row = dict(row)
         while row:
             c = min(row)
             pivot_row = basis.get(c)
             if pivot_row is None:
-                s = field.inv(row[c])
-                if s != 1:
-                    row = {j: v * s % p if p else v * s for j, v in row.items()}
+                lead = row[c]
+                if p and lead != 1:
+                    s = pow(lead, p - 2, p)
+                    row = {j: v * s % p for j, v in row.items()}
+                elif lead < 0:
+                    row = {j: -v for j, v in row.items()}
                 basis[c] = row
                 break
-            _subtract(row, pivot_row, row[c], p)
+            _reduce(row, pivot_row, c, p)
     return basis
 
 
-def _reduced_echelon(field: FieldSpec, rows: Iterable[dict]) -> dict[int, dict]:
-    """The RREF basis {pivot column: row} of the span of the rows."""
-    basis = _echelon(field, rows)
+def _reduced_echelon(p: Optional[int], rows: Iterable[dict]) -> dict[int, dict]:
+    """The reduced basis {pivot column: row} of the span of integer rows:
+    the RREF over F_p, and over Q the primitive integer multiples of the
+    RREF rows."""
+    basis = _echelon(p, rows)
     # back-reduce from the right: the rows with later leading columns
     # are already free of every other pivot column
     for c in sorted(basis, reverse=True):
         row = basis[c]
         for c2 in [j for j in row if j != c and j in basis]:
-            _subtract(row, basis[c2], row[c2], field.p)
+            _reduce(row, basis[c2], c2, p)
     return basis
 
 
@@ -302,8 +364,12 @@ class Subspace:
     def from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
         """The span of {column: nonzero canonical value} rows, which are
         read but not changed."""
-        basis = _reduced_echelon(field, rows)
-        data = [basis[c] for c in sorted(basis)]
+        basis = _reduced_echelon(field.p, _integer_rows(field, rows))
+        return Subspace._from_reduced(field, ambient_dim, basis)
+
+    @staticmethod
+    def _from_reduced(field: FieldSpec, ambient_dim: int, basis: dict[int, dict]) -> "Subspace":
+        data = _field_rows(field, basis)
         return Subspace(field, ambient_dim, Matrix(field, len(data), ambient_dim, data))
 
     @staticmethod
@@ -330,26 +396,39 @@ class Subspace:
 
 
 def rank(a: Matrix) -> int:
-    return len(_echelon(a.field, a.data))
+    return len(_echelon(a.field.p, _integer_rows(a.field, a.data)))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
-    field = a.field
-    basis = _reduced_echelon(field, a.data)
-    # one vector per free column f: 1 at f, minus column f of the RREF
-    # at the pivot columns
-    vectors = {f: {f: field.one} for f in range(a.cols) if f not in basis}
+    field, p = a.field, a.field.p
+    basis = _reduced_echelon(p, _integer_rows(field, a.data))
+    # one vector per free column f: 1 at f and, at each pivot column c,
+    # minus the entry at f of row c divided by its leading entry; in
+    # integers, all of it times the lcm of those leading entries
+    dens = {f: 1 for f in range(a.cols) if f not in basis}
     for c, row in basis.items():
+        d = row[c]
+        if d != 1:
+            for f in row:
+                if f != c:
+                    dens[f] = lcm(dens[f], d)
+    vectors = {f: {f: den} for f, den in dens.items()}
+    for c, row in basis.items():
+        d = row[c]
         for f, w in row.items():
             if f != c:
-                vectors[f][c] = field.neg(w)
-    return Subspace.from_rows(field, a.cols, vectors.values())
+                vectors[f][c] = -w * (dens[f] // d)
+    rows = (
+        ({j: x % p for j, x in v.items()} for v in vectors.values()) if p
+        else map(_primitive_row, vectors.values())
+    )
+    return Subspace._from_reduced(field, a.cols, _reduced_echelon(p, rows))
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
     """Some x with Ax = b (free variables zero), or None if infeasible."""
-    field = a.field
+    field, p = a.field, a.field.p
     if len(b) != a.rows:
         raise UsageError("right-hand side length mismatch")
     rhs = a.cols
@@ -357,17 +436,25 @@ def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
     for row, y in zip(a.data, b):
         y = field.coerce(y)
         augmented.append({**row, rhs: y} if y else row)
-    basis = _echelon(field, augmented)
+    basis = _echelon(p, _integer_rows(field, augmented))
     if rhs in basis:
         return None
+    # back-substitute; over Q each value is found over the common
+    # denominator of the nonzero values it depends on, in integers
     x = [field.zero] * a.cols
     for c in sorted(basis, reverse=True):
         row = basis[c]
-        v = row.get(rhs, 0)
-        for j, w in row.items():
-            if j != c and j != rhs:
-                v -= w * x[j]
-        x[c] = field.coerce(v)
+        y = row.get(rhs, 0)
+        if p:
+            for j, w in row.items():
+                if j != c and j != rhs:
+                    y -= w * x[j]
+            x[c] = y % p
+        else:
+            terms = [(w, x[j]) for j, w in row.items() if j != c and j != rhs and x[j]]
+            den = lcm(*(xj.denominator for _, xj in terms))
+            num = y * den - sum(w * xj.numerator * (den // xj.denominator) for w, xj in terms)
+            x[c] = Fraction(num, row[c] * den)
     return tuple(x)
 
 

@@ -45,12 +45,12 @@ MAX_EXTRA_LEVELS = 8
 # level m <= depth + window + MAX_EXTRA_LEVELS they may build, exceed this
 # are refused before level 0.  The sum, not the last level alone, sets the
 # cost: on Z^1 the last window grows linearly in the depth but the tower
-# quadratically.  Measured on 2 vCPUs (Python 3.11, the decoy map, window 2):
-# 15-29 us and about 0.2 KB of peak memory per coordinate, e.g. Z^1 over F_5
-# with n = 1 at depth 1000 (1.02 M coordinates) 15.6 s and 228 MB, Z^2 over
-# Q with n = 2 at depth 35 (0.26 M) 4.5 s and 56 MB.  At the limit, which
-# allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with n = 1 and window 2:
-# Z^1 over Q 28.8 s and 269 MB, Z^2 over F_5 13.7 s and 209 MB.
+# quadratically.  Measured on 2 vCPUs (Python 3.11, the decoy map, window 2,
+# two runs each): 15-36 us and 0.2-0.27 KB of peak memory per coordinate.
+# At the limit, which allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with
+# n = 1 and window 2: Z^1 over Q 32-36 s and 267 MB, Z^1 over F_5 20-24 s
+# and 220 MB, Z^2 over F_5 15-16 s and 205 MB.  Z^2 over Q with n = 2 at
+# depth 35 (0.26 M coordinates) takes 4.0-4.2 s and 52 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
 

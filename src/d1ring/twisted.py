@@ -292,6 +292,15 @@ class TwistedMatrix:
             for e in row:
                 e._check_compatible(first)
 
+    @staticmethod
+    def _trusted(n: int, entries: tuple[tuple[TwistedElement, ...], ...]) -> "TwistedMatrix":
+        """A matrix of entries already known to form a compatible n x n
+        grid, built without __post_init__'s checks."""
+        m = object.__new__(TwistedMatrix)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     @property
     def group(self) -> GroupSpec:
         return self.entries[0][0].group
@@ -337,8 +346,9 @@ class TwistedMatrix:
         self.entries[0][0]._check_compatible(other.entries[0][0])
         grp, field, shape = self.group, self.field, self.shape
         cols = tuple(zip(*other.entries))
-        # all n products of an entry go into one accumulator
-        return TwistedMatrix(self.n, tuple(
+        # all n products of an entry go into one accumulator; the kernel
+        # gives every entry grp, field and shape
+        return TwistedMatrix._trusted(self.n, tuple(
             tuple(_sum_of_products(grp, field, shape, zip(row, col)) for col in cols)
             for row in self.entries
         ))
@@ -346,7 +356,8 @@ class TwistedMatrix:
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:
             raise UsageError("matrix size mismatch")
-        return TwistedMatrix(
+        # each entry sum checks its summands and is compatible with them
+        return TwistedMatrix._trusted(
             self.n,
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -331,6 +332,73 @@ def test_sparse_elimination_agrees_with_dense_reference(system):
     assert by_rows == a and solve(by_rows, b) == x
     if x is not None:
         assert a.mul_vector(x) == tuple(b)
+
+
+# -- the integer kernel over Q on wide rationals -------------------------------------
+
+# denominators are products of distinct primes from here
+DENOMINATOR_PRIMES = (2, 3, 5, 7, 11, 13, 101)
+
+
+def _wide_rationals():
+    """Rationals with numerators up to 10^12 in size, of either sign, over
+    squarefree denominators."""
+    return st.builds(
+        lambda num, primes: Fraction(num, math.prod(primes)),
+        st.integers(-(10**12), 10**12),
+        st.sets(st.sampled_from(DENOMINATOR_PRIMES), max_size=4),
+    )
+
+
+@st.composite
+def wide_rational_systems(draw):
+    """(A, b) over Q with up to 10 x 8 wide rational entries.  Some rows are
+    rational combinations of earlier rows, so elimination must cancel them
+    exactly, and b is A x for a drawn x, sometimes bumped at one row, which
+    makes the system infeasible when that row depends on the others."""
+    wide = _wide_rationals()
+    entry = st.just(Fraction(0)) | wide
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    entries: list[list] = []
+    for _ in range(rows):
+        if entries and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(entries)), draw(st.sampled_from(entries))
+            s1, s2 = draw(wide), draw(entry)
+            entries.append([s1 * x + s2 * y for x, y in zip(r1, r2)])
+        else:
+            entries.append([draw(entry) for _ in range(cols)])
+    a = Matrix.from_rows(Q, entries)
+    b = list(a.mul_vector([draw(entry) for _ in range(cols)]))
+    if draw(st.booleans()):
+        b[draw(st.integers(0, rows - 1))] += draw(wide)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rational_systems())
+@example((Matrix.from_rows(Q, [[Fraction(-1, 3), Fraction(2, 5)], [Fraction(2, 3), Fraction(-4, 5)]]), [1, 3]))
+@example((Matrix.from_rows(Q, [[Fraction(-10**12, 1001), 0, Fraction(7, 2)]]), [Fraction(-1, 6)]))
+def test_integer_kernel_over_q_agrees_with_dense_reference(system):
+    a, b = system
+    rows_before = [dict(row) for row in a.data]
+    b_before = list(b)
+    ref_r, ref_pivots = reference_rref(Q, dense_array(a))
+    basis = Subspace.from_rows(Q, a.cols, a.data).basis
+    assert basis.to_lists() == [list(row) for row in ref_r[: len(ref_pivots)]]
+    assert_canonical(basis)
+    assert rank(a) == len(ref_pivots)
+    kernel = kernel_basis(a)
+    assert kernel.vectors() == [tuple(v) for v in reference_kernel(a)]
+    assert_canonical(kernel.basis)
+    for v in kernel.vectors():
+        assert not any(a.mul_vector(v))
+    x = solve(a, b)
+    assert x == reference_solve(a, b)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert a.mul_vector(x) == tuple(b)
+    assert a.data == rows_before and b == b_before
+    assert all(type(v) is Fraction for row in a.data for v in row.values())
 
 
 # -- Matrix against plain lists ---------------------------------------------------

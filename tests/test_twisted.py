@@ -345,6 +345,22 @@ class TestCompatibilityChecks:
         with pytest.raises(UsageError, match="shape"):
             antidiagonal(None) @ antidiagonal(2)
 
+    def test_public_constructor_checks_the_grid(self):
+        zero, one = TwistedElement.zero(Z1, F3), TwistedElement.one(Z1, F3)
+        with pytest.raises(UsageError, match="field"):
+            TwistedMatrix(2, ((zero, one), (one, TwistedElement.zero(Z1, F5))))
+        with pytest.raises(UsageError, match="shape"):
+            TwistedMatrix(2, ((zero, one), (one, TwistedElement.zero(Z1, F3, 2))))
+        with pytest.raises(UsageError, match="group"):
+            TwistedMatrix(2, ((zero, one), (TwistedElement.one(Z2, F3), zero)))
+        with pytest.raises(UsageError, match="grid"):
+            TwistedMatrix(2, ((zero, one), (one,)))
+        # products and sums of checked matrices still compare equal to
+        # publicly built ones
+        m = TwistedMatrix(2, ((zero, one), (one, zero)))
+        assert m @ m == TwistedMatrix.identity(2, Z1, F3)
+        assert m + m == TwistedMatrix(2, ((zero, one + one), (one + one, zero)))
+
     def test_equal_but_distinct_specs(self):
         def element(group, field):
             return TwistedElement.make(
