@@ -278,7 +278,51 @@ def serialize_envelope(env: Envelope, omit_timing: bool = False) -> str:
         },
         "payload": env.payload_obj(omit_timing=omit_timing),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    out: list[str] = []
+    _write_json(doc, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append to out the text json.dumps(value, indent=2) gives for value,
+    nested at `indent`.  json.dumps with an indent runs the pure-Python
+    encoder, whose nested closures leave reference cycles behind on every
+    call; here the containers are laid out directly and the leaves go
+    through the C encoder, so a call leaves no cyclic garbage."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in value.items():
+            # json.dumps writes a key that is not a str (int, float, bool,
+            # None) as the string of its JSON text
+            out.append(sep + _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def parse_envelope(text: str) -> Envelope:

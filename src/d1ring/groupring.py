@@ -9,7 +9,9 @@ Mixing shapes is a hard error, never a coercion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import FormatError, UsageError
@@ -317,3 +319,79 @@ def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
         for g in sites
     ]
     return GroupRingElement.from_terms(first.group, first.field, n, terms)
+
+
+def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[GroupRingElement]:
+    """The determinant of a in M_n(k)[Z^d] ~ M_n(k[Z^d]), a scalar element
+    of the commutative ring k[Z^d]; None off Z^d, where k[G] is not
+    commutative, and None once the products would multiply more than
+    max_term_pairs pairs of terms.
+
+    Berkowitz's algorithm: division-free and O(n^4) ring products.  Adding
+    row and column k to the leading k x k block A_k, with row R, column S
+    and corner c, the characteristic coefficients (det(x I - A_k) =
+    sum_i C_i x^(k-i)) become C'_i = C_i - sum_{m=1..i} P_m C_{i-m}, where
+    P_1 = c and P_{j+2} = R A_k^j S.  Then det = (-1)^n C_n.  Entries are
+    raw term tuples, multiplied by _convolve_into and reduced by
+    _canonical_terms, without validation.  Over Q each row is first scaled
+    by the lcm of its denominators, so the products run on plain ints and
+    only the coefficients of the result are divided back.
+    """
+    grp, fld, n = a.group, a.field, a.shape
+    if grp.kind != "Zd":
+        return None
+    entries = [[[] for _ in range(n)] for _ in range(n)]
+    for g, c in a.terms:
+        for row, coeffs in zip(entries, c):
+            for entry, x in zip(row, coeffs):
+                if x:
+                    entry.append((g, x))
+    scale = 1
+    if fld.p is None:
+        for row in entries:
+            m = math.lcm(*(x.denominator for entry in row for _, x in entry))
+            scale *= m
+            row[:] = [[(g, x.numerator * (m // x.denominator)) for g, x in entry] for entry in row]
+    budget = max_term_pairs
+
+    def sum_of_products(pairs, start=()):
+        """start plus the sum of p q over the pairs, or None past the budget."""
+        nonlocal budget
+        acc = dict(start)
+        for p, q in pairs:
+            budget -= len(p) * len(q)
+            if budget < 0:
+                return None
+            _convolve_into(acc, grp, fld, None, p, q)
+        return _canonical_terms(grp, fld, None, acc)
+
+    def neg(p):
+        return tuple((g, -c) for g, c in p)
+
+    coeffs = [((grp.identity, 1),)]  # C_0 .. C_k
+    for k in range(n):
+        row, col = entries[k][:k], [entries[i][k] for i in range(k)]
+        negated = [neg(entries[k][k])]  # -P_1, -P_2, ...
+        v = col
+        for j in range(k):
+            if j:
+                v = [sum_of_products(zip(entries[i][:k], v)) for i in range(k)]
+                if None in v:
+                    return None
+            p = sum_of_products(zip(row, v))
+            if p is None:
+                return None
+            negated.append(neg(p))
+        new = [coeffs[0]]
+        for i in range(1, k + 2):
+            start = coeffs[i] if i <= k else ()
+            c = sum_of_products(((negated[m - 1], coeffs[i - m]) for m in range(1, i + 1)), start)
+            if c is None:
+                return None
+            new.append(c)
+        coeffs = new
+    sign = -1 if n % 2 else 1
+    det = tuple(
+        (g, sign * c % fld.p if fld.p else Fraction(sign * c, scale)) for g, c in coeffs[n]
+    )
+    return GroupRingElement(grp, fld, None, det)

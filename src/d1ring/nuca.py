@@ -409,19 +409,44 @@ class Nuca:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
+        # the constant rule's blocks are built once; a singular part is read
+        # only at the exceptional sites of the window
+        reg = dict(self.element.regular.terms)
+        zero = coeff_zero(field, n)
+        constant = [(h, reg.get(h, zero)) for h in self.memory]
+        constant_entries = _block_entries(constant)
+        singular = dict(self.element.singular)
+        compose, position = grp.compose, domain.position
         rows: list[dict] = []
         for g in window:
-            rule = self.rule_at(g)
+            part = singular.get(g)
+            if part is None:
+                entries = constant_entries
+            else:
+                extra = dict(part.terms)
+                entries = _block_entries(
+                    (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
+                )
             block_rows: list[dict] = [{} for _ in range(n)]
-            for h, block in zip(rule.memory, rule.blocks):
-                base = domain.position(grp.compose(g, h)) * n
-                for row, entries in zip(block_rows, block):
-                    for j, x in enumerate(entries):
-                        if x:
-                            row[base + j] = x
+            for h, block in entries:
+                base = position(compose(g, h)) * n
+                for row, nonzeros in zip(block_rows, block):
+                    for j, x in nonzeros:
+                        row[base + j] = x
             rows.extend(block_rows)
         mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
+
+
+def _block_entries(blocks) -> list:
+    """[(h, [[(j, x) for each nonzero x of a block row] per row])] for the
+    (h, block) pairs whose block is not zero."""
+    out = []
+    for h, block in blocks:
+        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in block]
+        if any(nonzeros):
+            out.append((h, nonzeros))
+    return out
 
 
 def _value(field: FieldSpec, x: Configuration, dev: dict, g: Element) -> Vector:

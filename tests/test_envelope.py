@@ -1,11 +1,16 @@
+import gc
 import json
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from d1ring.envelope import envelope_for, parse_envelope, serialize_envelope
+from d1ring.envelope import Envelope, _write_json, envelope_for, parse_envelope, serialize_envelope
 from d1ring.errors import FormatError
 from d1ring.experiments import rand_twisted
-from d1ring.nuca import Configuration
+from d1ring.invert import SearchBudget, stable_injectivity_verdict
+from d1ring.nuca import Configuration, Nuca
 from d1ring.twisted import TwistedMatrix, f_shuffle
 
 from conftest import F2, F2FREE, F3, Q, Z1, Z2, f3_pair, gre
@@ -138,3 +143,72 @@ class TestHeaderShapes:
         m = TwistedMatrix.identity(2, Z1, F3)
         env = envelope_for(m)
         assert env.n is None and env.kind == "twisted_matrix"
+
+
+# -- the layout writer against json.dumps(indent=2) -------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted((GOLDEN / "expected").glob("*.json")), ids=lambda p: p.name)
+def test_layout_matches_golden_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    out: list = []
+    _write_json(json.loads(text), "", out)
+    assert "".join(out) + "\n" == text
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4) | st.integers(-5, 5) | st.booleans() | st.none(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_layout_matches_json_dumps_on_random_payloads(value):
+    out: list = []
+    _write_json(value, "", out)
+    assert "".join(out) == json.dumps(value, indent=2)
+
+
+def test_verdict_ops_leave_no_cyclic_garbage():
+    # parse, decide, serialize: 20 ops must leave nothing for the cyclic
+    # collector (json.dumps with an indent left ~33 objects per call)
+    rng = random.Random(17)
+    texts = []
+    while len(texts) < 20:
+        u = rand_twisted(rng, Z1, Q, 2, radius=1)
+        if not u.is_zero():
+            texts.append(serialize_envelope(envelope_for(Nuca(u))))
+    budget = SearchBudget(max_radius=2, depth=3, window=2)
+
+    def op(text):
+        env = parse_envelope(text)
+        t = Nuca(env.payload)
+        verdict = stable_injectivity_verdict(t, budget)
+        serialize_envelope(Envelope(t.group, t.field, t.n, "verdict", verdict))
+
+    op(texts[0])
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for text in texts:
+            op(text)
+        found = gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == 0 and garbage == []

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -7,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, Subspace, kernel_basis, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
-from d1ring.groupring import GroupRingElement
+from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import invert
 from d1ring.invert import (
+    MAX_DET_TERM_PAIRS,
     MAX_EXTRA_LEVELS,
     MAX_TOWER_COORDINATES,
     MAX_UNKNOWNS,
+    InjectivityVerdict,
     InverseSearchParams,
     KernelTowerLevel,
     KernelTowerReport,
@@ -29,7 +33,7 @@ from d1ring.invert import (
     stable_injectivity_verdict,
     verify_identity,
 )
-from d1ring.nuca import Configuration, Nuca
+from d1ring.nuca import Configuration, Nuca, constant_part
 from d1ring.twisted import TwistedElement
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_nuca_pair, gre, nilpotent_nuca
@@ -657,3 +661,200 @@ def test_kernel_tower_agrees_with_dense_path(seed, group, field, n, depth, windo
         t = Nuca(rand_twisted(random.Random(seed), group, field, n, radius=1))
     with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
         assert kernel_tower(t, depth, window) == reference_kernel_tower(t, depth, window)
+
+
+# -- the regular-part obstruction over Z^d --------------------------------------
+
+def leibniz_det(a):
+    """det of a in M_n(k[G]) as the signed sum over permutations of
+    products of the shuffled entries; k[G] must be commutative."""
+    grid = matrix_shuffle(a)
+    n = len(grid)
+    total = GroupRingElement.zero(a.group, a.field)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = GroupRingElement.one(a.group, a.field)
+        for i, j in enumerate(perm):
+            term = term * grid[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def reference_verdict(t, budget):
+    """The verdict loop with every search run, no determinant pruning."""
+    const = constant_part(t)
+    for r in range(budget.max_radius + 1):
+        cert = invert._inverse_in_ball(t, "left", r)
+        if cert is not None:
+            return InjectivityVerdict(
+                kind="proven_stably_injective", budget=budget, certificate=cert, certificate_radius=r
+            )
+        for target, scope in ((t, "self"), (const, "constant_part")):
+            witness = finitely_supported_kernel(target, r)
+            if witness is not None:
+                return InjectivityVerdict(
+                    kind="proven_not_injective", budget=budget, witness=witness,
+                    witness_scope=scope, witness_radius=r,
+                )
+    tower = kernel_tower(t, budget.depth, budget.window) if t.group.kind == "Zd" else None
+    return InjectivityVerdict(kind="bounded_evidence", budget=budget, tower=tower)
+
+
+def draw_map(rng, group, field, n, kind):
+    """A random radius-1 map; "unit" gives a two-sided unit (det(a) a
+    monomial), "singular" a regular part whose last row repeats the first
+    (n = 1: is zero), so det(a) = 0 with nonzero entries."""
+    if kind == "unit":
+        config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=1)
+        unit, _, _ = gen_unit(rng, config)
+        return Nuca.from_matrix(unit)
+    u = rand_twisted(rng, group, field, n, radius=1)
+    if kind == "singular":
+        terms = [(g, c[:-1] + (c[0],)) for g, c in u.regular.terms] if n > 1 else []
+        u = TwistedElement.make(GroupRingElement.from_terms(group, field, n, terms), u.singular)
+    return Nuca(u)
+
+
+class TestZdDeterminant:
+    def test_cancellation_to_zero(self):
+        # [[1 + x, x + x^2], [1, x]]: every entry nonzero, det = 0
+        a = gre(Z1, Q, 2, [((0,), ((1, 0), (1, 0))), ((1,), ((1, 1), (0, 1))), ((2,), ((0, 1), (0, 0)))])
+        assert leibniz_det(a).is_zero()
+        assert zd_determinant(a, MAX_DET_TERM_PAIRS).is_zero()
+
+    @pytest.mark.parametrize("field", [F2, F3, Q])
+    def test_monomial_from_multi_term_entries(self, field):
+        # [[1, 1 + x], [0, 1]] and [[1 + x, x], [1, 1]] both have det 1
+        for terms in (
+            [((0,), ((1, 1), (0, 1))), ((1,), ((0, 1), (0, 0)))],
+            [((0,), ((1, 0), (1, 1))), ((1,), ((1, 1), (0, 0)))],
+        ):
+            a = gre(Z1, field, 2, terms)
+            assert zd_determinant(a, MAX_DET_TERM_PAIRS) == leibniz_det(a) == GroupRingElement.one(Z1, field)
+
+    def test_rational_entries(self):
+        # [[1/2 + x, 1/3], [3 x, 2/5]]: det = 1/5 + (2/5 - 1) x
+        a = gre(Z1, Q, 2, [
+            ((0,), ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5)))),
+            ((1,), ((1, 0), (3, 0))),
+        ])
+        det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        assert det == leibniz_det(a)
+        assert det.terms == (((0,), Fraction(1, 5)), ((1,), Fraction(-3, 5)))
+
+    def test_none_off_z_d_and_past_the_budget(self):
+        assert zd_determinant(decoy_nuca(F2FREE, F3, 2).element.regular, MAX_DET_TERM_PAIRS) is None
+        a = decoy_nuca(Z2, F3, 3).element.regular
+        assert zd_determinant(a, 10**6) == leibniz_det(a)
+        assert zd_determinant(a, 3) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        group=st.sampled_from([Z1, Z2, GroupSpec.zd(3)]),
+        field=st.sampled_from([F2, F3, Q]),
+        n=st.sampled_from([1, 2, 3, 4]),
+        kind=st.sampled_from(["random", "unit", "singular"]),
+    )
+    def test_agrees_with_leibniz(self, seed, group, field, n, kind):
+        a = draw_map(random.Random(seed), group, field, n, kind).element.regular
+        det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        assert det == leibniz_det(a)
+        if kind == "unit":
+            assert len(det.terms) == 1
+        if kind == "singular":
+            assert det.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z1, Z2]),
+    field=st.sampled_from([F2, F3, Q]),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["random", "unit", "singular"]),
+)
+def test_determinant_pruning_is_sound(seed, group, field, n, kind):
+    t = draw_map(random.Random(seed), group, field, n, kind)
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
+    radii = range(3 if group == Z1 else 2)
+    if len(det.terms) != 1:
+        for side in ("left", "right"):
+            for r in radii:
+                assert invert._inverse_in_ball(t, side, r) is None
+    if not det.is_zero():
+        const = constant_part(t)
+        for r in radii:
+            assert finitely_supported_kernel(const, r) is None
+    budget = SearchBudget(max_radius=radii[-1], depth=1, window=1)
+    with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
+        assert stable_injectivity_verdict(t, budget) == reference_verdict(t, budget)
+
+
+def other_map():
+    """A Z^2 map over Q with det(a) = 1 + x, not a unit, and a singular part."""
+    a = gre(Z2, Q, 2, [((0, 0), ((1, 0), (0, 1))), ((1, 0), ((1, 0), (0, 0)))])
+    return Nuca(TwistedElement.make(a, [((0, 1), gre(Z2, Q, 2, [((0, 0), ((0, 1), (0, 0)))]))]))
+
+
+class TestDeterminantPruning:
+    """Which searches run, seen through recorders around the real ones."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        inverse, kernel = invert._inverse_in_ball, invert.finitely_supported_kernel
+
+        def inverse_recorder(t, side, r):
+            calls.append(("inverse", t, r))
+            return inverse(t, side, r)
+
+        def kernel_recorder(t, r):
+            calls.append(("kernel", t, r))
+            return kernel(t, r)
+
+        monkeypatch.setattr(invert, "_inverse_in_ball", inverse_recorder)
+        monkeypatch.setattr(invert, "finitely_supported_kernel", kernel_recorder)
+        return calls
+
+    @pytest.mark.parametrize(
+        "t", [decoy_nuca(Z1, F2, 1), decoy_nuca(Z2, F3, 2), other_map()], ids=["decoy-z1", "decoy-z2", "other"]
+    )
+    def test_no_inverse_and_no_constant_part_search(self, searches, t):
+        budget = SearchBudget(max_radius=2, depth=1, window=1)
+        verdict = stable_injectivity_verdict(t, budget)
+        assert verdict.kind == "bounded_evidence"
+        # only the witness searches for t itself run, one per radius
+        assert [(kind, r) for kind, _, r in searches] == [("kernel", r) for r in range(3)]
+        assert all(target is t for _, target, _ in searches)
+        searches.clear()
+        assert search_one_sided_inverse(t, "left", 2) is None
+        assert search_one_sided_inverse(t, "right", 2) is None
+        assert searches == []
+
+    def test_unit_det_map_still_searches(self, searches):
+        u, v = f3_nuca_pair()
+        verdict = stable_injectivity_verdict(u, SearchBudget(max_radius=3))
+        assert verdict.certificate == v
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("kernel", 0), ("inverse", 1)]
+        searches.clear()
+        assert search_one_sided_inverse(v, "right", 2) == (u, 1)
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)]
+
+    def test_free_group_runs_every_search(self, searches):
+        t = decoy_nuca(F2FREE, F2, 1)
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=1))
+        assert verdict.kind == "bounded_evidence"
+        assert [(kind, r) for kind, _, r in searches] == [
+            (kind, r) for r in range(2) for kind in ("inverse", "kernel", "kernel")
+        ]
+
+    def test_past_the_det_budget_every_search_runs(self, searches, monkeypatch):
+        monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", 0)
+        t = decoy_nuca(Z1, F2, 1)
+        budget = SearchBudget(max_radius=1, depth=1, window=1)
+        verdict = stable_injectivity_verdict(t, budget)
+        assert [(kind, r) for kind, _, r in searches] == [
+            (kind, r) for r in range(2) for kind in ("inverse", "kernel", "kernel")
+        ]
+        assert verdict == reference_verdict(t, budget)
