@@ -22,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import UsageError
 from .exactalg import FieldSpec
@@ -272,6 +272,39 @@ _NOTE = (
 )
 
 
+def _blind_left_search(
+    config: SuiteConfig, tau: Nuca, inverse: TwistedMatrix, outcome: dict
+) -> Optional[Nuca]:
+    """Search a left inverse of tau without its known inverse, up to the
+    radius _search_radius allows.  A hit records its radius in the outcome
+    and is returned; a miss records ok = False and the reason, and the
+    caller adds its own payload of the unit."""
+    radius, reason = _search_radius(config, inverse)
+    hit = search_left_inverse(tau, radius)
+    if hit is None:
+        outcome["ok"] = False
+        outcome["reason"] = reason
+        return None
+    cert, outcome["radius"] = hit
+    return cert
+
+
+def _run_suite(suite: str, config: SuiteConfig, trial: Callable[[int], dict]) -> SuiteReport:
+    """Run every trial in index order and assemble the report."""
+    start = time.monotonic()
+    outcomes = [trial(i) for i in range(config.trials)]
+    failures = sum(1 for o in outcomes if not o["ok"])
+    return SuiteReport(
+        suite=suite,
+        config=config,
+        note=_NOTE,
+        outcomes=tuple(outcomes),
+        passes=config.trials - failures,
+        failures=failures,
+        wall_clock_s=time.monotonic() - start,
+    )
+
+
 def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
     """Per trial: build (u, v) with u*v = 1 and assert v*u = 1.
 
@@ -283,7 +316,6 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
 
     if config.rediscover_inverse:
         check_search_radius(config.group, config.n, config.budget.max_radius)
-    start = time.monotonic()
 
     def trial(index: int) -> dict:
         rng = _trial_rng(config, index)
@@ -291,15 +323,10 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
         outcome: dict = {"trial": index, "word": word}
         if config.rediscover_inverse:
             tau = Nuca.from_matrix(unit)
-            radius, reason = _search_radius(config, inverse)
-            hit = search_left_inverse(tau, radius)
-            if hit is None:
-                outcome["ok"] = False
-                outcome["reason"] = reason
+            cert = _blind_left_search(config, tau, inverse, outcome)
+            if cert is None:
                 outcome["unit"] = twisted_matrix_payload(unit)
                 return outcome
-            cert, r = hit
-            outcome["radius"] = r
             ok = verify_identity(tau, cert)
         else:
             # gen_unit has checked unit @ inverse; only v u = 1 is open
@@ -311,17 +338,7 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
             outcome["inverse"] = twisted_matrix_payload(inverse)
         return outcome
 
-    outcomes = [trial(i) for i in range(config.trials)]
-    failures = sum(1 for o in outcomes if not o["ok"])
-    return SuiteReport(
-        suite="direct_finiteness",
-        config=config,
-        note=_NOTE,
-        outcomes=tuple(outcomes),
-        passes=config.trials - failures,
-        failures=failures,
-        wall_clock_s=time.monotonic() - start,
-    )
+    return _run_suite("direct_finiteness", config, trial)
 
 
 def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
@@ -338,7 +355,6 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
     check_search_radius(config.group, config.n, config.budget.max_radius)
     if config.decoy_every > 0:
         check_tower_depth(config.group, config.n, config.budget.depth, config.budget.window)
-    start = time.monotonic()
 
     def trial(index: int) -> dict:
         rng = _trial_rng(config, index)
@@ -353,16 +369,11 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
             return out
         unit, inverse, word = gen_unit(rng, config)
         tau = Nuca.from_matrix(unit)
-        radius, reason = _search_radius(config, inverse)
         outcome: dict = {"trial": index, "decoy": False, "word": word}
-        hit = search_left_inverse(tau, radius)
-        if hit is None:
-            outcome["ok"] = False
-            outcome["reason"] = reason
+        cert = _blind_left_search(config, tau, inverse, outcome)
+        if cert is None:
             outcome["unit"] = twisted_payload(tau.element)
             return outcome
-        cert, r = hit
-        outcome["radius"] = r
         left_ok = verify_identity(cert, tau)
         right_ok = verify_identity(tau, cert)
         outcome["ok"] = bool(left_ok and right_ok)
@@ -372,14 +383,4 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
             outcome["certificate"] = twisted_payload(cert.element)
         return outcome
 
-    outcomes = [trial(i) for i in range(config.trials)]
-    failures = sum(1 for o in outcomes if not o["ok"])
-    return SuiteReport(
-        suite="surjunctivity_pipeline",
-        config=config,
-        note=_NOTE,
-        outcomes=tuple(outcomes),
-        passes=config.trials - failures,
-        failures=failures,
-        wall_clock_s=time.monotonic() - start,
-    )
+    return _run_suite("surjunctivity_pipeline", config, trial)

@@ -79,13 +79,6 @@ def coeff_mul(field: FieldSpec, a, b):
     return field.mul(a, b)
 
 
-def coeff_scale(field: FieldSpec, c, a):
-    """Multiply a coefficient by a field scalar c."""
-    if isinstance(a, tuple):
-        return tuple(tuple(field.mul(c, x) for x in row) for row in a)
-    return field.mul(c, a)
-
-
 def coeff_encode(field: FieldSpec, c):
     if isinstance(c, tuple):
         return [[field.encode_scalar(x) for x in row] for row in c]
@@ -261,13 +254,14 @@ class GroupRingElement:
         return self + (-other)
 
     def scale(self, c) -> "GroupRingElement":
+        """Multiply every coefficient by the field scalar c; from_terms
+        reduces the raw products."""
         c = self.field.coerce(c)
-        return GroupRingElement.from_terms(
-            self.group,
-            self.field,
-            self.shape,
-            ((g, coeff_scale(self.field, c, a)) for g, a in self.terms),
-        )
+        if self.shape is None:
+            terms = ((g, c * a) for g, a in self.terms)
+        else:
+            terms = ((g, [[c * x for x in row] for row in a]) for g, a in self.terms)
+        return GroupRingElement.from_terms(self.group, self.field, self.shape, terms)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """Convolution: (ab)(g) = sum_t a(t) b(t^-1 g)."""

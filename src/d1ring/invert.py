@@ -94,14 +94,20 @@ class InverseSearchParams:
 
     @staticmethod
     def make(side: str, memory_set: FiniteSubset, exceptional_set: FiniteSubset) -> "InverseSearchParams":
-        if side not in ("left", "right"):
-            raise UsageError(f"side must be 'left' or 'right', got {side!r}")
+        _check_side(side)
         grp = memory_set.group
+        if exceptional_set.group != grp:
+            raise UsageError("memory set and exceptional set live in different groups")
         ident = FiniteSubset.make(grp, [grp.identity])
         memory_set = memory_set.union(ident)
         if len(exceptional_set) == 0:
             exceptional_set = ident
         return InverseSearchParams(side, memory_set, exceptional_set)
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,8 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
     unknowns is refused before it is assembled.
     """
     grp, fld, n = t.group, t.field, t.n
+    if params.memory_set.group != grp or params.exceptional_set.group != grp:
+        raise UsageError("the search window lives in a different group from the map")
     unknowns = len(params.memory_set) * (1 + len(params.exceptional_set)) * n * n
     if unknowns > MAX_UNKNOWNS:
         raise UsageError(
@@ -303,6 +311,7 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     a-priori bound.  Over Z^d a determinant of the regular part that is not
     a monomial is such a proof, and then no ball is searched.  A search
     past search_radius_limit is refused before radius 0 runs."""
+    _check_side(side)
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
     check_search_radius(t.group, t.n, max_radius)
@@ -332,11 +341,6 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     support = FiniteSubset.ball(grp, radius)
     window = support.product(t.memory.inverse()) if len(t.memory) else FiniteSubset.make(grp, ())
     window = window.union(t.exceptional_set)
-
-    if len(window) == 0:
-        # nothing constrains anything: the first basis probe is a witness
-        vec = tuple(fld.one if i == 0 else fld.zero for i in range(n))
-        return Configuration.make(grp, fld, n, (fld.zero,) * n, [(support.elements[0], vec)])
 
     local = t.induced_local_map(window)
     # keep the columns of the domain sites inside the support, re-keyed to

@@ -9,6 +9,13 @@ singular part the sitewise corrections.  The action is
 composition of maps is ring multiplication, and the identity map is the
 ring unit.  Configurations are restricted to base-plus-finite-deviation
 points of V^G, which is enough for every procedure in this package.
+
+Vectors are plain tuples of field entries.  `Configuration.make` is the
+one place where a stored vector is made canonical: it coerces each entry
+as it arrives, sums the vectors given for one site as plain ints or
+Fractions and reduces each sum once, and drops zero vectors.  So the
+action, sums and scalings hand it raw sums, with no reduction per
+operation; `value_at` reduces the one sum it returns.
 """
 
 from __future__ import annotations
@@ -23,36 +30,6 @@ from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
 
 Vector = tuple
-
-
-def _vec_zero(field: FieldSpec, n: int) -> Vector:
-    return (field.zero,) * n
-
-
-def _vec_add(field: FieldSpec, a: Vector, b: Vector) -> Vector:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def _vec_sub(field: FieldSpec, a: Vector, b: Vector) -> Vector:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
-def _vec_scale(field: FieldSpec, c, a: Vector) -> Vector:
-    return tuple(field.mul(c, x) for x in a)
-
-
-def _vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
-def _mat_vec(field: FieldSpec, m, v: Vector) -> Vector:
-    out = []
-    for row in m:
-        acc = field.zero
-        for x, y in zip(row, v):
-            acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,32 +51,40 @@ class Configuration:
         base: Sequence,
         deviation: Mapping[Element, Sequence] | Iterable[tuple[Element, Sequence]] = (),
     ) -> "Configuration":
-        base = tuple(field.coerce(x) for x in base)
+        coerce = field.coerce
+        base = tuple(coerce(x) for x in base)
         if len(base) != n:
             raise UsageError(f"base vector must have length {n}")
         items = deviation.items() if isinstance(deviation, Mapping) else deviation
-        acc: dict[Element, Vector] = {}
+        acc: dict[Element, list] = {}
         for g, v in items:
             group.check(g)
-            v = tuple(field.coerce(x) for x in v)
+            v = [coerce(x) for x in v]
             if len(v) != n:
                 raise UsageError(f"deviation vector at {g!r} must have length {n}")
-            acc[g] = _vec_add(field, acc[g], v) if g in acc else v
-        pairs = [(g, v) for g, v in acc.items() if not _vec_is_zero(v)]
-        pairs.sort(key=lambda t: group.key(t[0]))
+            acc.setdefault(g, []).append(v)
+        pairs = []
+        for g, vs in acc.items():
+            # duplicate sites sum as plain ints or Fractions, reduced once
+            v = tuple(coerce(sum(col)) for col in zip(*vs)) if len(vs) > 1 else tuple(vs[0])
+            if any(v):
+                pairs.append((g, v))
+        key = group.key
+        pairs.sort(key=lambda t: key(t[0]))
         return Configuration(group, field, n, base, tuple(pairs))
 
     @staticmethod
     def zero(group: GroupSpec, field: FieldSpec, n: int) -> "Configuration":
-        return Configuration(group, field, n, _vec_zero(field, n), ())
+        return Configuration.make(group, field, n, (0,) * n)
 
     def is_zero(self) -> bool:
-        return _vec_is_zero(self.base) and not self.deviation
+        return not any(self.base) and not self.deviation
 
     def value_at(self, g: Element) -> Vector:
         for h, v in self.deviation:
             if h == g:
-                return _vec_add(self.field, self.base, v)
+                coerce = self.field.coerce
+                return tuple(coerce(a + b) for a, b in zip(self.base, v))
         return self.base
 
     def deviation_support(self) -> FiniteSubset:
@@ -135,7 +120,7 @@ class Configuration:
             self.group,
             self.field,
             self.n,
-            _vec_add(self.field, self.base, other.base),
+            [a + b for a, b in zip(self.base, other.base)],
             self.deviation + other.deviation,
         )
 
@@ -145,8 +130,8 @@ class Configuration:
             self.group,
             self.field,
             self.n,
-            _vec_scale(self.field, c, self.base),
-            ((g, _vec_scale(self.field, c, v)) for g, v in self.deviation),
+            [c * a for a in self.base],
+            ((g, [c * a for a in v]) for g, v in self.deviation),
         )
 
 
@@ -209,13 +194,6 @@ class LocalRule:
             memory,
             tuple(self.block(h) for h in memory),
         )
-
-    def evaluate(self, window: Pattern) -> Vector:
-        """Apply to a pattern whose domain contains the memory."""
-        acc = _vec_zero(self.field, self.n)
-        for h, b in zip(self.memory, self.blocks):
-            acc = _vec_add(self.field, acc, _mat_vec(self.field, b, window.value_at(h)))
-        return acc
 
     def __sub__(self, other: "LocalRule") -> "LocalRule":
         mem = self.memory.union(other.memory)
@@ -323,31 +301,31 @@ class Nuca:
         """tau(x)(g) = sum_h regular(h) x(gh) + sum_h singular(g)(h) x(gh)."""
         if (x.group, x.field, x.n) != (self.group, self.field, self.n):
             raise UsageError("configuration incompatible with this NUCA")
-        grp, field, n = self.group, self.field, self.n
-
-        total = coeff_zero(field, n)
-        for _, c in self.element.regular.terms:
-            total = coeff_add(field, total, c)
-        new_base = _mat_vec(field, total, x.base)
+        grp, n = self.group, self.n
+        compose, inverse = grp.compose, grp.inverse
+        regular, base, rows = self.element.regular.terms, x.base, range(n)
+        # the base maps to (sum_h regular(h)) base
+        new_base = [sum(a * b for _, c in regular for a, b in zip(c[i], base)) for i in rows]
 
         # candidate output sites: where a deviation is visible or a rule differs
         candidates: set[Element] = set(self.exceptional_set)
         for u, _ in x.deviation:
             for h in self.memory:
-                candidates.add(grp.compose(u, grp.inverse(h)))
+                candidates.add(compose(u, inverse(h)))
 
+        # tau(x)(g) - new_base: the regular part reads the deviations alone,
+        # the singular part at g reads base plus deviation
         dev = dict(x.deviation)
-        out: list[tuple[Element, Vector]] = []
+        zero = (0,) * n
+        out = []
         for g in candidates:
-            acc = _vec_zero(field, n)
-            for h, c in self.element.regular.terms:
-                acc = _vec_add(field, acc, _mat_vec(field, c, _value(field, x, dev, grp.compose(g, h))))
-            for h, c in self.element.singular_part(g).terms:
-                acc = _vec_add(field, acc, _mat_vec(field, c, _value(field, x, dev, grp.compose(g, h))))
-            delta = _vec_sub(field, acc, new_base)
-            if not _vec_is_zero(delta):
-                out.append((g, delta))
-        return Configuration.make(grp, field, n, new_base, out)
+            reads = [(c, dev.get(compose(g, h), zero)) for h, c in regular]
+            reads += [
+                (c, [a + b for a, b in zip(base, dev.get(compose(g, h), zero))])
+                for h, c in self.element.singular_part(g).terms
+            ]
+            out.append((g, [sum(a * b for c, v in reads for a, b in zip(c[i], v)) for i in rows]))
+        return Configuration.make(grp, self.field, n, new_base, out)
 
     def compose(self, other: "Nuca") -> "Nuca":
         """Ring product; equals map composition self after other."""
@@ -449,11 +427,6 @@ def _block_entries(blocks) -> list:
     return out
 
 
-def _value(field: FieldSpec, x: Configuration, dev: dict, g: Element) -> Vector:
-    v = dev.get(g)
-    return x.base if v is None else _vec_add(field, x.base, v)
-
-
 def constant_part(t: Nuca) -> Nuca:
     """The NUCA of the constant rule alone (singular part dropped)."""
     return Nuca(TwistedElement(t.element.regular, ()))
@@ -463,5 +436,4 @@ def basis_configuration(
     group: GroupSpec, field: FieldSpec, n: int, g: Element, j: int
 ) -> Configuration:
     """Zero base, a single standard basis vector e_j at site g."""
-    v = tuple(field.one if i == j else field.zero for i in range(n))
-    return Configuration.make(group, field, n, _vec_zero(field, n), [(g, v)])
+    return Configuration.make(group, field, n, (0,) * n, [(g, [int(i == j) for i in range(n)])])

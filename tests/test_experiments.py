@@ -18,6 +18,7 @@ from d1ring.experiments import (
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.invert import SearchBudget
+from d1ring.nuca import Nuca
 from d1ring.twisted import TwistedElement, TwistedMatrix
 
 from conftest import F2, F2FREE, F3, F5, Q, Z1, Z2, f3_pair, gre
@@ -185,6 +186,47 @@ class TestSearchSizeLimit:
         limited = [o for o in rep.outcomes if not o["ok"]]
         assert limited
         assert all("largest within the search size limit" in o["reason"] for o in limited)
+
+
+class TestBlindSearchFailure:
+    """A blind left search that finds nothing fails its trial with the
+    suite's own payload, in a fixed key order."""
+
+    @pytest.fixture(autouse=True)
+    def no_inverse(self, monkeypatch):
+        self.searches = []
+        monkeypatch.setattr(
+            experiments, "search_left_inverse", lambda t, r: self.searches.append(r)
+        )
+
+    def test_direct_finiteness_outcome(self):
+        from d1ring.envelope import twisted_matrix_payload
+
+        config = cfg(trials=3, group=Z2, field=F5, n=2, rediscover_inverse=True)
+        rep = run_direct_finiteness(config)
+        assert (rep.passes, rep.failures) == (0, 3)
+        assert len(self.searches) == 3
+        for i, o in enumerate(rep.outcomes):
+            unit, _, word = gen_unit(experiments._trial_rng(config, i), config)
+            assert list(o) == ["trial", "word", "ok", "reason", "unit"]
+            assert o["trial"] == i and o["word"] == word and o["ok"] is False
+            assert o["reason"] == "no left inverse found within budget"
+            assert o["unit"] == twisted_matrix_payload(unit)
+
+    def test_pipeline_outcome(self):
+        from d1ring.envelope import twisted_payload
+
+        config = cfg(trials=3, group=Z2, field=F5, n=2)
+        rep = run_surjunctivity_pipeline(config)
+        assert (rep.passes, rep.failures) == (0, 3)
+        assert len(self.searches) == 3
+        for i, o in enumerate(rep.outcomes):
+            unit, _, word = gen_unit(experiments._trial_rng(config, i), config)
+            assert list(o) == ["trial", "decoy", "word", "ok", "reason", "unit"]
+            assert o["trial"] == i and o["decoy"] is False and o["word"] == word
+            assert o["ok"] is False
+            assert o["reason"] == "no left inverse found within budget"
+            assert o["unit"] == twisted_payload(Nuca.from_matrix(unit).element)
 
 
 class TestReportDeterminism:

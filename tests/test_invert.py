@@ -33,7 +33,7 @@ from d1ring.invert import (
     stable_injectivity_verdict,
     verify_identity,
 )
-from d1ring.nuca import Configuration, Nuca, constant_part
+from d1ring.nuca import Configuration, Nuca, basis_configuration, constant_part
 from d1ring.twisted import TwistedElement
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_nuca_pair, gre, nilpotent_nuca
@@ -96,6 +96,16 @@ class TestSolveOneSided:
     def test_bad_side(self):
         with pytest.raises(UsageError):
             InverseSearchParams.make("up", FiniteSubset.ball(Z1, 0), FiniteSubset.ball(Z1, 0))
+
+    def test_window_in_another_group(self):
+        # a Z^1 map searched with Z^2 balls, and sets split across groups
+        z1, z2 = FiniteSubset.ball(Z1, 1), FiniteSubset.ball(Z2, 1)
+        with pytest.raises(UsageError, match="different group"):
+            solve_one_sided_inverse(Nuca.identity(Z1, F3, 1), InverseSearchParams.make("left", z2, z2))
+        with pytest.raises(UsageError, match="different groups"):
+            InverseSearchParams.make("left", z1, z2)
+        with pytest.raises(UsageError, match="different groups"):
+            InverseSearchParams.make("right", z2, FiniteSubset.make(Z1, []))
 
     def test_oversized_system_refused(self):
         # 2705 * 2706 unknowns at radius 2 in free:26
@@ -242,6 +252,17 @@ class TestSearchLeftInverse:
         u, v = f3_nuca_pair()
         assert search_one_sided_inverse(v, "right", 2) == (u, 1)
 
+    @pytest.mark.parametrize(
+        "t",
+        [Nuca(TwistedElement(gre(Z1, F3, 1, [((0,), ((1,),)), ((1,), ((1,),))]), ())), Nuca.identity(Z1, F3, 1)],
+        ids=["pruned-by-det", "searched"],
+    )
+    def test_bad_side_refused_before_any_work(self, monkeypatch, t):
+        # det(1 + x) is not a monomial, so no ball would be searched for it
+        monkeypatch.setattr(invert, "_inverse_in_ball", lambda *args: pytest.fail("searched"))
+        with pytest.raises(UsageError, match="side"):
+            search_one_sided_inverse(t, "up", 2)
+
 
 class TestFinitelySupportedKernel:
     def test_zero_map_first_basis_witness(self):
@@ -249,6 +270,16 @@ class TestFinitelySupportedKernel:
         w = finitely_supported_kernel(t, 0)
         assert w.base == (0, 0)
         assert w.deviation == (((0,), (1, 0)),)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
+    @pytest.mark.parametrize("field", [F3, Q], ids=lambda f: f.label())
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_zero_map_witness_on_the_general_path(self, group, field, n, radius):
+        # the zero map has an empty window: e_0 at the first site of the ball
+        w = finitely_supported_kernel(Nuca.zero(group, field, n), radius)
+        first = FiniteSubset.ball(group, radius).elements[0]
+        assert w == basis_configuration(group, field, n, first, 0)
 
     def test_nilpotent_radius_zero(self):
         w = finitely_supported_kernel(nilpotent_nuca(), 0)

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix
@@ -306,3 +308,88 @@ class TestInjectivityWitness:
                     break
             found_all = found_all and hit
         assert found_all
+
+
+# -- canonical form of configurations against a plain-dict oracle --------------------
+
+
+def _entries(field):
+    if field.kind == "Fp":
+        # residues that are negative or >= p
+        return st.integers(-3 * field.p, 3 * field.p)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def configuration_inputs(draw):
+    group = draw(st.sampled_from(GROUPS))
+    field = draw(st.sampled_from([F3, F5, Q]))
+    n = draw(st.integers(1, 3))
+    sites = st.sampled_from(group.ball(1))
+    vector = st.lists(_entries(field), min_size=n, max_size=n)
+    items = draw(st.lists(st.tuples(sites, vector), max_size=6))
+    # duplicate sites that cancel
+    for g, v in draw(st.lists(st.tuples(sites, vector), max_size=2)):
+        items += [(g, v), (g, [-x for x in v])]
+    return group, field, n, draw(vector), draw(st.permutations(items))
+
+
+def reducer(field):
+    return (lambda x: x % field.p) if field.kind == "Fp" else Fraction
+
+
+def dict_oracle(field, n, base, items):
+    """(base, {site: vector}) summed as plain numbers, then reduced, with
+    zero vectors dropped."""
+    reduce = reducer(field)
+    dev: dict = {}
+    for g, v in items:
+        acc = dev.setdefault(g, [0] * n)
+        for i, x in enumerate(v):
+            acc[i] += x
+    dev = {g: tuple(reduce(x) for x in v) for g, v in dev.items()}
+    return tuple(reduce(x) for x in base), {g: v for g, v in dev.items() if any(v)}
+
+
+def assert_canonical(x):
+    p = x.field.p
+
+    def entry_ok(e):
+        return type(e) is int and 0 <= e < p if p else type(e) is Fraction
+
+    assert type(x.base) is tuple and len(x.base) == x.n and all(map(entry_ok, x.base))
+    for _, v in x.deviation:
+        assert type(v) is tuple and len(v) == x.n and all(map(entry_ok, v))
+        assert any(v), "a zero vector is stored"
+    keys = [x.group.key(g) for g, _ in x.deviation]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def assert_matches_oracle(x, oracle):
+    base, dev = oracle
+    assert_canonical(x)
+    assert x.base == base and dict(x.deviation) == dev
+    reduce = reducer(x.field)
+    for g in x.group.ball(1):
+        expected = tuple(reduce(a + b) for a, b in zip(base, dev[g])) if g in dev else base
+        assert x.value_at(g) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(configuration_inputs(), st.integers(-7, 7))
+def test_configuration_canonical_form_matches_dict_oracle(inputs, c):
+    group, field, n, base, items = inputs
+    x = Configuration.make(group, field, n, base, items)
+    assert_matches_oracle(x, dict_oracle(field, n, base, items))
+
+    scaled_items = [(g, [c * e for e in v]) for g, v in items]
+    y = x.scale(c)
+    assert_matches_oracle(y, dict_oracle(field, n, [c * e for e in base], scaled_items))
+    both = [a + c * a for a in base]
+    assert_matches_oracle(x + y, dict_oracle(field, n, both, items + scaled_items))
+
+    zero = Configuration.zero(group, field, n)
+    assert_canonical(zero)
+    for z in (x.scale(0), x + x.scale(-1)):
+        assert_canonical(z)
+        assert z.is_zero() and z == zero
