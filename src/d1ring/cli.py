@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(fn=_cmd_local_map)
 
-    p = sub.add_parser("invert", help="search for a one-sided inverse over growing balls")
+    p = sub.add_parser("invert", help="one-sided inverse by factorisation t = a S, within --max-radius")
     p.add_argument("nuca")
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--max-radius", type=int, default=3)

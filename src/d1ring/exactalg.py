@@ -88,9 +88,15 @@ class FieldSpec:
         return 1 if self.kind == "Fp" else _Q_ONE
 
     def coerce(self, x):
-        """Coerce an int/Fraction into canonical form for this field."""
+        """Coerce an int/Fraction into canonical form for this field.  Over
+        F_p a Fraction num/den with den prime to p is num * den^-1; any
+        other non-integer is refused, not truncated."""
         if self.kind == "Fp":
-            return int(x) % self.p
+            if isinstance(x, int):
+                return x % self.p
+            if isinstance(x, Fraction) and x.denominator % self.p:
+                return x.numerator * pow(x.denominator, -1, self.p) % self.p
+            raise UsageError(f"{x!r} has no value in F_{self.p}")
         return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
@@ -456,6 +462,21 @@ def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
             num = y * den - sum(w * xj.numerator * (den // xj.denominator) for w, xj in terms)
             x[c] = Fraction(num, row[c] * den)
     return tuple(x)
+
+
+def inverse(a: Matrix) -> Optional[Matrix]:
+    """The inverse of a square matrix, read off one RREF of [a | I]; None
+    if a is singular, which is when a pivot falls in the I half."""
+    n = a.rows
+    if a.cols != n:
+        raise UsageError("only a square matrix has an inverse")
+    field = a.field
+    augmented = ({**row, n + i: field.one} for i, row in enumerate(a.data))
+    basis = _reduced_echelon(field.p, _integer_rows(field, augmented))
+    if any(c >= n for c in basis):
+        return None
+    rows = _field_rows(field, basis)
+    return Matrix(field, n, n, [{j - n: v for j, v in row.items() if j >= n} for row in rows])
 
 
 def image(a: Matrix, s: Subspace) -> Subspace:

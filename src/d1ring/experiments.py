@@ -37,7 +37,7 @@ from .invert import (
     verify_identity,
 )
 from .nuca import Nuca
-from .twisted import TwistedElement, TwistedMatrix, embed, f_shuffle_inv
+from .twisted import TwistedElement, TwistedMatrix, element_radius, embed, f_shuffle_inv
 
 
 # -- random draws ----------------------------------------------------------------
@@ -223,16 +223,6 @@ def gen_unit(
         if (unit @ inverse).is_identity():
             return unit, inverse, [w for _, _, w in factors]
     raise AssertionError("unit generator kept producing degenerate draws; this is a bug")
-
-
-def element_radius(u: TwistedElement) -> int:
-    """Radius of the smallest ball containing all supports of u."""
-    grp = u.group
-    r = max((grp.norm(g) for g, _ in u.regular.terms), default=0)
-    for g, part in u.singular:
-        r = max(r, grp.norm(g))
-        r = max(r, max((grp.norm(h) for h, _ in part.terms), default=0))
-    return r
 
 
 def decoy_nuca(group: GroupSpec, field: FieldSpec, n: int) -> Nuca:

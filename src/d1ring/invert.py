@@ -2,21 +2,24 @@
 
 Five complementary tools:
 
-* exact one-sided-inverse solving over a finite support window (the
-  defining identity is linear in the unknown coefficients, and every
-  product support is computable, so the search is a finite linear system
-  whose columns are read straight off the map's terms);
+* exact one-sided inverses by factorisation.  Projecting t = (a, b) onto
+  its regular part a is a ring map, and M_n(k[G]) is stably finite over
+  Z^d and free groups, so a one-sided inverse of t has regular part a^-1,
+  the two-sided inverse of a.  a^-1 solves a linear system read off a's
+  translates.  S = a^-1 t has regular part 1, so it is the identity off
+  finitely many sites, and one RREF of its block M on the sites it reads
+  and writes decides the rest: t has the two-sided inverse S^-1 a^-1 if M
+  is invertible, and no one-sided inverse at any radius if M is singular;
 * identity verification by ring equality (sound and complete because the
   NUCA <-> ring-element correspondence is injective over infinite groups);
 * finitely supported kernel search (a witness refutes pre-injectivity,
   hence injectivity);
 * the kernel tower over box exhaustions of Z^d, whose stabilized
   projections detect global kernel configurations;
-* the regular-part obstruction over Z^d: projecting t = (a, b) onto its
-  regular part a is a ring map into M_n(k[Z^d]), a matrix ring over a
-  commutative domain whose units are the monomials c x^m.  So t has a
-  one-sided inverse only if det(a) is a monomial, and the constant part
-  (a CA) has a nonzero finitely supported kernel point only if
+* the regular-part obstruction over Z^d: M_n(k[Z^d]) is a matrix ring
+  over a commutative domain whose units are the monomials c x^m.  So t
+  has a one-sided inverse only if det(a) is a monomial, and the constant
+  part (a CA) has a nonzero finitely supported kernel point only if
   det(a) = 0.  The searches these rule out are skipped.
 
 Certificates and witnesses are re-verified before they are returned.
@@ -28,19 +31,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, Subspace, kernel_basis, solve
-from .groupring import GroupRingElement, coeff_is_zero, zd_determinant
+from .exactalg import Matrix, Subspace, inverse, kernel_basis, solve
+from .groupring import GroupRingElement, zd_determinant
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
-from .twisted import TwistedElement, basis_product_terms
+from .twisted import TwistedElement, element_radius, embed
 
 
-# Inverse-search systems with more unknowns are refused before any work.
-# Measured on 2 vCPUs (Python 3.11, one solvable left-search ball system of
-# a random radius-1 map over F_5): about 0.75 KB of peak memory and 14-15 us
-# per unknown, e.g. Z^3 radius 3 with n = 3 (1.06 M unknowns) 15 s and
-# 754 MB, Z^2 radius 12 with n = 2 (1.57 M) 22 s and 1.17 GB; so one system
-# at the limit needs about 1.5 GB.  free:26 at radius 2 would need 7.3 M.
+# The radius contract: an inverse search whose window (memory set M and
+# exceptional set E; the ball of the radius for both in a ball search)
+# counts more than this many unknowns n^2 |M| (1 + |E|) is refused before
+# any work, with the messages of solve_one_sided_inverse and
+# check_search_radius.  The inverse itself is found from systems of
+# n^2 |M| unknowns and one block on the exceptional sites of a^-1 t, so
+# the count bounds the radii a caller may ask for, not the memory used.
+# free:26 at radius 2 would count 7.3 M.
 MAX_UNKNOWNS = 2_000_000
 
 # A kernel tower follows each level's projections at most this many levels
@@ -154,29 +159,18 @@ def verify_identity(u: Nuca, v: Nuca) -> bool:
 
 
 def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nuca]:
-    """Exact search for an inverse supported in the given window.
+    """The one-sided inverse of t on params.side inside the window, if any:
+    regular part supported in memory_set, exceptional sites in
+    exceptional_set, each singular part supported in memory_set.
 
-    The identity (unknown * t = one, or t * unknown = one) is linear in the
-    unknown's coefficients; the constraint set is finite because every
-    product's support lies inside computable finite sets.  Free variables
-    are set to zero, so the output is deterministic.
-
-    The unknown has one n x n coefficient per support slot: a regular site
-    g of the memory set, or an exceptional pair (e, g).  Each slot's
-    columns come from P = (slot basis element with identity coefficient)
-    times t on the searched side.  Such a product only relabels t's terms,
-    so basis_product_terms reads P straight off t without a twisted
-    product.  The product is bilinear and the slot's coefficient matrix
-    factors out on its own side, so P yields all n^2 columns of the slot:
-    row i of E_ij P is row j of P (left search), and column j of P E_ij is
-    column i of P (right search).  Columns run over the slots (regular
-    sites, then exceptional pairs), then over (i, j) row-major within a
-    slot; rows are the product coordinates with a nonzero entry (or a
-    nonzero target), in canonical order.  The one twisted product is the
-    re-verification of a solution.  A system of more than MAX_UNKNOWNS
-    unknowns is refused before it is assembled.
+    Such an inverse is t's two-sided inverse and the only one (see the
+    module docstring), so it is not searched for among the window's
+    coefficients: _regular_inverse finds a^-1 inside memory_set,
+    _factored_inverse makes the inverse from it, and it is returned if it
+    fits the window.  A window of more than MAX_UNKNOWNS unknowns is
+    refused before any work.
     """
-    grp, fld, n = t.group, t.field, t.n
+    grp, n = t.group, t.n
     if params.memory_set.group != grp or params.exceptional_set.group != grp:
         raise UsageError("the search window lives in a different group from the map")
     unknowns = len(params.memory_set) * (1 + len(params.exceptional_set)) * n * n
@@ -184,50 +178,98 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
         raise UsageError(
             f"the inverse search needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
         )
-    left = params.side == "left"
-    slots = [(None, g) for g in params.memory_set]
-    slots += [(e, g) for e in params.exceptional_set for g in params.memory_set]
+    a_inv = _regular_inverse(t.element.regular, params.memory_set)
+    if a_inv is None:
+        return None
+    u = _factored_inverse(t, a_inv, params.side, params.exceptional_set)
+    if u is None or any(g not in params.memory_set for g in u.memory):
+        return None
+    return u
 
-    # {row: {column: value}} for every nonzero entry; a row (site key, h key,
-    # a, b) names one scalar coordinate of the product: entry (a, b) of the
-    # coefficient at h of the regular part (site key ()) or of the singular
-    # part at a site, so sorted rows follow the canonical coordinate order
-    key = grp.key
-    system: dict[tuple, dict] = {}
-    for s, (e, g) in enumerate(slots):
-        base = s * n * n
-        for (site, h), c in basis_product_terms(t.element, params.side, e, g).items():
-            site_key = () if site is None else key(site)
-            h_key = key(h)
-            for i in range(n):
-                for j in range(n):
-                    col = base + i * n + j
-                    for k in range(n):
-                        if left:
-                            row, value = (site_key, h_key, i, k), c[j][k]
-                        else:
-                            row, value = (site_key, h_key, k, j), c[k][i]
-                        if value:
-                            system.setdefault(row, {})[col] = value
-    target = {((), key(grp.identity), i, i): fld.one for i in range(n)}
-    keys = sorted(system.keys() | target.keys())
-    rhs = [target.get(row, fld.zero) for row in keys]
-    x = solve(Matrix(fld, len(keys), len(slots) * n * n, [system.get(row, {}) for row in keys]), rhs)
+
+def _regular_inverse(a: GroupRingElement, memory: FiniteSubset) -> Optional[GroupRingElement]:
+    """The x supported in memory with x a = 1 in M_n(k)[G], if any.
+
+    The unknowns are the entries (i, j) of x's coefficients at the sites g
+    of memory.  Entry (i, j) at g meets entry (i, k) of the coefficient of
+    x a at g h with the value A[j][k], for each term A h of a, so the
+    columns are read off the translates g a.  Such an x is a two-sided
+    inverse, as M_n(k[G]) is stably finite, so it is unique.
+    """
+    grp, fld, n = a.group, a.field, a.shape
+    compose = grp.compose
+    target = {(grp.identity, i, i): fld.one for i in range(n)}
+    system: dict[tuple, dict] = {row: {} for row in target}
+    for s, g in enumerate(memory):
+        for h, c in a.terms:
+            gh = compose(g, h)
+            for j, row in enumerate(c):
+                for k, value in enumerate(row):
+                    if value:
+                        for i in range(n):
+                            system.setdefault((gh, i, k), {})[(s * n + i) * n + j] = value
+    keys = list(system)
+    rhs = [target.get(key, fld.zero) for key in keys]
+    x = solve(Matrix(fld, len(keys), len(memory) * n * n, [system[key] for key in keys]), rhs)
     if x is None:
         return None
+    coeffs = (
+        (g, tuple(tuple(x[(s * n + i) * n + j] for j in range(n)) for i in range(n)))
+        for s, g in enumerate(memory)
+    )
+    return GroupRingElement.from_terms(grp, fld, n, coeffs)
 
-    terms: dict = {}
-    for s, (e, g) in enumerate(slots):
-        coeff = tuple(tuple(x[(s * n + i) * n + j] for j in range(n)) for i in range(n))
-        if not coeff_is_zero(coeff):
-            terms.setdefault(e, []).append((g, coeff))
-    regular = GroupRingElement.from_terms(grp, fld, n, terms.pop(None, ()))
-    singular = [(e, GroupRingElement.from_terms(grp, fld, n, ts)) for e, ts in terms.items()]
-    candidate = Nuca(TwistedElement.make(regular, singular))
-    ok = verify_identity(candidate, t) if left else verify_identity(t, candidate)
+
+def _factored_inverse(
+    t: Nuca, a_inv: GroupRingElement, side: str, sites: FiniteSubset
+) -> Optional[Nuca]:
+    """The inverse u = S^-1 a^-1 of t, where a^-1 inverts t's regular part
+    and S = a^-1 t, if its exceptional sites lie in `sites`; None if they
+    do not, or if t has no one-sided inverse at all.
+
+    S has regular part 1, so off its exceptional sites E it is the
+    identity.  It reads and writes only V = E united with the sets
+    g supp(s(g)) for g in E, and as a map it is diag(M, id) with M the
+    V x V block of its window map.  If M is singular, S is neither
+    injective nor surjective, and neither is t = a S.  Otherwise S^-1 is
+    diag(M^-1, id); its singular part at g is the row block of M^-1 at g
+    minus the identity, so its exceptional sites are E, and so are u's.
+    That is why the sites are checked before M is built.  u is
+    re-verified on `side` before it is returned.
+    """
+    grp, fld, n = t.group, t.field, t.n
+    inv = embed(a_inv)
+    s = inv * t.element
+    if any(g not in sites for g, _ in s.singular):
+        return None
+    compose = grp.compose
+    reads = [compose(g, h) for g, part in s.singular for h, _ in part.terms]
+    v = FiniteSubset(grp, grp.sort(reads + [g for g, _ in s.singular]))
+    local = Nuca(s).induced_local_map(v)
+    # V holds every site S reads at V, so no entry falls outside its columns
+    cols = _column_map(local.domain_set, v, n)
+    rows = [{cols[j]: x for j, x in row.items()} for row in local.matrix.data]
+    m_inv = inverse(Matrix(fld, n * len(v), n * len(v), rows))
+    if m_inv is None:
+        return None
+    minus_one = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
+    singular = []
+    for b, g in enumerate(v):
+        g_inv = grp.inverse(g)
+        coeffs: dict = {}
+        for i, row in enumerate(m_inv.data[b * n : (b + 1) * n]):
+            for col, x in row.items():
+                q, j = divmod(col, n)
+                coeffs.setdefault(q, [[0] * n for _ in range(n)])[i][j] = x
+        terms = [(compose(g_inv, v.elements[q]), c) for q, c in coeffs.items()]
+        terms.append((grp.identity, minus_one))
+        singular.append((g, GroupRingElement.from_terms(grp, fld, n, terms)))
+    s_inv = TwistedElement.make(GroupRingElement.one(grp, fld, n), singular)
+    u = Nuca(s_inv * inv)
+    ok = verify_identity(u, t) if side == "left" else verify_identity(t, u)
     if not ok:
         raise AssertionError("inverse solver produced a non-inverse; this is a bug")
-    return candidate
+    return u
 
 
 def _regular_det_terms(t: Nuca) -> Optional[int]:
@@ -238,12 +280,6 @@ def _regular_det_terms(t: Nuca) -> Optional[int]:
     no nonzero finitely supported kernel point."""
     det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
     return None if det is None else len(det.terms)
-
-
-def _inverse_in_ball(t: Nuca, side: str, r: int) -> Optional[Nuca]:
-    """The one-sided inverse with memory and exceptional window ball(r), if any."""
-    ball = FiniteSubset.ball(t.group, r)
-    return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
 def _ball_unknowns(group: GroupSpec, n: int, radius: int) -> int:
@@ -306,11 +342,16 @@ def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None
 
 
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:
-    """Grow support balls until a one-sided inverse appears.  None is in
-    general not a proof of non-invertibility; the needed radius has no
-    a-priori bound.  Over Z^d a determinant of the regular part that is not
-    a monomial is such a proof, and then no ball is searched.  A search
-    past search_radius_limit is refused before radius 0 runs."""
+    """The one-sided inverse of t on `side` inside ball(max_radius), with
+    the radius of the smallest ball that holds it; None otherwise.
+
+    a^-1 is searched for over growing balls, and at the first radius that
+    holds it the inverse is made once (_factored_inverse).  None is in
+    general not a proof of non-invertibility, since a^-1 or the inverse
+    may lie past max_radius.  It is one when the block M of a^-1 t is
+    singular, and over Z^d when det(a) is not a monomial; then no ball is
+    searched.  A search past search_radius_limit is refused before radius
+    0 runs."""
     _check_side(side)
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
@@ -318,9 +359,13 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     if _regular_det_terms(t) not in (None, 1):
         return None
     for r in range(max_radius + 1):
-        cert = _inverse_in_ball(t, side, r)
-        if cert is not None:
-            return cert, r
+        a_inv = _regular_inverse(t.element.regular, FiniteSubset.ball(t.group, r))
+        if a_inv is not None:
+            u = _factored_inverse(t, a_inv, side, FiniteSubset.ball(t.group, max_radius))
+            if u is None:
+                return None
+            radius = element_radius(u.element)
+            return (u, radius) if radius <= max_radius else None
     return None
 
 
@@ -436,35 +481,34 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
 
 
 def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -> InjectivityVerdict:
-    """Interleaved certificate/witness search, then tower evidence.
+    """A left-inverse certificate, else a kernel witness, else tower evidence.
 
     A left-inverse certificate proves stable injectivity; a finitely
     supported kernel witness (for the map or for its constant part alone)
     refutes it; otherwise the verdict carries bounded tower evidence only.
-    Over Z^d the determinant of the regular part rules searches out: one
-    that is not a monomial proves that no left inverse exists, so no
-    certificate is searched for, and a nonzero one proves that the
-    constant part has no witness, so none is searched for.  The verdict is
-    the same as with every search run.  A budget whose largest certificate
-    search or kernel tower is past its size limit is refused before any
-    search runs.
+    The certificate is searched for first, once.  A certificate at any
+    radius rules out a witness at every radius: t is then injective, and
+    its regular part is invertible, which makes the constant part
+    injective.  So the verdict is the same as a search that tries the
+    certificate, then each witness, radius by radius.  Over Z^d a nonzero
+    determinant of the regular part proves that the constant part has no
+    witness, so none is searched for.  A budget whose certificate search
+    or kernel tower is past its size limit is refused before any search
+    runs.
     """
-    check_search_radius(t.group, t.n, budget.max_radius)
     check_tower_depth(t.group, t.n, budget.depth, budget.window)
-    det_terms = _regular_det_terms(t)
-    search_inverse = det_terms in (None, 1)
-    search_constant = det_terms in (None, 0)
+    # search_one_sided_inverse has re-verified the certificate
+    hit = search_one_sided_inverse(t, "left", budget.max_radius)
+    if hit is not None:
+        return InjectivityVerdict(
+            kind="proven_stably_injective",
+            budget=budget,
+            certificate=hit[0],
+            certificate_radius=hit[1],
+        )
+    search_constant = _regular_det_terms(t) in (None, 0)
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
-        # solve_one_sided_inverse has re-verified the certificate
-        cert = _inverse_in_ball(t, "left", r) if search_inverse else None
-        if cert is not None:
-            return InjectivityVerdict(
-                kind="proven_stably_injective",
-                budget=budget,
-                certificate=cert,
-                certificate_radius=r,
-            )
         witness = finitely_supported_kernel(t, r)
         if witness is not None:
             return InjectivityVerdict(

@@ -37,8 +37,6 @@ from .groupring import (
     Shape,
     _canonical_terms,
     _convolve_into,
-    coeff_add,
-    coeff_is_zero,
     coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
@@ -198,74 +196,19 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
     return TwistedElement(regular, tuple(singular))
 
 
-def basis_product_terms(
-    t: TwistedElement, side: str, site: Element | None, g: Element
-) -> dict[tuple[Element | None, Element], object]:
-    """The terms of unit * t (side "left") or t * unit (side "right"), where
-    unit is the basis element with identity coefficient at g: (g, 0) for
-    site None, else (0, site |-> g).
-
-    Multiplying by such a unit only relabels the terms of t = (a, b): group
-    elements are translated by g and coefficients are copied unchanged, so
-    the product is read off t's terms without computing it:
-
-        (g, 0) * t          regular g h from a; site u g^-1 at g h from b(u)
-        (0, e |-> g) * t    site e at g h from a and from b(e g)
-        t * (g, 0)          regular h g from a; site u at h g from b(u)
-        t * (0, e |-> g)    site e h^-1 at h g from a; site u at h g from
-                            each term h of b(u) with u h = e
-
-    Returns {(site, h): coefficient} with site None for the regular part.
-    Contributions that land on one (site, h) are summed and entries that
-    cancel are dropped, so the result holds exactly the canonical product's
-    terms (the two summed cases are the exceptional rows above).
-    """
-    if side not in ("left", "right"):
-        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
-    grp, field = t.group, t.field
-    compose = grp.compose
-    a, b = t.regular.terms, t.singular
-    acc: dict[tuple[Element | None, Element], object] = {}
-
-    def add(key: tuple[Element | None, Element], c) -> None:
-        acc[key] = coeff_add(field, acc[key], c) if key in acc else c
-
-    if side == "left":
-        if site is None:
-            for h, c in a:
-                add((None, compose(g, h)), c)
-            g_inv = grp.inverse(g)
-            for u, part in b:
-                moved = compose(u, g_inv)
-                for h, c in part.terms:
-                    add((moved, compose(g, h)), c)
-        else:
-            for h, c in a:
-                add((site, compose(g, h)), c)
-            hit = compose(site, g)
-            for u, part in b:
-                if u == hit:
-                    for h, c in part.terms:
-                        add((site, compose(g, h)), c)
-    elif site is None:
-        for h, c in a:
-            add((None, compose(h, g)), c)
-        for u, part in b:
-            for h, c in part.terms:
-                add((u, compose(h, g)), c)
-    else:
-        for h, c in a:
-            add((compose(site, grp.inverse(h)), compose(h, g)), c)
-        for u, part in b:
-            for h, c in part.terms:
-                if compose(u, h) == site:
-                    add((u, compose(h, g)), c)
-    return {key: c for key, c in acc.items() if not coeff_is_zero(c)}
-
-
 def embed(a: GroupRingElement) -> TwistedElement:
     """The canonical embedding of the group ring: a |-> (a, 0)."""
     return TwistedElement(a, ())
+
+
+def element_radius(u: TwistedElement) -> int:
+    """Radius of the smallest ball containing all supports of u."""
+    grp = u.group
+    r = max((grp.norm(g) for g, _ in u.regular.terms), default=0)
+    for g, part in u.singular:
+        r = max(r, grp.norm(g))
+        r = max(r, max((grp.norm(h) for h, _ in part.terms), default=0))
+    return r
 
 
 def as_matrix_shape(u: TwistedElement) -> TwistedElement:

@@ -15,6 +15,7 @@ from d1ring.exactalg import (
     Matrix,
     Subspace,
     image,
+    inverse,
     kernel_basis,
     rank,
     solve,
@@ -50,6 +51,18 @@ class TestFieldSpec:
         assert F5.parse_scalar(7) == (2, True)
         assert Q.parse_scalar("6/4") == (Fraction(3, 2), True)
         assert Q.parse_scalar(3) == (Fraction(3), True)
+
+    def test_coerce_reduces_fractions_over_fp(self):
+        f3 = FieldSpec.fp(3)
+        assert f3.coerce(7) == 1 and f3.coerce(-1) == 2
+        # 1/2 is 2 in F_3, since 2 * 2 = 1; -5/4 is -5 * 1 = 1
+        assert f3.coerce(Fraction(1, 2)) == 2
+        assert f3.coerce(Fraction(-5, 4)) == 1
+        assert f3.coerce(Fraction(6, 1)) == 0
+        for x in (Fraction(1, 3), Fraction(2, 9), 2.7, 2.0, "1"):
+            with pytest.raises(UsageError, match="F_3"):
+                f3.coerce(x)
+        assert Q.coerce(Fraction(1, 3)) == Fraction(1, 3) and Q.coerce(2) == Fraction(2)
 
 
 class TestKernel:
@@ -150,6 +163,21 @@ def test_solve_soundness(field):
         x = solve(m, b)
         if x is not None:
             assert m.mul_vector(x) == tuple(b)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+def test_inverse_agrees_with_rank(field):
+    rng = random.Random(17)
+    for _ in range(40):
+        size = rng.randint(0, 5)
+        m = _random_matrix(rng, field, size, size)
+        inv = inverse(m)
+        if rank(m) < size:
+            assert inv is None
+        else:
+            assert inv @ m == m @ inv == Matrix.identity(field, size)
+    with pytest.raises(UsageError, match="square"):
+        inverse(Matrix.zeros(field, 2, 3))
 
 
 @pytest.mark.parametrize("field", [F2, Q], ids=lambda f: f.label())

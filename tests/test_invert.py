@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, Subspace, kernel_basis, solve
-from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
+from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import invert
@@ -138,7 +138,7 @@ class TestSearchSizeLimit:
         # in free:26 is refused before radius 0 runs
         calls = []
         record = lambda *args: calls.append(args)
-        monkeypatch.setattr(invert, "_inverse_in_ball", record)
+        monkeypatch.setattr(invert, "_regular_inverse", record)
         monkeypatch.setattr(invert, "finitely_supported_kernel", record)
         monkeypatch.setattr(invert, "kernel_tower", record)
         t = Nuca.identity(GroupSpec.free(26), F3, 1)
@@ -174,7 +174,7 @@ class TestTowerSizeLimit:
         # level 0 and before the radius-0 searches
         calls = []
         record = lambda *args: calls.append(args)
-        monkeypatch.setattr(invert, "_inverse_in_ball", record)
+        monkeypatch.setattr(invert, "_regular_inverse", record)
         monkeypatch.setattr(invert, "finitely_supported_kernel", record)
         monkeypatch.setattr(invert, "kernel_basis", record)
         monkeypatch.setattr(Nuca, "induced_local_map", record)
@@ -204,8 +204,9 @@ class TestTowerSizeLimit:
 
 
 class TestTwistedProductCount:
-    """The inverse search reads its system off t's terms; the only twisted
-    product it makes is the final re-verification of a solution."""
+    """The inverse search reads its systems off a's translates and makes
+    the inverse once, at the radius where a^-1 turns up: its only twisted
+    products are S = a^-1 t, S^-1 a^-1 and the re-verification."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -226,7 +227,12 @@ class TestTwistedProductCount:
         products.clear()
         cert, radius = search_left_inverse(t, 2)
         assert radius >= 1
-        assert products == [(cert.element, t.element)]
+        assert len(products) == 3
+        (a_inv, right), (s_inv, a_inv_again), verified = products
+        assert not a_inv.singular and a_inv == a_inv_again and right == t.element
+        assert s_inv.regular == GroupRingElement.one(Z2, F5, 2)
+        assert verified == (cert.element, t.element)
+        assert a_inv.regular == cert.element.regular
 
     def test_no_product_without_solution(self, products):
         ball = FiniteSubset.ball(Z2, 1)
@@ -259,7 +265,7 @@ class TestSearchLeftInverse:
     )
     def test_bad_side_refused_before_any_work(self, monkeypatch, t):
         # det(1 + x) is not a monomial, so no ball would be searched for it
-        monkeypatch.setattr(invert, "_inverse_in_ball", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(invert, "_regular_inverse", lambda *args: pytest.fail("searched"))
         with pytest.raises(UsageError, match="side"):
             search_one_sided_inverse(t, "up", 2)
 
@@ -506,8 +512,9 @@ def reference_one_sided_inverse(t, params):
     from_unit=st.booleans(),
 )
 def test_slot_products_agree_with_per_unknown_assembly(seed, group, field, n, side, from_unit):
-    # units with a window around the known inverse give solvable systems,
-    # often with free variables; random maps and windows mostly give none
+    # units with a window around the known inverse hold it, so the
+    # reference system is solvable; random maps and windows mostly hold
+    # no inverse
     rng = random.Random(seed)
     ball = group.ball(1)
     memory = rng.sample(ball, rng.randint(0, 3))
@@ -527,9 +534,10 @@ def test_slot_products_agree_with_per_unknown_assembly(seed, group, field, n, si
 
 
 def cancelling_maps():
-    """Maps over Z^1, F3 whose slot products each cancel at one (site, h),
-    where a regular and a singular contribution meet: two 1x1 maps, and a
-    2x2 one whose coefficients also have zero rows and columns."""
+    """Maps over Z^1, F3 whose products with a single-entry unknown each
+    cancel at one (site, h), where a regular and a singular contribution
+    meet: two 1x1 maps, and a 2x2 one whose coefficients also have zero
+    rows and columns."""
     left = TwistedElement.make(
         gre(Z1, F3, 1, [((0,), ((1,),)), ((1,), ((1,),))]),
         [((1,), gre(Z1, F3, 1, [((0,), ((2,),))]))],
@@ -552,25 +560,81 @@ def cancelling_maps():
     cancelling_maps() + [f3_nuca_pair()[0], decoy()],
     ids=["cancel-left", "cancel-right", "cancel-matrix", "f3", "decoy"],
 )
-def test_system_equals_per_unknown_assembly(monkeypatch, side, t):
-    # the same rows in the same order with the same nonzeros, so the
-    # elimination and its cell counts are unchanged
-    systems = {}
-    real = solve
-
-    def capture(name):
-        def recording(a, b):
-            systems[name] = (a, list(b))
-            return real(a, b)
-
-        return recording
-
-    monkeypatch.setattr(invert, "solve", capture("slots"))
-    monkeypatch.setitem(reference_one_sided_inverse.__globals__, "solve", capture("reference"))
+def test_system_equals_per_unknown_assembly(side, t):
+    # maps whose products with single-entry unknowns cancel, where a
+    # regular and a singular contribution meet, against the reference
     ball = FiniteSubset.ball(Z1, 2)
     params = InverseSearchParams.make(side, ball, ball)
     assert solve_one_sided_inverse(t, params) == reference_one_sided_inverse(t, params)
-    assert systems["slots"] == systems["reference"]
+
+
+def reference_search(t, side, max_radius):
+    """The ball loop: the first radius r whose ball, as memory and
+    exceptional window, holds the per-unknown assembly's inverse."""
+    for r in range(max_radius + 1):
+        ball = FiniteSubset.ball(t.group, r)
+        cert = reference_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
+        if cert is not None:
+            return cert, r
+    return None
+
+
+def singular_block_map(rng, group, field, n):
+    """t = a S with a invertible and S the identity off one site g, where
+    its rule is 1 + s with s(e) = C - 1 for a singular C.  M is then the
+    identity off the row block of g, whose diagonal block is C, so M is
+    singular: t has no one-sided inverse, and ker M on V is a finitely
+    supported kernel of t."""
+    config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=1)
+    unit, _, _ = gen_unit(rng, config)
+    a = TwistedElement(Nuca.from_matrix(unit).element.regular, ())
+    row = [field.coerce(rng.randint(-2, 2)) for _ in range(n)]
+    c = (tuple(row),) * n if n > 1 else ((0,),)  # repeated rows (n = 1: zero)
+    minus_one = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(c)]
+    pool = [g for g in group.ball(1) if g != group.identity]
+    extra = rand_groupring(rng, group, field, n, radius=1, sites=pool)
+    s = GroupRingElement.from_terms(group, field, n, [(group.identity, minus_one)] + list(extra.terms))
+    one = GroupRingElement.one(group, field, n)
+    return Nuca(a * TwistedElement.make(one, [(rng.choice(group.ball(1)), s)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F3, Q]),
+    n=st.sampled_from([1, 2]),
+    side=st.sampled_from(["left", "right"]),
+    kind=st.sampled_from(["unit", "random", "singular_block"]),
+)
+def test_search_agrees_with_reference_ball_loop(seed, group, field, n, side, kind):
+    rng = random.Random(seed)
+    max_radius = 2 if group == Z1 else 1
+    if kind == "unit":
+        config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=2)
+        t = Nuca.from_matrix(gen_unit(rng, config)[0])
+    elif kind == "random":
+        t = Nuca(rand_twisted(rng, group, field, n, radius=1))
+    else:
+        t = singular_block_map(rng, group, field, n)
+    hit = search_one_sided_inverse(t, side, max_radius)
+    assert hit == reference_search(t, side, max_radius)
+    if kind == "singular_block":
+        assert hit is None
+        # the kernel lies on V, inside ball(2)
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=2, depth=1, window=1))
+        assert (verdict.kind, verdict.witness_scope) == ("proven_not_injective", "self")
+
+
+def test_exceptional_sites_past_the_window_stop_the_search(monkeypatch):
+    # a = 1 and b = 2x at each of the sites 0..999: S = t, whose inverse
+    # has the same 1000 exceptional sites, so no ball up to radius 3 holds
+    # it and M, 1001 x 1001, is never built
+    step = gre(Z1, F5, 1, [((1,), ((2,),))])
+    t = Nuca(TwistedElement.make(GroupRingElement.one(Z1, F5, 1), [((g,), step) for g in range(1000)]))
+    monkeypatch.setattr(Nuca, "induced_local_map", lambda *args: pytest.fail("built M"))
+    assert search_one_sided_inverse(t, "left", 3) is None
+    assert search_one_sided_inverse(t, "right", 3) is None
 
 
 # -- window maps and towers against the dense path --------------------------------
@@ -711,11 +775,18 @@ def leibniz_det(a):
     return total
 
 
+def in_ball(t, side, r):
+    """solve_one_sided_inverse with memory and exceptional window ball(r)."""
+    ball = FiniteSubset.ball(t.group, r)
+    return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
+
+
 def reference_verdict(t, budget):
-    """The verdict loop with every search run, no determinant pruning."""
+    """The verdict loop with every search run, radius by radius: the
+    certificate, then the two witnesses; no determinant pruning."""
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
-        cert = invert._inverse_in_ball(t, "left", r)
+        cert = in_ball(t, "left", r)
         if cert is not None:
             return InjectivityVerdict(
                 kind="proven_stably_injective", budget=budget, certificate=cert, certificate_radius=r
@@ -810,9 +881,10 @@ def test_determinant_pruning_is_sound(seed, group, field, n, kind):
     det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
     radii = range(3 if group == Z1 else 2)
     if len(det.terms) != 1:
-        for side in ("left", "right"):
-            for r in radii:
-                assert invert._inverse_in_ball(t, side, r) is None
+        for r in radii:
+            assert invert._regular_inverse(t.element.regular, FiniteSubset.ball(group, r)) is None
+            for side in ("left", "right"):
+                assert in_ball(t, side, r) is None
     if not det.is_zero():
         const = constant_part(t)
         for r in radii:
@@ -834,17 +906,17 @@ class TestDeterminantPruning:
     @pytest.fixture
     def searches(self, monkeypatch):
         calls = []
-        inverse, kernel = invert._inverse_in_ball, invert.finitely_supported_kernel
+        inverse, kernel = invert._regular_inverse, invert.finitely_supported_kernel
 
-        def inverse_recorder(t, side, r):
-            calls.append(("inverse", t, r))
-            return inverse(t, side, r)
+        def inverse_recorder(a, memory):
+            calls.append(("inverse", a, max(a.group.norm(g) for g in memory)))
+            return inverse(a, memory)
 
         def kernel_recorder(t, r):
             calls.append(("kernel", t, r))
             return kernel(t, r)
 
-        monkeypatch.setattr(invert, "_inverse_in_ball", inverse_recorder)
+        monkeypatch.setattr(invert, "_regular_inverse", inverse_recorder)
         monkeypatch.setattr(invert, "finitely_supported_kernel", kernel_recorder)
         return calls
 
@@ -864,20 +936,22 @@ class TestDeterminantPruning:
         assert searches == []
 
     def test_unit_det_map_still_searches(self, searches):
+        # the regular part is 1, so a^-1 turns up at radius 0; the
+        # certificate, of radius 1, leaves no witness to search for
         u, v = f3_nuca_pair()
         verdict = stable_injectivity_verdict(u, SearchBudget(max_radius=3))
         assert verdict.certificate == v
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("kernel", 0), ("inverse", 1)]
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0)]
         searches.clear()
         assert search_one_sided_inverse(v, "right", 2) == (u, 1)
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)]
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0)]
 
     def test_free_group_runs_every_search(self, searches):
         t = decoy_nuca(F2FREE, F2, 1)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=1))
         assert verdict.kind == "bounded_evidence"
-        assert [(kind, r) for kind, _, r in searches] == [
-            (kind, r) for r in range(2) for kind in ("inverse", "kernel", "kernel")
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)] + [
+            ("kernel", r) for r in range(2) for _ in range(2)
         ]
 
     def test_past_the_det_budget_every_search_runs(self, searches, monkeypatch):
@@ -885,7 +959,7 @@ class TestDeterminantPruning:
         t = decoy_nuca(Z1, F2, 1)
         budget = SearchBudget(max_radius=1, depth=1, window=1)
         verdict = stable_injectivity_verdict(t, budget)
-        assert [(kind, r) for kind, _, r in searches] == [
-            (kind, r) for r in range(2) for kind in ("inverse", "kernel", "kernel")
+        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)] + [
+            ("kernel", r) for r in range(2) for _ in range(2)
         ]
         assert verdict == reference_verdict(t, budget)

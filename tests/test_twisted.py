@@ -12,7 +12,6 @@ from d1ring.twisted import (
     TwistedElement,
     TwistedMatrix,
     as_matrix_shape,
-    basis_product_terms,
     embed,
     f_shuffle,
     f_shuffle_inv,
@@ -375,93 +374,6 @@ class TestCompatibilityChecks:
         assert u + v == u + u
         m = TwistedMatrix.diagonal([u, v])
         assert m @ TwistedMatrix.diagonal([v, u]) == TwistedMatrix.diagonal([u * u, u * u])
-
-
-# -- products with one basis element, read off the terms ---------------------------
-
-def basis_unit(t, site, g):
-    """The basis element with identity coefficient at g: (g, 0) for site
-    None, else (0, site |-> g)."""
-    mono = GroupRingElement.monomial(t.group, t.field, t.shape, g, coeff_one(t.field, t.shape))
-    if site is None:
-        return TwistedElement(mono, ())
-    return TwistedElement.make(GroupRingElement.zero(t.group, t.field, t.shape), [(site, mono)])
-
-
-def product_terms(x):
-    """{(site, h): coefficient} over the regular part (site None) and every
-    singular part of a canonical element."""
-    terms = {(None, h): c for h, c in x.regular.terms}
-    terms.update({(u, h): c for u, part in x.singular for h, c in part.terms})
-    return terms
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    group=st.sampled_from(GROUPS),
-    field=st.sampled_from([F2, F3, Q]),
-    shape=st.sampled_from([None, 1, 2]),
-    side=st.sampled_from(["left", "right"]),
-    exceptional=st.booleans(),
-)
-def test_basis_product_terms_agree_with_product(seed, group, field, shape, side, exceptional):
-    # a slot site chosen among t's own sites makes the summed cases fire
-    rng = random.Random(seed)
-    t = rand_twisted(rng, group, field, shape, radius=1)
-    ball = group.ball(1)
-    g = rng.choice(ball)
-    site = None
-    if exceptional:
-        sites = [u for u, _ in t.singular]
-        if sites and rng.random() < 0.5:
-            # left: e g is a site of t; right: e = u h for a term h of b(u)
-            u = rng.choice(sites)
-            if side == "left":
-                site = group.compose(u, group.inverse(g))
-            else:
-                site = group.compose(u, rng.choice(t.singular_part(u).terms)[0])
-        else:
-            site = rng.choice(ball)
-    unit = basis_unit(t, site, g)
-    prod = unit * t if side == "left" else t * unit
-    assert basis_product_terms(t, side, site, g) == product_terms(prod)
-
-
-def test_basis_product_terms_drop_cancelled_collisions():
-    # left, slot (e, g) = (1, 0): e g = 1 is a site of t, so a's term at 0
-    # and b(1)'s term at 0 both land on site 1 at 0, where 1 + 2 = 0 in F3
-    t = TwistedElement.make(
-        gre(Z1, F3, None, [((0,), 1), ((1,), 1)]), [((1,), gre(Z1, F3, None, [((0,), 2)]))]
-    )
-    terms = basis_product_terms(t, "left", (1,), (0,))
-    assert terms == {((1,), (1,)): 1}
-    assert terms == product_terms(basis_unit(t, (1,), (0,)) * t)
-
-    # right, slot (e, g) = (0, 0): a's term h = 1 lands on site e h^-1 = -1
-    # at 1, and so does b(-1)'s term h = 1 since (-1) 1 = e; 1 + 2 = 0 in F3
-    t = TwistedElement.make(
-        gre(Z1, F3, None, [((1,), 1), ((2,), 1)]),
-        [((-1,), gre(Z1, F3, None, [((1,), 2), ((2,), 1)]))],
-    )
-    terms = basis_product_terms(t, "right", (0,), (0,))
-    assert terms == {((-2,), (2,)): 1}
-    assert terms == product_terms(t * basis_unit(t, (0,), (0,)))
-
-    # matrix coefficients cancel only where the whole sum is zero
-    one, two = ((1, 0), (0, 1)), ((2, 0), (0, 2))
-    t = TwistedElement.make(
-        gre(Z1, F3, 2, [((0,), one), ((1,), ((1, 1), (0, 1)))]),
-        [((1,), gre(Z1, F3, 2, [((0,), two), ((1,), two)]))],
-    )
-    terms = basis_product_terms(t, "left", (1,), (0,))
-    assert terms == {((1,), (1,)): ((0, 1), (0, 0))}
-    assert terms == product_terms(basis_unit(t, (1,), (0,)) * t)
-
-
-def test_basis_product_terms_bad_side():
-    with pytest.raises(UsageError, match="side"):
-        basis_product_terms(TwistedElement.one(Z1, F3), "up", None, (0,))
 
 
 # -- structural unit checks and the fused matrix product ---------------------------
