@@ -9,6 +9,7 @@ format change, and review the diff before committing.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from d1ring.envelope import envelope_for, serialize_envelope
@@ -26,6 +27,7 @@ EXPECTED = GOLDEN / "expected"
 Z1 = GroupSpec.zd(1)
 F2 = FieldSpec.fp(2)
 F3 = FieldSpec.fp(3)
+Q = FieldSpec.rationals()
 
 
 def _gre(group, field, shape, terms):
@@ -60,6 +62,31 @@ def build_inputs() -> dict[str, str]:
         TwistedElement.make(_gre(Z1, F2, 2, [((0,), ((0, 1), (0, 0)))]), [])
     )
 
+    # over Q: a map whose kernel witness has two sites, with values 1 and
+    # 4/3, and an n = 2 map with one exceptional site whose tower kernels
+    # have dimension 4
+    witness_q = Nuca(
+        TwistedElement.make(
+            _gre(Z1, Q, 1, [((1,), ((Fraction(3, 2),),))]),
+            [
+                ((0,), _gre(Z1, Q, 1, [((1,), ((Fraction(-3, 2),),))])),
+                ((1,), _gre(Z1, Q, 1, [((0,), ((-2,),))])),
+            ],
+        )
+    )
+    tower_q = Nuca(
+        TwistedElement.make(
+            _gre(Z1, Q, 2, [
+                ((0,), ((Fraction(-3, 2), Fraction(1, 2)), (0, 0))),
+                ((1,), ((0, -2), (-3, Fraction(-1, 2)))),
+            ]),
+            [((0,), _gre(Z1, Q, 2, [
+                ((-1,), ((Fraction(-1, 2), Fraction(-1, 3)), (2, Fraction(1, 2)))),
+                ((0,), ((1, -1), (1, -3))),
+            ]))],
+        )
+    )
+
     files = {
         "u_f3.json": serialize_envelope(envelope_for(u)),
         "v_f3.json": serialize_envelope(envelope_for(v)),
@@ -71,6 +98,8 @@ def build_inputs() -> dict[str, str]:
         "x0_f3.json": serialize_envelope(envelope_for(x0)),
         "decoy_f2.json": serialize_envelope(envelope_for(decoy_nuca(Z1, F2, 1))),
         "nilpotent_f2.json": serialize_envelope(envelope_for(nilpotent)),
+        "witness_q.json": serialize_envelope(envelope_for(witness_q)),
+        "tower_q.json": serialize_envelope(envelope_for(tower_q)),
     }
 
     # a legal but non-canonical file: stored zero coefficient, unsorted terms
@@ -103,6 +132,9 @@ CASES = [
     ("invert.json", ["invert", path("nuca_u_f3.json"), "--side", "left", "--max-radius", "3", "-o", "-"], 0),
     ("kernel_tower.json", ["kernel-tower", path("decoy_f2.json"), "--depth", "5", "--window", "3", "-o", "-"], 0),
     ("verdict.json", ["verdict", path("nilpotent_f2.json"), "--max-radius", "2", "-o", "-"], 0),
+    ("verdict_q.json", ["verdict", path("witness_q.json"), "--max-radius", "2", "-o", "-"], 0),
+    ("kernel_tower_q.json", ["kernel-tower", path("tower_q.json"), "--depth", "3", "--window", "2", "-o", "-"], 0),
+    ("local_map_q.json", ["local-map", "-t", path("tower_q.json"), "--sites", "[[-1],[0],[1]]", "-o", "-"], 0),
     (
         "experiment_direct_finiteness.json",
         ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",
