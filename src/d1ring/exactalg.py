@@ -6,12 +6,20 @@ systems cost memory in their nonzeros only.  One elimination kernel
 (`_echelon`) serves solving, rank, kernels and subspaces.  Over F_p it
 works on the residues as they are.  Over Q it is fraction-free: each row
 enters as its primitive integer multiple (times the lcm of its
-denominators, divided by the gcd of the result), a reduction step is
-row <- a*row - b*pivot followed by one content division, and Fractions
-are made only where a caller reads values: subspace bases, kernel
-vectors and solutions.  All arithmetic is exact; there is no floating
-point anywhere.  Subspaces carry a reduced-row-echelon basis, which makes
-subspace equality a plain structural comparison.
+denominators, divided by the gcd of the result), and a reduction step is
+row <- a*row - b*pivot followed by one content division.  A matrix may
+carry those integer rows from where it was made (`Matrix.integer`; window
+maps make them once per rule row), and then elimination reads them
+instead of converting its rows.
+
+A `Subspace` is its canonical reduced basis in the same integers: the
+RREF rows over F_p, and over Q the primitive integer multiples of the
+RREF rows, each with a positive leading entry.  Equality, membership,
+inclusion, images and coordinate projections work on those integer rows,
+and kernels are read off them in integers too.  Fractions are made only
+where a caller reads values: a subspace's `basis` and `vectors()` (made
+once, on first use), solutions and inverses.  All arithmetic is exact;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormatError, UsageError
 
@@ -166,18 +174,26 @@ class Matrix:
     """An exact matrix over a FieldSpec, stored by rows: data[i] maps each
     column of row i that holds a nonzero entry to that entry, in canonical
     field form (an int in [0, p) or a Fraction).  Products, window maps,
-    subspace bases and linear systems all use it, and elimination reads
-    the row dicts as they are."""
+    subspace bases and linear systems all use it.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    Over Q, `integer` may hold the primitive integer multiple of each row
+    (see `_primitive_row`), which `rank` and `kernel_basis` then read
+    instead of converting the rows.  It is left out of equality; whoever
+    passes it vouches that it matches `data`."""
 
-    def __init__(self, field: FieldSpec, rows: int, cols: int, data: list[dict]):
-        if len(data) != rows:
+    __slots__ = ("field", "rows", "cols", "data", "integer")
+
+    def __init__(
+        self, field: FieldSpec, rows: int, cols: int, data: list[dict],
+        integer: Optional[list[dict]] = None,
+    ):
+        if len(data) != rows or (integer is not None and len(integer) != rows):
             raise UsageError("matrix data must have one dict per row")
         self.field = field
         self.rows = rows
         self.cols = cols
         self.data = data
+        self.integer = integer
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -224,6 +240,15 @@ class Matrix:
             data.append({j: v for j, v in acc.items() if v})
         return Matrix(self.field, self.rows, other.cols, data)
 
+    def restrict(self, cols: Mapping[int, int], ncols: int) -> "Matrix":
+        """The columns j in cols, each moved to column cols[j], in a matrix
+        of ncols columns; the other columns are dropped."""
+        data = [{cols[j]: x for j, x in row.items() if j in cols} for row in self.data]
+        integer = None if self.integer is None else [
+            _content_free({cols[j]: x for j, x in row.items() if j in cols}) for row in self.integer
+        ]
+        return Matrix(self.field, self.rows, ncols, data, integer)
+
     def mul_vector(self, v: Sequence) -> tuple:
         """Apply to a coordinate vector, returning a tuple of field values."""
         if len(v) != self.cols:
@@ -254,14 +279,23 @@ def _integer_rows(field: FieldSpec, rows: Iterable[dict]) -> Iterable[dict]:
     return map(dict, rows) if field.p else map(_primitive_row, rows)
 
 
+def _matrix_rows(a: Matrix) -> Iterable[dict]:
+    """Fresh integer rows of a matrix, read from a.integer when it has them."""
+    return _integer_rows(a.field, a.data) if a.integer is None else map(dict, a.integer)
+
+
 def _primitive_row(row: dict) -> dict:
     """The primitive integer multiple of a row of rationals (or integers):
     the row times the lcm of its denominators, divided by the gcd of the
     result."""
     den = lcm(*(v.denominator for v in row.values()))
-    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-    g = gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()} if g > 1 else ints
+    return _content_free({j: v.numerator * (den // v.denominator) for j, v in row.items()})
+
+
+def _content_free(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries (its content)."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _field_rows(field: FieldSpec, basis: dict[int, dict]) -> list[dict]:
@@ -308,38 +342,49 @@ def _reduce(row: dict, pivot: dict, c: int, p: Optional[int]) -> None:
                 row[j] //= g
 
 
+def _sift(p: Optional[int], basis: dict[int, dict], row: dict) -> dict:
+    """Reduce an integer row in place against a semi-echelon basis,
+    leftmost column first, until no basis row leads at its leading column;
+    return it.  It comes back empty iff it lies in the span of the basis."""
+    while row:
+        c = min(row)
+        pivot_row = basis.get(c)
+        if pivot_row is None:
+            break
+        _reduce(row, pivot_row, c, p)
+    return row
+
+
 def _echelon(p: Optional[int], rows: Iterable[dict]) -> dict[int, dict]:
     """Semi-echelon basis {leading column: row} of the span of the rows,
     which are integer rows (_integer_rows) and are consumed.
 
-    Each row is reduced against the basis, leftmost column first, and
-    joins it if anything is left: over F_p scaled to a leading 1, over Q
-    with a positive leading entry.  Reducing by a row with leading column
-    c only touches columns >= c, so the leading columns of the basis are
-    the pivot columns of the RREF.
+    Each row is reduced against the basis (_sift) and joins it if anything
+    is left: over F_p scaled to a leading 1, over Q with a positive
+    leading entry.  Reducing by a row with leading column c only touches
+    columns >= c, so the leading columns of the basis are the pivot
+    columns of the RREF.
     """
     basis: dict[int, dict] = {}
     for row in rows:
-        while row:
+        row = _sift(p, basis, row)
+        if row:
             c = min(row)
-            pivot_row = basis.get(c)
-            if pivot_row is None:
-                lead = row[c]
-                if p and lead != 1:
-                    s = pow(lead, p - 2, p)
-                    row = {j: v * s % p for j, v in row.items()}
-                elif lead < 0:
-                    row = {j: -v for j, v in row.items()}
-                basis[c] = row
-                break
-            _reduce(row, pivot_row, c, p)
+            lead = row[c]
+            if p and lead != 1:
+                s = pow(lead, p - 2, p)
+                row = {j: v * s % p for j, v in row.items()}
+            elif lead < 0:
+                row = {j: -v for j, v in row.items()}
+            basis[c] = row
     return basis
 
 
 def _reduced_echelon(p: Optional[int], rows: Iterable[dict]) -> dict[int, dict]:
     """The reduced basis {pivot column: row} of the span of integer rows:
     the RREF over F_p, and over Q the primitive integer multiples of the
-    RREF rows."""
+    RREF rows with positive leads, provided the rows given are primitive
+    (a row that joins unreduced keeps its content)."""
     basis = _echelon(p, rows)
     # back-reduce from the right: the rows with later leading columns
     # are already free of every other pivot column
@@ -350,65 +395,97 @@ def _reduced_echelon(p: Optional[int], rows: Iterable[dict]) -> dict[int, dict]:
     return basis
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace given by its canonical reduced-echelon basis.
+    """A linear subspace given by its canonical reduced basis `pivot_rows`,
+    {pivot column: integer row}: the RREF rows over F_p, and over Q the
+    primitive integer multiples of the RREF rows with positive leads.
 
-    Equality of subspaces is equality of bases, which is what makes the
-    kernel-tower stabilization check decidable.
+    Equality of subspaces is equality of these bases, which is what makes
+    the kernel-tower stabilization check decidable.  The constructor takes
+    the basis as it is; from_rows, from_vectors and zero make it.
     """
 
-    field: FieldSpec
-    ambient_dim: int
-    basis: Matrix  # dim x ambient_dim, in RREF, no zero rows
+    __slots__ = ("field", "ambient_dim", "pivot_rows", "_basis")
+
+    def __init__(self, field: FieldSpec, ambient_dim: int, pivot_rows: dict[int, dict]):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.pivot_rows = pivot_rows
+        self._basis: Optional[Matrix] = None
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
+        return Subspace(field, ambient_dim, {})
 
     @staticmethod
     def from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
         """The span of {column: nonzero canonical value} rows, which are
         read but not changed."""
-        basis = _reduced_echelon(field.p, _integer_rows(field, rows))
-        return Subspace._from_reduced(field, ambient_dim, basis)
-
-    @staticmethod
-    def _from_reduced(field: FieldSpec, ambient_dim: int, basis: dict[int, dict]) -> "Subspace":
-        data = _field_rows(field, basis)
-        return Subspace(field, ambient_dim, Matrix(field, len(data), ambient_dim, data))
+        return Subspace(field, ambient_dim, _reduced_echelon(field.p, _integer_rows(field, rows)))
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = (_row_dict(field, ambient_dim, v) for v in vectors)
         return Subspace.from_rows(field, ambient_dim, rows)
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and (self.field, self.ambient_dim) == (other.field, other.ambient_dim)
+            and self.pivot_rows == other.pivot_rows
+        )
+
+    def __hash__(self):
+        rows = tuple(tuple(sorted(self.pivot_rows[c].items())) for c in sorted(self.pivot_rows))
+        return hash((self.field, self.ambient_dim, rows))
+
+    def __repr__(self):
+        return f"Subspace({self.field.label()}, {self.ambient_dim}, {self.vectors()!r})"
+
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivot_rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis in canonical field values, dim x ambient_dim."""
+        if self._basis is None:
+            data = _field_rows(self.field, self.pivot_rows)
+            self._basis = Matrix(self.field, len(data), self.ambient_dim, data)
+        return self._basis
 
     def vectors(self) -> list[tuple]:
         return [tuple(row) for row in self.basis.to_lists()]
 
     def contains(self, v: Sequence) -> bool:
-        row = _row_dict(self.field, self.ambient_dim, v)
-        return Subspace.from_rows(self.field, self.ambient_dim, self.basis.data + [row]).dim == self.dim
+        (row,) = _integer_rows(self.field, [_row_dict(self.field, self.ambient_dim, v)])
+        return not _sift(self.field.p, self.pivot_rows, row)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise UsageError("ambient dimension mismatch")
-        stacked = Subspace.from_rows(self.field, self.ambient_dim, other.basis.data + self.basis.data)
-        return stacked.dim == other.dim
+        p = self.field.p
+        return all(not _sift(p, other.pivot_rows, dict(row)) for row in self.pivot_rows.values())
+
+    def project(self, cols: Mapping[int, int], ambient_dim: int) -> "Subspace":
+        """The image under the coordinate map that moves coordinate j to
+        cols[j], in a space of ambient_dim coordinates, and drops the
+        coordinates not in cols."""
+        p = self.field.p
+        rows = ({cols[j]: x for j, x in row.items() if j in cols} for row in self.pivot_rows.values())
+        if not p:
+            rows = map(_content_free, rows)
+        return Subspace(self.field, ambient_dim, _reduced_echelon(p, rows))
 
 
 def rank(a: Matrix) -> int:
-    return len(_echelon(a.field.p, _integer_rows(a.field, a.data)))
+    return len(_echelon(a.field.p, _matrix_rows(a)))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
     field, p = a.field, a.field.p
-    basis = _reduced_echelon(p, _integer_rows(field, a.data))
+    basis = _reduced_echelon(p, _matrix_rows(a))
     # one vector per free column f: 1 at f and, at each pivot column c,
     # minus the entry at f of row c divided by its leading entry; in
     # integers, all of it times the lcm of those leading entries
@@ -427,9 +504,9 @@ def kernel_basis(a: Matrix) -> Subspace:
                 vectors[f][c] = -w * (dens[f] // d)
     rows = (
         ({j: x % p for j, x in v.items()} for v in vectors.values()) if p
-        else map(_primitive_row, vectors.values())
+        else map(_content_free, vectors.values())
     )
-    return Subspace._from_reduced(field, a.cols, _reduced_echelon(p, rows))
+    return Subspace(field, a.cols, _reduced_echelon(p, rows))
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
@@ -487,5 +564,8 @@ def image(a: Matrix, s: Subspace) -> Subspace:
     for i, row in enumerate(a.data):
         for j, x in row.items():
             columns[j][i] = x
-    rows = s.basis @ Matrix(a.field, a.cols, a.rows, columns)
+    # the integer rows span s as well as its basis does; over Q their
+    # images are rows of Fractions, which from_rows makes primitive
+    spanning = Matrix(a.field, s.dim, a.cols, list(s.pivot_rows.values()))
+    rows = spanning @ Matrix(a.field, a.cols, a.rows, columns)
     return Subspace.from_rows(a.field, a.rows, rows.data)

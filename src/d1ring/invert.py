@@ -57,11 +57,12 @@ MAX_EXTRA_LEVELS = 8
 # are refused before level 0.  The sum, not the last level alone, sets the
 # cost: on Z^1 the last window grows linearly in the depth but the tower
 # quadratically.  Measured on 2 vCPUs (Python 3.11, the decoy map, window 2,
-# two runs each): 15-36 us and 0.2-0.27 KB of peak memory per coordinate.
-# At the limit, which allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with
-# n = 1 and window 2: Z^1 over Q 32-36 s and 267 MB, Z^1 over F_5 20-24 s
-# and 220 MB, Z^2 over F_5 15-16 s and 205 MB.  Z^2 over Q with n = 2 at
-# depth 35 (0.26 M coordinates) takes 4.0-4.2 s and 52 MB.
+# kernel_tower alone in a fresh process, its wall clock and the process's
+# peak RSS, two runs each): 7-17 us and 0.19-0.23 KB of peak memory per
+# coordinate.  At the limit, which allows depth 989 on Z^1, 79 on Z^2 and
+# 15 on Z^3 with n = 1 and window 2: Z^1 over Q 15-17 s and 221 MB, Z^1
+# over F_5 13-15 s and 221 MB, Z^2 over F_5 11-13 s and 206 MB.  Z^2 over Q
+# with n = 2 at depth 35 (0.26 M coordinates) takes 1.9-2.0 s and 48 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
 # The determinant of the regular part is given up, and every search runs,
@@ -247,9 +248,7 @@ def _factored_inverse(
     v = FiniteSubset(grp, grp.sort(reads + [g for g, _ in s.singular]))
     local = Nuca(s).induced_local_map(v)
     # V holds every site S reads at V, so no entry falls outside its columns
-    cols = _column_map(local.domain_set, v, n)
-    rows = [{cols[j]: x for j, x in row.items()} for row in local.matrix.data]
-    m_inv = inverse(Matrix(fld, n * len(v), n * len(v), rows))
+    m_inv = inverse(local.matrix.restrict(_column_map(local.domain_set, v, n), n * len(v)))
     if m_inv is None:
         return None
     minus_one = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
@@ -356,7 +355,14 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
     check_search_radius(t.group, t.n, max_radius)
-    if _regular_det_terms(t) not in (None, 1):
+    return _search_inverse(t, side, max_radius, _regular_det_terms(t))
+
+
+def _search_inverse(
+    t: Nuca, side: str, max_radius: int, det_terms: Optional[int]
+) -> Optional[tuple[Nuca, int]]:
+    """search_one_sided_inverse past its checks, given _regular_det_terms(t)."""
+    if det_terms not in (None, 1):
         return None
     for r in range(max_radius + 1):
         a_inv = _regular_inverse(t.element.regular, FiniteSubset.ball(t.group, r))
@@ -391,8 +397,7 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     # keep the columns of the domain sites inside the support, re-keyed to
     # the support's order; the others meet only zero entries of the vector
     cols = _column_map(local.domain_set, support, n)
-    rows = [{cols[j]: x for j, x in row.items() if j in cols} for row in local.matrix.data]
-    ker = kernel_basis(Matrix(fld, local.matrix.rows, n * len(support), rows))
+    ker = kernel_basis(local.matrix.restrict(cols, n * len(support)))
     if ker.dim == 0:
         return None
     first = ker.vectors()[0]
@@ -430,7 +435,7 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
         raise UsageError("kernel_tower needs the box exhaustion of Z^d")
     if depth < 0 or stabilization_window < 1:
         raise UsageError("depth must be >= 0 and window >= 1")
-    fld, n = t.field, t.n
+    n = t.n
 
     check_tower_depth(t.group, n, depth, stabilization_window)
     max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
@@ -447,8 +452,7 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     def project(level: int, m: int) -> Subspace:
         """Restrict kernel vectors at level m to the coordinates of level `level`."""
         cols = _column_map(domains[m], domains[level], n)
-        rows = ({cols[j]: x for j, x in row.items() if j in cols} for row in kernels[m].basis.data)
-        return Subspace.from_rows(fld, n * len(domains[level]), rows)
+        return kernels[m].project(cols, n * len(domains[level]))
 
     levels = []
     for lv in range(depth + 1):
@@ -492,13 +496,15 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     injective.  So the verdict is the same as a search that tries the
     certificate, then each witness, radius by radius.  Over Z^d a nonzero
     determinant of the regular part proves that the constant part has no
-    witness, so none is searched for.  A budget whose certificate search
-    or kernel tower is past its size limit is refused before any search
-    runs.
+    witness, so none is searched for.  The determinant is computed once
+    for both prunes.  A budget whose certificate search or kernel tower is
+    past its size limit is refused before any search runs.
     """
     check_tower_depth(t.group, t.n, budget.depth, budget.window)
-    # search_one_sided_inverse has re-verified the certificate
-    hit = search_one_sided_inverse(t, "left", budget.max_radius)
+    check_search_radius(t.group, t.n, budget.max_radius)
+    det_terms = _regular_det_terms(t)
+    # _factored_inverse has re-verified the certificate
+    hit = _search_inverse(t, "left", budget.max_radius, det_terms)
     if hit is not None:
         return InjectivityVerdict(
             kind="proven_stably_injective",
@@ -506,7 +512,7 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
             certificate=hit[0],
             certificate_radius=hit[1],
         )
-    search_constant = _regular_det_terms(t) in (None, 0)
+    search_constant = det_terms in (None, 0)
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
         witness = finitely_supported_kernel(t, r)

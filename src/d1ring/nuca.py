@@ -21,10 +21,10 @@ operation; `value_at` reduces the one sum it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import UsageError
-from .exactalg import FieldSpec, Matrix
+from .exactalg import FieldSpec, Matrix, _primitive_row
 from .groupring import GroupRingElement, coeff_add, coeff_neg, coeff_zero
 from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
@@ -382,49 +382,60 @@ class Nuca:
 
     def induced_local_map(self, window: FiniteSubset) -> InducedLocalMap:
         """The matrix of the action restricted to a finite window E, with
-        domain EM; block (g, q) is the rule-at-g block at h = g^-1 q."""
+        domain EM; block (g, q) is the rule-at-g block at h = g^-1 q.
+
+        Over Q the matrix also carries the primitive integer multiple of
+        each row (Matrix.integer).  Row i of the block row of g is row i of
+        the rule at g placed at the sites g M, so its primitive multiple is
+        that of the rule row, made once per rule."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        # the constant rule's blocks are built once; a singular part is read
+        # the constant rule's rows are built once; a singular part is read
         # only at the exceptional sites of the window
         reg = dict(self.element.regular.terms)
         zero = coeff_zero(field, n)
         constant = [(h, reg.get(h, zero)) for h in self.memory]
-        constant_entries = _block_entries(constant)
+        constant_rule = _rule_rows(field, n, constant)
         singular = dict(self.element.singular)
         compose, position = grp.compose, domain.position
         rows: list[dict] = []
+        integer: Optional[list[dict]] = None if field.p else []
         for g in window:
             part = singular.get(g)
             if part is None:
-                entries = constant_entries
+                sites, rule_rows, rule_ints = constant_rule
             else:
                 extra = dict(part.terms)
-                entries = _block_entries(
+                sites, rule_rows, rule_ints = _rule_rows(field, n, (
                     (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
-                )
-            block_rows: list[dict] = [{} for _ in range(n)]
-            for h, block in entries:
-                base = position(compose(g, h)) * n
-                for row, nonzeros in zip(block_rows, block):
-                    for j, x in nonzeros:
-                        row[base + j] = x
-            rows.extend(block_rows)
-        mat = Matrix(field, n * len(window), n * len(domain), rows)
+                ))
+            # the first column of the block of each site of the rule, read at g
+            base = [position(compose(g, h)) * n for h in sites]
+            rows.extend({base[s] + j: x for s, j, x in entries} for entries in rule_rows)
+            if integer is not None:
+                integer.extend({base[s] + j: z for s, j, z in entries} for entries in rule_ints)
+        mat = Matrix(field, n * len(window), n * len(domain), rows, integer)
         return InducedLocalMap(grp, field, n, domain, window, mat)
 
 
-def _block_entries(blocks) -> list:
-    """[(h, [[(j, x) for each nonzero x of a block row] per row])] for the
-    (h, block) pairs whose block is not zero."""
-    out = []
-    for h, block in blocks:
-        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in block]
-        if any(nonzeros):
-            out.append((h, nonzeros))
-    return out
+def _rule_rows(field: FieldSpec, n: int, blocks: Iterable) -> tuple:
+    """A rule given by its (h, block) pairs as (sites, rows, ints): the
+    sites h whose block is not zero; for each row i of the rule, the
+    triples (s, j, x) for the nonzero entries x at column j of row i of
+    the block of sites[s]; and over Q the same triples for the row's
+    primitive integer multiple (None over F_p)."""
+    nonzero = [(h, block) for h, block in blocks if any(any(row) for row in block)]
+    rows = [
+        [(s, j, x) for s, (_, block) in enumerate(nonzero) for j, x in enumerate(block[i]) if x]
+        for i in range(n)
+    ]
+    ints = None if field.p else [
+        [(s, j, z) for (s, j), z in _primitive_row({(s, j): x for s, j, x in entries}).items()]
+        for entries in rows
+    ]
+    return [h for h, _ in nonzero], rows, ints
 
 
 def constant_part(t: Nuca) -> Nuca:

@@ -14,6 +14,7 @@ from d1ring.exactalg import (
     FieldSpec,
     Matrix,
     Subspace,
+    _primitive_row,
     image,
     inverse,
     kernel_basis,
@@ -427,6 +428,125 @@ def test_integer_kernel_over_q_agrees_with_dense_reference(system):
         assert a.mul_vector(x) == tuple(b)
     assert a.data == rows_before and b == b_before
     assert all(type(v) is Fraction for row in a.data for v in row.values())
+
+
+# -- the integer Subspace against the dense reference --------------------------------
+
+SUBSPACE_FIELDS = [F2, FieldSpec.fp(3), Q]
+
+
+def _combination(field, coeffs, vectors, dim):
+    return [field.coerce(sum(c * v[j] for c, v in zip(coeffs, vectors))) for j in range(dim)]
+
+
+@st.composite
+def spanning_sets(draw):
+    """(field, dim, vectors, other, w, m): vectors span a subspace, other
+    spans the same one (each vector scaled by a nonzero scalar plus earlier
+    vectors, shuffled, with a zero row added sometimes), w is a vector
+    that may or may not lie in it, m a matrix to take images with.  Over Q
+    the entries have denominators and either sign, so leads are negative
+    and rows are not primitive; sometimes there are no vectors at all."""
+    field = draw(st.sampled_from(SUBSPACE_FIELDS))
+    scalar = _scalars(field)
+    nonzero = scalar.filter(lambda x: field.coerce(x) != 0)
+    dim = draw(st.integers(1, 5))
+    count = draw(st.sampled_from([0, 1, 2, 3, 4]))
+    vectors = [[field.coerce(draw(scalar)) for _ in range(dim)] for _ in range(count)]
+    if vectors and draw(st.booleans()):
+        # a dependent vector, so that the set is not a basis
+        coeffs = [draw(scalar) for _ in vectors]
+        vectors.append(_combination(field, coeffs, vectors, dim))
+    other = []
+    for i, v in enumerate(vectors):
+        coeffs = [draw(scalar) for _ in range(i)] + [draw(nonzero)]
+        other.append(_combination(field, coeffs, vectors[: i + 1], dim))
+    other = draw(st.permutations(other))
+    if draw(st.booleans()):
+        other.append([field.zero] * dim)
+    w = (
+        _combination(field, [draw(scalar) for _ in vectors], vectors, dim)
+        if vectors and draw(st.booleans())
+        else [field.coerce(draw(scalar)) for _ in range(dim)]
+    )
+    rows = draw(st.integers(1, 4))
+    m = Matrix.from_rows(field, [[draw(scalar) for _ in range(dim)] for _ in range(rows)])
+    return field, dim, vectors, list(other), w, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(spanning_sets())
+@example((Q, 2, [[Fraction(-2, 3), Fraction(1, 2)], [Fraction(4, 3), Fraction(-1)]],
+          [[Fraction(-4, 3), Fraction(1)]], [Fraction(2), Fraction(-3, 2)],
+          Matrix.from_rows(Q, [[Fraction(-1, 2), Fraction(3)]])))
+@example((FieldSpec.fp(3), 3, [], [[0, 0, 0]], [0, 0, 0], Matrix.identity(FieldSpec.fp(3), 3)))
+def test_integer_subspace_agrees_with_dense_reference(case):
+    field, dim, vectors, other, w, m = case
+    ref = reference_canonical(field, vectors)
+    s = Subspace.from_vectors(field, dim, vectors)
+    assert s.dim == len(ref)
+    assert s.basis.to_lists() == ref and s.vectors() == [tuple(r) for r in ref]
+    assert (s.basis.rows, s.basis.cols) == (len(ref), dim)
+    assert_canonical(s.basis)
+    # over Q the stored basis is the primitive integer multiple of each
+    # RREF row, with a positive lead
+    for c, row in s.pivot_rows.items():
+        assert min(row) == c and row[c] > 0 and all(type(x) is int for x in row.values())
+        if field == Q:
+            assert math.gcd(*row.values()) == 1
+
+    rows = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+    same = Subspace.from_vectors(field, dim, other)
+    assert Subspace.from_rows(field, dim, rows) == s == same and hash(same) == hash(s)
+    assert same.vectors() == s.vectors()
+    zero = Subspace.zero(field, dim)
+    assert zero == Subspace.from_vectors(field, dim, [[0] * dim]) and zero.dim == 0
+    assert zero.basis.rows == 0 and zero.vectors() == [] and zero.contains([0] * dim)
+    assert (s == zero) == (not ref)
+    # w swapped in for the first vector often spans another subspace of
+    # the same dimension
+    swapped = vectors[1:] + [w]
+    assert (Subspace.from_vectors(field, dim, swapped) == s) == (reference_canonical(field, swapped) == ref)
+
+    for v in vectors:
+        assert s.contains(v)
+    assert s.contains(w) == (len(reference_canonical(field, vectors + [w])) == len(ref))
+
+    part = Subspace.from_vectors(field, dim, vectors[:1])
+    assert part.is_subspace_of(s) and zero.is_subspace_of(s) and zero.is_subspace_of(part)
+    assert s.is_subspace_of(part) == (len(reference_canonical(field, vectors[:1])) == len(ref))
+    assert s.is_subspace_of(zero) == (not ref)
+
+    a = Matrix.from_rows(field, vectors) if vectors else Matrix.zeros(field, 0, dim)
+    kernel = kernel_basis(a)
+    assert kernel.vectors() == [tuple(v) for v in reference_kernel(a)]
+    assert kernel == Subspace.from_vectors(field, dim, reference_kernel(a))
+    assert kernel.dim + s.dim == dim
+
+    img = image(m, s)
+    assert img.basis.to_lists() == reference_canonical(field, [list(m.mul_vector(v)) for v in ref])
+    assert img == Subspace.from_vectors(field, m.rows, [m.mul_vector(v) for v in other])
+    assert image(m, zero) == Subspace.zero(field, m.rows)
+
+    # the coordinates 0, 2, 4, ... moved to 0, 1, 2, ...
+    cols = {j: j // 2 for j in range(0, dim, 2)}
+    sliced = [[v[j] for j in sorted(cols)] for v in vectors]
+    projected = s.project(cols, len(cols))
+    assert projected.vectors() == [tuple(r) for r in reference_canonical(field, sliced)]
+    assert projected == Subspace.from_vectors(field, len(cols), sliced)
+    restricted = a.restrict(cols, len(cols))
+    assert (restricted.rows, restricted.cols) == (a.rows, len(cols))
+    if vectors:
+        assert restricted.to_lists() == sliced
+        assert kernel_basis(restricted).vectors() == [
+            tuple(v) for v in reference_kernel(Matrix.from_rows(field, sliced))
+        ]
+    if field == Q:
+        # integer rows restricted and divided by their content are the
+        # primitive multiples of the restricted rows
+        carried = Matrix(Q, a.rows, a.cols, a.data, [_primitive_row(row) for row in a.data])
+        assert carried.restrict(cols, len(cols)).integer == [_primitive_row(row) for row in restricted.data]
+        assert kernel_basis(carried) == kernel and rank(carried) == rank(a)
 
 
 # -- Matrix against plain lists ---------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.exactalg import Matrix, Subspace, kernel_basis, solve
+from d1ring.exactalg import Matrix, _primitive_row, kernel_basis, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
@@ -37,6 +37,7 @@ from d1ring.nuca import Configuration, Nuca, basis_configuration, constant_part
 from d1ring.twisted import TwistedElement
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_nuca_pair, gre, nilpotent_nuca
+from test_exactalg import reference_canonical, reference_kernel
 
 
 def decoy():
@@ -666,24 +667,25 @@ def reference_kernel_vectors(t, radius):
         domain.position(u) * n + i if u in domain else None for u in support for i in range(n)
     ]
     a = [[fld.zero if c is None else row[c] for c in cols] for row in dense]
-    return support, kernel_basis(Matrix.from_rows(fld, a)).vectors()
+    return support, reference_kernel(Matrix.from_rows(fld, a))
 
 
 def reference_kernel_tower(t, depth, window):
     """The tower with dense window maps, every level built up front, and
-    projections sliced from dense kernel vectors."""
+    projections sliced from dense kernel vectors.  Kernels, projections and
+    their equality are the dense RREFs of test_exactalg (canonical lists of
+    rows), so neither kernel_basis nor Subspace takes part."""
     fld, n = t.field, t.n
     max_level = depth + window + invert.MAX_EXTRA_LEVELS
     domains, kernels = [], []
     for m in range(max_level + 1):
         domain, dense = reference_local_map(t, FiniteSubset.ball(t.group, m))
         domains.append(domain)
-        kernels.append(kernel_basis(Matrix.from_rows(fld, dense)))
+        kernels.append(reference_kernel(Matrix.from_rows(fld, dense)))
 
     def project(level, m):
         cols = [domains[m].position(u) * n + i for u in domains[level] for i in range(n)]
-        vectors = [[v[c] for c in cols] for v in kernels[m].vectors()]
-        return Subspace.from_vectors(fld, len(cols), vectors)
+        return reference_canonical(fld, [[v[c] for c in cols] for v in kernels[m]])
 
     levels = []
     for lv in range(depth + 1):
@@ -692,10 +694,10 @@ def reference_kernel_tower(t, depth, window):
             nxt = project(lv, m)
             run = run + 1 if nxt == current else 0
             if run >= window:
-                stabilized_at, stable_dim = m - window, current.dim
+                stabilized_at, stable_dim = m - window, len(current)
                 break
             current = nxt
-        levels.append(KernelTowerLevel(lv, kernels[lv].dim, stable_dim, stabilized_at))
+        levels.append(KernelTowerLevel(lv, len(kernels[lv]), stable_dim, stabilized_at))
     return KernelTowerReport(depth, window, tuple(levels))
 
 
@@ -716,6 +718,14 @@ def test_window_map_agrees_with_dense_fill(seed, group, field, n):
     assert (local.matrix.rows, local.matrix.cols) == (n * len(window), n * len(domain))
     assert local.matrix.to_lists() == dense
     assert all(x != 0 for row in local.matrix.data for x in row.values())
+    # over Q the matrix carries each row's primitive integer multiple, and
+    # its kernel is the one read off the rows themselves
+    if field == Q:
+        assert local.matrix.integer == [_primitive_row(row) for row in local.matrix.data]
+    else:
+        assert local.matrix.integer is None
+    plain = Matrix(field, local.matrix.rows, local.matrix.cols, local.matrix.data)
+    assert kernel_basis(local.matrix) == kernel_basis(plain)
 
 
 @settings(max_examples=25, deadline=None)
@@ -953,6 +963,19 @@ class TestDeterminantPruning:
         assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)] + [
             ("kernel", r) for r in range(2) for _ in range(2)
         ]
+
+    def test_verdict_computes_the_determinant_once(self, monkeypatch):
+        # one det(a) serves the inverse-search prune and the constant-part prune
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return zd_determinant(*args)
+
+        monkeypatch.setattr(invert, "zd_determinant", counting)
+        verdict = stable_injectivity_verdict(decoy_nuca(Z1, F3, 1), SearchBudget(max_radius=2, depth=1, window=1))
+        assert verdict.kind == "bounded_evidence"
+        assert len(calls) == 1
 
     def test_past_the_det_budget_every_search_runs(self, searches, monkeypatch):
         monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", 0)
