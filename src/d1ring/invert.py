@@ -27,11 +27,12 @@ Certificates and witnesses are re-verified before they are returned.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, Subspace, inverse, kernel_basis, solve
+from .exactalg import Matrix, Subspace, extend_kernel, inverse, kernel_basis, solve
 from .groupring import GroupRingElement, zd_determinant
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
@@ -54,15 +55,17 @@ MAX_EXTRA_LEVELS = 8
 
 # Kernel towers whose window coordinates n * ball_size(m), summed over every
 # level m <= depth + window + MAX_EXTRA_LEVELS they may build, exceed this
-# are refused before level 0.  The sum, not the last level alone, sets the
-# cost: on Z^1 the last window grows linearly in the depth but the tower
-# quadratically.  Measured on 2 vCPUs (Python 3.11, the decoy map, window 2,
-# kernel_tower alone in a fresh process, its wall clock and the process's
-# peak RSS, two runs each): 7-17 us and 0.19-0.23 KB of peak memory per
-# coordinate.  At the limit, which allows depth 989 on Z^1, 79 on Z^2 and
-# 15 on Z^3 with n = 1 and window 2: Z^1 over Q 15-17 s and 221 MB, Z^1
-# over F_5 13-15 s and 221 MB, Z^2 over F_5 11-13 s and 206 MB.  Z^2 over Q
-# with n = 2 at depth 35 (0.26 M coordinates) takes 1.9-2.0 s and 48 MB.
+# are refused before level 0.  A tower builds and eliminates each window row
+# once, level m only the rows of its shell (kernel_tower), so the sum
+# overstates its work; it stays the contract on the depths accepted.
+# Measured on 2 vCPUs (Python 3.11, the decoy map, window 2, kernel_tower
+# alone in a fresh process, its wall clock and the process's peak RSS, two
+# runs each): 0.6-0.8 us per coordinate of the sum.  At the limit, which
+# allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with n = 1 and window 2:
+# Z^1 over Q 0.66-0.67 s and Z^1 over F_5 0.63 s, both in 17 MB (the process
+# with the package imported), Z^2 over F_5 0.76-0.77 s and 26 MB, Z^3 over
+# F_5 0.52-0.54 s and 40 MB.  Z^2 over Q with n = 2 at depth 35 (0.26 M
+# coordinates) takes 0.20 s and 20 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
 # The determinant of the regular part is given up, and every search runs,
@@ -421,6 +424,24 @@ def _column_map(domain: FiniteSubset, sites: FiniteSubset, n: int) -> dict[int, 
     }
 
 
+def _box_shell(group: GroupSpec, m: int) -> FiniteSubset:
+    """ball(m) minus ball(m - 1) on Z^d: the sites whose largest |coordinate|
+    is m, taken face by face; the face g_i = +-m leaves out the sites of
+    the faces of the axes before i."""
+    if m == 0:
+        return FiniteSubset.ball(group, 0)
+    d = group.dim
+    sites = [
+        rest[:i] + (s,) + rest[i:]
+        for i in range(d)
+        for s in (-m, m)
+        for rest in itertools.product(
+            *(range(1 - m, m) if j < i else range(-m, m + 1) for j in range(d - 1))
+        )
+    ]
+    return FiniteSubset(group, group.sort(sites))
+
+
 def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerReport:
     """Kernels of the induced maps over the box exhaustion of Z^d, with
     their projections to lower levels tracked until they sit still.
@@ -430,29 +451,44 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     detection is heuristic: a level stabilizes once its projected subspace
     is unchanged for `stabilization_window` consecutive steps.  A tower
     past the size limit (check_tower_depth) is refused before level 0.
+
+    Level m is built from level m - 1.  The rows of the sites of
+    ball(m - 1) read only the coordinates of level m - 1, so the kernel
+    K_m is K_{m-1}, times the new coordinates, cut down by the rows of the
+    shell ball(m) minus ball(m - 1) alone (exactalg.extend_kernel).  Each
+    window row is built and eliminated once.  The domain sites are
+    numbered in the order they first appear, level by level, so the
+    coordinates of each level are a prefix of the next level's, and a
+    projection to a lower level keeps a prefix.  A level's kernel is
+    dropped once the level is reported, as only higher levels read on.
     """
     if t.group.kind != "Zd":
         raise UsageError("kernel_tower needs the box exhaustion of Z^d")
     if depth < 0 or stabilization_window < 1:
         raise UsageError("depth must be >= 0 and window >= 1")
-    n = t.n
+    grp, n = t.group, t.n
 
-    check_tower_depth(t.group, n, depth, stabilization_window)
+    check_tower_depth(grp, n, depth, stabilization_window)
     max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
-    kernels: list[Subspace] = []
-    domains: list[FiniteSubset] = []
+    kernels: list[Optional[Subspace]] = []
+    dims: list[int] = []  # the coordinates of each level: a prefix of the ids
+    ids: dict = {}  # domain site -> its number, in order of first appearance
 
     def ensure_level(m: int) -> None:
         while len(kernels) <= m:
-            box = FiniteSubset.ball(t.group, len(kernels))
-            local = t.induced_local_map(box)
-            domains.append(local.domain_set)
-            kernels.append(kernel_basis(local.matrix))
+            local = t.induced_local_map(_box_shell(grp, len(kernels)))
+            for u in local.domain_set:
+                ids.setdefault(u, len(ids))
+            cols = {
+                k * n + i: ids[u] * n + i for k, u in enumerate(local.domain_set) for i in range(n)
+            }
+            previous = kernels[-1] if kernels else Subspace.zero(t.field, 0)
+            kernels.append(extend_kernel(previous, local.matrix.restrict(cols, n * len(ids))))
+            dims.append(n * len(ids))
 
     def project(level: int, m: int) -> Subspace:
         """Restrict kernel vectors at level m to the coordinates of level `level`."""
-        cols = _column_map(domains[m], domains[level], n)
-        return kernels[m].project(cols, n * len(domains[level]))
+        return kernels[m].project(range(dims[level]), dims[level])
 
     levels = []
     for lv in range(depth + 1):
@@ -481,6 +517,7 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
                 stabilized_at=stabilized_at,
             )
         )
+        kernels[lv] = None  # no later level reads it
     return KernelTowerReport(depth=depth, window=stabilization_window, levels=tuple(levels))
 
 

@@ -236,7 +236,7 @@ class Nuca:
     """A linear cellular automaton with finitely many exceptional rules,
     stored as its twisted ring element (matrix-shaped coefficients)."""
 
-    __slots__ = ("element", "memory", "exceptional_set")
+    __slots__ = ("element", "memory", "exceptional_set", "_rules")
 
     def __init__(self, element: TwistedElement):
         if element.shape is None:
@@ -244,6 +244,7 @@ class Nuca:
         self.element = element
         self.memory = element.memory()
         self.exceptional_set = element.singular_support()
+        self._rules: Optional[tuple] = None  # see _window_rules
 
     @property
     def group(self) -> GroupSpec:
@@ -387,30 +388,17 @@ class Nuca:
         Over Q the matrix also carries the primitive integer multiple of
         each row (Matrix.integer).  Row i of the block row of g is row i of
         the rule at g placed at the sites g M, so its primitive multiple is
-        that of the rule row, made once per rule."""
+        that of the rule row, made once per rule and NUCA (_window_rules)."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        # the constant rule's rows are built once; a singular part is read
-        # only at the exceptional sites of the window
-        reg = dict(self.element.regular.terms)
-        zero = coeff_zero(field, n)
-        constant = [(h, reg.get(h, zero)) for h in self.memory]
-        constant_rule = _rule_rows(field, n, constant)
-        singular = dict(self.element.singular)
+        constant_rule, exceptional = self._window_rules()
         compose, position = grp.compose, domain.position
         rows: list[dict] = []
         integer: Optional[list[dict]] = None if field.p else []
         for g in window:
-            part = singular.get(g)
-            if part is None:
-                sites, rule_rows, rule_ints = constant_rule
-            else:
-                extra = dict(part.terms)
-                sites, rule_rows, rule_ints = _rule_rows(field, n, (
-                    (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
-                ))
+            sites, rule_rows, rule_ints = exceptional.get(g, constant_rule)
             # the first column of the block of each site of the rule, read at g
             base = [position(compose(g, h)) * n for h in sites]
             rows.extend({base[s] + j: x for s, j, x in entries} for entries in rule_rows)
@@ -418,6 +406,25 @@ class Nuca:
                 integer.extend({base[s] + j: z for s, j, z in entries} for entries in rule_ints)
         mat = Matrix(field, n * len(window), n * len(domain), rows, integer)
         return InducedLocalMap(grp, field, n, domain, window, mat)
+
+    def _window_rules(self) -> tuple:
+        """The _rule_rows of the constant rule and {g: those of the rule at
+        g} for the exceptional sites g, made on first use: a kernel tower
+        reads them for every window it builds, while the pipeline builds
+        one NUCA per trial and one window of it."""
+        if self._rules is None:
+            field, n = self.field, self.n
+            reg = dict(self.element.regular.terms)
+            zero = coeff_zero(field, n)
+            constant = [(h, reg.get(h, zero)) for h in self.memory]
+            exceptional = {}
+            for g, part in self.element.singular:
+                extra = dict(part.terms)
+                exceptional[g] = _rule_rows(field, n, (
+                    (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
+                ))
+            self._rules = (_rule_rows(field, n, constant), exceptional)
+        return self._rules
 
 
 def _rule_rows(field: FieldSpec, n: int, blocks: Iterable) -> tuple:

@@ -15,6 +15,7 @@ from d1ring.exactalg import (
     Matrix,
     Subspace,
     _primitive_row,
+    extend_kernel,
     image,
     inverse,
     kernel_basis,
@@ -428,6 +429,72 @@ def test_integer_kernel_over_q_agrees_with_dense_reference(system):
         assert a.mul_vector(x) == tuple(b)
     assert a.data == rows_before and b == b_before
     assert all(type(v) is Fraction for row in a.data for v in row.values())
+
+
+# -- extending a kernel by columns -------------------------------------------------
+
+@st.composite
+def stacked_systems(draw):
+    """(top, bottom) over F_2, F_5 or Q: top has d columns, bottom d + e,
+    so top's columns are a prefix of bottom's.  Either block may be empty,
+    zero, the identity (full rank) or random; d may be 0."""
+    field = draw(st.sampled_from([F2, F5, Q]))
+    scalar = _scalars(field)
+    d, e = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def block(cols):
+        kind = draw(st.sampled_from(["random", "random", "zero", "identity"]))
+        if kind == "identity":
+            return [[field.one if i == j else field.zero for j in range(cols)] for i in range(cols)]
+        rows = draw(st.integers(0, 5))
+        if kind == "zero":
+            return [[field.zero] * cols for _ in range(rows)]
+        return [[draw(scalar) for _ in range(cols)] for _ in range(rows)]
+
+    return field, d, e, block(d), block(d + e)
+
+
+def _from_lists(field, rows, cols):
+    return Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacked_systems())
+@example((F5, 0, 0, [], []))
+@example((F2, 3, 0, [], [[1, 1, 0]]))
+@example((Q, 2, 2, [[Fraction(1, 2), Fraction(-3)]], [[0, 0, 0, 0]]))
+@example((Q, 2, 1, [[Fraction(2), 0], [0, Fraction(2)]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+# k has basis rows (2, 0, 1) and (0, 2, 1), whose sum (2, 2, 2) is the result
+@example((Q, 3, 0, [[1, 1, -2]], [[1, -1, 0]]))
+def test_extend_kernel_agrees_with_stacked_kernel(case):
+    field, d, e, top, bottom = case
+    k = kernel_basis(_from_lists(field, top, d))
+    a = _from_lists(field, bottom, d + e)
+    stacked = _from_lists(field, [row + [field.zero] * e for row in top] + bottom, d + e)
+    extended = extend_kernel(k, a)
+    assert extended == kernel_basis(stacked)
+    assert extended.vectors() == [tuple(v) for v in reference_kernel(stacked)]
+    assert_canonical(extended.basis)
+    for c, row in extended.pivot_rows.items():
+        assert min(row) == c and row[c] > 0 and all(type(x) is int for x in row.values())
+        if field == Q:
+            assert math.gcd(*row.values()) == 1
+        else:
+            assert row[c] == 1
+    # kernel_basis is the extension of the zero space of no coordinates
+    assert kernel_basis(a).vectors() == [tuple(v) for v in reference_kernel(a)]
+    assert extend_kernel(Subspace.zero(field, 0), a) == kernel_basis(a)
+    if field == Q:
+        carried = Matrix(Q, a.rows, a.cols, a.data, [_primitive_row(row) for row in a.data])
+        assert extend_kernel(k, carried) == extended
+
+
+def test_extend_kernel_refuses_mismatches():
+    k = Subspace.zero(F5, 3)
+    with pytest.raises(UsageError, match="fewer columns"):
+        extend_kernel(k, Matrix.zeros(F5, 1, 2))
+    with pytest.raises(UsageError, match="different fields"):
+        extend_kernel(k, Matrix.zeros(Q, 1, 3))
 
 
 # -- the integer Subspace against the dense reference --------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, _primitive_row, kernel_basis, solve
@@ -749,23 +749,70 @@ def test_kernel_witness_agrees_with_dense_path(seed, group, field, n, radius):
     assert witness == Configuration.make(group, field, n, (field.zero,) * n, dev)
 
 
-@settings(max_examples=20, deadline=None)
+# a shift that moves the exceptional sites of a radius-1 map out of ball(1),
+# so that they enter the tower at level 2 or later
+TOWER_SHIFTS = {Z1: (3,), Z2: (2, -1)}
+
+
+def tower_map(seed, group, field, n, kind):
+    """A random radius-1 map ("random"), the same map shifted by
+    TOWER_SHIFTS ("shifted"), or the decoy ("decoy")."""
+    if kind == "decoy":
+        return decoy_nuca(group, field, n)
+    t = Nuca(rand_twisted(random.Random(seed), group, field, n, radius=1))
+    return t.shift(TOWER_SHIFTS[group]) if kind == "shifted" else t
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    group=st.sampled_from([Z1, Z2]),
-    field=st.sampled_from([F3, Q]),
+    case=st.sampled_from([(Z1, 4), (Z2, 2)]).flatmap(
+        lambda gd: st.tuples(st.just(gd[0]), st.integers(0, gd[1]))
+    ),
+    field=st.sampled_from([F2, F3, F5, Q]),
     n=st.sampled_from([1, 2]),
-    depth=st.integers(0, 2),
     window=st.integers(1, 2),
-    decoy_map=st.booleans(),
+    kind=st.sampled_from(["random", "shifted", "decoy"]),
 )
-def test_kernel_tower_agrees_with_dense_path(seed, group, field, n, depth, window, decoy_map):
-    if decoy_map:
-        t = decoy_nuca(group, field, n)
-    else:
-        t = Nuca(rand_twisted(random.Random(seed), group, field, n, radius=1))
+@example(seed=10, case=(Z1, 4), field=F5, n=2, window=2, kind="shifted")
+@example(seed=10, case=(Z2, 2), field=F5, n=2, window=2, kind="shifted")
+@example(seed=10, case=(Z2, 1), field=Q, n=2, window=1, kind="shifted")
+def test_kernel_tower_agrees_with_dense_path(seed, case, field, n, window, kind):
+    group, depth = case
+    t = tower_map(seed, group, field, n, kind)
     with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
         assert kernel_tower(t, depth, window) == reference_kernel_tower(t, depth, window)
+
+
+@pytest.mark.parametrize(
+    "group, field, n, kind",
+    [(Z1, F5, 1, "decoy"), (Z1, Q, 2, "shifted"), (Z2, F2, 2, "shifted"), (Z2, Q, 1, "random")],
+)
+def test_kernel_tower_builds_each_window_row_once(group, field, n, kind):
+    # level m builds the rows of the shell ball(m) minus ball(m - 1) only,
+    # so the rows built sum to those of the last level's ball
+    t = tower_map(10, group, field, n, kind)
+    built = []
+    induced_local_map = Nuca.induced_local_map
+
+    def record(self, window):
+        local = induced_local_map(self, window)
+        built.append(local.matrix.rows)
+        return local
+
+    with mock.patch.object(Nuca, "induced_local_map", record):
+        kernel_tower(t, 3, 2)
+    assert 4 <= len(built) <= 3 + 2 + MAX_EXTRA_LEVELS + 1
+    assert sum(built) == n * group.ball_size(len(built) - 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_shells_are_ball_differences(dim):
+    group = GroupSpec.zd(dim)
+    for m in range(5):
+        inner = set(group.ball(m - 1)) if m else set()
+        shell = invert._box_shell(group, m)
+        assert shell.elements == tuple(g for g in group.ball(m) if g not in inner)
 
 
 # -- the regular-part obstruction over Z^d --------------------------------------

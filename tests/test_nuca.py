@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix
 from d1ring.experiments import rand_twisted
 from d1ring.groups import FiniteSubset
+from d1ring import nuca
 from d1ring.nuca import Configuration, LocalRule, Nuca, basis_configuration
 from d1ring.twisted import TwistedElement
 
@@ -225,6 +227,27 @@ class TestInducedLocalMap:
             lhs = local.apply_pattern(x.restrict(local.domain_set))
             rhs = t.apply(x).restrict(window)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("field", [F3, Q], ids=lambda f: f.label())
+    @pytest.mark.parametrize("group", [Z1, Z2], ids=lambda g: g.label())
+    def test_rule_rows_made_once_per_nuca(self, group, field):
+        # the rules are made on the first window and read by the later
+        # ones, whose matrices equal those a fresh NUCA builds
+        rng = random.Random(f"{group.label()}|{field.label()}|rules")
+        t = rand_nuca(rng, group, field, 2, max_sites=3)
+        while not len(t.exceptional_set):
+            t = rand_nuca(rng, group, field, 2, max_sites=3)
+        windows = [FiniteSubset.ball(group, r) for r in range(3)]
+        windows += [
+            FiniteSubset.make(group, rng.sample(group.ball(2), rng.randint(1, 4))) for _ in range(3)
+        ]
+        fresh = [Nuca(t.element).induced_local_map(w).matrix for w in windows]
+        with mock.patch.object(nuca, "_rule_rows", wraps=nuca._rule_rows) as spy:
+            built = [t.induced_local_map(w).matrix for w in windows]
+        assert spy.call_count == 1 + len(t.exceptional_set)
+        for m, ref in zip(built, fresh):
+            assert m == ref and m.integer == ref.integer
+            assert (m.integer is None) == (field != Q)
 
     def test_blocks_vanish_off_translated_memory(self, rng):
         t = rand_nuca(rng, Z1, F5, 1)
