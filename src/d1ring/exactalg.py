@@ -484,6 +484,19 @@ class Subspace:
         cols[j], in a space of ambient_dim coordinates, and drops the
         coordinates not in cols; range(d) keeps the first d."""
         p = self.field.p
+        if isinstance(cols, range) and cols.start == 0 and cols.step == 1:
+            # a prefix cut of the reduced basis is reduced: rows that lead
+            # at d or later vanish, and the rest keep their pivots and
+            # stay zero at the others (over Q only their content changes)
+            d = cols.stop
+            cut = {
+                c: {j: x for j, x in row.items() if j < d}
+                for c, row in self.pivot_rows.items()
+                if c < d
+            }
+            if not p:
+                cut = {c: _content_free(row) for c, row in cut.items()}
+            return Subspace(self.field, ambient_dim, cut)
         rows = ({cols[j]: x for j, x in row.items() if j in cols} for row in self.pivot_rows.values())
         if not p:
             rows = map(_content_free, rows)

@@ -154,8 +154,9 @@ def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict
         items = [(g, r) for g, c in acc.items() if (r := c % p)]
     else:
         items = [(g, c) for g, c in acc.items() if not coeff_is_zero(c)]
-    key = group.key
-    items.sort(key=lambda t: key(t[0]))
+    if len(items) > 1:
+        key = group.key
+        items.sort(key=lambda t: key(t[0]))
     return tuple(items)
 
 

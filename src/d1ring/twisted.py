@@ -23,6 +23,16 @@ these three slot sums term by term into a single accumulator
 {site or None: {h: coefficient}}.  A product, or a sum of products such
 as an entry of a matrix product, is made canonical once at the end
 (_sum_of_products), not once per partial convolution and sum.
+
+Only the pairs that can contribute reach the kernel.  A matrix product
+finds the nonzero entries of each row of the left factor and of each
+column of the right factor once, and an entry pairs only those: a pair
+with a zero side adds nothing to the sum, and an entry with no pair left
+is the zero element.  A sum of a single pair x * y with x = 1 is y, and
+with y = 1 it is x; these are returned as they are, since operands are
+canonical and immutable.  Both skips are exact: they leave out only
+terms that are zero or return a value equal to the product, and every
+compatibility check runs before either.
 """
 
 from __future__ import annotations
@@ -91,11 +101,15 @@ class TwistedElement:
     # -- queries -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.regular.is_zero() and not self.singular
+        return not self.singular and not self.regular.terms
 
     def is_one(self) -> bool:
-        one = ((self.group.identity, coeff_one(self.field, self.shape)),)
-        return not self.singular and self.regular.terms == one
+        # most elements fail on the singular part or the term count
+        reg = self.regular
+        if self.singular or len(reg.terms) != 1:
+            return False
+        ((g, c),) = reg.terms
+        return g == reg.group.identity and c == coeff_one(reg.field, reg.shape)
 
     def singular_part(self, g: Element) -> GroupRingElement:
         for h, part in self.singular:
@@ -180,9 +194,17 @@ def _mul_into(
 
 
 def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
-    """The sum of x * y over the pairs, accumulated by _mul_into and made
-    canonical once: every part reduced, empty parts dropped, sites sorted.
-    The sites are composed from validated elements, so they are trusted."""
+    """The sum of x * y over a nonempty sequence of pairs, accumulated by
+    _mul_into and made canonical once: every part reduced, empty parts
+    dropped, sites sorted.  The sites are composed from validated
+    elements, so they are trusted.  A single pair with an identity side
+    is the other side, which is canonical already."""
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        if x.is_one():
+            return y
+        if y.is_one():
+            return x
     acc: dict = {}
     for x, y in pairs:
         _mul_into(acc, grp, field, shape, x, y)
@@ -192,7 +214,8 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
         terms = _canonical_terms(grp, field, shape, slot)
         if terms:
             singular.append((g, GroupRingElement(grp, field, shape, terms)))
-    singular.sort(key=lambda t: grp.key(t[0]))
+    if len(singular) > 1:
+        singular.sort(key=lambda t: grp.key(t[0]))
     return TwistedElement(regular, tuple(singular))
 
 
@@ -258,22 +281,22 @@ class TwistedMatrix:
 
     @staticmethod
     def identity(n: int, group: GroupSpec, field: FieldSpec, shape: Shape = None) -> "TwistedMatrix":
-        one = TwistedElement.one(group, field, shape)
-        zero = TwistedElement.zero(group, field, shape)
-        return TwistedMatrix(
-            n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return TwistedMatrix.diagonal([TwistedElement.one(group, field, shape)] * n)
 
     @staticmethod
     def diagonal(entries: Iterable[TwistedElement]) -> "TwistedMatrix":
+        """The diagonal matrix of the entries; only they are checked, as
+        the zeros off the diagonal are built to match the first."""
         entries = tuple(entries)
         n = len(entries)
-        zero = TwistedElement.zero(entries[0].group, entries[0].field, entries[0].shape)
-        return TwistedMatrix(
-            n,
-            tuple(
-                tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
-            ),
+        if n < 1:
+            raise UsageError("entries must form an n x n grid")
+        first = entries[0]
+        for e in entries:
+            e._check_compatible(first)
+        zero = TwistedElement.zero(first.group, first.field, first.shape)
+        return TwistedMatrix._trusted(
+            n, tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
         )
 
     def is_identity(self) -> bool:
@@ -288,13 +311,20 @@ class TwistedMatrix:
             raise UsageError("matrix size mismatch")
         self.entries[0][0]._check_compatible(other.entries[0][0])
         grp, field, shape = self.group, self.field, self.shape
-        cols = tuple(zip(*other.entries))
-        # all n products of an entry go into one accumulator; the kernel
+        zero = TwistedElement.zero(grp, field, shape)
+        # the nonzero entries of each row and column, found once; all live
+        # products of an entry go into one accumulator, and the kernel
         # gives every entry grp, field and shape
-        return TwistedMatrix._trusted(self.n, tuple(
-            tuple(_sum_of_products(grp, field, shape, zip(row, col)) for col in cols)
-            for row in self.entries
-        ))
+        rows = [[(r, x) for r, x in enumerate(row) if not x.is_zero()] for row in self.entries]
+        cols = [[None if y.is_zero() else y for y in col] for col in zip(*other.entries)]
+        out = []
+        for row in rows:
+            entries = []
+            for col in cols:
+                pairs = [(x, y) for r, x in row if (y := col[r]) is not None]
+                entries.append(_sum_of_products(grp, field, shape, pairs) if pairs else zero)
+            out.append(tuple(entries))
+        return TwistedMatrix._trusted(self.n, tuple(out))
 
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:

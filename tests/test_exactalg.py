@@ -638,6 +638,40 @@ def matrix_pairs(draw):
     return field, a, b, [draw(scalar) for _ in range(k)]
 
 
+@st.composite
+def prefix_cuts(draw):
+    """(field, dim, vectors, d): vectors spanning a subspace of dim
+    coordinates, cut to its first d <= dim.  Over Q the entries have
+    denominators and either sign."""
+    field = draw(st.sampled_from([F2, F5, Q]))
+    scalar = _scalars(field)
+    dim = draw(st.integers(1, 6))
+    vectors = [[field.coerce(draw(scalar)) for _ in range(dim)] for _ in range(draw(st.integers(0, 5)))]
+    return field, dim, vectors, draw(st.integers(0, dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cuts())
+# the cut row (0, 2) of the primitive row (0, 2, 1) has content 2
+@example((Q, 3, [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(2), Fraction(1)]], 2))
+@example((F5, 3, [[0, 0, 1], [1, 2, 3]], 0))
+def test_prefix_projection_agrees_with_dense_reference(case):
+    # project(range(d), d) cuts the reduced basis without eliminating again;
+    # it must give the RREF of the cut vectors and the same canonical
+    # integer basis as the general coordinate map
+    field, dim, vectors, d = case
+    s = Subspace.from_vectors(field, dim, vectors)
+    cut = s.project(range(d), d)
+    assert cut.ambient_dim == d
+    assert cut.vectors() == [tuple(r) for r in reference_canonical(field, [v[:d] for v in vectors])]
+    mapped = s.project({j: j for j in range(d)}, d)
+    assert cut == mapped and cut.pivot_rows == mapped.pivot_rows
+    for c, row in cut.pivot_rows.items():
+        assert min(row) == c and row[c] > 0 and max(row) < d
+        if field == Q:
+            assert math.gcd(*row.values()) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrix_pairs())
 def test_matrix_agrees_with_plain_lists(case):

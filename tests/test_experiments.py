@@ -89,12 +89,14 @@ class TestDirectFiniteness:
         assert rep.failures == 0
         assert all("radius" in o for o in rep.outcomes)
 
-    def test_threaded_run_matches_sequential(self):
+    def test_d1_threads_is_ignored(self):
+        # suites run their trials in one thread; D1_THREADS once sized a
+        # thread pool, and setting it must leave the outcomes as they are
         config = cfg(trials=6, group=Z1, field=F2, n=2)
-        sequential = run_direct_finiteness(config)
+        unset = run_direct_finiteness(config)
         with mock.patch.dict(os.environ, {"D1_THREADS": "4"}):
-            threaded = run_direct_finiteness(config)
-        assert sequential.outcomes == threaded.outcomes
+            with_variable = run_direct_finiteness(config)
+        assert unset.outcomes == with_variable.outcomes
 
 
 class TestProductCount:

@@ -8,6 +8,7 @@ from d1ring.exactalg import FieldSpec
 from d1ring.experiments import rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_one
 from d1ring.groups import GroupSpec
+from d1ring import twisted
 from d1ring.twisted import (
     TwistedElement,
     TwistedMatrix,
@@ -282,9 +283,9 @@ def draw_operand(rng, group, field, shape):
     return rand_twisted(rng, group, field, shape, radius=1)
 
 
-def draw_matrix(rng, group, field, shape):
+def draw_matrix(rng, group, field, shape, n):
     return TwistedMatrix(
-        2, tuple(tuple(draw_operand(rng, group, field, shape) for _ in range(2)) for _ in range(2))
+        n, tuple(tuple(draw_operand(rng, group, field, shape) for _ in range(n)) for _ in range(n))
     )
 
 
@@ -294,10 +295,14 @@ def draw_matrix(rng, group, field, shape):
     group=st.sampled_from(GROUPS),
     field=st.sampled_from([F3, Q]),
     shape=st.sampled_from([None, 2]),
+    n=st.sampled_from([1, 2, 3]),
 )
-def test_fast_paths_agree_with_oracles(seed, group, field, shape):
-    # zero operands take the short-circuits in * and +, and zero entries
-    # are skipped by @; every result must match the defining sums
+def test_fast_paths_agree_with_oracles(seed, group, field, shape, n):
+    # + returns the other operand for a zero one, and * returns the other
+    # operand for an identity one (a zero operand runs through the kernel);
+    # @ skips zero entries and returns the other side of a lone product
+    # with an identity side, so with n up to 3 an entry has 0-3 live
+    # products; every result must match the defining sums
     rng = random.Random(seed)
     p = field_modulus(field)
     u = draw_operand(rng, group, field, shape)
@@ -312,7 +317,7 @@ def test_fast_paths_agree_with_oracles(seed, group, field, shape):
     assert plain_twisted(total) == plain_sum(p, plain_twisted(u), plain_twisted(v))
     assert total == canonical(total)
 
-    a, b = draw_matrix(rng, group, field, shape), draw_matrix(rng, group, field, shape)
+    a, b = draw_matrix(rng, group, field, shape, n), draw_matrix(rng, group, field, shape, n)
     prod = a @ b
     assert prod == reference_matmul(a, b)
     assert all(e == canonical(e) for row in prod.entries for e in row)
@@ -343,6 +348,26 @@ class TestCompatibilityChecks:
 
         with pytest.raises(UsageError, match="shape"):
             antidiagonal(None) @ antidiagonal(2)
+
+    @pytest.mark.parametrize("kind", ["zero", "identity"])
+    def test_matmul_checks_before_skipping(self, kind):
+        # the product of zero or identity matrices takes no kernel call,
+        # but a mismatch in field or shape still raises
+        def square(field, shape=None):
+            if kind == "zero":
+                zero = TwistedElement.zero(Z1, field, shape)
+                return TwistedMatrix(2, ((zero, zero), (zero, zero)))
+            return TwistedMatrix.identity(2, Z1, field, shape)
+
+        for x, y, match in (
+            (square(F3), square(F5), "field"),
+            (square(F3), square(F3, 2), "shape"),
+        ):
+            for left, right in ((x, y), (y, x)):
+                with pytest.raises(UsageError, match=match):
+                    left @ right
+        with pytest.raises(UsageError, match="size"):
+            square(F3) @ TwistedMatrix.identity(3, Z1, F3)
 
     def test_public_constructor_checks_the_grid(self):
         zero, one = TwistedElement.zero(Z1, F3), TwistedElement.one(Z1, F3)
@@ -464,3 +489,60 @@ def test_matmul_entry_whose_products_cancel(field):
         for e in row:
             assert all(part.terms for _, part in e.singular)
             assert e == canonical(e)
+
+
+class TestKernelSkips:
+    """@ sends only live pairs without an identity side to the kernel."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = twisted._mul_into
+
+        def counting(acc, grp, field, shape, x, y):
+            calls.append((x, y))
+            kernel(acc, grp, field, shape, x, y)
+
+        monkeypatch.setattr(twisted, "_mul_into", counting)
+        return calls
+
+    @pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_and_zero_make_no_kernel_call(self, kernel_calls, field, n):
+        rng = random.Random(f"skips|{field.label()}|{n}")
+        m = TwistedMatrix(n, tuple(
+            tuple(rand_twisted(rng, Z2, field, None, radius=1) for _ in range(n)) for _ in range(n)
+        ))
+        ident = TwistedMatrix.identity(n, Z2, field)
+        zero = TwistedMatrix.diagonal([TwistedElement.zero(Z2, field)] * n)
+        products = [(ident, m), (m, ident), (zero, m), (m, zero), (zero, zero), (ident, ident)]
+        for a, b in products:
+            expected = reference_matmul(a, b)
+            kernel_calls.clear()
+            assert a @ b == expected
+            assert kernel_calls == []
+
+    def test_elementary_times_diagonal(self, kernel_calls):
+        # (1 w; 0 1)(d0 0; 0 d1) = (d0 w d1; 0 d1): (0, 0) and (1, 1) are
+        # lone products with an identity side, (1, 0) has no live pair, so
+        # only w d1 reaches the kernel
+        def tw(regular, singular=()):
+            return TwistedElement.make(
+                gre(F2FREE, F5, None, regular), [(g, gre(F2FREE, F5, None, t)) for g, t in singular]
+            )
+
+        # a general element, a monomial and a unipotent 1 + (0, b)
+        w = tw([((), 1), ((1,), 2)], [((-2,), [((1, 2), 3)])])
+        d0 = tw([((2,), 3)])
+        d1 = tw([((), 1)], [((1,), [((-1,), 4)])])
+        one, zero = TwistedElement.one(F2FREE, F5), TwistedElement.zero(F2FREE, F5)
+        elementary = TwistedMatrix(2, ((one, w), (zero, one)))
+        diagonal = TwistedMatrix.diagonal([d0, d1])
+        # the other order is (d0 d0 w; 0 d1), with one kernel call for d0 w
+        for a, b, live in ((elementary, diagonal, (w, d1)), (diagonal, elementary, (d0, w))):
+            expected = reference_matmul(a, b)
+            kernel_calls.clear()
+            prod = a @ b
+            assert kernel_calls == [live]
+            assert prod == expected
+        assert prod.entries[0][0] is d0 and prod.entries[1][1] is d1
