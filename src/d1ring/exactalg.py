@@ -15,19 +15,16 @@ instead of converting its rows.
 A `Subspace` is its canonical reduced basis in the same integers: the
 RREF rows over F_p, and over Q the primitive integer multiples of the
 RREF rows, each with a positive leading entry.  Equality, membership,
-inclusion, images and coordinate projections work on those integer rows,
-and kernels are read off them in integers too.  Fractions are made only
-where a caller reads values: a subspace's `basis` and `vectors()` (made
-once, on first use), solutions and inverses.  All arithmetic is exact;
-there is no floating point anywhere.
+inclusion and images work on those integer rows.  Fractions are made
+only where a caller reads values: a subspace's `basis` and `vectors()`
+(made once, on first use), solutions and inverses.  All arithmetic is
+exact; there is no floating point anywhere.
 
-Kernels grow by columns: `extend_kernel(k, a)` is the subspace of the x
-with a x = 0 whose first coordinates lie in k.  It eliminates only on
-k's pivots and the coordinates past k, and reads the null vectors off a
-reduced basis whose rows lead at their last column, where they come out
-as the canonical basis with no second elimination.  `kernel_basis` is
-the extension of the zero space of no coordinates, and a kernel tower
-builds each level from the one below.
+`kernel_basis` reads the null vectors off a reduced basis whose rows
+lead at their last column, where they come out as the canonical basis
+with no second elimination.  `_echelon` may also sift rows into a basis
+it is given, so that a caller can grow one basis block by block and
+read ranks off its pivots (a kernel tower does so, level by level).
 """
 
 from __future__ import annotations
@@ -364,9 +361,13 @@ def _sift(p: Optional[int], basis: dict[int, dict], row: dict, lead=min) -> dict
     return row
 
 
-def _echelon(p: Optional[int], rows: Iterable[dict], lead=min) -> dict[int, dict]:
+def _echelon(
+    p: Optional[int], rows: Iterable[dict], lead=min, basis: Optional[dict[int, dict]] = None,
+) -> dict[int, dict]:
     """Semi-echelon basis {leading column: row} of the span of the rows,
-    which are integer rows (_integer_rows) and are consumed.
+    which are integer rows (_integer_rows) and are consumed.  Given a
+    semi-echelon `basis` of the same lead, the rows join that one, in
+    place, and the result spans both; the pivots it had stay.
 
     Each row is reduced against the basis (_sift) and joins it if anything
     is left: over F_p scaled to a leading 1, over Q with a positive
@@ -375,7 +376,8 @@ def _echelon(p: Optional[int], rows: Iterable[dict], lead=min) -> dict[int, dict
     the basis are the pivot columns of the RREF, taken from the left or
     from the right.
     """
-    basis: dict[int, dict] = {}
+    if basis is None:
+        basis = {}
     for row in rows:
         row = _sift(p, basis, row, lead)
         if row:
@@ -412,9 +414,9 @@ class Subspace:
     {pivot column: integer row}: the RREF rows over F_p, and over Q the
     primitive integer multiples of the RREF rows with positive leads.
 
-    Equality of subspaces is equality of these bases, which is what makes
-    the kernel-tower stabilization check decidable.  The constructor takes
-    the basis as it is; from_rows, from_vectors and zero make it.
+    Equality of subspaces is equality of these bases, so it needs no
+    elimination.  The constructor takes the basis as it is; from_rows,
+    from_vectors and zero make it.
     """
 
     __slots__ = ("field", "ambient_dim", "pivot_rows", "_basis")
@@ -479,29 +481,6 @@ class Subspace:
         p = self.field.p
         return all(not _sift(p, other.pivot_rows, dict(row)) for row in self.pivot_rows.values())
 
-    def project(self, cols: Mapping[int, int] | range, ambient_dim: int) -> "Subspace":
-        """The image under the coordinate map that moves coordinate j to
-        cols[j], in a space of ambient_dim coordinates, and drops the
-        coordinates not in cols; range(d) keeps the first d."""
-        p = self.field.p
-        if isinstance(cols, range) and cols.start == 0 and cols.step == 1:
-            # a prefix cut of the reduced basis is reduced: rows that lead
-            # at d or later vanish, and the rest keep their pivots and
-            # stay zero at the others (over Q only their content changes)
-            d = cols.stop
-            cut = {
-                c: {j: x for j, x in row.items() if j < d}
-                for c, row in self.pivot_rows.items()
-                if c < d
-            }
-            if not p:
-                cut = {c: _content_free(row) for c, row in cut.items()}
-            return Subspace(self.field, ambient_dim, cut)
-        rows = ({cols[j]: x for j, x in row.items() if j in cols} for row in self.pivot_rows.values())
-        if not p:
-            rows = map(_content_free, rows)
-        return Subspace(self.field, ambient_dim, _reduced_echelon(p, rows))
-
 
 def rank(a: Matrix) -> int:
     return len(_echelon(a.field.p, _matrix_rows(a)))
@@ -509,47 +488,16 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
-    return extend_kernel(Subspace.zero(a.field, 0), a)
-
-
-def extend_kernel(k: Subspace, a: Matrix) -> Subspace:
-    """The canonical basis of {x : Ax = 0 and x restricted to the first
-    k.ambient_dim = d coordinates lies in k}, in a.cols coordinates.
-
-    Each such x is sum_c y_c b_c + z, with b_c the integer basis row of k
-    with pivot c and z supported past d, so one system in (y, z) decides
-    it: its column c < d holds A b_c, its columns past d those of A.  Its
-    kernel is read off its reduced basis, and the kernel's canonical
-    basis maps to the canonical basis of the result: x vanishes at the
-    pivots of k where y does, and its leading entry is the one of (y, z)
-    times the positive lead of b_c.  So no elimination is spent on the
-    first d coordinates beyond those of k's pivots.
-    """
-    field, p, d = a.field, a.field.p, k.ambient_dim
-    if k.field != field:
-        raise UsageError("subspace and matrix over different fields")
-    if a.cols < d:
-        raise UsageError("the matrix has fewer columns than the subspace's ambient dimension")
-    old = k.pivot_rows
-    rows = _matrix_rows(a)
-    if d:
-        rows = list(rows)
-        # {j: [(c, b_c[j])]} for the columns j < d that A reads
-        reads = {j: [] for row in rows for j in row if j < d}
-        for c, b in old.items():
-            for j, w in b.items():
-                if j in reads:
-                    reads[j].append((c, w))
-        rows = (_on_basis(p, reads, d, row) for row in rows)
+    p = a.field.p
     # each row of the reduced basis leads at its last column
-    basis = _reduced_echelon(p, rows, max)
+    basis = _reduced_echelon(p, _matrix_rows(a), max)
     # one vector per free column f: 1 at f and, at each pivot column c,
     # minus the entry at f of row c divided by its leading entry; in
     # integers, all of it times the lcm of those leading entries.  Row c
     # has entries at f only for f < c, so the vector of f starts at f,
     # and no other vector has an entry there: the vectors are already
     # the canonical reduced basis of the kernel.
-    dens = {f: 1 for f in (*old, *range(d, a.cols)) if f not in basis}
+    dens = {f: 1 for f in range(a.cols) if f not in basis}
     for c, row in basis.items():
         d_c = row[c]
         if d_c != 1:
@@ -566,44 +514,7 @@ def extend_kernel(k: Subspace, a: Matrix) -> Subspace:
         null = {f: {j: x % p for j, x in v.items()} for f, v in vectors.items()}
     else:
         null = {f: _content_free(v) for f, v in vectors.items()}
-    if d:
-        null = {c: _off_basis(p, old, d, v) for c, v in null.items()}
-    return Subspace(field, a.cols, null)
-
-
-def _on_basis(p: Optional[int], reads: dict[int, list], d: int, row: dict) -> dict:
-    """An integer row of A as a row of the (y, z) system of extend_kernel:
-    its entries past d as they are, and at each pivot c of the old basis
-    its product with the basis row b_c, summed over reads[j] = [(c,
-    b_c[j])] for the columns j < d of the row."""
-    out = {j: v for j, v in row.items() if j >= d}
-    if len(out) == len(row):
-        return out
-    y: dict = {}
-    for j, v in row.items():
-        if j < d:
-            for c, w in reads[j]:
-                y[c] = y.get(c, 0) + v * w
-    if p:
-        out.update((c, r) for c, s in y.items() if (r := s % p))
-        return out
-    out.update((c, s) for c, s in y.items() if s)
-    return _content_free(out)
-
-
-def _off_basis(p: Optional[int], old: dict[int, dict], d: int, v: dict) -> dict:
-    """The x = sum_c y_c b_c + z of a (y, z) vector of extend_kernel, as a
-    canonical integer row (primitive over Q)."""
-    x: dict = {}
-    for c, y in v.items():
-        if c < d:
-            for j, w in old[c].items():
-                x[j] = x.get(j, 0) + y * w
-        else:
-            x[c] = y
-    if p:
-        return {j: r for j, w in x.items() if (r := w % p)}
-    return _content_free({j: w for j, w in x.items() if w})
+    return Subspace(a.field, a.cols, null)
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[tuple]:

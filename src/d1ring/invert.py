@@ -28,11 +28,12 @@ Certificates and witnesses are re-verified before they are returned.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, Subspace, extend_kernel, inverse, kernel_basis, solve
+from .exactalg import Matrix, _echelon, _matrix_rows, inverse, kernel_basis, solve
 from .groupring import GroupRingElement, zd_determinant
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
@@ -60,12 +61,12 @@ MAX_EXTRA_LEVELS = 8
 # overstates its work; it stays the contract on the depths accepted.
 # Measured on 2 vCPUs (Python 3.11, the decoy map, window 2, kernel_tower
 # alone in a fresh process, its wall clock and the process's peak RSS, two
-# runs each): 0.6-0.8 us per coordinate of the sum.  At the limit, which
+# runs each): 0.06-0.6 us per coordinate of the sum.  At the limit, which
 # allows depth 989 on Z^1, 79 on Z^2 and 15 on Z^3 with n = 1 and window 2:
-# Z^1 over Q 0.66-0.67 s and Z^1 over F_5 0.63 s, both in 17 MB (the process
-# with the package imported), Z^2 over F_5 0.76-0.77 s and 26 MB, Z^3 over
-# F_5 0.52-0.54 s and 40 MB.  Z^2 over Q with n = 2 at depth 35 (0.26 M
-# coordinates) takes 0.20 s and 20 MB.
+# Z^1 over Q and over F_5 0.06-0.07 s, both in 18 MB (the process with the
+# package imported), Z^2 over F_5 0.26-0.33 s and 30 MB, Z^3 over F_5
+# 0.43-0.56 s and 41-42 MB.  Z^2 over Q with n = 2 at depth 35 (0.26 M
+# coordinates) takes 0.08-0.15 s and 22 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
 # The determinant of the regular part is given up, and every search runs,
@@ -443,8 +444,9 @@ def _box_shell(group: GroupSpec, m: int) -> FiniteSubset:
 
 
 def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerReport:
-    """Kernels of the induced maps over the box exhaustion of Z^d, with
-    their projections to lower levels tracked until they sit still.
+    """Kernels of the induced maps over the box exhaustion of Z^d, with the
+    dimensions of their projections to lower levels tracked until they sit
+    still.
 
     Stationarity is guaranteed eventually (the projections form a
     decreasing chain of subspaces) but carries no effective bound, so the
@@ -452,72 +454,73 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     is unchanged for `stabilization_window` consecutive steps.  A tower
     past the size limit (check_tower_depth) is refused before level 0.
 
-    Level m is built from level m - 1.  The rows of the sites of
-    ball(m - 1) read only the coordinates of level m - 1, so the kernel
-    K_m is K_{m-1}, times the new coordinates, cut down by the rows of the
-    shell ball(m) minus ball(m - 1) alone (exactalg.extend_kernel).  Each
-    window row is built and eliminated once.  The domain sites are
-    numbered in the order they first appear, level by level, so the
-    coordinates of each level are a prefix of the next level's, and a
-    projection to a lower level keeps a prefix.  A level's kernel is
-    dropped once the level is reported, as only higher levels read on.
+    The domain sites are numbered in the order they first appear, level by
+    level, so the c_l coordinates of level l are a prefix of the next
+    level's.  The window map A_m of ball(m) is A_{m-1} with the rows of
+    the shell ball(m) minus ball(m - 1) below it, as the rows of ball(m - 1)
+    read only the first c_{m-1} coordinates.  So one semi-echelon basis
+    whose rows lead at their last column takes in each shell's rows once,
+    and its pivots P_m after level m give every dimension reported: the
+    rows leading at c or later are independent on the columns >= c and
+    the others vanish there, so rank A_m[:, >= c] = #{p in P_m : p >= c},
+    and the kernel K_m cut to the first c coordinates has dimension
+
+        (c_m - |P_m|) - ((c_m - c) - #{p in P_m : p >= c}) = c - #{p in P_m : p < c},
+
+    its dimension less that of its part that vanishes there.  The cuts of
+    K_m, K_{m+1}, ... to one level form a decreasing chain (a point of
+    K_{m+1} cut to c_m coordinates lies in K_m), so a cut is unchanged
+    from one step to the next iff its dimension is.  No kernel vector is
+    made.
     """
     if t.group.kind != "Zd":
         raise UsageError("kernel_tower needs the box exhaustion of Z^d")
     if depth < 0 or stabilization_window < 1:
         raise UsageError("depth must be >= 0 and window >= 1")
-    grp, n = t.group, t.n
+    grp, n, p = t.group, t.n, t.field.p
 
     check_tower_depth(grp, n, depth, stabilization_window)
     max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
-    kernels: list[Optional[Subspace]] = []
-    dims: list[int] = []  # the coordinates of each level: a prefix of the ids
+    basis: dict[int, dict] = {}  # {pivot: integer row}, each row leads at its last column
+    dims: list[int] = []  # c_m: the coordinates of each level, a prefix of the ids
+    ranks: list[int] = []  # |P_m|
+    pivots: list[list[int]] = []  # P_m minus P_{m-1}, sorted
     ids: dict = {}  # domain site -> its number, in order of first appearance
 
     def ensure_level(m: int) -> None:
-        while len(kernels) <= m:
-            local = t.induced_local_map(_box_shell(grp, len(kernels)))
+        while len(dims) <= m:
+            local = t.induced_local_map(_box_shell(grp, len(dims)))
             for u in local.domain_set:
                 ids.setdefault(u, len(ids))
             cols = {
                 k * n + i: ids[u] * n + i for k, u in enumerate(local.domain_set) for i in range(n)
             }
-            previous = kernels[-1] if kernels else Subspace.zero(t.field, 0)
-            kernels.append(extend_kernel(previous, local.matrix.restrict(cols, n * len(ids))))
+            rows = ({cols[j]: v for j, v in row.items()} for row in _matrix_rows(local.matrix))
+            before = len(basis)
+            _echelon(p, rows, max, basis)
+            pivots.append(sorted(itertools.islice(basis, before, None)))
+            ranks.append(len(basis))
             dims.append(n * len(ids))
-
-    def project(level: int, m: int) -> Subspace:
-        """Restrict kernel vectors at level m to the coordinates of level `level`."""
-        return kernels[m].project(range(dims[level]), dims[level])
 
     levels = []
     for lv in range(depth + 1):
         ensure_level(lv)
-        current = kernels[lv]
+        c = dims[lv]
+        kernel_dim = current = c - ranks[lv]
         run = 0
-        stabilized_at = None
-        stable: Optional[Subspace] = None
+        stabilized_at = stable_dim = None
         for m in range(lv + 1, max_level + 1):
             ensure_level(m)
-            nxt = project(lv, m)
-            if nxt == current:
+            cut = bisect_left(pivots[m], c)  # the new pivots p < c
+            if cut == 0:
                 run += 1
                 if run >= stabilization_window:
-                    stabilized_at = m - stabilization_window
-                    stable = current
+                    stabilized_at, stable_dim = m - stabilization_window, current
                     break
             else:
                 run = 0
-            current = nxt
-        levels.append(
-            KernelTowerLevel(
-                level=lv,
-                kernel_dim=kernels[lv].dim,
-                stable_dim=None if stable is None else stable.dim,
-                stabilized_at=stabilized_at,
-            )
-        )
-        kernels[lv] = None  # no later level reads it
+                current -= cut
+        levels.append(KernelTowerLevel(lv, kernel_dim, stable_dim, stabilized_at))
     return KernelTowerReport(depth=depth, window=stabilization_window, levels=tuple(levels))
 
 

@@ -15,7 +15,6 @@ from d1ring.exactalg import (
     Matrix,
     Subspace,
     _primitive_row,
-    extend_kernel,
     image,
     inverse,
     kernel_basis,
@@ -431,13 +430,14 @@ def test_integer_kernel_over_q_agrees_with_dense_reference(system):
     assert all(type(v) is Fraction for row in a.data for v in row.values())
 
 
-# -- extending a kernel by columns -------------------------------------------------
+# -- kernels read off the basis that leads at the last column ------------------------
 
 @st.composite
 def stacked_systems(draw):
-    """(top, bottom) over F_2, F_5 or Q: top has d columns, bottom d + e,
-    so top's columns are a prefix of bottom's.  Either block may be empty,
-    zero, the identity (full rank) or random; d may be 0."""
+    """(field, d, e, top, bottom) over F_2, F_5 or Q: top has d columns,
+    bottom d + e, and they stack to one matrix of d + e columns (top
+    padded with zeros).  Either block may be empty, zero, the identity
+    (full rank) or random; d may be 0."""
     field = draw(st.sampled_from([F2, F5, Q]))
     scalar = _scalars(field)
     d, e = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -464,37 +464,25 @@ def _from_lists(field, rows, cols):
 @example((F2, 3, 0, [], [[1, 1, 0]]))
 @example((Q, 2, 2, [[Fraction(1, 2), Fraction(-3)]], [[0, 0, 0, 0]]))
 @example((Q, 2, 1, [[Fraction(2), 0], [0, Fraction(2)]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-# k has basis rows (2, 0, 1) and (0, 2, 1), whose sum (2, 2, 2) is the result
+# the kernel of the top block has basis rows (2, 0, 1) and (0, 2, 1),
+# whose sum (2, 2, 2) spans the kernel of the stack
 @example((Q, 3, 0, [[1, 1, -2]], [[1, -1, 0]]))
-def test_extend_kernel_agrees_with_stacked_kernel(case):
+def test_kernel_basis_agrees_with_dense_reference(case):
     field, d, e, top, bottom = case
-    k = kernel_basis(_from_lists(field, top, d))
-    a = _from_lists(field, bottom, d + e)
     stacked = _from_lists(field, [row + [field.zero] * e for row in top] + bottom, d + e)
-    extended = extend_kernel(k, a)
-    assert extended == kernel_basis(stacked)
-    assert extended.vectors() == [tuple(v) for v in reference_kernel(stacked)]
-    assert_canonical(extended.basis)
-    for c, row in extended.pivot_rows.items():
+    kernel = kernel_basis(stacked)
+    assert kernel.vectors() == [tuple(v) for v in reference_kernel(stacked)]
+    assert_canonical(kernel.basis)
+    for c, row in kernel.pivot_rows.items():
         assert min(row) == c and row[c] > 0 and all(type(x) is int for x in row.values())
         if field == Q:
             assert math.gcd(*row.values()) == 1
         else:
             assert row[c] == 1
-    # kernel_basis is the extension of the zero space of no coordinates
-    assert kernel_basis(a).vectors() == [tuple(v) for v in reference_kernel(a)]
-    assert extend_kernel(Subspace.zero(field, 0), a) == kernel_basis(a)
     if field == Q:
-        carried = Matrix(Q, a.rows, a.cols, a.data, [_primitive_row(row) for row in a.data])
-        assert extend_kernel(k, carried) == extended
-
-
-def test_extend_kernel_refuses_mismatches():
-    k = Subspace.zero(F5, 3)
-    with pytest.raises(UsageError, match="fewer columns"):
-        extend_kernel(k, Matrix.zeros(F5, 1, 2))
-    with pytest.raises(UsageError, match="different fields"):
-        extend_kernel(k, Matrix.zeros(Q, 1, 3))
+        integer = [_primitive_row(row) for row in stacked.data]
+        carried = Matrix(Q, stacked.rows, stacked.cols, stacked.data, integer)
+        assert kernel_basis(carried) == kernel
 
 
 # -- the integer Subspace against the dense reference --------------------------------
@@ -598,9 +586,6 @@ def test_integer_subspace_agrees_with_dense_reference(case):
     # the coordinates 0, 2, 4, ... moved to 0, 1, 2, ...
     cols = {j: j // 2 for j in range(0, dim, 2)}
     sliced = [[v[j] for j in sorted(cols)] for v in vectors]
-    projected = s.project(cols, len(cols))
-    assert projected.vectors() == [tuple(r) for r in reference_canonical(field, sliced)]
-    assert projected == Subspace.from_vectors(field, len(cols), sliced)
     restricted = a.restrict(cols, len(cols))
     assert (restricted.rows, restricted.cols) == (a.rows, len(cols))
     if vectors:
@@ -636,40 +621,6 @@ def matrix_pairs(draw):
     a = [[draw(scalar) for _ in range(k)] for _ in range(r)]
     b = [[draw(scalar) for _ in range(c)] for _ in range(k)]
     return field, a, b, [draw(scalar) for _ in range(k)]
-
-
-@st.composite
-def prefix_cuts(draw):
-    """(field, dim, vectors, d): vectors spanning a subspace of dim
-    coordinates, cut to its first d <= dim.  Over Q the entries have
-    denominators and either sign."""
-    field = draw(st.sampled_from([F2, F5, Q]))
-    scalar = _scalars(field)
-    dim = draw(st.integers(1, 6))
-    vectors = [[field.coerce(draw(scalar)) for _ in range(dim)] for _ in range(draw(st.integers(0, 5)))]
-    return field, dim, vectors, draw(st.integers(0, dim))
-
-
-@settings(max_examples=150, deadline=None)
-@given(prefix_cuts())
-# the cut row (0, 2) of the primitive row (0, 2, 1) has content 2
-@example((Q, 3, [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(2), Fraction(1)]], 2))
-@example((F5, 3, [[0, 0, 1], [1, 2, 3]], 0))
-def test_prefix_projection_agrees_with_dense_reference(case):
-    # project(range(d), d) cuts the reduced basis without eliminating again;
-    # it must give the RREF of the cut vectors and the same canonical
-    # integer basis as the general coordinate map
-    field, dim, vectors, d = case
-    s = Subspace.from_vectors(field, dim, vectors)
-    cut = s.project(range(d), d)
-    assert cut.ambient_dim == d
-    assert cut.vectors() == [tuple(r) for r in reference_canonical(field, [v[:d] for v in vectors])]
-    mapped = s.project({j: j for j in range(d)}, d)
-    assert cut == mapped and cut.pivot_rows == mapped.pivot_rows
-    for c, row in cut.pivot_rows.items():
-        assert min(row) == c and row[c] > 0 and max(row) < d
-        if field == Q:
-            assert math.gcd(*row.values()) == 1
 
 
 @settings(max_examples=80, deadline=None)
