@@ -18,6 +18,7 @@ record any counterexample in full.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 from .errors import UsageError
 from .exactalg import FieldSpec
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, _add_into, _canonical_terms
 from .groups import Element, GroupSpec
 from .invert import (
     SearchBudget,
@@ -37,7 +38,8 @@ from .invert import (
     verify_identity,
 )
 from .nuca import Nuca
-from .twisted import TwistedElement, TwistedMatrix, element_radius, embed, f_shuffle_inv
+# element_radius is not used here, but perfbench and the tests import it from this module
+from .twisted import TwistedElement, TwistedMatrix, element_radius, embed, matrix_radius
 
 
 # -- random draws ----------------------------------------------------------------
@@ -72,10 +74,8 @@ def rand_groupring(
     max_terms: int = 3,
     sites: Optional[tuple[Element, ...]] = None,
 ) -> GroupRingElement:
-    pool = sites if sites is not None else group.ball(radius)
-    k = rng.randint(0, max_terms)
-    terms = [(rng.choice(pool), rand_coeff(rng, field, shape)) for _ in range(k)]
-    return GroupRingElement.from_terms(group, field, shape, terms)
+    """Terms are drawn from `sites`, by default group.ball(radius)."""
+    return _draw_groupring(rng, group, field, shape, _draw_pool(group, radius, sites), max_terms)
 
 
 def rand_twisted(
@@ -89,15 +89,44 @@ def rand_twisted(
     sites: Optional[tuple[Element, ...]] = None,
 ) -> TwistedElement:
     """Sites and terms are drawn from `sites`, by default group.ball(radius)."""
-    pool = sites if sites is not None else group.ball(radius)
-    reg = rand_groupring(rng, group, field, shape, radius, max_terms + 1, sites=pool)
+    pool = _draw_pool(group, radius, sites)
+    return _draw_twisted(rng, group, field, shape, pool, max_sites, max_terms)
+
+
+def _draw_pool(group: GroupSpec, radius: int, sites) -> tuple[Element, ...]:
+    """The sites a draw picks from: group.ball(radius), or the given sites
+    once each is checked to be an element of group."""
+    if sites is None:
+        return group.ball(radius)
+    for g in sites:
+        group.check(g)
+    return sites
+
+
+def _draw_groupring(rng, group: GroupSpec, field: FieldSpec, shape, pool, max_terms: int) -> GroupRingElement:
+    """Up to max_terms terms at sites of pool, summed and made canonical.
+    The pool's elements are trusted and rand_coeff's coefficients are
+    canonical, so no term is checked."""
+    k = rng.randint(0, max_terms)
+    acc: dict = {}
+    _add_into(acc, field, shape, [(rng.choice(pool), rand_coeff(rng, field, shape)) for _ in range(k)])
+    return GroupRingElement(group, field, shape, _canonical_terms(group, field, shape, acc))
+
+
+def _draw_twisted(
+    rng, group: GroupSpec, field: FieldSpec, shape, pool, max_sites: int, max_terms: int
+) -> TwistedElement:
+    """A regular part and up to max_sites singular parts drawn from the
+    trusted pool; a nonzero part drawn at a site already taken replaces
+    the earlier one."""
+    reg = _draw_groupring(rng, group, field, shape, pool, max_terms + 1)
     sing = {}
     for _ in range(rng.randint(0, max_sites)):
         g = rng.choice(pool)
-        part = rand_groupring(rng, group, field, shape, radius, max_terms, sites=pool)
+        part = _draw_groupring(rng, group, field, shape, pool, max_terms)
         if not part.is_zero():
             sing[g] = part
-    return TwistedElement.make(reg, sing)
+    return TwistedElement(reg, tuple(sorted(sing.items(), key=lambda t: group.key(t[0]))))
 
 
 # -- suite plumbing -----------------------------------------------------------------
@@ -149,21 +178,38 @@ def _trial_rng(config: SuiteConfig, index: int) -> random.Random:
 
 # -- unit generation ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _unit_sites(group: GroupSpec, radius: int) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
+    """gen_unit's sites for (group, radius): the ball, and the pool the
+    terms of unipotent parts come from, ball(max(radius, 1)) minus e."""
+    ball = group.ball(radius)
+    return ball, tuple(g for g in (ball if radius else group.ball(1)) if g != group.identity)
+
+
 def gen_unit(
     rng: random.Random, config: SuiteConfig, n_factors: Optional[int] = None
 ) -> tuple[TwistedMatrix, TwistedMatrix, list]:
     """A two-sided unit of the n x n matrix ring with its known inverse,
     as a random product of invertible generators (an empty product is the
     identity pair).  The product with the inverse is re-verified before
-    returning; degenerate draws are retried.
+    returning, on its raw accumulator (TwistedMatrix.product_is_identity)
+    without building it; degenerate draws are retried.
+
+    The factors are built canonical, without the checking constructors:
+    their sites come from the ball, their scalars are canonical nonzero
+    field elements, and their parts are drawn as rand_groupring and
+    rand_twisted draw them, with the same RNG calls.
     """
     group, field, n = config.group, config.field, config.n
-    radius = config.support_radius
-    ball = group.ball(radius)
-    # each ball is enumerated once; unipotent parts draw their terms from
-    # ball(max(radius, 1)) minus e
-    pool = tuple(g for g in (ball if radius else group.ball(1)) if g != group.identity)
+    ball, pool = _unit_sites(group, config.support_radius)
     one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
+
+    def monomial(g: Element, c) -> TwistedElement:
+        return embed(GroupRingElement(group, field, None, ((g, c),)))
+
+    def grid(entry) -> TwistedMatrix:
+        return TwistedMatrix._trusted(n, tuple(tuple(entry(a, b) for b in range(n)) for a in range(n)))
+
     for _ in range(20):
         factors: list[tuple[TwistedMatrix, TwistedMatrix, dict]] = []
         count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
@@ -173,13 +219,9 @@ def gen_unit(
             if kind == "monomial":
                 sites = [rng.choice(ball) for _ in range(n)]
                 coeffs = [rand_scalar(rng, field, nonzero=True) for _ in range(n)]
-                fwd = TwistedMatrix.diagonal(
-                    embed(GroupRingElement.monomial(group, field, None, g, c))
-                    for g, c in zip(sites, coeffs)
-                )
-                bwd = TwistedMatrix.diagonal(
-                    embed(GroupRingElement.monomial(group, field, None, group.inverse(g), field.inv(c)))
-                    for g, c in zip(sites, coeffs)
+                fwd = grid(lambda a, b: monomial(sites[a], coeffs[a]) if a == b else zero)
+                bwd = grid(
+                    lambda a, b: monomial(group.inverse(sites[a]), field.inv(coeffs[a])) if a == b else zero
                 )
                 word = {
                     "kind": "monomial",
@@ -187,24 +229,26 @@ def gen_unit(
                     "coeffs": [field.encode_scalar(c) for c in coeffs],
                 }
             elif kind == "unipotent":
-                # (0, b) with b at one site and no term at e, so (0, b)^2 = 0
+                # 1 + (0, b) and 1 - (0, b) at the slot, with b at one site and no
+                # term at e, so (0, b)^2 = 0; both are 1 when b is zero
                 slot = rng.randrange(n)
                 site = rng.choice(ball)
-                part = rand_groupring(rng, group, field, None, radius, max_terms=2, sites=pool)
-                nil = TwistedElement.make(zero.regular, [(site, part)])
-                fwd = TwistedMatrix.diagonal(one + nil if k == slot else one for k in range(n))
-                bwd = TwistedMatrix.diagonal(one - nil if k == slot else one for k in range(n))
+                part = _draw_groupring(rng, group, field, None, pool, 2)
+                plus, minus = (
+                    (TwistedElement(one.regular, ((site, part),)), TwistedElement(one.regular, ((site, -part),)))
+                    if part else (one, one)
+                )
+                fwd, bwd = (
+                    grid(lambda a, b: x if a == b == slot else one if a == b else zero) for x in (plus, minus)
+                )
                 word = {"kind": "unipotent", "slot": slot}
             else:
                 i = rng.randrange(n)
                 j = rng.choice([x for x in range(n) if x != i])
-                w = rand_twisted(rng, group, field, None, radius, sites=ball)
-                # J + E_ij w and J - E_ij w, entry by entry
+                w = _draw_twisted(rng, group, field, None, ball, 2, 2)
+                # J + E_ij w and J - E_ij w
                 fwd, bwd = (
-                    TwistedMatrix(n, tuple(
-                        tuple(one if a == b else x if (a, b) == (i, j) else zero for b in range(n))
-                        for a in range(n)
-                    ))
+                    grid(lambda a, b: one if a == b else x if (a, b) == (i, j) else zero)
                     for x in (w, -w)
                 )
                 word = {"kind": "elementary", "i": i, "j": j}
@@ -220,7 +264,7 @@ def gen_unit(
         inverse = factors[-1][1]
         for _, bwd, _ in reversed(factors[:-1]):
             inverse = bwd @ inverse
-        if (unit @ inverse).is_identity():
+        if unit.product_is_identity(inverse):
             return unit, inverse, [w for _, _, w in factors]
     raise AssertionError("unit generator kept producing degenerate draws; this is a bug")
 
@@ -245,7 +289,7 @@ def _search_radius(config: SuiteConfig, inverse: TwistedMatrix) -> tuple[int, st
     record if none is found: the budget's radius, widened to the known
     inverse's radius as far as the search size limit allows.  The suite
     has already checked that the budget's radius itself is within it."""
-    wanted = max(config.budget.max_radius, element_radius(f_shuffle_inv(inverse)))
+    wanted = max(config.budget.max_radius, matrix_radius(inverse))
     limit = search_radius_limit(config.group, config.n, wanted)
     if limit < wanted:
         return limit, (
@@ -320,7 +364,7 @@ def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
             ok = verify_identity(tau, cert)
         else:
             # gen_unit has checked unit @ inverse; only v u = 1 is open
-            ok = (inverse @ unit).is_identity()
+            ok = inverse.product_is_identity(unit)
         outcome["ok"] = bool(ok)
         if not outcome["ok"]:
             outcome["reason"] = "one-sided unit failed the two-sided check"

@@ -146,6 +146,18 @@ def _convolve_into(acc: dict, group: GroupSpec, field: FieldSpec, shape: Shape, 
             acc[k] = coeff_add(field, acc[k], c) if k in acc else c
 
 
+def _add_into(acc: dict, field: FieldSpec, shape: Shape, terms) -> None:
+    """Add the terms into acc = {h: coefficient} as _convolve_into adds
+    products: raw scalars, canonical n x n coefficients."""
+    if shape is None:
+        get = acc.get
+        for h, c in terms:
+            acc[h] = get(h, 0) + c
+        return
+    for h, c in terms:
+        acc[h] = coeff_add(field, acc[h], c) if h in acc else c
+
+
 def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict) -> tuple:
     """The canonical terms of an accumulator: reduced, zeros dropped,
     sorted by group.key."""

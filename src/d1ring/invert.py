@@ -159,8 +159,9 @@ class InjectivityVerdict:
 
 def verify_identity(u: Nuca, v: Nuca) -> bool:
     """True iff composing u after v is the identity map; decided exactly
-    as ring equality of the product with the unit."""
-    return (u.element * v.element).is_one()
+    as ring equality of the product with the unit, on the product's raw
+    accumulator (TwistedElement.product_is_one) without building it."""
+    return u.element.product_is_one(v.element)
 
 
 def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nuca]:

@@ -28,11 +28,20 @@ Only the pairs that can contribute reach the kernel.  A matrix product
 finds the nonzero entries of each row of the left factor and of each
 column of the right factor once, and an entry pairs only those: a pair
 with a zero side adds nothing to the sum, and an entry with no pair left
-is the zero element.  A sum of a single pair x * y with x = 1 is y, and
-with y = 1 it is x; these are returned as they are, since operands are
-canonical and immutable.  Both skips are exact: they leave out only
-terms that are zero or return a value equal to the product, and every
-compatibility check runs before either.
+is the zero element.  A pair with an identity side adds the other side's
+terms to the accumulator as they are (_accumulate), and a sum of that
+single pair is the other side itself, returned as it is, since operands
+are canonical and immutable.  These skips are exact: they leave out only
+terms that are zero or add terms equal to the product's, and every
+compatibility check runs before any of them.
+
+Whether a sum of products is 1 or 0 is decided on the same raw
+accumulator, without making it canonical (_sum_is): every coefficient
+must reduce to zero (mod p over F_p), except that for 1 the regular slot
+must hold exactly 1 at the identity.  TwistedElement.product_is_one and
+TwistedMatrix.product_is_identity answer "is this product 1?" with it;
+the matrix check goes entry by entry and stops at the first entry that
+fails.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ from .exactalg import FieldSpec
 from .groupring import (
     GroupRingElement,
     Shape,
+    _add_into,
     _canonical_terms,
     _convolve_into,
+    coeff_is_zero,
     coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
@@ -161,6 +172,11 @@ class TwistedElement:
         self._check_compatible(other)
         return _sum_of_products(self.group, self.field, self.shape, ((self, other),))
 
+    def product_is_one(self, other: "TwistedElement") -> bool:
+        """(self * other).is_one(), decided without building the product."""
+        self._check_compatible(other)
+        return _sum_is(self.group, self.field, self.shape, ((self, other),), True)
+
 
 def _mul_into(
     acc: dict, grp: GroupSpec, field: FieldSpec, shape: Shape, x: TwistedElement, y: TwistedElement
@@ -193,9 +209,28 @@ def _mul_into(
                     _convolve_into(slot, grp, field, shape, ((t, c),), hit.terms)
 
 
+def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> dict:
+    """The raw sum of x * y over the pairs, as {site or None: {h:
+    coefficient}}.  A pair with an identity side adds the other side's
+    terms; any other pair goes through _mul_into."""
+    acc: dict = {}
+    for x, y in pairs:
+        if x.is_one():
+            z = y
+        elif y.is_one():
+            z = x
+        else:
+            _mul_into(acc, grp, field, shape, x, y)
+            continue
+        _add_into(acc.setdefault(None, {}), field, shape, z.regular.terms)
+        for g, part in z.singular:
+            _add_into(acc.setdefault(g, {}), field, shape, part.terms)
+    return acc
+
+
 def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
     """The sum of x * y over a nonempty sequence of pairs, accumulated by
-    _mul_into and made canonical once: every part reduced, empty parts
+    _accumulate and made canonical once: every part reduced, empty parts
     dropped, sites sorted.  The sites are composed from validated
     elements, so they are trusted.  A single pair with an identity side
     is the other side, which is canonical already."""
@@ -205,9 +240,7 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
             return y
         if y.is_one():
             return x
-    acc: dict = {}
-    for x, y in pairs:
-        _mul_into(acc, grp, field, shape, x, y)
+    acc = _accumulate(grp, field, shape, pairs)
     regular = GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {})))
     singular = []
     for g, slot in acc.items():
@@ -217,6 +250,22 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
     if len(singular) > 1:
         singular.sort(key=lambda t: grp.key(t[0]))
     return TwistedElement(regular, tuple(singular))
+
+
+def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) -> bool:
+    """Whether the sum of x * y over the pairs is 1 (one set) or 0, decided
+    on the raw accumulator of _accumulate, with no part reduced, sorted or
+    built: every coefficient must reduce to zero, except that for 1 the
+    regular slot holds exactly 1 at the identity."""
+    acc = _accumulate(grp, field, shape, pairs)
+    p = field.p if shape is None else None
+    if one:
+        c = acc.get(None, {}).pop(grp.identity, None)
+        if c is None or (c % p != 1 if p else c != coeff_one(field, shape)):
+            return False
+    if p:
+        return not any(c % p for slot in acc.values() for c in slot.values())
+    return all(coeff_is_zero(c) for slot in acc.values() for c in slot.values())
 
 
 def embed(a: GroupRingElement) -> TwistedElement:
@@ -232,6 +281,12 @@ def element_radius(u: TwistedElement) -> int:
         r = max(r, grp.norm(g))
         r = max(r, max((grp.norm(h) for h, _ in part.terms), default=0))
     return r
+
+
+def matrix_radius(m: "TwistedMatrix") -> int:
+    """Radius of the smallest ball containing all supports of m's entries;
+    the same as element_radius(f_shuffle_inv(m)), without reassembling."""
+    return max(element_radius(e) for row in m.entries for e in row)
 
 
 def as_matrix_shape(u: TwistedElement) -> TwistedElement:
@@ -306,25 +361,38 @@ class TwistedMatrix:
             for j, e in enumerate(row)
         )
 
-    def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
+    def _live_pairs(self, other: "TwistedMatrix"):
+        """Check that other can multiply self, then give the live pairs of
+        each entry of self @ other, row by row.  The nonzero entries of
+        each row and column are found once, and an entry pairs only those."""
         if self.n != other.n:
             raise UsageError("matrix size mismatch")
         self.entries[0][0]._check_compatible(other.entries[0][0])
-        grp, field, shape = self.group, self.field, self.shape
-        zero = TwistedElement.zero(grp, field, shape)
-        # the nonzero entries of each row and column, found once; all live
-        # products of an entry go into one accumulator, and the kernel
-        # gives every entry grp, field and shape
         rows = [[(r, x) for r, x in enumerate(row) if not x.is_zero()] for row in self.entries]
         cols = [[None if y.is_zero() else y for y in col] for col in zip(*other.entries)]
-        out = []
-        for row in rows:
-            entries = []
-            for col in cols:
-                pairs = [(x, y) for r, x in row if (y := col[r]) is not None]
-                entries.append(_sum_of_products(grp, field, shape, pairs) if pairs else zero)
-            out.append(tuple(entries))
-        return TwistedMatrix._trusted(self.n, tuple(out))
+        return (
+            [[(x, y) for r, x in row if (y := col[r]) is not None] for col in cols]
+            for row in rows
+        )
+
+    def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
+        # the kernel gives every entry grp, field and shape
+        grp, field, shape = self.group, self.field, self.shape
+        zero = TwistedElement.zero(grp, field, shape)
+        return TwistedMatrix._trusted(self.n, tuple(
+            tuple(_sum_of_products(grp, field, shape, pairs) if pairs else zero for pairs in row)
+            for row in self._live_pairs(other)
+        ))
+
+    def product_is_identity(self, other: "TwistedMatrix") -> bool:
+        """(self @ other).is_identity(), decided entry by entry without
+        building the product; it stops at the first entry that fails."""
+        grp, field, shape = self.group, self.field, self.shape
+        return all(
+            _sum_is(grp, field, shape, pairs, i == j) if pairs else i != j
+            for i, row in enumerate(self._live_pairs(other))
+            for j, pairs in enumerate(row)
+        )
 
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:

@@ -12,6 +12,8 @@ from d1ring.experiments import (
     decoy_nuca,
     element_radius,
     gen_unit,
+    rand_groupring,
+    rand_twisted,
     run_direct_finiteness,
     run_surjunctivity_pipeline,
 )
@@ -19,7 +21,7 @@ from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.invert import SearchBudget
 from d1ring.nuca import Nuca
-from d1ring.twisted import TwistedElement, TwistedMatrix
+from d1ring.twisted import TwistedElement, TwistedMatrix, f_shuffle_inv, matrix_radius
 
 from conftest import F2, F2FREE, F3, F5, Q, Z1, Z2, f3_pair, gre
 
@@ -102,11 +104,16 @@ class TestDirectFiniteness:
 class TestProductCount:
     def test_matmuls_per_trial(self, monkeypatch):
         # gen_unit's accepted draw makes the unit and inverse chains
-        # (len(word) - 1 products each) and its check of u v; the trial then
-        # makes one more product, for v u.  A rejected draw also ends in a
-        # check, so the draws are split at the is_identity calls.
+        # (len(word) - 1 products each) and one check of u v, decided on its
+        # accumulator; the trial then makes one more check, for v u, and no
+        # product.  A rejected draw also ends in a check, so the draws are
+        # split at the checks.  No product is built only to be compared
+        # with the identity ("!" never occurs).
         events = []
-        matmul, is_identity, gen = TwistedMatrix.__matmul__, TwistedMatrix.is_identity, gen_unit
+        matmul, check, is_identity = (
+            TwistedMatrix.__matmul__, TwistedMatrix.product_is_identity, TwistedMatrix.is_identity
+        )
+        gen = gen_unit
 
         def tracked_gen(*args):
             events.append("gen")
@@ -115,7 +122,8 @@ class TestProductCount:
             return out
 
         monkeypatch.setattr(TwistedMatrix, "__matmul__", lambda a, b: events.append("@") or matmul(a, b))
-        monkeypatch.setattr(TwistedMatrix, "is_identity", lambda m: events.append("?") or is_identity(m))
+        monkeypatch.setattr(TwistedMatrix, "product_is_identity", lambda a, b: events.append("?") or check(a, b))
+        monkeypatch.setattr(TwistedMatrix, "is_identity", lambda m: events.append("!") or is_identity(m))
         monkeypatch.setattr(experiments, "gen_unit", tracked_gen)
         rep = run_direct_finiteness(cfg(trials=12, group=F2FREE, field=F5, n=2, max_factors=3))
         assert rep.failures == 0
@@ -126,9 +134,11 @@ class TestProductCount:
             draws, rest = trial.split(">")
             draws, length = draws.split("<")
             assert int(length) == len(outcome["word"])
-            accepted = draws.split("?")[-2]
-            assert accepted == "@" * (2 * (len(outcome["word"]) - 1) + 1)
-            assert rest == "@?"
+            assert draws.endswith("?")
+            *rejected, accepted, _ = draws.split("?")
+            assert all(set(d) <= {"@"} for d in rejected)
+            assert accepted == "@" * (2 * (len(outcome["word"]) - 1))
+            assert rest == "?"
         assert any(len(o["word"]) > 1 for o in rep.outcomes)
 
 
@@ -245,6 +255,57 @@ def test_element_radius():
     u, _ = f3_pair()
     assert element_radius(u) == 1
     assert element_radius(TwistedElement.one(Z1, F3)) == 0
+
+
+@pytest.mark.parametrize("group, bad", [(Z2, (1,)), (Z2, (0, 0.5)), (F2FREE, (1, -1)), (F2FREE, (3,))])
+def test_draws_refuse_a_bad_site_pool(group, bad):
+    # the pool is checked whole, so a bad site is refused even if no draw picks it
+    pool = (group.identity, bad)
+    for draw in (rand_groupring, rand_twisted):
+        for seed in range(5):
+            with pytest.raises(UsageError):
+                draw(random.Random(seed), group, F5, None, 1, sites=pool)
+
+
+@pytest.mark.parametrize("group", [Z2, F2FREE], ids=lambda g: g.label())
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_radius_is_the_reassembled_radius(group, n):
+    # _search_radius reads the known inverse's radius off its entries; it
+    # is the radius of the reassembled matrix-coefficient element
+    rng = random.Random(f"radius|{group.label()}|{n}")
+    for _ in range(20):
+        m = TwistedMatrix(n, tuple(
+            tuple(rand_twisted(rng, group, F5, None, radius=rng.randint(0, 2)) for _ in range(n))
+            for _ in range(n)
+        ))
+        assert matrix_radius(m) == element_radius(f_shuffle_inv(m))
+    config = cfg(group=group, field=F5, n=n, budget=SearchBudget(max_radius=0))
+    unit, inverse, _ = gen_unit(random.Random(7), config)
+    assert experiments._search_radius(config, inverse)[0] == element_radius(f_shuffle_inv(inverse))
+
+
+@pytest.mark.parametrize("group", [Z2, F2FREE], ids=lambda g: g.label())
+@pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("max_factors", [1, 2, 3, 4])
+def test_gen_unit_builds_canonical_entries(group, field, n, max_factors):
+    # the factors skip the checking constructors, so every entry of the
+    # unit and its inverse must equal, and print as, its rebuild through them
+    def rebuilt(e):
+        def part(a):
+            return GroupRingElement.from_terms(group, field, None, a.terms)
+
+        return TwistedElement.make(part(e.regular), [(g, part(q)) for g, q in e.singular])
+
+    config = cfg(group=group, field=field, n=n, max_factors=max_factors)
+    for i in range(15):
+        unit, inverse, word = gen_unit(random.Random(i), config)
+        assert 1 <= len(word) <= max_factors
+        for m in (unit, inverse):
+            for row in m.entries:
+                for e in row:
+                    assert e == rebuilt(e)
+                    assert repr(e) == repr(rebuilt(e))
 
 
 def test_decoy_has_expected_shape():

@@ -209,18 +209,24 @@ class TestTowerSizeLimit:
 class TestTwistedProductCount:
     """The inverse search reads its systems off a's translates and makes
     the inverse once, at the radius where a^-1 turns up: its only twisted
-    products are S = a^-1 t, S^-1 a^-1 and the re-verification."""
+    products are S = a^-1 t and S^-1 a^-1, and its re-verification is one
+    check of a product against 1, decided without building it."""
 
     @pytest.fixture
     def products(self, monkeypatch):
         calls = []
-        mul = TwistedElement.__mul__
+        mul, is_one = TwistedElement.__mul__, TwistedElement.product_is_one
 
         def counting(self, other):
-            calls.append((self, other))
+            calls.append(("*", self, other))
             return mul(self, other)
 
+        def counting_check(self, other):
+            calls.append(("=1", self, other))
+            return is_one(self, other)
+
         monkeypatch.setattr(TwistedElement, "__mul__", counting)
+        monkeypatch.setattr(TwistedElement, "product_is_one", counting_check)
         return calls
 
     def test_one_product_per_search(self, products):
@@ -231,10 +237,11 @@ class TestTwistedProductCount:
         cert, radius = search_left_inverse(t, 2)
         assert radius >= 1
         assert len(products) == 3
-        (a_inv, right), (s_inv, a_inv_again), verified = products
+        assert [kind for kind, _, _ in products] == ["*", "*", "=1"]
+        (_, a_inv, right), (_, s_inv, a_inv_again), verified = products
         assert not a_inv.singular and a_inv == a_inv_again and right == t.element
         assert s_inv.regular == GroupRingElement.one(Z2, F5, 2)
-        assert verified == (cert.element, t.element)
+        assert verified == ("=1", cert.element, t.element)
         assert a_inv.regular == cert.element.regular
 
     def test_no_product_without_solution(self, products):

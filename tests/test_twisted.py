@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import rand_groupring, rand_twisted
+from d1ring.experiments import SuiteConfig, gen_unit, rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_one
 from d1ring.groups import GroupSpec
 from d1ring import twisted
@@ -323,23 +323,27 @@ def test_fast_paths_agree_with_oracles(seed, group, field, shape, n):
     assert all(e == canonical(e) for row in prod.entries for e in row)
 
 
+def combine(op, x, y):
+    return x * y if op == "mul" else x + y if op == "add" else x.product_is_one(y)
+
+
 class TestCompatibilityChecks:
     # zero operands skip the arithmetic, never the checks
-    @pytest.mark.parametrize("op", ["mul", "add"])
+    @pytest.mark.parametrize("op", ["mul", "add", "product_is_one"])
     def test_field_mismatch(self, op):
         zero = TwistedElement.zero(F2FREE, F3)
         one = TwistedElement.one(F2FREE, F5)
         for x, y in ((zero, one), (one, zero)):
             with pytest.raises(UsageError, match="field"):
-                x * y if op == "mul" else x + y
+                combine(op, x, y)
 
-    @pytest.mark.parametrize("op", ["mul", "add"])
+    @pytest.mark.parametrize("op", ["mul", "add", "product_is_one"])
     def test_group_mismatch(self, op):
         zero = TwistedElement.zero(Z1, F3)
         for other in (TwistedElement.one(Z2, F3), TwistedElement.zero(F2FREE, F3)):
             for x, y in ((zero, other), (other, zero)):
                 with pytest.raises(UsageError, match="group"):
-                    x * y if op == "mul" else x + y
+                    combine(op, x, y)
 
     def test_shape_mismatch_through_matmul(self):
         def antidiagonal(shape):
@@ -352,22 +356,24 @@ class TestCompatibilityChecks:
     @pytest.mark.parametrize("kind", ["zero", "identity"])
     def test_matmul_checks_before_skipping(self, kind):
         # the product of zero or identity matrices takes no kernel call,
-        # but a mismatch in field or shape still raises
+        # and the check of it no accumulator, but a mismatch in field,
+        # shape or size still raises from both
         def square(field, shape=None):
             if kind == "zero":
                 zero = TwistedElement.zero(Z1, field, shape)
                 return TwistedMatrix(2, ((zero, zero), (zero, zero)))
             return TwistedMatrix.identity(2, Z1, field, shape)
 
-        for x, y, match in (
-            (square(F3), square(F5), "field"),
-            (square(F3), square(F3, 2), "shape"),
-        ):
-            for left, right in ((x, y), (y, x)):
-                with pytest.raises(UsageError, match=match):
-                    left @ right
-        with pytest.raises(UsageError, match="size"):
-            square(F3) @ TwistedMatrix.identity(3, Z1, F3)
+        for multiply in (TwistedMatrix.__matmul__, TwistedMatrix.product_is_identity):
+            for x, y, match in (
+                (square(F3), square(F5), "field"),
+                (square(F3), square(F3, 2), "shape"),
+            ):
+                for left, right in ((x, y), (y, x)):
+                    with pytest.raises(UsageError, match=match):
+                        multiply(left, right)
+            with pytest.raises(UsageError, match="size"):
+                multiply(square(F3), TwistedMatrix.identity(3, Z1, F3))
 
     def test_public_constructor_checks_the_grid(self):
         zero, one = TwistedElement.zero(Z1, F3), TwistedElement.one(Z1, F3)
@@ -546,3 +552,86 @@ class TestKernelSkips:
             assert kernel_calls == [live]
             assert prod == expected
         assert prod.entries[0][0] is d0 and prod.entries[1][1] is d1
+
+
+# -- deciding a product against 1 on its accumulator --------------------------------
+
+RIGHT_OPERANDS = ["inverse", "coefficient", "singular_term", "zero", "one"]
+
+
+def right_operand(rng, y, kind):
+    """y, y with one coefficient or one singular term changed, zero or 1."""
+    group, field, shape = y.group, y.field, y.shape
+    if kind == "inverse":
+        return y
+    if kind == "zero":
+        return TwistedElement.zero(group, field, shape)
+    if kind == "one":
+        return TwistedElement.one(group, field, shape)
+    if shape is None:
+        c = 1
+    else:
+        i, j = rng.randrange(shape), rng.randrange(shape)
+        c = tuple(tuple(int((a, b) == (i, j)) for b in range(shape)) for a in range(shape))
+    sites = group.ball(1)
+    if kind == "coefficient":
+        h = rng.choice([g for g, _ in y.regular.terms] or sites)
+        return y + embed(gre(group, field, shape, [(h, c)]))
+    bump = gre(group, field, shape, [(rng.choice(sites), c)])
+    return y + TwistedElement.make(GroupRingElement.zero(group, field, shape), [(rng.choice(sites), bump)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F5, Q]),
+    shape=st.sampled_from([None, 2]),
+    kind=st.sampled_from(RIGHT_OPERANDS),
+    n=st.sampled_from([1, 2, 3]),
+)
+def test_product_checks_agree_with_built_products(seed, group, field, shape, kind, n):
+    # x y is an exact inverse pair from gen_unit, as elements of the given
+    # shape; y is kept, perturbed or replaced by 0 or 1.  Every check must
+    # give the answer of the product built and then compared
+    rng = random.Random(seed)
+    config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=shape or 1, max_factors=4)
+    unit, inverse, _ = gen_unit(rng, config)
+    if shape is None:
+        x, y = unit.entries[0][0], inverse.entries[0][0]
+    else:
+        x, y = f_shuffle_inv(unit), f_shuffle_inv(inverse)
+    assert x.product_is_one(y) and (x * y).is_one()
+    y = right_operand(rng, y, kind)
+    assert x.product_is_one(y) == (x * y).is_one()
+    assert y.product_is_one(x) == (y * x).is_one()
+
+    # sums with identity-side pairs: x y + z - z and x y - 1
+    one = TwistedElement.one(group, field, shape)
+    z = rand_twisted(rng, group, field, shape, radius=1)
+    for pairs in ([(x, y), (one, z), (-z, one)], [(x, y), (-one, one)], [(one, z), (one, -z)]):
+        total = pairs[0][0] * pairs[0][1]
+        for a, b in pairs[1:]:
+            total = total + a * b
+        assert twisted._sum_is(group, field, shape, pairs, True) == total.is_one()
+        assert twisted._sum_is(group, field, shape, pairs, False) == total.is_zero()
+
+    # (x w; 0 1)(y -y w; 0 1) is the identity iff x y = 1; entry (0, 1)
+    # sums a product with an identity-side pair
+    zero = TwistedElement.zero(group, field, shape)
+    w = rand_twisted(rng, group, field, shape, radius=1)
+    u = TwistedMatrix(2, ((x, w), (zero, one)))
+    v = TwistedMatrix(2, ((y, -(y * w)), (zero, one)))
+    assert u.product_is_identity(v) == (u @ v).is_identity()
+    assert v.product_is_identity(u) == (v @ u).is_identity()
+
+    # gen_unit's own n x n pair, with one entry of the inverse replaced
+    config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=4)
+    unit, inverse, _ = gen_unit(rng, config)
+    assert unit.product_is_identity(inverse) and inverse.product_is_identity(unit)
+    i, j = rng.randrange(n), rng.randrange(n)
+    entries = [list(row) for row in inverse.entries]
+    entries[i][j] = right_operand(rng, entries[i][j], kind)
+    changed = TwistedMatrix(n, tuple(tuple(row) for row in entries))
+    assert unit.product_is_identity(changed) == (unit @ changed).is_identity()
+    assert changed.product_is_identity(unit) == (changed @ unit).is_identity()
