@@ -109,7 +109,7 @@ def _draw_groupring(rng, group: GroupSpec, field: FieldSpec, shape, pool, max_te
     canonical, so no term is checked."""
     k = rng.randint(0, max_terms)
     acc: dict = {}
-    _add_into(acc, field, shape, [(rng.choice(pool), rand_coeff(rng, field, shape)) for _ in range(k)])
+    _add_into(acc, shape, [(rng.choice(pool), rand_coeff(rng, field, shape)) for _ in range(k)])
     return GroupRingElement(group, field, shape, _canonical_terms(group, field, shape, acc))
 
 

@@ -4,7 +4,8 @@ M_n(k)[G] ~ M_n(k[G]).
 
 Coefficients come in two shapes, selected at runtime: scalars (shape
 ``None``) and n x n matrices stored as nested tuples (shape ``n``).
-Mixing shapes is a hard error, never a coercion.
+Mixing shapes is a hard error, never a coercion.  Products and sums run
+on raw accumulators (see _convolve_into) and are made canonical once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul
 from typing import Iterable, Optional
 
 from .errors import FormatError, UsageError
@@ -61,24 +64,6 @@ def coeff_neg(field: FieldSpec, a):
     return field.neg(a)
 
 
-def coeff_mul(field: FieldSpec, a, b):
-    """Scalar product or matrix product, depending on shape.  Over F_p each
-    matrix entry sums plain int products and is reduced once; over Q the
-    sums of Fractions are exact as they are."""
-    if isinstance(a, tuple):
-        p = field.p
-        cols = tuple(zip(*b))
-        if p:
-            return tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-                for row in a
-            )
-        return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-        )
-    return field.mul(a, b)
-
-
 def coeff_encode(field: FieldSpec, c):
     if isinstance(c, tuple):
         return [[field.encode_scalar(x) for x in row] for row in c]
@@ -126,50 +111,87 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 
 
 # -- convolution accumulator ----------------------------------------------------
+#
+# An accumulator {h: raw coefficient} sums terms without reducing them: a
+# scalar is a plain int (F_p) or a Fraction (Q), and an n x n coefficient is
+# a flat list of n^2 such entries, row by row.  _canonical_terms reduces each
+# entry once, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw entries.
 
-def _convolve_into(acc: dict, group: GroupSpec, field: FieldSpec, shape: Shape, a_terms, b_terms) -> None:
-    """Add a(g) b(h) at g h into acc = {h: coefficient} for every term pair.
-    Scalars are summed as raw ints (F_p, reduced later by _canonical_terms)
-    or Fractions (Q); n x n coefficients stay canonical via coeff_mul/coeff_add."""
+def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
+    """Add a(g) b(h) at g h into acc for every term pair, as raw entries.
+    Each n x n right-hand coefficient is transposed once per call."""
     compose = group.compose
+    get = acc.get
     if shape is None:
-        get = acc.get
         for g, a in a_terms:
             for h, b in b_terms:
                 k = compose(g, h)
                 acc[k] = get(k, 0) + a * b
         return
+    b_cols = [(h, tuple(zip(*b))) for h, b in b_terms]
     for g, a in a_terms:
-        for h, b in b_terms:
+        for h, cols in b_cols:
             k = compose(g, h)
-            c = coeff_mul(field, a, b)
-            acc[k] = coeff_add(field, acc[k], c) if k in acc else c
+            c = [sum(map(mul, row, col)) for row in a for col in cols]
+            old = get(k)
+            acc[k] = c if old is None else list(map(add, old, c))
 
 
-def _add_into(acc: dict, field: FieldSpec, shape: Shape, terms) -> None:
-    """Add the terms into acc = {h: coefficient} as _convolve_into adds
-    products: raw scalars, canonical n x n coefficients."""
+def _add_into(acc: dict, shape: Shape, terms) -> None:
+    """Add the terms into acc as _convolve_into adds products: raw entries."""
+    get = acc.get
     if shape is None:
-        get = acc.get
         for h, c in terms:
             acc[h] = get(h, 0) + c
         return
     for h, c in terms:
-        acc[h] = coeff_add(field, acc[h], c) if h in acc else c
+        old = get(h)
+        flat = [x for row in c for x in row]
+        acc[h] = flat if old is None else list(map(add, old, flat))
 
 
 def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict) -> tuple:
-    """The canonical terms of an accumulator: reduced, zeros dropped,
-    sorted by group.key."""
-    p = field.p if shape is None else None
-    if p:
-        items = [(g, r) for g, c in acc.items() if (r := c % p)]
+    """The canonical terms of an accumulator: each entry reduced once, zeros
+    dropped, sorted by group.key."""
+    p = field.p
+    if shape is None:
+        if p:
+            items = [(g, r) for g, c in acc.items() if (r := c % p)]
+        else:
+            items = [(g, c) for g, c in acc.items() if c]
     else:
-        items = [(g, c) for g, c in acc.items() if not coeff_is_zero(c)]
+        n = shape
+        items = []
+        for g, flat in acc.items():
+            if p:
+                flat = [x % p for x in flat]
+            if any(flat):
+                items.append((g, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))))
     if len(items) > 1:
         key = group.key
         items.sort(key=lambda t: key(t[0]))
     return tuple(items)
+
+
+def _raw_is_one(field: FieldSpec, shape: Shape, c) -> bool:
+    """Whether the raw coefficient c reduces to 1 (the identity matrix)."""
+    p = field.p
+    if shape is None:
+        return (c % p if p else c) == 1
+    step = shape + 1  # the diagonal of a flat n x n list
+    if p:
+        return all(x % p == (i % step == 0) for i, x in enumerate(c))
+    return all(x == (i % step == 0) for i, x in enumerate(c))
+
+
+def _raw_is_zero(field: FieldSpec, shape: Shape, coeffs) -> bool:
+    """Whether every raw coefficient in coeffs reduces to 0."""
+    p = field.p
+    if shape is not None:
+        coeffs = chain.from_iterable(coeffs)
+    if p:
+        return not any(map(p.__rmod__, coeffs))  # x % p
+    return not any(coeffs)
 
 
 # -- group ring elements -------------------------------------------------------
@@ -192,11 +214,13 @@ class GroupRingElement:
         terms: Iterable[tuple[Element, object]],
     ) -> "GroupRingElement":
         """Canonicalize: sum duplicate sites, drop zeros, sort."""
-        acc: dict[Element, object] = {}
+        check = group.check
+        coerced = []
         for g, c in terms:
-            group.check(g)
-            c = coerce_coeff(field, shape, c)
-            acc[g] = coeff_add(field, acc[g], c) if g in acc else c
+            check(g)
+            coerced.append((g, coerce_coeff(field, shape, c)))
+        acc: dict[Element, object] = {}
+        _add_into(acc, shape, coerced)
         return GroupRingElement(group, field, shape, _canonical_terms(group, field, shape, acc))
 
     @staticmethod
@@ -281,8 +305,18 @@ class GroupRingElement:
         self._check_compatible(other)
         grp, field, shape = self.group, self.field, self.shape
         acc: dict[Element, object] = {}
-        _convolve_into(acc, grp, field, shape, self.terms, other.terms)
+        _convolve_into(acc, grp, shape, self.terms, other.terms)
         return GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc))
+
+    def product_is_one(self, other: "GroupRingElement") -> bool:
+        """(self * other) == 1, decided on the product's raw accumulator
+        without building it."""
+        self._check_compatible(other)
+        grp, field, shape = self.group, self.field, self.shape
+        acc: dict[Element, object] = {}
+        _convolve_into(acc, grp, shape, self.terms, other.terms)
+        c = acc.pop(grp.identity, None)
+        return c is not None and _raw_is_one(field, shape, c) and _raw_is_zero(field, shape, acc.values())
 
     def translate(self, g: Element) -> "GroupRingElement":
         """Left multiplication by the basis element g (coefficient 1)."""
@@ -328,21 +362,64 @@ def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
     return GroupRingElement.from_terms(first.group, first.field, n, terms)
 
 
-def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[GroupRingElement]:
+class _OverBudget(Exception):
+    """Raised by _TermPairs.sum once its products would pass the budget."""
+
+
+class _TermPairs:
+    """Sums of products of scalar term tuples over Z^d, made canonical, with
+    every pair of terms multiplied charged to one budget."""
+
+    def __init__(self, group: GroupSpec, field: FieldSpec, budget: int):
+        self.group, self.field, self.left = group, field, budget
+
+    def sum(self, pairs, start=()) -> tuple:
+        """start plus the sum of p q over the pairs; _OverBudget once the
+        products would multiply more pairs of terms than are left."""
+        grp, fld = self.group, self.field
+        acc = dict(start)
+        for p, q in pairs:
+            self.left -= len(p) * len(q)
+            if self.left < 0:
+                raise _OverBudget
+            _convolve_into(acc, grp, None, p, q)
+        return _canonical_terms(grp, fld, None, acc)
+
+
+@dataclass(frozen=True)
+class ZdDeterminant:
+    """det(a) for a in M_n(k)[Z^d], with what Berkowitz's loop made on the
+    way: the row scales D (over Q the lcm of each row's denominators, over
+    F_p all 1), the entries of B = D a as term tuples with int coefficients,
+    row by row, and the characteristic coefficients C_0 .. C_n of B,
+    det(x I - B) = sum_i C_i x^(n-i), as canonical term tuples.  So
+    det(a) = (-1)^n C_n / det D.  pairs_left is what the products left of
+    their budget of pairs of terms."""
+
+    det: GroupRingElement
+    scales: tuple[int, ...]
+    entries: tuple
+    coeffs: tuple
+    pairs_left: int
+
+
+def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeterminant]:
     """The determinant of a in M_n(k)[Z^d] ~ M_n(k[Z^d]), a scalar element
-    of the commutative ring k[Z^d]; None off Z^d, where k[G] is not
-    commutative, and None once the products would multiply more than
-    max_term_pairs pairs of terms.
+    of the commutative ring k[Z^d], with the characteristic coefficients
+    and row scales it was computed from (ZdDeterminant); None off Z^d,
+    where k[G] is not commutative, and None once the products would
+    multiply more than max_term_pairs pairs of terms.
 
     Berkowitz's algorithm: division-free and O(n^4) ring products.  Adding
-    row and column k to the leading k x k block A_k, with row R, column S
-    and corner c, the characteristic coefficients (det(x I - A_k) =
+    row and column k to the leading k x k block B_k, with row R, column S
+    and corner c, the characteristic coefficients (det(x I - B_k) =
     sum_i C_i x^(k-i)) become C'_i = C_i - sum_{m=1..i} P_m C_{i-m}, where
-    P_1 = c and P_{j+2} = R A_k^j S.  Then det = (-1)^n C_n.  Entries are
-    raw term tuples, multiplied by _convolve_into and reduced by
-    _canonical_terms, without validation.  Over Q each row is first scaled
-    by the lcm of its denominators, so the products run on plain ints and
-    only the coefficients of the result are divided back.
+    P_1 = c and P_{j+2} = R B_k^j S.  Then det(B) = (-1)^n C_n.  Entries
+    are raw term tuples, multiplied by _convolve_into and reduced by
+    _canonical_terms, without validation.  Over Q each row of a is first
+    scaled by the lcm of its denominators, so the products run on plain
+    ints on B = D a, and only the coefficients of det(a) = det(B) / det D
+    are divided back.
     """
     grp, fld, n = a.group, a.field, a.shape
     if grp.kind != "Zd":
@@ -353,52 +430,80 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[GroupRi
             for entry, x in zip(row, coeffs):
                 if x:
                     entry.append((g, x))
-    scale = 1
+    scales = [1] * n
     if fld.p is None:
-        for row in entries:
-            m = math.lcm(*(x.denominator for entry in row for _, x in entry))
-            scale *= m
+        for i, row in enumerate(entries):
+            m = scales[i] = math.lcm(*(x.denominator for entry in row for _, x in entry))
             row[:] = [[(g, x.numerator * (m // x.denominator)) for g, x in entry] for entry in row]
-    budget = max_term_pairs
-
-    def sum_of_products(pairs, start=()):
-        """start plus the sum of p q over the pairs, or None past the budget."""
-        nonlocal budget
-        acc = dict(start)
-        for p, q in pairs:
-            budget -= len(p) * len(q)
-            if budget < 0:
-                return None
-            _convolve_into(acc, grp, fld, None, p, q)
-        return _canonical_terms(grp, fld, None, acc)
+    products = _TermPairs(grp, fld, max_term_pairs)
 
     def neg(p):
         return tuple((g, -c) for g, c in p)
 
     coeffs = [((grp.identity, 1),)]  # C_0 .. C_k
-    for k in range(n):
-        row, col = entries[k][:k], [entries[i][k] for i in range(k)]
-        negated = [neg(entries[k][k])]  # -P_1, -P_2, ...
-        v = col
-        for j in range(k):
-            if j:
-                v = [sum_of_products(zip(entries[i][:k], v)) for i in range(k)]
-                if None in v:
-                    return None
-            p = sum_of_products(zip(row, v))
-            if p is None:
-                return None
-            negated.append(neg(p))
-        new = [coeffs[0]]
-        for i in range(1, k + 2):
-            start = coeffs[i] if i <= k else ()
-            c = sum_of_products(((negated[m - 1], coeffs[i - m]) for m in range(1, i + 1)), start)
-            if c is None:
-                return None
-            new.append(c)
-        coeffs = new
-    sign = -1 if n % 2 else 1
+    try:
+        for k in range(n):
+            row, col = entries[k][:k], [entries[i][k] for i in range(k)]
+            negated = [neg(entries[k][k])]  # -P_1, -P_2, ...
+            v = col
+            for j in range(k):
+                if j:
+                    v = [products.sum(zip(entries[i][:k], v)) for i in range(k)]
+                negated.append(neg(products.sum(zip(row, v))))
+            coeffs = [coeffs[0]] + [
+                products.sum(
+                    ((negated[m - 1], coeffs[i - m]) for m in range(1, i + 1)),
+                    coeffs[i] if i <= k else (),
+                )
+                for i in range(1, k + 2)
+            ]
+    except _OverBudget:
+        return None
+    sign, scale = -1 if n % 2 else 1, math.prod(scales)
     det = tuple(
         (g, sign * c % fld.p if fld.p else Fraction(sign * c, scale)) for g, c in coeffs[n]
     )
-    return GroupRingElement(grp, fld, None, det)
+    return ZdDeterminant(
+        GroupRingElement(grp, fld, None, det),
+        tuple(scales),
+        tuple(tuple(tuple(entry) for entry in row) for row in entries),
+        tuple(coeffs),
+        products.left,
+    )
+
+
+def zd_inverse(d: ZdDeterminant) -> Optional[GroupRingElement]:
+    """a^-1 for the a that d = zd_determinant(a) was computed from, if
+    det(a) is a monomial; None if it is not, or once the products would
+    multiply more pairs of terms than d.pairs_left.
+
+    By Cayley-Hamilton sum_i C_i B^(n-i) = 0, so when C_n = c x^g is a
+    unit, B^-1 = -C_n^-1 sum_{i<n} C_i B^(n-1-i) (the sum is
+    (-1)^(n+1) adj(B)), and a^-1 = B^-1 D (Berkowitz 1984).  The sum is
+    taken by Horner's rule, P_0 = 1 and P_k = P_{k-1} B + C_k, with no
+    division, and the result is made canonical once.  As M_n(k[Z^d]) is a
+    matrix ring over a commutative ring, a^-1 is the two-sided inverse.
+    """
+    if len(d.det.terms) != 1:
+        return None
+    grp, fld, scales = d.det.group, d.det.field, d.scales
+    n, coeffs, cols = len(scales), d.coeffs, list(zip(*d.entries))
+    products = _TermPairs(grp, fld, d.pairs_left)
+    horner = [[coeffs[0] if i == j else () for j in range(n)] for i in range(n)]
+    try:
+        for k in range(1, n):
+            horner = [
+                [products.sum(zip(row, col), coeffs[k] if i == j else ()) for j, col in enumerate(cols)]
+                for i, row in enumerate(horner)
+            ]
+    except _OverBudget:
+        return None
+    ((g, c),) = coeffs[n]
+    g_inv, compose, p = grp.inverse(g), grp.compose, fld.p
+    unit = pow(-c, -1, p) if p else Fraction(-1, c)  # -C_n^-1 = unit x^-g
+    acc: dict = {}  # a raw accumulator; each site's entry (i, j) is set once
+    for i, row in enumerate(horner):
+        for j, entry in enumerate(row):
+            for h, x in entry:
+                acc.setdefault(compose(h, g_inv), [fld.zero] * (n * n))[i * n + j] = x * scales[j] * unit
+    return GroupRingElement(grp, fld, n, _canonical_terms(grp, fld, n, acc))

@@ -5,11 +5,15 @@ Five complementary tools:
 * exact one-sided inverses by factorisation.  Projecting t = (a, b) onto
   its regular part a is a ring map, and M_n(k[G]) is stably finite over
   Z^d and free groups, so a one-sided inverse of t has regular part a^-1,
-  the two-sided inverse of a.  a^-1 solves a linear system read off a's
-  translates.  S = a^-1 t has regular part 1, so it is the identity off
-  finitely many sites, and one RREF of its block M on the sites it reads
-  and writes decides the rest: t has the two-sided inverse S^-1 a^-1 if M
-  is invertible, and no one-sided inverse at any radius if M is singular;
+  the two-sided inverse of a.  Over Z^d, a^-1 = c^-1 x^-g adj(a) when
+  det(a) = c x^g, made from the characteristic coefficients det(a) was
+  computed from (groupring.zd_inverse); over free groups, and past
+  MAX_DET_TERM_PAIRS, a^-1 solves a linear system read off a's
+  translates (_regular_inverse).  S = a^-1 t has regular part 1, so it
+  is the identity off finitely many sites, and one RREF of its block M on
+  the sites it reads and writes decides the rest: t has the two-sided
+  inverse S^-1 a^-1 if M is invertible, and no one-sided inverse at any
+  radius if M is singular;
 * identity verification by ring equality (sound and complete because the
   NUCA <-> ring-element correspondence is injective over infinite groups);
 * finitely supported kernel search (a witness refutes pre-injectivity,
@@ -34,7 +38,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, _echelon, _matrix_rows, inverse, kernel_basis, solve
-from .groupring import GroupRingElement, zd_determinant
+from .groupring import GroupRingElement, ZdDeterminant, zd_determinant, zd_inverse
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement, element_radius, embed
@@ -44,11 +48,23 @@ from .twisted import TwistedElement, element_radius, embed
 # exceptional set E; the ball of the radius for both in a ball search)
 # counts more than this many unknowns n^2 |M| (1 + |E|) is refused before
 # any work, with the messages of solve_one_sided_inverse and
-# check_search_radius.  The inverse itself is found from systems of
-# n^2 |M| unknowns and one block on the exceptional sites of a^-1 t, so
-# the count bounds the radii a caller may ask for, not the memory used.
-# free:26 at radius 2 would count 7.3 M.
+# check_search_radius.  The inverse itself is found over Z^d from the
+# determinant's coefficients and elsewhere from systems of n^2 |M|
+# unknowns, and then from one block on the exceptional sites of a^-1 t
+# (MAX_BLOCK_COORDINATES), so the count bounds the radii a caller may ask
+# for, not the memory used.  free:26 at radius 2 would count 7.3 M.
 MAX_UNKNOWNS = 2_000_000
+
+# The block M of S = a^-1 t on the sites V it reads and writes
+# (_factored_inverse) is inverted by one RREF of [M | I], whose work grows
+# as (n |V|)^3 and, over Q, with the size of the integers.  A block of more
+# than this many coordinates n |V| is refused before it is built.
+# Measured on 2 vCPUs (Python 3.11, _factored_inverse alone, S = 1 plus
+# random singular parts of up to 12 terms within radius 2 at every site of
+# a ball of Z^2, n = 2): over Q n |V| = 196 takes 1.1 s, 282 takes 4.1 s
+# and 390 takes 10.5 s (62 MB); over F_5 n |V| = 392 takes 1.0 s.  The
+# benchmark's trials and verdicts need at most n |V| = 12.
+MAX_BLOCK_COORDINATES = 200
 
 # A kernel tower follows each level's projections at most this many levels
 # past depth + stabilization window.
@@ -69,13 +85,20 @@ MAX_EXTRA_LEVELS = 8
 # coordinates) takes 0.08-0.15 s and 22 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
-# The determinant of the regular part is given up, and every search runs,
-# once its products would multiply more than this many pairs of terms.
+# The determinant of the regular part, and over Z^d the inverse made from
+# its coefficients, are given up once their products together would
+# multiply more than this many pairs of terms; then every search runs, and
+# a^-1 is searched for over growing balls (_regular_inverse).
 # Measured on 2 vCPUs (Python 3.11): about 1 us per pair over F_5 and Q.
 # Random radius-1 maps need at most a few thousand pairs up to n = 6 on
 # Z^3; a dense radius-1 map on Z^3 needs 0.59 M pairs (0.66 s over Q) at
 # n = 5 and 2.1 M at n = 6, so a map that wide runs its searches unpruned,
-# after at most about a second spent on the determinant.
+# after at most about a second spent on the determinant.  The inverse
+# needs about as many pairs again: a unit L U on Z^3, with L and U
+# unitriangular and dense within radius 1, needs 0.17 M pairs for det(a)
+# and 0.11 M for a^-1 at n = 3 over F_5 (0.23 s), and 0.82 M and 0.87 M
+# at n = 4 over Q with 30 % of the entries filled, so that one falls back
+# to the ball systems.
 MAX_DET_TERM_PAIRS = 1_000_000
 
 
@@ -171,7 +194,8 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
 
     Such an inverse is t's two-sided inverse and the only one (see the
     module docstring), so it is not searched for among the window's
-    coefficients: _regular_inverse finds a^-1 inside memory_set,
+    coefficients: a^-1 is made as the search makes it
+    (_regular_part_inverse) and kept if it lies inside memory_set,
     _factored_inverse makes the inverse from it, and it is returned if it
     fits the window.  A window of more than MAX_UNKNOWNS unknowns is
     refused before any work.
@@ -184,13 +208,41 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
         raise UsageError(
             f"the inverse search needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
         )
-    a_inv = _regular_inverse(t.element.regular, params.memory_set)
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
+    a_inv = _regular_part_inverse(t.element.regular, det, params.memory_set, (params.memory_set,))
     if a_inv is None:
         return None
     u = _factored_inverse(t, a_inv, params.side, params.exceptional_set)
     if u is None or any(g not in params.memory_set for g in u.memory):
         return None
     return u
+
+
+def _regular_part_inverse(
+    a: GroupRingElement, det: Optional[ZdDeterminant], window: FiniteSubset, memories
+) -> Optional[GroupRingElement]:
+    """a^-1 if it is supported in `window`, else None.
+
+    Given det = zd_determinant(a) (over Z^d, within MAX_DET_TERM_PAIRS),
+    a^-1 exists only if det(a) is a monomial, and then zd_inverse makes it
+    from det's coefficients and it is re-verified on the product's
+    accumulator.  Off Z^d, or once those products pass the budget,
+    _regular_inverse looks for it in each of the nested `memories` in turn,
+    the last of which is `window`.
+    """
+    if det is not None:
+        if len(det.det.terms) != 1:
+            return None
+        a_inv = zd_inverse(det)
+        if a_inv is not None:
+            if not a_inv.product_is_one(a):
+                raise AssertionError("the adjugate produced a non-inverse; this is a bug")
+            return a_inv if all(g in window for g, _ in a_inv.terms) else None
+    for memory in memories:
+        a_inv = _regular_inverse(a, memory)
+        if a_inv is not None:
+            return a_inv
+    return None
 
 
 def _regular_inverse(a: GroupRingElement, memory: FiniteSubset) -> Optional[GroupRingElement]:
@@ -240,8 +292,9 @@ def _factored_inverse(
     injective nor surjective, and neither is t = a S.  Otherwise S^-1 is
     diag(M^-1, id); its singular part at g is the row block of M^-1 at g
     minus the identity, so its exceptional sites are E, and so are u's.
-    That is why the sites are checked before M is built.  u is
-    re-verified on `side` before it is returned.
+    That is why the sites are checked before M is built.  A block of more
+    than MAX_BLOCK_COORDINATES coordinates n |V| is refused before it is
+    built.  u is re-verified on `side` before it is returned.
     """
     grp, fld, n = t.group, t.field, t.n
     inv = embed(a_inv)
@@ -251,6 +304,11 @@ def _factored_inverse(
     compose = grp.compose
     reads = [compose(g, h) for g, part in s.singular for h, _ in part.terms]
     v = FiniteSubset(grp, grp.sort(reads + [g for g, _ in s.singular]))
+    if n * len(v) > MAX_BLOCK_COORDINATES:
+        raise UsageError(
+            f"the inverse needs a block of {n * len(v)} coordinates on the {len(v)} sites"
+            f" its factor a^-1 t reads and writes; the limit is {MAX_BLOCK_COORDINATES}"
+        )
     local = Nuca(s).induced_local_map(v)
     # V holds every site S reads at V, so no entry falls outside its columns
     m_inv = inverse(local.matrix.restrict(_column_map(local.domain_set, v, n), n * len(v)))
@@ -274,16 +332,6 @@ def _factored_inverse(
     if not ok:
         raise AssertionError("inverse solver produced a non-inverse; this is a bug")
     return u
-
-
-def _regular_det_terms(t: Nuca) -> Optional[int]:
-    """The number of terms of det(a), a the regular part of t, over Z^d;
-    None off Z^d or past MAX_DET_TERM_PAIRS.  An inverse of t projects to
-    one of a, so a count other than 1 proves that t has no one-sided
-    inverse; a count other than 0 proves that the constant part of t has
-    no nonzero finitely supported kernel point."""
-    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
-    return None if det is None else len(det.terms)
 
 
 def _ball_unknowns(group: GroupSpec, n: int, radius: int) -> int:
@@ -349,35 +397,38 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     """The one-sided inverse of t on `side` inside ball(max_radius), with
     the radius of the smallest ball that holds it; None otherwise.
 
-    a^-1 is searched for over growing balls, and at the first radius that
-    holds it the inverse is made once (_factored_inverse).  None is in
-    general not a proof of non-invertibility, since a^-1 or the inverse
-    may lie past max_radius.  It is one when the block M of a^-1 t is
-    singular, and over Z^d when det(a) is not a monomial; then no ball is
-    searched.  A search past search_radius_limit is refused before radius
-    0 runs."""
+    Over Z^d, a^-1 is made from the coefficients of det(a), and no ball is
+    searched; over free groups, and once those products pass
+    MAX_DET_TERM_PAIRS, a^-1 is searched for over growing balls
+    (_regular_part_inverse).  Either way the inverse is then made once
+    (_factored_inverse).  None is in general not a proof of
+    non-invertibility, since a^-1 or the inverse may lie past max_radius.
+    It is one when the block M of a^-1 t is singular, and over Z^d when
+    det(a) is not a monomial.  A search past search_radius_limit is
+    refused before any work."""
     _check_side(side)
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
     check_search_radius(t.group, t.n, max_radius)
-    return _search_inverse(t, side, max_radius, _regular_det_terms(t))
+    return _search_inverse(t, side, max_radius, zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS))
 
 
 def _search_inverse(
-    t: Nuca, side: str, max_radius: int, det_terms: Optional[int]
+    t: Nuca, side: str, max_radius: int, det: Optional[ZdDeterminant]
 ) -> Optional[tuple[Nuca, int]]:
-    """search_one_sided_inverse past its checks, given _regular_det_terms(t)."""
-    if det_terms not in (None, 1):
+    """search_one_sided_inverse past its checks, given the determinant of
+    t's regular part (None off Z^d or past MAX_DET_TERM_PAIRS)."""
+    grp = t.group
+    window = FiniteSubset.ball(grp, max_radius)
+    balls = (FiniteSubset.ball(grp, r) for r in range(max_radius + 1))
+    a_inv = _regular_part_inverse(t.element.regular, det, window, balls)
+    if a_inv is None:
         return None
-    for r in range(max_radius + 1):
-        a_inv = _regular_inverse(t.element.regular, FiniteSubset.ball(t.group, r))
-        if a_inv is not None:
-            u = _factored_inverse(t, a_inv, side, FiniteSubset.ball(t.group, max_radius))
-            if u is None:
-                return None
-            radius = element_radius(u.element)
-            return (u, radius) if radius <= max_radius else None
-    return None
+    u = _factored_inverse(t, a_inv, side, window)
+    if u is None:
+        return None
+    radius = element_radius(u.element)
+    return (u, radius) if radius <= max_radius else None
 
 
 def search_left_inverse(t: Nuca, max_radius: int) -> Optional[tuple[Nuca, int]]:
@@ -537,15 +588,16 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     injective.  So the verdict is the same as a search that tries the
     certificate, then each witness, radius by radius.  Over Z^d a nonzero
     determinant of the regular part proves that the constant part has no
-    witness, so none is searched for.  The determinant is computed once
-    for both prunes.  A budget whose certificate search or kernel tower is
-    past its size limit is refused before any search runs.
+    witness, so none is searched for.  The determinant and its
+    coefficients are computed once, for the certificate and both prunes.
+    A budget whose certificate search or kernel tower is past its size
+    limit is refused before any search runs.
     """
     check_tower_depth(t.group, t.n, budget.depth, budget.window)
     check_search_radius(t.group, t.n, budget.max_radius)
-    det_terms = _regular_det_terms(t)
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
     # _factored_inverse has re-verified the certificate
-    hit = _search_inverse(t, "left", budget.max_radius, det_terms)
+    hit = _search_inverse(t, "left", budget.max_radius, det)
     if hit is not None:
         return InjectivityVerdict(
             kind="proven_stably_injective",
@@ -553,7 +605,9 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
             certificate=hit[0],
             certificate_radius=hit[1],
         )
-    search_constant = det_terms in (None, 0)
+    # a nonzero det(a) proves that the constant part has no nonzero
+    # finitely supported kernel point
+    search_constant = det is None or det.det.is_zero()
     const = constant_part(t)
     for r in range(budget.max_radius + 1):
         witness = finitely_supported_kernel(t, r)

@@ -36,9 +36,10 @@ terms that are zero or add terms equal to the product's, and every
 compatibility check runs before any of them.
 
 Whether a sum of products is 1 or 0 is decided on the same raw
-accumulator, without making it canonical (_sum_is): every coefficient
-must reduce to zero (mod p over F_p), except that for 1 the regular slot
-must hold exactly 1 at the identity.  TwistedElement.product_is_one and
+accumulator, without making it canonical (_sum_is): every raw entry
+must reduce to zero (mod p over F_p), except that for 1 the regular
+slot's coefficient at the identity must reduce to 1, the identity
+matrix for n x n coefficients.  TwistedElement.product_is_one and
 TwistedMatrix.product_is_identity answer "is this product 1?" with it;
 the matrix check goes entry by entry and stops at the first entry that
 fails.
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import UsageError
 from .exactalg import FieldSpec
@@ -57,7 +59,8 @@ from .groupring import (
     _add_into,
     _canonical_terms,
     _convolve_into,
-    coeff_is_zero,
+    _raw_is_one,
+    _raw_is_zero,
     coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
@@ -178,22 +181,20 @@ class TwistedElement:
         return _sum_is(self.group, self.field, self.shape, ((self, other),), True)
 
 
-def _mul_into(
-    acc: dict, grp: GroupSpec, field: FieldSpec, shape: Shape, x: TwistedElement, y: TwistedElement
-) -> None:
+def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: TwistedElement) -> None:
     """Add the raw terms of x * y into acc = {site: {h: coefficient}}, with
     site None for the regular part; x and y are trusted to share grp, field
     and shape."""
     compose = grp.compose
     a1, a2 = x.regular.terms, y.regular.terms
-    _convolve_into(acc.setdefault(None, {}), grp, field, shape, a1, a2)
+    _convolve_into(acc.setdefault(None, {}), grp, shape, a1, a2)
     # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
     if y.singular:
         for t, c in a1:
             t_inv = grp.inverse(t)
             for u, part in y.singular:
                 slot = acc.setdefault(compose(u, t_inv), {})
-                _convolve_into(slot, grp, field, shape, ((t, c),), part.terms)
+                _convolve_into(slot, grp, shape, ((t, c),), part.terms)
     if not x.singular:
         return
     # b1 a2 is sitewise; in b1 b2 only the terms t of b1(g) whose shifted
@@ -201,15 +202,15 @@ def _mul_into(
     other_sites = dict(y.singular)
     for g, part in x.singular:
         slot = acc.setdefault(g, {})
-        _convolve_into(slot, grp, field, shape, part.terms, a2)
+        _convolve_into(slot, grp, shape, part.terms, a2)
         if other_sites:
             for t, c in part.terms:
                 hit = other_sites.get(compose(g, t))
                 if hit is not None:
-                    _convolve_into(slot, grp, field, shape, ((t, c),), hit.terms)
+                    _convolve_into(slot, grp, shape, ((t, c),), hit.terms)
 
 
-def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> dict:
+def _accumulate(grp: GroupSpec, shape: Shape, pairs) -> dict:
     """The raw sum of x * y over the pairs, as {site or None: {h:
     coefficient}}.  A pair with an identity side adds the other side's
     terms; any other pair goes through _mul_into."""
@@ -220,11 +221,11 @@ def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> dict:
         elif y.is_one():
             z = x
         else:
-            _mul_into(acc, grp, field, shape, x, y)
+            _mul_into(acc, grp, shape, x, y)
             continue
-        _add_into(acc.setdefault(None, {}), field, shape, z.regular.terms)
+        _add_into(acc.setdefault(None, {}), shape, z.regular.terms)
         for g, part in z.singular:
-            _add_into(acc.setdefault(g, {}), field, shape, part.terms)
+            _add_into(acc.setdefault(g, {}), shape, part.terms)
     return acc
 
 
@@ -240,7 +241,7 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
             return y
         if y.is_one():
             return x
-    acc = _accumulate(grp, field, shape, pairs)
+    acc = _accumulate(grp, shape, pairs)
     regular = GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {})))
     singular = []
     for g, slot in acc.items():
@@ -255,17 +256,20 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
 def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) -> bool:
     """Whether the sum of x * y over the pairs is 1 (one set) or 0, decided
     on the raw accumulator of _accumulate, with no part reduced, sorted or
-    built: every coefficient must reduce to zero, except that for 1 the
-    regular slot holds exactly 1 at the identity."""
-    acc = _accumulate(grp, field, shape, pairs)
+    built: every raw entry must reduce to zero, except that for 1 the
+    regular slot's coefficient at the identity must reduce to 1
+    (groupring._raw_is_one and _raw_is_zero).  Scalars over F_p, the
+    checks of the direct-finiteness suites, are decided inline, as the
+    two calls per check cost about 3 % of a suite."""
+    acc = _accumulate(grp, shape, pairs)
     p = field.p if shape is None else None
     if one:
         c = acc.get(None, {}).pop(grp.identity, None)
-        if c is None or (c % p != 1 if p else c != coeff_one(field, shape)):
+        if c is None or not (c % p == 1 if p else _raw_is_one(field, shape, c)):
             return False
     if p:
         return not any(c % p for slot in acc.values() for c in slot.values())
-    return all(coeff_is_zero(c) for slot in acc.values() for c in slot.values())
+    return _raw_is_zero(field, shape, chain.from_iterable(slot.values() for slot in acc.values()))
 
 
 def embed(a: GroupRingElement) -> TwistedElement:

@@ -125,6 +125,21 @@ class TestExitCodes:
         assert out == ""
         assert "limit" in err
 
+    @pytest.mark.parametrize("command", ["invert", "verdict"])
+    def test_oversized_inverse_block_is_usage_error(self, tmp_path, command):
+        # 1 plus 1 at each of the sites 0 .. 200 of Z^1: its inverse needs a
+        # block of 201 coordinates, one past invert.MAX_BLOCK_COORDINATES
+        group, field = GroupSpec.zd(1), FieldSpec.fp(5)
+        one = GroupRingElement.one(group, field, 1)
+        t = TwistedElement.make(one, [((i,), one) for i in range(201)])
+        src = tmp_path / "block.json"
+        src.write_text(serialize_envelope(envelope_for(Nuca(t))))
+        extra = ["--depth", "0", "--window", "1"] if command == "verdict" else []
+        code, out, err = run_cli([command, str(src), "--max-radius", "201", *extra, "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert "block of 201 coordinates" in err and "limit is 200" in err
+
     @pytest.mark.parametrize("command", ["kernel-tower", "verdict"])
     def test_oversized_tower_depth_is_usage_error(self, tmp_path, monkeypatch, command):
         # the decoy over Z^2 may build at most depth 79 with window 2; no

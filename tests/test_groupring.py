@@ -2,18 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
+from d1ring.exactalg import Matrix, inverse
 from d1ring.experiments import rand_groupring
 from d1ring.groupring import (
     GroupRingElement,
+    _convolve_into,
     matrix_shuffle,
     matrix_unshuffle,
 )
 from d1ring.groups import product_set
+from d1ring.twisted import embed
 
-from conftest import F2, F2FREE, F5, GROUPS, Q, Z1, Z2, gre
-from oracles import field_modulus, naive_convolve, plain_groupring
+from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, gre
+from oracles import field_modulus, naive_convolve, o_add, o_is_zero, o_mul, plain_groupring
 
 
 class TestConvolve:
@@ -158,3 +162,126 @@ def test_convolve_matches_oracle_on_free_group(rng):
             "free", field_modulus(F2), plain_groupring(a), plain_groupring(b)
         )
         assert dict((a * b).terms) == expected
+
+
+# -- n x n coefficients on raw accumulators ---------------------------------------
+
+def identity_matrix(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def draw_raw_terms(rng, group, field, n, k):
+    """k terms at sites of ball(1) with raw entries from -7 to 7 (over Q
+    also Fractions), so that sites repeat and sums cancel mod p often."""
+    sites = group.ball(1)
+
+    def entry():
+        x = rng.randint(-7, 7)
+        return Fraction(x, rng.randint(2, 3)) if field == Q and rng.random() < 0.5 else x
+
+    return [(rng.choice(sites), tuple(tuple(entry() for _ in range(n)) for _ in range(n))) for _ in range(k)]
+
+
+def oracle_sum(p, n, terms):
+    zero = tuple((0,) * n for _ in range(n))
+    acc: dict = {}
+    for g, c in terms:
+        acc[g] = o_add(p, acc.get(g, zero), c)
+    return {g: c for g, c in acc.items() if not o_is_zero(c)}
+
+
+def assert_canonical_entries(a):
+    for _, c in a.terms:
+        for x in (x for row in c for x in row):
+            assert type(x) is Fraction if a.field == Q else 0 <= x < a.field.p
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F3, F5, Q]),
+    n=st.sampled_from([1, 2, 3]),
+)
+def test_matrix_terms_and_products_agree_with_oracle(seed, group, field, n):
+    rng = random.Random(seed)
+    p = field_modulus(field)
+    raw_a = draw_raw_terms(rng, group, field, n, rng.randint(0, 6))
+    raw_b = draw_raw_terms(rng, group, field, n, rng.randint(0, 6))
+    a = GroupRingElement.from_terms(group, field, n, raw_a)
+    b = GroupRingElement.from_terms(group, field, n, raw_b)
+    assert dict(a.terms) == oracle_sum(p, n, raw_a)
+    assert dict(b.terms) == oracle_sum(p, n, raw_b)
+    product = naive_convolve(group.kind, p, plain_groupring(a), plain_groupring(b))
+    built = a * b
+    assert dict(built.terms) == product
+    assert_canonical_entries(built)
+    assert [g for g, _ in built.terms] == list(group.sort(g for g, _ in built.terms))
+    assert a.product_is_one(b) == (product == {group.identity: identity_matrix(n)})
+
+
+def draw_invertible(rng, field, n):
+    """A random invertible n x n matrix over the field and its inverse."""
+    draw = (lambda: rng.randrange(field.p)) if field.p else (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    while True:
+        c = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+        c_inv = inverse(Matrix(field, n, n, [{j: x for j, x in enumerate(row) if x} for row in c]))
+        if c_inv is not None:
+            return c, tuple(tuple(c_inv.data[i].get(j, 0) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F3, F5, Q]),
+    n=st.sampled_from([1, 2, 3]),
+)
+def test_matrix_product_is_one_on_raw_entries(seed, group, field, n):
+    # a = c g (1 + N h) and b = (1 - N h) c^-1 g^-1 with N^2 = 0: the raw
+    # entries of a b at the identity are c c^-1 summed without reduction
+    # (over F_5, 2 * 3 = 6), and at g h g^-1 they are c N c^-1 and
+    # -(c N c^-1), each from reduced operands, so over F_p they cancel
+    # only mod p
+    rng = random.Random(seed)
+    p = field_modulus(field)
+    c, c_inv = draw_invertible(rng, field, n)
+    nil = tuple(tuple(rng.randrange(5) if i == 0 and j > 0 else 0 for j in range(n)) for i in range(n))
+    neg_nil = tuple(tuple(-x for x in row) for row in nil)
+    sites = group.ball(1)
+    g, h = rng.choice(sites), rng.choice(sites[1:])
+    compose, g_inv = group.compose, group.inverse(g)
+    a = gre(group, field, n, [(g, c), (compose(g, h), o_mul(p, c, nil))])
+    b = gre(group, field, n, [(g_inv, c_inv), (compose(h, g_inv), o_mul(p, neg_nil, c_inv))])
+    one = GroupRingElement.one(group, field, n)
+    assert naive_convolve(group.kind, p, plain_groupring(a), plain_groupring(b)) == {
+        group.identity: identity_matrix(n)
+    }
+    assert a * b == one
+    assert a.product_is_one(b) and embed(a).product_is_one(embed(b))
+    # one entry of b moved by 1 at one site: the checks follow the oracle
+    i, j = rng.randrange(n), rng.randrange(n)
+    bump = tuple(tuple(int((r, s) == (i, j)) for s in range(n)) for r in range(n))
+    b2 = b + gre(group, field, n, [(rng.choice(sites), bump)])
+    expected = naive_convolve(group.kind, p, plain_groupring(a), plain_groupring(b2)) == {
+        group.identity: identity_matrix(n)
+    }
+    assert (a * b2 == one) == expected
+    assert a.product_is_one(b2) == expected
+    assert embed(a).product_is_one(embed(b2)) == expected
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
+def test_raw_identity_entries_are_reduced_before_the_check(group):
+    # diag(2, 3) diag(3, 2) = diag(6, 6) raw, which is 1 over F_5;
+    # diag(2, 3) diag(3, 3) = diag(6, 9) raw, which is diag(1, 4)
+    e = group.identity
+    a = gre(group, F5, 2, [(e, ((2, 0), (0, 3)))])
+    b = gre(group, F5, 2, [(e, ((3, 0), (0, 2)))])
+    c = gre(group, F5, 2, [(e, ((3, 0), (0, 3)))])
+    acc: dict = {}
+    _convolve_into(acc, group, 2, a.terms, b.terms)
+    assert acc == {e: [6, 0, 0, 6]}
+    assert a.product_is_one(b) and embed(a).product_is_one(embed(b))
+    assert not a.product_is_one(c) and not embed(a).product_is_one(embed(c))
+    assert a * b == GroupRingElement.one(group, F5, 2)

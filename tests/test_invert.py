@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, _primitive_row, kernel_basis, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
-from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
+from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant, zd_inverse
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import invert
 from d1ring.invert import (
+    MAX_BLOCK_COORDINATES,
     MAX_DET_TERM_PAIRS,
     MAX_EXTRA_LEVELS,
     MAX_TOWER_COORDINATES,
@@ -854,9 +855,11 @@ def leibniz_det(a):
 
 
 def in_ball(t, side, r):
-    """solve_one_sided_inverse with memory and exceptional window ball(r)."""
+    """solve_one_sided_inverse with memory and exceptional window ball(r),
+    with a^-1 found by its ball system, not from the determinant."""
     ball = FiniteSubset.ball(t.group, r)
-    return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
+    with mock.patch.object(invert, "MAX_DET_TERM_PAIRS", 0):
+        return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
 def reference_verdict(t, budget):
@@ -900,7 +903,7 @@ class TestZdDeterminant:
         # [[1 + x, x + x^2], [1, x]]: every entry nonzero, det = 0
         a = gre(Z1, Q, 2, [((0,), ((1, 0), (1, 0))), ((1,), ((1, 1), (0, 1))), ((2,), ((0, 1), (0, 0)))])
         assert leibniz_det(a).is_zero()
-        assert zd_determinant(a, MAX_DET_TERM_PAIRS).is_zero()
+        assert zd_determinant(a, MAX_DET_TERM_PAIRS).det.is_zero()
 
     @pytest.mark.parametrize("field", [F2, F3, Q])
     def test_monomial_from_multi_term_entries(self, field):
@@ -910,7 +913,7 @@ class TestZdDeterminant:
             [((0,), ((1, 0), (1, 1))), ((1,), ((1, 1), (0, 0)))],
         ):
             a = gre(Z1, field, 2, terms)
-            assert zd_determinant(a, MAX_DET_TERM_PAIRS) == leibniz_det(a) == GroupRingElement.one(Z1, field)
+            assert zd_determinant(a, MAX_DET_TERM_PAIRS).det == leibniz_det(a) == GroupRingElement.one(Z1, field)
 
     def test_rational_entries(self):
         # [[1/2 + x, 1/3], [3 x, 2/5]]: det = 1/5 + (2/5 - 1) x
@@ -918,14 +921,14 @@ class TestZdDeterminant:
             ((0,), ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5)))),
             ((1,), ((1, 0), (3, 0))),
         ])
-        det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        det = zd_determinant(a, MAX_DET_TERM_PAIRS).det
         assert det == leibniz_det(a)
         assert det.terms == (((0,), Fraction(1, 5)), ((1,), Fraction(-3, 5)))
 
     def test_none_off_z_d_and_past_the_budget(self):
         assert zd_determinant(decoy_nuca(F2FREE, F3, 2).element.regular, MAX_DET_TERM_PAIRS) is None
         a = decoy_nuca(Z2, F3, 3).element.regular
-        assert zd_determinant(a, 10**6) == leibniz_det(a)
+        assert zd_determinant(a, 10**6).det == leibniz_det(a)
         assert zd_determinant(a, 3) is None
 
     @settings(max_examples=60, deadline=None)
@@ -938,7 +941,7 @@ class TestZdDeterminant:
     )
     def test_agrees_with_leibniz(self, seed, group, field, n, kind):
         a = draw_map(random.Random(seed), group, field, n, kind).element.regular
-        det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        det = zd_determinant(a, MAX_DET_TERM_PAIRS).det
         assert det == leibniz_det(a)
         if kind == "unit":
             assert len(det.terms) == 1
@@ -956,7 +959,7 @@ class TestZdDeterminant:
 )
 def test_determinant_pruning_is_sound(seed, group, field, n, kind):
     t = draw_map(random.Random(seed), group, field, n, kind)
-    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS).det
     radii = range(3 if group == Z1 else 2)
     if len(det.terms) != 1:
         for r in radii:
@@ -970,6 +973,130 @@ def test_determinant_pruning_is_sound(seed, group, field, n, kind):
     budget = SearchBudget(max_radius=radii[-1], depth=1, window=1)
     with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
         assert stable_injectivity_verdict(t, budget) == reference_verdict(t, budget)
+
+
+def row_scaled_unit(rng, group, field, n, max_factors):
+    """The regular part of a gen_unit unit, shifted by a site of ball(1)
+    and, over Q, with its rows scaled by 1/11, 3/13 and 5/17, so that the
+    lcms of their denominators differ; over F_p by 1, 2 and 3 mod p."""
+    config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=max_factors)
+    unit, _, _ = gen_unit(rng, config)
+    scales = (Fraction(1, 11), Fraction(3, 13), Fraction(5, 17)) if field == Q else (1, 2 % field.p or 1, 3 % field.p or 1)
+    d = tuple(tuple(scales[i] if i == j else 0 for j in range(n)) for i in range(n))
+    shift = gre(group, field, n, [(rng.choice(group.ball(1)), d)])
+    return shift * Nuca.from_matrix(unit).element.regular
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z1, Z2, Z3]),
+    field=st.sampled_from([F2, F5, Q]),
+    n=st.sampled_from([1, 2, 3]),
+    max_factors=st.integers(1, 3),
+)
+def test_adjugate_inverse_is_the_ball_inverse(seed, group, field, n, max_factors):
+    a = row_scaled_unit(random.Random(seed), group, field, n, max_factors)
+    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+    assert det.det == leibniz_det(a) and len(det.det.terms) == 1
+    a_inv = zd_inverse(det)
+    one = GroupRingElement.one(group, field, n)
+    assert a_inv * a == one and a * a_inv == one
+    radius = max(group.norm(g) for g, _ in a_inv.terms)
+    # the ball systems are cheap enough below about 1,200 unknowns
+    if n * n * group.ball_size(radius) <= 1200:
+        assert invert._regular_inverse(a, FiniteSubset.ball(group, radius)) == a_inv
+        if radius:
+            assert invert._regular_inverse(a, FiniteSubset.ball(group, radius - 1)) is None
+
+
+def test_adjugate_inverse_of_rows_with_different_denominators():
+    # a = [[1/2, x/3], [0, 2/5]]: D = (6, 5), B = [[3, 2x], [0, 2]], and
+    # a^-1 = [[2, -5x/3], [0, 5/2]]
+    a = gre(Z1, Q, 2, [
+        ((0,), ((Fraction(1, 2), 0), (0, Fraction(2, 5)))),
+        ((1,), ((0, Fraction(1, 3)), (0, 0))),
+    ])
+    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+    assert det.scales == (6, 5)
+    assert det.entries == (((((0,), 3),), (((1,), 2),)), ((), (((0,), 2),)))
+    assert det.coeffs == ((((0,), 1),), (((0,), -5),), (((0,), 6),))
+    assert zd_inverse(det) == gre(Z1, Q, 2, [
+        ((0,), ((2, 0), (0, Fraction(5, 2)))),
+        ((1,), ((0, Fraction(-5, 3)), (0, 0))),
+    ])
+
+
+def test_adjugate_inverse_is_none_for_a_non_monomial_det():
+    a = gre(Z1, F5, 1, [((0,), ((1,),)), ((1,), ((1,),))])
+    assert zd_inverse(zd_determinant(a, MAX_DET_TERM_PAIRS)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z1, Z2]),
+    field=st.sampled_from([F2, F5, Q]),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["unit", "random", "singular"]),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_search_past_the_det_budget_falls_back_to_balls(seed, group, field, n, kind, side):
+    t = draw_map(random.Random(seed), group, field, n, kind)
+    a = t.element.regular
+    max_radius = 2 if group == Z1 else 1
+    window = FiniteSubset.ball(group, max_radius)
+    params = InverseSearchParams.make(side, window, window)
+    searched = search_one_sided_inverse(t, side, max_radius)
+    solved = solve_one_sided_inverse(t, params)
+    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
+    # budget 0 leaves no determinant; the determinant's own pairs leave
+    # none for the inverse once n >= 2
+    for budget in (0, MAX_DET_TERM_PAIRS - det.pairs_left):
+        calls = []
+        ball_inverse = invert._regular_inverse
+
+        def recording(*args):
+            calls.append(args)
+            return ball_inverse(*args)
+
+        with mock.patch.object(invert, "MAX_DET_TERM_PAIRS", budget), mock.patch.object(
+            invert, "_regular_inverse", recording
+        ):
+            assert search_one_sided_inverse(t, side, max_radius) == searched
+            assert solve_one_sided_inverse(t, params) == solved
+        if kind == "unit":
+            assert bool(calls) == (budget == 0 or n >= 2)
+
+
+def block_map(k):
+    """Over Z^1 and F_5 with n = 1: 1 plus 1 at each site 0 .. k-1, so
+    a^-1 = 1 and S = t reads and writes exactly those k sites; M = 2 I."""
+    one = GroupRingElement.one(Z1, F5, 1)
+    return Nuca(TwistedElement.make(one, [((i,), one) for i in range(k)]))
+
+
+class TestBlockSizeLimit:
+    def test_limit_is_the_boundary(self):
+        t = block_map(MAX_BLOCK_COORDINATES)
+        cert, radius = search_left_inverse(t, MAX_BLOCK_COORDINATES)
+        assert radius == MAX_BLOCK_COORDINATES - 1
+        assert verify_identity(t, cert)
+
+    def test_refused_before_the_block_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Nuca, "induced_local_map", lambda *args: calls.append(args))
+        t, r = block_map(MAX_BLOCK_COORDINATES + 1), MAX_BLOCK_COORDINATES + 1
+        message = f"block of {r} coordinates on the {r} sites.*the limit is {MAX_BLOCK_COORDINATES}"
+        for side in ("left", "right"):
+            with pytest.raises(UsageError, match=message):
+                search_one_sided_inverse(t, side, r)
+        ball = FiniteSubset.ball(Z1, r)
+        with pytest.raises(UsageError, match=message):
+            solve_one_sided_inverse(t, InverseSearchParams.make("left", ball, ball))
+        with pytest.raises(UsageError, match=message):
+            stable_injectivity_verdict(t, SearchBudget(max_radius=r, depth=0, window=1))
+        assert calls == []
 
 
 def other_map():
@@ -1013,16 +1140,28 @@ class TestDeterminantPruning:
         assert search_one_sided_inverse(t, "right", 2) is None
         assert searches == []
 
-    def test_unit_det_map_still_searches(self, searches):
-        # the regular part is 1, so a^-1 turns up at radius 0; the
-        # certificate, of radius 1, leaves no witness to search for
+    def test_unit_det_map_runs_no_ball_search(self, searches):
+        # a^-1 comes from the determinant's coefficients, so no ball system
+        # is solved; the certificate leaves no witness to search for
         u, v = f3_nuca_pair()
         verdict = stable_injectivity_verdict(u, SearchBudget(max_radius=3))
-        assert verdict.certificate == v
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0)]
-        searches.clear()
+        assert verdict.certificate == v and verdict.certificate_radius == 1
+        assert searches == []
         assert search_one_sided_inverse(v, "right", 2) == (u, 1)
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0)]
+        ball = FiniteSubset.ball(Z1, 1)
+        assert solve_one_sided_inverse(v, InverseSearchParams.make("right", ball, ball)) == u
+        assert searches == []
+
+    @pytest.mark.parametrize("group, field, n", [(Z2, F5, 2), (Z2, Q, 3), (Z3, F2, 2)])
+    def test_units_from_gen_unit_run_no_ball_search(self, searches, group, field, n):
+        config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n, max_factors=3)
+        unit, inverse, _ = gen_unit(random.Random(7), config)
+        t = Nuca.from_matrix(unit)
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=3, depth=0, window=1))
+        assert verdict.kind == "proven_stably_injective"
+        assert verdict.certificate == Nuca.from_matrix(inverse)
+        assert search_one_sided_inverse(t, "right", 3)[0] == verdict.certificate
+        assert searches == []
 
     def test_free_group_runs_every_search(self, searches):
         t = decoy_nuca(F2FREE, F2, 1)
@@ -1033,17 +1172,31 @@ class TestDeterminantPruning:
         ]
 
     def test_verdict_computes_the_determinant_once(self, monkeypatch):
-        # one det(a) serves the inverse-search prune and the constant-part prune
+        # one det(a) and its coefficients serve the certificate, the
+        # inverse-search prune and the constant-part prune; the inverse is
+        # made from them at most once, and only for a monomial det(a)
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return zd_determinant(*args)
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(invert, "zd_determinant", counting)
-        verdict = stable_injectivity_verdict(decoy_nuca(Z1, F3, 1), SearchBudget(max_radius=2, depth=1, window=1))
+            return wrapped
+
+        monkeypatch.setattr(invert, "zd_determinant", counting("det", zd_determinant))
+        monkeypatch.setattr(invert, "zd_inverse", counting("inverse", zd_inverse))
+        budget = SearchBudget(max_radius=2, depth=1, window=1)
+        verdict = stable_injectivity_verdict(decoy_nuca(Z1, F3, 1), budget)
         assert verdict.kind == "bounded_evidence"
-        assert len(calls) == 1
+        assert calls == ["det"]
+        calls.clear()
+        u, v = f3_nuca_pair()
+        assert stable_injectivity_verdict(u, budget).certificate == v
+        assert calls == ["det", "inverse"]
+        calls.clear()
+        assert search_one_sided_inverse(u, "left", 2) == (v, 1)
+        assert calls == ["det", "inverse"]
 
     def test_past_the_det_budget_every_search_runs(self, searches, monkeypatch):
         monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", 0)

@@ -505,9 +505,9 @@ class TestKernelSkips:
         calls = []
         kernel = twisted._mul_into
 
-        def counting(acc, grp, field, shape, x, y):
+        def counting(acc, grp, shape, x, y):
             calls.append((x, y))
-            kernel(acc, grp, field, shape, x, y)
+            kernel(acc, grp, shape, x, y)
 
         monkeypatch.setattr(twisted, "_mul_into", counting)
         return calls
