@@ -17,7 +17,9 @@ Five complementary tools:
 * identity verification by ring equality (sound and complete because the
   NUCA <-> ring-element correspondence is injective over infinite groups);
 * finitely supported kernel search (a witness refutes pre-injectivity,
-  hence injectivity);
+  hence injectivity).  The verdict finds the first radius with a witness
+  from one elimination of the largest window map per map, and makes the
+  witness once, at that radius (_first_witness_radius);
 * the kernel tower over box exhaustions of Z^d, whose stabilized
   projections detect global kernel configurations;
 * the regular-part obstruction over Z^d: M_n(k[Z^d]) is a matrix ring
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, _echelon, _matrix_rows, inverse, kernel_basis, solve
@@ -445,11 +447,7 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     if radius < 0:
         raise UsageError("radius must be >= 0")
     grp, fld, n = t.group, t.field, t.n
-    support = FiniteSubset.ball(grp, radius)
-    window = support.product(t.memory.inverse()) if len(t.memory) else FiniteSubset.make(grp, ())
-    window = window.union(t.exceptional_set)
-
-    local = t.induced_local_map(window)
+    support, local = _kernel_window_map(t, radius)
     # keep the columns of the domain sites inside the support, re-keyed to
     # the support's order; the others meet only zero entries of the vector
     cols = _column_map(local.domain_set, support, n)
@@ -467,7 +465,43 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     return witness
 
 
-def _column_map(domain: FiniteSubset, sites: FiniteSubset, n: int) -> dict[int, int]:
+def _kernel_window_map(t: Nuca, radius: int) -> tuple:
+    """ball(radius) and the window map of the sites whose rules read it:
+    ball(radius) M^-1 and the exceptional sites."""
+    grp = t.group
+    support = FiniteSubset.ball(grp, radius)
+    window = support.product(t.memory.inverse()) if len(t.memory) else FiniteSubset.make(grp, ())
+    return support, t.induced_local_map(window.union(t.exceptional_set))
+
+
+def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
+    """The smallest r <= max_radius at which finitely_supported_kernel(t, r)
+    finds a witness, or None, from one elimination.
+
+    The window map of ball(max_radius) is kept on the columns of that
+    ball, numbered shell by shell (ball(0), then the sites of norm 1, of
+    norm 2, ...), so the columns of each ball(r) form a prefix.  A row
+    that reads ball(r) lies in the window of radius r, so those columns
+    carry the map finitely_supported_kernel(t, r) eliminates, less some
+    zero rows.  Its kernel is nonzero iff a column of the prefix lies in
+    the span of the columns before it, which is when it is not a pivot
+    of a basis whose rows lead at their first column: the first radius
+    is the shell of the first column that is not a pivot.
+    """
+    grp, n = t.group, t.n
+    support, local = _kernel_window_map(t, max_radius)
+    # a stable sort keeps the canonical order within each shell
+    shells = sorted(support, key=grp.norm)
+    cols = _column_map(local.domain_set, shells, n)
+    rows = ({cols[j]: v for j, v in row.items() if j in cols} for row in _matrix_rows(local.matrix))
+    pivots = _echelon(t.field.p, rows, min)
+    for c in range(n * len(shells)):
+        if c not in pivots:
+            return grp.norm(shells[c // n])
+    return None
+
+
+def _column_map(domain: FiniteSubset, sites: Iterable, n: int) -> dict[int, int]:
     """{column of `domain`: column of `sites`} for the n coordinates of each
     site of `sites` that lies in `domain`."""
     return {
@@ -586,10 +620,14 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     radius rules out a witness at every radius: t is then injective, and
     its regular part is invertible, which makes the constant part
     injective.  So the verdict is the same as a search that tries the
-    certificate, then each witness, radius by radius.  Over Z^d a nonzero
-    determinant of the regular part proves that the constant part has no
-    witness, so none is searched for.  The determinant and its
-    coefficients are computed once, for the certificate and both prunes.
+    certificate, then both witnesses radius by radius, t's first.  The
+    first radius with a witness comes from one elimination per map
+    (_first_witness_radius): for t up to max_radius, then for the
+    constant part below t's radius, and the witness is made once, at the
+    smaller of the two.  Over Z^d a nonzero determinant of the regular
+    part proves that the constant part has no witness, so none is
+    searched for.  The determinant and its coefficients are computed
+    once, for the certificate and both prunes.
     A budget whose certificate search or kernel tower is past its size
     limit is refused before any search runs.
     """
@@ -605,29 +643,28 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
             certificate=hit[0],
             certificate_radius=hit[1],
         )
+    # the first witness radius of t, then of its constant part below it;
     # a nonzero det(a) proves that the constant part has no nonzero
     # finitely supported kernel point
-    search_constant = det is None or det.det.is_zero()
-    const = constant_part(t)
-    for r in range(budget.max_radius + 1):
-        witness = finitely_supported_kernel(t, r)
-        if witness is not None:
-            return InjectivityVerdict(
-                kind="proven_not_injective",
-                budget=budget,
-                witness=witness,
-                witness_scope="self",
-                witness_radius=r,
-            )
-        cwitness = finitely_supported_kernel(const, r) if search_constant else None
-        if cwitness is not None:
-            return InjectivityVerdict(
-                kind="proven_not_injective",
-                budget=budget,
-                witness=cwitness,
-                witness_scope="constant_part",
-                witness_radius=r,
-            )
+    radius = _first_witness_radius(t, budget.max_radius)
+    target, scope = t, "self"
+    below = budget.max_radius if radius is None else radius - 1
+    if (det is None or det.det.is_zero()) and below >= 0:
+        const = constant_part(t)
+        const_radius = _first_witness_radius(const, below)
+        if const_radius is not None:
+            target, scope, radius = const, "constant_part", const_radius
+    if radius is not None:
+        witness = finitely_supported_kernel(target, radius)
+        if witness is None:
+            raise AssertionError("no witness at the first witness radius; this is a bug")
+        return InjectivityVerdict(
+            kind="proven_not_injective",
+            budget=budget,
+            witness=witness,
+            witness_scope=scope,
+            witness_radius=radius,
+        )
     tower = (
         kernel_tower(t, budget.depth, budget.window) if t.group.kind == "Zd" else None
     )

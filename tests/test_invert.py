@@ -759,6 +759,70 @@ def test_kernel_witness_agrees_with_dense_path(seed, group, field, n, radius):
     assert witness == Configuration.make(group, field, n, (field.zero,) * n, dev)
 
 
+def witness_map(seed, group, field, n, kind, max_radius):
+    """A random radius-1 map ("random"); the same map shifted by a site of
+    norm max_radius + 2, so that its exceptional sites lie outside
+    ball(max_radius) ("shifted"); the zero map, whose memory is empty
+    ("zero"); a random map whose regular part has det 0 (draw_map's
+    "singular"), whose kernel points spread over several shells; or a
+    pointwise nilpotent constant rule, with the singular part of a random
+    map ("nilpotent") or with the identity added at the sites of ball(m)
+    for some -1 <= m <= max_radius + 1, which moves the first witness to
+    radius m + 1 ("repaired")."""
+    if kind == "zero":
+        return Nuca.zero(group, field, n)
+    if kind == "singular":
+        return draw_map(random.Random(seed), group, field, n, kind)
+    u = rand_twisted(random.Random(seed), group, field, n, radius=1)
+    if kind == "shifted":
+        far = max_radius + 2
+        g = (far,) + (-1,) * (group.dim - 1) if group.kind == "Zd" else (1,) * far
+        return Nuca(u).shift(g)
+    if kind in ("nilpotent", "repaired"):
+        nil = ((0, 1), (0, 0)) if n == 2 else ((0,),)
+        a = gre(group, field, n, [(group.identity, nil)])
+        singular = u.singular
+        if kind == "repaired":
+            one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            fix = gre(group, field, n, [(group.identity, one)])
+            m = seed % (max_radius + 3) - 1
+            singular = [(g, fix) for g in group.ball(m)] if m >= 0 else []
+        return Nuca(TwistedElement.make(a, singular))
+    return Nuca(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F5, Q]),
+    n=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["random", "singular", "shifted", "zero", "nilpotent", "repaired"]),
+    max_radius=st.integers(0, 2),
+)
+@example(seed=0, group=Z1, field=F2, n=2, kind="nilpotent_nuca", max_radius=2)
+# the first kernel point spans shells 0 and 1
+@example(seed=0, group=Z1, field=F5, n=2, kind="singular", max_radius=1)
+# the identity at the sites of ball(1) moves the first witness to radius 2
+@example(seed=2, group=Z2, field=Q, n=2, kind="repaired", max_radius=2)
+def test_first_witness_radius_is_the_first_kernel_radius(seed, group, field, n, kind, max_radius):
+    # the one elimination finds the radius at which the per-radius search
+    # finds its first witness
+    if kind == "nilpotent_nuca":
+        t = nilpotent_nuca()
+    else:
+        t = witness_map(seed, group, field, n, kind, max_radius)
+    first = next(
+        (r for r in range(max_radius + 1) if finitely_supported_kernel(t, r) is not None), None
+    )
+    assert invert._first_witness_radius(t, max_radius) == first
+    const = constant_part(t)
+    first = next(
+        (r for r in range(max_radius + 1) if finitely_supported_kernel(const, r) is not None), None
+    )
+    assert invert._first_witness_radius(const, max_radius) == first
+
+
 # a shift that moves the exceptional sites of a radius-1 map out of ball(1),
 # so that they enter the tower at level 2 or later
 TOWER_SHIFTS = {Z1: (3,), Z2: (2, -1), Z3: (2, -1, 1)}
@@ -975,6 +1039,21 @@ def test_determinant_pruning_is_sound(seed, group, field, n, kind):
         assert stable_injectivity_verdict(t, budget) == reference_verdict(t, budget)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([F2, F3, Q]),
+    n=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["random", "unit", "singular"]),
+)
+def test_free_group_verdict_is_the_reference_verdict(seed, field, n, kind):
+    # no determinant prunes off Z^d: every search runs, the witnesses from
+    # the first witness radii of both scopes
+    t = draw_map(random.Random(seed), F2FREE, field, n, kind)
+    budget = SearchBudget(max_radius=1 if n == 2 else 2)
+    assert stable_injectivity_verdict(t, budget) == reference_verdict(t, budget)
+
+
 def row_scaled_unit(rng, group, field, n, max_factors):
     """The regular part of a gen_unit unit, shifted by a site of ball(1)
     and, over Q, with its rows scaled by 1/11, 3/13 and 5/17, so that the
@@ -1111,17 +1190,23 @@ class TestDeterminantPruning:
     @pytest.fixture
     def searches(self, monkeypatch):
         calls = []
-        inverse, kernel = invert._regular_inverse, invert.finitely_supported_kernel
+        inverse, first = invert._regular_inverse, invert._first_witness_radius
+        kernel = invert.finitely_supported_kernel
 
         def inverse_recorder(a, memory):
             calls.append(("inverse", a, max(a.group.norm(g) for g in memory)))
             return inverse(a, memory)
+
+        def first_recorder(t, max_radius):
+            calls.append(("witness", t, max_radius))
+            return first(t, max_radius)
 
         def kernel_recorder(t, r):
             calls.append(("kernel", t, r))
             return kernel(t, r)
 
         monkeypatch.setattr(invert, "_regular_inverse", inverse_recorder)
+        monkeypatch.setattr(invert, "_first_witness_radius", first_recorder)
         monkeypatch.setattr(invert, "finitely_supported_kernel", kernel_recorder)
         return calls
 
@@ -1132,9 +1217,10 @@ class TestDeterminantPruning:
         budget = SearchBudget(max_radius=2, depth=1, window=1)
         verdict = stable_injectivity_verdict(t, budget)
         assert verdict.kind == "bounded_evidence"
-        # only the witness searches for t itself run, one per radius
-        assert [(kind, r) for kind, _, r in searches] == [("kernel", r) for r in range(3)]
-        assert all(target is t for _, target, _ in searches)
+        # det(a) != 0: only t's own witness system runs, once, up to
+        # radius 2; no constant-part system and no witness is built
+        assert [(kind, r) for kind, _, r in searches] == [("witness", 2)]
+        assert searches[0][1] is t
         searches.clear()
         assert search_one_sided_inverse(t, "left", 2) is None
         assert search_one_sided_inverse(t, "right", 2) is None
@@ -1164,12 +1250,31 @@ class TestDeterminantPruning:
         assert searches == []
 
     def test_free_group_runs_every_search(self, searches):
+        # no determinant off Z^d: both scopes' witness systems run, t's
+        # first, each once up to the largest radius
         t = decoy_nuca(F2FREE, F2, 1)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=1))
         assert verdict.kind == "bounded_evidence"
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)] + [
-            ("kernel", r) for r in range(2) for _ in range(2)
+        assert [(kind, r) for kind, _, r in searches] == [
+            ("inverse", 0), ("inverse", 1), ("witness", 1), ("witness", 1)
         ]
+        assert searches[2][1] is t and searches[3][1] == constant_part(t)
+
+    def test_witness_verdicts_build_one_witness(self, searches):
+        # the witness is made once, at the first radius; the constant part
+        # is searched only below t's first radius
+        t = nilpotent_nuca()
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=2))
+        assert verdict.witness_scope == "self" and verdict.witness_radius == 0
+        assert [(kind, r) for kind, _, r in searches] == [("witness", 2), ("kernel", 0)]
+        searches.clear()
+        a = gre(Z1, F2, 2, [((0,), ((0, 1), (0, 0)))])
+        fix = gre(Z1, F2, 2, [((0,), ((1, 0), (0, 1)))])
+        t = Nuca(TwistedElement.make(a, [((0,), fix)]))
+        verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=2))
+        assert verdict.witness_scope == "constant_part" and verdict.witness_radius == 0
+        assert [(kind, r) for kind, _, r in searches] == [("witness", 2), ("witness", 0), ("kernel", 0)]
+        assert searches[0][1] is t and searches[1][1] == searches[2][1] == constant_part(t)
 
     def test_verdict_computes_the_determinant_once(self, monkeypatch):
         # one det(a) and its coefficients serve the certificate, the
@@ -1203,7 +1308,10 @@ class TestDeterminantPruning:
         t = decoy_nuca(Z1, F2, 1)
         budget = SearchBudget(max_radius=1, depth=1, window=1)
         verdict = stable_injectivity_verdict(t, budget)
-        assert [(kind, r) for kind, _, r in searches] == [("inverse", 0), ("inverse", 1)] + [
-            ("kernel", r) for r in range(2) for _ in range(2)
+        # no det(a) to prune with: the ball systems for a^-1 and both
+        # scopes' witness systems run
+        assert [(kind, r) for kind, _, r in searches] == [
+            ("inverse", 0), ("inverse", 1), ("witness", 1), ("witness", 1)
         ]
+        assert searches[2][1] is t and searches[3][1] == constant_part(t)
         assert verdict == reference_verdict(t, budget)

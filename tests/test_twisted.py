@@ -220,6 +220,18 @@ def test_mul_matches_oracle(group, field):
         assert_matches_oracle(u, v)
 
 
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+def test_matrix_mul_matches_oracle(group, field):
+    # 2 x 2 coefficients take their own loops, with each part of the right
+    # factor transposed once per product
+    rng = random.Random(f"{group.label()}|{field.label()}|tw-matrix-oracle")
+    for _ in range(40):
+        u = rand_twisted(rng, group, field, 2, radius=2)
+        v = rand_twisted(rng, group, field, 2, radius=2)
+        assert_matches_oracle(u, v)
+
+
 def test_singular_support_containment(rng):
     # result singular sites sit inside supp(b1) united with supp(b2)*supp(a1)^-1
     for _ in range(60):
