@@ -120,29 +120,15 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
     """Add a(g) b(h) at g h into acc for every term pair, as raw entries.
     Each n x n right-hand coefficient is transposed once per call."""
-    if shape is not None:
-        _convolve_columns_into(acc, group, a_terms, _columns(b_terms))
+    compose = group.compose
+    get = acc.get
+    if shape is None:
+        for g, a in a_terms:
+            for h, b in b_terms:
+                k = compose(g, h)
+                acc[k] = get(k, 0) + a * b
         return
-    compose = group.compose
-    get = acc.get
-    for g, a in a_terms:
-        for h, b in b_terms:
-            k = compose(g, h)
-            acc[k] = get(k, 0) + a * b
-
-
-def _columns(terms) -> list:
-    """Terms with n x n coefficients, each coefficient given by its tuple
-    of columns, as _convolve_columns_into reads the right-hand side."""
-    return [(h, tuple(zip(*b))) for h, b in terms]
-
-
-def _convolve_columns_into(acc: dict, group: GroupSpec, a_terms, b_cols) -> None:
-    """_convolve_into for n x n coefficients, the right-hand terms given by
-    _columns, so that a caller convolving the same terms again transposes
-    them once."""
-    compose = group.compose
-    get = acc.get
+    b_cols = [(h, tuple(zip(*b))) for h, b in b_terms]
     for g, a in a_terms:
         for h, cols in b_cols:
             k = compose(g, h)

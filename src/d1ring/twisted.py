@@ -58,8 +58,6 @@ from .groupring import (
     Shape,
     _add_into,
     _canonical_terms,
-    _columns,
-    _convolve_columns_into,
     _convolve_into,
     _raw_is_one,
     _raw_is_zero,
@@ -187,19 +185,16 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
     """Add the raw terms of x * y into acc = {site: {h: coefficient}}, with
     site None for the regular part; x and y are trusted to share grp, field
     and shape."""
-    if shape is not None:
-        _mul_columns_into(acc, grp, x, y)
-        return
     compose = grp.compose
     a1, a2 = x.regular.terms, y.regular.terms
-    _convolve_into(acc.setdefault(None, {}), grp, None, a1, a2)
+    _convolve_into(acc.setdefault(None, {}), grp, shape, a1, a2)
     # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
     if y.singular:
         for t, c in a1:
             t_inv = grp.inverse(t)
             for u, part in y.singular:
                 slot = acc.setdefault(compose(u, t_inv), {})
-                _convolve_into(slot, grp, None, ((t, c),), part.terms)
+                _convolve_into(slot, grp, shape, ((t, c),), part.terms)
     if not x.singular:
         return
     # b1 a2 is sitewise; in b1 b2 only the terms t of b1(g) whose shifted
@@ -207,38 +202,12 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
     other_sites = dict(y.singular)
     for g, part in x.singular:
         slot = acc.setdefault(g, {})
-        _convolve_into(slot, grp, None, part.terms, a2)
+        _convolve_into(slot, grp, shape, part.terms, a2)
         if other_sites:
             for t, c in part.terms:
                 hit = other_sites.get(compose(g, t))
                 if hit is not None:
-                    _convolve_into(slot, grp, None, ((t, c),), hit.terms)
-
-
-def _mul_columns_into(acc: dict, grp: GroupSpec, x: TwistedElement, y: TwistedElement) -> None:
-    """_mul_into over n x n coefficients.  Every convolution has a part of
-    y on the right, so each part of y is transposed once per product
-    (groupring._columns), not once per convolution.  The scalar path
-    keeps its own loops, as building the parts' map on every product
-    would slow the direct-finiteness suites."""
-    compose = grp.compose
-    a1, a2 = x.regular.terms, _columns(y.regular.terms)
-    b2 = {u: _columns(part.terms) for u, part in y.singular}
-    _convolve_columns_into(acc.setdefault(None, {}), grp, a1, a2)
-    if b2:
-        for t, c in a1:
-            t_inv = grp.inverse(t)
-            for u, cols in b2.items():
-                slot = acc.setdefault(compose(u, t_inv), {})
-                _convolve_columns_into(slot, grp, ((t, c),), cols)
-    for g, part in x.singular:
-        slot = acc.setdefault(g, {})
-        _convolve_columns_into(slot, grp, part.terms, a2)
-        if b2:
-            for t, c in part.terms:
-                hit = b2.get(compose(g, t))
-                if hit is not None:
-                    _convolve_columns_into(slot, grp, ((t, c),), hit)
+                    _convolve_into(slot, grp, shape, ((t, c),), hit.terms)
 
 
 def _accumulate(grp: GroupSpec, shape: Shape, pairs) -> dict:

@@ -223,8 +223,8 @@ def test_mul_matches_oracle(group, field):
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
 def test_matrix_mul_matches_oracle(group, field):
-    # 2 x 2 coefficients take their own loops, with each part of the right
-    # factor transposed once per product
+    # 2 x 2 coefficients: every regular/singular pairing of the product,
+    # summed on raw n x n accumulators, against the oracle
     rng = random.Random(f"{group.label()}|{field.label()}|tw-matrix-oracle")
     for _ in range(40):
         u = rand_twisted(rng, group, field, 2, radius=2)
