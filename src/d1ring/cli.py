@@ -75,8 +75,8 @@ def _nuca_from(env: Envelope) -> Nuca:
     return Nuca(env.payload)
 
 
-def _emit(args, value, n=None, omit_timing: bool = False) -> None:
-    env = value if isinstance(value, Envelope) else envelope_for(value, n)
+def _emit(args, value, omit_timing: bool = False) -> None:
+    env = value if isinstance(value, Envelope) else envelope_for(value)
     _write(getattr(args, "output", "-") or "-", serialize_envelope(env, omit_timing=omit_timing))
 
 

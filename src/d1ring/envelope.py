@@ -371,7 +371,7 @@ def parse_envelope(text: str) -> Envelope:
     return env
 
 
-def envelope_for(value, n: Shape = None) -> Envelope:
+def envelope_for(value) -> Envelope:
     """Wrap a live object in an envelope with the right header."""
     if isinstance(value, GroupRingElement):
         return Envelope(value.group, value.field, value.shape, "groupring", value)

@@ -7,10 +7,7 @@ systems cost memory in their nonzeros only.  One elimination kernel
 works on the residues as they are.  Over Q it is fraction-free: each row
 enters as its primitive integer multiple (times the lcm of its
 denominators, divided by the gcd of the result), and a reduction step is
-row <- a*row - b*pivot followed by one content division.  A matrix may
-carry those integer rows from where it was made (`Matrix.integer`; window
-maps make them once per rule row), and then elimination reads them
-instead of converting its rows.
+row <- a*row - b*pivot followed by one content division.
 
 A `Subspace` is its canonical reduced basis in the same integers: the
 RREF rows over F_p, and over Q the primitive integer multiples of the
@@ -179,26 +176,17 @@ class Matrix:
     """An exact matrix over a FieldSpec, stored by rows: data[i] maps each
     column of row i that holds a nonzero entry to that entry, in canonical
     field form (an int in [0, p) or a Fraction).  Products, window maps,
-    subspace bases and linear systems all use it.
+    subspace bases and linear systems all use it."""
 
-    Over Q, `integer` may hold the primitive integer multiple of each row
-    (see `_primitive_row`), which `rank` and `kernel_basis` then read
-    instead of converting the rows.  It is left out of equality; whoever
-    passes it vouches that it matches `data`."""
+    __slots__ = ("field", "rows", "cols", "data")
 
-    __slots__ = ("field", "rows", "cols", "data", "integer")
-
-    def __init__(
-        self, field: FieldSpec, rows: int, cols: int, data: list[dict],
-        integer: Optional[list[dict]] = None,
-    ):
-        if len(data) != rows or (integer is not None and len(integer) != rows):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, data: list[dict]):
+        if len(data) != rows:
             raise UsageError("matrix data must have one dict per row")
         self.field = field
         self.rows = rows
         self.cols = cols
         self.data = data
-        self.integer = integer
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -249,10 +237,7 @@ class Matrix:
         """The columns j in cols, each moved to column cols[j], in a matrix
         of ncols columns; the other columns are dropped."""
         data = [{cols[j]: x for j, x in row.items() if j in cols} for row in self.data]
-        integer = None if self.integer is None else [
-            _content_free({cols[j]: x for j, x in row.items() if j in cols}) for row in self.integer
-        ]
-        return Matrix(self.field, self.rows, ncols, data, integer)
+        return Matrix(self.field, self.rows, ncols, data)
 
     def mul_vector(self, v: Sequence) -> tuple:
         """Apply to a coordinate vector, returning a tuple of field values."""
@@ -282,11 +267,6 @@ def _integer_rows(field: FieldSpec, rows: Iterable[dict]) -> Iterable[dict]:
     """Fresh copies of canonical rows as the integer rows elimination works
     on: the residues themselves over F_p, primitive integer rows over Q."""
     return map(dict, rows) if field.p else map(_primitive_row, rows)
-
-
-def _matrix_rows(a: Matrix) -> Iterable[dict]:
-    """Fresh integer rows of a matrix, read from a.integer when it has them."""
-    return _integer_rows(a.field, a.data) if a.integer is None else map(dict, a.integer)
 
 
 def _primitive_row(row: dict) -> dict:
@@ -483,14 +463,14 @@ class Subspace:
 
 
 def rank(a: Matrix) -> int:
-    return len(_echelon(a.field.p, _matrix_rows(a)))
+    return len(_echelon(a.field.p, _integer_rows(a.field, a.data)))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """Canonical echelon basis of the right null space {v : Av = 0}."""
     p = a.field.p
     # each row of the reduced basis leads at its last column
-    basis = _reduced_echelon(p, _matrix_rows(a), max)
+    basis = _reduced_echelon(p, _integer_rows(a.field, a.data), max)
     # one vector per free column f: 1 at f and, at each pivot column c,
     # minus the entry at f of row c divided by its leading entry; in
     # integers, all of it times the lcm of those leading entries.  Row c

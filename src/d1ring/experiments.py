@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from .errors import UsageError
 from .exactalg import FieldSpec
-from .groupring import GroupRingElement, _add_into, _canonical_terms
+from .groupring import GroupRingElement, _add_into, _canonical_terms, coeff_one
 from .groups import Element, GroupSpec
 from .invert import (
     SearchBudget,
@@ -273,8 +273,6 @@ def decoy_nuca(group: GroupSpec, field: FieldSpec, n: int) -> Nuca:
     """The standard non-injective control: identity blocks at the identity
     and at one generator.  Its kernel holds no finitely supported point,
     and no finite-window left inverse exists."""
-    from .groupring import coeff_one
-
     step: Element = (1,) + (0,) * (group.dim - 1) if group.kind == "Zd" else (1,)
     reg = GroupRingElement.from_terms(
         group, field, n, [(group.identity, coeff_one(field, n)), (step, coeff_one(field, n))]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import UsageError
-from .exactalg import Matrix, _echelon, _matrix_rows, inverse, kernel_basis, solve
+from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
 from .groupring import GroupRingElement, ZdDeterminant, zd_determinant, zd_inverse
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
@@ -447,7 +447,8 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     if radius < 0:
         raise UsageError("radius must be >= 0")
     grp, fld, n = t.group, t.field, t.n
-    support, local = _kernel_window_map(t, radius)
+    support = FiniteSubset.ball(grp, radius)
+    local = t.induced_local_map(_kernel_window(t, support))
     # keep the columns of the domain sites inside the support, re-keyed to
     # the support's order; the others meet only zero entries of the vector
     cols = _column_map(local.domain_set, support, n)
@@ -465,36 +466,33 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     return witness
 
 
-def _kernel_window_map(t: Nuca, radius: int) -> tuple:
-    """ball(radius) and the window map of the sites whose rules read it:
-    ball(radius) M^-1 and the exceptional sites."""
-    grp = t.group
-    support = FiniteSubset.ball(grp, radius)
-    window = support.product(t.memory.inverse()) if len(t.memory) else FiniteSubset.make(grp, ())
-    return support, t.induced_local_map(window.union(t.exceptional_set))
+def _kernel_window(t: Nuca, support: FiniteSubset) -> FiniteSubset:
+    """The sites whose rules read the support: support M^-1 and the
+    exceptional sites."""
+    return support.product(t.memory.inverse()).union(t.exceptional_set)
 
 
 def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
     """The smallest r <= max_radius at which finitely_supported_kernel(t, r)
     finds a witness, or None, from one elimination.
 
-    The window map of ball(max_radius) is kept on the columns of that
-    ball, numbered shell by shell (ball(0), then the sites of norm 1, of
-    norm 2, ...), so the columns of each ball(r) form a prefix.  A row
-    that reads ball(r) lies in the window of radius r, so those columns
-    carry the map finitely_supported_kernel(t, r) eliminates, less some
-    zero rows.  Its kernel is nonzero iff a column of the prefix lies in
-    the span of the columns before it, which is when it is not a pivot
-    of a basis whose rows lead at their first column: the first radius
-    is the shell of the first column that is not a pivot.
+    The rows of the window map of ball(max_radius) are placed straight at
+    the columns of that ball, numbered shell by shell (ball(0), then the
+    sites of norm 1, of norm 2, ...), so the columns of each ball(r) form
+    a prefix; no window map is built or re-keyed.  A row that reads
+    ball(r) lies in the window of radius r, so those columns carry the
+    map finitely_supported_kernel(t, r) eliminates, less some zero rows.
+    Its kernel is nonzero iff a column of the prefix lies in the span of
+    the columns before it, which is when it is not a pivot of a basis
+    whose rows lead at their first column: the first radius is the shell
+    of the first column that is not a pivot.
     """
     grp, n = t.group, t.n
-    support, local = _kernel_window_map(t, max_radius)
+    support = FiniteSubset.ball(grp, max_radius)
     # a stable sort keeps the canonical order within each shell
     shells = sorted(support, key=grp.norm)
-    cols = _column_map(local.domain_set, shells, n)
-    rows = ({cols[j]: v for j, v in row.items() if j in cols} for row in _matrix_rows(local.matrix))
-    pivots = _echelon(t.field.p, rows, min)
+    column = {u: k for k, u in enumerate(shells)}.get
+    pivots = _echelon(t.field.p, t._window_rows(_kernel_window(t, support), column), min)
     for c in range(n * len(shells)):
         if c not in pivots:
             return grp.norm(shells[c // n])
@@ -544,12 +542,14 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     level, so the c_l coordinates of level l are a prefix of the next
     level's.  The window map A_m of ball(m) is A_{m-1} with the rows of
     the shell ball(m) minus ball(m - 1) below it, as the rows of ball(m - 1)
-    read only the first c_{m-1} coordinates.  So one semi-echelon basis
-    whose rows lead at their last column takes in each shell's rows once,
-    and its pivots P_m after level m give every dimension reported: the
-    rows leading at c or later are independent on the columns >= c and
-    the others vanish there, so rank A_m[:, >= c] = #{p in P_m : p >= c},
-    and the kernel K_m cut to the first c coordinates has dimension
+    read only the first c_{m-1} coordinates.  Each shell's rows are placed
+    straight at that numbering, with no window map built or re-keyed.  So
+    one semi-echelon basis whose rows lead at their last column takes in
+    each shell's rows once, and its pivots P_m after level m give every
+    dimension reported: the rows leading at c or later are independent on
+    the columns >= c and the others vanish there, so
+    rank A_m[:, >= c] = #{p in P_m : p >= c}, and the kernel K_m cut to the
+    first c coordinates has dimension
 
         (c_m - |P_m|) - ((c_m - c) - #{p in P_m : p >= c}) = c - #{p in P_m : p < c},
 
@@ -575,15 +575,11 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
 
     def ensure_level(m: int) -> None:
         while len(dims) <= m:
-            local = t.induced_local_map(_box_shell(grp, len(dims)))
-            for u in local.domain_set:
+            shell = _box_shell(grp, len(dims))
+            for u in shell.product(t.memory):
                 ids.setdefault(u, len(ids))
-            cols = {
-                k * n + i: ids[u] * n + i for k, u in enumerate(local.domain_set) for i in range(n)
-            }
-            rows = ({cols[j]: v for j, v in row.items()} for row in _matrix_rows(local.matrix))
             before = len(basis)
-            _echelon(p, rows, max, basis)
+            _echelon(p, t._window_rows(shell, ids.get), max, basis)
             pivots.append(sorted(itertools.islice(basis, before, None)))
             ranks.append(len(basis))
             dims.append(n * len(ids))

@@ -21,10 +21,10 @@ operation; `value_at` reduces the one sum it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UsageError
-from .exactalg import FieldSpec, Matrix, _primitive_row
+from .exactalg import FieldSpec, Matrix, _content_free, _primitive_row
 from .groupring import GroupRingElement, coeff_add, coeff_neg, coeff_zero
 from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
@@ -385,10 +385,9 @@ class Nuca:
         """The matrix of the action restricted to a finite window E, with
         domain EM; block (g, q) is the rule-at-g block at h = g^-1 q.
 
-        Over Q the matrix also carries the primitive integer multiple of
-        each row (Matrix.integer).  Row i of the block row of g is row i of
-        the rule at g placed at the sites g M, so its primitive multiple is
-        that of the rule row, made once per rule and NUCA (_window_rules)."""
+        Row i of the block row of g is row i of the rule at g placed at
+        the sites g M, read from the rule rows made once per rule and NUCA
+        (_window_rules)."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
@@ -396,22 +395,40 @@ class Nuca:
         constant_rule, exceptional = self._window_rules()
         compose, position = grp.compose, domain.position
         rows: list[dict] = []
-        integer: Optional[list[dict]] = None if field.p else []
         for g in window:
-            sites, rule_rows, rule_ints = exceptional.get(g, constant_rule)
+            sites, rule_rows, _ = exceptional.get(g, constant_rule)
             # the first column of the block of each site of the rule, read at g
             base = [position(compose(g, h)) * n for h in sites]
             rows.extend({base[s] + j: x for s, j, x in entries} for entries in rule_rows)
-            if integer is not None:
-                integer.extend({base[s] + j: z for s, j, z in entries} for entries in rule_ints)
-        mat = Matrix(field, n * len(window), n * len(domain), rows, integer)
+        mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
+
+    def _window_rows(
+        self, window: Iterable[Element], column: Callable[[Element], Optional[int]]
+    ) -> list[dict]:
+        """The window map's rows as the integer rows elimination reads
+        (exactalg._integer_rows), with the coordinate j of each domain site
+        u at column column(u) * n + j; the sites where column(u) is None
+        are left out.  Over Q a row that loses entries is divided by its
+        content, so it stays the primitive multiple of its field row."""
+        n, q = self.n, not self.field.p
+        compose = self.group.compose
+        constant_rule, exceptional = self._window_rules()
+        rows: list[dict] = []
+        for g in window:
+            sites, _, rule_ints = exceptional.get(g, constant_rule)
+            # the number of each site of the rule, read at g
+            ks = [column(compose(g, h)) for h in sites]
+            for entries in rule_ints:
+                row = {ks[s] * n + j: z for s, j, z in entries if ks[s] is not None}
+                rows.append(_content_free(row) if q and len(row) < len(entries) else row)
+        return rows
 
     def _window_rules(self) -> tuple:
         """The _rule_rows of the constant rule and {g: those of the rule at
-        g} for the exceptional sites g, made on first use: a kernel tower
-        reads them for every window it builds, while the pipeline builds
-        one NUCA per trial and one window of it."""
+        g} for the exceptional sites g, made on first use: the kernel
+        searches and towers read them for every window they place, while
+        the pipeline builds one NUCA per trial and one window of it."""
         if self._rules is None:
             field, n = self.field, self.n
             reg = dict(self.element.regular.terms)
@@ -431,14 +448,15 @@ def _rule_rows(field: FieldSpec, n: int, blocks: Iterable) -> tuple:
     """A rule given by its (h, block) pairs as (sites, rows, ints): the
     sites h whose block is not zero; for each row i of the rule, the
     triples (s, j, x) for the nonzero entries x at column j of row i of
-    the block of sites[s]; and over Q the same triples for the row's
-    primitive integer multiple (None over F_p)."""
+    the block of sites[s]; and the same triples for the integer row
+    elimination reads: the residues themselves over F_p (ints is rows),
+    the row's primitive integer multiple over Q."""
     nonzero = [(h, block) for h, block in blocks if any(any(row) for row in block)]
     rows = [
         [(s, j, x) for s, (_, block) in enumerate(nonzero) for j, x in enumerate(block[i]) if x]
         for i in range(n)
     ]
-    ints = None if field.p else [
+    ints = rows if field.p else [
         [(s, j, z) for (s, j), z in _primitive_row({(s, j): x for s, j, x in entries}).items()]
         for entries in rows
     ]

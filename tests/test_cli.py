@@ -148,6 +148,7 @@ class TestExitCodes:
             raise AssertionError("a window map was built before the refusal")
 
         monkeypatch.setattr(Nuca, "induced_local_map", no_window_map)
+        monkeypatch.setattr(Nuca, "_window_rows", no_window_map)
         src = tmp_path / "decoy.json"
         src.write_text(serialize_envelope(envelope_for(decoy_nuca(GroupSpec.zd(2), FieldSpec.fp(3), 1))))
         code, out, err = run_cli([command, str(src), "--depth", "1000000", "-o", "-"])

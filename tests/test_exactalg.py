@@ -14,7 +14,6 @@ from d1ring.exactalg import (
     FieldSpec,
     Matrix,
     Subspace,
-    _primitive_row,
     image,
     inverse,
     kernel_basis,
@@ -479,10 +478,6 @@ def test_kernel_basis_agrees_with_dense_reference(case):
             assert math.gcd(*row.values()) == 1
         else:
             assert row[c] == 1
-    if field == Q:
-        integer = [_primitive_row(row) for row in stacked.data]
-        carried = Matrix(Q, stacked.rows, stacked.cols, stacked.data, integer)
-        assert kernel_basis(carried) == kernel
 
 
 # -- the integer Subspace against the dense reference --------------------------------
@@ -593,12 +588,7 @@ def test_integer_subspace_agrees_with_dense_reference(case):
         assert kernel_basis(restricted).vectors() == [
             tuple(v) for v in reference_kernel(Matrix.from_rows(field, sliced))
         ]
-    if field == Q:
-        # integer rows restricted and divided by their content are the
-        # primitive multiples of the restricted rows
-        carried = Matrix(Q, a.rows, a.cols, a.data, [_primitive_row(row) for row in a.data])
-        assert carried.restrict(cols, len(cols)).integer == [_primitive_row(row) for row in restricted.data]
-        assert kernel_basis(carried) == kernel and rank(carried) == rank(a)
+    assert rank(a) == s.dim
 
 
 # -- Matrix against plain lists ---------------------------------------------------

@@ -3,10 +3,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.exactalg import Matrix
+from d1ring.exactalg import Matrix, _integer_rows
 from d1ring.experiments import rand_twisted
 from d1ring.groups import FiniteSubset
 from d1ring import nuca
@@ -231,8 +231,8 @@ class TestInducedLocalMap:
     @pytest.mark.parametrize("field", [F3, Q], ids=lambda f: f.label())
     @pytest.mark.parametrize("group", [Z1, Z2], ids=lambda g: g.label())
     def test_rule_rows_made_once_per_nuca(self, group, field):
-        # the rules are made on the first window and read by the later
-        # ones, whose matrices equal those a fresh NUCA builds
+        # the rules are made on the first placement and read by every later
+        # placement and window map, which equal those of a fresh NUCA
         rng = random.Random(f"{group.label()}|{field.label()}|rules")
         t = rand_nuca(rng, group, field, 2, max_sites=3)
         while not len(t.exceptional_set):
@@ -242,12 +242,16 @@ class TestInducedLocalMap:
             FiniteSubset.make(group, rng.sample(group.ball(2), rng.randint(1, 4))) for _ in range(3)
         ]
         fresh = [Nuca(t.element).induced_local_map(w).matrix for w in windows]
+        built, placed = [], []
         with mock.patch.object(nuca, "_rule_rows", wraps=nuca._rule_rows) as spy:
-            built = [t.induced_local_map(w).matrix for w in windows]
+            for w in windows:
+                # the domain's own numbering places the window map's rows
+                placed.append(t._window_rows(w, w.product(t.memory).position))
+                built.append(t.induced_local_map(w).matrix)
         assert spy.call_count == 1 + len(t.exceptional_set)
-        for m, ref in zip(built, fresh):
-            assert m == ref and m.integer == ref.integer
-            assert (m.integer is None) == (field != Q)
+        for m, ref, rows in zip(built, fresh, placed):
+            assert m == ref
+            assert rows == list(_integer_rows(field, ref.data))
 
     def test_blocks_vanish_off_translated_memory(self, rng):
         t = rand_nuca(rng, Z1, F5, 1)
@@ -259,6 +263,58 @@ class TestInducedLocalMap:
             for qi, q in enumerate(local.domain_set):
                 if Z1.compose(Z1.inverse(g), q) not in mem:
                     assert dense[gi][qi] == 0
+
+
+@st.composite
+def window_numberings(draw):
+    """(t, window, sites): a radius-1 NUCA over Z^1, Z^2 or free:2 and F_2,
+    F_5 or Q with n = 1 or 2, a window inside ball(2), and a numbering of
+    its domain sites, sites[k] numbered k in a random order, that keeps
+    all of them or only some."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    group = draw(st.sampled_from(GROUPS))
+    field = draw(st.sampled_from([F2, F5, Q]))
+    t = rand_nuca(rng, group, field, draw(st.sampled_from([1, 2])), max_sites=3)
+    window = FiniteSubset.make(group, rng.sample(group.ball(2), rng.randint(1, 5)))
+    domain = list(window.product(t.memory))
+    kept = len(domain) if draw(st.booleans()) else rng.randint(0, len(domain))
+    return t, window, rng.sample(domain, kept)
+
+
+def _rule_map(field, blocks, exceptions=()):
+    """A NUCA over Z^1 with n = 1 from {site: entry} for the constant rule
+    and (site, {site: entry}) corrections."""
+    def part(entries):
+        return gre(Z1, field, 1, [((h,), ((x,),)) for h, x in entries.items()])
+
+    return Nuca(TwistedElement.make(part(blocks), [((g,), part(e)) for g, e in exceptions]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_numberings())
+# the rule row (1, 2, 2) cut to its last two sites is (2, 2), whose
+# primitive multiple is (1, 1)
+@example((_rule_map(Q, {0: 1, 1: 2, 2: 2}), FiniteSubset.make(Z1, [(0,)]), [(1,), (2,)]))
+# an exceptional rule row (1/2, 3/2) next to the constant one (1, 2)
+@example((
+    _rule_map(Q, {0: 1, 1: 2}, [(1, {0: Fraction(-1, 2), 1: Fraction(-1, 2)})]),
+    FiniteSubset.make(Z1, [(0,), (1,)]), [(2,), (0,), (1,)],
+))
+@example((_rule_map(F5, {0: 2, -1: 3}), FiniteSubset.make(Z1, [(0,), (1,)]), [(1,), (-1,), (0,)]))
+@example((_rule_map(Q, {0: 1, 1: 1}), FiniteSubset.make(Z1, [(0,)]), []))
+def test_window_rows_are_the_restricted_integer_rows(case):
+    # placing the rule rows at a numbering gives the integer rows of the
+    # window map cut to the numbered sites and re-keyed to their numbers
+    t, window, sites = case
+    n, field = t.n, t.field
+    local = t.induced_local_map(window)
+    cols = {
+        local.domain_set.position(u) * n + j: k * n + j for k, u in enumerate(sites) for j in range(n)
+    }
+    restricted = local.matrix.restrict(cols, n * len(sites))
+    rows = t._window_rows(window, {u: k for k, u in enumerate(sites)}.get)
+    assert rows == list(_integer_rows(field, restricted.data))
+    assert all(type(z) is int for row in rows for z in row.values())
 
 
 class TestShift:
