@@ -229,7 +229,8 @@ class GroupRingElement:
 
     @staticmethod
     def one(group: GroupSpec, field: FieldSpec, shape: Shape = None) -> "GroupRingElement":
-        return GroupRingElement.monomial(group, field, shape, group.identity, coeff_one(field, shape))
+        # the identity and coeff_one are canonical, so monomial's checks add nothing
+        return GroupRingElement(group, field, shape, ((group.identity, coeff_one(field, shape)),))
 
     @staticmethod
     def monomial(

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
-from .groupring import GroupRingElement, ZdDeterminant, zd_determinant, zd_inverse
+from .groupring import GroupRingElement, ZdDeterminant, _canonical_terms, zd_determinant, zd_inverse
 from .groups import FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement, element_radius, embed
@@ -58,9 +58,10 @@ from .twisted import TwistedElement, element_radius, embed
 MAX_UNKNOWNS = 2_000_000
 
 # The block M of S = a^-1 t on the sites V it reads and writes
-# (_factored_inverse) is inverted by one RREF of [M | I], whose work grows
-# as (n |V|)^3 and, over Q, with the size of the integers.  A block of more
-# than this many coordinates n |V| is refused before it is built.
+# (_factored_inverse) is placed straight from S's rules (_block) and
+# inverted by one RREF of [M | I], whose work grows as (n |V|)^3 and, over
+# Q, with the size of the integers.  A block of more than this many
+# coordinates n |V| is refused before any row of it is placed.
 # Measured on 2 vCPUs (Python 3.11, _factored_inverse alone, S = 1 plus
 # random singular parts of up to 12 terms within radius 2 at every site of
 # a ball of Z^2, n = 2): over Q n |V| = 196 takes 1.1 s, 282 takes 4.1 s
@@ -290,13 +291,16 @@ def _factored_inverse(
     S has regular part 1, so off its exceptional sites E it is the
     identity.  It reads and writes only V = E united with the sets
     g supp(s(g)) for g in E, and as a map it is diag(M, id) with M the
-    V x V block of its window map.  If M is singular, S is neither
-    injective nor surjective, and neither is t = a S.  Otherwise S^-1 is
-    diag(M^-1, id); its singular part at g is the row block of M^-1 at g
-    minus the identity, so its exceptional sites are E, and so are u's.
+    V x V block of its window map, placed straight from S's rules
+    (_block).  If M is singular, S is neither injective nor surjective,
+    and neither is t = a S.  Otherwise S^-1 is diag(M^-1, id); its
+    singular part at g is the row block of M^-1 at g minus the identity,
+    summed on one raw accumulator per site and made canonical once.  That
+    part is zero, and dropped, exactly where the row block of M is the
+    identity, off E, so S^-1's exceptional sites are E, and so are u's.
     That is why the sites are checked before M is built.  A block of more
-    than MAX_BLOCK_COORDINATES coordinates n |V| is refused before it is
-    built.  u is re-verified on `side` before it is returned.
+    than MAX_BLOCK_COORDINATES coordinates n |V| is refused before any row
+    is placed.  u is re-verified on `side` before it is returned.
     """
     grp, fld, n = t.group, t.field, t.n
     inv = embed(a_inv)
@@ -311,29 +315,64 @@ def _factored_inverse(
             f"the inverse needs a block of {n * len(v)} coordinates on the {len(v)} sites"
             f" its factor a^-1 t reads and writes; the limit is {MAX_BLOCK_COORDINATES}"
         )
-    local = Nuca(s).induced_local_map(v)
-    # V holds every site S reads at V, so no entry falls outside its columns
-    m_inv = inverse(local.matrix.restrict(_column_map(local.domain_set, v, n), n * len(v)))
+    m_inv = inverse(_block(s, v))
     if m_inv is None:
         return None
-    minus_one = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
-    singular = []
+    zero, one, e = fld.zero, fld.one, grp.identity
+    singular = []  # v is sorted, so the sites come in order
     for b, g in enumerate(v):
         g_inv = grp.inverse(g)
-        coeffs: dict = {}
+        acc: dict = {e: [zero] * (n * n)}
         for i, row in enumerate(m_inv.data[b * n : (b + 1) * n]):
             for col, x in row.items():
                 q, j = divmod(col, n)
-                coeffs.setdefault(q, [[0] * n for _ in range(n)])[i][j] = x
-        terms = [(compose(g_inv, v.elements[q]), c) for q, c in coeffs.items()]
-        terms.append((grp.identity, minus_one))
-        singular.append((g, GroupRingElement.from_terms(grp, fld, n, terms)))
-    s_inv = TwistedElement.make(GroupRingElement.one(grp, fld, n), singular)
+                h = compose(g_inv, v.elements[q])
+                acc.setdefault(h, [zero] * (n * n))[i * n + j] = x
+        at_e = acc[e]
+        for i in range(0, n * n, n + 1):  # the diagonal of a flat n x n list
+            at_e[i] -= one
+        terms = _canonical_terms(grp, fld, n, acc)
+        if terms:
+            singular.append((g, GroupRingElement(grp, fld, n, terms)))
+    s_inv = TwistedElement(GroupRingElement.one(grp, fld, n), tuple(singular))
     u = Nuca(s_inv * inv)
     ok = verify_identity(u, t) if side == "left" else verify_identity(t, u)
     if not ok:
         raise AssertionError("inverse solver produced a non-inverse; this is a bug")
     return u
+
+
+def _block(s: TwistedElement, v: FiniteSubset) -> Matrix:
+    """The V x V block M of S = (1, s), for a V that holds every site S
+    reads at V, with coordinate j of the k-th site of V at column k n + j.
+    The rule of S at g is 1 + s(g), so row i of the block row of g holds 1
+    at coordinate i of g and entry (i, j) of s(g)(h) at coordinate j of
+    g h; only the entries at h = e sum two terms, and they are reduced
+    once.  No window map is built."""
+    grp, fld, n = s.group, s.field, s.shape
+    p, one, compose = fld.p, fld.one, grp.compose
+    column = {u: k * n for k, u in enumerate(v)}
+    parts = dict(s.singular)
+    rows: list[dict] = []
+    for g in v:
+        k = column[g]
+        block = [{k + i: one} for i in range(n)]
+        part = parts.get(g)
+        if part is not None:
+            for h, c in part.terms:
+                base = column[compose(g, h)]
+                for row, entries in zip(block, c):
+                    for j, x in enumerate(entries):
+                        if x:
+                            row[base + j] = row.get(base + j, 0) + x
+            for i, row in enumerate(block):
+                x = row[k + i] % p if p else row[k + i]
+                if x:
+                    row[k + i] = x
+                else:
+                    del row[k + i]
+        rows.extend(block)
+    return Matrix(fld, n * len(v), n * len(v), rows)
 
 
 def _ball_unknowns(group: GroupSpec, n: int, radius: int) -> int:

@@ -63,7 +63,6 @@ from .groupring import (
     _raw_is_zero,
     coeff_one,
     matrix_shuffle,
-    matrix_unshuffle,
 )
 from .groups import Element, FiniteSubset, GroupSpec
 
@@ -431,14 +430,38 @@ def f_shuffle(x: TwistedElement) -> TwistedMatrix:
 
 
 def f_shuffle_inv(m: TwistedMatrix) -> TwistedElement:
-    """Inverse of f_shuffle: reassemble matrix coefficients entrywise."""
+    """Inverse of f_shuffle: reassemble matrix coefficients entrywise.
+
+    One pass over the entries: the coefficient of entry (i, j) at h goes
+    to slot i n + j of the flat n x n coefficient at h, in one raw
+    accumulator for the regular part and one per singular site; each part
+    is made canonical once and the sites are sorted once.  The entries
+    are canonical and share one group and field, so nothing is re-checked."""
     if m.shape is not None:
         raise UsageError("f_shuffle_inv expects scalar-shaped entries")
-    n = m.n
-    reg = matrix_unshuffle([[m.entries[i][j].regular for j in range(n)] for i in range(n)])
-    sites = {g for row in m.entries for e in row for g, _ in e.singular}
-    sing = [
-        (g, matrix_unshuffle([[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]))
-        for g in sites
-    ]
-    return TwistedElement.make(reg, sing)
+    grp, fld, n = m.group, m.field, m.n
+    blank = [fld.zero] * (n * n)
+
+    def place(acc: dict, k: int, terms) -> None:
+        for h, c in terms:
+            flat = acc.get(h)
+            if flat is None:
+                flat = acc[h] = blank.copy()
+            flat[k] = c
+
+    def part(acc: dict) -> GroupRingElement:
+        return GroupRingElement(grp, fld, n, _canonical_terms(grp, fld, n, acc))
+
+    regular: dict = {}
+    singular: dict = {}
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            k = i * n + j
+            place(regular, k, e.regular.terms)
+            for g, b in e.singular:
+                place(singular.setdefault(g, {}), k, b.terms)
+    # each singular part holds a nonzero term of some entry, so none is zero
+    parts = [(g, part(acc)) for g, acc in singular.items()]
+    if len(parts) > 1:
+        parts.sort(key=lambda t: grp.key(t[0]))
+    return TwistedElement(part(regular), tuple(parts))

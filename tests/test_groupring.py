@@ -10,6 +10,7 @@ from d1ring.experiments import rand_groupring
 from d1ring.groupring import (
     GroupRingElement,
     _convolve_into,
+    coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
 )
@@ -269,6 +270,20 @@ def test_matrix_product_is_one_on_raw_entries(seed, group, field, n):
     assert (a * b2 == one) == expected
     assert a.product_is_one(b2) == expected
     assert embed(a).product_is_one(embed(b2)) == expected
+
+
+@given(
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F5, Q]),
+    shape=st.sampled_from([None, 1, 2, 3]),
+)
+def test_one_is_the_checked_monomial(group, field, shape):
+    # one is built without monomial's checks; it is the same element, down
+    # to the types of its entries (Fractions over Q)
+    one = GroupRingElement.one(group, field, shape)
+    reference = GroupRingElement.monomial(group, field, shape, group.identity, coeff_one(field, shape))
+    assert one == reference
+    assert repr(one) == repr(reference)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())

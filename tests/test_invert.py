@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.exactalg import Matrix, solve
+from d1ring.exactalg import Matrix, inverse, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant, zd_inverse
 from d1ring.groups import FiniteSubset, GroupSpec
@@ -644,9 +644,100 @@ def test_exceptional_sites_past_the_window_stop_the_search(monkeypatch):
     # it and M, 1001 x 1001, is never built
     step = gre(Z1, F5, 1, [((1,), ((2,),))])
     t = Nuca(TwistedElement.make(GroupRingElement.one(Z1, F5, 1), [((g,), step) for g in range(1000)]))
-    monkeypatch.setattr(Nuca, "induced_local_map", lambda *args: pytest.fail("built M"))
+    monkeypatch.setattr(invert, "_block", lambda *args: pytest.fail("placed M"))
+    monkeypatch.setattr(invert, "inverse", lambda *args: pytest.fail("inverted M"))
     assert search_one_sided_inverse(t, "left", 3) is None
     assert search_one_sided_inverse(t, "right", 3) is None
+
+
+def block_sites(s):
+    """V for S = (1, s): the exceptional sites and every site they read."""
+    grp = s.group
+    reads = [grp.compose(g, h) for g, part in s.singular for h, _ in part.terms]
+    return FiniteSubset(grp, grp.sort(reads + [g for g, _ in s.singular]))
+
+
+def reference_block(s, v):
+    """M as the V x V block of S's window map on V, re-keyed to V's order."""
+    local = Nuca(s).induced_local_map(v)
+    return local.matrix.restrict(invert._column_map(local.domain_set, v, s.shape), s.shape * len(v))
+
+
+def reference_factored_inverse(s, side):
+    """The inverse of S = (1, s) from the window-map block, with S^-1's parts
+    made by from_terms per site and assembled by TwistedElement.make."""
+    grp, fld, n = s.group, s.field, s.shape
+    v = block_sites(s)
+    m_inv = inverse(reference_block(s, v))
+    if m_inv is None:
+        return None
+    minus_one = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
+    singular = []
+    for b, g in enumerate(v):
+        coeffs: dict = {}
+        for i, row in enumerate(m_inv.data[b * n : (b + 1) * n]):
+            for col, x in row.items():
+                q, j = divmod(col, n)
+                coeffs.setdefault(q, [[0] * n for _ in range(n)])[i][j] = x
+        terms = [(grp.compose(grp.inverse(g), v.elements[q]), c) for q, c in coeffs.items()]
+        terms.append((grp.identity, minus_one))
+        singular.append((g, GroupRingElement.from_terms(grp, fld, n, terms)))
+    u = Nuca(TwistedElement.make(GroupRingElement.one(grp, fld, n), singular))
+    t = Nuca(s)
+    assert verify_identity(u, t) if side == "left" else verify_identity(t, u)
+    return u
+
+
+@st.composite
+def unipotent_factors(draw):
+    """S = (1, s) over Z^1 or Z^2, F_5 or Q, n = 1 or 2: up to three
+    exceptional sites in ball(1), each s(g) of up to three terms in
+    ball(1), entries fractions with denominators up to 3."""
+    group = draw(st.sampled_from([Z1, Z2]))
+    field = draw(st.sampled_from([F5, Q]))
+    n = draw(st.integers(1, 2))
+    ball = group.ball(1)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    parts = [
+        (g, gre(group, field, n, draw(st.lists(st.tuples(st.sampled_from(ball), coeff), min_size=1, max_size=3))))
+        for g in draw(st.lists(st.sampled_from(ball), min_size=1, max_size=3, unique=True))
+    ]
+    return TwistedElement.make(GroupRingElement.one(group, field, n), parts)
+
+
+def unipotent(group, field, n, parts):
+    return TwistedElement.make(
+        GroupRingElement.one(group, field, n), [(g, gre(group, field, n, terms)) for g, terms in parts]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=unipotent_factors(), side=st.sampled_from(["left", "right"]))
+# s(0) = 1 + x: a term at e, and S^-1's part at the site 1 it reads is zero
+@example(s=unipotent(Z1, F5, 1, [((0,), [((0,), ((1,),)), ((1,), ((1,),))])]), side="left")
+# s(0) = 4 over F_5: 1 + s(0) = 0, so M = (0) is singular
+@example(s=unipotent(Z1, F5, 1, [((0,), [((0,), ((4,),))])]), side="right")
+# over Q with n = 2: s(0) has a term at e and reads the site (1, 0)
+@example(
+    s=unipotent(Z2, Q, 2, [((0, 0), [((0, 0), ((Fraction(1, 2), 1), (0, -1))), ((1, 0), ((0, 0), (2, 0)))])]),
+    side="left",
+)
+def test_block_placed_from_the_rules_is_the_window_block(s, side):
+    # M placed from S's rules is the block of S's window map, and the
+    # inverse assembled on raw accumulators is the one from_terms made
+    v = block_sites(s)
+    assert invert._block(s, v) == reference_block(s, v)
+    reference = reference_factored_inverse(s, side)
+    one = GroupRingElement.one(s.group, s.field, s.shape)
+    u = invert._factored_inverse(Nuca(s), one, side, FiniteSubset.ball(s.group, 1))
+    if reference is None:
+        assert u is None
+        return
+    assert u == reference
+    assert repr(u.element) == repr(reference.element)  # the same entry types: Fractions over Q
+    # S^-1's parts off E are zero and dropped: its exceptional sites are E
+    assert u.exceptional_set == Nuca(s).exceptional_set
 
 
 # -- window maps and towers against the dense path --------------------------------
@@ -1159,7 +1250,8 @@ class TestBlockSizeLimit:
 
     def test_refused_before_the_block_is_built(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(Nuca, "induced_local_map", lambda *args: calls.append(args))
+        monkeypatch.setattr(invert, "_block", lambda *args: calls.append(("_block", args)))
+        monkeypatch.setattr(invert, "inverse", lambda *args: calls.append(("inverse", args)))
         t, r = block_map(MAX_BLOCK_COORDINATES + 1), MAX_BLOCK_COORDINATES + 1
         message = f"block of {r} coordinates on the {r} sites.*the limit is {MAX_BLOCK_COORDINATES}"
         for side in ("left", "right"):

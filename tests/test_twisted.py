@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec
 from d1ring.experiments import SuiteConfig, gen_unit, rand_groupring, rand_twisted
-from d1ring.groupring import GroupRingElement, coeff_one
+from d1ring.groupring import GroupRingElement, coeff_one, matrix_unshuffle
 from d1ring.groups import GroupSpec
 from d1ring import twisted
 from d1ring.twisted import (
@@ -177,6 +177,48 @@ class TestFShuffle:
             y = rand_twisted(rng, Z1, F3, 2, radius=1)
             assert f_shuffle(x * y) == f_shuffle(x) @ f_shuffle(y)
             assert f_shuffle(x + y) == f_shuffle(x) + f_shuffle(y)
+
+
+def reference_f_shuffle_inv(m):
+    """f_shuffle_inv as matrix_unshuffle per site: each part re-coerced by
+    from_terms, the parts assembled by TwistedElement.make."""
+    n = m.n
+    reg = matrix_unshuffle([[m.entries[i][j].regular for j in range(n)] for i in range(n)])
+    sites = {g for row in m.entries for e in row for g, _ in e.singular}
+    sing = [
+        (g, matrix_unshuffle([[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]))
+        for g in sites
+    ]
+    return TwistedElement.make(reg, sing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GROUPS),
+    field=st.sampled_from([F2, F5, Q]),
+    n=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(["shared", "disjoint"]),
+)
+def test_f_shuffle_inv_agrees_with_unshuffle_per_site(seed, group, field, n, layout):
+    # about a third of the entries are zero; the singular parts sit at two
+    # sites every entry may use, or at one site of each entry's own
+    rng = random.Random(seed)
+    pool = group.ball(4)
+    zero = TwistedElement.zero(group, field)
+
+    def entry(k):
+        if rng.random() < 1 / 3:
+            return zero
+        sites = [s for s in pool[:2] if rng.random() < 0.5] if layout == "shared" else [pool[k]]
+        parts = [(s, rand_groupring(rng, group, field, None, radius=1)) for s in sites]
+        return TwistedElement.make(rand_groupring(rng, group, field, None, radius=1), parts)
+
+    m = TwistedMatrix(n, tuple(tuple(entry(i * n + j) for j in range(n)) for i in range(n)))
+    built, reference = f_shuffle_inv(m), reference_f_shuffle_inv(m)
+    assert built == reference
+    assert repr(built) == repr(reference)  # the same entry types: Fractions over Q
+    assert f_shuffle(built) == m
 
 
 class TestEquality:
