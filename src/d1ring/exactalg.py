@@ -151,7 +151,9 @@ class FieldSpec:
         """JSON value: residue int for F_p, "num/den" string for Q."""
         if self.kind == "Fp":
             return int(x)
-        f = Fraction(x)
+        # a Fraction is already in lowest terms; Fraction(x) would take the
+        # slower path of the numbers ABC to copy it
+        f = x if type(x) is Fraction else Fraction(x)
         return f"{f.numerator}/{f.denominator}"
 
     def parse_scalar(self, value) -> tuple:
@@ -169,7 +171,8 @@ class FieldSpec:
             f = Fraction(int(num), int(den) if den else 1)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad rational {value!r}") from None
-        return f, self.encode_scalar(f) != value
+        # repaired iff the text is not the canonical encoding
+        return f, f"{f.numerator}/{f.denominator}" != value
 
 
 class Matrix:

@@ -9,6 +9,15 @@ products of three generator families, each with a known inverse:
   identity), inverse 1 - v,
 * elementary matrices J + E_ij * w for i != j, inverse J - E_ij * w.
 
+No generator is built as a matrix.  Each acts on the matrix it multiplies
+as a row or column operation: multiplying by a monomial diagonal on the
+right scales column a by c_a g_a, and its inverse on the left scales row
+a by c_a^-1 g_a^-1; the unipotent at slot s adds column s times v to
+column s, and its inverse subtracts v times row s from row s; J + E_ij w
+adds column i times w to column j, and its inverse subtracts w times row
+j from row i.  So the unit is the identity with the column operations
+applied, and its inverse the identity with the row operations applied.
+
 Each trial is reconstructible from the suite seed alone: the trial index
 derives a private RNG, and the drawn generator word is recorded in the
 report.  Over the supported universes every one-sided unit is expected to
@@ -39,7 +48,15 @@ from .invert import (
 )
 from .nuca import Nuca
 # element_radius is not used here, but perfbench and the tests import it from this module
-from .twisted import TwistedElement, TwistedMatrix, element_radius, embed, matrix_radius
+from .twisted import (
+    TwistedElement,
+    TwistedMatrix,
+    _role,
+    _sum_of_products,
+    element_radius,
+    embed,
+    matrix_radius,
+)
 
 
 # -- random draws ----------------------------------------------------------------
@@ -195,23 +212,49 @@ def gen_unit(
     returning, on its raw accumulator (TwistedMatrix.product_is_identity)
     without building it; degenerate draws are retried.
 
-    The factors are built canonical, without the checking constructors:
-    their sites come from the ball, their scalars are canonical nonzero
-    field elements, and their parts are drawn as rand_groupring and
-    rand_twisted draw them, with the same RNG calls.
+    Each generator is drawn as its pair of operations (module docstring):
+    a column operation (c, ((k, x), ...)) sets column c to the sum of
+    column k times x, and a row operation (r, ((k, x), ...)) sets row r to
+    the sum of x times row k.  No operation reads a line that another
+    operation of its generator sets, so they apply one after another.  The
+    unit is the identity with the column operations applied in factor
+    order, and the inverse the identity with the row operations applied
+    from the last factor to the first.  Each new entry is one sum of
+    products (twisted._sum_of_products) over its nonzero pairs, so it is
+    the entry the matrix product with the generator would give.
+
+    The generators are built canonical, without the checking
+    constructors: their sites come from the ball, their scalars are
+    canonical nonzero field elements, and their parts are drawn as
+    rand_groupring and rand_twisted draw them, with the same RNG calls.
     """
     group, field, n = config.group, config.field, config.n
     ball, pool = _unit_sites(group, config.support_radius)
     one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
+    one_terms = one.regular.terms
 
     def monomial(g: Element, c) -> TwistedElement:
         return embed(GroupRingElement(group, field, None, ((g, c),)))
 
-    def grid(entry) -> TwistedMatrix:
-        return TwistedMatrix._trusted(n, tuple(tuple(entry(a, b) for b in range(n)) for a in range(n)))
+    def combine(lines: list, terms, right: bool) -> list:
+        """The sum of lines[k] x (right) or of x lines[k] (left) over the
+        terms (k, x), entry by entry: each entry is one sum of products over
+        its live pairs, each side tested once for 0 and for 1, as a matrix
+        product tests its operands' entries (twisted._role)."""
+        sides = [(lines[k], x, x_one) for k, x in terms if (x_one := _role(x, one_terms)) is not None]
+        out = []
+        for p in range(n):
+            live = []
+            for line, x, x_one in sides:
+                y = line[p]
+                y_one = _role(y, one_terms)
+                if y_one is not None:
+                    live.append(x if y_one else y if x_one else (y, x) if right else (x, y))
+            out.append(_sum_of_products(group, field, None, live) if live else zero)
+        return out
 
     for _ in range(20):
-        factors: list[tuple[TwistedMatrix, TwistedMatrix, dict]] = []
+        factors: list[tuple[list, list, dict]] = []  # (column operations, row operations, word)
         count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
         for _ in range(count):
             kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])
@@ -219,10 +262,10 @@ def gen_unit(
             if kind == "monomial":
                 sites = [rng.choice(ball) for _ in range(n)]
                 coeffs = [rand_scalar(rng, field, nonzero=True) for _ in range(n)]
-                fwd = grid(lambda a, b: monomial(sites[a], coeffs[a]) if a == b else zero)
-                bwd = grid(
-                    lambda a, b: monomial(group.inverse(sites[a]), field.inv(coeffs[a])) if a == b else zero
-                )
+                col_ops = [(a, ((a, monomial(sites[a], coeffs[a])),)) for a in range(n)]
+                row_ops = [
+                    (a, ((a, monomial(group.inverse(sites[a]), field.inv(coeffs[a]))),)) for a in range(n)
+                ]
                 word = {
                     "kind": "monomial",
                     "sites": [group.encode_element(g) for g in sites],
@@ -230,40 +273,37 @@ def gen_unit(
                 }
             elif kind == "unipotent":
                 # 1 + (0, b) and 1 - (0, b) at the slot, with b at one site and no
-                # term at e, so (0, b)^2 = 0; both are 1 when b is zero
+                # term at e, so (0, b)^2 = 0; no operation when b is zero
                 slot = rng.randrange(n)
                 site = rng.choice(ball)
                 part = _draw_groupring(rng, group, field, None, pool, 2)
-                plus, minus = (
-                    (TwistedElement(one.regular, ((site, part),)), TwistedElement(one.regular, ((site, -part),)))
-                    if part else (one, one)
-                )
-                fwd, bwd = (
-                    grid(lambda a, b: x if a == b == slot else one if a == b else zero) for x in (plus, minus)
-                )
+                col_ops = [(slot, ((slot, TwistedElement(one.regular, ((site, part),))),))] if part else []
+                row_ops = [(slot, ((slot, TwistedElement(one.regular, ((site, -part),))),))] if part else []
                 word = {"kind": "unipotent", "slot": slot}
             else:
                 i = rng.randrange(n)
                 j = rng.choice([x for x in range(n) if x != i])
                 w = _draw_twisted(rng, group, field, None, ball, 2, 2)
                 # J + E_ij w and J - E_ij w
-                fwd, bwd = (
-                    grid(lambda a, b: one if a == b else x if (a, b) == (i, j) else zero)
-                    for x in (w, -w)
-                )
+                col_ops = [(j, ((i, w), (j, one)))]
+                row_ops = [(i, ((i, one), (j, -w)))]
                 word = {"kind": "elementary", "i": i, "j": j}
-            factors.append((fwd, bwd, word))
+            factors.append((col_ops, row_ops, word))
 
-        if not factors:
-            ident = TwistedMatrix.identity(n, group, field, None)
-            return ident, ident, []
-        # both chains start from a factor, not from a product with the identity
-        unit = factors[0][0]
-        for fwd, _, _ in factors[1:]:
-            unit = unit @ fwd
-        inverse = factors[-1][1]
-        for _, bwd, _ in reversed(factors[:-1]):
-            inverse = bwd @ inverse
+        # the unit by columns, for the column operations, and its inverse by rows
+        columns = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        for col_ops, _, _ in factors:
+            for c, terms in col_ops:
+                columns[c] = combine(columns, terms, True)
+        rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        # the row operations go from the last factor to the first, so this
+        # builds b1 b2 ... bk from the factors' inverses b_i, not the inverse
+        # bk ... b1 of the unit; see ROADMAP Known defects
+        for _, row_ops, _ in reversed(factors):
+            for r, terms in row_ops:
+                rows[r] = combine(rows, terms, False)
+        unit = TwistedMatrix._trusted(n, tuple(zip(*columns)))
+        inverse = TwistedMatrix._trusted(n, tuple(map(tuple, rows)))
         if unit.product_is_identity(inverse):
             return unit, inverse, [w for _, _, w in factors]
     raise AssertionError("unit generator kept producing degenerate draws; this is a bug")

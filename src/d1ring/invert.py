@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
@@ -487,11 +487,14 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
         raise UsageError("radius must be >= 0")
     grp, fld, n = t.group, t.field, t.n
     support = FiniteSubset.ball(grp, radius)
-    local = t.induced_local_map(_kernel_window(t, support))
-    # keep the columns of the domain sites inside the support, re-keyed to
-    # the support's order; the others meet only zero entries of the vector
-    cols = _column_map(local.domain_set, support, n)
-    ker = kernel_basis(local.matrix.restrict(cols, n * len(support)))
+    # the window map's rows placed straight at the support's columns, in
+    # its order; the domain sites outside it meet only zero entries of the
+    # vector, so they are left out.  Over Q the rows are the primitive
+    # integer multiples elimination reads (Nuca._window_rows), which have
+    # the kernel of the field rows
+    column = {u: k for k, u in enumerate(support)}.get
+    rows = t._window_rows(_kernel_window(t, support), column)
+    ker = kernel_basis(Matrix(fld, len(rows), n * len(support), rows))
     if ker.dim == 0:
         return None
     first = ker.vectors()[0]
@@ -536,16 +539,6 @@ def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
         if c not in pivots:
             return grp.norm(shells[c // n])
     return None
-
-
-def _column_map(domain: FiniteSubset, sites: Iterable, n: int) -> dict[int, int]:
-    """{column of `domain`: column of `sites`} for the n coordinates of each
-    site of `sites` that lies in `domain`."""
-    return {
-        domain.position(u) * n + i: k * n + i
-        for k, u in enumerate(sites) if u in domain
-        for i in range(n)
-    }
 
 
 def _box_shell(group: GroupSpec, m: int) -> FiniteSubset:
@@ -660,9 +653,11 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     (_first_witness_radius): for t up to max_radius, then for the
     constant part below t's radius, and the witness is made once, at the
     smaller of the two.  Over Z^d a nonzero determinant of the regular
-    part proves that the constant part has no witness, so none is
-    searched for.  The determinant and its coefficients are computed
-    once, for the certificate and both prunes.
+    part a proves that the constant part has no witness (adj(a) a =
+    det(a), and k[Z^d] is a domain), so none is searched for; nor is t's
+    own witness when t has no singular part, as t is then its own
+    constant part.  The determinant and its coefficients are computed
+    once, for the certificate and the prunes.
     A budget whose certificate search or kernel tower is past its size
     limit is refused before any search runs.
     """
@@ -680,11 +675,12 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
         )
     # the first witness radius of t, then of its constant part below it;
     # a nonzero det(a) proves that the constant part has no nonzero
-    # finitely supported kernel point
-    radius = _first_witness_radius(t, budget.max_radius)
+    # finitely supported kernel point, nor t when it has no singular part
+    det_nonzero = det is not None and not det.det.is_zero()
+    radius = None if det_nonzero and not t.element.singular else _first_witness_radius(t, budget.max_radius)
     target, scope = t, "self"
     below = budget.max_radius if radius is None else radius - 1
-    if (det is None or det.det.is_zero()) and below >= 0:
+    if not det_nonzero and below >= 0:
         const = constant_part(t)
         const_radius = _first_witness_radius(const, below)
         if const_radius is not None:

@@ -25,15 +25,16 @@ as an entry of a matrix product, is made canonical once at the end
 (_sum_of_products), not once per partial convolution and sum.
 
 Only the pairs that can contribute reach the kernel.  A matrix product
-finds the nonzero entries of each row of the left factor and of each
-column of the right factor once, and an entry pairs only those: a pair
-with a zero side adds nothing to the sum, and an entry with no pair left
-is the zero element.  A pair with an identity side adds the other side's
-terms to the accumulator as they are (_accumulate), and a sum of that
-single pair is the other side itself, returned as it is, since operands
-are canonical and immutable.  These skips are exact: they leave out only
-terms that are zero or add terms equal to the product's, and every
-compatibility check runs before any of them.
+tests each entry of its operands once, for 0 and for 1 (_role), and an
+entry of the product pairs only the nonzero entries of its row and
+column: a pair with a zero side adds nothing to the sum, and an entry
+with no pair left is the zero element.  A pair with an identity side is
+given as its other side alone (_pair), whose terms are added to the
+accumulator as they are (_accumulate), and a sum of that single side is
+the side itself, returned as it is, since operands are canonical and
+immutable.  These skips are exact: they leave out only terms that are
+zero or add terms equal to the product's, and every compatibility check
+runs before any of them.
 
 Whether a sum of products is 1 or 0 is decided on the same raw
 accumulator, without making it canonical (_sum_is): every raw entry
@@ -172,12 +173,12 @@ class TwistedElement:
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         self._check_compatible(other)
-        return _sum_of_products(self.group, self.field, self.shape, ((self, other),))
+        return _sum_of_products(self.group, self.field, self.shape, (_pair(self, other),))
 
     def product_is_one(self, other: "TwistedElement") -> bool:
         """(self * other).is_one(), decided without building the product."""
         self._check_compatible(other)
-        return _sum_is(self.group, self.field, self.shape, ((self, other),), True)
+        return _sum_is(self.group, self.field, self.shape, (_pair(self, other),), True)
 
 
 def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: TwistedElement) -> None:
@@ -209,37 +210,44 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
                     _convolve_into(slot, grp, shape, ((t, c),), hit.terms)
 
 
+def _pair(x: TwistedElement, y: TwistedElement):
+    """x * y as _accumulate takes it: with an identity side, the other side
+    alone, else the tuple (x, y)."""
+    return y if x.is_one() else x if y.is_one() else (x, y)
+
+
+def _role(x: TwistedElement, one: tuple) -> bool | None:
+    """None if x is 0, True if x is 1, else False, from x's fields read
+    once; `one` is the terms of the regular part of 1."""
+    if x.singular:
+        return False
+    terms = x.regular.terms
+    return terms == one if terms else None
+
+
 def _accumulate(grp: GroupSpec, shape: Shape, pairs) -> dict:
-    """The raw sum of x * y over the pairs, as {site or None: {h:
-    coefficient}}.  A pair with an identity side adds the other side's
-    terms; any other pair goes through _mul_into."""
+    """The raw sum of the products over the pairs (_pair), as {site or
+    None: {h: coefficient}}.  A side given alone adds its terms; a tuple
+    (x, y) goes through _mul_into."""
     acc: dict = {}
-    for x, y in pairs:
-        if x.is_one():
-            z = y
-        elif y.is_one():
-            z = x
-        else:
-            _mul_into(acc, grp, shape, x, y)
+    for pair in pairs:
+        if type(pair) is tuple:
+            _mul_into(acc, grp, shape, *pair)
             continue
-        _add_into(acc.setdefault(None, {}), shape, z.regular.terms)
-        for g, part in z.singular:
+        _add_into(acc.setdefault(None, {}), shape, pair.regular.terms)
+        for g, part in pair.singular:
             _add_into(acc.setdefault(g, {}), shape, part.terms)
     return acc
 
 
 def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
-    """The sum of x * y over a nonempty sequence of pairs, accumulated by
-    _accumulate and made canonical once: every part reduced, empty parts
-    dropped, sites sorted.  The sites are composed from validated
-    elements, so they are trusted.  A single pair with an identity side
-    is the other side, which is canonical already."""
-    if len(pairs) == 1:
-        x, y = pairs[0]
-        if x.is_one():
-            return y
-        if y.is_one():
-            return x
+    """The sum of the products over a nonempty sequence of pairs (_pair),
+    accumulated by _accumulate and made canonical once: every part
+    reduced, empty parts dropped, sites sorted.  The sites are composed
+    from validated elements, so they are trusted.  A single side given
+    alone is the sum, and it is canonical already."""
+    if len(pairs) == 1 and type(pairs[0]) is not tuple:
+        return pairs[0]
     acc = _accumulate(grp, shape, pairs)
     regular = GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {})))
     singular = []
@@ -253,13 +261,16 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
 
 
 def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) -> bool:
-    """Whether the sum of x * y over the pairs is 1 (one set) or 0, decided
-    on the raw accumulator of _accumulate, with no part reduced, sorted or
-    built: every raw entry must reduce to zero, except that for 1 the
-    regular slot's coefficient at the identity must reduce to 1
-    (groupring._raw_is_one and _raw_is_zero).  Scalars over F_p, the
+    """Whether the sum of the products over the pairs (_pair) is 1 (one
+    set) or 0, decided on the raw accumulator of _accumulate, with no part
+    reduced, sorted or built: every raw entry must reduce to zero, except
+    that for 1 the regular slot's coefficient at the identity must reduce
+    to 1 (groupring._raw_is_one and _raw_is_zero).  Scalars over F_p, the
     checks of the direct-finiteness suites, are decided inline, as the
-    two calls per check cost about 3 % of a suite."""
+    two calls per check cost about 3 % of a suite.  A single side given
+    alone is the sum, so it is tested as it is."""
+    if len(pairs) == 1 and type(pairs[0]) is not tuple:
+        return pairs[0].is_one() if one else pairs[0].is_zero()
     acc = _accumulate(grp, shape, pairs)
     p = field.p if shape is None else None
     if one:
@@ -366,15 +377,29 @@ class TwistedMatrix:
 
     def _live_pairs(self, other: "TwistedMatrix"):
         """Check that other can multiply self, then give the live pairs of
-        each entry of self @ other, row by row.  The nonzero entries of
-        each row and column are found once, and an entry pairs only those."""
+        each entry of self @ other, row by row, as _pair gives them.  Each
+        entry of both operands is tested once (_role), and an entry of the
+        product pairs only the nonzero entries of its row and column."""
         if self.n != other.n:
             raise UsageError("matrix size mismatch")
-        self.entries[0][0]._check_compatible(other.entries[0][0])
-        rows = [[(r, x) for r, x in enumerate(row) if not x.is_zero()] for row in self.entries]
-        cols = [[None if y.is_zero() else y for y in col] for col in zip(*other.entries)]
+        first = self.entries[0][0]
+        first._check_compatible(other.entries[0][0])
+        one = ((first.group.identity, coeff_one(first.field, first.shape)),)
+        rows = [
+            [(r, x, role) for r, x in enumerate(row) if (role := _role(x, one)) is not None]
+            for row in self.entries
+        ]
+        cols = [[(y, _role(y, one)) for y in col] for col in zip(*other.entries)]
         return (
-            [[(x, y) for r, x in row if (y := col[r]) is not None] for col in cols]
+            [
+                [
+                    y if x_one else x if y_one else (x, y)
+                    for r, x, x_one in row
+                    for y, y_one in (col[r],)
+                    if y_one is not None
+                ]
+                for col in cols
+            ]
             for row in rows
         )
 
@@ -391,11 +416,11 @@ class TwistedMatrix:
         """(self @ other).is_identity(), decided entry by entry without
         building the product; it stops at the first entry that fails."""
         grp, field, shape = self.group, self.field, self.shape
-        return all(
-            _sum_is(grp, field, shape, pairs, i == j) if pairs else i != j
-            for i, row in enumerate(self._live_pairs(other))
-            for j, pairs in enumerate(row)
-        )
+        for i, row in enumerate(self._live_pairs(other)):
+            for j, pairs in enumerate(row):
+                if not (_sum_is(grp, field, shape, pairs, i == j) if pairs else i != j):
+                    return False
+        return True
 
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
         if self.n != other.n:

@@ -41,16 +41,28 @@ class TestFieldSpec:
         assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
 
     def test_scalar_round_trip(self):
-        for field, values in [(F5, [0, 1, 4]), (Q, [Fraction(-2, 3), Fraction(7)])]:
+        for field, values in [(F5, [0, 1, 4]), (Q, [Fraction(-2, 3), Fraction(7), 0, 5, -3, Fraction(-9, 4)])]:
             for v in values:
                 enc = field.encode_scalar(v)
                 parsed, repaired = field.parse_scalar(enc)
                 assert parsed == v and not repaired
+                assert type(parsed) is (Fraction if field == Q else int)
+        assert [Q.encode_scalar(v) for v in (0, 5, -3, Fraction(-9, 4), Fraction(6, 4))] == [
+            "0/1", "5/1", "-3/1", "-9/4", "3/2"
+        ]
 
     def test_scalar_repairs(self):
         assert F5.parse_scalar(7) == (2, True)
         assert Q.parse_scalar("6/4") == (Fraction(3, 2), True)
         assert Q.parse_scalar(3) == (Fraction(3), True)
+        # non-canonical texts parse to their value and are flagged; the
+        # canonical texts of the same values are not
+        for text, value in [("6/4", Fraction(3, 2)), ("-0/3", Fraction(0)), ("0/3", Fraction(0)),
+                            ("4/-6", Fraction(-2, 3)), ("-4/6", Fraction(-2, 3)), ("7", Fraction(7)),
+                            ("+1/2", Fraction(1, 2)), ("01/2", Fraction(1, 2))]:
+            assert Q.parse_scalar(text) == (value, True), text
+            canonical = Q.encode_scalar(value)
+            assert Q.parse_scalar(canonical) == (value, False), canonical
 
     def test_coerce_reduces_fractions_over_fp(self):
         f3 = FieldSpec.fp(3)

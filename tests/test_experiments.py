@@ -4,6 +4,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d1ring import experiments, invert
 from d1ring.errors import UsageError
@@ -21,7 +22,7 @@ from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.invert import SearchBudget
 from d1ring.nuca import Nuca
-from d1ring.twisted import TwistedElement, TwistedMatrix, f_shuffle_inv, matrix_radius
+from d1ring.twisted import TwistedElement, TwistedMatrix, embed, f_shuffle_inv, matrix_radius
 
 from conftest import F2, F2FREE, F3, F5, Q, Z1, Z2, f3_pair, gre
 
@@ -103,12 +104,13 @@ class TestDirectFiniteness:
 
 class TestProductCount:
     def test_matmuls_per_trial(self, monkeypatch):
-        # gen_unit's accepted draw makes the unit and inverse chains
-        # (len(word) - 1 products each) and one check of u v, decided on its
-        # accumulator; the trial then makes one more check, for v u, and no
-        # product.  A rejected draw also ends in a check, so the draws are
-        # split at the checks.  No product is built only to be compared
-        # with the identity ("!" never occurs).
+        # gen_unit builds the unit and its inverse by row and column
+        # operations, with no matrix product, and ends each draw in one
+        # check of u v, decided on its accumulator; the trial then makes one
+        # more check, for v u.  A rejected draw also ends in a check, so the
+        # draws are split at the checks.  No product is built only to be
+        # compared with the identity ("!" never occurs), and none at all
+        # ("@" never occurs).
         events = []
         matmul, check, is_identity = (
             TwistedMatrix.__matmul__, TwistedMatrix.product_is_identity, TwistedMatrix.is_identity
@@ -136,10 +138,103 @@ class TestProductCount:
             assert int(length) == len(outcome["word"])
             assert draws.endswith("?")
             *rejected, accepted, _ = draws.split("?")
-            assert all(set(d) <= {"@"} for d in rejected)
-            assert accepted == "@" * (2 * (len(outcome["word"]) - 1))
+            assert all(d == "" for d in rejected)
+            assert accepted == ""
             assert rest == "?"
+        assert "@" not in events and "!" not in events
         assert any(len(o["word"]) > 1 for o in rep.outcomes)
+
+
+def reference_gen_unit(rng, config, n_factors=None):
+    """gen_unit by its earlier route: each generator built as its forward
+    and backward n x n grid, and the chains multiplied with
+    TwistedMatrix.__matmul__, with the same RNG calls and words."""
+    group, field, n = config.group, config.field, config.n
+    ball, pool = experiments._unit_sites(group, config.support_radius)
+    one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
+
+    def monomial(g, c):
+        return embed(GroupRingElement(group, field, None, ((g, c),)))
+
+    def grid(entry):
+        return TwistedMatrix(n, tuple(tuple(entry(a, b) for b in range(n)) for a in range(n)))
+
+    for _ in range(20):
+        factors = []
+        count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
+        for _ in range(count):
+            kind = rng.choice(["monomial", "unipotent"] + (["elementary"] if n >= 2 else []))
+            if kind == "monomial":
+                sites = [rng.choice(ball) for _ in range(n)]
+                coeffs = [experiments.rand_scalar(rng, field, nonzero=True) for _ in range(n)]
+                fwd = grid(lambda a, b: monomial(sites[a], coeffs[a]) if a == b else zero)
+                bwd = grid(
+                    lambda a, b: monomial(group.inverse(sites[a]), field.inv(coeffs[a])) if a == b else zero
+                )
+                word = {
+                    "kind": "monomial",
+                    "sites": [group.encode_element(g) for g in sites],
+                    "coeffs": [field.encode_scalar(c) for c in coeffs],
+                }
+            elif kind == "unipotent":
+                slot = rng.randrange(n)
+                site = rng.choice(ball)
+                part = experiments._draw_groupring(rng, group, field, None, pool, 2)
+                plus, minus = (
+                    (TwistedElement(one.regular, ((site, part),)), TwistedElement(one.regular, ((site, -part),)))
+                    if part else (one, one)
+                )
+                fwd, bwd = (
+                    grid(lambda a, b: x if a == b == slot else one if a == b else zero) for x in (plus, minus)
+                )
+                word = {"kind": "unipotent", "slot": slot}
+            else:
+                i = rng.randrange(n)
+                j = rng.choice([x for x in range(n) if x != i])
+                w = experiments._draw_twisted(rng, group, field, None, ball, 2, 2)
+                fwd, bwd = (
+                    grid(lambda a, b: one if a == b else x if (a, b) == (i, j) else zero) for x in (w, -w)
+                )
+                word = {"kind": "elementary", "i": i, "j": j}
+            factors.append((fwd, bwd, word))
+
+        if not factors:
+            ident = TwistedMatrix.identity(n, group, field, None)
+            return ident, ident, []
+        unit = factors[0][0]
+        for fwd, _, _ in factors[1:]:
+            unit = unit @ fwd
+        inverse = factors[-1][1]
+        for _, bwd, _ in reversed(factors[:-1]):
+            inverse = bwd @ inverse
+        if (unit @ inverse).is_identity():
+            return unit, inverse, [w for _, _, w in factors]
+    raise AssertionError("degenerate draws")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([F2FREE, Z1, Z2]),
+    field=st.sampled_from([F2, F5, Q]),
+    n=st.integers(1, 3),
+    max_factors=st.integers(1, 4),
+    support_radius=st.integers(0, 1),
+    empty=st.booleans(),
+)
+def test_gen_unit_is_the_grid_product_route(seed, group, field, n, max_factors, support_radius, empty):
+    # the row and column operations give the unit and inverse the grids
+    # and matrix products gave, entry for entry and printed alike, with
+    # the same words, and leave the RNG where that route left it
+    config = cfg(group=group, field=field, n=n, max_factors=max_factors, support_radius=support_radius)
+    n_factors = 0 if empty else None
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    unit, inverse, word = gen_unit(rng, config, n_factors)
+    ref_unit, ref_inverse, ref_word = reference_gen_unit(ref_rng, config, n_factors)
+    assert word == ref_word
+    assert unit == ref_unit and inverse == ref_inverse
+    assert repr(unit) == repr(ref_unit) and repr(inverse) == repr(ref_inverse)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 class TestPipeline:

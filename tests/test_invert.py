@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, inverse, solve
@@ -657,10 +657,20 @@ def block_sites(s):
     return FiniteSubset(grp, grp.sort(reads + [g for g, _ in s.singular]))
 
 
+def column_map(domain, sites, n):
+    """{column of `domain`: column of `sites`} for the n coordinates of each
+    site of `sites` that lies in `domain`."""
+    return {
+        domain.position(u) * n + i: k * n + i
+        for k, u in enumerate(sites) if u in domain
+        for i in range(n)
+    }
+
+
 def reference_block(s, v):
     """M as the V x V block of S's window map on V, re-keyed to V's order."""
     local = Nuca(s).induced_local_map(v)
-    return local.matrix.restrict(invert._column_map(local.domain_set, v, s.shape), s.shape * len(v))
+    return local.matrix.restrict(column_map(local.domain_set, v, s.shape), s.shape * len(v))
 
 
 def reference_factored_inverse(s, side):
@@ -1128,6 +1138,27 @@ def test_determinant_pruning_is_sound(seed, group, field, n, kind):
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z1, Z2]),
+    field=st.sampled_from([F2, F3, Q]),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["random", "unit"]),
+)
+def test_plain_maps_with_a_nonzero_det_have_no_witness(seed, group, field, n, kind):
+    # a map with no singular part is its own constant part, so a nonzero
+    # det(a) rules out its own witness, which the verdict then skips
+    t = constant_part(draw_map(random.Random(seed), group, field, n, kind))
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS).det
+    assume(not det.is_zero())
+    max_radius = 2 if group == Z1 else 1
+    assert invert._first_witness_radius(t, max_radius) is None
+    budget = SearchBudget(max_radius=max_radius, depth=1, window=1)
+    with mock.patch.object(invert, "MAX_EXTRA_LEVELS", 2):
+        assert stable_injectivity_verdict(t, budget) == reference_verdict(t, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
     field=st.sampled_from([F2, F3, Q]),
     n=st.sampled_from([1, 2]),
     kind=st.sampled_from(["random", "unit", "singular"]),
@@ -1304,10 +1335,14 @@ class TestDeterminantPruning:
         budget = SearchBudget(max_radius=2, depth=1, window=1)
         verdict = stable_injectivity_verdict(t, budget)
         assert verdict.kind == "bounded_evidence"
-        # det(a) != 0: only t's own witness system runs, once, up to
-        # radius 2; no constant-part system and no witness is built
-        assert [(kind, r) for kind, _, r in searches] == [("witness", 2)]
-        assert searches[0][1] is t
+        # det(a) != 0: no constant-part system runs and no witness is
+        # built; t's own witness system runs, once, up to radius 2, only
+        # if t has a singular part, as a decoy is its own constant part
+        if t.element.singular:
+            assert [(kind, r) for kind, _, r in searches] == [("witness", 2)]
+            assert searches[0][1] is t
+        else:
+            assert searches == []
         searches.clear()
         assert search_one_sided_inverse(t, "left", 2) is None
         assert search_one_sided_inverse(t, "right", 2) is None

@@ -660,15 +660,20 @@ def test_product_checks_agree_with_built_products(seed, group, field, shape, kin
     assert x.product_is_one(y) == (x * y).is_one()
     assert y.product_is_one(x) == (y * x).is_one()
 
-    # sums with identity-side pairs: x y + z - z and x y - 1
+    # sums with identity-side pairs: x y + z - z and x y - 1, each pair
+    # given as the tuple and as _pair gives it (an identity side dropped)
     one = TwistedElement.one(group, field, shape)
     z = rand_twisted(rng, group, field, shape, radius=1)
-    for pairs in ([(x, y), (one, z), (-z, one)], [(x, y), (-one, one)], [(one, z), (one, -z)]):
+    for pairs in (
+        [(x, y), (one, z), (-z, one)], [(x, y), (-one, one)], [(one, z), (one, -z)], [(one, z)], [(one, one)]
+    ):
         total = pairs[0][0] * pairs[0][1]
         for a, b in pairs[1:]:
             total = total + a * b
-        assert twisted._sum_is(group, field, shape, pairs, True) == total.is_one()
-        assert twisted._sum_is(group, field, shape, pairs, False) == total.is_zero()
+        for given in (pairs, [twisted._pair(a, b) for a, b in pairs]):
+            assert twisted._sum_is(group, field, shape, given, True) == total.is_one()
+            assert twisted._sum_is(group, field, shape, given, False) == total.is_zero()
+            assert twisted._sum_of_products(group, field, shape, given) == total
 
     # (x w; 0 1)(y -y w; 0 1) is the identity iff x y = 1; entry (0, 1)
     # sums a product with an identity-side pair
