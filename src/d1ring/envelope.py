@@ -3,8 +3,9 @@
 Every file is an envelope: a header (format version, group, field,
 coefficient shape, payload kind) plus a payload.  Serialization of a
 canonical-form object round-trips byte-for-byte; parsing a legal but
-non-canonical payload (stored zeros, unsorted terms, unreduced words,
-out-of-range residues) repairs it and flags the envelope.
+non-canonical payload (stored zeros, unsorted or duplicate sites,
+unreduced words, out-of-range residues, non-canonical rationals, extra
+payload keys) repairs it and flags the envelope.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 from .errors import FormatError
 from .exactalg import FieldSpec
 from .experiments import SuiteConfig, SuiteReport
-from .groupring import GroupRingElement, Shape, coeff_encode, coeff_parse
+from .groupring import GroupRingElement, Shape, coeff_encode, coeff_is_zero, coeff_parse
 from .groups import GroupSpec
 from .invert import (
     InjectivityVerdict,
@@ -154,82 +155,141 @@ def suite_report_payload(r: SuiteReport, omit_timing: bool = False) -> dict:
 
 
 # -- payload parsers -------------------------------------------------------------------
+#
+# Each parser reads its payload once and returns (value, repaired).  While it
+# reads it checks that the payload is canonical: no part was repaired (an
+# unreduced word, an out-of-range residue, a non-canonical rational text),
+# sites are strictly increasing, no coefficient, singular part or deviation
+# is zero, and the payload object holds only its own keys.  A canonical
+# payload is built with the plain constructors; any other goes through the
+# canonicalizing ones (from_terms, make, Configuration.make), which drop,
+# sum, sort and reduce exactly what the writer would have written
+# differently.
 
 def parse_groupring(
     group: GroupSpec, field: FieldSpec, shape: Shape, payload
-) -> GroupRingElement:
+) -> tuple[GroupRingElement, bool]:
     if not isinstance(payload, dict) or "terms" not in payload:
         raise FormatError("group ring payload needs a 'terms' list")
-    if not isinstance(payload["terms"], list):
+    raw = payload["terms"]
+    if not isinstance(raw, list):
         raise FormatError("'terms' must be a list")
+    parse_element, key = group.parse_element, group.key
+    repaired = len(payload) != 1
+    last = None
     terms = []
-    for entry in payload["terms"]:
+    for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"bad term {entry!r}: expected [element, coefficient]")
-        g, _ = group.parse_element(entry[0])
-        c, _ = coeff_parse(field, shape, entry[1])
+        g, rep_g = parse_element(entry[0])
+        c, rep_c = coeff_parse(field, shape, entry[1])
+        if not repaired:
+            k = key(g)
+            repaired = rep_g or rep_c or coeff_is_zero(c) or (last is not None and k <= last)
+            last = k
         terms.append((g, c))
-    return GroupRingElement.from_terms(group, field, shape, terms)
+    if repaired:
+        return GroupRingElement.from_terms(group, field, shape, terms), True
+    return GroupRingElement(group, field, shape, tuple(terms)), False
 
 
 def parse_twisted(
     group: GroupSpec, field: FieldSpec, shape: Shape, payload
-) -> TwistedElement:
+) -> tuple[TwistedElement, bool]:
     if not isinstance(payload, dict) or "regular" not in payload or "singular" not in payload:
         raise FormatError("twisted payload needs 'regular' and 'singular'")
-    regular = parse_groupring(group, field, shape, payload["regular"])
-    sing = []
-    if not isinstance(payload["singular"], list):
+    regular, repaired = parse_groupring(group, field, shape, payload["regular"])
+    raw = payload["singular"]
+    if not isinstance(raw, list):
         raise FormatError("'singular' must be a list")
-    for entry in payload["singular"]:
+    key = group.key
+    repaired = repaired or len(payload) != 2
+    last = None
+    sing = []
+    for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"bad singular pair {entry!r}")
-        g, _ = group.parse_element(entry[0])
-        part = parse_groupring(group, field, shape, entry[1])
+        g, rep_g = group.parse_element(entry[0])
+        part, rep_p = parse_groupring(group, field, shape, entry[1])
+        if not repaired:
+            k = key(g)
+            repaired = rep_g or rep_p or not part.terms or (last is not None and k <= last)
+            last = k
         sing.append((g, part))
-    return TwistedElement.make(regular, sing)
+    if repaired:
+        return TwistedElement.make(regular, sing), True
+    return TwistedElement(regular, tuple(sing)), False
 
 
 def parse_twisted_matrix(
     group: GroupSpec, field: FieldSpec, shape: Shape, payload
-) -> TwistedMatrix:
+) -> tuple[TwistedMatrix, bool]:
     if not isinstance(payload, dict) or "size" not in payload or "entries" not in payload:
         raise FormatError("twisted matrix payload needs 'size' and 'entries'")
     size = payload["size"]
     entries = payload["entries"]
-    if not isinstance(size, int) or size < 1:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise FormatError(f"bad matrix size {size!r}")
     if not isinstance(entries, list) or len(entries) != size or any(
         not isinstance(row, list) or len(row) != size for row in entries
     ):
         raise FormatError("'entries' must be a size x size grid")
-    rows = tuple(
-        tuple(parse_twisted(group, field, shape, e) for e in row) for row in entries
-    )
-    return TwistedMatrix(size, rows)
+    repaired = len(payload) != 2
+    rows = []
+    for row in entries:
+        cells = []
+        for e in row:
+            x, rep = parse_twisted(group, field, shape, e)
+            repaired = repaired or rep
+            cells.append(x)
+        rows.append(tuple(cells))
+    # a size x size grid of entries parsed with the header's group, field and shape
+    return TwistedMatrix._trusted(size, tuple(rows)), repaired
+
+
+def _parse_vector(field: FieldSpec, raw) -> tuple[tuple, bool]:
+    parse_scalar = field.parse_scalar
+    repaired = False
+    vec = []
+    for x in raw:
+        v, rep = parse_scalar(x)
+        repaired = repaired or rep
+        vec.append(v)
+    return tuple(vec), repaired
 
 
 def parse_configuration(
     group: GroupSpec, field: FieldSpec, n: int, payload
-) -> Configuration:
+) -> tuple[Configuration, bool]:
     if not isinstance(payload, dict) or "base" not in payload or "deviation" not in payload:
         raise FormatError("configuration payload needs 'base' and 'deviation'")
     base_raw = payload["base"]
     if not isinstance(base_raw, list) or len(base_raw) != n:
         raise FormatError(f"'base' must be a vector of length {n}")
-    base = [field.parse_scalar(x)[0] for x in base_raw]
-    dev = []
-    if not isinstance(payload["deviation"], list):
+    base, repaired = _parse_vector(field, base_raw)
+    raw = payload["deviation"]
+    if not isinstance(raw, list):
         raise FormatError("'deviation' must be a list")
-    for entry in payload["deviation"]:
+    key = group.key
+    repaired = repaired or len(payload) != 2
+    last = None
+    dev = []
+    for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"bad deviation pair {entry!r}")
-        g, _ = group.parse_element(entry[0])
+        g, rep_g = group.parse_element(entry[0])
         vec_raw = entry[1]
         if not isinstance(vec_raw, list) or len(vec_raw) != n:
             raise FormatError(f"deviation vectors must have length {n}")
-        dev.append((g, [field.parse_scalar(x)[0] for x in vec_raw]))
-    return Configuration.make(group, field, n, base, dev)
+        vec, rep_v = _parse_vector(field, vec_raw)
+        if not repaired:
+            k = key(g)
+            repaired = rep_g or rep_v or not any(vec) or (last is not None and k <= last)
+            last = k
+        dev.append((g, vec))
+    if repaired:
+        return Configuration.make(group, field, n, base, dev), True
+    return Configuration(group, field, n, base, tuple(dev)), False
 
 
 # -- envelopes -----------------------------------------------------------------------------
@@ -241,7 +301,7 @@ class Envelope:
     n: Shape
     kind: str
     payload: object  # the live object
-    canonicalized: bool = False  # True when parsing had to repair the payload
+    canonicalized: bool = False  # True when parsing repaired the payload
 
     def payload_obj(self, omit_timing: bool = False):
         kind, value = self.kind, self.payload
@@ -292,12 +352,36 @@ def _write_json(value, indent: str, out: list) -> None:
     nested at `indent`.  json.dumps with an indent runs the pure-Python
     encoder, whose nested closures leave reference cycles behind on every
     call; here the containers are laid out directly and the leaves go
-    through the C encoder, so a call leaves no cyclic garbage."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
+    through the C encoder, so a call leaves no cyclic garbage.  A value is
+    dispatched on its exact type first (the payloads hold only str, int,
+    None, dict and list); subclasses and other leaves take the isinstance
+    fallbacks after."""
+    t = type(value)
+    if t is str:
+        out.append(_encode_str(value))
+        return
+    if t is int:
+        out.append(int.__repr__(value))
+        return
+    if value is None:
+        out.append("null")
+        return
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(value, dict):
+            t = dict
+        elif not isinstance(value, (list, tuple)):
+            if isinstance(value, str):
+                out.append(_encode_str(value))
+            elif isinstance(value, int) and not isinstance(value, bool):
+                out.append(int.__repr__(value))
+            else:
+                out.append(json.dumps(value))
             return
-        inner = indent + "  "
+    if not value:
+        out.append("{}" if t is dict else "[]")
+        return
+    inner = indent + "  "
+    if t is dict:
         sep = "{\n" + inner
         for k, v in value.items():
             # json.dumps writes a key that is not a str (int, float, bool,
@@ -306,23 +390,13 @@ def _write_json(value, indent: str, out: list) -> None:
             _write_json(v, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
+    else:
         sep = "[\n" + inner
         for v in value:
             out.append(sep)
             _write_json(v, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out.append(int.__repr__(value))
-    else:
-        out.append(json.dumps(value))
 
 
 def parse_envelope(text: str) -> Envelope:
@@ -356,19 +430,16 @@ def parse_envelope(text: str) -> Envelope:
 
     payload = doc["payload"]
     if kind == "groupring":
-        value = parse_groupring(group, field, n, payload)
+        value, repaired = parse_groupring(group, field, n, payload)
     elif kind == "twisted":
-        value = parse_twisted(group, field, n, payload)
+        value, repaired = parse_twisted(group, field, n, payload)
     elif kind == "twisted_matrix":
-        value = parse_twisted_matrix(group, field, n, payload)
+        value, repaired = parse_twisted_matrix(group, field, n, payload)
     else:
         if n is None:
             raise FormatError("configurations need an integer 'n' in the header")
-        value = parse_configuration(group, field, n, payload)
-
-    env = Envelope(group, field, n, kind, value)
-    env.canonicalized = env.payload_obj() != payload
-    return env
+        value, repaired = parse_configuration(group, field, n, payload)
+    return Envelope(group, field, n, kind, value, repaired)
 
 
 def envelope_for(value) -> Envelope:

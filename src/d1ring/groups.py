@@ -27,6 +27,9 @@ _MAX_FREE_RANK = 26
 # at radius 4 would have 7.0 M words.
 MAX_BALL_SIZE = 1_000_000
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_LETTER_VALUES = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
+    ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
+}
 
 
 def reduce_word(letters: Sequence[int]) -> Element:
@@ -193,7 +196,8 @@ class GroupSpec:
         """Parse a JSON value into an element.
 
         Returns (element, repaired); repaired is True when the input was
-        legal but not canonical (an unreduced free word).
+        legal but not canonical (an unreduced free word, or a letter that is
+        not one of a-z, A-Z but lower-cases to one).
         """
         if self.kind == "Zd":
             if not isinstance(value, list) or len(value) != self.dim:
@@ -204,13 +208,18 @@ class GroupSpec:
         if not isinstance(value, str):
             raise FormatError(f"expected a word string: {value!r}")
         letters = []
+        foreign = False  # a letter outside a-z, A-Z that lower() maps onto a-z
         for ch in value:
-            idx = _LETTERS.find(ch.lower())
-            if idx < 0 or idx >= self.dim:
+            c = _LETTER_VALUES.get(ch)
+            if c is None:
+                idx = _LETTERS.find(ch.lower())
+                c = 0 if idx < 0 else -(idx + 1) if ch.isupper() else idx + 1
+                foreign = True
+            if not c or abs(c) > self.dim:
                 raise FormatError(f"letter {ch!r} out of range for free rank {self.dim}")
-            letters.append(-(idx + 1) if ch.isupper() else idx + 1)
+            letters.append(c)
         word = reduce_word(letters)
-        return word, len(word) != len(letters)
+        return word, foreign or len(word) != len(letters)
 
 
 @dataclass(frozen=True)

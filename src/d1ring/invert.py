@@ -508,10 +508,16 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     return witness
 
 
-def _kernel_window(t: Nuca, support: FiniteSubset) -> FiniteSubset:
+def _kernel_window(t: Nuca, support: FiniteSubset) -> set:
     """The sites whose rules read the support: support M^-1 and the
-    exceptional sites."""
-    return support.product(t.memory.inverse()).union(t.exceptional_set)
+    exceptional sites, as a plain set.  Its order only orders the window
+    rows, and neither the pivots nor the RREF kernel basis depend on that."""
+    grp = t.group
+    compose = grp.compose
+    inverses = [grp.inverse(h) for h in t.memory]
+    window = {compose(g, h) for g in support for h in inverses}
+    window.update(t.exceptional_set)
+    return window
 
 
 def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
@@ -571,10 +577,13 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     past the size limit (check_tower_depth) is refused before level 0.
 
     The domain sites are numbered in the order they first appear, level by
-    level, so the c_l coordinates of level l are a prefix of the next
-    level's.  The window map A_m of ball(m) is A_{m-1} with the rows of
-    the shell ball(m) minus ball(m - 1) below it, as the rows of ball(m - 1)
-    read only the first c_{m-1} coordinates.  Each shell's rows are placed
+    level (g h for each shell site g and memory site h), so the c_l
+    coordinates of level l are a prefix of the next level's.  Only that
+    prefix matters: every dimension below counts coordinates up to a
+    level boundary, so the order within a level does not change it.  The
+    window map A_m of ball(m) is A_{m-1} with the rows of the shell ball(m)
+    minus ball(m - 1) below it, as the rows of ball(m - 1) read only the
+    first c_{m-1} coordinates.  Each shell's rows are placed
     straight at that numbering, with no window map built or re-keyed.  So
     one semi-echelon basis whose rows lead at their last column takes in
     each shell's rows once, and its pivots P_m after level m give every
@@ -604,12 +613,14 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     ranks: list[int] = []  # |P_m|
     pivots: list[list[int]] = []  # P_m minus P_{m-1}, sorted
     ids: dict = {}  # domain site -> its number, in order of first appearance
+    compose, memory = grp.compose, t.memory.elements
 
     def ensure_level(m: int) -> None:
         while len(dims) <= m:
             shell = _box_shell(grp, len(dims))
-            for u in shell.product(t.memory):
-                ids.setdefault(u, len(ids))
+            for g in shell:
+                for h in memory:
+                    ids.setdefault(compose(g, h), len(ids))
             before = len(basis)
             _echelon(p, t._window_rows(shell, ids.get), max, basis)
             pivots.append(sorted(itertools.islice(basis, before, None)))

@@ -11,7 +11,7 @@ from d1ring.experiments import decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.nuca import Nuca
-from d1ring.twisted import TwistedElement
+from d1ring.twisted import TwistedElement, TwistedMatrix
 
 import golden_cases
 from golden_cases import CASES, EXPECTED, path
@@ -75,6 +75,18 @@ class TestExitCodes:
         code, _, err = run_cli(["fmt", str(bad)])
         assert code == 2
         assert "prime" in err
+
+    def test_boolean_matrix_size_is_format_error(self, tmp_path):
+        # a bool is an int in Python; "size": true once parsed as size 1
+        m = TwistedMatrix.identity(1, GroupSpec.zd(1), FieldSpec.fp(3))
+        doc = json.loads(serialize_envelope(envelope_for(m)))
+        doc["payload"]["size"] = True
+        bad = tmp_path / "bool_size.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["fmt", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "bad matrix size True" in err
 
     def test_shape_mismatch_between_inputs(self):
         code, _, err = run_cli(

@@ -1,17 +1,20 @@
+import copy
 import gc
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from d1ring.envelope import Envelope, _write_json, envelope_for, parse_envelope, serialize_envelope
 from d1ring.errors import FormatError
-from d1ring.experiments import rand_twisted
+from d1ring.experiments import rand_groupring, rand_scalar, rand_twisted
+from d1ring.groupring import GroupRingElement, coeff_encode, coeff_parse, coeff_zero
 from d1ring.invert import SearchBudget, stable_injectivity_verdict
 from d1ring.nuca import Configuration, Nuca
-from d1ring.twisted import TwistedMatrix, f_shuffle
+from d1ring.twisted import TwistedElement, TwistedMatrix, f_shuffle
 
 from conftest import F2, F2FREE, F3, Q, Z1, Z2, f3_pair, gre
 
@@ -93,6 +96,239 @@ class TestCanonicalization:
         assert env.payload.terms == (((2,), 1),)
 
 
+    def test_kelvin_sign_flagged(self):
+        # U+212A lower-cases to "k", so it reads as k^-1; written back as "K"
+        doc = {
+            "header": {"format_version": 1, "group": "free:11", "field": "Fp:2", "n": None, "kind": "groupring"},
+            "payload": {"terms": [["\u212a", 1]]},
+        }
+        env = parse_envelope(json.dumps(doc))
+        assert env.canonicalized
+        assert env.payload.terms == (((-11,), 1),)
+        assert env.payload_obj() == {"terms": [["K", 1]]}
+
+
+# -- the repair flag against the re-encoding check ---------------------------------
+
+KINDS = ("groupring", "twisted", "twisted_matrix", "configuration")
+MUTATIONS = (
+    "none", "stored_zero", "unsorted", "duplicate", "unreduced_word", "residue",
+    "rational", "extra_key", "zero_part",
+)
+
+
+def canonical_value(rng, kind, group, field, shape):
+    if kind == "groupring":
+        return rand_groupring(rng, group, field, shape, radius=1)
+    if kind == "twisted":
+        return rand_twisted(rng, group, field, shape, radius=1, max_sites=3, max_terms=3)
+    if kind == "twisted_matrix":
+        return TwistedMatrix(2, tuple(
+            tuple(rand_twisted(rng, group, field, shape, radius=1) for _ in range(2)) for _ in range(2)
+        ))
+    ball = group.ball(1)
+    n = shape
+    return Configuration.make(
+        group, field, n,
+        [rand_scalar(rng, field) for _ in range(n)],
+        [(rng.choice(ball), [rand_scalar(rng, field) for _ in range(n)]) for _ in range(rng.randint(0, 3))],
+    )
+
+
+def payload_slots(kind, payload):
+    """Where a mutation can act: the payload objects, the twisted payloads,
+    the site lists (terms, singular pairs, deviation pairs), the element
+    slots and the scalar slots, as (container, index)."""
+    objs, twisteds, site_lists, sites, scalars = [], [], [], [], []
+
+    def scalar_list(values):
+        scalars.extend((values, i) for i in range(len(values)))
+
+    def ring(p):
+        objs.append(p)
+        site_lists.append(p["terms"])
+        for term in p["terms"]:
+            sites.append((term, 0))
+            if isinstance(term[1], list):
+                for row in term[1]:
+                    scalar_list(row)
+            else:
+                scalars.append((term, 1))
+
+    def twisted(p):
+        objs.append(p)
+        twisteds.append(p)
+        ring(p["regular"])
+        site_lists.append(p["singular"])
+        for pair in p["singular"]:
+            sites.append((pair, 0))
+            ring(pair[1])
+
+    if kind == "groupring":
+        ring(payload)
+    elif kind == "twisted":
+        twisted(payload)
+    elif kind == "twisted_matrix":
+        objs.append(payload)
+        for row in payload["entries"]:
+            for e in row:
+                twisted(e)
+    else:
+        objs.append(payload)
+        scalar_list(payload["base"])
+        site_lists.append(payload["deviation"])
+        for pair in payload["deviation"]:
+            sites.append((pair, 0))
+            scalar_list(pair[1])
+    return objs, twisteds, site_lists, sites, scalars
+
+
+def mutate(rng, mutation, kind, group, field, shape, payload) -> bool:
+    """Apply the mutation in place at a random place where it applies; False
+    when it applies nowhere in this payload."""
+    objs, twisteds, site_lists, sites, scalars = payload_slots(kind, payload)
+    site = group.encode_element(rng.choice(group.ball(1)))
+    if mutation == "stored_zero":
+        if kind == "configuration":
+            target, entry = payload["deviation"], [site, [coeff_encode(field, field.zero)] * shape]
+        else:
+            target = rng.choice([o["terms"] for o in objs if "terms" in o])
+            entry = [site, coeff_encode(field, coeff_zero(field, shape))]
+        target.insert(rng.randint(0, len(target)), entry)
+        return True
+    if mutation == "unsorted":
+        lists = [sl for sl in site_lists if len(sl) >= 2]
+        if not lists:
+            return False
+        sl = rng.choice(lists)
+        i, j = rng.sample(range(len(sl)), 2)
+        sl[i], sl[j] = sl[j], sl[i]
+        return True
+    if mutation == "duplicate":
+        lists = [sl for sl in site_lists if sl]
+        if not lists:
+            return False
+        sl = rng.choice(lists)
+        i = rng.randrange(len(sl))
+        sl.insert(i + 1, copy.deepcopy(sl[i]))
+        return True
+    if mutation == "unreduced_word":
+        if group.kind != "free" or not sites:
+            return False
+        container, i = rng.choice(sites)
+        word = container[i]
+        k = rng.randint(0, len(word))
+        letter = rng.choice("ab")
+        pair = letter + letter.upper() if rng.random() < 0.5 else letter.upper() + letter
+        container[i] = word[:k] + pair + word[k:]
+        return True
+    if mutation == "residue":
+        if field.kind != "Fp" or not scalars:
+            return False
+        container, i = rng.choice(scalars)
+        container[i] += field.p * rng.choice((1, 2, -1, -2))
+        return True
+    if mutation == "rational":
+        if field.kind == "Fp" or not scalars:
+            return False
+        container, i = rng.choice(scalars)
+        num, den = (int(x) for x in container[i].split("/"))
+        forms = [f"{2 * num}/{2 * den}", f"{-num}/{-den}"]
+        if den == 1:
+            forms.append(num)
+        if num == 0:
+            forms.append("-0/1")
+        container[i] = rng.choice(forms)
+        return True
+    if mutation == "extra_key":
+        rng.choice(objs)["note"] = 0
+        return True
+    if mutation == "zero_part":
+        if not twisteds:
+            return False
+        singular = rng.choice(twisteds)["singular"]
+        singular.insert(rng.randint(0, len(singular)), [site, {"terms": []}])
+        return True
+    return mutation == "none"
+
+
+def reference_value(kind, group, field, shape, payload):
+    """The value the parser built before it read in one pass: every part
+    read, then handed to the canonicalizing constructors."""
+    def element(g):
+        return group.parse_element(g)[0]
+
+    def ring(p):
+        return GroupRingElement.from_terms(
+            group, field, shape, [(element(g), coeff_parse(field, shape, c)[0]) for g, c in p["terms"]]
+        )
+
+    def twisted(p):
+        return TwistedElement.make(ring(p["regular"]), [(element(g), ring(q)) for g, q in p["singular"]])
+
+    if kind == "groupring":
+        return ring(payload)
+    if kind == "twisted":
+        return twisted(payload)
+    if kind == "twisted_matrix":
+        return TwistedMatrix(
+            payload["size"], tuple(tuple(twisted(e) for e in row) for row in payload["entries"])
+        )
+
+    def scalar(x):
+        return field.parse_scalar(x)[0]
+
+    return Configuration.make(
+        group, field, shape, [scalar(x) for x in payload["base"]],
+        [(element(g), [scalar(x) for x in v]) for g, v in payload["deviation"]],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    group=st.sampled_from([Z1, Z2, F2FREE]),
+    field=st.sampled_from([F2, F3, Q]),
+    matrix=st.booleans(),
+    mutation=st.sampled_from(MUTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_flag_is_the_re_encoding_check(kind, group, field, matrix, mutation, seed):
+    rng = random.Random(seed)
+    shape = (2 if matrix else 1) if kind == "configuration" else (2 if matrix else None)
+    value = canonical_value(rng, kind, group, field, shape)
+    doc = json.loads(serialize_envelope(envelope_for(value)))
+    mutated = mutate(rng, mutation, kind, group, field, shape, doc["payload"])
+    text = json.dumps(doc)
+    env = parse_envelope(text)
+    payload = json.loads(text)["payload"]
+    # the flag the parser set from the re-encoded payload before it read in one pass
+    assert env.canonicalized == (env.payload_obj() != payload)
+    assert env.payload == reference_value(kind, group, field, shape, payload)
+    if mutation == "none" or not mutated:
+        assert not env.canonicalized and env.payload == value
+    elif mutation not in ("stored_zero", "duplicate", "zero_part"):
+        # repairs that keep every site, part and coefficient
+        assert env.canonicalized and env.payload == value
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", [F3, Q])
+def test_canonical_envelopes_skip_the_canonicalizing_constructors(kind, field, rng):
+    values = [canonical_value(rng, kind, group, field, 2) for group in (Z1, Z2, F2FREE) for _ in range(5)]
+    texts = [serialize_envelope(envelope_for(v)) for v in values]
+    refuse = {"side_effect": AssertionError("canonicalizing constructor called")}
+    with mock.patch.object(GroupRingElement, "from_terms", **refuse), \
+            mock.patch.object(TwistedElement, "make", **refuse), \
+            mock.patch.object(TwistedMatrix, "__post_init__", **refuse), \
+            mock.patch.object(Configuration, "make", **refuse):
+        envs = [parse_envelope(text) for text in texts]
+    for env, value, text in zip(envs, values, texts):
+        assert not env.canonicalized
+        assert env.payload == value
+        assert serialize_envelope(env) == text
+
+
 class TestDiagnostics:
     def test_version_mismatch(self):
         doc = {
@@ -117,6 +353,12 @@ class TestDiagnostics:
             "payload": {"terms": [[[0], 1]]},
         }
         with pytest.raises(FormatError, match="2x2"):
+            parse_envelope(json.dumps(doc))
+
+    def test_boolean_matrix_size_rejected(self):
+        doc = json.loads(serialize_envelope(envelope_for(TwistedMatrix.identity(1, Z1, F3))))
+        doc["payload"]["size"] = True
+        with pytest.raises(FormatError, match="bad matrix size True"):
             parse_envelope(json.dumps(doc))
 
     def test_invalid_json(self):

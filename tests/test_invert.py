@@ -988,6 +988,24 @@ def test_kernel_tower_builds_each_window_row_once(group, field, n, kind):
     assert sum(built) == n * group.ball_size(len(built) - 1)
 
 
+@pytest.mark.parametrize(
+    "group, field, n, kind",
+    [(Z1, F5, 1, "decoy"), (Z1, Q, 2, "shifted"), (Z2, F2, 2, "shifted"), (Z2, Q, 1, "random")],
+)
+def test_window_rows_are_placed_without_sorted_site_sets(group, field, n, kind):
+    # the tower numbers its domain sites and the witness search lists its
+    # window rows from compose and inverse directly; no sorted product,
+    # union or inverse set is built
+    t = tower_map(10, group, field, n, kind)
+    expected = kernel_tower(t, 3, 2), invert._first_witness_radius(t, 2)
+    refuse = {"side_effect": AssertionError("built a sorted site set")}
+    with mock.patch.object(FiniteSubset, "product", **refuse), \
+            mock.patch.object(FiniteSubset, "union", **refuse), \
+            mock.patch.object(FiniteSubset, "inverse", **refuse):
+        got = kernel_tower(t, 3, 2), invert._first_witness_radius(t, 2)
+    assert got == expected
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_box_shells_are_ball_differences(dim):
     group = GroupSpec.zd(dim)
