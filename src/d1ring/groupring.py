@@ -5,7 +5,8 @@ M_n(k)[G] ~ M_n(k[G]).
 Coefficients come in two shapes, selected at runtime: scalars (shape
 ``None``) and n x n matrices stored as nested tuples (shape ``n``).
 Mixing shapes is a hard error, never a coercion.  Products and sums run
-on raw accumulators (see _convolve_into) and are made canonical once.
+on raw accumulators, products over Q on integer numerators (see the
+convolution accumulator section), and are made canonical once.
 """
 
 from __future__ import annotations
@@ -112,10 +113,46 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 
 # -- convolution accumulator ----------------------------------------------------
 #
-# An accumulator {h: raw coefficient} sums terms without reducing them: a
-# scalar is a plain int (F_p) or a Fraction (Q), and an n x n coefficient is
-# a flat list of n^2 such entries, row by row.  _canonical_terms reduces each
-# entry once, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw entries.
+# An accumulator {h: raw coefficient} sums terms without reducing them, an
+# n x n coefficient as a flat list of n^2 entries, row by row.  Products
+# accumulate plain ints: over F_p the residues as they are, and over Q the
+# integer numerators over one scale L, so that the accumulator holds L
+# times the sum.  Each operand of a product over Q is brought once to its
+# numerators over the lcm of its denominators (_numerators), and the
+# product's scale is the product of the two; a sum of several products is
+# brought to the lcm of their scales first.  An accumulator that adds
+# canonical coefficients as they are (_add_into) holds Fractions over Q
+# and has no scale.  _canonical_terms reduces each entry once, over Q by
+# one division by L, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw
+# entries, over Q by comparing the identity entry with L.
+
+def _denominator(shape: Shape, terms) -> int:
+    """The lcm of the denominators of the entries of terms over Q."""
+    if shape is None:
+        return math.lcm(*(c.denominator for _, c in terms))
+    return math.lcm(*(x.denominator for _, c in terms for row in c for x in row))
+
+
+def _numerators(shape: Shape, terms, scale: int) -> tuple:
+    """The terms over Q times scale, a multiple of every denominator of
+    their entries, with plain int entries."""
+    if shape is None:
+        return tuple((g, c.numerator * (scale // c.denominator)) for g, c in terms)
+    return tuple(
+        (g, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in c))
+        for g, c in terms
+    )
+
+
+def _integer_operands(field: FieldSpec, shape: Shape, a_terms, b_terms) -> tuple:
+    """(a, b, scale): the terms of a product as _convolve_into takes them
+    and the scale of the product's accumulator; as they are over F_p, at
+    scale 1, and over Q each on its numerators over its own denominator."""
+    if field.p:
+        return a_terms, b_terms, 1
+    la, lb = _denominator(shape, a_terms), _denominator(shape, b_terms)
+    return _numerators(shape, a_terms, la), _numerators(shape, b_terms, lb), la * lb
+
 
 def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
     """Add a(g) b(h) at g h into acc for every term pair, as raw entries.
@@ -150,22 +187,31 @@ def _add_into(acc: dict, shape: Shape, terms) -> None:
         acc[h] = flat if old is None else list(map(add, old, flat))
 
 
-def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict) -> tuple:
+def _canonical_terms(
+    group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict, scale: Optional[int] = None
+) -> tuple:
     """The canonical terms of an accumulator: each entry reduced once, zeros
-    dropped, sorted by group.key."""
+    dropped, sorted by group.key.  Over Q an accumulator of numerators over
+    `scale` has each entry divided by it, a Fraction even when the scale is
+    1; with no scale its entries are kept as they are."""
     p = field.p
+    div = None if p else scale
     if shape is None:
         if p:
             items = [(g, r) for g, c in acc.items() if (r := c % p)]
+        elif div is not None:
+            items = [(g, Fraction(c, div)) for g, c in acc.items() if c]
         else:
             items = [(g, c) for g, c in acc.items() if c]
     else:
-        n = shape
+        n, zero = shape, field.zero
         items = []
         for g, flat in acc.items():
             if p:
                 flat = [x % p for x in flat]
             if any(flat):
+                if div is not None:
+                    flat = [Fraction(x, div) if x else zero for x in flat]
                 items.append((g, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))))
     if len(items) > 1:
         key = group.key
@@ -173,15 +219,16 @@ def _canonical_terms(group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict
     return tuple(items)
 
 
-def _raw_is_one(field: FieldSpec, shape: Shape, c) -> bool:
-    """Whether the raw coefficient c reduces to 1 (the identity matrix)."""
+def _raw_is_one(field: FieldSpec, shape: Shape, c, scale: int = 1) -> bool:
+    """Whether the raw coefficient c reduces to 1 (the identity matrix);
+    over Q c is compared with 1 times the accumulator's scale."""
     p = field.p
     if shape is None:
-        return (c % p if p else c) == 1
+        return c % p == 1 if p else c == scale
     step = shape + 1  # the diagonal of a flat n x n list
     if p:
         return all(x % p == (i % step == 0) for i, x in enumerate(c))
-    return all(x == (i % step == 0) for i, x in enumerate(c))
+    return all(x == (scale if i % step == 0 else 0) for i, x in enumerate(c))
 
 
 def _raw_is_zero(field: FieldSpec, shape: Shape, coeffs) -> bool:
@@ -305,19 +352,23 @@ class GroupRingElement:
         """Convolution: (ab)(g) = sum_t a(t) b(t^-1 g)."""
         self._check_compatible(other)
         grp, field, shape = self.group, self.field, self.shape
+        a, b, scale = _integer_operands(field, shape, self.terms, other.terms)
         acc: dict[Element, object] = {}
-        _convolve_into(acc, grp, shape, self.terms, other.terms)
-        return GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc))
+        _convolve_into(acc, grp, shape, a, b)
+        return GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc, scale))
 
     def product_is_one(self, other: "GroupRingElement") -> bool:
         """(self * other) == 1, decided on the product's raw accumulator
         without building it."""
         self._check_compatible(other)
         grp, field, shape = self.group, self.field, self.shape
+        a, b, scale = _integer_operands(field, shape, self.terms, other.terms)
         acc: dict[Element, object] = {}
-        _convolve_into(acc, grp, shape, self.terms, other.terms)
+        _convolve_into(acc, grp, shape, a, b)
         c = acc.pop(grp.identity, None)
-        return c is not None and _raw_is_one(field, shape, c) and _raw_is_zero(field, shape, acc.values())
+        return (
+            c is not None and _raw_is_one(field, shape, c, scale) and _raw_is_zero(field, shape, acc.values())
+        )
 
     def translate(self, g: Element) -> "GroupRingElement":
         """Left multiplication by the basis element g (coefficient 1)."""

@@ -78,15 +78,17 @@ class GroupSpec:
         return (0,) * self.dim if self.kind == "Zd" else ()
 
     def check(self, g: Element) -> None:
-        """Validate that g is a well-formed element of this group."""
+        """Validate that g is a well-formed element of this group.  A bool
+        is no coordinate or letter, as parse_element has it: it would
+        serialize as true or false."""
         if not isinstance(g, tuple):
             raise UsageError(f"group element must be a tuple, got {type(g).__name__}")
         if self.kind == "Zd":
-            if len(g) != self.dim or not all(isinstance(c, int) for c in g):
+            if len(g) != self.dim or not all(isinstance(c, int) and not isinstance(c, bool) for c in g):
                 raise UsageError(f"expected an integer vector of length {self.dim}: {g!r}")
         else:
             for c in g:
-                if not isinstance(c, int) or c == 0 or abs(c) > self.dim:
+                if not isinstance(c, int) or isinstance(c, bool) or c == 0 or abs(c) > self.dim:
                     raise UsageError(f"letter {c!r} out of range for free rank {self.dim}")
             for a, b in zip(g, g[1:]):
                 if a == -b:

@@ -33,6 +33,7 @@ Certificates and witnesses are re-verified before they are returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -547,10 +548,12 @@ def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
     return None
 
 
+@functools.lru_cache(maxsize=32)
 def _box_shell(group: GroupSpec, m: int) -> FiniteSubset:
     """ball(m) minus ball(m - 1) on Z^d: the sites whose largest |coordinate|
     is m, taken face by face; the face g_i = +-m leaves out the sites of
-    the faces of the axes before i."""
+    the faces of the axes before i.  A shell depends on (group, m) alone,
+    and every tower reads the same first levels, so it is made once."""
     if m == 0:
         return FiniteSubset.ball(group, 0)
     d = group.dim
@@ -583,9 +586,12 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     level boundary, so the order within a level does not change it.  The
     window map A_m of ball(m) is A_{m-1} with the rows of the shell ball(m)
     minus ball(m - 1) below it, as the rows of ball(m - 1) read only the
-    first c_{m-1} coordinates.  Each shell's rows are placed
-    straight at that numbering, with no window map built or re-keyed.  So
-    one semi-echelon basis whose rows lead at their last column takes in
+    first c_{m-1} coordinates.  Each shell site g is composed with each
+    memory site once, in one pass that numbers the sites g h and places
+    the integer rule rows of g (Nuca._window_rules, read by memory
+    position) straight at those numbers, with no window map built or
+    re-keyed.  Every domain site is numbered, so no row loses an entry.
+    So one semi-echelon basis whose rows lead at their last column takes in
     each shell's rows once, and its pivots P_m after level m give every
     dimension reported: the rows leading at c or later are independent on
     the columns >= c and the others vanish there, so
@@ -609,20 +615,23 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     check_tower_depth(grp, n, depth, stabilization_window)
     max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
     basis: dict[int, dict] = {}  # {pivot: integer row}, each row leads at its last column
-    dims: list[int] = []  # c_m: the coordinates of each level, a prefix of the ids
+    dims: list[int] = []  # c_m: the coordinates of each level, a prefix of the columns
     ranks: list[int] = []  # |P_m|
     pivots: list[list[int]] = []  # P_m minus P_{m-1}, sorted
-    ids: dict = {}  # domain site -> its number, in order of first appearance
-    compose, memory = grp.compose, t.memory.elements
+    ids: dict = {}  # domain site -> its first column, in order of first appearance
+    number, compose, memory = ids.setdefault, grp.compose, t.memory.elements
+    constant_rule, exceptional = t._window_rules()
 
     def ensure_level(m: int) -> None:
         while len(dims) <= m:
-            shell = _box_shell(grp, len(dims))
-            for g in shell:
-                for h in memory:
-                    ids.setdefault(compose(g, h), len(ids))
+            rows = []
+            for g in _box_shell(grp, len(dims)):
+                # the first column of each memory site's block, read at g
+                cols = [number(compose(g, h), n * len(ids)) for h in memory]
+                for entries in exceptional.get(g, constant_rule)[1]:
+                    rows.append({cols[k] + j: z for k, j, z in entries})
             before = len(basis)
-            _echelon(p, t._window_rows(shell, ids.get), max, basis)
+            _echelon(p, rows, max, basis)
             pivots.append(sorted(itertools.islice(basis, before, None)))
             ranks.append(len(basis))
             dims.append(n * len(ids))

@@ -393,13 +393,13 @@ class Nuca:
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
         constant_rule, exceptional = self._window_rules()
-        compose, position = grp.compose, domain.position
+        compose, position, memory = grp.compose, domain.position, self.memory.elements
         rows: list[dict] = []
         for g in window:
-            sites, rule_rows, _ = exceptional.get(g, constant_rule)
-            # the first column of the block of each site of the rule, read at g
-            base = [position(compose(g, h)) * n for h in sites]
-            rows.extend({base[s] + j: x for s, j, x in entries} for entries in rule_rows)
+            rule_rows, _, read = exceptional.get(g, constant_rule)
+            # the first column of the block of each memory site the rule reads, at g
+            base = {k: position(compose(g, memory[k])) * n for k in read}
+            rows.extend({base[k] + j: x for k, j, x in entries} for entries in rule_rows)
         mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
 
@@ -412,15 +412,15 @@ class Nuca:
         are left out.  Over Q a row that loses entries is divided by its
         content, so it stays the primitive multiple of its field row."""
         n, q = self.n, not self.field.p
-        compose = self.group.compose
+        compose, memory = self.group.compose, self.memory.elements
         constant_rule, exceptional = self._window_rules()
         rows: list[dict] = []
         for g in window:
-            sites, _, rule_ints = exceptional.get(g, constant_rule)
-            # the number of each site of the rule, read at g
-            ks = [column(compose(g, h)) for h in sites]
+            _, rule_ints, read = exceptional.get(g, constant_rule)
+            # the number of each memory site the rule reads, at g
+            ks = {k: column(compose(g, memory[k])) for k in read}
             for entries in rule_ints:
-                row = {ks[s] * n + j: z for s, j, z in entries if ks[s] is not None}
+                row = {ks[k] * n + j: z for k, j, z in entries if ks[k] is not None}
                 rows.append(_content_free(row) if q and len(row) < len(entries) else row)
         return rows
 
@@ -428,7 +428,9 @@ class Nuca:
         """The _rule_rows of the constant rule and {g: those of the rule at
         g} for the exceptional sites g, made on first use: the kernel
         searches and towers read them for every window they place, while
-        the pipeline builds one NUCA per trial and one window of it."""
+        the pipeline builds one NUCA per trial and one window of it.
+        induced_local_map reads the field rows, and _window_rows and
+        invert.kernel_tower the integer rows."""
         if self._rules is None:
             field, n = self.field, self.n
             reg = dict(self.element.regular.terms)
@@ -437,30 +439,31 @@ class Nuca:
             exceptional = {}
             for g, part in self.element.singular:
                 extra = dict(part.terms)
-                exceptional[g] = _rule_rows(field, n, (
+                exceptional[g] = _rule_rows(field, n, [
                     (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
-                ))
+                ])
             self._rules = (_rule_rows(field, n, constant), exceptional)
         return self._rules
 
 
-def _rule_rows(field: FieldSpec, n: int, blocks: Iterable) -> tuple:
-    """A rule given by its (h, block) pairs as (sites, rows, ints): the
-    sites h whose block is not zero; for each row i of the rule, the
-    triples (s, j, x) for the nonzero entries x at column j of row i of
-    the block of sites[s]; and the same triples for the integer row
-    elimination reads: the residues themselves over F_p (ints is rows),
-    the row's primitive integer multiple over Q."""
-    nonzero = [(h, block) for h, block in blocks if any(any(row) for row in block)]
+def _rule_rows(field: FieldSpec, n: int, blocks: list) -> tuple:
+    """A rule given by its (h, block) pairs, one per memory site in the
+    memory's order, as (rows, ints, read): for each row i of the rule, the
+    triples (k, j, x) for the nonzero entries x at column j of row i of
+    the block of the k-th memory site; the same triples for the integer
+    row elimination reads, the residues themselves over F_p (ints is
+    rows) and the row's primitive integer multiple over Q; and the
+    positions k of the memory sites whose block is not zero."""
     rows = [
-        [(s, j, x) for s, (_, block) in enumerate(nonzero) for j, x in enumerate(block[i]) if x]
+        [(k, j, x) for k, (_, block) in enumerate(blocks) for j, x in enumerate(block[i]) if x]
         for i in range(n)
     ]
     ints = rows if field.p else [
-        [(s, j, z) for (s, j), z in _primitive_row({(s, j): x for s, j, x in entries}).items()]
+        [(k, j, z) for (k, j), z in _primitive_row({(k, j): x for k, j, x in entries}).items()]
         for entries in rows
     ]
-    return [h for h, _ in nonzero], rows, ints
+    read = [k for k, (_, block) in enumerate(blocks) if any(any(row) for row in block)]
+    return rows, ints, read
 
 
 def constant_part(t: Nuca) -> Nuca:

@@ -24,6 +24,15 @@ these three slot sums term by term into a single accumulator
 as an entry of a matrix product, is made canonical once at the end
 (_sum_of_products), not once per partial convolution and sum.
 
+The accumulator holds plain ints.  Over F_p the operands are read as
+they are.  Over Q each operand is read on its integer numerators over
+one scale, the lcm of the denominators of its regular and singular parts
+alike, since the kernel mixes them; a sum of several pairs, or a lone
+identity-side operand (below), is first brought to the lcm L of the
+pairs' scales (_accumulate).  So the accumulator holds L times the sum,
+and making it canonical divides each entry by L once, into a Fraction
+even when L = 1.
+
 Only the pairs that can contribute reach the kernel.  A matrix product
 tests each entry of its operands once, for 0 and for 1 (_role), and an
 entry of the product pairs only the nonzero entries of its row and
@@ -40,7 +49,8 @@ Whether a sum of products is 1 or 0 is decided on the same raw
 accumulator, without making it canonical (_sum_is): every raw entry
 must reduce to zero (mod p over F_p), except that for 1 the regular
 slot's coefficient at the identity must reduce to 1, the identity
-matrix for n x n coefficients.  TwistedElement.product_is_one and
+matrix for n x n coefficients; over Q it must equal L times it, so
+nothing is divided.  TwistedElement.product_is_one and
 TwistedMatrix.product_is_identity answer "is this product 1?" with it;
 the matrix check goes entry by entry and stops at the first entry that
 fails.
@@ -48,6 +58,7 @@ fails.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -60,6 +71,8 @@ from .groupring import (
     _add_into,
     _canonical_terms,
     _convolve_into,
+    _denominator,
+    _numerators,
     _raw_is_one,
     _raw_is_zero,
     coeff_one,
@@ -225,10 +238,48 @@ def _role(x: TwistedElement, one: tuple) -> bool | None:
     return terms == one if terms else None
 
 
-def _accumulate(grp: GroupSpec, shape: Shape, pairs) -> dict:
+def _scale_of(x: TwistedElement) -> int:
+    """The lcm of the denominators of x's entries over Q, regular and
+    singular alike."""
+    shape = x.shape
+    return math.lcm(_denominator(shape, x.regular.terms), *(_denominator(shape, b.terms) for _, b in x.singular))
+
+
+def _numerators_of(x: TwistedElement, scale: int) -> TwistedElement:
+    """x over Q times scale, a multiple of _scale_of(x), with plain int
+    entries: not a canonical element, only what _mul_into and _accumulate
+    read, so it is built without checks."""
+    grp, fld, shape = x.group, x.field, x.shape
+
+    def part(terms) -> GroupRingElement:
+        return GroupRingElement(grp, fld, shape, _numerators(shape, terms, scale))
+
+    return TwistedElement(part(x.regular.terms), tuple((g, part(b.terms)) for g, b in x.singular))
+
+
+def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> tuple[dict, int]:
     """The raw sum of the products over the pairs (_pair), as {site or
-    None: {h: coefficient}}.  A side given alone adds its terms; a tuple
-    (x, y) goes through _mul_into."""
+    None: {h: coefficient}}, and its scale.  A side given alone adds its
+    terms; a tuple (x, y) goes through _mul_into.  Over F_p the sides are
+    read as they are, at scale 1.  Over Q each side is read on its integer
+    numerators over one scale for its regular and singular parts, as
+    _mul_into mixes them: the lcm L_y of y's denominators for a right side
+    y, and L / L_y for the left side x or a lone side, where L is the lcm
+    of the scales L_x L_y of the pairs (L_y = 1 for a lone side).  So
+    every pair adds L times its product, in plain ints."""
+    scale = 1
+    if not field.p:
+        sides = [
+            (pair, None, _scale_of(pair), 1) if type(pair) is not tuple
+            else (*pair, _scale_of(pair[0]), _scale_of(pair[1]))
+            for pair in pairs
+        ]
+        scale = math.lcm(*(lx * ly for _, _, lx, ly in sides))
+        pairs = [
+            _numerators_of(x, scale) if y is None
+            else (_numerators_of(x, scale // ly), _numerators_of(y, ly))
+            for x, y, _, ly in sides
+        ]
     acc: dict = {}
     for pair in pairs:
         if type(pair) is tuple:
@@ -237,22 +288,25 @@ def _accumulate(grp: GroupSpec, shape: Shape, pairs) -> dict:
         _add_into(acc.setdefault(None, {}), shape, pair.regular.terms)
         for g, part in pair.singular:
             _add_into(acc.setdefault(g, {}), shape, part.terms)
-    return acc
+    return acc, scale
 
 
 def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
     """The sum of the products over a nonempty sequence of pairs (_pair),
     accumulated by _accumulate and made canonical once: every part
-    reduced, empty parts dropped, sites sorted.  The sites are composed
-    from validated elements, so they are trusted.  A single side given
-    alone is the sum, and it is canonical already."""
+    reduced (over Q divided by the scale), empty parts dropped, sites
+    sorted.  The sites are composed from validated elements, so they are
+    trusted.  A single side given alone is the sum, and it is canonical
+    already."""
     if len(pairs) == 1 and type(pairs[0]) is not tuple:
         return pairs[0]
-    acc = _accumulate(grp, shape, pairs)
-    regular = GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {})))
+    acc, scale = _accumulate(grp, field, shape, pairs)
+    regular = GroupRingElement(
+        grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {}), scale)
+    )
     singular = []
     for g, slot in acc.items():
-        terms = _canonical_terms(grp, field, shape, slot)
+        terms = _canonical_terms(grp, field, shape, slot, scale)
         if terms:
             singular.append((g, GroupRingElement(grp, field, shape, terms)))
     if len(singular) > 1:
@@ -265,17 +319,18 @@ def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) ->
     set) or 0, decided on the raw accumulator of _accumulate, with no part
     reduced, sorted or built: every raw entry must reduce to zero, except
     that for 1 the regular slot's coefficient at the identity must reduce
-    to 1 (groupring._raw_is_one and _raw_is_zero).  Scalars over F_p, the
-    checks of the direct-finiteness suites, are decided inline, as the
-    two calls per check cost about 3 % of a suite.  A single side given
-    alone is the sum, so it is tested as it is."""
+    to 1, over Q equal the scale (groupring._raw_is_one and _raw_is_zero),
+    so nothing is divided.  Scalars over F_p, the checks of the
+    direct-finiteness suites, are decided inline, as the two calls per
+    check cost about 3 % of a suite.  A single side given alone is the
+    sum, so it is tested as it is."""
     if len(pairs) == 1 and type(pairs[0]) is not tuple:
         return pairs[0].is_one() if one else pairs[0].is_zero()
-    acc = _accumulate(grp, shape, pairs)
+    acc, scale = _accumulate(grp, field, shape, pairs)
     p = field.p if shape is None else None
     if one:
         c = acc.get(None, {}).pop(grp.identity, None)
-        if c is None or not (c % p == 1 if p else _raw_is_one(field, shape, c)):
+        if c is None or not (c % p == 1 if p else _raw_is_one(field, shape, c, scale)):
             return False
     if p:
         return not any(c % p for slot in acc.values() for c in slot.values())

@@ -1,9 +1,11 @@
 """Shared fixture definitions for the CLI golden-file tests.
 
-`write_inputs` materializes the input envelopes; CASES maps each
-subcommand invocation to its expected-stdout file.  Regenerate the
-expected outputs with `python3 tests/make_golden.py` after an intentional
-format change, and review the diff before committing.
+`build_inputs` makes the input envelopes and `stale_inputs` names the
+committed ones that differ from them; CASES maps each subcommand
+invocation to its expected-stdout file.  Regenerate the golden files with
+`python3 tests/make_golden.py` after an intentional format change, and
+review the diff before committing; `python3 tests/make_golden.py --check`
+reports every difference and writes nothing.
 """
 
 from __future__ import annotations
@@ -109,43 +111,57 @@ def build_inputs() -> dict[str, str]:
     return files
 
 
-def write_inputs() -> None:
-    INPUTS.mkdir(parents=True, exist_ok=True)
+def stale_inputs() -> list[str]:
+    """The input files whose committed text differs from build_inputs(),
+    missing ones included."""
+    stale = []
     for name, text in build_inputs().items():
-        (INPUTS / name).write_text(text)
+        committed = INPUTS / name
+        if not committed.is_file() or committed.read_text() != text:
+            stale.append(name)
+    return stale
 
 
 def path(name: str) -> str:
     return str(INPUTS / name)
 
 
-# (expected stdout file, argv, expected exit code)
-CASES = [
-    ("mul.json", ["mul", "-a", path("u_f3.json"), "-b", path("v_f3.json"), "-o", "-"], 0),
-    ("add.json", ["add", "-a", path("u_f3.json"), "-b", path("v_f3.json"), "-o", "-"], 0),
-    ("embed.json", ["embed", "-a", path("a_f2.json"), "-o", "-"], 0),
-    ("f_shuffle.json", ["f-shuffle", "-a", path("x_shuffle_f2.json"), "-o", "-"], 0),
-    ("apply.json", ["apply", "-t", path("nuca_apply_f3.json"), "-x", path("x0_f3.json"), "-o", "-"], 0),
-    ("compose.json", ["compose", "-a", path("nuca_v_f3.json"), "-b", path("nuca_u_f3.json"), "-o", "-"], 0),
-    ("verify_identity.txt", ["verify-identity", path("nuca_u_f3.json"), path("nuca_v_f3.json")], 0),
-    ("local_map.json", ["local-map", "-t", path("nuca_apply_f3.json"), "--sites", "[[0],[1]]", "-o", "-"], 0),
-    ("invert.json", ["invert", path("nuca_u_f3.json"), "--side", "left", "--max-radius", "3", "-o", "-"], 0),
-    ("kernel_tower.json", ["kernel-tower", path("decoy_f2.json"), "--depth", "5", "--window", "3", "-o", "-"], 0),
-    ("verdict.json", ["verdict", path("nilpotent_f2.json"), "--max-radius", "2", "-o", "-"], 0),
-    ("verdict_q.json", ["verdict", path("witness_q.json"), "--max-radius", "2", "-o", "-"], 0),
-    ("kernel_tower_q.json", ["kernel-tower", path("tower_q.json"), "--depth", "3", "--window", "2", "-o", "-"], 0),
-    ("local_map_q.json", ["local-map", "-t", path("tower_q.json"), "--sites", "[[-1],[0],[1]]", "-o", "-"], 0),
-    (
-        "experiment_direct_finiteness.json",
-        ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",
-         "--n", "1", "--seed", "7", "--trials", "3", "--omit-timing", "-o", "-"],
-        0,
-    ),
-    (
-        "experiment_pipeline.json",
-        ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:3", "--n", "1",
-         "--seed", "7", "--trials", "3", "--decoy-every", "3", "--omit-timing", "-o", "-"],
-        0,
-    ),
-    ("fmt.json", ["fmt", path("noncanonical.json"), "-o", "-"], 0),
-]
+def cases(inputs: Path = INPUTS) -> list:
+    """(expected stdout file, argv, expected exit code) for each case, with
+    the input files read from the directory `inputs`."""
+
+    def at(name: str) -> str:
+        return str(inputs / name)
+
+    return [
+        ("mul.json", ["mul", "-a", at("u_f3.json"), "-b", at("v_f3.json"), "-o", "-"], 0),
+        ("add.json", ["add", "-a", at("u_f3.json"), "-b", at("v_f3.json"), "-o", "-"], 0),
+        ("embed.json", ["embed", "-a", at("a_f2.json"), "-o", "-"], 0),
+        ("f_shuffle.json", ["f-shuffle", "-a", at("x_shuffle_f2.json"), "-o", "-"], 0),
+        ("apply.json", ["apply", "-t", at("nuca_apply_f3.json"), "-x", at("x0_f3.json"), "-o", "-"], 0),
+        ("compose.json", ["compose", "-a", at("nuca_v_f3.json"), "-b", at("nuca_u_f3.json"), "-o", "-"], 0),
+        ("verify_identity.txt", ["verify-identity", at("nuca_u_f3.json"), at("nuca_v_f3.json")], 0),
+        ("local_map.json", ["local-map", "-t", at("nuca_apply_f3.json"), "--sites", "[[0],[1]]", "-o", "-"], 0),
+        ("invert.json", ["invert", at("nuca_u_f3.json"), "--side", "left", "--max-radius", "3", "-o", "-"], 0),
+        ("kernel_tower.json", ["kernel-tower", at("decoy_f2.json"), "--depth", "5", "--window", "3", "-o", "-"], 0),
+        ("verdict.json", ["verdict", at("nilpotent_f2.json"), "--max-radius", "2", "-o", "-"], 0),
+        ("verdict_q.json", ["verdict", at("witness_q.json"), "--max-radius", "2", "-o", "-"], 0),
+        ("kernel_tower_q.json", ["kernel-tower", at("tower_q.json"), "--depth", "3", "--window", "2", "-o", "-"], 0),
+        ("local_map_q.json", ["local-map", "-t", at("tower_q.json"), "--sites", "[[-1],[0],[1]]", "-o", "-"], 0),
+        (
+            "experiment_direct_finiteness.json",
+            ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",
+             "--n", "1", "--seed", "7", "--trials", "3", "--omit-timing", "-o", "-"],
+            0,
+        ),
+        (
+            "experiment_pipeline.json",
+            ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:3", "--n", "1",
+             "--seed", "7", "--trials", "3", "--decoy-every", "3", "--omit-timing", "-o", "-"],
+            0,
+        ),
+        ("fmt.json", ["fmt", at("noncanonical.json"), "-o", "-"], 0),
+    ]
+
+
+CASES = cases()

@@ -237,8 +237,7 @@ def test_criterion_10_cli_golden_files():
 
     import golden_cases
 
-    golden_cases.write_inputs()
-    mismatches = []
+    mismatches = golden_cases.stale_inputs()
     for expected_name, argv, expected_code in golden_cases.CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -249,6 +248,6 @@ def test_criterion_10_cli_golden_files():
     report(
         10,
         not mismatches,
-        f"all {len(golden_cases.CASES)} subcommand outputs byte-identical to checked-in files"
+        f"all {len(golden_cases.CASES)} subcommand outputs and their inputs byte-identical to checked-in files"
         + (f"; mismatches: {mismatches}" if mismatches else ""),
     )

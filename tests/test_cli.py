@@ -25,10 +25,13 @@ def run_cli(argv):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def fresh_inputs():
-    # inputs are derived data; regenerate so the checked-in expected files
-    # are compared against exactly what the library produces today
-    golden_cases.write_inputs()
+def committed_inputs():
+    # inputs are derived data: the committed files must be exactly what the
+    # library builds today, so that the expected files are compared against
+    # its own output.  A changed serializer fails here, naming the file; the
+    # checkout is never rewritten (tests/make_golden.py regenerates it)
+    stale = golden_cases.stale_inputs()
+    assert not stale, f"committed golden inputs differ from build_inputs(): {', '.join(stale)}"
 
 
 @pytest.mark.parametrize(

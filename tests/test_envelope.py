@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d1ring.envelope import Envelope, _write_json, envelope_for, parse_envelope, serialize_envelope
-from d1ring.errors import FormatError
+from d1ring.errors import FormatError, UsageError
 from d1ring.experiments import rand_groupring, rand_scalar, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_encode, coeff_parse, coeff_zero
 from d1ring.invert import SearchBudget, stable_injectivity_verdict
@@ -37,6 +37,21 @@ class TestRoundTrip:
                     env = parse_envelope(text)
                     assert env.payload == u
                     assert serialize_envelope(env) == text
+
+    @pytest.mark.parametrize("group, site", [(Z2, (True, 0)), (F2FREE, (True, -2))])
+    def test_boolean_sites_refused_so_every_built_element_round_trips(self, group, site):
+        # a bool site would serialize as true/false (or as the letter of 1),
+        # which parsing refuses or reads as another element; the ints
+        # beside it round-trip
+        with pytest.raises(UsageError):
+            GroupRingElement.from_terms(group, Q, None, [(site, 1)])
+        with pytest.raises(UsageError):
+            GroupRingElement.monomial(group, Q, None, site, 1)
+        a = GroupRingElement.from_terms(group, Q, None, [(tuple(int(c) for c in site), 1)])
+        text = serialize_envelope(envelope_for(a))
+        env = parse_envelope(text)
+        assert env.payload == a and not env.canonicalized
+        assert serialize_envelope(env) == text
 
     def test_groupring_round_trip(self):
         a = gre(F2FREE, F3, None, [((1, -2), 2), ((), 1)])

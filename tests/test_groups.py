@@ -116,6 +116,17 @@ class TestValidation:
         with pytest.raises(UsageError):
             GroupSpec.free(27)
 
+    @pytest.mark.parametrize("g", [(True, 0), (0, False), (1, True)])
+    def test_boolean_coordinate_rejected(self, g):
+        # isinstance(True, int) holds, but parse_element refuses true/false
+        with pytest.raises(UsageError, match="integer vector"):
+            Z2.check(g)
+
+    @pytest.mark.parametrize("g", [(True,), (2, True), (-2, False)])
+    def test_boolean_letter_rejected(self, g):
+        with pytest.raises(UsageError, match="out of range"):
+            F2FREE.check(g)
+
 
 class TestSerialization:
     def test_zd_round_trip(self):

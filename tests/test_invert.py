@@ -11,7 +11,7 @@ from d1ring.exactalg import Matrix, inverse, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
 from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant, zd_inverse
 from d1ring.groups import FiniteSubset, GroupSpec
-from d1ring import invert
+from d1ring import exactalg, invert
 from d1ring.invert import (
     MAX_BLOCK_COORDINATES,
     MAX_DET_TERM_PAIRS,
@@ -970,22 +970,118 @@ def test_kernel_tower_agrees_with_dense_path(seed, case, kind):
 )
 def test_kernel_tower_builds_each_window_row_once(group, field, n, kind):
     # level m places the rows of the shell ball(m) minus ball(m - 1) only,
-    # so the rows placed sum to those of the last level's ball; no window
-    # map is built
+    # so the rows eliminated sum to those of the last level's ball; no
+    # window map is built, and the rows are placed inline, not by
+    # Nuca._window_rows
     t = tower_map(10, group, field, n, kind)
     built = []
-    window_rows = Nuca._window_rows
+    echelon = invert._echelon
 
-    def record(self, window, column):
-        rows = window_rows(self, window, column)
+    def record(p, rows, lead=min, basis=None):
+        rows = list(rows)
         built.append(len(rows))
-        return rows
+        return echelon(p, rows, lead, basis)
 
-    with mock.patch.object(Nuca, "_window_rows", record), \
-            mock.patch.object(Nuca, "induced_local_map", side_effect=AssertionError("built a window map")):
+    refuse = {"side_effect": AssertionError("built a window map")}
+    with mock.patch.object(invert, "_echelon", record), \
+            mock.patch.object(Nuca, "induced_local_map", **refuse), \
+            mock.patch.object(Nuca, "_window_rows", **refuse):
         kernel_tower(t, 3, 2)
     assert 4 <= len(built) <= 3 + 2 + MAX_EXTRA_LEVELS + 1
     assert sum(built) == n * group.ball_size(len(built) - 1)
+
+
+def two_pass_kernel_tower(t, depth, window):
+    """The tower as it was built before the one-pass placement: each level
+    first numbers the sites g h of its shell, then places the shell's rows
+    at that numbering with Nuca._window_rows, which composes g h again.
+    Returns the report and the pivots each level added, sorted."""
+    grp, n, p = t.group, t.n, t.field.p
+    max_level = depth + window + invert.MAX_EXTRA_LEVELS
+    basis, dims, ranks, pivots, ids = {}, [], [], [], {}
+
+    def ensure_level(m):
+        while len(dims) <= m:
+            shell = FiniteSubset(grp, grp.sort(
+                g for g in FiniteSubset.ball(grp, len(dims)) if grp.norm(g) == len(dims)
+            ))
+            for g in shell:
+                for h in t.memory:
+                    ids.setdefault(grp.compose(g, h), len(ids))
+            before = len(basis)
+            exactalg._echelon(p, t._window_rows(shell, ids.get), max, basis)
+            pivots.append(sorted(itertools.islice(basis, before, None)))
+            ranks.append(len(basis))
+            dims.append(n * len(ids))
+
+    levels = []
+    for lv in range(depth + 1):
+        ensure_level(lv)
+        c = dims[lv]
+        kernel_dim = current = c - ranks[lv]
+        run = 0
+        stabilized_at = stable_dim = None
+        for m in range(lv + 1, max_level + 1):
+            ensure_level(m)
+            cut = sum(1 for q in pivots[m] if q < c)
+            if cut == 0:
+                run += 1
+                if run >= window:
+                    stabilized_at, stable_dim = m - window, current
+                    break
+            else:
+                run = 0
+                current -= cut
+        levels.append(KernelTowerLevel(lv, kernel_dim, stable_dim, stabilized_at))
+    return KernelTowerReport(depth, window, tuple(levels)), pivots
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, Z3], ids=lambda g: g.label())
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+@pytest.mark.parametrize("kind", ["plain", "singular", "decoy"])
+def test_one_pass_tower_matches_the_two_pass_tower(group, field, kind):
+    # the same report and, level by level, the same pivots: the sites are
+    # numbered in the same order, so the rows land at the same columns
+    depth, window, n = (1, 1, 1) if group is Z3 else (3, 2, 2)
+    rng = random.Random(f"two-pass|{group.label()}|{field.label()}|{kind}")
+    if kind == "decoy":
+        t = decoy_nuca(group, field, n)
+    else:
+        while True:
+            t = Nuca(rand_twisted(rng, group, field, n, radius=1))
+            if t.element.regular.terms and bool(t.element.singular) == (kind == "singular"):
+                break
+    expected, expected_pivots = two_pass_kernel_tower(t, depth, window)
+    pivots = []
+    echelon = invert._echelon
+
+    def record(p, rows, lead=min, basis=None):
+        before = len(basis)
+        out = echelon(p, rows, lead, basis)
+        pivots.append(sorted(itertools.islice(basis, before, None)))
+        return out
+
+    with mock.patch.object(invert, "_echelon", record):
+        assert kernel_tower(t, depth, window) == expected
+    assert pivots == expected_pivots
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, Z3], ids=lambda g: g.label())
+def test_kernel_tower_composes_each_shell_site_with_each_memory_site_once(group):
+    t = tower_map(3, group, Q, 1, "shifted")
+    counts = []
+    calls = mock.Mock(side_effect=GroupSpec.compose)
+    echelon = invert._echelon
+
+    def record(p, rows, lead=min, basis=None):
+        counts.append(calls.call_count)
+        return echelon(p, rows, lead, basis)
+
+    with mock.patch.object(GroupSpec, "compose", lambda self, g, h: calls(self, g, h)), \
+            mock.patch.object(invert, "_echelon", record):
+        kernel_tower(t, 1, 1)
+    per_level = [b - a for a, b in zip([0] + counts, counts)]
+    assert per_level == [len(invert._box_shell(group, m)) * len(t.memory) for m in range(len(counts))]
 
 
 @pytest.mark.parametrize(
@@ -1013,6 +1109,8 @@ def test_box_shells_are_ball_differences(dim):
         inner = set(group.ball(m - 1)) if m else set()
         shell = invert._box_shell(group, m)
         assert shell.elements == tuple(g for g in group.ball(m) if g not in inner)
+        # a shell depends on (group, m) alone, so it is made once
+        assert invert._box_shell(group, m) is shell
 
 
 # -- the regular-part obstruction over Z^d --------------------------------------
