@@ -2,9 +2,9 @@
 automata over Z^d and free groups."""
 
 from .errors import FormatError, UsageError
-from .exactalg import FieldSpec, Matrix, Subspace, image, kernel_basis, rank, solve
+from .exactalg import FieldSpec, Matrix, Subspace, kernel_basis, rank, solve
 from .groupring import GroupRingElement, matrix_shuffle, matrix_unshuffle
-from .groups import FiniteSubset, GroupSpec, product_set
+from .groups import FiniteSubset, GroupSpec
 from .invert import (
     InjectivityVerdict,
     InverseSearchParams,
@@ -22,7 +22,6 @@ from .nuca import Configuration, InducedLocalMap, LocalRule, Nuca, Pattern
 from .twisted import (
     TwistedElement,
     TwistedMatrix,
-    as_matrix_shape,
     embed,
     f_shuffle,
     f_shuffle_inv,
@@ -59,18 +58,15 @@ __all__ = [
     "TwistedElement",
     "TwistedMatrix",
     "UsageError",
-    "as_matrix_shape",
     "embed",
     "f_shuffle",
     "f_shuffle_inv",
     "finitely_supported_kernel",
     "gen_unit",
-    "image",
     "kernel_basis",
     "kernel_tower",
     "matrix_shuffle",
     "matrix_unshuffle",
-    "product_set",
     "rank",
     "run_direct_finiteness",
     "run_surjunctivity_pipeline",

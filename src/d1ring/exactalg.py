@@ -11,11 +11,11 @@ row <- a*row - b*pivot followed by one content division.
 
 A `Subspace` is its canonical reduced basis in the same integers: the
 RREF rows over F_p, and over Q the primitive integer multiples of the
-RREF rows, each with a positive leading entry.  Equality, membership,
-inclusion and images work on those integer rows.  Fractions are made
-only where a caller reads values: a subspace's `basis` and `vectors()`
-(made once, on first use), solutions and inverses.  All arithmetic is
-exact; there is no floating point anywhere.
+RREF rows, each with a positive leading entry.  Equality works on
+those integer rows.  Fractions are made only where a caller reads
+values: a subspace's `basis` and `vectors()` (made once, on first use),
+solutions and inverses.  All arithmetic is exact; there is no floating
+point anywhere.
 
 `kernel_basis` reads the null vectors off a reduced basis whose rows
 lead at their last column, where they come out as the canonical basis
@@ -112,21 +112,16 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
 
     def inv(self, a):
+        a = self.coerce(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "Fp":
-            return pow(int(a), self.p - 2, self.p)
-        return 1 / Fraction(a)
+            return pow(a, self.p - 2, self.p)
+        return 1 / a
 
     # -- serialization ---------------------------------------------------------
 
@@ -454,16 +449,6 @@ class Subspace:
     def vectors(self) -> list[tuple]:
         return [tuple(row) for row in self.basis.to_lists()]
 
-    def contains(self, v: Sequence) -> bool:
-        (row,) = _integer_rows(self.field, [_row_dict(self.field, self.ambient_dim, v)])
-        return not _sift(self.field.p, self.pivot_rows, row)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise UsageError("ambient dimension mismatch")
-        p = self.field.p
-        return all(not _sift(p, other.pivot_rows, dict(row)) for row in self.pivot_rows.values())
-
 
 def rank(a: Matrix) -> int:
     return len(_echelon(a.field.p, _integer_rows(a.field, a.data)))
@@ -545,18 +530,3 @@ def inverse(a: Matrix) -> Optional[Matrix]:
         return None
     rows = _field_rows(field, basis)
     return Matrix(field, n, n, [{j - n: v for j, v in row.items() if j >= n} for row in rows])
-
-
-def image(a: Matrix, s: Subspace) -> Subspace:
-    """Canonical basis of {Av : v in s}: the row space of s.basis @ A^T."""
-    if s.ambient_dim != a.cols:
-        raise UsageError("subspace ambient dimension != matrix columns")
-    columns: list[dict] = [{} for _ in range(a.cols)]
-    for i, row in enumerate(a.data):
-        for j, x in row.items():
-            columns[j][i] = x
-    # the integer rows span s as well as its basis does; over Q their
-    # images are rows of Fractions, which from_rows makes primitive
-    spanning = Matrix(a.field, s.dim, a.cols, list(s.pivot_rows.values()))
-    rows = spanning @ Matrix(a.field, a.cols, a.rows, columns)
-    return Subspace.from_rows(a.field, a.rows, rows.data)

@@ -162,6 +162,12 @@ class SuiteConfig:
     decoy_every: int = 0  # pipeline: every k-th trial runs the non-injective control
 
     def __post_init__(self):
+        for name in ("seed", "trials", "n", "support_radius", "max_factors", "decoy_every"):
+            x = getattr(self, name)
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise UsageError(f"{name} must be an int, got {x!r}")
+        if not isinstance(self.rediscover_inverse, bool):
+            raise UsageError(f"rediscover_inverse must be a bool, got {self.rediscover_inverse!r}")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         if self.support_radius < 0:

@@ -120,10 +120,6 @@ class GroupSpec:
             return g
         return (len(g), tuple(_letter_key(c) for c in g))
 
-    def canonical_cmp(self, g: Element, h: Element) -> int:
-        kg, kh = self.key(g), self.key(h)
-        return (kg > kh) - (kg < kh)
-
     def sort(self, elems: Iterable[Element]) -> tuple[Element, ...]:
         """Deduplicate and sort under the canonical order."""
         return tuple(sorted(set(elems), key=self.key))
@@ -269,11 +265,6 @@ class FiniteSubset:
         prods = {grp.compose(e, f) for e in self.elements for f in other.elements}
         return FiniteSubset(grp, grp.sort(prods))
 
-    def translate(self, g: Element) -> "FiniteSubset":
-        """Left translate g * self."""
-        grp = self.group
-        return FiniteSubset(grp, grp.sort(grp.compose(g, e) for e in self.elements))
-
     def inverse(self) -> "FiniteSubset":
         grp = self.group
         return FiniteSubset(grp, grp.sort(grp.inverse(e) for e in self.elements))
@@ -281,7 +272,3 @@ class FiniteSubset:
     def _check_group(self, other: "FiniteSubset") -> None:
         if self.group != other.group:
             raise UsageError("finite subsets live in different groups")
-
-
-def product_set(E: FiniteSubset, F: FiniteSubset) -> FiniteSubset:
-    return E.product(F)

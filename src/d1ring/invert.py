@@ -115,6 +115,10 @@ class SearchBudget:
     window: int = 2
 
     def __post_init__(self):
+        for name in ("max_radius", "depth", "window"):
+            x = getattr(self, name)
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise UsageError(f"budget field {name} must be an int, got {x!r}")
         if self.max_radius < 0 or self.depth < 0 or self.window < 1:
             raise UsageError("budget fields out of range")
 
@@ -163,9 +167,6 @@ class KernelTowerReport:
 
     def stabilized(self) -> bool:
         return all(lv.stabilized_at is not None for lv in self.levels)
-
-    def all_stable_dims_zero(self) -> bool:
-        return self.stabilized() and all(lv.stable_dim == 0 for lv in self.levels)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UsageError
 from .exactalg import FieldSpec, Matrix, _content_free, _primitive_row
-from .groupring import GroupRingElement, coeff_add, coeff_neg, coeff_zero
+from .groupring import coeff_add, coeff_zero
 from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
 
@@ -155,53 +155,13 @@ class Pattern:
 @dataclass(frozen=True)
 class LocalRule:
     """A linear map V^M -> V given by one n x n block per memory site:
-    rule(w) = sum_h block(h) w(h)."""
+    rule(w) = sum_h block(h) w(h).  Nuca.rule_at reads one off a NUCA."""
 
     group: GroupSpec
     field: FieldSpec
     n: int
     memory: FiniteSubset
     blocks: tuple  # one n x n nested tuple per memory site, aligned
-
-    @staticmethod
-    def make(
-        group: GroupSpec,
-        field: FieldSpec,
-        n: int,
-        blocks: Mapping[Element, Sequence],
-    ) -> "LocalRule":
-        mem = FiniteSubset.make(group, blocks.keys())
-        coerced = tuple(
-            tuple(tuple(field.coerce(x) for x in row) for row in blocks[g])
-            for g in mem
-        )
-        for b in coerced:
-            if len(b) != n or any(len(row) != n for row in b):
-                raise UsageError(f"rule blocks must be {n}x{n}")
-        return LocalRule(group, field, n, mem, coerced)
-
-    def block(self, h: Element):
-        if h in self.memory:
-            return self.blocks[self.memory.position(h)]
-        return coeff_zero(self.field, self.n)
-
-    def with_memory(self, memory: FiniteSubset) -> "LocalRule":
-        """Re-express over a (larger) memory set, zero-filling new sites."""
-        return LocalRule(
-            self.group,
-            self.field,
-            self.n,
-            memory,
-            tuple(self.block(h) for h in memory),
-        )
-
-    def __sub__(self, other: "LocalRule") -> "LocalRule":
-        mem = self.memory.union(other.memory)
-        field = self.field
-        blocks = tuple(
-            coeff_add(field, self.block(h), coeff_neg(field, other.block(h))) for h in mem
-        )
-        return LocalRule(self.group, field, self.n, mem, blocks)
 
 
 @dataclass(frozen=True)
@@ -285,16 +245,22 @@ class Nuca:
 
     def rule_at(self, g: Element) -> LocalRule:
         """The local rule used at site g, over this NUCA's memory set."""
-        field, n = self.field, self.n
+        blocks = self._rule_blocks(self.element.singular_part(g).terms)
+        return LocalRule(self.group, self.field, self.n, self.memory, blocks)
+
+    def _rule_blocks(self, correction) -> tuple:
+        """The blocks of a rule, one per memory site in the memory's order:
+        the regular part's plus those of `correction`, the (h, block)
+        terms of the singular part at a site.  rule_at and _window_rules
+        make every rule here."""
+        field = self.field
         reg = dict(self.element.regular.terms)
-        sing = dict(self.element.singular_part(g).terms)
-        blocks = []
-        for h in self.memory:
-            b = reg.get(h, coeff_zero(field, n))
-            if h in sing:
-                b = coeff_add(field, b, sing[h])
-            blocks.append(b)
-        return LocalRule(self.group, field, n, self.memory, tuple(blocks))
+        extra = dict(correction)
+        zero = coeff_zero(field, self.n)
+        return tuple(
+            coeff_add(field, reg.get(h, zero), extra[h]) if h in extra else reg.get(h, zero)
+            for h in self.memory
+        )
 
     # -- the action on configurations ------------------------------------------
 
@@ -338,46 +304,6 @@ class Nuca:
         grp.check(g)
         moved = [(grp.compose(g, u), part) for u, part in self.element.singular]
         return Nuca(TwistedElement.make(self.element.regular, moved))
-
-    # -- local-rule views ----------------------------------------------------------
-
-    def to_local_rules(self) -> tuple[LocalRule, dict[Element, LocalRule]]:
-        """The constant rule and the map of exceptional rules."""
-        field, n = self.field, self.n
-        reg = dict(self.element.regular.terms)
-        constant = LocalRule(
-            self.group,
-            field,
-            n,
-            self.memory,
-            tuple(reg.get(h, coeff_zero(field, n)) for h in self.memory),
-        )
-        exceptions = {g: self.rule_at(g) for g in self.exceptional_set}
-        return constant, exceptions
-
-    @staticmethod
-    def from_local_rules(
-        constant: LocalRule, exceptions: Mapping[Element, LocalRule] | None = None
-    ) -> "Nuca":
-        """Assemble a NUCA from a constant rule plus sitewise exceptions."""
-        exceptions = exceptions or {}
-        group, field, n = constant.group, constant.field, constant.n
-        memory = constant.memory
-        for rule in exceptions.values():
-            if (rule.group, rule.field, rule.n) != (group, field, n):
-                raise UsageError("exception rules disagree with the constant rule")
-            memory = memory.union(rule.memory)
-        constant = constant.with_memory(memory)
-        regular = GroupRingElement.from_terms(
-            group, field, n, zip(memory, constant.blocks)
-        )
-        sing = []
-        for g, rule in exceptions.items():
-            delta = rule.with_memory(memory) - constant
-            part = GroupRingElement.from_terms(group, field, n, zip(memory, delta.blocks))
-            if not part.is_zero():
-                sing.append((g, part))
-        return Nuca(TwistedElement.make(regular, sing))
 
     # -- finite windows --------------------------------------------------------------
 
@@ -426,43 +352,39 @@ class Nuca:
 
     def _window_rules(self) -> tuple:
         """The _rule_rows of the constant rule and {g: those of the rule at
-        g} for the exceptional sites g, made on first use: the kernel
-        searches and towers read them for every window they place, while
-        the pipeline builds one NUCA per trial and one window of it.
-        induced_local_map reads the field rows, and _window_rows and
-        invert.kernel_tower the integer rows."""
+        g} for the exceptional sites g, with the blocks rule_at reads
+        (_rule_blocks), made on first use: the kernel searches and towers
+        read them for every window they place, while the pipeline builds
+        one NUCA per trial and one window of it.  induced_local_map reads
+        the field rows, and _window_rows and invert.kernel_tower the
+        integer rows."""
         if self._rules is None:
             field, n = self.field, self.n
-            reg = dict(self.element.regular.terms)
-            zero = coeff_zero(field, n)
-            constant = [(h, reg.get(h, zero)) for h in self.memory]
-            exceptional = {}
-            for g, part in self.element.singular:
-                extra = dict(part.terms)
-                exceptional[g] = _rule_rows(field, n, [
-                    (h, coeff_add(field, b, extra[h]) if h in extra else b) for h, b in constant
-                ])
-            self._rules = (_rule_rows(field, n, constant), exceptional)
+            exceptional = {
+                g: _rule_rows(field, n, self._rule_blocks(part.terms))
+                for g, part in self.element.singular
+            }
+            self._rules = (_rule_rows(field, n, self._rule_blocks(())), exceptional)
         return self._rules
 
 
-def _rule_rows(field: FieldSpec, n: int, blocks: list) -> tuple:
-    """A rule given by its (h, block) pairs, one per memory site in the
-    memory's order, as (rows, ints, read): for each row i of the rule, the
-    triples (k, j, x) for the nonzero entries x at column j of row i of
-    the block of the k-th memory site; the same triples for the integer
-    row elimination reads, the residues themselves over F_p (ints is
-    rows) and the row's primitive integer multiple over Q; and the
-    positions k of the memory sites whose block is not zero."""
+def _rule_rows(field: FieldSpec, n: int, blocks: Sequence) -> tuple:
+    """A rule given by its blocks, one per memory site in the memory's
+    order, as (rows, ints, read): for each row i of the rule, the triples
+    (k, j, x) for the nonzero entries x at column j of row i of the block
+    of the k-th memory site; the same triples for the integer row
+    elimination reads, the residues themselves over F_p (ints is rows)
+    and the row's primitive integer multiple over Q; and the positions k
+    of the memory sites whose block is not zero."""
     rows = [
-        [(k, j, x) for k, (_, block) in enumerate(blocks) for j, x in enumerate(block[i]) if x]
+        [(k, j, x) for k, block in enumerate(blocks) for j, x in enumerate(block[i]) if x]
         for i in range(n)
     ]
     ints = rows if field.p else [
         [(k, j, z) for (k, j), z in _primitive_row({(k, j): x for k, j, x in entries}).items()]
         for entries in rows
     ]
-    read = [k for k, (_, block) in enumerate(blocks) if any(any(row) for row in block)]
+    read = [k for k, block in enumerate(blocks) if any(any(row) for row in block)]
     return rows, ints, read
 
 

@@ -358,13 +358,6 @@ def matrix_radius(m: "TwistedMatrix") -> int:
     return max(element_radius(e) for row in m.entries for e in row)
 
 
-def as_matrix_shape(u: TwistedElement) -> TwistedElement:
-    """Lift a scalar-shaped element to 1x1 matrix coefficients."""
-    if u.shape is not None:
-        raise UsageError("element already has matrix-shaped coefficients")
-    return f_shuffle_inv(TwistedMatrix(1, ((u,),)))
-
-
 @dataclass(frozen=True)
 class TwistedMatrix:
     """A square matrix of twisted elements with uniform group/field/shape."""

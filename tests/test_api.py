@@ -1,0 +1,58 @@
+"""The public API, `d1ring.__all__`, is part of the package's contract: a
+change to it has to change the list below too, so it shows in a diff."""
+
+import d1ring
+
+PUBLIC_API = [
+    "Configuration",
+    "FieldSpec",
+    "FiniteSubset",
+    "FormatError",
+    "GroupRingElement",
+    "GroupSpec",
+    "InducedLocalMap",
+    "InjectivityVerdict",
+    "InverseSearchParams",
+    "KernelTowerReport",
+    "LocalRule",
+    "Matrix",
+    "Nuca",
+    "Pattern",
+    "SearchBudget",
+    "Subspace",
+    "SuiteConfig",
+    "SuiteReport",
+    "TwistedElement",
+    "TwistedMatrix",
+    "UsageError",
+    "embed",
+    "f_shuffle",
+    "f_shuffle_inv",
+    "finitely_supported_kernel",
+    "gen_unit",
+    "kernel_basis",
+    "kernel_tower",
+    "matrix_shuffle",
+    "matrix_unshuffle",
+    "rank",
+    "run_direct_finiteness",
+    "run_surjunctivity_pipeline",
+    "search_left_inverse",
+    "search_one_sided_inverse",
+    "solve",
+    "solve_one_sided_inverse",
+    "stable_injectivity_verdict",
+    "verify_identity",
+]
+
+
+def test_all_is_the_sorted_public_api():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert d1ring.__all__ == PUBLIC_API
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from d1ring import *", namespace)
+    for name in PUBLIC_API:
+        assert namespace[name] is getattr(d1ring, name)

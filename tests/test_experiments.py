@@ -81,6 +81,16 @@ class TestDirectFiniteness:
         with pytest.raises(UsageError):
             cfg(trials=0)
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("trials", True), ("trials", 2.0), ("seed", False), ("seed", 1.5), ("n", True),
+        ("support_radius", 1.0), ("max_factors", True), ("decoy_every", 0.0),
+        ("rediscover_inverse", 1), ("rediscover_inverse", None),
+    ])
+    def test_config_field_types(self, field_name, value):
+        # ints must be plain ints, not bools or floats, and the flag a bool
+        with pytest.raises(UsageError, match=field_name):
+            cfg(**{field_name: value})
+
     def test_many_trials_all_pass(self):
         rep = run_direct_finiteness(cfg(trials=40, group=Z2, field=F5, n=2))
         assert rep.failures == 0

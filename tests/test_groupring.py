@@ -14,7 +14,6 @@ from d1ring.groupring import (
     matrix_shuffle,
     matrix_unshuffle,
 )
-from d1ring.groups import product_set
 from d1ring.twisted import embed
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, gre
@@ -150,7 +149,7 @@ def test_support_containment(group, rng):
         b = rand_groupring(rng, group, F5, None, radius=2)
         if a.is_zero() or b.is_zero():
             continue
-        big = product_set(a.support(), b.support())
+        big = a.support().product(b.support())
         for g in (a * b).support():
             assert g in big
 

@@ -352,7 +352,7 @@ class TestKernelTower:
 
     def test_z2_identity(self):
         rep = kernel_tower(Nuca.identity(Z2, F3, 1), 2, 2)
-        assert rep.all_stable_dims_zero()
+        assert rep.stabilized() and all(lv.stable_dim == 0 for lv in rep.levels)
 
     def test_free_group_unsupported(self):
         t = Nuca.identity(F2FREE, F2, 1)
@@ -364,10 +364,17 @@ class TestKernelTower:
         t, _ = f3_nuca_pair()
         assert search_left_inverse(t, 2) is not None
         rep = kernel_tower(t, 4, 3)
-        assert rep.all_stable_dims_zero()
+        assert rep.stabilized() and all(lv.stable_dim == 0 for lv in rep.levels)
 
 
 class TestVerdict:
+    @pytest.mark.parametrize("name", ["max_radius", "depth", "window"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_budget_fields_must_be_ints(self, name, value):
+        # a bool would serialize as true, and a float would fail inside range
+        with pytest.raises(UsageError, match=name):
+            SearchBudget(**{name: value})
+
     def test_f3_proven_stably_injective(self):
         u, v = f3_nuca_pair()
         verdict = stable_injectivity_verdict(u, SearchBudget(max_radius=3))

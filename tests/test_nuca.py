@@ -10,7 +10,7 @@ from d1ring.exactalg import Matrix, _integer_rows
 from d1ring.experiments import rand_twisted
 from d1ring.groups import FiniteSubset
 from d1ring import nuca
-from d1ring.nuca import Configuration, LocalRule, Nuca, basis_configuration
+from d1ring.nuca import Configuration, Nuca, basis_configuration
 from d1ring.twisted import TwistedElement
 
 from conftest import (
@@ -151,22 +151,14 @@ class TestCompose:
 
 
 class TestLocalRules:
-    def test_no_exceptions(self):
-        rule = LocalRule.make(Z1, F3, 1, {(0,): [[1]], (1,): [[1]]})
-        t = Nuca.from_local_rules(rule)
-        assert not t.element.singular
-
     def test_f3_construction(self):
-        constant = LocalRule.make(Z1, F3, 1, {(0,): [[1]], (1,): [[1]]})
-        exception = LocalRule.make(Z1, F3, 1, {(0,): [[2]], (1,): [[1]]})
-        t = Nuca.from_local_rules(constant, {(0,): exception})
-        assert t == f3_example_nuca()
-
-    def test_round_trip(self, rng):
-        for _ in range(20):
-            t = rand_nuca(rng, Z2, F5, 2)
-            constant, exceptions = t.to_local_rules()
-            assert Nuca.from_local_rules(constant, exceptions) == t
+        # constant rule w(0) + w(1), and 2 w(0) + w(1) at site 0
+        t = f3_example_nuca()
+        for g in [(-3,), (0,), (1,), (4,)]:
+            rule = t.rule_at(g)
+            a = 2 if g == (0,) else 1
+            assert rule.memory.elements == ((0,), (1,))
+            assert rule.blocks == (((a,),), ((1,),))
 
     def test_agrees_with_direct_rule_evaluation(self, rng):
         for _ in range(15):
@@ -178,14 +170,12 @@ class TestLocalRules:
                 for h in t.memory:
                     sites.add(Z1.compose(u, Z1.inverse(h)))
             for g in sites:
-                window = t.memory.translate(g)
                 rule = t.rule_at(g)
-                shifted = rule.with_memory(t.memory)
                 pattern_values = [x.value_at(Z1.compose(g, h)) for h in t.memory]
                 acc = tuple(
                     sum(
                         (b[i][j] * v[j]) % 5
-                        for b, v in zip(shifted.blocks, pattern_values)
+                        for b, v in zip(rule.blocks, pattern_values)
                         for j in range(2)
                     )
                     % 5

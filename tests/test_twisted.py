@@ -12,7 +12,6 @@ from d1ring import twisted
 from d1ring.twisted import (
     TwistedElement,
     TwistedMatrix,
-    as_matrix_shape,
     embed,
     f_shuffle,
     f_shuffle_inv,
@@ -135,7 +134,7 @@ class TestMatMul:
 class TestFShuffle:
     def test_n1_wraps(self):
         u, _ = f3_pair()
-        lifted = as_matrix_shape(u)
+        lifted = f_shuffle_inv(TwistedMatrix(1, ((u,),)))
         assert lifted.shape == 1
         m = f_shuffle(lifted)
         assert m.n == 1
@@ -161,13 +160,14 @@ class TestFShuffle:
             assert f_shuffle_inv(f_shuffle(x)) == x
 
     def test_scalar_lift_is_a_ring_map(self, rng):
-        # the n=1 lift transports products, sums, and the unit
-        assert as_matrix_shape(TwistedElement.one(Z1, F5)).is_one()
+        # the n=1 case: f_shuffle_inv of 1x1 matrices transports products,
+        # sums, and the unit
+        assert f_shuffle_inv(TwistedMatrix(1, ((TwistedElement.one(Z1, F5),),))).is_one()
         for _ in range(15):
-            u = rand_twisted(rng, Z1, F5, None, radius=1)
-            v = rand_twisted(rng, Z1, F5, None, radius=1)
-            assert as_matrix_shape(u * v) == as_matrix_shape(u) * as_matrix_shape(v)
-            assert as_matrix_shape(u + v) == as_matrix_shape(u) + as_matrix_shape(v)
+            a = TwistedMatrix(1, ((rand_twisted(rng, Z1, F5, None, radius=1),),))
+            b = TwistedMatrix(1, ((rand_twisted(rng, Z1, F5, None, radius=1),),))
+            assert f_shuffle_inv(a @ b) == f_shuffle_inv(a) * f_shuffle_inv(b)
+            assert f_shuffle_inv(a + b) == f_shuffle_inv(a) + f_shuffle_inv(b)
 
     def test_transports_products_sums_unit(self, rng):
         one = TwistedElement.one(Z1, F3, 2)
