@@ -11,6 +11,7 @@ convolution accumulator section), and are made canonical once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,17 @@ def coeff_zero(field: FieldSpec, shape: Shape):
 def coeff_one(field: FieldSpec, shape: Shape):
     if shape is None:
         return field.one
+    return _identity_block(field, shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _identity_block(field: FieldSpec, n: int) -> tuple:
+    """The n x n identity coefficient, made once per (field, n) and shared,
+    as nested tuples are immutable.  Scalars are not memoized: a cache
+    lookup takes longer than reading field.one."""
     return tuple(
-        tuple(field.one if i == j else field.zero for j in range(shape))
-        for i in range(shape)
+        tuple(field.one if i == j else field.zero for j in range(n))
+        for i in range(n)
     )
 
 

@@ -37,12 +37,19 @@ import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import UsageError
 from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
-from .groupring import GroupRingElement, ZdDeterminant, _canonical_terms, zd_determinant, zd_inverse
-from .groups import FiniteSubset, GroupSpec
+from .groupring import (
+    GroupRingElement,
+    ZdDeterminant,
+    _canonical_terms,
+    coeff_one,
+    zd_determinant,
+    zd_inverse,
+)
+from .groups import Element, FiniteSubset, GroupSpec
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement, element_radius, embed
 
@@ -214,35 +221,41 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
             f"the inverse search needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
         )
     det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)
-    a_inv = _regular_part_inverse(t.element.regular, det, params.memory_set, (params.memory_set,))
+    memory = params.memory_set
+    a_inv = _regular_part_inverse(t.element.regular, det, memory.__contains__, (memory,))
     if a_inv is None:
         return None
-    u = _factored_inverse(t, a_inv, params.side, params.exceptional_set)
-    if u is None or any(g not in params.memory_set for g in u.memory):
+    u = _factored_inverse(t, a_inv, params.side, params.exceptional_set.__contains__)
+    if u is None or any(g not in memory for g in u.memory):
         return None
     return u
 
 
 def _regular_part_inverse(
-    a: GroupRingElement, det: Optional[ZdDeterminant], window: FiniteSubset, memories
+    a: GroupRingElement, det: Optional[ZdDeterminant], within: Callable[[Element], bool], memories
 ) -> Optional[GroupRingElement]:
-    """a^-1 if it is supported in `window`, else None.
+    """a^-1 if every site of its support is `within` the window, else None.
 
     Given det = zd_determinant(a) (over Z^d, within MAX_DET_TERM_PAIRS),
     a^-1 exists only if det(a) is a monomial, and then zd_inverse makes it
-    from det's coefficients and it is re-verified on the product's
-    accumulator.  Off Z^d, or once those products pass the budget,
-    _regular_inverse looks for it in each of the nested `memories` in turn,
-    the last of which is `window`.
+    from det's coefficients.  An a^-1 returned is checked once, by
+    _factored_inverse, as the regular part of a^-1 t, which it builds
+    anyway; one discarded for leaving the window is checked here on the
+    product's accumulator, since the None it gives rests on it.  Off Z^d,
+    or once those products pass the budget, _regular_inverse looks for it
+    in each of the nested `memories` in turn, the last of which is the
+    window; they may be made lazily, and none is made when det serves.
     """
     if det is not None:
         if len(det.det.terms) != 1:
             return None
         a_inv = zd_inverse(det)
         if a_inv is not None:
+            if all(within(g) for g, _ in a_inv.terms):
+                return a_inv
             if not a_inv.product_is_one(a):
                 raise AssertionError("the adjugate produced a non-inverse; this is a bug")
-            return a_inv if all(g in window for g, _ in a_inv.terms) else None
+            return None
     for memory in memories:
         a_inv = _regular_inverse(a, memory)
         if a_inv is not None:
@@ -284,18 +297,20 @@ def _regular_inverse(a: GroupRingElement, memory: FiniteSubset) -> Optional[Grou
 
 
 def _factored_inverse(
-    t: Nuca, a_inv: GroupRingElement, side: str, sites: FiniteSubset
+    t: Nuca, a_inv: GroupRingElement, side: str, within: Callable[[Element], bool]
 ) -> Optional[Nuca]:
     """The inverse u = S^-1 a^-1 of t, where a^-1 inverts t's regular part
-    and S = a^-1 t, if its exceptional sites lie in `sites`; None if they
-    do not, or if t has no one-sided inverse at all.
+    and S = a^-1 t, if its exceptional sites are all `within` the window;
+    None if they are not, or if t has no one-sided inverse at all.
 
-    S has regular part 1, so off its exceptional sites E it is the
-    identity.  It reads and writes only V = E united with the sets
-    g supp(s(g)) for g in E, and as a map it is diag(M, id) with M the
-    V x V block of its window map, placed straight from S's rules
-    (_block).  If M is singular, S is neither injective nor surjective,
-    and neither is t = a S.  Otherwise S^-1 is diag(M^-1, id); its
+    S has regular part a^-1 a.  "S has regular part 1" is checked before
+    anything else is read, and that check is a^-1's, its only one
+    (_regular_part_inverse): a wrong a^-1 raises AssertionError.  So off
+    its exceptional sites E, S is the identity.  It reads and writes only
+    V = E united with the sets g supp(s(g)) for g in E, and as a map it is
+    diag(M, id) with M the V x V block of its window map, placed straight
+    from S's rules (_block).  If M is singular, S is neither injective nor
+    surjective, and neither is t = a S.  Otherwise S^-1 is diag(M^-1, id); its
     singular part at g is the row block of M^-1 at g minus the identity,
     summed on one raw accumulator per site and made canonical once.  That
     part is zero, and dropped, exactly where the row block of M is the
@@ -307,7 +322,9 @@ def _factored_inverse(
     grp, fld, n = t.group, t.field, t.n
     inv = embed(a_inv)
     s = inv * t.element
-    if any(g not in sites for g, _ in s.singular):
+    if s.regular.terms != ((grp.identity, coeff_one(fld, n)),):
+        raise AssertionError("a^-1 t has a regular part other than 1, so a^-1 is wrong; this is a bug")
+    if not all(within(g) for g, _ in s.singular):
         return None
     compose = grp.compose
     reads = [compose(g, h) for g, part in s.singular for h, _ in part.terms]
@@ -336,7 +353,7 @@ def _factored_inverse(
         terms = _canonical_terms(grp, fld, n, acc)
         if terms:
             singular.append((g, GroupRingElement(grp, fld, n, terms)))
-    s_inv = TwistedElement(GroupRingElement.one(grp, fld, n), tuple(singular))
+    s_inv = TwistedElement(s.regular, tuple(singular))  # s.regular is 1
     u = Nuca(s_inv * inv)
     ok = verify_identity(u, t) if side == "left" else verify_identity(t, u)
     if not ok:
@@ -460,14 +477,24 @@ def _search_inverse(
     t: Nuca, side: str, max_radius: int, det: Optional[ZdDeterminant]
 ) -> Optional[tuple[Nuca, int]]:
     """search_one_sided_inverse past its checks, given the determinant of
-    t's regular part (None off Z^d or past MAX_DET_TERM_PAIRS)."""
+    t's regular part (None off Z^d or past MAX_DET_TERM_PAIRS).
+
+    A site g lies in the window ball(max_radius) iff norm(g) <= max_radius,
+    so no ball is enumerated to test it; the balls _regular_inverse
+    searches over are made one at a time, only when det does not serve.
+    a^-1 is checked once, on the regular part of a^-1 t, and u once, on
+    `side` (_factored_inverse)."""
     grp = t.group
-    window = FiniteSubset.ball(grp, max_radius)
+    norm = grp.norm
+
+    def within(g: Element) -> bool:
+        return norm(g) <= max_radius
+
     balls = (FiniteSubset.ball(grp, r) for r in range(max_radius + 1))
-    a_inv = _regular_part_inverse(t.element.regular, det, window, balls)
+    a_inv = _regular_part_inverse(t.element.regular, det, within, balls)
     if a_inv is None:
         return None
-    u = _factored_inverse(t, a_inv, side, window)
+    u = _factored_inverse(t, a_inv, side, within)
     if u is None:
         return None
     radius = element_radius(u.element)

@@ -194,17 +194,35 @@ class InducedLocalMap:
 
 class Nuca:
     """A linear cellular automaton with finitely many exceptional rules,
-    stored as its twisted ring element (matrix-shaped coefficients)."""
+    stored as its twisted ring element (matrix-shaped coefficients).
 
-    __slots__ = ("element", "memory", "exceptional_set", "_rules")
+    The memory set (element.memory()), the exceptional set
+    (element.singular_support()) and the map {site: singular part} that
+    apply and rule_at read are made on first read, into their slots
+    (__getattr__): the inverse search builds NUCA it only multiplies and
+    checks, and a slot once filled reads as a plain attribute.
+    """
+
+    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules")
 
     def __init__(self, element: TwistedElement):
         if element.shape is None:
             raise UsageError("a NUCA needs matrix-shaped coefficients (n >= 1)")
         self.element = element
-        self.memory = element.memory()
-        self.exceptional_set = element.singular_support()
         self._rules: Optional[tuple] = None  # see _window_rules
+
+    def __getattr__(self, name: str):
+        # called only for a slot not yet filled
+        if name == "memory":
+            value = self.element.memory()
+        elif name == "exceptional_set":
+            value = self.element.singular_support()
+        elif name == "_parts":
+            value = dict(self.element.singular)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
 
     @property
     def group(self) -> GroupSpec:
@@ -245,7 +263,8 @@ class Nuca:
 
     def rule_at(self, g: Element) -> LocalRule:
         """The local rule used at site g, over this NUCA's memory set."""
-        blocks = self._rule_blocks(self.element.singular_part(g).terms)
+        part = self._parts.get(g)
+        blocks = self._rule_blocks(part.terms if part is not None else ())
         return LocalRule(self.group, self.field, self.n, self.memory, blocks)
 
     def _rule_blocks(self, correction) -> tuple:
@@ -275,7 +294,8 @@ class Nuca:
         new_base = [sum(a * b for _, c in regular for a, b in zip(c[i], base)) for i in rows]
 
         # candidate output sites: where a deviation is visible or a rule differs
-        candidates: set[Element] = set(self.exceptional_set)
+        parts = self._parts
+        candidates: set[Element] = set(parts)
         for u, _ in x.deviation:
             for h in self.memory:
                 candidates.add(compose(u, inverse(h)))
@@ -287,10 +307,12 @@ class Nuca:
         out = []
         for g in candidates:
             reads = [(c, dev.get(compose(g, h), zero)) for h, c in regular]
-            reads += [
-                (c, [a + b for a, b in zip(base, dev.get(compose(g, h), zero))])
-                for h, c in self.element.singular_part(g).terms
-            ]
+            part = parts.get(g)
+            if part is not None:
+                reads += [
+                    (c, [a + b for a, b in zip(base, dev.get(compose(g, h), zero))])
+                    for h, c in part.terms
+                ]
             out.append((g, [sum(a * b for c, v in reads for a, b in zip(c[i], v)) for i in rows]))
         return Configuration.make(grp, self.field, n, new_base, out)
 

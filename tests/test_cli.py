@@ -216,3 +216,30 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == (EXPECTED / "mul.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "args,expected_code,expected_name",
+    [
+        (["mul", "-a", path("u_f3.json"), "-b", path("v_f3.json"), "-o", "-"], 0, "mul.json"),
+        (["mul", "--no-such-flag"], 2, None),
+    ],
+    ids=["mul", "usage-error"],
+)
+def test_module_entry_point_runs_from_a_checkout(args, expected_code, expected_name):
+    # python -m d1ring needs only the sources on PYTHONPATH, no install
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "d1ring", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == expected_code, proc.stderr
+    if expected_name is not None:
+        assert proc.stdout == (EXPECTED / expected_name).read_text()

@@ -265,6 +265,33 @@ class TestPipeline:
         rep = run_surjunctivity_pipeline(cfg(trials=4, group=F2FREE, field=F5))
         assert rep.failures == 0
 
+    @pytest.mark.parametrize("group", [Z2, F2FREE], ids=lambda g: g.label())
+    def test_trial_checks_each_identity_once(self, monkeypatch, group):
+        # cert tau = 1 is checked in the search, on the certificate it
+        # returns, and tau cert = 1 in the trial; nothing is checked twice
+        calls, hits = [], []
+        verify, search = invert.verify_identity, experiments.search_left_inverse
+
+        def recording(u, v):
+            calls.append((u, v))
+            return verify(u, v)
+
+        def capturing(tau, max_radius):
+            hit = search(tau, max_radius)
+            hits.append((tau, hit))
+            return hit
+
+        monkeypatch.setattr(invert, "verify_identity", recording)
+        monkeypatch.setattr(experiments, "verify_identity", recording)
+        monkeypatch.setattr(experiments, "search_left_inverse", capturing)
+        config = cfg(seed=1, trials=1, group=group, field=F5, n=2, budget=SearchBudget(max_radius=2))
+        assert run_surjunctivity_pipeline(config).ok
+        ((tau, (cert, _)),) = hits
+        assert len(calls) == 2
+        (first, second) = calls
+        assert first[0] is cert and first[1] is tau
+        assert second[0] is tau and second[1] is cert
+
 
 class TestSearchSizeLimit:
     def test_oversized_budget_refused_before_any_trial(self, monkeypatch):

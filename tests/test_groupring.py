@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
-from d1ring.exactalg import Matrix, inverse
+from d1ring.exactalg import FieldSpec, Matrix, inverse
 from d1ring.experiments import rand_groupring
 from d1ring.groupring import (
     GroupRingElement,
@@ -283,6 +283,19 @@ def test_one_is_the_checked_monomial(group, field, shape):
     reference = GroupRingElement.monomial(group, field, shape, group.identity, coeff_one(field, shape))
     assert one == reference
     assert repr(one) == repr(reference)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+def test_coeff_one_is_one_shared_identity_block(field):
+    # n x n identities are made once per (field, n); a scalar one is read
+    # straight off the field, not from a cache
+    for n in (1, 2, 3):
+        fresh = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+        one = coeff_one(field, n)
+        assert one == fresh and repr(one) == repr(fresh)
+        assert coeff_one(field, n) is one
+        assert coeff_one(FieldSpec(field.kind, field.p), n) is one
+    assert coeff_one(field, None) is field.one
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())

@@ -253,6 +253,67 @@ class TestTwistedProductCount:
         assert products == []
 
 
+class TestEachFactCheckedOnce:
+    """a^-1 a = 1 is checked once: on the regular part of S = a^-1 t, which
+    the search builds anyway, or, for an a^-1 discarded for leaving the
+    window, on its own product.  Over Z^d the window is tested by norm, so
+    no ball is made."""
+
+    @pytest.fixture
+    def regular_checks(self, monkeypatch):
+        calls = []
+        is_one = GroupRingElement.product_is_one
+
+        def counting(self, other):
+            calls.append((self, other))
+            return is_one(self, other)
+
+        monkeypatch.setattr(GroupRingElement, "product_is_one", counting)
+        return calls
+
+    def test_wrong_inverse_inside_the_window_fails_on_the_regular_part_of_s(
+        self, monkeypatch, regular_checks
+    ):
+        u, _ = f3_nuca_pair()  # regular part 1, so a^-1 = 1; 2 is a wrong one
+        monkeypatch.setattr(invert, "zd_inverse", lambda det: gre(Z1, F3, 1, [((0,), ((2,),))]))
+        with pytest.raises(AssertionError, match="regular part other than 1"):
+            search_left_inverse(u, 3)
+        ball = FiniteSubset.ball(Z1, 1)
+        with pytest.raises(AssertionError, match="regular part other than 1"):
+            solve_one_sided_inverse(u, InverseSearchParams.make("left", ball, ball))
+        assert regular_checks == []
+
+    def test_wrong_inverse_outside_the_window_fails_on_its_own_product(
+        self, monkeypatch, regular_checks
+    ):
+        u, _ = f3_nuca_pair()
+        wrong = gre(Z1, F3, 1, [((5,), ((1,),))])
+        monkeypatch.setattr(invert, "zd_inverse", lambda det: wrong)
+        with pytest.raises(AssertionError, match="adjugate produced a non-inverse"):
+            search_left_inverse(u, 3)
+        assert regular_checks == [(wrong, u.element.regular)]
+
+    def test_right_inverse_outside_the_window_is_checked_once_and_dropped(self, regular_checks):
+        shift = Nuca(TwistedElement(gre(Z1, F3, 1, [((5,), ((1,),))]), ()))
+        assert search_left_inverse(shift, 3) is None
+        assert len(regular_checks) == 1
+        assert search_left_inverse(shift, 5) == (
+            Nuca(TwistedElement(gre(Z1, F3, 1, [((-5,), ((1,),))]), ())), 5
+        )
+        assert len(regular_checks) == 1
+
+    def test_zd_search_makes_no_ball(self, monkeypatch, regular_checks):
+        config = SuiteConfig(seed=0, trials=1, group=Z2, field=F5, n=2, max_factors=2)
+        unit, inverse, _ = gen_unit(random.Random(3), config)
+        t = Nuca.from_matrix(unit)
+        balls = []
+        ball = GroupSpec.ball
+        monkeypatch.setattr(GroupSpec, "ball", lambda self, r: balls.append(r) or ball(self, r))
+        cert, radius = search_left_inverse(t, 2)
+        assert cert == Nuca.from_matrix(inverse) and radius >= 1
+        assert balls == [] and regular_checks == []
+
+
 class TestSearchLeftInverse:
     def test_identity_radius_zero(self):
         hit = search_left_inverse(Nuca.identity(Z1, F3, 1), 2)
@@ -747,7 +808,7 @@ def test_block_placed_from_the_rules_is_the_window_block(s, side):
     assert invert._block(s, v) == reference_block(s, v)
     reference = reference_factored_inverse(s, side)
     one = GroupRingElement.one(s.group, s.field, s.shape)
-    u = invert._factored_inverse(Nuca(s), one, side, FiniteSubset.ball(s.group, 1))
+    u = invert._factored_inverse(Nuca(s), one, side, FiniteSubset.ball(s.group, 1).__contains__)
     if reference is None:
         assert u is None
         return

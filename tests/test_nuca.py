@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, _integer_rows
-from d1ring.experiments import rand_twisted
+from d1ring.experiments import rand_groupring, rand_twisted
 from d1ring.groups import FiniteSubset
 from d1ring import nuca
 from d1ring.nuca import Configuration, Nuca, basis_configuration
@@ -117,6 +117,82 @@ class TestApply:
         x = Configuration.make(Z1, F5, 1, [0], [])
         with pytest.raises(UsageError):
             t.apply(x)
+
+
+def many_exceptional_sites(rng, field, radius=8):
+    """A map on Z^2 with n = 2 and a nonzero singular part at every site of
+    ball(radius) (289 sites at radius 8)."""
+    parts = []
+    for g in Z2.ball(radius):
+        part = rand_groupring(rng, Z2, field, 2, 1, max_terms=2)
+        while part.is_zero():
+            part = rand_groupring(rng, Z2, field, 2, 1, max_terms=2)
+        parts.append((g, part))
+    return Nuca(TwistedElement.make(rand_groupring(rng, Z2, field, 2, 1), parts))
+
+
+class TestManyExceptionalSites:
+    """apply and rule_at look each site's singular part up in a dict, so
+    their work grows linearly in |E|; the answers are the oracle's."""
+
+    @pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+    def test_apply_matches_oracle(self, field):
+        rng = random.Random(f"{field.label()}|many exceptional sites")
+        t = many_exceptional_sites(rng, field)
+        assert len(t.exceptional_set) >= 200
+        for _ in range(3):
+            x = rand_config(rng, Z2, field, 2, radius=10, max_dev=6)
+            assert_apply_matches_oracle(t, x, extra_sites=Z2.ball(10))
+
+    def test_rule_at_is_regular_plus_singular_part(self):
+        rng = random.Random("many exceptional sites|rules")
+        t = many_exceptional_sites(rng, F5)
+        reg = t.element.regular
+        for g in Z2.ball(9):
+            part = t.element.singular_part(g)
+            expected = tuple(
+                tuple(
+                    tuple((a + b) % 5 for a, b in zip(ra, rb))
+                    for ra, rb in zip(reg.coefficient(h), part.coefficient(h))
+                )
+                for h in t.memory
+            )
+            assert t.rule_at(g).blocks == expected
+
+
+class TestLazySets:
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
+    def test_sets_are_the_elements(self, group):
+        rng = random.Random(f"{group.label()}|lazy sets")
+        for _ in range(20):
+            t = rand_nuca(rng, group, F5, rng.choice([1, 2]))
+            assert t.memory == t.element.memory()
+            assert t.exceptional_set == t.element.singular_support()
+            assert t.memory is t.memory and t.exceptional_set is t.exceptional_set
+
+    def test_made_only_when_read(self, monkeypatch):
+        u, v = f3_nuca_pair()
+
+        def refuse(self):
+            pytest.fail("made a site set")
+
+        monkeypatch.setattr(TwistedElement, "memory", refuse)
+        monkeypatch.setattr(TwistedElement, "singular_support", refuse)
+        w = Nuca(v.element).compose(u)
+        assert w == Nuca.identity(Z1, F3, 1)
+        assert hash(w) == hash(w.element)
+
+    def test_eq_and_hash_follow_the_element(self):
+        u, v = f3_nuca_pair()
+        same = Nuca(u.element)
+        assert len(u.memory) == 2  # one side's slots filled, the other's not
+        assert u == same and hash(u) == hash(same) == hash(u.element)
+        assert u != v and u != u.element
+
+    def test_unknown_attribute_raises(self):
+        t = Nuca.identity(Z1, F3, 1)
+        with pytest.raises(AttributeError, match="no_such"):
+            t.no_such
 
 
 class TestCompose:
