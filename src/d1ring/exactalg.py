@@ -163,11 +163,13 @@ class FieldSpec:
             raise FormatError(f"expected a 'num/den' string: {value!r}")
         try:
             num, _, den = value.partition("/")
-            f = Fraction(int(num), int(den) if den else 1)
+            n, d = int(num), int(den) if den else 1
+            f = Fraction(n, d)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad rational {value!r}") from None
-        # repaired iff the text is not the canonical encoding
-        return f, f"{f.numerator}/{f.denominator}" != value
+        # the canonical encoding is "n/d" with n/d already in lowest terms
+        # and d > 0 (Fraction left both as read), each written as str writes it
+        return f, not (f.denominator == d and f.numerator == n and den == str(d) and num == str(n))
 
 
 class Matrix:

@@ -202,11 +202,14 @@ def _trial_rng(config: SuiteConfig, index: int) -> random.Random:
 # -- unit generation ------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _unit_sites(group: GroupSpec, radius: int) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
-    """gen_unit's sites for (group, radius): the ball, and the pool the
-    terms of unipotent parts come from, ball(max(radius, 1)) minus e."""
+def _unit_sites(group: GroupSpec, field: FieldSpec, radius: int) -> tuple:
+    """What gen_unit draws from and starts with for (group, field, radius),
+    made once: the ball, the pool the terms of unipotent parts come from,
+    ball(max(radius, 1)) minus e, and the scalar twisted 1 and 0.  They
+    are immutable, so every draw shares them."""
     ball = group.ball(radius)
-    return ball, tuple(g for g in (ball if radius else group.ball(1)) if g != group.identity)
+    pool = tuple(g for g in (ball if radius else group.ball(1)) if g != group.identity)
+    return ball, pool, TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
 
 
 def gen_unit(
@@ -233,10 +236,12 @@ def gen_unit(
     constructors: their sites come from the ball, their scalars are
     canonical nonzero field elements, and their parts are drawn as
     rand_groupring and rand_twisted draw them, with the same RNG calls.
+    The ball, the pool, 1 and 0 are made once per (group, field, radius)
+    (_unit_sites), and a monomial word's sites and coefficients are
+    encoded once its draw passes the check, not for the draws retried.
     """
     group, field, n = config.group, config.field, config.n
-    ball, pool = _unit_sites(group, config.support_radius)
-    one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
+    ball, pool, one, zero = _unit_sites(group, field, config.support_radius)
     one_terms = one.regular.terms
 
     def monomial(g: Element, c) -> TwistedElement:
@@ -259,11 +264,11 @@ def gen_unit(
             out.append(_sum_of_products(group, field, None, live) if live else zero)
         return out
 
+    kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])
     for _ in range(20):
         factors: list[tuple[list, list, dict]] = []  # (column operations, row operations, word)
         count = n_factors if n_factors is not None else rng.randint(1, config.max_factors)
         for _ in range(count):
-            kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])
             kind = rng.choice(kinds)
             if kind == "monomial":
                 sites = [rng.choice(ball) for _ in range(n)]
@@ -272,11 +277,8 @@ def gen_unit(
                 row_ops = [
                     (a, ((a, monomial(group.inverse(sites[a]), field.inv(coeffs[a]))),)) for a in range(n)
                 ]
-                word = {
-                    "kind": "monomial",
-                    "sites": [group.encode_element(g) for g in sites],
-                    "coeffs": [field.encode_scalar(c) for c in coeffs],
-                }
+                # encoded only if the draw is accepted
+                word = {"kind": "monomial", "sites": sites, "coeffs": coeffs}
             elif kind == "unipotent":
                 # 1 + (0, b) and 1 - (0, b) at the slot, with b at one site and no
                 # term at e, so (0, b)^2 = 0; no operation when b is zero
@@ -311,7 +313,12 @@ def gen_unit(
         unit = TwistedMatrix._trusted(n, tuple(zip(*columns)))
         inverse = TwistedMatrix._trusted(n, tuple(map(tuple, rows)))
         if unit.product_is_identity(inverse):
-            return unit, inverse, [w for _, _, w in factors]
+            words = [w for _, _, w in factors]
+            for w in words:
+                if w["kind"] == "monomial":
+                    w["sites"] = [group.encode_element(g) for g in w["sites"]]
+                    w["coeffs"] = [field.encode_scalar(c) for c in w["coeffs"]]
+            return unit, inverse, words
     raise AssertionError("unit generator kept producing degenerate draws; this is a bug")
 
 

@@ -123,7 +123,10 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 # -- convolution accumulator ----------------------------------------------------
 #
 # An accumulator {h: raw coefficient} sums terms without reducing them, an
-# n x n coefficient as a flat list of n^2 entries, row by row.  Products
+# n x n coefficient as a flat list of n^2 entries, row by row.
+# _convolve_into adds the products of two term lists; the twisted product
+# (twisted._mul_into) adds scalar products in its own loops, as the same
+# raw ints, and calls _convolve_into for n x n coefficients.  Products
 # accumulate plain ints: over F_p the residues as they are, and over Q the
 # integer numerators over one scale L, so that the accumulator holds L
 # times the sum.  Each operand of a product over Q is brought once to its

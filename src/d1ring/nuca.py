@@ -197,13 +197,14 @@ class Nuca:
     stored as its twisted ring element (matrix-shaped coefficients).
 
     The memory set (element.memory()), the exceptional set
-    (element.singular_support()) and the map {site: singular part} that
-    apply and rule_at read are made on first read, into their slots
-    (__getattr__): the inverse search builds NUCA it only multiplies and
-    checks, and a slot once filled reads as a plain attribute.
+    (element.singular_support()), the map {site: singular part} that
+    apply and rule_at read, and the constant rule's blocks that every rule
+    starts from are made on first read, into their slots (__getattr__):
+    the inverse search builds NUCA it only multiplies and checks, and a
+    slot once filled reads as a plain attribute.
     """
 
-    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules")
+    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_regular_blocks", "_rules")
 
     def __init__(self, element: TwistedElement):
         if element.shape is None:
@@ -219,6 +220,10 @@ class Nuca:
             value = self.element.singular_support()
         elif name == "_parts":
             value = dict(self.element.singular)
+        elif name == "_regular_blocks":
+            # the constant rule's blocks, one per memory site (_rule_blocks)
+            reg, zero = dict(self.element.regular.terms), coeff_zero(self.field, self.n)
+            value = tuple(reg.get(h, zero) for h in self.memory)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
@@ -269,17 +274,17 @@ class Nuca:
 
     def _rule_blocks(self, correction) -> tuple:
         """The blocks of a rule, one per memory site in the memory's order:
-        the regular part's plus those of `correction`, the (h, block)
-        terms of the singular part at a site.  rule_at and _window_rules
-        make every rule here."""
-        field = self.field
-        reg = dict(self.element.regular.terms)
-        extra = dict(correction)
-        zero = coeff_zero(field, self.n)
-        return tuple(
-            coeff_add(field, reg.get(h, zero), extra[h]) if h in extra else reg.get(h, zero)
-            for h in self.memory
-        )
+        the regular part's (_regular_blocks) plus those of `correction`,
+        the (h, block) terms of the singular part at a site.  rule_at and
+        _window_rules make every rule here."""
+        blocks = self._regular_blocks
+        if not correction:
+            return blocks
+        field, position, blocks = self.field, self.memory.position, list(blocks)
+        for h, c in correction:
+            k = position(h)
+            blocks[k] = coeff_add(field, blocks[k], c)
+        return tuple(blocks)
 
     # -- the action on configurations ------------------------------------------
 

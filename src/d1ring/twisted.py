@@ -20,8 +20,11 @@ In code each slot reduces to group ring convolutions:
 (b a)(g) = b(g) * a2, and (b c)(g) = sum over t in supp(b(g)) of
 (b(g)(t) t) * c(gt).  One fused kernel, _mul_into, convolves a1 a2 and
 these three slot sums term by term into a single accumulator
-{site or None: {h: coefficient}}.  A product, or a sum of products such
-as an entry of a matrix product, is made canonical once at the end
+{site or None: {h: coefficient}}.  Scalar coefficients, the entries of
+every TwistedMatrix, are convolved in _mul_into's own loops; n x n
+coefficients go through groupring._convolve_into, which transposes each
+right-hand coefficient once per call.  A product, or a sum of products
+such as an entry of a matrix product, is made canonical once at the end
 (_sum_of_products), not once per partial convolution and sum.
 
 The accumulator holds plain ints.  Over F_p the operands are read as
@@ -34,8 +37,8 @@ and making it canonical divides each entry by L once, into a Fraction
 even when L = 1.
 
 Only the pairs that can contribute reach the kernel.  A matrix product
-tests each entry of its operands once, for 0 and for 1 (_role), and an
-entry of the product pairs only the nonzero entries of its row and
+(@) tests each entry of its operands once, for 0 and for 1 (_role), and
+an entry of the product pairs only the nonzero entries of its row and
 column: a pair with a zero side adds nothing to the sum, and an entry
 with no pair left is the zero element.  A pair with an identity side is
 given as its other side alone (_pair), whose terms are added to the
@@ -51,9 +54,12 @@ must reduce to zero (mod p over F_p), except that for 1 the regular
 slot's coefficient at the identity must reduce to 1, the identity
 matrix for n x n coefficients; over Q it must equal L times it, so
 nothing is divided.  TwistedElement.product_is_one and
-TwistedMatrix.product_is_identity answer "is this product 1?" with it;
-the matrix check goes entry by entry and stops at the first entry that
-fails.
+TwistedMatrix.product_is_identity answer "is this product 1?" with it.
+The matrix check goes entry by entry and stops at the first entry that
+fails.  It pairs the entries of a row and a column where both are
+nonzero, as @ does, but gives each pair (x, y) to the kernel as it is,
+with no test for 1: an identity side costs the kernel one pass over the
+other side's terms, about what adding them alone would cost.
 """
 
 from __future__ import annotations
@@ -197,9 +203,46 @@ class TwistedElement:
 def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: TwistedElement) -> None:
     """Add the raw terms of x * y into acc = {site: {h: coefficient}}, with
     site None for the regular part; x and y are trusted to share grp, field
-    and shape."""
+    and shape.  Scalars are convolved in this function's own loops, one
+    raw int per entry as _convolve_into adds them, and n x n coefficients
+    by _convolve_into."""
     compose = grp.compose
     a1, a2 = x.regular.terms, y.regular.terms
+    if shape is None:
+        slot = acc.setdefault(None, {})
+        get = slot.get
+        for t, c in a1:
+            for h, d in a2:
+                k = compose(t, h)
+                slot[k] = get(k, 0) + c * d
+        # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
+        if y.singular:
+            inverse = grp.inverse
+            for t, c in a1:
+                t_inv = inverse(t)
+                for u, part in y.singular:
+                    slot = acc.setdefault(compose(u, t_inv), {})
+                    get = slot.get
+                    for h, d in part.terms:
+                        k = compose(t, h)
+                        slot[k] = get(k, 0) + c * d
+        if not x.singular:
+            return
+        # b1 a2 and b1 b2 by the terms t of b1(g): b2 is read at g t
+        other_sites = dict(y.singular)
+        for g, part in x.singular:
+            slot = acc.setdefault(g, {})
+            get = slot.get
+            for t, c in part.terms:
+                for h, d in a2:
+                    k = compose(t, h)
+                    slot[k] = get(k, 0) + c * d
+                hit = other_sites.get(compose(g, t)) if other_sites else None
+                if hit is not None:
+                    for h, d in hit.terms:
+                        k = compose(t, h)
+                        slot[k] = get(k, 0) + c * d
+        return
     _convolve_into(acc.setdefault(None, {}), grp, shape, a1, a2)
     # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
     if y.singular:
@@ -423,15 +466,21 @@ class TwistedMatrix:
             for j, e in enumerate(row)
         )
 
+    def _check_product(self, other: "TwistedMatrix") -> TwistedElement:
+        """Check that other can multiply self; returns self's first entry,
+        which carries the group, field and shape of every entry."""
+        if self.n != other.n:
+            raise UsageError("matrix size mismatch")
+        first = self.entries[0][0]
+        first._check_compatible(other.entries[0][0])
+        return first
+
     def _live_pairs(self, other: "TwistedMatrix"):
         """Check that other can multiply self, then give the live pairs of
         each entry of self @ other, row by row, as _pair gives them.  Each
         entry of both operands is tested once (_role), and an entry of the
         product pairs only the nonzero entries of its row and column."""
-        if self.n != other.n:
-            raise UsageError("matrix size mismatch")
-        first = self.entries[0][0]
-        first._check_compatible(other.entries[0][0])
+        first = self._check_product(other)
         one = ((first.group.identity, coeff_one(first.field, first.shape)),)
         rows = [
             [(r, x, role) for r, x in enumerate(row) if (role := _role(x, one)) is not None]
@@ -462,10 +511,15 @@ class TwistedMatrix:
 
     def product_is_identity(self, other: "TwistedMatrix") -> bool:
         """(self @ other).is_identity(), decided entry by entry without
-        building the product; it stops at the first entry that fails."""
-        grp, field, shape = self.group, self.field, self.shape
-        for i, row in enumerate(self._live_pairs(other)):
-            for j, pairs in enumerate(row):
+        building the product; it stops at the first entry that fails.  An
+        entry is decided from its pairs (x, y) with both sides nonzero, each
+        through the kernel as it is, and is 0 if it has none."""
+        first = self._check_product(other)
+        grp, field, shape = first.group, first.field, first.shape
+        cols = list(zip(*other.entries))
+        for i, row in enumerate(self.entries):
+            for j, col in enumerate(cols):
+                pairs = [(x, y) for x, y in zip(row, col) if not x.is_zero() and not y.is_zero()]
                 if not (_sum_is(grp, field, shape, pairs, i == j) if pairs else i != j):
                     return False
         return True

@@ -243,3 +243,24 @@ def test_module_entry_point_runs_from_a_checkout(args, expected_code, expected_n
     assert proc.returncode == expected_code, proc.stderr
     if expected_name is not None:
         assert proc.stdout == (EXPECTED / expected_name).read_text()
+
+
+def test_make_golden_check_runs_from_a_plain_checkout():
+    # the script puts src/ on its own path, so the command its docstring
+    # and the README give works with PYTHONPATH unset
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "tests/make_golden.py", "--check"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all 30 golden files match" in proc.stdout

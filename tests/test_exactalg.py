@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from d1ring.errors import UsageError
+from d1ring.errors import FormatError, UsageError
 from d1ring.exactalg import (
     FieldSpec,
     Matrix,
@@ -68,6 +68,61 @@ class TestFieldSpec:
             assert Q.parse_scalar(text) == (value, True), text
             canonical = Q.encode_scalar(value)
             assert Q.parse_scalar(canonical) == (value, False), canonical
+
+    @staticmethod
+    def reference_parse_q(value):
+        """parse_scalar over Q by re-encoding: repaired iff the text is not
+        the encoding of the normalized Fraction it parses to."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value), True
+        if not isinstance(value, str):
+            raise FormatError(value)
+        try:
+            num, _, den = value.partition("/")
+            f = Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(value) from None
+        return f, f"{f.numerator}/{f.denominator}" != value
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        value=st.one_of(
+            st.integers(-10**6, 10**6),
+            st.builds(
+                "{}{}{}{}".format,
+                st.sampled_from(["", "-", "+", " ", "0", "-0", "00"]),
+                st.integers(0, 60),
+                st.sampled_from(["/", "", "/-", "/+", "/0", "/ ", "/_"]),
+                st.one_of(st.just(""), st.integers(0, 60).map(str)),
+            ),
+            st.text("0123456789-+/ _x", max_size=8),
+            st.sampled_from([None, 1.5, True, [1], "1/2/3", "٣/4", "1_0/3"]),
+        )
+    )
+    @example(value="+3/4")
+    @example(value="3/-4")
+    @example(value="06/8")
+    @example(value="-0/1")
+    @example(value="3/")
+    @example(value=" 3/4")
+    @example(value="3/4")
+    @example(value="0/1")
+    @example(value=-7)
+    @example(value="3/0")
+    @example(value="")
+    @example(value="/4")
+    @example(value=False)
+    def test_q_parse_matches_re_encoding(self, value):
+        # the check on the text and the parsed ints flags exactly the texts
+        # whose normalized Fraction encodes differently, and rejects the same
+        try:
+            expected = self.reference_parse_q(value)
+        except FormatError:
+            with pytest.raises(FormatError):
+                Q.parse_scalar(value)
+            return
+        got = Q.parse_scalar(value)
+        assert got == expected and type(got[0]) is Fraction
 
     def test_coerce_reduces_fractions_over_fp(self):
         f3 = FieldSpec.fp(3)

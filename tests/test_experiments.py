@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring import experiments, invert
 from d1ring.errors import UsageError
+from d1ring.exactalg import FieldSpec
 from d1ring.experiments import (
     SuiteConfig,
     decoy_nuca,
@@ -155,12 +157,38 @@ class TestProductCount:
         assert any(len(o["word"]) > 1 for o in rep.outcomes)
 
 
+class TestDrawCosts:
+    def test_words_encoded_once_and_constants_shared(self, monkeypatch):
+        # a monomial word's sites and coefficients are encoded once, for the
+        # draw that is accepted, and 1 and 0 are made once per (group,
+        # field, radius), not per trial; field.inv runs once per monomial
+        # site of every draw, so it counts the rejected draws' sites too
+        counts = Counter()
+
+        def counted(name, f):
+            return lambda *args: counts.update([name]) or f(*args)
+
+        monkeypatch.setattr(GroupSpec, "encode_element", counted("site", GroupSpec.encode_element))
+        monkeypatch.setattr(FieldSpec, "encode_scalar", counted("coeff", FieldSpec.encode_scalar))
+        monkeypatch.setattr(FieldSpec, "inv", counted("drawn", FieldSpec.inv))
+        for name in ("one", "zero"):
+            monkeypatch.setattr(TwistedElement, name, staticmethod(counted(name, getattr(TwistedElement, name))))
+        experiments._unit_sites.cache_clear()
+        rep = run_direct_finiteness(cfg(trials=40, group=F2FREE, field=F5, n=2, max_factors=3))
+        experiments._unit_sites.cache_clear()
+        assert rep.failures == 0
+        accepted = sum(len(w["sites"]) for o in rep.outcomes for w in o["word"] if w["kind"] == "monomial")
+        assert counts["site"] == counts["coeff"] == accepted > 0
+        assert counts["drawn"] > accepted
+        assert counts["one"] == counts["zero"] == 1
+
+
 def reference_gen_unit(rng, config, n_factors=None):
     """gen_unit by its earlier route: each generator built as its forward
     and backward n x n grid, and the chains multiplied with
     TwistedMatrix.__matmul__, with the same RNG calls and words."""
     group, field, n = config.group, config.field, config.n
-    ball, pool = experiments._unit_sites(group, config.support_radius)
+    ball, pool, _, _ = experiments._unit_sites(group, field, config.support_radius)
     one, zero = TwistedElement.one(group, field, None), TwistedElement.zero(group, field, None)
 
     def monomial(g, c):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import SuiteConfig, gen_unit, rand_groupring, rand_twisted
+from d1ring.experiments import SuiteConfig, gen_unit, rand_groupring, rand_scalar, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_one, matrix_unshuffle
 from d1ring.groups import GroupSpec
 from d1ring import twisted
@@ -272,6 +272,69 @@ def test_matrix_mul_matches_oracle(group, field):
         u = rand_twisted(rng, group, field, 2, radius=2)
         v = rand_twisted(rng, group, field, 2, radius=2)
         assert_matches_oracle(u, v)
+
+
+def cancelling_singular_parts(rng, field):
+    """Scalar singular parts b1, b2 over free:2 whose b1 b2 hits land on
+    words that cancel, and the site g and word k where they meet: the two
+    terms t1, t2 of b1(g) find b2 at g t1 and g t2, with the terms t1^-1 k
+    and t2^-1 k, so each product t (t^-1 k) reduces to the short word k,
+    and their coefficients c1 d1 + c2 d2 sum to zero there."""
+    grp = F2FREE
+    g, t1, t2 = rng.sample([w for w in grp.ball(2) if w], 3)
+    k = rng.choice(grp.ball(1))
+    c1, c2, d1 = (rand_scalar(rng, field, nonzero=True) for _ in range(3))
+    d2 = field.coerce(-c1 * d1 * field.inv(c2))
+    b1 = [(g, gre(grp, field, None, [(t1, c1), (t2, c2)]))]
+    b2 = [
+        (grp.compose(g, t), gre(grp, field, None, [(grp.compose(grp.inverse(t), k), d)]))
+        for t, d in ((t1, d1), (t2, d2))
+    ]
+    return b1, b2, g, k
+
+
+SIDES = ["zero", "one", "singular-only", "full"]
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+@pytest.mark.parametrize("left", SIDES)
+@pytest.mark.parametrize("right", SIDES)
+def test_scalar_mul_matches_oracle_on_cancelling_free_words(field, left, right):
+    # the scalar kernel's own loops against the defining sums, where the
+    # b1 b2 products reduce free words and cancel coefficients; zero and
+    # identity sides go through the kernel as they are
+    rng = random.Random(f"{field.label()}|{left}|{right}|cancelling words")
+    grp = F2FREE
+    zero, one = TwistedElement.zero(grp, field), TwistedElement.one(grp, field)
+
+    def side(kind, singular):
+        if kind == "zero":
+            return zero
+        if kind == "one":
+            return one
+        regular = GroupRingElement.zero(grp, field)
+        if kind == "full":
+            regular = rand_groupring(rng, grp, field, None, radius=1, max_terms=3)
+        return TwistedElement.make(regular, singular)
+
+    for _ in range(10):
+        b1, b2, g, k = cancelling_singular_parts(rng, field)
+        u, v = side(left, b1), side(right, b2)
+        assert_matches_oracle(u, v)
+        prod = u * v
+        assert u.product_is_one(v) == prod.is_one()
+        if left == right == "singular-only":
+            # only b1 b2 reaches slot g, and its two terms at k cancel
+            assert k not in dict(prod.singular_part(g).terms)
+        a = TwistedMatrix(2, ((u, zero), (one, v)))
+        b = TwistedMatrix(2, ((v, one), (zero, u)))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert x.product_is_identity(y) == (x @ y).is_identity()
+            assert x @ y == reference_matmul(x, y)
+        # J + E_01 w and J - E_01 w are inverse, with w = u v
+        e = TwistedMatrix(2, ((one, prod), (zero, one)))
+        f = TwistedMatrix(2, ((one, -prod), (zero, one)))
+        assert e.product_is_identity(f) and f.product_is_identity(e)
 
 
 def test_singular_support_containment(rng):
