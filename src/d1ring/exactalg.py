@@ -98,16 +98,19 @@ class FieldSpec:
         return 1 if self.kind == "Fp" else _Q_ONE
 
     def coerce(self, x):
-        """Coerce an int/Fraction into canonical form for this field.  Over
-        F_p a Fraction num/den with den prime to p is num * den^-1; any
-        other non-integer is refused, not truncated."""
-        if self.kind == "Fp":
-            if isinstance(x, int):
-                return x % self.p
-            if isinstance(x, Fraction) and x.denominator % self.p:
-                return x.numerator * pow(x.denominator, -1, self.p) % self.p
-            raise UsageError(f"{x!r} has no value in F_{self.p}")
-        return x if type(x) is Fraction else Fraction(x)
+        """Coerce an int (not a bool) or a Fraction into canonical form for
+        this field.  Over F_p a Fraction num/den with den prime to p is
+        num * den^-1.  Anything else, floats and strings included, is
+        refused, not truncated or parsed."""
+        p = self.p
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x % p if p else Fraction(x)
+        if isinstance(x, Fraction):
+            if not p:
+                return x
+            if x.denominator % p:
+                return x.numerator * pow(x.denominator, -1, p) % p
+        raise UsageError(f"{x!r} has no value in {f'F_{p}' if p else 'Q'}")
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b

@@ -40,6 +40,7 @@ from .groupring import GroupRingElement, _add_into, _canonical_terms, coeff_one
 from .groups import Element, GroupSpec
 from .invert import (
     SearchBudget,
+    _check_int,
     check_search_radius,
     check_tower_depth,
     search_left_inverse,
@@ -163,9 +164,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         for name in ("seed", "trials", "n", "support_radius", "max_factors", "decoy_every"):
-            x = getattr(self, name)
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise UsageError(f"{name} must be an int, got {x!r}")
+            _check_int(name, getattr(self, name))
         if not isinstance(self.rediscover_inverse, bool):
             raise UsageError(f"rediscover_inverse must be a bool, got {self.rediscover_inverse!r}")
         if self.trials < 1:
@@ -250,8 +249,8 @@ def gen_unit(
     def combine(lines: list, terms, right: bool) -> list:
         """The sum of lines[k] x (right) or of x lines[k] (left) over the
         terms (k, x), entry by entry: each entry is one sum of products over
-        its live pairs, each side tested once for 0 and for 1, as a matrix
-        product tests its operands' entries (twisted._role)."""
+        its live pairs, each side tested once for 0 and for 1
+        (twisted._role)."""
         sides = [(lines[k], x, x_one) for k, x in terms if (x_one := _role(x, one_terms)) is not None]
         out = []
         for p in range(n):

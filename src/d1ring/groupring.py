@@ -4,9 +4,12 @@ M_n(k)[G] ~ M_n(k[G]).
 
 Coefficients come in two shapes, selected at runtime: scalars (shape
 ``None``) and n x n matrices stored as nested tuples (shape ``n``).
-Mixing shapes is a hard error, never a coercion.  Products and sums run
-on raw accumulators, products over Q on integer numerators (see the
-convolution accumulator section), and are made canonical once.
+Mixing shapes is a hard error, never a coercion.  Sums run on raw
+accumulators and are made canonical once.  A product is the regular part
+of the twisted product of (a, 0) and (b, 0), as k[G] embeds in its
+twisted extension (twisted.embed), so the twisted kernel is the one
+product and product check of both rings (see the convolution
+accumulator section).
 """
 
 from __future__ import annotations
@@ -125,14 +128,14 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 # An accumulator {h: raw coefficient} sums terms without reducing them, an
 # n x n coefficient as a flat list of n^2 entries, row by row.
 # _convolve_into adds the products of two term lists; the twisted product
-# (twisted._mul_into) adds scalar products in its own loops, as the same
-# raw ints, and calls _convolve_into for n x n coefficients.  Products
-# accumulate plain ints: over F_p the residues as they are, and over Q the
-# integer numerators over one scale L, so that the accumulator holds L
-# times the sum.  Each operand of a product over Q is brought once to its
-# numerators over the lcm of its denominators (_numerators), and the
-# product's scale is the product of the two; a sum of several products is
-# brought to the lcm of their scales first.  An accumulator that adds
+# (twisted._mul_into), the one product of k[G] too, adds scalar products
+# in its own loops, as the same raw ints, and calls _convolve_into for
+# n x n coefficients.  Products accumulate plain ints: over F_p the
+# residues as they are, and over Q the integer numerators over one scale
+# L, so that the accumulator holds L times the sum.  Each operand over Q
+# is brought once to its numerators over the lcm of its denominators
+# (_denominator, _numerators; twisted._accumulate picks the scales, and
+# zd_determinant scales its rows with them).  An accumulator that adds
 # canonical coefficients as they are (_add_into) holds Fractions over Q
 # and has no scale.  _canonical_terms reduces each entry once, over Q by
 # one division by L, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw
@@ -154,16 +157,6 @@ def _numerators(shape: Shape, terms, scale: int) -> tuple:
         (g, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in c))
         for g, c in terms
     )
-
-
-def _integer_operands(field: FieldSpec, shape: Shape, a_terms, b_terms) -> tuple:
-    """(a, b, scale): the terms of a product as _convolve_into takes them
-    and the scale of the product's accumulator; as they are over F_p, at
-    scale 1, and over Q each on its numerators over its own denominator."""
-    if field.p:
-        return a_terms, b_terms, 1
-    la, lb = _denominator(shape, a_terms), _denominator(shape, b_terms)
-    return _numerators(shape, a_terms, la), _numerators(shape, b_terms, lb), la * lb
 
 
 def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
@@ -361,26 +354,18 @@ class GroupRingElement:
         return GroupRingElement.from_terms(self.group, self.field, self.shape, terms)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        """Convolution: (ab)(g) = sum_t a(t) b(t^-1 g)."""
-        self._check_compatible(other)
-        grp, field, shape = self.group, self.field, self.shape
-        a, b, scale = _integer_operands(field, shape, self.terms, other.terms)
-        acc: dict[Element, object] = {}
-        _convolve_into(acc, grp, shape, a, b)
-        return GroupRingElement(grp, field, shape, _canonical_terms(grp, field, shape, acc, scale))
+        """Convolution: (ab)(g) = sum_t a(t) b(t^-1 g), the regular part of
+        the twisted product of (a, 0) and (b, 0)."""
+        from .twisted import embed
+
+        return (embed(self) * embed(other)).regular
 
     def product_is_one(self, other: "GroupRingElement") -> bool:
-        """(self * other) == 1, decided on the product's raw accumulator
-        without building it."""
-        self._check_compatible(other)
-        grp, field, shape = self.group, self.field, self.shape
-        a, b, scale = _integer_operands(field, shape, self.terms, other.terms)
-        acc: dict[Element, object] = {}
-        _convolve_into(acc, grp, shape, a, b)
-        c = acc.pop(grp.identity, None)
-        return (
-            c is not None and _raw_is_one(field, shape, c, scale) and _raw_is_zero(field, shape, acc.values())
-        )
+        """(self * other) == 1, decided by the twisted kernel without
+        building the product."""
+        from .twisted import embed
+
+        return embed(self).product_is_one(embed(other))
 
     def translate(self, g: Element) -> "GroupRingElement":
         """Left multiplication by the basis element g (coefficient 1)."""
@@ -497,8 +482,8 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeter
     scales = [1] * n
     if fld.p is None:
         for i, row in enumerate(entries):
-            m = scales[i] = math.lcm(*(x.denominator for entry in row for _, x in entry))
-            row[:] = [[(g, x.numerator * (m // x.denominator)) for g, x in entry] for entry in row]
+            m = scales[i] = _denominator(None, chain.from_iterable(row))
+            row[:] = [_numerators(None, entry, m) for entry in row]
     products = _TermPairs(grp, fld, max_term_pairs)
 
     def neg(p):

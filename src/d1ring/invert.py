@@ -113,6 +113,13 @@ MAX_TOWER_COORDINATES = 1_000_000
 MAX_DET_TERM_PAIRS = 1_000_000
 
 
+def _check_int(name: str, x) -> None:
+    """Refuse x unless it is an int and not a bool; name is what the
+    message calls it."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise UsageError(f"{name} must be an int, got {x!r}")
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps for the verdict procedure; defaults are configuration, not theory."""
@@ -123,9 +130,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_radius", "depth", "window"):
-            x = getattr(self, name)
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise UsageError(f"budget field {name} must be an int, got {x!r}")
+            _check_int(f"budget field {name}", getattr(self, name))
         if self.max_radius < 0 or self.depth < 0 or self.window < 1:
             raise UsageError("budget fields out of range")
 
@@ -467,6 +472,7 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
     det(a) is not a monomial.  A search past search_radius_limit is
     refused before any work."""
     _check_side(side)
+    _check_int("max_radius", max_radius)
     if max_radius < 0:
         raise UsageError("max_radius must be >= 0")
     check_search_radius(t.group, t.n, max_radius)
@@ -512,6 +518,7 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     A witness refutes pre-injectivity: two asymptotic configurations with
     equal images differ exactly by such an element.
     """
+    _check_int("radius", radius)
     if radius < 0:
         raise UsageError("radius must be >= 0")
     grp, fld, n = t.group, t.field, t.n
@@ -616,10 +623,10 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     minus ball(m - 1) below it, as the rows of ball(m - 1) read only the
     first c_{m-1} coordinates.  Each shell site g is composed with each
     memory site once, in one pass that numbers the sites g h and places
-    the integer rule rows of g (Nuca._window_rules, read by memory
-    position) straight at those numbers, with no window map built or
-    re-keyed.  Every domain site is numbered, so no row loses an entry.
-    So one semi-echelon basis whose rows lead at their last column takes in
+    the integer rule rows of g (Nuca._rules, read by memory position)
+    straight at those numbers, with no window map built or re-keyed.
+    Every domain site is numbered, so no row loses an entry.  So one
+    semi-echelon basis whose rows lead at their last column takes in
     each shell's rows once, and its pivots P_m after level m give every
     dimension reported: the rows leading at c or later are independent on
     the columns >= c and the others vanish there, so
@@ -636,6 +643,8 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     """
     if t.group.kind != "Zd":
         raise UsageError("kernel_tower needs the box exhaustion of Z^d")
+    _check_int("depth", depth)
+    _check_int("window", stabilization_window)
     if depth < 0 or stabilization_window < 1:
         raise UsageError("depth must be >= 0 and window >= 1")
     grp, n, p = t.group, t.n, t.field.p
@@ -648,7 +657,7 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     pivots: list[list[int]] = []  # P_m minus P_{m-1}, sorted
     ids: dict = {}  # domain site -> its first column, in order of first appearance
     number, compose, memory = ids.setdefault, grp.compose, t.memory.elements
-    constant_rule, exceptional = t._window_rules()
+    constant_rule, exceptional = t._rules
 
     def ensure_level(m: int) -> None:
         while len(dims) <= m:

@@ -198,10 +198,11 @@ class Nuca:
 
     The memory set (element.memory()), the exceptional set
     (element.singular_support()), the map {site: singular part} that
-    apply and rule_at read, and the constant rule's blocks that every rule
-    starts from are made on first read, into their slots (__getattr__):
-    the inverse search builds NUCA it only multiplies and checks, and a
-    slot once filled reads as a plain attribute.
+    apply and rule_at read, the constant rule's blocks that every rule
+    starts from, and the rule rows that windows are placed from are made
+    on first read, into their slots (__getattr__): the inverse search
+    builds NUCA it only multiplies and checks, and a slot once filled
+    reads as a plain attribute.
     """
 
     __slots__ = ("element", "memory", "exceptional_set", "_parts", "_regular_blocks", "_rules")
@@ -210,7 +211,6 @@ class Nuca:
         if element.shape is None:
             raise UsageError("a NUCA needs matrix-shaped coefficients (n >= 1)")
         self.element = element
-        self._rules: Optional[tuple] = None  # see _window_rules
 
     def __getattr__(self, name: str):
         # called only for a slot not yet filled
@@ -224,6 +224,18 @@ class Nuca:
             # the constant rule's blocks, one per memory site (_rule_blocks)
             reg, zero = dict(self.element.regular.terms), coeff_zero(self.field, self.n)
             value = tuple(reg.get(h, zero) for h in self.memory)
+        elif name == "_rules":
+            # the _rule_rows of the constant rule and {g: those of the rule
+            # at g} for the exceptional sites g.  The kernel searches and
+            # towers read them for every window they place; induced_local_map
+            # reads the field rows, _window_rows and invert.kernel_tower the
+            # integer rows
+            field, n = self.field, self.n
+            exceptional = {
+                g: _rule_rows(field, n, self._rule_blocks(part.terms))
+                for g, part in self.element.singular
+            }
+            value = (_rule_rows(field, n, self._rule_blocks(())), exceptional)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
@@ -276,7 +288,7 @@ class Nuca:
         """The blocks of a rule, one per memory site in the memory's order:
         the regular part's (_regular_blocks) plus those of `correction`,
         the (h, block) terms of the singular part at a site.  rule_at and
-        _window_rules make every rule here."""
+        _rules make every rule here."""
         blocks = self._regular_blocks
         if not correction:
             return blocks
@@ -340,12 +352,12 @@ class Nuca:
 
         Row i of the block row of g is row i of the rule at g placed at
         the sites g M, read from the rule rows made once per rule and NUCA
-        (_window_rules)."""
+        (_rules)."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        constant_rule, exceptional = self._window_rules()
+        constant_rule, exceptional = self._rules
         compose, position, memory = grp.compose, domain.position, self.memory.elements
         rows: list[dict] = []
         for g in window:
@@ -366,7 +378,7 @@ class Nuca:
         content, so it stays the primitive multiple of its field row."""
         n, q = self.n, not self.field.p
         compose, memory = self.group.compose, self.memory.elements
-        constant_rule, exceptional = self._window_rules()
+        constant_rule, exceptional = self._rules
         rows: list[dict] = []
         for g in window:
             _, rule_ints, read = exceptional.get(g, constant_rule)
@@ -376,23 +388,6 @@ class Nuca:
                 row = {ks[k] * n + j: z for k, j, z in entries if ks[k] is not None}
                 rows.append(_content_free(row) if q and len(row) < len(entries) else row)
         return rows
-
-    def _window_rules(self) -> tuple:
-        """The _rule_rows of the constant rule and {g: those of the rule at
-        g} for the exceptional sites g, with the blocks rule_at reads
-        (_rule_blocks), made on first use: the kernel searches and towers
-        read them for every window they place, while the pipeline builds
-        one NUCA per trial and one window of it.  induced_local_map reads
-        the field rows, and _window_rows and invert.kernel_tower the
-        integer rows."""
-        if self._rules is None:
-            field, n = self.field, self.n
-            exceptional = {
-                g: _rule_rows(field, n, self._rule_blocks(part.terms))
-                for g, part in self.element.singular
-            }
-            self._rules = (_rule_rows(field, n, self._rule_blocks(())), exceptional)
-        return self._rules
 
 
 def _rule_rows(field: FieldSpec, n: int, blocks: Sequence) -> tuple:

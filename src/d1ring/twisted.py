@@ -36,14 +36,13 @@ pairs' scales (_accumulate).  So the accumulator holds L times the sum,
 and making it canonical divides each entry by L once, into a Fraction
 even when L = 1.
 
-Only the pairs that can contribute reach the kernel.  A matrix product
-(@) tests each entry of its operands once, for 0 and for 1 (_role), and
-an entry of the product pairs only the nonzero entries of its row and
-column: a pair with a zero side adds nothing to the sum, and an entry
-with no pair left is the zero element.  A pair with an identity side is
-given as its other side alone (_pair), whose terms are added to the
-accumulator as they are (_accumulate), and a sum of that single side is
-the side itself, returned as it is, since operands are canonical and
+Only the pairs that can contribute reach the kernel.  An entry of a
+matrix product (@) pairs the entries of its row and column where both
+are nonzero: a pair with a zero side adds nothing to the sum, and an
+entry with no pair left is the zero element.  A pair with an identity
+side is given as its other side alone (_pair), whose terms are added to
+the accumulator as they are (_accumulate), and a sum of that single side
+is the side itself, returned as it is, since operands are canonical and
 immutable.  These skips are exact: they leave out only terms that are
 zero or add terms equal to the product's, and every compatibility check
 runs before any of them.
@@ -167,12 +166,7 @@ class TwistedElement:
     # -- ring operations -----------------------------------------------------------
 
     def __add__(self, other: "TwistedElement") -> "TwistedElement":
-        # operands are canonical, so a zero summand leaves the other as is
         self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         return TwistedElement.make(
             self.regular + other.regular, self.singular + other.singular
         )
@@ -475,39 +469,20 @@ class TwistedMatrix:
         first._check_compatible(other.entries[0][0])
         return first
 
-    def _live_pairs(self, other: "TwistedMatrix"):
-        """Check that other can multiply self, then give the live pairs of
-        each entry of self @ other, row by row, as _pair gives them.  Each
-        entry of both operands is tested once (_role), and an entry of the
-        product pairs only the nonzero entries of its row and column."""
-        first = self._check_product(other)
-        one = ((first.group.identity, coeff_one(first.field, first.shape)),)
-        rows = [
-            [(r, x, role) for r, x in enumerate(row) if (role := _role(x, one)) is not None]
-            for row in self.entries
-        ]
-        cols = [[(y, _role(y, one)) for y in col] for col in zip(*other.entries)]
-        return (
-            [
-                [
-                    y if x_one else x if y_one else (x, y)
-                    for r, x, x_one in row
-                    for y, y_one in (col[r],)
-                    if y_one is not None
-                ]
-                for col in cols
-            ]
-            for row in rows
-        )
-
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        # the kernel gives every entry grp, field and shape
-        grp, field, shape = self.group, self.field, self.shape
+        first = self._check_product(other)
+        grp, field, shape = first.group, first.field, first.shape
         zero = TwistedElement.zero(grp, field, shape)
-        return TwistedMatrix._trusted(self.n, tuple(
-            tuple(_sum_of_products(grp, field, shape, pairs) if pairs else zero for pairs in row)
-            for row in self._live_pairs(other)
-        ))
+        cols = list(zip(*other.entries))
+
+        def entry(row, col) -> TwistedElement:
+            pairs = [_pair(x, y) for x, y in zip(row, col) if not x.is_zero() and not y.is_zero()]
+            return _sum_of_products(grp, field, shape, pairs) if pairs else zero
+
+        # the kernel gives every entry grp, field and shape
+        return TwistedMatrix._trusted(
+            self.n, tuple(tuple(entry(row, col) for col in cols) for row in self.entries)
+        )
 
     def product_is_identity(self, other: "TwistedMatrix") -> bool:
         """(self @ other).is_identity(), decided entry by entry without

@@ -136,6 +136,13 @@ class TestFieldSpec:
                 f3.coerce(x)
         assert Q.coerce(Fraction(1, 3)) == Fraction(1, 3) and Q.coerce(2) == Fraction(2)
 
+    @pytest.mark.parametrize("field", [FieldSpec.fp(3), Q], ids=["F_3", "Q"])
+    @pytest.mark.parametrize("value", [True, 0.5, 2.0, "1/3", None])
+    def test_coerce_takes_only_ints_and_fractions(self, field, value):
+        # a bool is not 1, and floats and strings are neither read nor parsed
+        with pytest.raises(UsageError, match="no value in"):
+            field.coerce(value)
+
 
 class TestKernel:
     def test_identity_trivial_kernel(self):

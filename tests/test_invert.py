@@ -420,6 +420,19 @@ class TestKernelTower:
         with pytest.raises(UsageError):
             kernel_tower(t, 2, 2)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("call, name", [
+        (lambda t, x: kernel_tower(t, x, 2), "depth"),
+        (lambda t, x: kernel_tower(t, 1, x), "window"),
+        (lambda t, x: search_one_sided_inverse(t, "left", x), "max_radius"),
+        (lambda t, x: finitely_supported_kernel(t, x), "radius"),
+    ], ids=["tower-depth", "tower-window", "search-radius", "kernel-radius"])
+    def test_integer_arguments_must_be_ints(self, call, name, value):
+        # a bool would run as 1 (and serialize as true), and a float would
+        # fail inside range with a TypeError
+        with pytest.raises(UsageError, match=f"{name} must be an int"):
+            call(decoy(), value)
+
     def test_tower_consistency_with_certificate(self):
         # a left-invertible map has no kernel threads at any level
         t, _ = f3_nuca_pair()
