@@ -5,7 +5,9 @@ and free groups F_r (elements are reduced words, stored as tuples of
 signed 1-based generator indices: +1 = 'a', -1 = 'A' = a^-1, +2 = 'b', ...).
 
 Both representations are plain tuples, so elements are hashable and
-immutable; a GroupSpec carries the operations.
+immutable; a GroupSpec carries the operations.  compose takes free words
+reduced, as check demands and parse_element and reduce_word make them,
+and cancels only where its two words meet.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ def reduce_word(letters: Sequence[int]) -> Element:
     return tuple(out)
 
 
-def _letter_key(c: int) -> int:
-    # a < a^-1 < b < b^-1 < ...
-    return 2 * abs(c) - (2 if c > 0 else 1)
+# the rank of each letter in the order a < a^-1 < b < b^-1 < ...
+_letter_rank = (
+    {i + 1: 2 * i for i in range(_MAX_FREE_RANK)}
+    | {-(i + 1): 2 * i + 1 for i in range(_MAX_FREE_RANK)}
+).__getitem__
 
 
 @dataclass(frozen=True)
@@ -95,15 +99,18 @@ class GroupSpec:
                     raise UsageError(f"word {g!r} is not reduced")
 
     def compose(self, g: Element, h: Element) -> Element:
+        """g h.  Free words must be reduced, so they cancel only where they
+        meet: the last i letters of g against the first i of h."""
         if self.kind == "Zd":
             return tuple(map(operator.add, g, h))
-        out = list(g)
-        for c in h:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-        return tuple(out)
+        if not g:
+            return h
+        if not h or g[-1] != -h[0]:
+            return g + h
+        i, n = 1, min(len(g), len(h))
+        while i < n and g[-1 - i] == -h[i]:
+            i += 1
+        return g[: len(g) - i] + h[i:]
 
     def inverse(self, g: Element) -> Element:
         if self.kind == "Zd":
@@ -118,7 +125,7 @@ class GroupSpec:
         """
         if self.kind == "Zd":
             return g
-        return (len(g), tuple(_letter_key(c) for c in g))
+        return (len(g), tuple(map(_letter_rank, g)))
 
     def sort(self, elems: Iterable[Element]) -> tuple[Element, ...]:
         """Deduplicate and sort under the canonical order."""

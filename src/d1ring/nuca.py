@@ -11,11 +11,13 @@ ring unit.  Configurations are restricted to base-plus-finite-deviation
 points of V^G, which is enough for every procedure in this package.
 
 Vectors are plain tuples of field entries.  `Configuration.make` is the
-one place where a stored vector is made canonical: it coerces each entry
-as it arrives, sums the vectors given for one site as plain ints or
-Fractions and reduces each sum once, and drops zero vectors.  So the
-action, sums and scalings hand it raw sums, with no reduction per
-operation; `value_at` reduces the one sum it returns.
+validating boundary: it checks each site, coerces each entry as it
+arrives, sums the vectors given for one site as plain ints or Fractions
+and reduces each sum once, and drops zero vectors.  So sums and scalings
+hand it raw sums, with no reduction per operation.  The action reduces
+each output entry once itself and builds its result directly, as its
+sites are composed from validated elements; `value_at` reduces the one
+sum it returns.
 """
 
 from __future__ import annotations
@@ -307,8 +309,9 @@ class Nuca:
         grp, n = self.group, self.n
         compose, inverse = grp.compose, grp.inverse
         regular, base, rows = self.element.regular.terms, x.base, range(n)
+        coerce = self.field.coerce
         # the base maps to (sum_h regular(h)) base
-        new_base = [sum(a * b for _, c in regular for a, b in zip(c[i], base)) for i in rows]
+        new_base = tuple(coerce(sum(a * b for _, c in regular for a, b in zip(c[i], base))) for i in rows)
 
         # candidate output sites: where a deviation is visible or a rule differs
         parts = self._parts
@@ -318,7 +321,9 @@ class Nuca:
                 candidates.add(compose(u, inverse(h)))
 
         # tau(x)(g) - new_base: the regular part reads the deviations alone,
-        # the singular part at g reads base plus deviation
+        # the singular part at g reads base plus deviation.  The sites are
+        # composed from validated elements and each entry is reduced once,
+        # so the result is built without Configuration.make's checks
         dev = dict(x.deviation)
         zero = (0,) * n
         out = []
@@ -330,8 +335,13 @@ class Nuca:
                     (c, [a + b for a, b in zip(base, dev.get(compose(g, h), zero))])
                     for h, c in part.terms
                 ]
-            out.append((g, [sum(a * b for c, v in reads for a, b in zip(c[i], v)) for i in rows]))
-        return Configuration.make(grp, self.field, n, new_base, out)
+            value = tuple(coerce(sum(a * b for c, v in reads for a, b in zip(c[i], v))) for i in rows)
+            if any(value):
+                out.append((g, value))
+        if len(out) > 1:
+            key = grp.key
+            out.sort(key=lambda t: key(t[0]))
+        return Configuration(grp, self.field, n, new_base, tuple(out))
 
     def compose(self, other: "Nuca") -> "Nuca":
         """Ring product; equals map composition self after other."""

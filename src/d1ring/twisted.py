@@ -73,6 +73,7 @@ from .exactalg import FieldSpec
 from .groupring import (
     GroupRingElement,
     Shape,
+    _Frozen,
     _add_into,
     _canonical_terms,
     _convolve_into,
@@ -80,19 +81,26 @@ from .groupring import (
     _numerators,
     _raw_is_one,
     _raw_is_zero,
+    _slot_setters,
     coeff_one,
     matrix_shuffle,
 )
 from .groups import Element, FiniteSubset, GroupSpec
 
 
-@dataclass(frozen=True)
-class TwistedElement:
+class TwistedElement(_Frozen):
     """Canonical form: singular pairs sorted by site, zero parts dropped;
     all components share one group, field, and coefficient shape."""
 
+    __slots__ = ("regular", "singular")
     regular: GroupRingElement
     singular: tuple[tuple[Element, GroupRingElement], ...]
+
+    def __init__(
+        self, regular: GroupRingElement, singular: tuple[tuple[Element, GroupRingElement], ...]
+    ) -> None:
+        _set_regular(self, regular)
+        _set_singular(self, singular)
 
     @property
     def group(self) -> GroupSpec:
@@ -192,6 +200,9 @@ class TwistedElement:
         """(self * other).is_one(), decided without building the product."""
         self._check_compatible(other)
         return _sum_is(self.group, self.field, self.shape, (_pair(self, other),), True)
+
+
+_set_regular, _set_singular = _slot_setters(TwistedElement)
 
 
 def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: TwistedElement) -> None:

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec, Matrix, inverse
-from d1ring.experiments import rand_groupring
+from d1ring.experiments import _unit_sites, rand_groupring
 from d1ring.groupring import (
     GroupRingElement,
     _convolve_into,
@@ -18,6 +21,76 @@ from d1ring.twisted import embed
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, gre
 from oracles import field_modulus, naive_convolve, o_add, o_is_zero, o_mul, plain_groupring
+
+
+def assert_frozen(a, fields):
+    """a refuses assignment and deletion of its fields and of any other
+    name, as a frozen dataclass does, and stays as it was."""
+    before = repr(a)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    for name in fields:
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, None)
+    assert repr(a) == before
+
+
+def assert_copies_equal(a):
+    """copy, deepcopy and a pickle round trip give equal elements with equal
+    hashes."""
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a)
+        assert b == a and hash(b) == hash(a)
+
+
+FIELDS = ("group", "field", "shape", "terms")
+
+
+def frozen_elements():
+    rng = random.Random("frozen elements")
+    return [
+        GroupRingElement.zero(Z1, F5),
+        GroupRingElement.one(F2FREE, Q, 2),
+        rand_groupring(rng, F2FREE, F5, None, 2),
+        rand_groupring(rng, Z2, Q, 2, 1),
+    ]
+
+
+class TestFrozenElement:
+    """GroupRingElement is a slotted class that behaves as the frozen
+    dataclass it replaces."""
+
+    @pytest.mark.parametrize("a", frozen_elements())
+    def test_fields_cannot_be_set_or_deleted(self, a):
+        assert_frozen(a, FIELDS)
+
+    def test_shared_one_and_zero_are_frozen(self):
+        _, _, one, zero = _unit_sites(F2FREE, F5, 1)
+        assert _unit_sites(F2FREE, F5, 1)[2] is one  # shared by every draw
+        for a in (one.regular, zero.regular):
+            assert_frozen(a, FIELDS)
+
+    @pytest.mark.parametrize("a", frozen_elements())
+    def test_copy_deepcopy_and_pickle(self, a):
+        assert_copies_equal(a)
+
+    @pytest.mark.parametrize("a", frozen_elements())
+    def test_no_instance_dict(self, a):
+        assert not hasattr(a, "__dict__")
+
+    @pytest.mark.parametrize("a", frozen_elements())
+    def test_eq_hash_and_repr_as_a_dataclass(self, a):
+        fields = (a.group, a.field, a.shape, a.terms)
+        assert a == GroupRingElement(*fields) and hash(a) == hash(fields)
+        assert a != fields and fields != a
+        assert a != embed(a) and embed(a) != a
+        assert repr(a) == (
+            f"GroupRingElement(group={a.group!r}, field={a.field!r},"
+            f" shape={a.shape!r}, terms={a.terms!r})"
+        )
 
 
 class TestConvolve:

@@ -191,3 +191,48 @@ def test_cmp_total_order(g, h, t):
     # transitivity
     if key(g) <= key(h) and key(h) <= key(t):
         assert key(g) <= key(t)
+
+
+@st.composite
+def free_word_pairs(draw):
+    """(group, g, h) for reduced words g, h of free:1 to free:3 of length
+    at most 6; h is often made to cancel into g: g^-1, a cancelling
+    suffix of g with more letters, or the empty word."""
+    grp = GroupSpec.free(draw(st.integers(1, 3)))
+    words = st.lists(
+        st.sampled_from([c for i in range(1, grp.dim + 1) for c in (i, -i)]), max_size=6
+    ).map(reduce_word)
+    g = draw(words)
+    kind = draw(st.sampled_from(["any", "inverse", "partial", "empty"]))
+    if kind == "inverse":
+        h = grp.inverse(g)
+    elif kind == "partial":
+        cut = draw(st.integers(0, len(g)))
+        h = reduce_word(grp.inverse(g[cut:]) + draw(words))[:6]
+    elif kind == "empty":
+        h = ()
+    else:
+        h = draw(words)
+    return (grp, h, g) if draw(st.booleans()) else (grp, g, h)
+
+
+@given(free_word_pairs())
+def test_free_compose_is_the_reduced_concatenation(case):
+    grp, g, h = case
+    assert grp.compose(g, h) == reduce_word(g + h)
+
+
+@given(free_word_pairs())
+def test_free_key_is_shortlex_on_letter_ranks(case):
+    grp, g, _ = case
+
+    def letter_key(c):  # a < a^-1 < b < b^-1 < ...
+        return 2 * abs(c) - (2 if c > 0 else 1)
+
+    assert grp.key(g) == (len(g), tuple(letter_key(c) for c in g))
+
+
+def test_free_key_covers_every_letter():
+    grp = GroupSpec.free(26)
+    letters = [c for i in range(1, 27) for c in (i, -i)]
+    assert [grp.key((c,)) for c in letters] == [(1, (r,)) for r in range(52)]

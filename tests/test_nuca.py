@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, _integer_rows
 from d1ring.experiments import rand_groupring, rand_twisted
-from d1ring.groups import FiniteSubset
+from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import nuca
 from d1ring.nuca import Configuration, Nuca, basis_configuration
 from d1ring.twisted import TwistedElement
@@ -102,6 +102,17 @@ class TestApply:
             margin = group.ball(1)
             assert_apply_matches_oracle(t, x, extra_sites=margin)
 
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.label())
+    @pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+    def test_result_is_canonical(self, group, field):
+        """apply builds its result directly; it is the configuration that
+        Configuration.make builds from the same base and deviation."""
+        rng = random.Random(f"{group.label()}|{field.label()}|apply canonical")
+        for _ in range(25):
+            t = rand_nuca(rng, group, field, rng.choice([1, 2]))
+            y = t.apply(rand_config(rng, group, field, t.n))
+            assert y == Configuration.make(group, field, t.n, y.base, y.deviation)
+
     def test_linearity(self, rng):
         for _ in range(25):
             t = rand_nuca(rng, Z2, F5, 2)
@@ -143,6 +154,24 @@ class TestManyExceptionalSites:
         for _ in range(3):
             x = rand_config(rng, Z2, field, 2, radius=10, max_dev=6)
             assert_apply_matches_oracle(t, x, extra_sites=Z2.ball(10))
+
+    @pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+    def test_apply_checks_no_site(self, field, monkeypatch):
+        """apply composes its output sites from validated elements and
+        reduces each entry once, so it builds its result without
+        Configuration.make, and no GroupSpec.check runs; the result is
+        still the canonical configuration make would build."""
+        rng = random.Random(f"{field.label()}|many exceptional sites|checks")
+        t = many_exceptional_sites(rng, field)
+        x = rand_config(rng, Z2, field, 2, radius=10, max_dev=6)
+        checked = []
+        check = GroupSpec.check
+        monkeypatch.setattr(GroupSpec, "check", lambda grp, g: checked.append(g) or check(grp, g))
+        y = t.apply(x)
+        assert checked == []
+        monkeypatch.undo()
+        assert y == Configuration.make(Z2, field, 2, y.base, y.deviation)
+        assert_apply_matches_oracle(t, x, extra_sites=Z2.ball(10))
 
     def test_rule_at_is_regular_plus_singular_part(self):
         rng = random.Random("many exceptional sites|rules")

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import SuiteConfig, gen_unit, rand_groupring, rand_scalar, rand_twisted
+from d1ring.experiments import (
+    SuiteConfig,
+    _unit_sites,
+    gen_unit,
+    rand_groupring,
+    rand_scalar,
+    rand_twisted,
+)
 from d1ring.groupring import GroupRingElement, coeff_one, matrix_unshuffle
 from d1ring.groups import GroupSpec
 from d1ring import twisted
@@ -19,6 +26,7 @@ from d1ring.twisted import (
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_pair, gre
 from oracles import field_modulus, naive_twisted_mul, o_add, o_is_zero, plain_twisted
+from test_groupring import assert_copies_equal, assert_frozen
 
 
 def assert_matches_oracle(u, v):
@@ -27,6 +35,47 @@ def assert_matches_oracle(u, v):
     reg, sing = naive_twisted_mul(kind, field_modulus(u.field), plain_twisted(u), plain_twisted(v))
     assert dict(prod.regular.terms) == reg
     assert {g: dict(part.terms) for g, part in prod.singular} == sing
+
+
+def frozen_elements():
+    rng = random.Random("frozen twisted elements")
+    return [
+        TwistedElement.zero(Z1, F5),
+        TwistedElement.one(F2FREE, Q, 2),
+        rand_twisted(rng, F2FREE, F5, None, 2),
+        rand_twisted(rng, Z2, Q, 2, 1),
+    ]
+
+
+class TestFrozenElement:
+    """TwistedElement is a slotted class that behaves as the frozen
+    dataclass it replaces."""
+
+    @pytest.mark.parametrize("u", frozen_elements())
+    def test_fields_cannot_be_set_or_deleted(self, u):
+        assert_frozen(u, ("regular", "singular"))
+
+    def test_shared_one_and_zero_are_frozen(self):
+        _, _, one, zero = _unit_sites(F2FREE, F5, 1)
+        assert _unit_sites(F2FREE, F5, 1)[3] is zero  # shared by every draw
+        assert_frozen(one, ("regular", "singular"))
+        assert_frozen(zero, ("regular", "singular"))
+
+    @pytest.mark.parametrize("u", frozen_elements())
+    def test_copy_deepcopy_and_pickle(self, u):
+        assert_copies_equal(u)
+
+    @pytest.mark.parametrize("u", frozen_elements())
+    def test_no_instance_dict(self, u):
+        assert not hasattr(u, "__dict__")
+
+    @pytest.mark.parametrize("u", frozen_elements())
+    def test_eq_hash_and_repr_as_a_dataclass(self, u):
+        fields = (u.regular, u.singular)
+        assert u == TwistedElement(*fields) and hash(u) == hash(fields)
+        assert u != fields and fields != u
+        assert u != u.regular and u.regular != u
+        assert repr(u) == f"TwistedElement(regular={u.regular!r}, singular={u.singular!r})"
 
 
 class TestMul:
