@@ -64,9 +64,14 @@ def _load(path: str, kinds: tuple[str, ...]) -> Envelope:
     return env
 
 
-def _check_same_scalars(a: Envelope, b: Envelope) -> None:
+def _load_pair(args) -> tuple[Envelope, Envelope]:
+    """The twisted operands -a and -b, which must agree on group, field and
+    coefficient shape."""
+    a = _load(args.a, ("twisted",))
+    b = _load(args.b, ("twisted",))
     if (a.group, a.field, a.n) != (b.group, b.field, b.n):
         raise UsageError("inputs disagree on group, field, or coefficient shape")
+    return a, b
 
 
 def _nuca_from(env: Envelope) -> Nuca:
@@ -83,17 +88,13 @@ def _emit(args, value, omit_timing: bool = False) -> None:
 # -- subcommand handlers -------------------------------------------------------------
 
 def _cmd_mul(args) -> int:
-    a = _load(args.a, ("twisted",))
-    b = _load(args.b, ("twisted",))
-    _check_same_scalars(a, b)
+    a, b = _load_pair(args)
     _emit(args, a.payload * b.payload)
     return 0
 
 
 def _cmd_add(args) -> int:
-    a = _load(args.a, ("twisted",))
-    b = _load(args.b, ("twisted",))
-    _check_same_scalars(a, b)
+    a, b = _load_pair(args)
     _emit(args, a.payload + b.payload)
     return 0
 
@@ -128,19 +129,13 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    a_env = _load(args.a, ("twisted",))
-    b_env = _load(args.b, ("twisted",))
-    _check_same_scalars(a_env, b_env)
-    a, b = _nuca_from(a_env), _nuca_from(b_env)
+    a, b = map(_nuca_from, _load_pair(args))
     _emit(args, a.compose(b))
     return 0
 
 
 def _cmd_verify_identity(args) -> int:
-    a_env = _load(args.a, ("twisted",))
-    b_env = _load(args.b, ("twisted",))
-    _check_same_scalars(a_env, b_env)
-    ok = verify_identity(_nuca_from(a_env), _nuca_from(b_env))
+    ok = verify_identity(*map(_nuca_from, _load_pair(args)))
     print("true" if ok else "false")
     return 0 if ok else 1
 

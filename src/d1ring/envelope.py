@@ -5,13 +5,16 @@ coefficient shape, payload kind) plus a payload.  Serialization of a
 canonical-form object round-trips byte-for-byte; parsing a legal but
 non-canonical payload (stored zeros, unsorted or duplicate sites,
 unreduced words, out-of-range residues, non-canonical rationals, extra
-payload keys) repairs it and flags the envelope.
+payload keys) repairs it and flags the envelope.  Each payload kind is
+declared once, in `_KINDS`, with its encoder and, for the four kinds that
+are read back, its parser.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import FormatError
@@ -28,16 +31,6 @@ from .nuca import Configuration, InducedLocalMap, Nuca
 from .twisted import TwistedElement, TwistedMatrix
 
 FORMAT_VERSION = 1
-
-_PARSEABLE_KINDS = ("groupring", "twisted", "twisted_matrix", "configuration")
-_WRITE_ONLY_KINDS = (
-    "local_map",
-    "kernel_tower_report",
-    "verdict",
-    "inverse_search",
-    "suite_report",
-)
-
 
 # -- payload encoders ---------------------------------------------------------------
 
@@ -166,28 +159,39 @@ def suite_report_payload(r: SuiteReport, omit_timing: bool = False) -> dict:
 # sum, sort and reduce exactly what the writer would have written
 # differently.
 
+def _parse_sites(group: GroupSpec, raw, name: str, what: str, parse_value, is_zero, repaired: bool):
+    """Read the site-keyed list `raw` (payload key `name`) of [element,
+    value] pairs; `what` is the error message for a malformed pair, with
+    {!r} for the pair.  Returns (pairs, repaired): repaired stays True if it
+    came in True, and is set by a repaired element or value, a zero value,
+    or sites that are not strictly increasing under group.key."""
+    if not isinstance(raw, list):
+        raise FormatError(f"'{name}' must be a list")
+    parse_element, key = group.parse_element, group.key
+    last = None
+    pairs = []
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise FormatError(what.format(entry))
+        g, rep_g = parse_element(entry[0])
+        v, rep_v = parse_value(entry[1])
+        if not repaired:
+            k = key(g)
+            repaired = rep_g or rep_v or is_zero(v) or (last is not None and k <= last)
+            last = k
+        pairs.append((g, v))
+    return pairs, repaired
+
+
 def parse_groupring(
     group: GroupSpec, field: FieldSpec, shape: Shape, payload
 ) -> tuple[GroupRingElement, bool]:
     if not isinstance(payload, dict) or "terms" not in payload:
         raise FormatError("group ring payload needs a 'terms' list")
-    raw = payload["terms"]
-    if not isinstance(raw, list):
-        raise FormatError("'terms' must be a list")
-    parse_element, key = group.parse_element, group.key
-    repaired = len(payload) != 1
-    last = None
-    terms = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"bad term {entry!r}: expected [element, coefficient]")
-        g, rep_g = parse_element(entry[0])
-        c, rep_c = coeff_parse(field, shape, entry[1])
-        if not repaired:
-            k = key(g)
-            repaired = rep_g or rep_c or coeff_is_zero(c) or (last is not None and k <= last)
-            last = k
-        terms.append((g, c))
+    terms, repaired = _parse_sites(
+        group, payload["terms"], "terms", "bad term {!r}: expected [element, coefficient]",
+        partial(coeff_parse, field, shape), coeff_is_zero, len(payload) != 1,
+    )
     if repaired:
         return GroupRingElement.from_terms(group, field, shape, terms), True
     return GroupRingElement(group, field, shape, tuple(terms)), False
@@ -199,23 +203,11 @@ def parse_twisted(
     if not isinstance(payload, dict) or "regular" not in payload or "singular" not in payload:
         raise FormatError("twisted payload needs 'regular' and 'singular'")
     regular, repaired = parse_groupring(group, field, shape, payload["regular"])
-    raw = payload["singular"]
-    if not isinstance(raw, list):
-        raise FormatError("'singular' must be a list")
-    key = group.key
-    repaired = repaired or len(payload) != 2
-    last = None
-    sing = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"bad singular pair {entry!r}")
-        g, rep_g = group.parse_element(entry[0])
-        part, rep_p = parse_groupring(group, field, shape, entry[1])
-        if not repaired:
-            k = key(g)
-            repaired = rep_g or rep_p or not part.terms or (last is not None and k <= last)
-            last = k
-        sing.append((g, part))
+    sing, repaired = _parse_sites(
+        group, payload["singular"], "singular", "bad singular pair {!r}",
+        partial(parse_groupring, group, field, shape), GroupRingElement.is_zero,
+        repaired or len(payload) != 2,
+    )
     if repaired:
         return TwistedElement.make(regular, sing), True
     return TwistedElement(regular, tuple(sing)), False
@@ -267,29 +259,41 @@ def parse_configuration(
     if not isinstance(base_raw, list) or len(base_raw) != n:
         raise FormatError(f"'base' must be a vector of length {n}")
     base, repaired = _parse_vector(field, base_raw)
-    raw = payload["deviation"]
-    if not isinstance(raw, list):
-        raise FormatError("'deviation' must be a list")
-    key = group.key
-    repaired = repaired or len(payload) != 2
-    last = None
-    dev = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"bad deviation pair {entry!r}")
-        g, rep_g = group.parse_element(entry[0])
-        vec_raw = entry[1]
-        if not isinstance(vec_raw, list) or len(vec_raw) != n:
+
+    def parse_deviation(raw):
+        if not isinstance(raw, list) or len(raw) != n:
             raise FormatError(f"deviation vectors must have length {n}")
-        vec, rep_v = _parse_vector(field, vec_raw)
-        if not repaired:
-            k = key(g)
-            repaired = rep_g or rep_v or not any(vec) or (last is not None and k <= last)
-            last = k
-        dev.append((g, vec))
+        return _parse_vector(field, raw)
+
+    dev, repaired = _parse_sites(
+        group, payload["deviation"], "deviation", "bad deviation pair {!r}",
+        parse_deviation, lambda vec: not any(vec), repaired or len(payload) != 2,
+    )
     if repaired:
         return Configuration.make(group, field, n, base, dev), True
     return Configuration(group, field, n, base, tuple(dev)), False
+
+
+# Each payload kind: its encoder (live object -> payload object) and its
+# parser, or None for a kind that is only ever written.
+_KINDS = {
+    "groupring": (groupring_payload, parse_groupring),
+    "twisted": (twisted_payload, parse_twisted),
+    "twisted_matrix": (twisted_matrix_payload, parse_twisted_matrix),
+    "configuration": (configuration_payload, parse_configuration),
+    "local_map": (local_map_payload, None),
+    "kernel_tower_report": (tower_report_payload, None),
+    "verdict": (verdict_payload, None),
+    "inverse_search": (lambda value: inverse_search_payload(*value), None),
+    "suite_report": (suite_report_payload, None),
+}
+
+
+def _kind(kind) -> tuple:
+    entry = _KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise FormatError(f"unknown payload kind {kind!r}")
+    return entry
 
 
 # -- envelopes -----------------------------------------------------------------------------
@@ -304,27 +308,10 @@ class Envelope:
     canonicalized: bool = False  # True when parsing repaired the payload
 
     def payload_obj(self, omit_timing: bool = False):
-        kind, value = self.kind, self.payload
-        if kind == "groupring":
-            return groupring_payload(value)
-        if kind == "twisted":
-            return twisted_payload(value)
-        if kind == "twisted_matrix":
-            return twisted_matrix_payload(value)
-        if kind == "configuration":
-            return configuration_payload(value)
-        if kind == "local_map":
-            return local_map_payload(value)
-        if kind == "kernel_tower_report":
-            return tower_report_payload(value)
-        if kind == "verdict":
-            return verdict_payload(value)
-        if kind == "inverse_search":
-            side, hit = value
-            return inverse_search_payload(side, hit)
-        if kind == "suite_report":
-            return suite_report_payload(value, omit_timing=omit_timing)
-        raise FormatError(f"unknown payload kind {self.kind!r}")
+        encode = _kind(self.kind)[0]
+        if self.kind == "suite_report":
+            return encode(self.payload, omit_timing=omit_timing)
+        return encode(self.payload)
 
 
 def serialize_envelope(env: Envelope, omit_timing: bool = False) -> str:
@@ -410,7 +397,7 @@ def parse_envelope(text: str) -> Envelope:
     if not isinstance(header, dict):
         raise FormatError("'header' must be an object")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(
             f"format_version mismatch: expected {FORMAT_VERSION}, got {version!r}"
         )
@@ -423,22 +410,12 @@ def parse_envelope(text: str) -> Envelope:
     if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
         raise FormatError(f"header 'n' must be null or a positive integer, got {n!r}")
     kind = header["kind"]
-    if kind in _WRITE_ONLY_KINDS:
+    parse = _kind(kind)[1]
+    if parse is None:
         raise FormatError(f"payload kind {kind!r} is write-only")
-    if kind not in _PARSEABLE_KINDS:
-        raise FormatError(f"unknown payload kind {kind!r}")
-
-    payload = doc["payload"]
-    if kind == "groupring":
-        value, repaired = parse_groupring(group, field, n, payload)
-    elif kind == "twisted":
-        value, repaired = parse_twisted(group, field, n, payload)
-    elif kind == "twisted_matrix":
-        value, repaired = parse_twisted_matrix(group, field, n, payload)
-    else:
-        if n is None:
-            raise FormatError("configurations need an integer 'n' in the header")
-        value, repaired = parse_configuration(group, field, n, payload)
+    if n is None and kind == "configuration":
+        raise FormatError("configurations need an integer 'n' in the header")
+    value, repaired = parse(group, field, n, doc["payload"])
     return Envelope(group, field, n, kind, value, repaired)
 
 

@@ -34,7 +34,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import FormatError, UsageError
 
 
+# the 12 prime bases 2 .. 37 make Miller-Rabin exact below 3.18e23; the
+# moduli are kept below 2^64, well inside that
+_P_LIMIT = 2**64
+
+
 def _is_prime(n: int) -> bool:
+    """Exact for n < _P_LIMIT; FieldSpec refuses any larger modulus."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -71,6 +77,8 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind == "Fp":
+            if self.p is not None and self.p >= _P_LIMIT:
+                raise UsageError(f"p must be a prime below 2^64 (got {self.p})")
             if self.p is None or not _is_prime(self.p):
                 raise UsageError(f"p must be prime (got {self.p})")
         elif self.kind == "Q":
@@ -133,16 +141,20 @@ class FieldSpec:
 
     @staticmethod
     def from_label(label: str) -> "FieldSpec":
+        """The field of a label in its canonical form: "Q", or "Fp:" then p
+        in ASCII digits with no sign, space, underscore or leading zero."""
         if label == "Q":
             return FieldSpec.rationals()
-        if label.startswith("Fp:"):
+        if isinstance(label, str) and label.startswith("Fp:"):
             try:
                 p = int(label[3:])
             except ValueError:
                 raise FormatError(f"bad field label {label!r}") from None
-            if not _is_prime(p):
-                raise FormatError(f"p must be prime (got {p})")
-            return FieldSpec.fp(p)
+            if str(p) == label[3:]:
+                try:
+                    return FieldSpec.fp(p)
+                except UsageError as exc:
+                    raise FormatError(str(exc)) from None
         raise FormatError(f"bad field label {label!r}")
 
     def encode_scalar(self, x):

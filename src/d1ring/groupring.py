@@ -422,6 +422,7 @@ class GroupRingElement(_Frozen):
     def translate(self, g: Element) -> "GroupRingElement":
         """Left multiplication by the basis element g (coefficient 1)."""
         grp = self.group
+        grp.check(g)
         return GroupRingElement.from_terms(
             grp, self.field, self.shape, ((grp.compose(g, h), c) for h, c in self.terms)
         )

@@ -183,9 +183,17 @@ class GroupSpec:
 
     @staticmethod
     def from_label(label: str) -> "GroupSpec":
+        """The group of a label in its canonical form: "Zd:" or "free:" then
+        the dimension in ASCII digits with no sign, space, underscore or
+        leading zero."""
+        if not isinstance(label, str):
+            raise FormatError(f"bad group label {label!r}: expected a string")
         try:
             kind, dim = label.split(":")
-            return GroupSpec(kind, int(dim))
+            d = int(dim)
+            if str(d) != dim:
+                raise ValueError(f"{dim!r} is not a canonical integer")
+            return GroupSpec(kind, d)
         except (ValueError, UsageError) as exc:
             raise FormatError(f"bad group label {label!r}: {exc}") from None
 

@@ -95,6 +95,7 @@ class Configuration:
     def translate(self, g: Element) -> "Configuration":
         """The standard shift: (g x)(h) = x(g^-1 h)."""
         grp = self.group
+        grp.check(g)
         return Configuration.make(
             grp,
             self.field,

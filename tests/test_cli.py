@@ -79,6 +79,48 @@ class TestExitCodes:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("group", True), ("field", None), ("group", ["Zd", 1]), ("kind", ["twisted"]),
+            ("format_version", True), ("format_version", 1.0), ("format_version", "1"),
+            ("group", "Zd:0_1"), ("group", "Zd:01"), ("group", "Zd:\u0661"),
+            ("field", "Fp: 3"), ("field", "Fp:03"), ("field", "Fp:\u0663"),
+            ("field", "Fp:318665857834031151167461"),
+        ],
+    )
+    def test_malformed_header_field_is_format_error(self, tmp_path, key, value):
+        # "group": true and "field": null were once tracebacks; a version of
+        # true or 1.0 and the non-canonical labels were read without a warning
+        doc = json.loads((golden_cases.INPUTS / "u_f3.json").read_text())
+        doc["header"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["fmt", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option, label",
+        [
+            ("--group", "Zd:1_0"), ("--group", "Zd:01"), ("--group", "Zd:\u0661"),
+            ("--field", "Fp: 3"), ("--field", "Fp:03"), ("--field", "Fp:\u0663"),
+            ("--field", "Fp:318665857834031151167461"),
+        ],
+    )
+    def test_non_canonical_label_option_is_usage_error(self, option, label):
+        labels = {"--group": "Zd:1", "--field": "Fp:3", option: label}
+        code, out, err = run_cli(
+            ["experiment", "direct-finiteness", *(x for kv in labels.items() for x in kv),
+             "--trials", "1", "-o", "-"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and (
+            "bad group label" in err or "bad field label" in err or "below 2^64" in err
+        )
+
     def test_boolean_matrix_size_is_format_error(self, tmp_path):
         # a bool is an int in Python; "size": true once parsed as size 1
         m = TwistedMatrix.identity(1, GroupSpec.zd(1), FieldSpec.fp(3))

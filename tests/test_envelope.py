@@ -8,7 +8,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d1ring.envelope import Envelope, _write_json, envelope_for, parse_envelope, serialize_envelope
+from d1ring.envelope import (
+    _KINDS,
+    Envelope,
+    _write_json,
+    envelope_for,
+    parse_envelope,
+    serialize_envelope,
+)
 from d1ring.errors import FormatError, UsageError
 from d1ring.experiments import rand_groupring, rand_scalar, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_encode, coeff_parse, coeff_zero
@@ -83,6 +90,41 @@ class TestRoundTrip:
         assert env.payload == m
 
 
+# the three site-keyed lists: group ring terms, singular pairs, deviation pairs
+SITE_LISTS = ("terms", "singular", "deviation")
+CANONICAL_SITES = [(0, 1), (2, 2)]
+
+
+def site_list_doc(name, pairs):
+    """An envelope over Z^1 and F_3 whose `name` list holds, in the order
+    given, one pair per (site, scalar): for terms the coefficient, for
+    singular pairs the part scalar*[0], for deviation pairs the vector
+    [scalar]; scalar 0 stores the zero value."""
+    value = {
+        "terms": lambda c: c,
+        "singular": lambda c: {"terms": [[[0], c]] if c else []},
+        "deviation": lambda c: [c],
+    }[name]
+    sites = [[[site], value(c)] for site, c in pairs]
+    kind, n, payload = {
+        "terms": ("groupring", None, {"terms": sites}),
+        "singular": ("twisted", None, {"regular": {"terms": []}, "singular": sites}),
+        "deviation": ("configuration", 1, {"base": [0], "deviation": sites}),
+    }[name]
+    header = {"format_version": 1, "group": "Zd:1", "field": "Fp:3", "n": n, "kind": kind}
+    return {"header": header, "payload": payload}
+
+
+def assert_repaired_to(doc, name, pairs):
+    """doc parses flagged, to the value whose canonical list is `pairs`."""
+    env = parse_envelope(json.dumps(doc))
+    assert env.canonicalized
+    canonical = parse_envelope(json.dumps(site_list_doc(name, pairs)))
+    assert not canonical.canonicalized
+    assert env.payload == canonical.payload
+    assert serialize_envelope(env) == serialize_envelope(canonical)
+
+
 class TestCanonicalization:
     def test_stored_zero_coefficient_flagged(self):
         u, _ = f3_pair()
@@ -91,6 +133,10 @@ class TestCanonicalization:
         env = parse_envelope(json.dumps(doc))
         assert env.canonicalized
         assert env.payload == u
+        # a zero coefficient, singular part or deviation vector, anywhere in its list
+        for name in SITE_LISTS:
+            for pairs in ([(-1, 0), (0, 1), (2, 2)], [(0, 1), (1, 0), (2, 2)], [(0, 1), (2, 2), (3, 0)]):
+                assert_repaired_to(site_list_doc(name, pairs), name, CANONICAL_SITES)
 
     def test_unsorted_terms_flagged(self):
         doc = {
@@ -100,6 +146,41 @@ class TestCanonicalization:
         env = parse_envelope(json.dumps(doc))
         assert env.canonicalized
         assert env.payload.terms == (((0,), 2), ((2,), 1))
+        for name in SITE_LISTS:
+            unsorted = site_list_doc(name, CANONICAL_SITES[::-1])
+            assert_repaired_to(unsorted, name, CANONICAL_SITES)
+
+    def test_duplicate_site_flagged(self):
+        # the values at a repeated site are summed: 1 + 1 = 2, and 1 + 2 = 0
+        # drops the site
+        for name in SITE_LISTS:
+            assert_repaired_to(site_list_doc(name, [(0, 1), (0, 1), (2, 2)]), name, [(0, 2), (2, 2)])
+            assert_repaired_to(site_list_doc(name, [(0, 1), (2, 2), (2, 1)]), name, [(0, 1)])
+
+    def test_extra_payload_key_flagged(self):
+        for name in SITE_LISTS:
+            doc = site_list_doc(name, CANONICAL_SITES)
+            doc["payload"]["note"] = 0
+            assert_repaired_to(doc, name, CANONICAL_SITES)
+        # an extra key in a singular part
+        doc = site_list_doc("singular", CANONICAL_SITES)
+        doc["payload"]["singular"][1][1]["note"] = 0
+        assert_repaired_to(doc, "singular", CANONICAL_SITES)
+
+    @pytest.mark.parametrize("name", SITE_LISTS)
+    def test_malformed_site_list_refused(self, name):
+        doc = site_list_doc(name, CANONICAL_SITES)
+        entry = {"terms": "bad term", "singular": "bad singular pair", "deviation": "bad deviation pair"}[name]
+        for bad, message in [
+            ({"sites": []}, f"'{name}' must be a list"),
+            ([[[0]]], f"{entry} [[0]]"),
+            ([[[0], 1, 2]], f"{entry} [[0], 1, 2]"),
+            ([7], f"{entry} 7"),
+        ]:
+            doc["payload"][name] = bad
+            with pytest.raises(FormatError) as info:
+                parse_envelope(json.dumps(doc))
+            assert str(info.value).startswith(message)
 
     def test_unreduced_word_flagged(self):
         doc = {
@@ -387,6 +468,38 @@ class TestDiagnostics:
         }
         with pytest.raises(FormatError, match="write-only"):
             parse_envelope(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_every_kind_round_trips_or_is_write_only(kind, rng):
+    if _KINDS[kind][1] is None:
+        # the golden outputs hold an envelope of every write-only kind
+        texts = [p.read_text() for p in sorted((GOLDEN / "expected").glob("*.json"))]
+        texts = [t for t in texts if json.loads(t)["header"]["kind"] == kind]
+        assert texts
+        for text in texts:
+            with pytest.raises(FormatError, match=f"payload kind '{kind}' is write-only"):
+                parse_envelope(text)
+        return
+    for group in (Z1, Z2, F2FREE):
+        for field in (F3, Q):
+            value = canonical_value(rng, kind, group, field, 2)
+            text = serialize_envelope(envelope_for(value))
+            env = parse_envelope(text)
+            assert env.kind == kind and not env.canonicalized
+            assert env.payload == value
+            assert serialize_envelope(env) == text
+
+
+@pytest.mark.parametrize("kind", ["nuca", "", "Twisted", "twisted ", None, 3, ["twisted"], {"twisted": 1}])
+def test_unknown_kind_refused(kind):
+    doc = json.loads(serialize_envelope(envelope_for(f3_pair()[0])))
+    doc["header"]["kind"] = kind
+    with pytest.raises(FormatError, match="unknown payload kind"):
+        parse_envelope(json.dumps(doc))
+    env = Envelope(Z1, F3, None, kind, f3_pair()[0])
+    with pytest.raises(FormatError, match="unknown payload kind"):
+        serialize_envelope(env)
 
 
 class TestHeaderShapes:

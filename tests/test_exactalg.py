@@ -35,6 +35,35 @@ class TestFieldSpec:
         assert Q.label() == "Q"
         assert FieldSpec.from_label("Fp:7") == FieldSpec.fp(7)
 
+    def test_modulus_at_or_above_2_64_refused(self):
+        # 399165290221 * 798330580441, the least composite that Miller-Rabin
+        # with the prime bases 2 .. 37 takes for a prime
+        pseudoprime = 318665857834031151167461
+        assert pseudoprime == 399165290221 * 798330580441
+        with pytest.raises(UsageError, match="below 2\\^64"):
+            FieldSpec.fp(pseudoprime)
+        with pytest.raises(FormatError, match="below 2\\^64"):
+            FieldSpec.from_label(f"Fp:{pseudoprime}")
+        # 2^64 + 13 is the least prime above 2^64: refused all the same
+        with pytest.raises(FormatError, match="below 2\\^64"):
+            FieldSpec.from_label(f"Fp:{2**64 + 13}")
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**31 + 11, 2**64 - 59])
+    def test_large_prime_moduli_accepted(self, p):
+        # 2^64 - 59 is the largest prime below 2^64
+        field = FieldSpec.from_label(f"Fp:{p}")
+        assert field == FieldSpec.fp(p)
+        a = 399165290221
+        assert field.inv(a) * a % p == 1
+
+    @pytest.mark.parametrize(
+        "label",
+        ["Fp: 5", "Fp:05", "Fp:+5", "Fp:5 ", "Fp:1_1", "Fp:\u0665", "fp:5", "q", True, None, 5],
+    )
+    def test_non_canonical_labels_refused(self, label):
+        with pytest.raises(FormatError, match="bad field label"):
+            FieldSpec.from_label(label)
+
     def test_inverse(self):
         assert F5.inv(3) * 3 % 5 == 1
         assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)

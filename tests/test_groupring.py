@@ -151,6 +151,21 @@ class TestAddScale:
         assert (a + (-a)).is_zero()
 
 
+class TestTranslate:
+    def test_translate_moves_every_site(self):
+        a = gre(Z2, F5, None, [((0, 0), 1), ((1, -1), 3)])
+        assert a.translate((1, 2)) == gre(Z2, F5, None, [((1, 2), 1), ((2, 1), 3)])
+
+    @pytest.mark.parametrize("g", [(1, 2, 3), (1,), "junk", (True, 0)])
+    def test_bad_group_element_refused(self, g):
+        # compose zips the tuples, so (1, 2, 3) once dropped its last coordinate
+        a = gre(Z2, F5, None, [((0, 0), 1)])
+        with pytest.raises(UsageError):
+            a.translate(g)
+        with pytest.raises(UsageError):
+            GroupRingElement.zero(Z2, F5).translate(g)
+
+
 class TestMatrixShuffle:
     def test_n1_reindexing(self):
         a = gre(Z1, F5, 1, [((2,), ((3,),))])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from d1ring.errors import UsageError
+from d1ring.errors import FormatError, UsageError
 from d1ring.groups import MAX_BALL_SIZE, FiniteSubset, GroupSpec, reduce_word
 
 from conftest import F2FREE, Z1, Z2
@@ -142,6 +142,20 @@ class TestSerialization:
         g, repaired = F2FREE.parse_element("aAb")
         assert g == w(2)
         assert repaired
+
+    @pytest.mark.parametrize("label", ["Zd:1", "Zd:12", "free:2", "free:26"])
+    def test_label_round_trip(self, label):
+        assert GroupSpec.from_label(label).label() == label
+
+    @pytest.mark.parametrize(
+        "label",
+        ["Zd:1_0", "Zd:01", "Zd:+1", "Zd: 1", "Zd:1\n", "Zd:\u0661", "free:\uff12", "zd:1",
+         "Zd:0", "Zd:-1", "free:27", "Zd", "Zd:1:2", True, None, ["Zd", 1]],
+    )
+    def test_non_canonical_labels_refused(self, label):
+        # once "Zd:1_0" read as Zd:10 and "Zd:\u0661" (an Arabic-Indic one) as Zd:1
+        with pytest.raises(FormatError, match="bad group label"):
+            GroupSpec.from_label(label)
 
 
 # -- property tests ------------------------------------------------------------

@@ -436,6 +436,20 @@ class TestShift:
             assert t.shift(g).apply(x.translate(g)) == t.apply(x).translate(g)
 
 
+class TestTranslate:
+    @pytest.mark.parametrize("g", ["junk", (1, 2), (True,)])
+    @pytest.mark.parametrize("deviation", [[], [((0,), [1])]], ids=["no-deviation", "deviation"])
+    def test_bad_group_element_refused(self, g, deviation):
+        # with no deviation there is nothing to compose, so only the check sees g
+        x = Configuration.make(Z1, F3, 1, [2], deviation)
+        with pytest.raises(UsageError):
+            x.translate(g)
+
+    def test_translate_moves_the_deviation(self):
+        x = Configuration.make(Z1, F3, 1, [2], [((0,), [1])])
+        assert x.translate((3,)) == Configuration.make(Z1, F3, 1, [2], [((3,), [1])])
+
+
 class TestLocality:
     def test_output_window_reads_only_translated_window(self, rng):
         for _ in range(15):
