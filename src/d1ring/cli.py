@@ -12,16 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from dataclasses import fields
+from typing import Callable, NamedTuple, Optional
 
 from .envelope import Envelope, envelope_for, parse_envelope, serialize_envelope
 from .errors import FormatError, UsageError
 from .exactalg import FieldSpec
-from .experiments import (
-    SuiteConfig,
-    run_direct_finiteness,
-    run_surjunctivity_pipeline,
-)
+from .experiments import SuiteConfig, run_direct_finiteness, run_surjunctivity_pipeline
 from .groups import FiniteSubset, GroupSpec
 from .invert import (
     SearchBudget,
@@ -44,20 +41,11 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
-
-
-def _load(path: str, kinds: tuple[str, ...]) -> Envelope:
+def _load(path: str, kinds: Optional[tuple[str, ...]] = None) -> Envelope:
+    """The envelope at path, whose payload must be one of kinds (any kind
+    if None); a payload that had to be canonicalized is warned about."""
     env = parse_envelope(_read(path))
-    if env.kind not in kinds:
+    if kinds is not None and env.kind not in kinds:
         raise UsageError(f"{path}: expected a {' or '.join(kinds)} payload, got {env.kind}")
     if env.canonicalized:
         print(f"warning: {path}: payload was not canonical; canonicalized", file=sys.stderr)
@@ -80,9 +68,26 @@ def _nuca_from(env: Envelope) -> Nuca:
     return Nuca(env.payload)
 
 
+def _load_nuca(path: str) -> Nuca:
+    return _nuca_from(_load(path, ("twisted",)))
+
+
 def _emit(args, value, omit_timing: bool = False) -> None:
     env = value if isinstance(value, Envelope) else envelope_for(value)
-    _write(getattr(args, "output", "-") or "-", serialize_envelope(env, omit_timing=omit_timing))
+    text = serialize_envelope(env, omit_timing=omit_timing)
+    # an empty path means stdout, as "-" does
+    if args.output in ("-", ""):
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from None
+
+
+def _budget(args) -> SearchBudget:
+    return SearchBudget(max_radius=args.max_radius, depth=args.depth, window=args.window)
 
 
 # -- subcommand handlers -------------------------------------------------------------
@@ -120,7 +125,7 @@ def _cmd_f_shuffle(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    t = _nuca_from(_load(args.nuca, ("twisted",)))
+    t = _load_nuca(args.nuca)
     x_env = _load(args.config, ("configuration",))
     if (x_env.group, x_env.field, x_env.n) != (t.group, t.field, t.n):
         raise UsageError("configuration disagrees with the map on group/field/n")
@@ -141,8 +146,7 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_local_map(args) -> int:
-    t_env = _load(args.nuca, ("twisted",))
-    t = _nuca_from(t_env)
+    t = _load_nuca(args.nuca)
     try:
         raw = json.loads(args.sites)
     except json.JSONDecodeError as exc:
@@ -156,66 +160,109 @@ def _cmd_local_map(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    t = _nuca_from(_load(args.nuca, ("twisted",)))
+    t = _load_nuca(args.nuca)
     hit = search_one_sided_inverse(t, args.side, args.max_radius)
-    env = Envelope(t.group, t.field, t.n, "inverse_search", (args.side, hit))
-    _emit(args, env)
+    _emit(args, Envelope(t.group, t.field, t.n, "inverse_search", (args.side, hit)))
     return 0 if hit is not None else 1
 
 
 def _cmd_kernel_tower(args) -> int:
-    t = _nuca_from(_load(args.nuca, ("twisted",)))
+    t = _load_nuca(args.nuca)
     report = kernel_tower(t, args.depth, args.window)
     _emit(args, Envelope(t.group, t.field, t.n, "kernel_tower_report", report))
     return 0
 
 
 def _cmd_verdict(args) -> int:
-    t = _nuca_from(_load(args.nuca, ("twisted",)))
-    budget = SearchBudget(max_radius=args.max_radius, depth=args.depth, window=args.window)
-    verdict = stable_injectivity_verdict(t, budget)
+    t = _load_nuca(args.nuca)
+    verdict = stable_injectivity_verdict(t, _budget(args))
     _emit(args, Envelope(t.group, t.field, t.n, "verdict", verdict))
     return 0
 
 
-def _suite_config(args) -> SuiteConfig:
-    return SuiteConfig(
-        seed=args.seed,
-        trials=args.trials,
-        group=GroupSpec.from_label(args.group),
-        field=FieldSpec.from_label(args.field),
-        n=args.n,
-        support_radius=args.support_radius,
-        budget=SearchBudget(max_radius=args.max_radius, depth=args.depth, window=args.window),
-        max_factors=args.max_factors,
-        rediscover_inverse=getattr(args, "rediscover", False),
-        decoy_every=getattr(args, "decoy_every", 0),
-    )
-
-
 def _cmd_experiment(args) -> int:
-    config = _suite_config(args)
-    if args.suite == "direct-finiteness":
-        report = run_direct_finiteness(config)
-    else:
-        report = run_surjunctivity_pipeline(config)
-    env = Envelope(config.group, config.field, None, "suite_report", report)
-    _emit(args, env, omit_timing=args.omit_timing)
+    config = SuiteConfig(
+        seed=args.seed, trials=args.trials,
+        group=GroupSpec.from_label(args.group), field=FieldSpec.from_label(args.field), n=args.n,
+        support_radius=args.support_radius, budget=_budget(args), max_factors=args.max_factors,
+        rediscover_inverse=args.rediscover, decoy_every=args.decoy_every,
+    )
+    run = run_direct_finiteness if args.suite == "direct-finiteness" else run_surjunctivity_pipeline
+    report = run(config)
+    _emit(args, Envelope(config.group, config.field, None, "suite_report", report), omit_timing=args.omit_timing)
     return 0 if report.ok else 1
 
 
 def _cmd_fmt(args) -> int:
-    env = parse_envelope(_read(args.input))
-    if env.canonicalized:
-        print(f"warning: {args.input}: payload was not canonical; canonicalized", file=sys.stderr)
-    _write(getattr(args, "output", "-") or "-", serialize_envelope(env))
+    _emit(args, _load(args.input))
     return 0
 
 
 # -- parser ---------------------------------------------------------------------------
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default="-", help="output path (default: stdout)")
+def _arg(*flags: str, **options) -> tuple:
+    """One argument: what add_argument takes."""
+    return flags, options
+
+
+# the budget and suite options default to the library's own defaults, decided there only
+_BUDGET = SearchBudget()
+_SUITE = {f.name: f.default for f in fields(SuiteConfig)}
+
+_OPERANDS = (_arg("-a", required=True), _arg("-b", required=True))
+_NUCA = _arg("nuca")
+_NUCA_OPTION = _arg("-t", "--nuca", required=True)
+_MAX_RADIUS = _arg("--max-radius", type=int, default=_BUDGET.max_radius)
+_TOWER = (_arg("--depth", type=int, default=_BUDGET.depth), _arg("--window", type=int, default=_BUDGET.window))
+_OUTPUT = _arg("-o", "--output", default="-", help="output path (default: stdout)")
+
+
+class _Command(NamedTuple):
+    name: str
+    fn: Callable
+    help: str
+    args: tuple
+    writes: bool = True  # takes -o/--output
+
+
+_COMMANDS = (
+    _Command("mul", _cmd_mul, "twisted ring product of two elements", _OPERANDS),
+    _Command("add", _cmd_add, "twisted ring sum of two elements", _OPERANDS),
+    _Command("embed", _cmd_embed, "embed a group ring element as (a, 0)", _OPERANDS[:1]),
+    _Command("f-shuffle", _cmd_f_shuffle, "matrix-coefficient element <-> matrix of scalar elements",
+             (_OPERANDS[0], _arg("--inverse", action="store_true", help="go from matrix to element"))),
+    _Command("apply", _cmd_apply, "apply a map to a configuration",
+             (_NUCA_OPTION, _arg("-x", "--config", required=True))),
+    _Command("compose", _cmd_compose, "compose two maps (ring product)", _OPERANDS),
+    _Command("verify-identity", _cmd_verify_identity, "is a after b the identity map?",
+             (_arg("a"), _arg("b")), writes=False),
+    _Command("local-map", _cmd_local_map, "matrix of the action on a finite window",
+             (_NUCA_OPTION, _arg("--sites", required=True, help="JSON array of group elements"))),
+    _Command("invert", _cmd_invert, "one-sided inverse by factorisation t = a S, within --max-radius",
+             (_NUCA, _arg("--side", choices=["left", "right"], default="left"), _MAX_RADIUS)),
+    _Command("kernel-tower", _cmd_kernel_tower, "kernel dimensions over the box exhaustion (Z^d)",
+             (_NUCA, *_TOWER)),
+    _Command("verdict", _cmd_verdict, "certificate / witness / bounded-evidence verdict",
+             (_NUCA, _MAX_RADIUS, *_TOWER)),
+    _Command("experiment", _cmd_experiment, "seeded randomized suites", (
+        _arg("suite", choices=["direct-finiteness", "pipeline"]),
+        _arg("--group", required=True, help="Zd:<d> or free:<rank>"),
+        _arg("--field", required=True, help="Fp:<p> or Q"),
+        _arg("--n", type=int, default=1),
+        _arg("--seed", type=int, default=0),
+        _arg("--trials", type=int, default=10),
+        _arg("--support-radius", type=int, default=_SUITE["support_radius"]),
+        _MAX_RADIUS,
+        *_TOWER,
+        _arg("--max-factors", type=int, default=_SUITE["max_factors"]),
+        _arg("--rediscover", action="store_true",
+             help="direct-finiteness: rediscover the inverse with the exact solver"),
+        _arg("--decoy-every", type=int, default=_SUITE["decoy_every"],
+             help="pipeline: every k-th trial runs the non-injective control"),
+        _arg("--omit-timing", action="store_true", help="drop wall-clock fields (for reproducible output)"),
+    )),
+    _Command("fmt", _cmd_fmt, "parse and re-serialize an envelope canonically", (_arg("input"),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,101 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for twisted group rings and noisy linear cellular automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mul", help="twisted ring product of two elements")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_mul)
-
-    p = sub.add_parser("add", help="twisted ring sum of two elements")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_add)
-
-    p = sub.add_parser("embed", help="embed a group ring element as (a, 0)")
-    p.add_argument("-a", required=True)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_embed)
-
-    p = sub.add_parser("f-shuffle", help="matrix-coefficient element <-> matrix of scalar elements")
-    p.add_argument("-a", required=True)
-    p.add_argument("--inverse", action="store_true", help="go from matrix to element")
-    _add_output(p)
-    p.set_defaults(fn=_cmd_f_shuffle)
-
-    p = sub.add_parser("apply", help="apply a map to a configuration")
-    p.add_argument("-t", "--nuca", required=True)
-    p.add_argument("-x", "--config", required=True)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_apply)
-
-    p = sub.add_parser("compose", help="compose two maps (ring product)")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_compose)
-
-    p = sub.add_parser("verify-identity", help="is a after b the identity map?")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_verify_identity)
-
-    p = sub.add_parser("local-map", help="matrix of the action on a finite window")
-    p.add_argument("-t", "--nuca", required=True)
-    p.add_argument("--sites", required=True, help="JSON array of group elements")
-    _add_output(p)
-    p.set_defaults(fn=_cmd_local_map)
-
-    p = sub.add_parser("invert", help="one-sided inverse by factorisation t = a S, within --max-radius")
-    p.add_argument("nuca")
-    p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--max-radius", type=int, default=3)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_invert)
-
-    p = sub.add_parser("kernel-tower", help="kernel dimensions over the box exhaustion (Z^d)")
-    p.add_argument("nuca")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--window", type=int, default=2)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_kernel_tower)
-
-    p = sub.add_parser("verdict", help="certificate / witness / bounded-evidence verdict")
-    p.add_argument("nuca")
-    p.add_argument("--max-radius", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--window", type=int, default=2)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_verdict)
-
-    p = sub.add_parser("experiment", help="seeded randomized suites")
-    p.add_argument("suite", choices=["direct-finiteness", "pipeline"])
-    p.add_argument("--group", required=True, help="Zd:<d> or free:<rank>")
-    p.add_argument("--field", required=True, help="Fp:<p> or Q")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--support-radius", type=int, default=1)
-    p.add_argument("--max-radius", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--max-factors", type=int, default=2)
-    p.add_argument("--rediscover", action="store_true",
-                   help="direct-finiteness: rediscover the inverse with the exact solver")
-    p.add_argument("--decoy-every", type=int, default=0,
-                   help="pipeline: every k-th trial runs the non-injective control")
-    p.add_argument("--omit-timing", action="store_true",
-                   help="drop wall-clock fields (for reproducible output)")
-    _add_output(p)
-    p.set_defaults(fn=_cmd_experiment)
-
-    p = sub.add_parser("fmt", help="parse and re-serialize an envelope canonically")
-    p.add_argument("input")
-    _add_output(p)
-    p.set_defaults(fn=_cmd_fmt)
-
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, options in cmd.args + ((_OUTPUT,) if cmd.writes else ()):
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=cmd.fn)
     return parser
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, _check_int
 
 
 # the 12 prime bases 2 .. 37 make Miller-Rabin exact below 3.18e23; the
@@ -77,8 +77,10 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind == "Fp":
-            if self.p is not None and self.p >= _P_LIMIT:
-                raise UsageError(f"p must be a prime below 2^64 (got {self.p})")
+            if self.p is not None:
+                _check_int("p", self.p)
+                if self.p >= _P_LIMIT:
+                    raise UsageError(f"p must be a prime below 2^64 (got {self.p})")
             if self.p is None or not _is_prime(self.p):
                 raise UsageError(f"p must be prime (got {self.p})")
         elif self.kind == "Q":
@@ -503,7 +505,10 @@ def kernel_basis(a: Matrix) -> Subspace:
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
-    """Some x with Ax = b (free variables zero), or None if infeasible."""
+    """Some x with Ax = b (free variables zero), or None if infeasible,
+    read off one RREF of [A | b] as inverse is: None if a pivot falls in
+    the b column, and else x at each pivot column c is row c's b entry
+    divided by its leading entry."""
     field, p = a.field, a.field.p
     if len(b) != a.rows:
         raise UsageError("right-hand side length mismatch")
@@ -512,25 +517,14 @@ def solve(a: Matrix, b: Sequence) -> Optional[tuple]:
     for row, y in zip(a.data, b):
         y = field.coerce(y)
         augmented.append({**row, rhs: y} if y else row)
-    basis = _echelon(p, _integer_rows(field, augmented))
+    basis = _reduced_echelon(p, _integer_rows(field, augmented))
     if rhs in basis:
         return None
-    # back-substitute; over Q each value is found over the common
-    # denominator of the nonzero values it depends on, in integers
     x = [field.zero] * a.cols
-    for c in sorted(basis, reverse=True):
-        row = basis[c]
-        y = row.get(rhs, 0)
-        if p:
-            for j, w in row.items():
-                if j != c and j != rhs:
-                    y -= w * x[j]
-            x[c] = y % p
-        else:
-            terms = [(w, x[j]) for j, w in row.items() if j != c and j != rhs and x[j]]
-            den = lcm(*(xj.denominator for _, xj in terms))
-            num = y * den - sum(w * xj.numerator * (den // xj.denominator) for w, xj in terms)
-            x[c] = Fraction(num, row[c] * den)
+    for c, row in basis.items():
+        y = row.get(rhs)
+        if y:
+            x[c] = y if p else Fraction(y, row[c])
     return tuple(x)
 
 

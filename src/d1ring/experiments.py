@@ -34,13 +34,12 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import UsageError
+from .errors import UsageError, _check_int
 from .exactalg import FieldSpec
 from .groupring import GroupRingElement, _add_into, _canonical_terms, coeff_one
 from .groups import Element, GroupSpec
 from .invert import (
     SearchBudget,
-    _check_int,
     check_search_radius,
     check_tower_depth,
     search_left_inverse,

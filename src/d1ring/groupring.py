@@ -22,7 +22,7 @@ from itertools import chain
 from operator import add, attrgetter, mul
 from typing import Iterable, Optional
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, _check_int
 from .exactalg import FieldSpec
 from .groups import Element, FiniteSubset, GroupSpec
 
@@ -105,6 +105,14 @@ def coeff_parse(field: FieldSpec, shape: Shape, value) -> tuple:
 
 def shape_label(shape: Shape) -> str:
     return "scalar" if shape is None else f"{shape}x{shape} matrix"
+
+
+def _check_shape(shape: Shape) -> None:
+    """Refuse a coefficient shape that is neither None nor an int n >= 1."""
+    if shape is not None:
+        _check_int("coefficient shape n", shape)
+        if shape < 1:
+            raise UsageError(f"coefficient shape n must be >= 1, got {shape}")
 
 
 def coerce_coeff(field: FieldSpec, shape: Shape, c):
@@ -318,6 +326,7 @@ class GroupRingElement(_Frozen):
         terms: Iterable[tuple[Element, object]],
     ) -> "GroupRingElement":
         """Canonicalize: sum duplicate sites, drop zeros, sort."""
+        _check_shape(shape)
         check = group.check
         coerced = []
         for g, c in terms:
@@ -329,17 +338,20 @@ class GroupRingElement(_Frozen):
 
     @staticmethod
     def zero(group: GroupSpec, field: FieldSpec, shape: Shape = None) -> "GroupRingElement":
+        _check_shape(shape)
         return GroupRingElement(group, field, shape, ())
 
     @staticmethod
     def one(group: GroupSpec, field: FieldSpec, shape: Shape = None) -> "GroupRingElement":
         # the identity and coeff_one are canonical, so monomial's checks add nothing
+        _check_shape(shape)
         return GroupRingElement(group, field, shape, ((group.identity, coeff_one(field, shape)),))
 
     @staticmethod
     def monomial(
         group: GroupSpec, field: FieldSpec, shape: Shape, g: Element, coeff
     ) -> "GroupRingElement":
+        _check_shape(shape)
         group.check(g)
         coeff = coerce_coeff(field, shape, coeff)
         if coeff_is_zero(coeff):
@@ -447,24 +459,23 @@ def matrix_shuffle(a: GroupRingElement) -> list[list[GroupRingElement]]:
 
 
 def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
-    """Inverse of matrix_shuffle: reassemble matrix coefficients."""
+    """Inverse of matrix_shuffle: reassemble matrix coefficients, as the
+    regular part of twisted.f_shuffle_inv on the embedded grid."""
+    from .twisted import TwistedMatrix, embed, f_shuffle_inv
+
     n = len(grid)
     if n == 0 or any(len(row) != n for row in grid):
         raise UsageError("expected a square grid of elements")
     first = grid[0][0]
-    sites: set[Element] = set()
     for row in grid:
         for e in row:
             if e.group != first.group or e.field != first.field:
                 raise UsageError("grid entries disagree on group or field")
             if e.shape is not None:
                 raise UsageError("grid entries must be scalar-shaped")
-            sites.update(g for g, _ in e.terms)
-    terms = [
-        (g, tuple(tuple(grid[i][j].coefficient(g) for j in range(n)) for i in range(n)))
-        for g in sites
-    ]
-    return GroupRingElement.from_terms(first.group, first.field, n, terms)
+    # the checks above make the grid a compatible n x n matrix
+    embedded = tuple(tuple(embed(e) for e in row) for row in grid)
+    return f_shuffle_inv(TwistedMatrix._trusted(n, embedded)).regular
 
 
 class _OverBudget(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, _check_int
 
 Element = tuple
 
@@ -62,6 +62,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in ("Zd", "free"):
             raise UsageError(f"unknown group kind {self.kind!r}")
+        _check_int("group dimension/rank", self.dim)
         if self.dim < 1:
             raise UsageError("group dimension/rank must be >= 1")
         if self.kind == "free" and self.dim > _MAX_FREE_RANK:

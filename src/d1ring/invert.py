@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import UsageError
+from .errors import UsageError, _check_int
 from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
 from .groupring import (
     GroupRingElement,
@@ -111,13 +111,6 @@ MAX_TOWER_COORDINATES = 1_000_000
 # at n = 4 over Q with 30 % of the entries filled, so that one falls back
 # to the ball systems.
 MAX_DET_TERM_PAIRS = 1_000_000
-
-
-def _check_int(name: str, x) -> None:
-    """Refuse x unless it is an int and not a bool; name is what the
-    message calls it."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise UsageError(f"{name} must be an int, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import UsageError
+from .errors import UsageError, _check_int
 from .exactalg import FieldSpec, Matrix, _content_free, _primitive_row
 from .groupring import coeff_add, coeff_zero
 from .groups import Element, FiniteSubset, GroupSpec
@@ -53,6 +53,9 @@ class Configuration:
         base: Sequence,
         deviation: Mapping[Element, Sequence] | Iterable[tuple[Element, Sequence]] = (),
     ) -> "Configuration":
+        _check_int("n", n)
+        if n < 1:
+            raise UsageError(f"n must be >= 1, got {n}")
         coerce = field.coerce
         base = tuple(coerce(x) for x in base)
         if len(base) != n:

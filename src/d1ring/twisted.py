@@ -68,7 +68,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import UsageError
+from .errors import UsageError, _check_int
 from .exactalg import FieldSpec
 from .groupring import (
     GroupRingElement,
@@ -414,6 +414,7 @@ class TwistedMatrix:
     entries: tuple[tuple[TwistedElement, ...], ...]
 
     def __post_init__(self):
+        _check_int("matrix size n", self.n)
         if self.n < 1 or len(self.entries) != self.n or any(
             len(row) != self.n for row in self.entries
         ):

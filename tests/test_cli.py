@@ -1,15 +1,20 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from d1ring.cli import main
+from d1ring.cli import build_parser, main
 from d1ring.envelope import envelope_for, serialize_envelope
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import decoy_nuca
+from d1ring.experiments import SuiteConfig, decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
+from d1ring.invert import SearchBudget
 from d1ring.nuca import Nuca
 from d1ring.twisted import TwistedElement, TwistedMatrix
 
@@ -306,3 +311,54 @@ def test_make_golden_check_runs_from_a_plain_checkout():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all 30 golden files match" in proc.stdout
+
+
+# -- the parser table ------------------------------------------------------------------
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _readme_cli_examples():
+    """Each `d1 ...` command in README's CLI section, continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    text = section.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("d1 ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+
+
+def test_budget_and_suite_options_default_to_the_library_defaults():
+    parser = build_parser()
+    budget = SearchBudget()
+    suite = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+    invert = parser.parse_args(["invert", "t.json"])
+    assert invert.max_radius == budget.max_radius
+    tower = parser.parse_args(["kernel-tower", "t.json"])
+    assert (tower.depth, tower.window) == (budget.depth, budget.window)
+    verdict = parser.parse_args(["verdict", "t.json"])
+    experiment = parser.parse_args(["experiment", "pipeline", "--group", "Zd:1", "--field", "Q"])
+    for args in (verdict, experiment):
+        assert SearchBudget(args.max_radius, args.depth, args.window) == budget
+    assert experiment.support_radius == suite["support_radius"]
+    assert experiment.max_factors == suite["max_factors"]
+    assert experiment.decoy_every == suite["decoy_every"]
+    assert experiment.rediscover == suite["rediscover_inverse"]
+
+
+def test_output_option_on_exactly_the_writing_subcommands():
+    subparsers = _subparsers()
+    with_output = {
+        name for name, sub in subparsers.items() if any("--output" in a.option_strings for a in sub._actions)
+    }
+    assert len(with_output) == 12
+    assert set(subparsers) - with_output == {"verify-identity"}

@@ -30,6 +30,12 @@ class TestFieldSpec:
         with pytest.raises(UsageError, match="prime"):
             FieldSpec.fp(4)
 
+    @pytest.mark.parametrize("p", [7.0, True, Fraction(7)], ids=repr)
+    def test_modulus_must_be_an_int(self, p):
+        # Fp:7.0 labels no field that from_label reads, and coerces 10 to 3.0
+        with pytest.raises(UsageError, match="p must be an int"):
+            FieldSpec.fp(p)
+
     def test_labels(self):
         assert FieldSpec.fp(5).label() == "Fp:5"
         assert Q.label() == "Q"
@@ -444,6 +450,21 @@ def test_sparse_elimination_agrees_with_dense_reference(system):
     assert by_rows == a and solve(by_rows, b) == x
     if x is not None:
         assert a.mul_vector(x) == tuple(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems(), st.data())
+def test_solution_of_a_consistent_system_is_zero_off_the_pivots(system, data):
+    # b = A x0 makes every system consistent; the solution read off the
+    # RREF of [A | b] solves it and sets each free column to zero
+    a, _ = system
+    field = a.field
+    x0 = [field.coerce(data.draw(_scalars(field))) for _ in range(a.cols)]
+    b = a.mul_vector(x0)
+    x = solve(a, b)
+    assert x is not None and a.mul_vector(x) == b
+    _, pivots = reference_rref(field, dense_array(a))
+    assert all(not v for j, v in enumerate(x) if j not in pivots)
 
 
 # -- the integer kernel over Q on wide rationals -------------------------------------

@@ -166,6 +166,20 @@ class TestTranslate:
             GroupRingElement.zero(Z2, F5).translate(g)
 
 
+def reference_unshuffle(grid):
+    """matrix_unshuffle read site by site: the coefficient of every entry
+    at each site of the grid, re-coerced by from_terms."""
+    n = len(grid)
+    first = grid[0][0]
+    sites = {g for row in grid for e in row for g, _ in e.terms}
+    return GroupRingElement.from_terms(
+        first.group,
+        first.field,
+        n,
+        [(g, [[grid[i][j].coefficient(g) for j in range(n)] for i in range(n)]) for g in sites],
+    )
+
+
 class TestMatrixShuffle:
     def test_n1_reindexing(self):
         a = gre(Z1, F5, 1, [((2,), ((3,),))])
@@ -196,6 +210,31 @@ class TestMatrixShuffle:
                 for _ in range(2)
             ]
             assert matrix_shuffle(matrix_unshuffle(grid)) == grid
+
+    @pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+    def test_unshuffle_agrees_with_the_site_by_site_reference(self, rng, field):
+        for n in (1, 2, 3):
+            for _ in range(10):
+                grid = [
+                    [rand_groupring(rng, Z2, field, None, radius=2, max_terms=6) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                built, reference = matrix_unshuffle(grid), reference_unshuffle(grid)
+                assert built == reference
+                assert repr(built) == repr(reference)  # the same entry types: Fractions over Q
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ([], "square grid"),
+            ([[gre(Z1, F5, None, [])], [gre(Z1, F5, None, [])]], "square grid"),
+            ([[gre(Z1, F5, None, []), gre(Z1, F3, None, [])]] * 2, "disagree on group or field"),
+            ([[gre(Z1, F5, 1, [])]], "must be scalar-shaped"),
+        ],
+    )
+    def test_unshuffle_refuses_a_bad_grid(self, grid, message):
+        with pytest.raises(UsageError, match=message):
+            matrix_unshuffle(grid)
 
     def test_transports_products(self, rng):
         # shuffle(a*b) equals the matrix product of shuffles, with each
@@ -400,3 +439,20 @@ def test_raw_identity_entries_are_reduced_before_the_check(group):
     assert a.product_is_one(b) and embed(a).product_is_one(embed(b))
     assert not a.product_is_one(c) and not embed(a).product_is_one(embed(c))
     assert a * b == GroupRingElement.one(group, F5, 2)
+
+
+@pytest.mark.parametrize("shape", [True, 2.0, 0], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda shape: GroupRingElement.from_terms(Z1, F5, shape, []),
+        lambda shape: GroupRingElement.zero(Z1, F5, shape),
+        lambda shape: GroupRingElement.one(Z1, F5, shape),
+        lambda shape: GroupRingElement.monomial(Z1, F5, shape, (0,), 0),
+    ],
+    ids=["from_terms", "zero", "one", "monomial"],
+)
+def test_coefficient_shape_must_be_a_positive_int(build, shape):
+    # True would serialize as the header "n": true, which no envelope reads
+    with pytest.raises(UsageError, match="coefficient shape n must be"):
+        build(shape)

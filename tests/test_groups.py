@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(UsageError):
             GroupSpec.free(27)
 
+    @pytest.mark.parametrize("build", [GroupSpec.zd, GroupSpec.free], ids=["zd", "free"])
+    @pytest.mark.parametrize("dim", [True, 2.0], ids=repr)
+    def test_dimension_must_be_an_int(self, build, dim):
+        # Zd:True labels no group that from_label reads, and Zd:2.0 cannot
+        # make its identity
+        with pytest.raises(UsageError, match="dimension/rank must be an int"):
+            build(dim)
+
     @pytest.mark.parametrize("g", [(True, 0), (0, False), (1, True)])
     def test_boolean_coordinate_rejected(self, g):
         # isinstance(True, int) holds, but parse_element refuses true/false

@@ -130,6 +130,22 @@ class TestApply:
             t.apply(x)
 
 
+@pytest.mark.parametrize(
+    "n,message", [(True, "n must be an int"), (1.0, "n must be an int"), (0, "n must be >= 1")], ids=repr
+)
+def test_configuration_size_must_be_a_positive_int(n, message):
+    # the header "n": true (or 0) is refused by parse_envelope, so such a
+    # configuration could not be read back
+    with pytest.raises(UsageError, match=message):
+        Configuration.make(Z1, F5, n, (1,))
+
+
+@pytest.mark.parametrize("n", [True, 1.0], ids=repr)
+def test_nuca_size_must_be_an_int(n):
+    with pytest.raises(UsageError, match="coefficient shape n must be an int"):
+        Nuca.identity(Z1, F5, n)
+
+
 def many_exceptional_sites(rng, field, radius=8):
     """A map on Z^2 with n = 2 and a nonzero singular part at every site of
     ball(radius) (289 sites at radius 8)."""

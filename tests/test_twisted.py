@@ -13,7 +13,7 @@ from d1ring.experiments import (
     rand_scalar,
     rand_twisted,
 )
-from d1ring.groupring import GroupRingElement, coeff_one, matrix_unshuffle
+from d1ring.groupring import GroupRingElement, coeff_one
 from d1ring.groups import GroupSpec
 from d1ring import twisted
 from d1ring.twisted import (
@@ -26,7 +26,7 @@ from d1ring.twisted import (
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_pair, gre
 from oracles import field_modulus, naive_twisted_mul, o_add, o_is_zero, plain_twisted
-from test_groupring import assert_copies_equal, assert_frozen
+from test_groupring import assert_copies_equal, assert_frozen, reference_unshuffle
 
 
 def assert_matches_oracle(u, v):
@@ -157,6 +157,15 @@ class TestEmbed:
         assert all(not e.singular for e in seen)
 
 
+class TestMatrixSize:
+    @pytest.mark.parametrize("n", [True, 1.0], ids=repr)
+    def test_size_must_be_an_int(self, n):
+        # TwistedMatrix(True, ...) would serialize "size": true, which no
+        # envelope reads
+        with pytest.raises(UsageError, match="matrix size n must be an int"):
+            TwistedMatrix(n, ((TwistedElement.one(Z1, F5),),))
+
+
 class TestMatMul:
     def test_identity_neutral(self, rng):
         u = rand_twisted(rng, Z1, F3, None, radius=1)
@@ -229,13 +238,14 @@ class TestFShuffle:
 
 
 def reference_f_shuffle_inv(m):
-    """f_shuffle_inv as matrix_unshuffle per site: each part re-coerced by
-    from_terms, the parts assembled by TwistedElement.make."""
+    """f_shuffle_inv as the site-by-site unshuffle of each part: each part
+    re-coerced by from_terms, the parts assembled by TwistedElement.make.
+    (matrix_unshuffle itself runs through f_shuffle_inv.)"""
     n = m.n
-    reg = matrix_unshuffle([[m.entries[i][j].regular for j in range(n)] for i in range(n)])
+    reg = reference_unshuffle([[m.entries[i][j].regular for j in range(n)] for i in range(n)])
     sites = {g for row in m.entries for e in row for g, _ in e.singular}
     sing = [
-        (g, matrix_unshuffle([[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]))
+        (g, reference_unshuffle([[m.entries[i][j].singular_part(g) for j in range(n)] for i in range(n)]))
         for g in sites
     ]
     return TwistedElement.make(reg, sing)
