@@ -185,7 +185,7 @@ def _cmd_experiment(args) -> int:
         seed=args.seed, trials=args.trials,
         group=GroupSpec.from_label(args.group), field=FieldSpec.from_label(args.field), n=args.n,
         support_radius=args.support_radius, budget=_budget(args), max_factors=args.max_factors,
-        rediscover_inverse=args.rediscover, decoy_every=args.decoy_every,
+        decoy_every=args.decoy_every,
     )
     run = run_direct_finiteness if args.suite == "direct-finiteness" else run_surjunctivity_pipeline
     report = run(config)
@@ -245,7 +245,7 @@ _COMMANDS = (
     _Command("verdict", _cmd_verdict, "certificate / witness / bounded-evidence verdict",
              (_NUCA, _MAX_RADIUS, *_TOWER)),
     _Command("experiment", _cmd_experiment, "seeded randomized suites", (
-        _arg("suite", choices=["direct-finiteness", "pipeline"]),
+        _arg("suite", choices=["direct-finiteness", "pipeline"], help="pipeline is the blind-search suite"),
         _arg("--group", required=True, help="Zd:<d> or free:<rank>"),
         _arg("--field", required=True, help="Fp:<p> or Q"),
         _arg("--n", type=int, default=1),
@@ -255,8 +255,6 @@ _COMMANDS = (
         _MAX_RADIUS,
         *_TOWER,
         _arg("--max-factors", type=int, default=_SUITE["max_factors"]),
-        _arg("--rediscover", action="store_true",
-             help="direct-finiteness: rediscover the inverse with the exact solver"),
         _arg("--decoy-every", type=int, default=_SUITE["decoy_every"],
              help="pipeline: every k-th trial runs the non-injective control"),
         _arg("--omit-timing", action="store_true", help="drop wall-clock fields (for reproducible output)"),

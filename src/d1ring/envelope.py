@@ -130,7 +130,6 @@ def suite_config_payload(c: SuiteConfig) -> dict:
         "support_radius": c.support_radius,
         "budget": budget_payload(c.budget),
         "max_factors": c.max_factors,
-        "rediscover_inverse": c.rediscover_inverse,
         "decoy_every": c.decoy_every,
     }
 

@@ -122,9 +122,6 @@ class FieldSpec:
                 return x.numerator * pow(x.denominator, -1, p) % p
         raise UsageError(f"{x!r} has no value in {f'F_{p}' if p else 'Q'}")
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
 

@@ -148,6 +148,13 @@ def _draw_twisted(
 
 # -- suite plumbing -----------------------------------------------------------------
 
+# Suites refuse n past this: a trial builds two n x n grids and its work grows
+# about as n^3.  One direct-finiteness trial (2 vCPUs, Python 3.11, seeds 0-2)
+# took 0.16-0.29 s at n = 100 over Zd:1/F_2, Zd:2/Q, Zd:3/Q, free:2/F_5 and
+# free:26/Q (max_factors 2 or 6), and over Zd:1/F_2 1.1-1.7 s at n = 200 and
+# 3.4-4.2 s at 300.
+MAX_SUITE_N = 100
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int
@@ -158,24 +165,16 @@ class SuiteConfig:
     support_radius: int = 1
     budget: SearchBudget = dataclass_field(default_factory=SearchBudget)
     max_factors: int = 2
-    rediscover_inverse: bool = False
     decoy_every: int = 0  # pipeline: every k-th trial runs the non-injective control
 
     def __post_init__(self):
         for name in ("seed", "trials", "n", "support_radius", "max_factors", "decoy_every"):
             _check_int(name, getattr(self, name))
-        if not isinstance(self.rediscover_inverse, bool):
-            raise UsageError(f"rediscover_inverse must be a bool, got {self.rediscover_inverse!r}")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
-        if self.support_radius < 0:
-            raise UsageError("support_radius must be >= 0")
-        if self.n < 1:
-            raise UsageError("n must be >= 1")
-        if self.max_factors < 1:
-            raise UsageError("max_factors must be >= 1")
-        if self.decoy_every < 0:
-            raise UsageError("decoy_every must be >= 0")
+        for name, low in (("trials", 1), ("support_radius", 0), ("max_factors", 1), ("decoy_every", 0)):
+            if getattr(self, name) < low:
+                raise UsageError(f"{name} must be >= {low}")
+        if not 1 <= self.n <= MAX_SUITE_N:
+            raise UsageError(f"n must be >= 1 and <= {MAX_SUITE_N} (the suites' size limit)")
 
 
 @dataclass(frozen=True)
@@ -355,23 +354,6 @@ _NOTE = (
 )
 
 
-def _blind_left_search(
-    config: SuiteConfig, tau: Nuca, inverse: TwistedMatrix, outcome: dict
-) -> Optional[Nuca]:
-    """Search a left inverse of tau without its known inverse, up to the
-    radius _search_radius allows.  A hit records its radius in the outcome
-    and is returned; a miss records ok = False and the reason, and the
-    caller adds its own payload of the unit."""
-    radius, reason = _search_radius(config, inverse)
-    hit = search_left_inverse(tau, radius)
-    if hit is None:
-        outcome["ok"] = False
-        outcome["reason"] = reason
-        return None
-    cert, outcome["radius"] = hit
-    return cert
-
-
 def _run_suite(suite: str, config: SuiteConfig, trial: Callable[[int], dict]) -> SuiteReport:
     """Run every trial in index order and assemble the report."""
     start = time.monotonic()
@@ -389,32 +371,14 @@ def _run_suite(suite: str, config: SuiteConfig, trial: Callable[[int], dict]) ->
 
 
 def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
-    """Per trial: build (u, v) with u*v = 1 and assert v*u = 1.
-
-    With rediscover_inverse set, the left inverse is recomputed by the
-    exact solver instead of taken from the construction, up to the
-    budget's radius widened to the known inverse's (see _search_radius).
-    """
+    """Per trial: build (u, v) with u*v = 1 and assert v*u = 1."""
     from .envelope import twisted_matrix_payload  # local import to avoid a cycle
-
-    if config.rediscover_inverse:
-        check_search_radius(config.group, config.n, config.budget.max_radius)
 
     def trial(index: int) -> dict:
         rng = _trial_rng(config, index)
         unit, inverse, word = gen_unit(rng, config)
-        outcome: dict = {"trial": index, "word": word}
-        if config.rediscover_inverse:
-            tau = Nuca.from_matrix(unit)
-            cert = _blind_left_search(config, tau, inverse, outcome)
-            if cert is None:
-                outcome["unit"] = twisted_matrix_payload(unit)
-                return outcome
-            ok = verify_identity(tau, cert)
-        else:
-            # gen_unit has checked unit @ inverse; only v u = 1 is open
-            ok = inverse.product_is_identity(unit)
-        outcome["ok"] = bool(ok)
+        # gen_unit has checked unit @ inverse; only v u = 1 is open
+        outcome: dict = {"trial": index, "word": word, "ok": inverse.product_is_identity(unit)}
         if not outcome["ok"]:
             outcome["reason"] = "one-sided unit failed the two-sided check"
             outcome["unit"] = twisted_matrix_payload(unit)
@@ -457,10 +421,12 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
         unit, inverse, word = gen_unit(rng, config)
         tau = Nuca.from_matrix(unit)
         outcome: dict = {"trial": index, "decoy": False, "word": word}
-        cert = _blind_left_search(config, tau, inverse, outcome)
-        if cert is None:
-            outcome["unit"] = twisted_payload(tau.element)
+        radius, reason = _search_radius(config, inverse)
+        hit = search_left_inverse(tau, radius)
+        if hit is None:
+            outcome.update(ok=False, reason=reason, unit=twisted_payload(tau.element))
             return outcome
+        cert, outcome["radius"] = hit
         outcome["ok"] = bool(verify_identity(tau, cert))
         if not outcome["ok"]:
             outcome["reason"] = "certificate failed an identity check"

@@ -61,14 +61,11 @@ def coeff_is_zero(c) -> bool:
 
 
 def coeff_add(field: FieldSpec, a, b):
-    if isinstance(a, tuple):
-        p = field.p
-        if p:
-            return tuple(
-                tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return field.add(a, b)
+    """The entrywise sum of two n x n coefficients."""
+    p = field.p
+    if p:
+        return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def coeff_neg(field: FieldSpec, a):

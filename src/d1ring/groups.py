@@ -13,10 +13,11 @@ and cancels only where its two words meet.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, UsageError, _check_int
 
@@ -28,10 +29,18 @@ _MAX_FREE_RANK = 26
 # enumerate (Z^2 radius 500, Z^3 radius 50, free:4 radius 7), while free:26
 # at radius 4 would have 7.0 M words.
 MAX_BALL_SIZE = 1_000_000
+# Refusals count balls and search unknowns only up to 10^30: at radius 10^7
+# of free:2 the count took 12.8 s and had millions of digits.
+MAX_SHOWN_COUNT = 10**30
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_VALUES = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {
     ch.upper(): -(i + 1) for i, ch in enumerate(_LETTERS)
 }
+
+
+def shown_count(count: Optional[int]) -> str:
+    """A count for a refusal; None (not counted) or past MAX_SHOWN_COUNT reads "more than 10^30"."""
+    return str(count) if count is not None and count <= MAX_SHOWN_COUNT else "more than 10^30"
 
 
 def reduce_word(letters: Sequence[int]) -> Element:
@@ -138,27 +147,29 @@ class GroupSpec:
             return max((abs(c) for c in g), default=0)
         return len(g)
 
-    def ball_size(self, radius: int) -> int:
+    def ball_size(self, radius: int, cap: Optional[int] = None) -> Optional[int]:
         """len(ball(radius)) in closed form: (2r+1)^d for Z^d; for F_k the
         empty word plus 2k(2k-1)^(l-1) reduced words of each length
-        1 <= l <= r, a geometric sum (plain 2r+1 for k = 1)."""
+        1 <= l <= r, a geometric sum (plain 2r+1 for k = 1).  None past cap,
+        found without computing a larger size."""
         if radius < 0:
             raise UsageError("radius must be >= 0")
-        if self.kind == "Zd":
-            return (2 * radius + 1) ** self.dim
-        k = self.dim
-        if k == 1:
-            return 2 * radius + 1
-        return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
+        k, free = self.dim, self.kind == "free" and self.dim > 1
+        # the size is base^exp, or over F_k (k >= 2) at least that
+        base, exp = (2 * k - 1, radius) if free else (2 * radius + 1, k if self.kind == "Zd" else 1)
+        if cap is not None and exp * math.log(base) > math.log(cap + 1) + 1:
+            return None
+        size = 1 + 2 * k * (base**exp - 1) // (2 * k - 2) if free else base**exp
+        return None if cap is not None and size > cap else size
 
     def ball(self, radius: int) -> tuple[Element, ...]:
         """Canonically ordered ball: the centered box [-r, r]^d for Z^d,
         all reduced words of length <= r for free groups.  A ball of more
         than MAX_BALL_SIZE elements is refused before it is enumerated."""
-        size = self.ball_size(radius)
-        if size > MAX_BALL_SIZE:
+        size = self.ball_size(radius, MAX_SHOWN_COUNT)
+        if size is None or size > MAX_BALL_SIZE:
             raise UsageError(
-                f"the radius-{radius} ball of {self.label()} has {size} elements;"
+                f"the radius-{radius} ball of {self.label()} has {shown_count(size)} elements;"
                 f" the limit is {MAX_BALL_SIZE}"
             )
         if self.kind == "Zd":

@@ -49,7 +49,7 @@ from .groupring import (
     zd_determinant,
     zd_inverse,
 )
-from .groups import Element, FiniteSubset, GroupSpec
+from .groups import MAX_SHOWN_COUNT, Element, FiniteSubset, GroupSpec, shown_count
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement, element_radius, embed
 
@@ -392,9 +392,9 @@ def _block(s: TwistedElement, v: FiniteSubset) -> Matrix:
     return Matrix(fld, n * len(v), n * len(v), rows)
 
 
-def _ball_unknowns(group: GroupSpec, n: int, radius: int) -> int:
-    size = group.ball_size(radius)
-    return size * (1 + size) * n * n
+def _ball_unknowns(group: GroupSpec, n: int, radius: int, cap: Optional[int] = None) -> Optional[int]:
+    size = group.ball_size(radius, cap)
+    return None if size is None else size * (1 + size) * n * n
 
 
 def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
@@ -409,11 +409,11 @@ def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
 def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
     """Refuse a ball search up to max_radius whose last system would have
     more than MAX_UNKNOWNS unknowns, before any work is done."""
-    unknowns = _ball_unknowns(group, n, max_radius)
-    if unknowns > MAX_UNKNOWNS:
+    unknowns = _ball_unknowns(group, n, max_radius, MAX_SHOWN_COUNT)
+    if unknowns is None or unknowns > MAX_UNKNOWNS:
         raise UsageError(
             f"an inverse search to radius {max_radius} over {group.label()} with n = {n}"
-            f" needs {unknowns} unknowns; the limit is {MAX_UNKNOWNS}"
+            f" needs {shown_count(unknowns)} unknowns; the limit is {MAX_UNKNOWNS}"
             f" (largest radius within it: {search_radius_limit(group, n, max_radius)})"
         )
 

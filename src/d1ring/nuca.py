@@ -227,8 +227,10 @@ class Nuca:
         elif name == "_parts":
             value = dict(self.element.singular)
         elif name == "_regular_blocks":
-            # the constant rule's blocks, one per memory site (_rule_blocks)
-            reg, zero = dict(self.element.regular.terms), coeff_zero(self.field, self.n)
+            # the constant rule's blocks, one per memory site (_rule_blocks); an
+            # n x n zero block is built only if a memory site needs one
+            reg = dict(self.element.regular.terms)
+            zero = coeff_zero(self.field, self.n) if any(h not in reg for h in self.memory) else None
             value = tuple(reg.get(h, zero) for h in self.memory)
         elif name == "_rules":
             # the _rule_rows of the constant rule and {g: those of the rule

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from d1ring.cli import build_parser, main
 from d1ring.envelope import envelope_for, serialize_envelope
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import SuiteConfig, decoy_nuca
+from d1ring.experiments import MAX_SUITE_N, SuiteConfig, decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.invert import SearchBudget
@@ -175,6 +176,15 @@ class TestExitCodes:
         assert "must be >=" in err
 
 
+    def test_rediscover_option_is_refused(self):
+        # the blind search runs in the pipeline suite only
+        code, out, err = run_cli(
+            ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2", "--rediscover"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--rediscover" in err
+
     def test_oversized_inverse_search_is_usage_error(self, tmp_path):
         # 1 + a has no inverse in any ball; radius 2 in free:26 would need
         # 7.3 M unknowns, so the search stops there with a usage error
@@ -186,6 +196,33 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "limit" in err
+
+    @pytest.mark.parametrize("command", ["invert", "verdict"])
+    def test_huge_radius_is_refused_at_once(self, tmp_path, command):
+        # the unknowns of free:2 at radius 10^7 have millions of digits; the
+        # refusal neither computes nor prints them
+        group = GroupSpec.free(2)
+        a = GroupRingElement.from_terms(group, FieldSpec.fp(3), 1, [((), ((1,),)), ((1,), ((1,),))])
+        src = tmp_path / "free2.json"
+        src.write_text(serialize_envelope(envelope_for(Nuca(TwistedElement.make(a)))))
+        start = time.monotonic()
+        code, out, err = run_cli([command, str(src), "--max-radius", str(10**7), "-o", "-"])
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: an inverse search to radius {10**7} over free:2 with n = 1 needs more than"
+            " 10^30 unknowns; the limit is 2000000 (largest radius within it: 5)\n"
+        )
+
+    def test_suite_n_past_the_limit_is_usage_error(self):
+        code, out, err = run_cli(
+            ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",
+             "--n", str(MAX_SUITE_N + 1), "--trials", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "size limit" in err
 
     @pytest.mark.parametrize("command", ["invert", "verdict"])
     def test_oversized_inverse_block_is_usage_error(self, tmp_path, command):
@@ -352,7 +389,6 @@ def test_budget_and_suite_options_default_to_the_library_defaults():
     assert experiment.support_radius == suite["support_radius"]
     assert experiment.max_factors == suite["max_factors"]
     assert experiment.decoy_every == suite["decoy_every"]
-    assert experiment.rediscover == suite["rediscover_inverse"]
 
 
 def test_output_option_on_exactly_the_writing_subcommands():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import random
@@ -15,9 +16,10 @@ from d1ring.envelope import (
     envelope_for,
     parse_envelope,
     serialize_envelope,
+    suite_config_payload,
 )
 from d1ring.errors import FormatError, UsageError
-from d1ring.experiments import rand_groupring, rand_scalar, rand_twisted
+from d1ring.experiments import SuiteConfig, rand_groupring, rand_scalar, rand_twisted
 from d1ring.groupring import GroupRingElement, coeff_encode, coeff_parse, coeff_zero
 from d1ring.invert import SearchBudget, stable_injectivity_verdict
 from d1ring.nuca import Configuration, Nuca
@@ -500,6 +502,11 @@ def test_unknown_kind_refused(kind):
     env = Envelope(Z1, F3, None, kind, f3_pair()[0])
     with pytest.raises(FormatError, match="unknown payload kind"):
         serialize_envelope(env)
+
+
+def test_suite_config_payload_has_a_key_per_config_field():
+    config = SuiteConfig(seed=0, trials=1, group=Z1, field=F3, n=1)
+    assert list(suite_config_payload(config)) == [f.name for f in dataclasses.fields(SuiteConfig)]
 
 
 class TestHeaderShapes:

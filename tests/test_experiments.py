@@ -79,6 +79,11 @@ class TestDirectFiniteness:
         again = run_direct_finiteness(config)
         assert rep.outcomes == again.outcomes
 
+    def test_n_is_limited(self):
+        assert cfg(n=experiments.MAX_SUITE_N).n == experiments.MAX_SUITE_N
+        with pytest.raises(UsageError, match="size limit"):
+            cfg(n=experiments.MAX_SUITE_N + 1)
+
     def test_trials_must_be_positive(self):
         with pytest.raises(UsageError):
             cfg(trials=0)
@@ -86,10 +91,9 @@ class TestDirectFiniteness:
     @pytest.mark.parametrize("field_name, value", [
         ("trials", True), ("trials", 2.0), ("seed", False), ("seed", 1.5), ("n", True),
         ("support_radius", 1.0), ("max_factors", True), ("decoy_every", 0.0),
-        ("rediscover_inverse", 1), ("rediscover_inverse", None),
     ])
     def test_config_field_types(self, field_name, value):
-        # ints must be plain ints, not bools or floats, and the flag a bool
+        # ints must be plain ints, not bools or floats
         with pytest.raises(UsageError, match=field_name):
             cfg(**{field_name: value})
 
@@ -98,11 +102,6 @@ class TestDirectFiniteness:
         assert rep.failures == 0
         assert len(rep.outcomes) == 40
         assert [o["trial"] for o in rep.outcomes] == list(range(40))
-
-    def test_rediscovery_route(self):
-        rep = run_direct_finiteness(cfg(trials=4, rediscover_inverse=True))
-        assert rep.failures == 0
-        assert all("radius" in o for o in rep.outcomes)
 
     def test_d1_threads_is_ignored(self):
         # suites run their trials in one thread; D1_THREADS once sized a
@@ -328,8 +327,6 @@ class TestSearchSizeLimit:
         config = cfg(trials=3, group=GroupSpec.free(26), budget=SearchBudget(max_radius=2))
         with pytest.raises(UsageError, match="limit"):
             run_surjunctivity_pipeline(config)
-        with pytest.raises(UsageError, match="limit"):
-            run_direct_finiteness(replace(config, rediscover_inverse=True))
         assert calls == []
 
     def test_decoy_tower_past_the_limit_refused_before_any_trial(self, monkeypatch):
@@ -370,20 +367,6 @@ class TestBlindSearchFailure:
         monkeypatch.setattr(
             experiments, "search_left_inverse", lambda t, r: self.searches.append(r)
         )
-
-    def test_direct_finiteness_outcome(self):
-        from d1ring.envelope import twisted_matrix_payload
-
-        config = cfg(trials=3, group=Z2, field=F5, n=2, rediscover_inverse=True)
-        rep = run_direct_finiteness(config)
-        assert (rep.passes, rep.failures) == (0, 3)
-        assert len(self.searches) == 3
-        for i, o in enumerate(rep.outcomes):
-            unit, _, word = gen_unit(experiments._trial_rng(config, i), config)
-            assert list(o) == ["trial", "word", "ok", "reason", "unit"]
-            assert o["trial"] == i and o["word"] == word and o["ok"] is False
-            assert o["reason"] == "no left inverse found within budget"
-            assert o["unit"] == twisted_matrix_payload(unit)
 
     def test_pipeline_outcome(self):
         from d1ring.envelope import twisted_payload

@@ -99,8 +99,20 @@ class TestBalls:
     def test_oversized_ball_refused(self):
         free26 = GroupSpec.free(26)
         assert free26.ball_size(3) == 137_957 <= MAX_BALL_SIZE < free26.ball_size(4)
-        with pytest.raises(UsageError, match="limit"):
+        with pytest.raises(UsageError, match=r"has 7035809 elements; the limit is 1000000$"):
             free26.ball(4)
+        # a count past 10^30 is not computed (3^r at r = 10^7 takes seconds)
+        with pytest.raises(UsageError, match=r"has more than 10\^30 elements; the limit is 1000000$"):
+            GroupSpec.free(2).ball(10**7)
+
+    @pytest.mark.parametrize("label", ["Zd:1", "Zd:3", "free:1", "free:2", "free:26"])
+    def test_capped_size(self, label):
+        group = GroupSpec.from_label(label)
+        for r in range(6):
+            size = group.ball_size(r)
+            assert group.ball_size(r, size) == size
+            assert group.ball_size(r, size - 1) is None
+        assert group.ball_size(10**7, MAX_BALL_SIZE) is None
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -306,6 +307,24 @@ class TestLocalRules:
 
 
 class TestInducedLocalMap:
+    @pytest.mark.parametrize("op", ["local_map", "kernel_tower"])
+    def test_zero_map_builds_no_n_by_n_block(self, op):
+        # the zero map has no memory site, so no rule block is needed; an
+        # n x n zero block at n = 5,000 alone would take about 200 MB
+        from d1ring.invert import kernel_tower
+
+        t = Nuca.zero(Z1, F2, 5000)
+        tracemalloc.start()
+        try:
+            if op == "local_map":
+                t.induced_local_map(FiniteSubset.make(Z1, [(0,)]))
+            else:
+                kernel_tower(t, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
     def test_constant_rule_window_one(self):
         t = Nuca(TwistedElement.make(gre(Z1, F2, 1, [((0,), ((1,),)), ((1,), ((1,),))]), []))
         local = t.induced_local_map(FiniteSubset.make(Z1, [(0,)]))
