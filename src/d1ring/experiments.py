@@ -148,12 +148,22 @@ def _draw_twisted(
 
 # -- suite plumbing -----------------------------------------------------------------
 
-# Suites refuse n past this: a trial builds two n x n grids and its work grows
-# about as n^3.  One direct-finiteness trial (2 vCPUs, Python 3.11, seeds 0-2)
-# took 0.16-0.29 s at n = 100 over Zd:1/F_2, Zd:2/Q, Zd:3/Q, free:2/F_5 and
-# free:26/Q (max_factors 2 or 6), and over Zd:1/F_2 1.1-1.7 s at n = 200 and
-# 3.4-4.2 s at 300.
+# Suites refuse n past this: a trial builds two n x n grids and checks their
+# product entry by entry, reading only each row's nonzero entries, so its
+# work grows about as n^2.  One direct-finiteness trial (2 vCPUs, Python
+# 3.11, seeds 0-2) took 0.015-0.34 s at n = 100 over Zd:1/F_2, Zd:2/Q,
+# Zd:3/Q, free:2/F_5 and free:26/Q (max_factors 2 or 6), and over Zd:1/F_2
+# 0.035-0.057 s at n = 200 and 0.09-0.12 s at 300.
 MAX_SUITE_N = 100
+
+# Suites refuse max_factors past this, and gen_unit a longer word: the
+# entries' supports, and over Q their coefficients, grow with each factor,
+# and a rejected draw is retried up to 20 times.  One gen_unit call at 16
+# factors (2 vCPUs, Python 3.11, seeds 0-2, every draw but one rejected)
+# took 0.02-0.51 s at n = 2 and 0.17-1.9 s at n = 100 over Zd:1/F_2,
+# Zd:2/Q, Zd:3/Q, free:2/F_5 and free:26/Q; at n = 2 it took up to 14.5 s
+# at 20 factors and 41 s at 24 (free:26/Q, seed 2).
+MAX_SUITE_FACTORS = 16
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -175,6 +185,8 @@ class SuiteConfig:
                 raise UsageError(f"{name} must be >= {low}")
         if not 1 <= self.n <= MAX_SUITE_N:
             raise UsageError(f"n must be >= 1 and <= {MAX_SUITE_N} (the suites' size limit)")
+        if self.max_factors > MAX_SUITE_FACTORS:
+            raise UsageError(f"max_factors must be <= {MAX_SUITE_FACTORS} (the suites' word-length limit)")
 
 
 @dataclass(frozen=True)
@@ -214,9 +226,11 @@ def gen_unit(
 ) -> tuple[TwistedMatrix, TwistedMatrix, list]:
     """A two-sided unit of the n x n matrix ring with its known inverse,
     as a random product of invertible generators (an empty product is the
-    identity pair).  The product with the inverse is re-verified before
-    returning, on its raw accumulator (TwistedMatrix.product_is_identity)
-    without building it; degenerate draws are retried.
+    identity pair): n_factors of them, an int from 0 to MAX_SUITE_FACTORS,
+    or, if None, a count drawn from 1 to config.max_factors.  The product
+    with the inverse is re-verified before returning, on its raw
+    accumulators (TwistedMatrix.product_is_identity) without building it;
+    degenerate draws are retried.
 
     Each generator is drawn as its pair of operations (module docstring):
     a column operation (c, ((k, x), ...)) sets column c to the sum of
@@ -237,6 +251,10 @@ def gen_unit(
     (_unit_sites), and a monomial word's sites and coefficients are
     encoded once its draw passes the check, not for the draws retried.
     """
+    if n_factors is not None:
+        _check_int("n_factors", n_factors)
+        if not 0 <= n_factors <= MAX_SUITE_FACTORS:
+            raise UsageError(f"n_factors must be >= 0 and <= {MAX_SUITE_FACTORS} (the suites' word-length limit)")
     group, field, n = config.group, config.field, config.n
     ball, pool, one, zero = _unit_sites(group, field, config.support_radius)
     one_terms = one.regular.terms

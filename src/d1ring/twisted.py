@@ -52,13 +52,22 @@ accumulator, without making it canonical (_sum_is): every raw entry
 must reduce to zero (mod p over F_p), except that for 1 the regular
 slot's coefficient at the identity must reduce to 1, the identity
 matrix for n x n coefficients; over Q it must equal L times it, so
-nothing is divided.  TwistedElement.product_is_one and
-TwistedMatrix.product_is_identity answer "is this product 1?" with it.
-The matrix check goes entry by entry and stops at the first entry that
-fails.  It pairs the entries of a row and a column where both are
-nonzero, as @ does, but gives each pair (x, y) to the kernel as it is,
-with no test for 1: an identity side costs the kernel one pass over the
-other side's terms, about what adding them alone would cost.
+nothing is divided.  TwistedElement.product_is_one answers "is this
+product 1?" with it.  TwistedMatrix.product_is_identity decides each
+entry of the product in the same way, on one raw accumulator of its
+own that the kernel fills directly, and stops at the first entry that
+fails.  It gives the kernel each pair (x, y) of a row and a column whose
+sides are both nonzero, as it is, with no test for 1: an identity side
+costs the kernel one pass over the other side's terms, about what
+adding them alone would cost.  Each row's nonzero entries are listed
+once, so an entry costs its live pairs, not n tests.  Over Q it reads
+each row of the left factor and each column of the right factor once,
+on integer numerators over the lcm L_i or L_j of the line's scales, so
+entry (i, j) holds L_i L_j times its value; a line's lcm stays about as
+small as one entry's scale, where one lcm over a whole matrix would
+grow with its n^2 denominators.  Over F_p nothing is scaled, and scalar
+entries, the checks of the direct-finiteness suites, are decided by
+inline loops that stop at the first residue that fails.
 """
 
 from __future__ import annotations
@@ -305,6 +314,15 @@ def _numerators_of(x: TwistedElement, scale: int) -> TwistedElement:
     return TwistedElement(part(x.regular.terms), tuple((g, part(b.terms)) for g, b in x.singular))
 
 
+def _on_numerators(line) -> tuple[int, list]:
+    """A row or column of entries over Q on integer numerators: the lcm L
+    of its nonzero entries' scales (_scale_of), and the line with each
+    nonzero entry read over L (_numerators_of); a zero entry is kept as it
+    is."""
+    scale = math.lcm(*(_scale_of(x) for x in line if x.singular or x.regular.terms))
+    return scale, [_numerators_of(x, scale) if x.singular or x.regular.terms else x for x in line]
+
+
 def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> tuple[dict, int]:
     """The raw sum of the products over the pairs (_pair), as {site or
     None: {h: coefficient}}, and its scale.  A side given alone adds its
@@ -368,10 +386,11 @@ def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) ->
     reduced, sorted or built: every raw entry must reduce to zero, except
     that for 1 the regular slot's coefficient at the identity must reduce
     to 1, over Q equal the scale (groupring._raw_is_one and _raw_is_zero),
-    so nothing is divided.  Scalars over F_p, the checks of the
-    direct-finiteness suites, are decided inline, as the two calls per
-    check cost about 3 % of a suite.  A single side given alone is the
-    sum, so it is tested as it is."""
+    so nothing is divided; scalars over F_p are decided by inline loops
+    instead.  TwistedElement.product_is_one decides its product here;
+    TwistedMatrix.product_is_identity decides each entry in the same way
+    on an accumulator of its own.  A single side given alone is
+    the sum, so it is tested as it is."""
     if len(pairs) == 1 and type(pairs[0]) is not tuple:
         return pairs[0].is_one() if one else pairs[0].is_zero()
     acc, scale = _accumulate(grp, field, shape, pairs)
@@ -498,16 +517,45 @@ class TwistedMatrix:
 
     def product_is_identity(self, other: "TwistedMatrix") -> bool:
         """(self @ other).is_identity(), decided entry by entry without
-        building the product; it stops at the first entry that fails.  An
-        entry is decided from its pairs (x, y) with both sides nonzero, each
-        through the kernel as it is, and is 0 if it has none."""
+        building the product; it stops at the first entry that fails.
+        Entry (i, j) is one raw accumulator, which the kernel fills with
+        x y for each k where x = self[i][k] and y = other[k][j] are both
+        nonzero (row i's nonzero entries are listed once); with no such k
+        it is 0.  Over Q each column of other, and each row of self as it
+        is reached, is read once on integer numerators over the lcm L_j or
+        L_i of its nonzero entries' scales, so the accumulator holds L_i L_j
+        times the entry.  It is decided as _sum_is decides a sum: scalars
+        over F_p by inline loops, all else by _raw_is_one/_raw_is_zero."""
         first = self._check_product(other)
         grp, field, shape = first.group, first.field, first.shape
         cols = list(zip(*other.entries))
+        p = field.p
+        if not p:
+            col_scales, cols = zip(*map(_on_numerators, cols))
+        identity = grp.identity
+        inline = p and shape is None
         for i, row in enumerate(self.entries):
+            if not p:
+                row_scale, row = _on_numerators(row)
+            live = [(k, x) for k, x in enumerate(row) if x.singular or x.regular.terms]
             for j, col in enumerate(cols):
-                pairs = [(x, y) for x, y in zip(row, col) if not x.is_zero() and not y.is_zero()]
-                if not (_sum_is(grp, field, shape, pairs, i == j) if pairs else i != j):
+                acc: dict = {}
+                for k, x in live:
+                    y = col[k]
+                    if y.singular or y.regular.terms:
+                        _mul_into(acc, grp, shape, x, y)
+                if i == j:
+                    c = acc[None].pop(identity, None) if None in acc else None
+                    if c is None or not (
+                        c % p == 1 if inline else _raw_is_one(field, shape, c, 1 if p else row_scale * col_scales[j])
+                    ):
+                        return False
+                if inline:
+                    for slot in acc.values():
+                        for c in slot.values():
+                            if c % p:
+                                return False
+                elif acc and not _raw_is_zero(field, shape, chain.from_iterable(slot.values() for slot in acc.values())):
                     return False
         return True
 

@@ -12,7 +12,7 @@ import pytest
 from d1ring.cli import build_parser, main
 from d1ring.envelope import envelope_for, serialize_envelope
 from d1ring.exactalg import FieldSpec
-from d1ring.experiments import MAX_SUITE_N, SuiteConfig, decoy_nuca
+from d1ring.experiments import MAX_SUITE_FACTORS, MAX_SUITE_N, SuiteConfig, decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
 from d1ring.invert import SearchBudget
@@ -223,6 +223,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "size limit" in err
+
+    def test_suite_max_factors_past_the_limit_is_refused_at_once(self):
+        # long words are refused before any trial draws one
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",
+             "--n", "2", "--trials", "1", "--max-factors", "10000"]
+        )
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: max_factors must be <= {MAX_SUITE_FACTORS} (the suites' word-length limit)\n"
+        )
 
     @pytest.mark.parametrize("command", ["invert", "verdict"])
     def test_oversized_inverse_block_is_usage_error(self, tmp_path, command):

@@ -41,6 +41,16 @@ class TestGenUnit:
         ident = TwistedMatrix.identity(1, Z1, F3)
         assert unit == ident and inverse == ident and word == []
 
+    @pytest.mark.parametrize("n_factors", [-3, experiments.MAX_SUITE_FACTORS + 1])
+    def test_word_length_out_of_range_is_refused(self, n_factors):
+        with pytest.raises(UsageError, match=f"n_factors must be >= 0 and <= {experiments.MAX_SUITE_FACTORS}"):
+            gen_unit(random.Random(0), cfg(), n_factors=n_factors)
+
+    @pytest.mark.parametrize("n_factors", [2.5, True, "2"])
+    def test_word_length_must_be_an_int(self, n_factors):
+        with pytest.raises(UsageError, match="n_factors must be an int"):
+            gen_unit(random.Random(0), cfg(), n_factors=n_factors)
+
     def test_unipotent_factor_matches_f3_pair(self):
         # the generator recipe applied to the fixed singular part gives
         # exactly the known inverse pair
@@ -83,6 +93,12 @@ class TestDirectFiniteness:
         assert cfg(n=experiments.MAX_SUITE_N).n == experiments.MAX_SUITE_N
         with pytest.raises(UsageError, match="size limit"):
             cfg(n=experiments.MAX_SUITE_N + 1)
+
+    def test_max_factors_is_limited(self):
+        limit = experiments.MAX_SUITE_FACTORS
+        assert cfg(max_factors=limit).max_factors == limit
+        with pytest.raises(UsageError, match="word-length limit"):
+            cfg(max_factors=limit + 1)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(UsageError):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -816,3 +817,144 @@ def test_product_checks_agree_with_built_products(seed, group, field, shape, kin
     changed = TwistedMatrix(n, tuple(tuple(row) for row in entries))
     assert unit.product_is_identity(changed) == (unit @ changed).is_identity()
     assert changed.product_is_identity(unit) == (changed @ unit).is_identity()
+
+
+# -- the matrix check: one accumulator per entry, each line read once -------------
+
+BIG_P = FieldSpec.fp(2**64 - 59)  # the largest prime below 2^64
+PERTURBATIONS = ["coefficient", "singular_term", "zero", "one"]
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+def rescaled_pair(u, v):
+    """D u E and E^-1 v D^-1 for diagonal D, E of rationals with distinct
+    prime numerators and denominators, so that the nonzero entries of a
+    row or a column of either matrix have pairwise different denominators:
+    a line's scale is then none of its entries' scales."""
+    n = u.n
+    d = [Fraction(PRIMES[i], PRIMES[n + i]) for i in range(n)]
+    e = [Fraction(PRIMES[2 * n + k], PRIMES[3 * n + k]) for k in range(n)]
+    return (
+        TwistedMatrix(n, tuple(tuple(u.entries[i][k].scale(d[i] * e[k]) for k in range(n)) for i in range(n))),
+        TwistedMatrix(n, tuple(tuple(v.entries[k][j].scale(1 / (e[k] * d[j])) for j in range(n)) for k in range(n))),
+    )
+
+
+def blocked(m, s):
+    """The (n/s) x (n/s) matrix of s x s-shaped entries whose entry (I, J)
+    is f_shuffle_inv of the s x s block (I, J) of m: M_{n/s}(M_s(D)) is
+    M_n(D), so a unit pair stays a unit pair."""
+    k = m.n // s
+    return TwistedMatrix(k, tuple(
+        tuple(
+            f_shuffle_inv(TwistedMatrix(s, tuple(m.entries[I * s + a][J * s: J * s + s] for a in range(s))))
+            for J in range(k)
+        )
+        for I in range(k)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([Z2, F2FREE]),
+    field=st.sampled_from([F2, BIG_P, Q]),
+    shape=st.sampled_from([None, 2]),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(PERTURBATIONS),
+)
+def test_identity_check_is_the_product_compared(seed, group, field, shape, n, kind):
+    # a gen_unit pair (over Q rescaled so that no line's scale is an entry's),
+    # with scalar entries or as n x n matrices of 2 x 2-shaped entries; then
+    # each single entry of the inverse perturbed in turn, so that every
+    # position, (n-1, n-1) too, is the one failing entry of some check
+    rng = random.Random(seed)
+    s = shape or 1
+    if shape:
+        n = min(n, 2)
+    config = SuiteConfig(seed=0, trials=1, group=group, field=field, n=n * s, max_factors=4)
+    unit, inverse, _ = gen_unit(rng, config)
+    if field == Q:
+        unit, inverse = rescaled_pair(unit, inverse)
+    if shape:
+        unit, inverse = blocked(unit, s), blocked(inverse, s)
+    assert unit.shape == shape
+    assert unit.product_is_identity(inverse) and inverse.product_is_identity(unit)
+    assert (unit @ inverse).is_identity() and (inverse @ unit).is_identity()
+    for i in range(n):
+        for j in range(n):
+            entries = [list(row) for row in inverse.entries]
+            entries[i][j] = right_operand(rng, entries[i][j], kind)
+            changed = TwistedMatrix(n, tuple(map(tuple, entries)))
+            assert unit.product_is_identity(changed) == (unit @ changed).is_identity()
+            assert changed.product_is_identity(unit) == (changed @ unit).is_identity()
+
+
+class TestIdentityCheckCosts:
+    """What TwistedMatrix.product_is_identity reads and calls."""
+
+    @staticmethod
+    def unit_pair(field, n=3):
+        config = SuiteConfig(seed=0, trials=1, group=F2FREE, field=field, n=n, max_factors=4)
+        return gen_unit(random.Random(f"check costs|{field.label()}"), config)[:2]
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        f = getattr(twisted, name)
+        monkeypatch.setattr(twisted, name, lambda *args: calls.append(args) or f(*args))
+        return calls
+
+    def test_no_sum_routine_over_fp(self, monkeypatch):
+        unit, inverse = self.unit_pair(F5)
+        calls = [self.counting(monkeypatch, name) for name in ("_sum_is", "_accumulate", "_mul_into")]
+        assert unit.product_is_identity(inverse) and inverse.product_is_identity(unit)
+        sum_is, accumulate, kernel = calls
+        assert sum_is == accumulate == [] and kernel
+
+    def test_each_entry_scaled_once_over_q(self, monkeypatch):
+        # every nonzero entry of both matrices is brought to its line's
+        # numerators once per check, however many entries of the product
+        # read it; zero entries are kept as they are.  The pair is U L and
+        # L^-1 U^-1 for unitriangular U = (1 a b; 0 1 c; 0 0 1) and
+        # L = (1 0 0; d 1 0; e f 1), so entries meet several nonzero partners
+        rng = random.Random("dense unit over Q")
+        one, zero = TwistedElement.one(F2FREE, Q), TwistedElement.zero(F2FREE, Q)
+        a, b, c, d, e, f = (rand_twisted(rng, F2FREE, Q, None, radius=1) for _ in range(6))
+        upper, upper_inv, lower, lower_inv = (
+            TwistedMatrix(3, rows) for rows in (
+                ((one, a, b), (zero, one, c), (zero, zero, one)),
+                ((one, -a, a * c - b), (zero, one, -c), (zero, zero, one)),
+                ((one, zero, zero), (d, one, zero), (e, f, one)),
+                ((one, zero, zero), (-d, one, zero), (f * d - e, -f, one)),
+            )
+        )
+        unit, inverse = upper @ lower, lower_inv @ upper_inv
+        calls = self.counting(monkeypatch, "_numerators_of")
+        for x, y in ((unit, inverse), (inverse, unit)):
+            calls.clear()
+            assert x.product_is_identity(y)
+            lines = (*x.entries, *zip(*y.entries))
+            nonzero = sorted(id(z) for line in lines for z in line if not z.is_zero())
+            # a route that scaled each pair's sides would make this many reads
+            per_pair = sum(
+                2 for row in x.entries for col in zip(*y.entries) for p, q in zip(row, col)
+                if not p.is_zero() and not q.is_zero()
+            )
+            assert sorted(id(z) for z, _ in calls) == nonzero and per_pair > len(nonzero)
+
+    def test_failing_first_entry_stops_the_check(self, monkeypatch):
+        # column 0 of the inverse doubled: entry (0, 0) of the product is 2,
+        # and only the live pairs of row 0 and column 0 reach the kernel
+        unit, inverse = self.unit_pair(F5)
+        entries = [list(row) for row in inverse.entries]
+        for row in entries:
+            row[0] = row[0].scale(2)
+        changed = TwistedMatrix(3, tuple(map(tuple, entries)))
+        kernel = self.counting(monkeypatch, "_mul_into")
+        assert not unit.product_is_identity(changed)
+        live = [
+            (x, y) for x, y in zip(unit.entries[0], (row[0] for row in entries))
+            if not x.is_zero() and not y.is_zero()
+        ]
+        assert live and [(x, y) for _, _, _, x, y in kernel] == live
