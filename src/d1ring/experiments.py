@@ -51,8 +51,8 @@ from .nuca import Nuca
 from .twisted import (
     TwistedElement,
     TwistedMatrix,
-    _role,
-    _sum_of_products,
+    _accumulate,
+    _built,
     element_radius,
     embed,
     matrix_radius,
@@ -239,9 +239,10 @@ def gen_unit(
     operation of its generator sets, so they apply one after another.  The
     unit is the identity with the column operations applied in factor
     order, and the inverse the identity with the row operations applied
-    from the last factor to the first.  Each new entry is one sum of
-    products (twisted._sum_of_products) over its nonzero pairs, so it is
-    the entry the matrix product with the generator would give.
+    from the last factor to the first.  Each new entry is built as an entry
+    of @ is, on one raw accumulator of its nonzero pairs
+    (twisted._accumulate, _built), so it is the entry the matrix product
+    with the generator would give.
 
     The generators are built canonical, without the checking
     constructors: their sites come from the ball, their scalars are
@@ -257,26 +258,26 @@ def gen_unit(
             raise UsageError(f"n_factors must be >= 0 and <= {MAX_SUITE_FACTORS} (the suites' word-length limit)")
     group, field, n = config.group, config.field, config.n
     ball, pool, one, zero = _unit_sites(group, field, config.support_radius)
-    one_terms = one.regular.terms
 
     def monomial(g: Element, c) -> TwistedElement:
         return embed(GroupRingElement(group, field, None, ((g, c),)))
 
     def combine(lines: list, terms, right: bool) -> list:
         """The sum of lines[k] x (right) or of x lines[k] (left) over the
-        terms (k, x), entry by entry: each entry is one sum of products over
-        its live pairs, each side tested once for 0 and for 1
-        (twisted._role)."""
-        sides = [(lines[k], x, x_one) for k, x in terms if (x_one := _role(x, one_terms)) is not None]
+        terms (k, x), entry by entry: each entry is built on one raw
+        accumulator of its live pairs, those with both sides nonzero.  A
+        lone live pair with the shared 1 as a side is its other side, as it
+        is; a side that equals 1 but is another object goes to the kernel."""
+        sides = [(lines[k], x) for k, x in terms if x.singular or x.regular.terms]
         out = []
         for p in range(n):
-            live = []
-            for line, x, x_one in sides:
-                y = line[p]
-                y_one = _role(y, one_terms)
-                if y_one is not None:
-                    live.append(x if y_one else y if x_one else (y, x) if right else (x, y))
-            out.append(_sum_of_products(group, field, None, live) if live else zero)
+            live = [(y, x) if right else (x, y) for line, x in sides if (y := line[p]).singular or y.regular.terms]
+            if len(live) == 1:
+                x, y = live[0]
+                if x is one or y is one:
+                    out.append(y if x is one else x)
+                    continue
+            out.append(_built(group, field, None, *_accumulate(group, field, None, live)) if live else zero)
         return out
 
     kinds = ["monomial", "unipotent"] + (["elementary"] if n >= 2 else [])

@@ -367,6 +367,7 @@ class GroupRingElement(_Frozen):
         return FiniteSubset(self.group, tuple(g for g, _ in self.terms))
 
     def coefficient(self, g: Element):
+        self.group.check(g)
         for h, c in self.terms:
             if h == g:
                 return c

@@ -86,6 +86,11 @@ class Configuration:
         return not any(self.base) and not self.deviation
 
     def value_at(self, g: Element) -> Vector:
+        self.group.check(g)
+        return self._value_at(g)
+
+    def _value_at(self, g: Element) -> Vector:
+        """value_at for a site already known to be in the group."""
         for h, v in self.deviation:
             if h == g:
                 coerce = self.field.coerce
@@ -108,13 +113,11 @@ class Configuration:
         )
 
     def restrict(self, sites: FiniteSubset) -> "Pattern":
-        return Pattern(
-            self.group,
-            self.field,
-            self.n,
-            sites,
-            tuple(self.value_at(g) for g in sites),
-        )
+        """This configuration on the sites, a subset of its group: only the
+        subset's group is checked, as its sites are elements of it."""
+        if sites.group != self.group:
+            raise UsageError("sites must be a subset of the configuration's group")
+        return Pattern(self.group, self.field, self.n, sites, tuple(self._value_at(g) for g in sites))
 
     def _check_compatible(self, other: "Configuration") -> None:
         if (self.group, self.field, self.n) != (other.group, other.field, other.n):
@@ -288,6 +291,7 @@ class Nuca:
 
     def rule_at(self, g: Element) -> LocalRule:
         """The local rule used at site g, over this NUCA's memory set."""
+        self.group.check(g)
         part = self._parts.get(g)
         blocks = self._rule_blocks(part.terms if part is not None else ())
         return LocalRule(self.group, self.field, self.n, self.memory, blocks)

@@ -24,31 +24,32 @@ these three slot sums term by term into a single accumulator
 every TwistedMatrix, are convolved in _mul_into's own loops; n x n
 coefficients go through groupring._convolve_into, which transposes each
 right-hand coefficient once per call.  A product, or a sum of products
-such as an entry of a matrix product, is made canonical once at the end
-(_sum_of_products), not once per partial convolution and sum.
+such as an entry of a matrix product, is one list of pairs (x, y),
+accumulated by the kernel (_accumulate) and made canonical once at the
+end (_built), not once per partial convolution and sum.
 
 The accumulator holds plain ints.  Over F_p the operands are read as
 they are.  Over Q each operand is read on its integer numerators over
 one scale, the lcm of the denominators of its regular and singular parts
-alike, since the kernel mixes them; a sum of several pairs, or a lone
-identity-side operand (below), is first brought to the lcm L of the
-pairs' scales (_accumulate).  So the accumulator holds L times the sum,
-and making it canonical divides each entry by L once, into a Fraction
-even when L = 1.
+alike, since the kernel mixes them; a sum of several pairs is first
+brought to the lcm L of the pairs' scales (_accumulate).  So the
+accumulator holds L times the sum, and making it canonical divides each
+entry by L once, into a Fraction even when L = 1.
 
 Only the pairs that can contribute reach the kernel.  An entry of a
 matrix product (@) pairs the entries of its row and column where both
-are nonzero: a pair with a zero side adds nothing to the sum, and an
-entry with no pair left is the zero element.  A pair with an identity
-side is given as its other side alone (_pair), whose terms are added to
-the accumulator as they are (_accumulate), and a sum of that single side
-is the side itself, returned as it is, since operands are canonical and
-immutable.  These skips are exact: they leave out only terms that are
-zero or add terms equal to the product's, and every compatibility check
-runs before any of them.
+are nonzero, each row's nonzero entries listed once: a pair with a zero
+side adds nothing to the sum, and an entry with no pair left is the zero
+element.  A product with a side 1 is its other side, returned as it is
+since operands are canonical and immutable, in the callers that meet
+many such products: TwistedElement * and product_is_one, and gen_unit
+for an entry of one live pair with its shared 1 as a side.  Elsewhere
+a side 1 goes to the kernel like any other, at the cost of one pass
+over the other side's terms.  These skips are exact, and every
+compatibility check runs before them.
 
 Whether a sum of products is 1 or 0 is decided on the same raw
-accumulator, without making it canonical (_sum_is): every raw entry
+accumulator, without making it canonical (_acc_is): every raw entry
 must reduce to zero (mod p over F_p), except that for 1 the regular
 slot's coefficient at the identity must reduce to 1, the identity
 matrix for n x n coefficients; over Q it must equal L times it, so
@@ -56,18 +57,14 @@ nothing is divided.  TwistedElement.product_is_one answers "is this
 product 1?" with it.  TwistedMatrix.product_is_identity decides each
 entry of the product in the same way, on one raw accumulator of its
 own that the kernel fills directly, and stops at the first entry that
-fails.  It gives the kernel each pair (x, y) of a row and a column whose
-sides are both nonzero, as it is, with no test for 1: an identity side
-costs the kernel one pass over the other side's terms, about what
-adding them alone would cost.  Each row's nonzero entries are listed
-once, so an entry costs its live pairs, not n tests.  Over Q it reads
-each row of the left factor and each column of the right factor once,
-on integer numerators over the lcm L_i or L_j of the line's scales, so
-entry (i, j) holds L_i L_j times its value; a line's lcm stays about as
-small as one entry's scale, where one lcm over a whole matrix would
-grow with its n^2 denominators.  Over F_p nothing is scaled, and scalar
-entries, the checks of the direct-finiteness suites, are decided by
-inline loops that stop at the first residue that fails.
+fails.  Over Q it reads each row of the left factor and each column of
+the right factor once, on integer numerators over the lcm L_i or L_j of
+the line's scales, so entry (i, j) holds L_i L_j times its value; a
+line's lcm stays about as small as one entry's scale, where one lcm over
+a whole matrix would grow with its n^2 denominators.  Over F_p nothing
+is scaled, and scalar entries, the checks of the direct-finiteness
+suites, are decided by inline loops that stop at the first residue that
+fails.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ from .groupring import (
     GroupRingElement,
     Shape,
     _Frozen,
-    _add_into,
     _canonical_terms,
     _convolve_into,
     _denominator,
@@ -161,6 +157,7 @@ class TwistedElement(_Frozen):
         return g == reg.group.identity and c == coeff_one(reg.field, reg.shape)
 
     def singular_part(self, g: Element) -> GroupRingElement:
+        self.group.check(g)
         for h, part in self.singular:
             if h == g:
                 return part
@@ -203,12 +200,23 @@ class TwistedElement(_Frozen):
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         self._check_compatible(other)
-        return _sum_of_products(self.group, self.field, self.shape, (_pair(self, other),))
+        # operands are canonical and immutable, so a side 1 gives the other
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
+        grp, field, shape = self.group, self.field, self.shape
+        return _built(grp, field, shape, *_accumulate(grp, field, shape, ((self, other),)))
 
     def product_is_one(self, other: "TwistedElement") -> bool:
-        """(self * other).is_one(), decided without building the product."""
+        """(self * other).is_one(), decided on the raw accumulator without
+        building the product (_acc_is)."""
         self._check_compatible(other)
-        return _sum_is(self.group, self.field, self.shape, (_pair(self, other),), True)
+        left, right = self.is_one(), other.is_one()
+        if left or right:
+            return left and right
+        grp, field, shape = self.group, self.field, self.shape
+        return _acc_is(grp, field, shape, *_accumulate(grp, field, shape, ((self, other),)), True)
 
 
 _set_regular, _set_singular = _slot_setters(TwistedElement)
@@ -280,21 +288,6 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
                     _convolve_into(slot, grp, shape, ((t, c),), hit.terms)
 
 
-def _pair(x: TwistedElement, y: TwistedElement):
-    """x * y as _accumulate takes it: with an identity side, the other side
-    alone, else the tuple (x, y)."""
-    return y if x.is_one() else x if y.is_one() else (x, y)
-
-
-def _role(x: TwistedElement, one: tuple) -> bool | None:
-    """None if x is 0, True if x is 1, else False, from x's fields read
-    once; `one` is the terms of the regular part of 1."""
-    if x.singular:
-        return False
-    terms = x.regular.terms
-    return terms == one if terms else None
-
-
 def _scale_of(x: TwistedElement) -> int:
     """The lcm of the denominators of x's entries over Q, regular and
     singular alike."""
@@ -324,49 +317,30 @@ def _on_numerators(line) -> tuple[int, list]:
 
 
 def _accumulate(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> tuple[dict, int]:
-    """The raw sum of the products over the pairs (_pair), as {site or
-    None: {h: coefficient}}, and its scale.  A side given alone adds its
-    terms; a tuple (x, y) goes through _mul_into.  Over F_p the sides are
-    read as they are, at scale 1.  Over Q each side is read on its integer
-    numerators over one scale for its regular and singular parts, as
-    _mul_into mixes them: the lcm L_y of y's denominators for a right side
-    y, and L / L_y for the left side x or a lone side, where L is the lcm
-    of the scales L_x L_y of the pairs (L_y = 1 for a lone side).  So
-    every pair adds L times its product, in plain ints."""
+    """The raw sum of the products x y over the pairs (x, y), as {site or
+    None: {h: coefficient}} filled by _mul_into, and its scale.  Over F_p
+    the sides are read as they are, at scale 1.  Over Q each side is read
+    on its integer numerators over one scale for its regular and singular
+    parts, as _mul_into mixes them: the lcm L_y of y's denominators for
+    the right side y, and L / L_y for the left side x, where L is the lcm
+    of the scales L_x L_y of the pairs.  So every pair adds L times its
+    product, in plain ints."""
     scale = 1
     if not field.p:
-        sides = [
-            (pair, None, _scale_of(pair), 1) if type(pair) is not tuple
-            else (*pair, _scale_of(pair[0]), _scale_of(pair[1]))
-            for pair in pairs
-        ]
+        sides = [(x, y, _scale_of(x), _scale_of(y)) for x, y in pairs]
         scale = math.lcm(*(lx * ly for _, _, lx, ly in sides))
-        pairs = [
-            _numerators_of(x, scale) if y is None
-            else (_numerators_of(x, scale // ly), _numerators_of(y, ly))
-            for x, y, _, ly in sides
-        ]
+        pairs = [(_numerators_of(x, scale // ly), _numerators_of(y, ly)) for x, y, _, ly in sides]
     acc: dict = {}
-    for pair in pairs:
-        if type(pair) is tuple:
-            _mul_into(acc, grp, shape, *pair)
-            continue
-        _add_into(acc.setdefault(None, {}), shape, pair.regular.terms)
-        for g, part in pair.singular:
-            _add_into(acc.setdefault(g, {}), shape, part.terms)
+    for x, y in pairs:
+        _mul_into(acc, grp, shape, x, y)
     return acc, scale
 
 
-def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> TwistedElement:
-    """The sum of the products over a nonempty sequence of pairs (_pair),
-    accumulated by _accumulate and made canonical once: every part
-    reduced (over Q divided by the scale), empty parts dropped, sites
-    sorted.  The sites are composed from validated elements, so they are
-    trusted.  A single side given alone is the sum, and it is canonical
-    already."""
-    if len(pairs) == 1 and type(pairs[0]) is not tuple:
-        return pairs[0]
-    acc, scale = _accumulate(grp, field, shape, pairs)
+def _built(grp: GroupSpec, field: FieldSpec, shape: Shape, acc: dict, scale: int) -> TwistedElement:
+    """The raw accumulator acc of the given scale (_accumulate) made
+    canonical once: every part reduced (over Q divided by the scale),
+    empty parts dropped, sites sorted.  The sites are composed from
+    validated elements, so they are trusted."""
     regular = GroupRingElement(
         grp, field, shape, _canonical_terms(grp, field, shape, acc.pop(None, {}), scale)
     )
@@ -380,27 +354,17 @@ def _sum_of_products(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs) -> T
     return TwistedElement(regular, tuple(singular))
 
 
-def _sum_is(grp: GroupSpec, field: FieldSpec, shape: Shape, pairs, one: bool) -> bool:
-    """Whether the sum of the products over the pairs (_pair) is 1 (one
-    set) or 0, decided on the raw accumulator of _accumulate, with no part
-    reduced, sorted or built: every raw entry must reduce to zero, except
-    that for 1 the regular slot's coefficient at the identity must reduce
-    to 1, over Q equal the scale (groupring._raw_is_one and _raw_is_zero),
-    so nothing is divided; scalars over F_p are decided by inline loops
-    instead.  TwistedElement.product_is_one decides its product here;
-    TwistedMatrix.product_is_identity decides each entry in the same way
-    on an accumulator of its own.  A single side given alone is
-    the sum, so it is tested as it is."""
-    if len(pairs) == 1 and type(pairs[0]) is not tuple:
-        return pairs[0].is_one() if one else pairs[0].is_zero()
-    acc, scale = _accumulate(grp, field, shape, pairs)
-    p = field.p if shape is None else None
+def _acc_is(grp: GroupSpec, field: FieldSpec, shape: Shape, acc: dict, scale: int, one: bool) -> bool:
+    """Whether the raw accumulator acc of the given scale (_accumulate)
+    holds 1 (one set) or 0, with no part reduced, sorted or built: every
+    raw entry must reduce to zero, except that for 1 the regular slot's
+    coefficient at the identity must reduce to 1, over Q equal the scale
+    (groupring._raw_is_one and _raw_is_zero), so nothing is divided.  For
+    1 that coefficient is popped from acc."""
     if one:
         c = acc.get(None, {}).pop(grp.identity, None)
-        if c is None or not (c % p == 1 if p else _raw_is_one(field, shape, c, scale)):
+        if c is None or not _raw_is_one(field, shape, c, scale):
             return False
-    if p:
-        return not any(c % p for slot in acc.values() for c in slot.values())
     return _raw_is_zero(field, shape, chain.from_iterable(slot.values() for slot in acc.values()))
 
 
@@ -434,13 +398,15 @@ class TwistedMatrix:
 
     def __post_init__(self):
         _check_int("matrix size n", self.n)
-        if self.n < 1 or len(self.entries) != self.n or any(
-            len(row) != self.n for row in self.entries
-        ):
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if self.n < 1 or len(entries) != self.n or any(len(row) != self.n for row in entries):
             raise UsageError("entries must form an n x n grid")
-        first = self.entries[0][0]
-        for row in self.entries:
+        first = entries[0][0]
+        for row in entries:
             for e in row:
+                if not isinstance(e, TwistedElement):
+                    raise UsageError(f"matrix entries must be twisted elements, got {type(e).__name__}")
                 e._check_compatible(first)
 
     @staticmethod
@@ -501,19 +467,22 @@ class TwistedMatrix:
         return first
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
+        """The product, entry (i, j) built on one raw accumulator of the
+        pairs (self[i][k], other[k][j]) whose sides are both nonzero (row
+        i's nonzero entries are listed once), made canonical once; with no
+        such pair it is 0."""
         first = self._check_product(other)
         grp, field, shape = first.group, first.field, first.shape
         zero = TwistedElement.zero(grp, field, shape)
         cols = list(zip(*other.entries))
 
-        def entry(row, col) -> TwistedElement:
-            pairs = [_pair(x, y) for x, y in zip(row, col) if not x.is_zero() and not y.is_zero()]
-            return _sum_of_products(grp, field, shape, pairs) if pairs else zero
+        def entry(live, col) -> TwistedElement:
+            pairs = [(x, y) for k, x in live if (y := col[k]).singular or y.regular.terms]
+            return _built(grp, field, shape, *_accumulate(grp, field, shape, pairs)) if pairs else zero
 
+        lives = ([(k, x) for k, x in enumerate(row) if x.singular or x.regular.terms] for row in self.entries)
         # the kernel gives every entry grp, field and shape
-        return TwistedMatrix._trusted(
-            self.n, tuple(tuple(entry(row, col) for col in cols) for row in self.entries)
-        )
+        return TwistedMatrix._trusted(self.n, tuple(tuple(entry(live, col) for col in cols) for live in lives))
 
     def product_is_identity(self, other: "TwistedMatrix") -> bool:
         """(self @ other).is_identity(), decided entry by entry without
@@ -524,8 +493,8 @@ class TwistedMatrix:
         it is 0.  Over Q each column of other, and each row of self as it
         is reached, is read once on integer numerators over the lcm L_j or
         L_i of its nonzero entries' scales, so the accumulator holds L_i L_j
-        times the entry.  It is decided as _sum_is decides a sum: scalars
-        over F_p by inline loops, all else by _raw_is_one/_raw_is_zero."""
+        times the entry.  Scalars over F_p are decided by inline loops, all
+        else by _acc_is."""
         first = self._check_product(other)
         grp, field, shape = first.group, first.field, first.shape
         cols = list(zip(*other.entries))
@@ -544,19 +513,21 @@ class TwistedMatrix:
                     y = col[k]
                     if y.singular or y.regular.terms:
                         _mul_into(acc, grp, shape, x, y)
-                if i == j:
-                    c = acc[None].pop(identity, None) if None in acc else None
-                    if c is None or not (
-                        c % p == 1 if inline else _raw_is_one(field, shape, c, 1 if p else row_scale * col_scales[j])
+                if not inline:
+                    # an empty accumulator off the diagonal is 0
+                    if (acc or i == j) and not _acc_is(
+                        grp, field, shape, acc, 1 if p else row_scale * col_scales[j], i == j
                     ):
                         return False
-                if inline:
-                    for slot in acc.values():
-                        for c in slot.values():
-                            if c % p:
-                                return False
-                elif acc and not _raw_is_zero(field, shape, chain.from_iterable(slot.values() for slot in acc.values())):
-                    return False
+                    continue
+                if i == j:
+                    c = acc[None].pop(identity, None) if None in acc else None
+                    if c is None or c % p != 1:
+                        return False
+                for slot in acc.values():
+                    for c in slot.values():
+                        if c % p:
+                            return False
         return True
 
     def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":

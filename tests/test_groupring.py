@@ -165,6 +165,13 @@ class TestTranslate:
         with pytest.raises(UsageError):
             GroupRingElement.zero(Z2, F5).translate(g)
 
+    @pytest.mark.parametrize("g", [(1, 2, 3), "junk"])
+    def test_coefficient_refuses_a_bad_site(self, g):
+        # no term matches a bad site, so it once read as coefficient 0
+        a = gre(Z2, F5, None, [((0, 0), 1)])
+        with pytest.raises(UsageError):
+            a.coefficient(g)
+
 
 def reference_unshuffle(grid):
     """matrix_unshuffle read site by site: the coefficient of every entry

@@ -485,6 +485,27 @@ class TestTranslate:
         assert x.translate((3,)) == Configuration.make(Z1, F3, 1, [2], [((3,), [1])])
 
 
+class TestSiteQueries:
+    """A query at a site that is no element of the group is refused, where
+    it once answered as at a site of no deviation or correction."""
+
+    @pytest.mark.parametrize("g", [(1, 2, 3), "junk"])
+    def test_bad_site_refused(self, g):
+        x = Configuration.make(Z2, F3, 1, [2], [((0, 0), [1])])
+        t = Nuca(TwistedElement.make(
+            gre(Z2, F3, 1, [((0, 0), ((1,),))]), [((0, 0), gre(Z2, F3, 1, [((1, 0), ((1,),))]))]
+        ))
+        with pytest.raises(UsageError):
+            x.value_at(g)
+        with pytest.raises(UsageError):
+            t.rule_at(g)
+
+    def test_restrict_refuses_a_subset_of_another_group(self):
+        x = Configuration.make(Z2, F3, 1, [2], [((0, 0), [1])])
+        with pytest.raises(UsageError, match="subset of the configuration's group"):
+            x.restrict(FiniteSubset.make(GroupSpec.zd(3), [(1, 2, 3)]))
+
+
 class TestLocality:
     def test_output_window_reads_only_translated_window(self, rng):
         for _ in range(15):

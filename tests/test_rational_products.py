@@ -107,6 +107,12 @@ def oracle_one(group, shape):
     return {o_identity(group.kind, group.dim): one}, {}
 
 
+def accumulated(group, shape, pairs):
+    """The raw accumulator of the sum of the products over the pairs, with
+    its scale, as _built and _acc_is take it."""
+    return twisted._accumulate(group, Q, shape, pairs)
+
+
 def assert_is_oracle(element, plain):
     assert plain_twisted(element) == plain
     assert reprs(plain_twisted(element)) == reprs(plain)
@@ -145,8 +151,8 @@ def test_products_that_cancel_to_one_or_zero(data, case):
     assert u.product_is_one(w) == (expected == one)
     # cancellation to 0: a sum of a product and its negative, and scalar
     # or matrix units whose product vanishes
-    assert_is_oracle(twisted._sum_of_products(group, Q, shape, [(u, w), (-u, w)]), ({}, {}))
-    assert twisted._sum_is(group, Q, shape, [(u, w), (-u, w)], False)
+    assert_is_oracle(twisted._built(group, Q, shape, *accumulated(group, shape, [(u, w), (-u, w)])), ({}, {}))
+    assert twisted._acc_is(group, Q, shape, *accumulated(group, shape, [(u, w), (-u, w)]), False)
     if shape is not None:
         c = data.draw(fractions(False).filter(bool))
         e12 = tuple(tuple(c * (i == 0 and j == 1) for j in range(shape)) for i in range(shape))
@@ -158,8 +164,8 @@ def test_products_that_cancel_to_one_or_zero(data, case):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), case=cases())
 def test_sums_of_products_match_the_oracle(data, case):
-    # pairs of different scales, with identity-side pairs given as their
-    # other side alone (twisted._pair), summed on one accumulator
+    # pairs of different scales, identity-side pairs among them, summed on
+    # one accumulator, built and decided against 1 and 0
     group, shape = case
     one = TwistedElement.one(group, Q, shape)
     k = data.draw(st.integers(1, 3))
@@ -170,10 +176,9 @@ def test_sums_of_products_match_the_oracle(data, case):
         y = data.draw(st.sampled_from([one, data.draw(twisted_elements(group, shape, integral))]))
         pairs.append(data.draw(st.sampled_from([(x, y), (y, x)])))
     expected = oracle_sum(pairs)
-    for given_pairs in (pairs, [twisted._pair(a, b) for a, b in pairs]):
-        assert_is_oracle(twisted._sum_of_products(group, Q, shape, given_pairs), expected)
-        assert twisted._sum_is(group, Q, shape, given_pairs, True) == (expected == oracle_one(group, shape))
-        assert twisted._sum_is(group, Q, shape, given_pairs, False) == (expected == ({}, {}))
+    assert_is_oracle(twisted._built(group, Q, shape, *accumulated(group, shape, pairs)), expected)
+    assert twisted._acc_is(group, Q, shape, *accumulated(group, shape, pairs), True) == (expected == oracle_one(group, shape))
+    assert twisted._acc_is(group, Q, shape, *accumulated(group, shape, pairs), False) == (expected == ({}, {}))
 
 
 @settings(max_examples=60, deadline=None)

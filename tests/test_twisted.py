@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,16 @@ class TestFrozenElement:
         assert u != fields and fields != u
         assert u != u.regular and u.regular != u
         assert repr(u) == f"TwistedElement(regular={u.regular!r}, singular={u.singular!r})"
+
+
+class TestSingularPart:
+    @pytest.mark.parametrize("g", [(1, 2, 3), "junk"])
+    def test_bad_site_refused(self, g):
+        # no singular site matches a bad one, so it once read as the zero part
+        u = TwistedElement.make(gre(Z2, F5, None, [((0, 0), 1)]), [((1, 0), gre(Z2, F5, None, [((0, 1), 2)]))])
+        with pytest.raises(UsageError):
+            u.singular_part(g)
+        assert u.singular_part((1, 0)) == gre(Z2, F5, None, [((0, 1), 2)])
 
 
 class TestMul:
@@ -165,6 +176,34 @@ class TestMatrixSize:
         # envelope reads
         with pytest.raises(UsageError, match="matrix size n must be an int"):
             TwistedMatrix(n, ((TwistedElement.one(Z1, F5),),))
+
+
+class TestMatrixEntries:
+    """A TwistedMatrix holds a checked grid of tuples of twisted elements."""
+
+    def test_lists_are_stored_as_tuples(self):
+        one = TwistedElement.one(Z1, F5)
+        m = TwistedMatrix(1, [[one]])
+        assert type(m.entries) is tuple and type(m.entries[0]) is tuple
+        assert m == TwistedMatrix(1, ((one,),))
+        assert hash(m) == hash(TwistedMatrix(1, ((one,),)))
+
+    def test_entries_cannot_be_changed(self):
+        one = TwistedElement.one(Z1, F5)
+        rows = [[one]]
+        m = TwistedMatrix(1, rows)
+        rows[0][0] = "junk"
+        assert m.entries == ((one,),)
+        with pytest.raises(TypeError):
+            m.entries[0][0] = "junk"
+
+    @pytest.mark.parametrize("entry", [3, "junk", None], ids=repr)
+    def test_non_element_entry_refused(self, entry):
+        with pytest.raises(UsageError, match="twisted elements"):
+            TwistedMatrix(1, ((entry,),))
+        one = TwistedElement.one(Z1, F5)
+        with pytest.raises(UsageError, match="twisted elements"):
+            TwistedMatrix(2, ((one, one), (one, entry)))
 
 
 class TestMatMul:
@@ -675,7 +714,7 @@ def test_matmul_entry_whose_products_cancel(field):
 
 
 class TestKernelSkips:
-    """@ sends only live pairs without an identity side to the kernel."""
+    """@ sends only live pairs, both sides nonzero, to the kernel."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -692,6 +731,8 @@ class TestKernelSkips:
     @pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_and_zero_make_no_kernel_call(self, kernel_calls, field, n):
+        # a zero operand makes no kernel call; an identity operand's 1s are
+        # multiplied like any other side
         rng = random.Random(f"skips|{field.label()}|{n}")
         m = TwistedMatrix(n, tuple(
             tuple(rand_twisted(rng, Z2, field, None, radius=1) for _ in range(n)) for _ in range(n)
@@ -703,12 +744,12 @@ class TestKernelSkips:
             expected = reference_matmul(a, b)
             kernel_calls.clear()
             assert a @ b == expected
-            assert kernel_calls == []
+            if zero in (a, b):
+                assert kernel_calls == []
 
     def test_elementary_times_diagonal(self, kernel_calls):
-        # (1 w; 0 1)(d0 0; 0 d1) = (d0 w d1; 0 d1): (0, 0) and (1, 1) are
-        # lone products with an identity side, (1, 0) has no live pair, so
-        # only w d1 reaches the kernel
+        # (1 w; 0 1)(d0 0; 0 d1) = (d0 w d1; 0 d1): (1, 0) has no live
+        # pair, and no pair with a zero side reaches the kernel
         def tw(regular, singular=()):
             return TwistedElement.make(
                 gre(F2FREE, F5, None, regular), [(g, gre(F2FREE, F5, None, t)) for g, t in singular]
@@ -721,14 +762,31 @@ class TestKernelSkips:
         one, zero = TwistedElement.one(F2FREE, F5), TwistedElement.zero(F2FREE, F5)
         elementary = TwistedMatrix(2, ((one, w), (zero, one)))
         diagonal = TwistedMatrix.diagonal([d0, d1])
-        # the other order is (d0 d0 w; 0 d1), with one kernel call for d0 w
-        for a, b, live in ((elementary, diagonal, (w, d1)), (diagonal, elementary, (d0, w))):
+        # the other order is (d0 d0 w; 0 d1)
+        for a, b in ((elementary, diagonal), (diagonal, elementary)):
             expected = reference_matmul(a, b)
             kernel_calls.clear()
-            prod = a @ b
-            assert kernel_calls == [live]
-            assert prod == expected
-        assert prod.entries[0][0] is d0 and prod.entries[1][1] is d1
+            assert a @ b == expected
+            assert kernel_calls and all(not x.is_zero() and not y.is_zero() for x, y in kernel_calls)
+
+    def test_kernel_calls_are_the_live_pairs(self, kernel_calls, monkeypatch):
+        # a gen_unit pair: the kernel runs once per (i, j, k) with both
+        # self[i][k] and other[k][j] nonzero, and no entry is tested with
+        # is_zero(), where a test of every pair would make n^3 calls
+        config = SuiteConfig(seed=0, trials=1, group=F2FREE, field=F5, n=30)
+        u, v, _ = gen_unit(random.Random("matmul cost"), config, n_factors=6)
+        live = Counter(
+            (id(x), id(y)) for row in u.entries for col in zip(*v.entries) for x, y in zip(row, col)
+            if not x.is_zero() and not y.is_zero()
+        )
+        tests = []
+        is_zero = TwistedElement.is_zero
+        monkeypatch.setattr(TwistedElement, "is_zero", lambda x: tests.append(x) or is_zero(x))
+        kernel_calls.clear()
+        prod = u @ v
+        monkeypatch.undo()
+        assert Counter((id(x), id(y)) for x, y in kernel_calls) == live and tests == []
+        assert prod == reference_matmul(u, v)
 
 
 # -- deciding a product against 1 on its accumulator --------------------------------
@@ -783,8 +841,11 @@ def test_product_checks_agree_with_built_products(seed, group, field, shape, kin
     assert x.product_is_one(y) == (x * y).is_one()
     assert y.product_is_one(x) == (y * x).is_one()
 
-    # sums with identity-side pairs: x y + z - z and x y - 1, each pair
-    # given as the tuple and as _pair gives it (an identity side dropped)
+    # sums with identity-side pairs: x y + z - z and x y - 1, each on one
+    # accumulator, built and decided against 1 and 0
+    def accumulated(pairs):
+        return twisted._accumulate(group, field, shape, pairs)
+
     one = TwistedElement.one(group, field, shape)
     z = rand_twisted(rng, group, field, shape, radius=1)
     for pairs in (
@@ -793,10 +854,9 @@ def test_product_checks_agree_with_built_products(seed, group, field, shape, kin
         total = pairs[0][0] * pairs[0][1]
         for a, b in pairs[1:]:
             total = total + a * b
-        for given in (pairs, [twisted._pair(a, b) for a, b in pairs]):
-            assert twisted._sum_is(group, field, shape, given, True) == total.is_one()
-            assert twisted._sum_is(group, field, shape, given, False) == total.is_zero()
-            assert twisted._sum_of_products(group, field, shape, given) == total
+        assert twisted._acc_is(group, field, shape, *accumulated(pairs), True) == total.is_one()
+        assert twisted._acc_is(group, field, shape, *accumulated(pairs), False) == total.is_zero()
+        assert twisted._built(group, field, shape, *accumulated(pairs)) == total
 
     # (x w; 0 1)(y -y w; 0 1) is the identity iff x y = 1; entry (0, 1)
     # sums a product with an identity-side pair
@@ -907,10 +967,10 @@ class TestIdentityCheckCosts:
 
     def test_no_sum_routine_over_fp(self, monkeypatch):
         unit, inverse = self.unit_pair(F5)
-        calls = [self.counting(monkeypatch, name) for name in ("_sum_is", "_accumulate", "_mul_into")]
+        calls = [self.counting(monkeypatch, name) for name in ("_acc_is", "_accumulate", "_mul_into")]
         assert unit.product_is_identity(inverse) and inverse.product_is_identity(unit)
-        sum_is, accumulate, kernel = calls
-        assert sum_is == accumulate == [] and kernel
+        acc_is, accumulate, kernel = calls
+        assert acc_is == accumulate == [] and kernel
 
     def test_each_entry_scaled_once_over_q(self, monkeypatch):
         # every nonzero entry of both matrices is brought to its line's
