@@ -178,6 +178,9 @@ class SuiteConfig:
     decoy_every: int = 0  # pipeline: every k-th trial runs the non-injective control
 
     def __post_init__(self):
+        for name, kind in (("group", GroupSpec), ("field", FieldSpec), ("budget", SearchBudget)):
+            if not isinstance(getattr(self, name), kind):
+                raise UsageError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("seed", "trials", "n", "support_radius", "max_factors", "decoy_every"):
             _check_int(name, getattr(self, name))
         for name, low in (("trials", 1), ("support_radius", 0), ("max_factors", 1), ("decoy_every", 0)):

@@ -60,14 +60,6 @@ def coeff_is_zero(c) -> bool:
     return c == 0
 
 
-def coeff_add(field: FieldSpec, a, b):
-    """The entrywise sum of two n x n coefficients."""
-    p = field.p
-    if p:
-        return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def coeff_neg(field: FieldSpec, a):
     if isinstance(a, tuple):
         return tuple(tuple(field.neg(x) for x in row) for row in a)

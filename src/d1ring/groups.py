@@ -152,6 +152,7 @@ class GroupSpec:
         empty word plus 2k(2k-1)^(l-1) reduced words of each length
         1 <= l <= r, a geometric sum (plain 2r+1 for k = 1).  None past cap,
         found without computing a larger size."""
+        _check_int("radius", radius)
         if radius < 0:
             raise UsageError("radius must be >= 0")
         k, free = self.dim, self.kind == "free" and self.dim > 1

@@ -23,11 +23,12 @@ sum it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UsageError, _check_int
-from .exactalg import FieldSpec, Matrix, _content_free, _primitive_row
-from .groupring import coeff_add, coeff_zero
+from .exactalg import FieldSpec, Matrix, _content_free
+from .groupring import _denominator, _numerators
 from .groups import Element, FiniteSubset, GroupSpec
 from .twisted import TwistedElement, TwistedMatrix, f_shuffle_inv
 
@@ -207,16 +208,17 @@ class Nuca:
 
     The memory set (element.memory()), the exceptional set
     (element.singular_support()), the map {site: singular part} that
-    apply and rule_at read, the constant rule's blocks that every rule
-    starts from, and the rule rows that windows are placed from are made
-    on first read, into their slots (__getattr__): the inverse search
-    builds NUCA it only multiplies and checks, and a slot once filled
-    reads as a plain attribute.
+    apply reads, and the rule table that rule_at and every window placed
+    read are made on first read, into their slots (__getattr__): the
+    inverse search builds NUCA it only multiplies and checks, and a slot
+    once filled reads as a plain attribute.
     """
 
-    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_regular_blocks", "_rules")
+    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules")
 
     def __init__(self, element: TwistedElement):
+        if not isinstance(element, TwistedElement):
+            raise UsageError(f"a NUCA is built from a twisted element, got {type(element).__name__}")
         if element.shape is None:
             raise UsageError("a NUCA needs matrix-shaped coefficients (n >= 1)")
         self.element = element
@@ -229,24 +231,16 @@ class Nuca:
             value = self.element.singular_support()
         elif name == "_parts":
             value = dict(self.element.singular)
-        elif name == "_regular_blocks":
-            # the constant rule's blocks, one per memory site (_rule_blocks); an
-            # n x n zero block is built only if a memory site needs one
-            reg = dict(self.element.regular.terms)
-            zero = coeff_zero(self.field, self.n) if any(h not in reg for h in self.memory) else None
-            value = tuple(reg.get(h, zero) for h in self.memory)
         elif name == "_rules":
-            # the _rule_rows of the constant rule and {g: those of the rule
-            # at g} for the exceptional sites g.  The kernel searches and
-            # towers read them for every window they place; induced_local_map
-            # reads the field rows, _window_rows and invert.kernel_tower the
-            # integer rows
-            field, n = self.field, self.n
-            exceptional = {
-                g: _rule_rows(field, n, self._rule_blocks(part.terms))
-                for g, part in self.element.singular
-            }
-            value = (_rule_rows(field, n, self._rule_blocks(())), exceptional)
+            # the rule table: the _rule_rows of the constant rule a and {g:
+            # those of a + b(g)} for the exceptional sites g, each from the
+            # terms that sum to it.  rule_at lays its blocks out from it,
+            # induced_local_map the field rows, _window_rows and
+            # invert.kernel_tower the integer rows
+            field, n, position = self.field, self.n, self.memory.position
+            a = self.element.regular.terms
+            exceptional = {g: _rule_rows(field, n, position, a + b.terms) for g, b in self.element.singular}
+            value = (_rule_rows(field, n, position, a), exceptional)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
@@ -290,25 +284,17 @@ class Nuca:
         )
 
     def rule_at(self, g: Element) -> LocalRule:
-        """The local rule used at site g, over this NUCA's memory set."""
+        """The local rule used at site g, over this NUCA's memory set, laid
+        out from its rows in the rule table (_rules)."""
         self.group.check(g)
-        part = self._parts.get(g)
-        blocks = self._rule_blocks(part.terms if part is not None else ())
-        return LocalRule(self.group, self.field, self.n, self.memory, blocks)
-
-    def _rule_blocks(self, correction) -> tuple:
-        """The blocks of a rule, one per memory site in the memory's order:
-        the regular part's (_regular_blocks) plus those of `correction`,
-        the (h, block) terms of the singular part at a site.  rule_at and
-        _rules make every rule here."""
-        blocks = self._regular_blocks
-        if not correction:
-            return blocks
-        field, position, blocks = self.field, self.memory.position, list(blocks)
-        for h, c in correction:
-            k = position(h)
-            blocks[k] = coeff_add(field, blocks[k], c)
-        return tuple(blocks)
+        constant_rule, exceptional = self._rules
+        n, zero = self.n, self.field.zero
+        blocks = [[[zero] * n for _ in range(n)] for _ in self.memory]
+        for i, entries in enumerate(exceptional.get(g, constant_rule)[0]):
+            for k, j, x in entries:
+                blocks[k][i][j] = x
+        blocks = tuple(tuple(map(tuple, block)) for block in blocks)
+        return LocalRule(self.group, self.field, n, self.memory, blocks)
 
     # -- the action on configurations ------------------------------------------
 
@@ -392,9 +378,10 @@ class Nuca:
         self, window: Iterable[Element], column: Callable[[Element], Optional[int]]
     ) -> list[dict]:
         """The window map's rows as the integer rows elimination reads
-        (exactalg._integer_rows), with the coordinate j of each domain site
-        u at column column(u) * n + j; the sites where column(u) is None
-        are left out.  Over Q a row that loses entries is divided by its
+        (exactalg._integer_rows): the integer rows of the rule table
+        (_rules) placed with the coordinate j of each domain site u at
+        column column(u) * n + j; the sites where column(u) is None are
+        left out.  Over Q a row that loses entries is divided by its
         content, so it stays the primitive multiple of its field row."""
         n, q = self.n, not self.field.p
         compose, memory = self.group.compose, self.memory.elements
@@ -410,23 +397,30 @@ class Nuca:
         return rows
 
 
-def _rule_rows(field: FieldSpec, n: int, blocks: Sequence) -> tuple:
-    """A rule given by its blocks, one per memory site in the memory's
-    order, as (rows, ints, read): for each row i of the rule, the triples
-    (k, j, x) for the nonzero entries x at column j of row i of the block
-    of the k-th memory site; the same triples for the integer row
-    elimination reads, the residues themselves over F_p (ints is rows)
-    and the row's primitive integer multiple over Q; and the positions k
-    of the memory sites whose block is not zero."""
-    rows = [
-        [(k, j, x) for k, block in enumerate(blocks) for j, x in enumerate(block[i]) if x]
-        for i in range(n)
-    ]
-    ints = rows if field.p else [
-        [(k, j, z) for (k, j), z in _primitive_row({(k, j): x for k, j, x in entries}).items()]
-        for entries in rows
-    ]
-    read = [k for k, block in enumerate(blocks) if any(any(row) for row in block)]
+def _rule_rows(field: FieldSpec, n: int, position: Callable[[Element], int], terms) -> tuple:
+    """The rule that the (h, block) terms sum to, h a memory site numbered
+    position(h), as (rows, ints, read): for each row i of the rule, the
+    sorted triples (k, j, x) for its nonzero entries x at column j of the
+    block of the memory site numbered k; the same triples for the integer
+    row elimination reads, the residues themselves over F_p (ints is rows)
+    and the row's primitive integer multiple over Q; and the sorted
+    positions k that hold an entry.  The entries are summed in one pass as
+    plain ints, over Q the numerators over one scale."""
+    p = field.p
+    scale = 1 if p else _denominator(n, terms)
+    raw: list[dict] = [{} for _ in range(n)]
+    for h, block in terms if p else _numerators(n, terms, scale):
+        k = position(h)
+        for row, entries in zip(raw, block):
+            for j, x in enumerate(entries):
+                if x:
+                    row[k, j] = row.get((k, j), 0) + x
+    # each sum reduced once: to its residue over F_p, over Q to its
+    # Fraction of the scale (the integer row keeps the numerators)
+    raw = [{kj: r for kj, x in sorted(row.items()) if (r := x % p if p else x)} for row in raw]
+    rows = [[(k, j, x if p else Fraction(x, scale)) for (k, j), x in row.items()] for row in raw]
+    ints = rows if p else [[(k, j, z) for (k, j), z in _content_free(row).items()] for row in raw]
+    read = sorted({k for row in raw for k, _ in row})
     return rows, ints, read
 
 

@@ -398,7 +398,10 @@ class TwistedMatrix:
 
     def __post_init__(self):
         _check_int("matrix size n", self.n)
-        entries = tuple(map(tuple, self.entries))
+        try:
+            entries = tuple(map(tuple, self.entries))
+        except TypeError:  # the grid or one of its rows is not iterable
+            raise UsageError("entries must form an n x n grid") from None
         object.__setattr__(self, "entries", entries)
         if self.n < 1 or len(entries) != self.n or any(len(row) != self.n for row in entries):
             raise UsageError("entries must form an n x n grid")

@@ -113,6 +113,14 @@ class TestDirectFiniteness:
         with pytest.raises(UsageError, match=field_name):
             cfg(**{field_name: value})
 
+    @pytest.mark.parametrize("part, value, kind", [
+        ("group", "Zd:1", "GroupSpec"), ("field", "Fp:5", "FieldSpec"), ("budget", None, "SearchBudget"),
+    ])
+    def test_config_part_types(self, part, value, kind):
+        # a label is not its spec: the suites would fail on it with AttributeError
+        with pytest.raises(UsageError, match=f"{part} must be a {kind}"):
+            cfg(**{part: value})
+
     def test_many_trials_all_pass(self):
         rep = run_direct_finiteness(cfg(trials=40, group=Z2, field=F5, n=2))
         assert rep.failures == 0

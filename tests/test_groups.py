@@ -114,6 +114,15 @@ class TestBalls:
             assert group.ball_size(r, size - 1) is None
         assert group.ball_size(10**7, MAX_BALL_SIZE) is None
 
+    @pytest.mark.parametrize("radius", [True, 2.0, "a"], ids=repr)
+    def test_radius_must_be_an_int(self, radius):
+        with pytest.raises(UsageError, match="radius must be an int"):
+            Z1.ball_size(radius)
+        with pytest.raises(UsageError, match="radius must be an int"):
+            Z1.ball(radius)
+        with pytest.raises(UsageError, match="radius must be an int"):
+            FiniteSubset.ball(Z1, radius)
+
 
 class TestValidation:
     def test_unreduced_word_rejected(self):

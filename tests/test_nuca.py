@@ -147,16 +147,22 @@ def test_nuca_size_must_be_an_int(n):
         Nuca.identity(Z1, F5, n)
 
 
-def many_exceptional_sites(rng, field, radius=8):
-    """A map on Z^2 with n = 2 and a nonzero singular part at every site of
-    ball(radius) (289 sites at radius 8)."""
+@pytest.mark.parametrize("element", [1, None, Z1], ids=repr)
+def test_nuca_needs_a_twisted_element(element):
+    with pytest.raises(UsageError, match="twisted element"):
+        Nuca(element)
+
+
+def many_exceptional_sites(rng, field, radius=8, group=Z2):
+    """A map with n = 2 and a nonzero singular part at every site of
+    ball(radius) (289 sites at radius 8 on Z^2)."""
     parts = []
-    for g in Z2.ball(radius):
-        part = rand_groupring(rng, Z2, field, 2, 1, max_terms=2)
+    for g in group.ball(radius):
+        part = rand_groupring(rng, group, field, 2, 1, max_terms=2)
         while part.is_zero():
-            part = rand_groupring(rng, Z2, field, 2, 1, max_terms=2)
+            part = rand_groupring(rng, group, field, 2, 1, max_terms=2)
         parts.append((g, part))
-    return Nuca(TwistedElement.make(rand_groupring(rng, Z2, field, 2, 1), parts))
+    return Nuca(TwistedElement.make(rand_groupring(rng, group, field, 2, 1), parts))
 
 
 class TestManyExceptionalSites:
@@ -190,15 +196,18 @@ class TestManyExceptionalSites:
         assert y == Configuration.make(Z2, field, 2, y.base, y.deviation)
         assert_apply_matches_oracle(t, x, extra_sites=Z2.ball(10))
 
-    def test_rule_at_is_regular_plus_singular_part(self):
-        rng = random.Random("many exceptional sites|rules")
-        t = many_exceptional_sites(rng, F5)
+    @pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+    @pytest.mark.parametrize("group, radius", [(Z2, 8), (F2FREE, 3)], ids=["Zd:2", "free:2"])
+    def test_rule_at_is_regular_plus_singular_part(self, group, radius, field):
+        # rule_at reads the rule table, so this check sums the terms itself
+        rng = random.Random(f"{group.label()}|{field.label()}|many exceptional sites|rules")
+        t = many_exceptional_sites(rng, field, radius, group)
         reg = t.element.regular
-        for g in Z2.ball(9):
+        for g in group.ball(radius + 1):
             part = t.element.singular_part(g)
             expected = tuple(
                 tuple(
-                    tuple((a + b) % 5 for a, b in zip(ra, rb))
+                    tuple(field.coerce(a + b) for a, b in zip(ra, rb))
                     for ra, rb in zip(reg.coefficient(h), part.coefficient(h))
                 )
                 for h in t.memory
@@ -382,6 +391,23 @@ class TestInducedLocalMap:
         for m, ref, rows in zip(built, fresh, placed):
             assert m == ref
             assert rows == list(_integer_rows(field, ref.data))
+
+    def test_rule_table_over_q_adds_no_fractions(self, monkeypatch):
+        # the rules sum integer numerators over one scale and divide once
+        # per entry, so no Fraction is added
+        rng = random.Random("Q rule table|fractions")
+        maps = []
+        while len(maps) < 20:
+            t = rand_nuca(rng, Z1, Q, 2, max_sites=3)
+            if len(t.exceptional_set):
+                maps.append(t)
+        added = []
+        for name in ("__add__", "__radd__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda a, b, op=op: added.append(1) or op(a, b))
+        for t in maps:
+            t._rules
+        assert added == []
 
     def test_blocks_vanish_off_translated_memory(self, rng):
         t = rand_nuca(rng, Z1, F5, 1)

@@ -205,6 +205,11 @@ class TestMatrixEntries:
         with pytest.raises(UsageError, match="twisted elements"):
             TwistedMatrix(2, ((one, one), (one, entry)))
 
+    @pytest.mark.parametrize("entries", [(3,), 3, None], ids=repr)
+    def test_grid_that_is_not_iterable_refused(self, entries):
+        with pytest.raises(UsageError, match="n x n grid"):
+            TwistedMatrix(1, entries)
+
 
 class TestMatMul:
     def test_identity_neutral(self, rng):
