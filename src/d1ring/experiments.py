@@ -71,15 +71,10 @@ def rand_scalar(rng: random.Random, field: FieldSpec, nonzero: bool = False):
     return Fraction(num, rng.randint(1, 3))
 
 
-def rand_coeff(rng: random.Random, field: FieldSpec, shape, nonzero: bool = False):
+def rand_coeff(rng: random.Random, field: FieldSpec, shape):
     if shape is None:
-        return rand_scalar(rng, field, nonzero)
-    while True:
-        m = tuple(
-            tuple(rand_scalar(rng, field) for _ in range(shape)) for _ in range(shape)
-        )
-        if not nonzero or any(x != 0 for row in m for x in row):
-            return m
+        return rand_scalar(rng, field)
+    return tuple(tuple(rand_scalar(rng, field) for _ in range(shape)) for _ in range(shape))
 
 
 def rand_groupring(

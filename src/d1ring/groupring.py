@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, mul
@@ -469,52 +469,18 @@ def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
 
 
 class _OverBudget(Exception):
-    """Raised by _TermPairs.sum once its products would pass the budget."""
+    """Raised by zd_determinant's products once they would pass the budget."""
 
 
-class _TermPairs:
-    """Sums of products of scalar term tuples over Z^d, made canonical, with
-    every pair of terms multiplied charged to one budget."""
-
-    def __init__(self, group: GroupSpec, field: FieldSpec, budget: int):
-        self.group, self.field, self.left = group, field, budget
-
-    def sum(self, pairs, start=()) -> tuple:
-        """start plus the sum of p q over the pairs; _OverBudget once the
-        products would multiply more pairs of terms than are left."""
-        grp, fld = self.group, self.field
-        acc = dict(start)
-        for p, q in pairs:
-            self.left -= len(p) * len(q)
-            if self.left < 0:
-                raise _OverBudget
-            _convolve_into(acc, grp, None, p, q)
-        return _canonical_terms(grp, fld, None, acc)
-
-
-@dataclass(frozen=True)
-class ZdDeterminant:
-    """det(a) for a in M_n(k)[Z^d], with what Berkowitz's loop made on the
-    way: the row scales D (over Q the lcm of each row's denominators, over
-    F_p all 1), the entries of B = D a as term tuples with int coefficients,
-    row by row, and the characteristic coefficients C_0 .. C_n of B,
-    det(x I - B) = sum_i C_i x^(n-i), as canonical term tuples.  So
-    det(a) = (-1)^n C_n / det D.  pairs_left is what the products left of
-    their budget of pairs of terms."""
-
-    det: GroupRingElement
-    scales: tuple[int, ...]
-    entries: tuple
-    coeffs: tuple
-    pairs_left: int
-
-
-def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeterminant]:
-    """The determinant of a in M_n(k)[Z^d] ~ M_n(k[Z^d]), a scalar element
-    of the commutative ring k[Z^d], with the characteristic coefficients
-    and row scales it was computed from (ZdDeterminant); None off Z^d,
-    where k[G] is not commutative, and None once the products would
-    multiply more than max_term_pairs pairs of terms.
+def zd_determinant(
+    a: GroupRingElement, max_term_pairs: int
+) -> Optional[tuple[GroupRingElement, Optional[GroupRingElement]]]:
+    """(det(a), a^-1) for a in M_n(k)[Z^d] ~ M_n(k[Z^d]); det(a) is a
+    scalar element of the commutative ring k[Z^d].  None off Z^d, where
+    k[G] is not commutative, and None once the products for det(a) would
+    multiply more than max_term_pairs pairs of terms.  a^-1 is None unless
+    det(a) is a monomial, and None once its products would pass what
+    det(a) left of that budget.
 
     Berkowitz's algorithm: division-free and O(n^4) ring products.  Adding
     row and column k to the leading k x k block B_k, with row R, column S
@@ -526,6 +492,13 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeter
     scaled by the lcm of its denominators, so the products run on plain
     ints on B = D a, and only the coefficients of det(a) = det(B) / det D
     are divided back.
+
+    By Cayley-Hamilton sum_i C_i B^(n-i) = 0, so when C_n = c x^g is a
+    unit, B^-1 = -C_n^-1 sum_{i<n} C_i B^(n-1-i) (the sum is
+    (-1)^(n+1) adj(B)), and a^-1 = B^-1 D (Berkowitz 1984).  The sum is
+    taken by Horner's rule, P_0 = 1 and P_k = P_{k-1} B + C_k, with no
+    division, and the result is made canonical once.  As M_n(k[Z^d]) is a
+    matrix ring over a commutative ring, a^-1 is the two-sided inverse.
     """
     grp, fld, n = a.group, a.field, a.shape
     if grp.kind != "Zd":
@@ -541,7 +514,19 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeter
         for i, row in enumerate(entries):
             m = scales[i] = _denominator(None, chain.from_iterable(row))
             row[:] = [_numerators(None, entry, m) for entry in row]
-    products = _TermPairs(grp, fld, max_term_pairs)
+    left = max_term_pairs
+
+    def total(pairs, start=()) -> tuple:
+        """start plus the sum of p q over the pairs, made canonical, with
+        every pair of terms multiplied charged to the budget."""
+        nonlocal left
+        acc = dict(start)
+        for p, q in pairs:
+            left -= len(p) * len(q)
+            if left < 0:
+                raise _OverBudget
+            _convolve_into(acc, grp, None, p, q)
+        return _canonical_terms(grp, fld, None, acc)
 
     def neg(p):
         return tuple((g, -c) for g, c in p)
@@ -554,10 +539,10 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeter
             v = col
             for j in range(k):
                 if j:
-                    v = [products.sum(zip(entries[i][:k], v)) for i in range(k)]
-                negated.append(neg(products.sum(zip(row, v))))
+                    v = [total(zip(entries[i][:k], v)) for i in range(k)]
+                negated.append(neg(total(zip(row, v))))
             coeffs = [coeffs[0]] + [
-                products.sum(
+                total(
                     ((negated[m - 1], coeffs[i - m]) for m in range(1, i + 1)),
                     coeffs[i] if i <= k else (),
                 )
@@ -566,44 +551,21 @@ def zd_determinant(a: GroupRingElement, max_term_pairs: int) -> Optional[ZdDeter
     except _OverBudget:
         return None
     sign, scale = -1 if n % 2 else 1, math.prod(scales)
-    det = tuple(
+    det = GroupRingElement(grp, fld, None, tuple(
         (g, sign * c % fld.p if fld.p else Fraction(sign * c, scale)) for g, c in coeffs[n]
-    )
-    return ZdDeterminant(
-        GroupRingElement(grp, fld, None, det),
-        tuple(scales),
-        tuple(tuple(tuple(entry) for entry in row) for row in entries),
-        tuple(coeffs),
-        products.left,
-    )
-
-
-def zd_inverse(d: ZdDeterminant) -> Optional[GroupRingElement]:
-    """a^-1 for the a that d = zd_determinant(a) was computed from, if
-    det(a) is a monomial; None if it is not, or once the products would
-    multiply more pairs of terms than d.pairs_left.
-
-    By Cayley-Hamilton sum_i C_i B^(n-i) = 0, so when C_n = c x^g is a
-    unit, B^-1 = -C_n^-1 sum_{i<n} C_i B^(n-1-i) (the sum is
-    (-1)^(n+1) adj(B)), and a^-1 = B^-1 D (Berkowitz 1984).  The sum is
-    taken by Horner's rule, P_0 = 1 and P_k = P_{k-1} B + C_k, with no
-    division, and the result is made canonical once.  As M_n(k[Z^d]) is a
-    matrix ring over a commutative ring, a^-1 is the two-sided inverse.
-    """
-    if len(d.det.terms) != 1:
-        return None
-    grp, fld, scales = d.det.group, d.det.field, d.scales
-    n, coeffs, cols = len(scales), d.coeffs, list(zip(*d.entries))
-    products = _TermPairs(grp, fld, d.pairs_left)
+    ))
+    if len(det.terms) != 1:
+        return det, None
+    cols = list(zip(*entries))
     horner = [[coeffs[0] if i == j else () for j in range(n)] for i in range(n)]
     try:
         for k in range(1, n):
             horner = [
-                [products.sum(zip(row, col), coeffs[k] if i == j else ()) for j, col in enumerate(cols)]
+                [total(zip(row, col), coeffs[k] if i == j else ()) for j, col in enumerate(cols)]
                 for i, row in enumerate(horner)
             ]
     except _OverBudget:
-        return None
+        return det, None
     ((g, c),) = coeffs[n]
     g_inv, compose, p = grp.inverse(g), grp.compose, fld.p
     unit = pow(-c, -1, p) if p else Fraction(-1, c)  # -C_n^-1 = unit x^-g
@@ -612,4 +574,4 @@ def zd_inverse(d: ZdDeterminant) -> Optional[GroupRingElement]:
         for j, entry in enumerate(row):
             for h, x in entry:
                 acc.setdefault(compose(h, g_inv), [fld.zero] * (n * n))[i * n + j] = x * scales[j] * unit
-    return GroupRingElement(grp, fld, n, _canonical_terms(grp, fld, n, acc))
+    return det, GroupRingElement(grp, fld, n, _canonical_terms(grp, fld, n, acc))

@@ -7,9 +7,9 @@ Five complementary tools:
   Z^d and free groups, so a one-sided inverse of t has regular part a^-1,
   the two-sided inverse of a.  Over Z^d, a^-1 = c^-1 x^-g adj(a) when
   det(a) = c x^g, made from the characteristic coefficients det(a) was
-  computed from (groupring.zd_inverse); over free groups, and past
-  MAX_DET_TERM_PAIRS, a^-1 solves a linear system read off a's
-  translates (_regular_inverse).  S = a^-1 t has regular part 1, so it
+  computed from, in the same call (groupring.zd_determinant); over free
+  groups, and past MAX_DET_TERM_PAIRS, a^-1 solves a linear system read
+  off a's translates (_regular_inverse).  S = a^-1 t has regular part 1, so it
   is the identity off finitely many sites, and one RREF of its block M on
   the sites it reads and writes decides the rest: t has the two-sided
   inverse S^-1 a^-1 if M is invertible, and no one-sided inverse at any
@@ -41,14 +41,7 @@ from typing import Callable, Optional
 
 from .errors import UsageError, _check_int
 from .exactalg import Matrix, _echelon, inverse, kernel_basis, solve
-from .groupring import (
-    GroupRingElement,
-    ZdDeterminant,
-    _canonical_terms,
-    coeff_one,
-    zd_determinant,
-    zd_inverse,
-)
+from .groupring import GroupRingElement, _canonical_terms, coeff_one, zd_determinant
 from .groups import MAX_SHOWN_COUNT, Element, FiniteSubset, GroupSpec, shown_count
 from .nuca import Configuration, Nuca, constant_part
 from .twisted import TwistedElement, element_radius, embed
@@ -96,10 +89,12 @@ MAX_EXTRA_LEVELS = 8
 # coordinates) takes 0.08-0.15 s and 22 MB.
 MAX_TOWER_COORDINATES = 1_000_000
 
-# The determinant of the regular part, and over Z^d the inverse made from
-# its coefficients, are given up once their products together would
-# multiply more than this many pairs of terms; then every search runs, and
-# a^-1 is searched for over growing balls (_regular_inverse).
+# The determinant of the regular part, and the inverse made from its
+# coefficients in the same call (groupring.zd_determinant), are given up
+# once their products together would multiply more than this many pairs of
+# terms.  Past it with det(a), every search runs; past it with a^-1 alone,
+# the determinant prunes still run.  Either way a^-1 is searched for over
+# growing balls (_regular_inverse).
 # Measured on 2 vCPUs (Python 3.11): about 1 us per pair over F_5 and Q.
 # Random radius-1 maps need at most a few thousand pairs up to n = 6 on
 # Z^3; a dense radius-1 map on Z^3 needs 0.59 M pairs (0.66 s over Q) at
@@ -230,24 +225,25 @@ def solve_one_sided_inverse(t: Nuca, params: InverseSearchParams) -> Optional[Nu
 
 
 def _regular_part_inverse(
-    a: GroupRingElement, det: Optional[ZdDeterminant], within: Callable[[Element], bool], memories
+    a: GroupRingElement, det: Optional[tuple], within: Callable[[Element], bool], memories
 ) -> Optional[GroupRingElement]:
     """a^-1 if every site of its support is `within` the window, else None.
 
-    Given det = zd_determinant(a) (over Z^d, within MAX_DET_TERM_PAIRS),
-    a^-1 exists only if det(a) is a monomial, and then zd_inverse makes it
-    from det's coefficients.  An a^-1 returned is checked once, by
-    _factored_inverse, as the regular part of a^-1 t, which it builds
-    anyway; one discarded for leaving the window is checked here on the
-    product's accumulator, since the None it gives rests on it.  Off Z^d,
-    or once those products pass the budget, _regular_inverse looks for it
-    in each of the nested `memories` in turn, the last of which is the
-    window; they may be made lazily, and none is made when det serves.
+    Given det = zd_determinant(a) = (det(a), a^-1) (over Z^d, within
+    MAX_DET_TERM_PAIRS), a^-1 exists only if det(a) is a monomial, and
+    then det holds it unless its products passed the budget.  An a^-1
+    returned is checked once, by _factored_inverse, as the regular part
+    of a^-1 t, which it builds anyway; one discarded for leaving the
+    window is checked here on the product's accumulator, since the None
+    it gives rests on it.  Off Z^d, or once those products pass the
+    budget, _regular_inverse looks for it in each of the nested
+    `memories` in turn, the last of which is the window; they may be made
+    lazily, and none is made when det serves.
     """
     if det is not None:
-        if len(det.det.terms) != 1:
+        det_a, a_inv = det
+        if len(det_a.terms) != 1:
             return None
-        a_inv = zd_inverse(det)
         if a_inv is not None:
             if all(within(g) for g, _ in a_inv.terms):
                 return a_inv
@@ -418,25 +414,16 @@ def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
         )
 
 
-def _tower_depth_limit(group: GroupSpec, n: int, window: int) -> int:
-    """The largest depth whose tower, with this stabilization window, has at
-    most MAX_TOWER_COORDINATES window coordinates over all the levels it may
-    build (-1 if none)."""
-    level, total = -1, 0
-    while total + n * group.ball_size(level + 1) <= MAX_TOWER_COORDINATES:
-        level += 1
-        total += n * group.ball_size(level)
-    return max(level - window - MAX_EXTRA_LEVELS, -1)
-
-
 def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None:
-    """Refuse a kernel tower over Z^d past _tower_depth_limit before any
-    work is done.  Other groups have no tower, so nothing is refused.
+    """Refuse a kernel tower over Z^d whose levels may build more than
+    MAX_TOWER_COORDINATES window coordinates before any work is done.
+    Other groups have no tower, so nothing is refused.
 
     The window coordinates of the levels the tower may build are summed
     until the sum passes the limit, so an accepted depth costs one
-    ball_size per level and a refused one stops at the first level past
-    the limit, however large the depth."""
+    ball_size per level and a refused one stops at the first level m past
+    the limit, however large the depth.  The largest depth within the
+    limit is the one whose last level is m - 1 (-1 if none)."""
     if group.kind != "Zd":
         return
     total = 0
@@ -447,7 +434,7 @@ def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None
                 f"a kernel tower to depth {depth} with window {window} over {group.label()}"
                 f" with n = {n} would build more window coordinates over its levels than"
                 f" the limit of {MAX_TOWER_COORDINATES}"
-                f" (largest depth within it: {_tower_depth_limit(group, n, window)})"
+                f" (largest depth within it: {max(m - 1 - window - MAX_EXTRA_LEVELS, -1)})"
             )
 
 
@@ -473,9 +460,9 @@ def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tu
 
 
 def _search_inverse(
-    t: Nuca, side: str, max_radius: int, det: Optional[ZdDeterminant]
+    t: Nuca, side: str, max_radius: int, det: Optional[tuple]
 ) -> Optional[tuple[Nuca, int]]:
-    """search_one_sided_inverse past its checks, given the determinant of
+    """search_one_sided_inverse past its checks, given zd_determinant of
     t's regular part (None off Z^d or past MAX_DET_TERM_PAIRS).
 
     A site g lies in the window ball(max_radius) iff norm(g) <= max_radius,
@@ -706,8 +693,8 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     part a proves that the constant part has no witness (adj(a) a =
     det(a), and k[Z^d] is a domain), so none is searched for; nor is t's
     own witness when t has no singular part, as t is then its own
-    constant part.  The determinant and its coefficients are computed
-    once, for the certificate and the prunes.
+    constant part.  The determinant and a^-1 are computed once, in one
+    call, for the certificate and the prunes.
     A budget whose certificate search or kernel tower is past its size
     limit is refused before any search runs.
     """
@@ -726,7 +713,7 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     # the first witness radius of t, then of its constant part below it;
     # a nonzero det(a) proves that the constant part has no nonzero
     # finitely supported kernel point, nor t when it has no singular part
-    det_nonzero = det is not None and not det.det.is_zero()
+    det_nonzero = det is not None and not det[0].is_zero()
     radius = None if det_nonzero and not t.element.singular else _first_witness_radius(t, budget.max_radius)
     target, scope = t, "self"
     below = budget.max_radius if radius is None else radius - 1

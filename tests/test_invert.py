@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, inverse, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
-from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant, zd_inverse
+from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import exactalg, invert
 from d1ring.invert import (
@@ -196,7 +197,9 @@ class TestTowerSizeLimit:
         def total(depth):
             return sum(n * group.ball_size(m) for m in range(depth + 2 + MAX_EXTRA_LEVELS + 1))
 
-        limit = invert._tower_depth_limit(group, n, 2)
+        with pytest.raises(UsageError) as refusal:
+            check_tower_depth(group, n, 10**12, 2)
+        limit = int(re.search(r"largest depth within it: (-?\d+)\)", str(refusal.value))[1])
         assert total(limit) <= MAX_TOWER_COORDINATES < total(limit + 1)
         check_tower_depth(group, n, limit, 2)
         with pytest.raises(UsageError, match=f"largest depth within it: {limit}\\)"):
@@ -275,7 +278,8 @@ class TestEachFactCheckedOnce:
         self, monkeypatch, regular_checks
     ):
         u, _ = f3_nuca_pair()  # regular part 1, so a^-1 = 1; 2 is a wrong one
-        monkeypatch.setattr(invert, "zd_inverse", lambda det: gre(Z1, F3, 1, [((0,), ((2,),))]))
+        wrong = gre(Z1, F3, 1, [((0,), ((2,),))])
+        monkeypatch.setattr(invert, "zd_determinant", lambda a, pairs: (zd_determinant(a, pairs)[0], wrong))
         with pytest.raises(AssertionError, match="regular part other than 1"):
             search_left_inverse(u, 3)
         ball = FiniteSubset.ball(Z1, 1)
@@ -288,7 +292,7 @@ class TestEachFactCheckedOnce:
     ):
         u, _ = f3_nuca_pair()
         wrong = gre(Z1, F3, 1, [((5,), ((1,),))])
-        monkeypatch.setattr(invert, "zd_inverse", lambda det: wrong)
+        monkeypatch.setattr(invert, "zd_determinant", lambda a, pairs: (zd_determinant(a, pairs)[0], wrong))
         with pytest.raises(AssertionError, match="adjugate produced a non-inverse"):
             search_left_inverse(u, 3)
         assert regular_checks == [(wrong, u.element.regular)]
@@ -1219,6 +1223,16 @@ def in_ball(t, side, r):
         return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
+def det_pairs(a):
+    """The fewest pairs of terms with which zd_determinant(a) yields det(a),
+    found by raising the budget (by bisection) until det(a) appears."""
+    lo, hi = 0, MAX_DET_TERM_PAIRS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if zd_determinant(a, mid) is None else (lo, mid)
+    return lo
+
+
 def reference_verdict(t, budget):
     """The verdict loop with every search run, radius by radius: the
     certificate, then the two witnesses; no determinant pruning."""
@@ -1260,7 +1274,7 @@ class TestZdDeterminant:
         # [[1 + x, x + x^2], [1, x]]: every entry nonzero, det = 0
         a = gre(Z1, Q, 2, [((0,), ((1, 0), (1, 0))), ((1,), ((1, 1), (0, 1))), ((2,), ((0, 1), (0, 0)))])
         assert leibniz_det(a).is_zero()
-        assert zd_determinant(a, MAX_DET_TERM_PAIRS).det.is_zero()
+        assert zd_determinant(a, MAX_DET_TERM_PAIRS) == (leibniz_det(a), None)
 
     @pytest.mark.parametrize("field", [F2, F3, Q])
     def test_monomial_from_multi_term_entries(self, field):
@@ -1270,7 +1284,7 @@ class TestZdDeterminant:
             [((0,), ((1, 0), (1, 1))), ((1,), ((1, 1), (0, 0)))],
         ):
             a = gre(Z1, field, 2, terms)
-            assert zd_determinant(a, MAX_DET_TERM_PAIRS).det == leibniz_det(a) == GroupRingElement.one(Z1, field)
+            assert zd_determinant(a, MAX_DET_TERM_PAIRS)[0] == leibniz_det(a) == GroupRingElement.one(Z1, field)
 
     def test_rational_entries(self):
         # [[1/2 + x, 1/3], [3 x, 2/5]]: det = 1/5 + (2/5 - 1) x
@@ -1278,14 +1292,14 @@ class TestZdDeterminant:
             ((0,), ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5)))),
             ((1,), ((1, 0), (3, 0))),
         ])
-        det = zd_determinant(a, MAX_DET_TERM_PAIRS).det
-        assert det == leibniz_det(a)
+        det, a_inv = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        assert det == leibniz_det(a) and a_inv is None
         assert det.terms == (((0,), Fraction(1, 5)), ((1,), Fraction(-3, 5)))
 
     def test_none_off_z_d_and_past_the_budget(self):
         assert zd_determinant(decoy_nuca(F2FREE, F3, 2).element.regular, MAX_DET_TERM_PAIRS) is None
         a = decoy_nuca(Z2, F3, 3).element.regular
-        assert zd_determinant(a, 10**6).det == leibniz_det(a)
+        assert zd_determinant(a, 10**6)[0] == leibniz_det(a)
         assert zd_determinant(a, 3) is None
 
     @settings(max_examples=60, deadline=None)
@@ -1298,8 +1312,9 @@ class TestZdDeterminant:
     )
     def test_agrees_with_leibniz(self, seed, group, field, n, kind):
         a = draw_map(random.Random(seed), group, field, n, kind).element.regular
-        det = zd_determinant(a, MAX_DET_TERM_PAIRS).det
+        det, a_inv = zd_determinant(a, MAX_DET_TERM_PAIRS)
         assert det == leibniz_det(a)
+        assert (a_inv is not None) == (len(det.terms) == 1)
         if kind == "unit":
             assert len(det.terms) == 1
         if kind == "singular":
@@ -1316,7 +1331,7 @@ class TestZdDeterminant:
 )
 def test_determinant_pruning_is_sound(seed, group, field, n, kind):
     t = draw_map(random.Random(seed), group, field, n, kind)
-    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS).det
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)[0]
     radii = range(3 if group == Z1 else 2)
     if len(det.terms) != 1:
         for r in radii:
@@ -1344,7 +1359,7 @@ def test_plain_maps_with_a_nonzero_det_have_no_witness(seed, group, field, n, ki
     # a map with no singular part is its own constant part, so a nonzero
     # det(a) rules out its own witness, which the verdict then skips
     t = constant_part(draw_map(random.Random(seed), group, field, n, kind))
-    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS).det
+    det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)[0]
     assume(not det.is_zero())
     max_radius = 2 if group == Z1 else 1
     assert invert._first_witness_radius(t, max_radius) is None
@@ -1390,9 +1405,8 @@ def row_scaled_unit(rng, group, field, n, max_factors):
 )
 def test_adjugate_inverse_is_the_ball_inverse(seed, group, field, n, max_factors):
     a = row_scaled_unit(random.Random(seed), group, field, n, max_factors)
-    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
-    assert det.det == leibniz_det(a) and len(det.det.terms) == 1
-    a_inv = zd_inverse(det)
+    det, a_inv = zd_determinant(a, MAX_DET_TERM_PAIRS)
+    assert det == leibniz_det(a) and len(det.terms) == 1
     one = GroupRingElement.one(group, field, n)
     assert a_inv * a == one and a * a_inv == one
     radius = max(group.norm(g) for g, _ in a_inv.terms)
@@ -1404,25 +1418,24 @@ def test_adjugate_inverse_is_the_ball_inverse(seed, group, field, n, max_factors
 
 
 def test_adjugate_inverse_of_rows_with_different_denominators():
-    # a = [[1/2, x/3], [0, 2/5]]: D = (6, 5), B = [[3, 2x], [0, 2]], and
-    # a^-1 = [[2, -5x/3], [0, 5/2]]
+    # a = [[1/2, x/3], [0, 2/5]]: D = (6, 5), B = [[3, 2x], [0, 2]], so
+    # det(B) = 6 and det(a) = 6 / 30 = 1/5, and a^-1 = [[2, -5x/3], [0, 5/2]]
     a = gre(Z1, Q, 2, [
         ((0,), ((Fraction(1, 2), 0), (0, Fraction(2, 5)))),
         ((1,), ((0, Fraction(1, 3)), (0, 0))),
     ])
-    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
-    assert det.scales == (6, 5)
-    assert det.entries == (((((0,), 3),), (((1,), 2),)), ((), (((0,), 2),)))
-    assert det.coeffs == ((((0,), 1),), (((0,), -5),), (((0,), 6),))
-    assert zd_inverse(det) == gre(Z1, Q, 2, [
-        ((0,), ((2, 0), (0, Fraction(5, 2)))),
-        ((1,), ((0, Fraction(-5, 3)), (0, 0))),
-    ])
+    assert zd_determinant(a, MAX_DET_TERM_PAIRS) == (
+        gre(Z1, Q, None, [((0,), Fraction(1, 5))]),
+        gre(Z1, Q, 2, [
+            ((0,), ((2, 0), (0, Fraction(5, 2)))),
+            ((1,), ((0, Fraction(-5, 3)), (0, 0))),
+        ]),
+    )
 
 
 def test_adjugate_inverse_is_none_for_a_non_monomial_det():
     a = gre(Z1, F5, 1, [((0,), ((1,),)), ((1,), ((1,),))])
-    assert zd_inverse(zd_determinant(a, MAX_DET_TERM_PAIRS)) is None
+    assert zd_determinant(a, MAX_DET_TERM_PAIRS) == (gre(Z1, F5, None, [((0,), 1), ((1,), 1)]), None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1442,10 +1455,9 @@ def test_search_past_the_det_budget_falls_back_to_balls(seed, group, field, n, k
     params = InverseSearchParams.make(side, window, window)
     searched = search_one_sided_inverse(t, side, max_radius)
     solved = solve_one_sided_inverse(t, params)
-    det = zd_determinant(a, MAX_DET_TERM_PAIRS)
     # budget 0 leaves no determinant; the determinant's own pairs leave
     # none for the inverse once n >= 2
-    for budget in (0, MAX_DET_TERM_PAIRS - det.pairs_left):
+    for budget in (0, det_pairs(a)):
         calls = []
         ball_inverse = invert._regular_inverse
 
@@ -1596,31 +1608,49 @@ class TestDeterminantPruning:
         assert searches[0][1] is t and searches[1][1] == searches[2][1] == constant_part(t)
 
     def test_verdict_computes_the_determinant_once(self, monkeypatch):
-        # one det(a) and its coefficients serve the certificate, the
-        # inverse-search prune and the constant-part prune; the inverse is
-        # made from them at most once, and only for a monomial det(a)
+        # one call gives det(a), which serves the certificate, the
+        # inverse-search prune and the constant-part prune, and a^-1, made
+        # only for a monomial det(a)
         calls = []
 
-        def counting(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
+        def counting(a, max_term_pairs):
+            calls.append(zd_determinant(a, max_term_pairs))
+            return calls[-1]
 
-            return wrapped
-
-        monkeypatch.setattr(invert, "zd_determinant", counting("det", zd_determinant))
-        monkeypatch.setattr(invert, "zd_inverse", counting("inverse", zd_inverse))
+        monkeypatch.setattr(invert, "zd_determinant", counting)
         budget = SearchBudget(max_radius=2, depth=1, window=1)
         verdict = stable_injectivity_verdict(decoy_nuca(Z1, F3, 1), budget)
         assert verdict.kind == "bounded_evidence"
-        assert calls == ["det"]
+        assert len(calls) == 1 and len(calls[0][0].terms) > 1 and calls[0][1] is None
         calls.clear()
         u, v = f3_nuca_pair()
         assert stable_injectivity_verdict(u, budget).certificate == v
-        assert calls == ["det", "inverse"]
+        assert len(calls) == 1 and calls[0][1] == v.element.regular
         calls.clear()
         assert search_one_sided_inverse(u, "left", 2) == (v, 1)
-        assert calls == ["det", "inverse"]
+        assert len(calls) == 1 and calls[0][1] == v.element.regular
+
+    def test_det_within_the_budget_and_the_inverse_past_it(self, searches, monkeypatch):
+        # a = [[1, x], [0, 1]] has det(a) = 1; the singular part -a at 0
+        # zeroes the rule there, so S = a^-1 t has the block M = 0 and t no
+        # certificate at any radius
+        a = gre(Z1, F3, 2, [((0,), ((1, 0), (0, 1))), ((1,), ((0, 1), (0, 0)))])
+        t = Nuca(TwistedElement.make(a, [((0,), -a)]))
+        budget = SearchBudget(max_radius=2, depth=1, window=1)
+        full = stable_injectivity_verdict(t, budget)
+        assert full.kind == "proven_not_injective" and full.witness_scope == "self"
+        assert [kind for kind, _, _ in searches] == ["witness", "kernel"]
+        pairs = det_pairs(a)
+        assert zd_determinant(a, pairs) == (GroupRingElement.one(Z1, F3), None)
+        searches.clear()
+        monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", pairs)
+        assert stable_injectivity_verdict(t, budget) == full
+        # a^-1 comes from the ball systems, found at radius 1; det(a) != 0
+        # still rules out the constant part's witness, so only t's runs
+        assert [(kind, r) for kind, _, r in searches] == [
+            ("inverse", 0), ("inverse", 1), ("witness", 2), ("kernel", full.witness_radius)
+        ]
+        assert searches[2][1] is t
 
     def test_past_the_det_budget_every_search_runs(self, searches, monkeypatch):
         monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", 0)
