@@ -486,80 +486,98 @@ def zd_determinant(
     row and column k to the leading k x k block B_k, with row R, column S
     and corner c, the characteristic coefficients (det(x I - B_k) =
     sum_i C_i x^(k-i)) become C'_i = C_i - sum_{m=1..i} P_m C_{i-m}, where
-    P_1 = c and P_{j+2} = R B_k^j S.  Then det(B) = (-1)^n C_n.  Entries
-    are raw term tuples, multiplied by _convolve_into and reduced by
-    _canonical_terms, without validation.  Over Q each row of a is first
-    scaled by the lcm of its denominators, so the products run on plain
-    ints on B = D a, and only the coefficients of det(a) = det(B) / det D
-    are divided back.
+    P_1 = c and P_{j+2} = R B_k^j S.  Then det(B) = (-1)^n C_n.  Over Q
+    each row of a is first scaled by the lcm of its denominators, so the
+    products run on plain ints on B = D a, and only the coefficients of
+    det(a) = det(B) / det D are divided back.
 
     By Cayley-Hamilton sum_i C_i B^(n-i) = 0, so when C_n = c x^g is a
     unit, B^-1 = -C_n^-1 sum_{i<n} C_i B^(n-1-i) (the sum is
     (-1)^(n+1) adj(B)), and a^-1 = B^-1 D (Berkowitz 1984).  The sum is
-    taken by Horner's rule, P_0 = 1 and P_k = P_{k-1} B + C_k, with no
-    division, and the result is made canonical once.  As M_n(k[Z^d]) is a
-    matrix ring over a commutative ring, a^-1 is the two-sided inverse.
+    taken by Horner's rule, P_1 = B + C_1 and P_k = P_{k-1} B + C_k, with
+    no division; at n = 1 it is C_0 = 1.  As M_n(k[Z^d]) is a matrix ring
+    over a commutative ring, a^-1 is the two-sided inverse.
+
+    Entries are raw (site, int) term lists, not validated.  Each new one
+    is summed into one dict, its products by an inline loop, and reduced
+    once (mod p, zeros dropped), in no order: det(a) is sorted once and
+    a^-1 made canonical once.  C_0 = 1 is never multiplied: each P_i C_0
+    is added as -P_i, and Horner starts from P_1, read off B.  The budget
+    is charged as though C_0 were multiplied: len(x) len(y) pairs for each
+    product x y of term lists, before it is made, and len(x) for each x
+    times C_0.
     """
     grp, fld, n = a.group, a.field, a.shape
     if grp.kind != "Zd":
         return None
-    entries = [[[] for _ in range(n)] for _ in range(n)]
-    for g, c in a.terms:
-        for row, coeffs in zip(entries, c):
-            for entry, x in zip(row, coeffs):
-                if x:
-                    entry.append((g, x))
+    p = fld.p
+    entries = [[[(g, c[i][j]) for g, c in a.terms if c[i][j]] for j in range(n)] for i in range(n)]
     scales = [1] * n
-    if fld.p is None:
+    if p is None:
         for i, row in enumerate(entries):
             m = scales[i] = _denominator(None, chain.from_iterable(row))
             row[:] = [_numerators(None, entry, m) for entry in row]
     left = max_term_pairs
 
-    def total(pairs, start=()) -> tuple:
-        """start plus the sum of p q over the pairs, made canonical, with
-        every pair of terms multiplied charged to the budget."""
+    def total(pairs, *addends) -> list:
+        """The sum of the addends and of x y over the pairs (x, y) of term
+        lists, reduced once; each product charged before it is made."""
         nonlocal left
-        acc = dict(start)
-        for p, q in pairs:
-            left -= len(p) * len(q)
+        acc = {}
+        get = acc.get
+        for terms in addends:
+            for g, x in terms:
+                acc[g] = get(g, 0) + x
+        for xs, ys in pairs:
+            left -= len(xs) * len(ys)
             if left < 0:
                 raise _OverBudget
-            _convolve_into(acc, grp, None, p, q)
-        return _canonical_terms(grp, fld, None, acc)
+            for g, x in xs:
+                for h, y in ys:
+                    site = tuple(map(add, g, h))
+                    acc[site] = get(site, 0) + x * y
+        if p:
+            return [(g, r) for g, c in acc.items() if (r := c % p)]
+        return [(g, c) for g, c in acc.items() if c]
 
-    def neg(p):
-        return tuple((g, -c) for g, c in p)
-
-    coeffs = [((grp.identity, 1),)]  # C_0 .. C_k
+    coeffs = [[(grp.identity, 1)]]  # C_0 .. C_k
     try:
         for k in range(n):
-            row, col = entries[k][:k], [entries[i][k] for i in range(k)]
-            negated = [neg(entries[k][k])]  # -P_1, -P_2, ...
-            v = col
+            row = [[(g, -x) for g, x in entry] for entry in entries[k][:k]]  # -R
+            negated = [[(g, -x) for g, x in entries[k][k]]]  # -P_1, -P_2, ...
+            v = [entries[i][k] for i in range(k)]  # S
             for j in range(k):
                 if j:
                     v = [total(zip(entries[i][:k], v)) for i in range(k)]
-                negated.append(neg(total(zip(row, v))))
-            coeffs = [coeffs[0]] + [
-                total(
-                    ((negated[m - 1], coeffs[i - m]) for m in range(1, i + 1)),
-                    coeffs[i] if i <= k else (),
-                )
-                for i in range(1, k + 2)
-            ]
+                negated.append(total(zip(row, v)))
+            left -= sum(map(len, negated))  # each -P_i C_0, added as -P_i
+            if left < 0:
+                raise _OverBudget
+            coeffs.append(())  # C_(k+1) of B_k
+            for i in range(k + 1, 0, -1):  # C'_i reads C_1 .. C_i, not yet updated
+                coeffs[i] = total(zip(negated, coeffs[i - 1 : 0 : -1]), coeffs[i], negated[i - 1])
     except _OverBudget:
         return None
     sign, scale = -1 if n % 2 else 1, math.prod(scales)
     det = GroupRingElement(grp, fld, None, tuple(
-        (g, sign * c % fld.p if fld.p else Fraction(sign * c, scale)) for g, c in coeffs[n]
+        (g, sign * c % p if p else Fraction(sign * c, scale))
+        for g, c in sorted(coeffs[n])  # distinct sites, so the order of group.key on Z^d
     ))
     if len(det.terms) != 1:
         return det, None
-    cols = list(zip(*entries))
-    horner = [[coeffs[0] if i == j else () for j in range(n)] for i in range(n)]
     try:
-        for k in range(1, n):
+        if n == 1:
+            horner = [[coeffs[0]]]
+        else:
+            left -= sum(map(len, chain.from_iterable(entries)))  # B C_0, read off B
+            if left < 0:
+                raise _OverBudget
+            horner = [
+                [total((), coeffs[1], entry) if i == j else entry for j, entry in enumerate(row)]
+                for i, row in enumerate(entries)
+            ]
+        cols = list(zip(*entries))
+        for k in range(2, n):
             horner = [
                 [total(zip(row, col), coeffs[k] if i == j else ()) for j, col in enumerate(cols)]
                 for i, row in enumerate(horner)
@@ -567,11 +585,17 @@ def zd_determinant(
     except _OverBudget:
         return det, None
     ((g, c),) = coeffs[n]
-    g_inv, compose, p = grp.inverse(g), grp.compose, fld.p
+    g_inv = grp.inverse(g)
     unit = pow(-c, -1, p) if p else Fraction(-1, c)  # -C_n^-1 = unit x^-g
-    acc: dict = {}  # a raw accumulator; each site's entry (i, j) is set once
-    for i, row in enumerate(horner):
-        for j, entry in enumerate(row):
-            for h, x in entry:
-                acc.setdefault(compose(h, g_inv), [fld.zero] * (n * n))[i * n + j] = x * scales[j] * unit
-    return det, GroupRingElement(grp, fld, n, _canonical_terms(grp, fld, n, acc))
+    units = [m * unit for m in scales]  # column j of B^-1 D is scaled by D_j
+    zero, cells = fld.zero, {}  # each site's flat n x n entries; each (i, j) is set once
+    for ij, entry in enumerate(chain.from_iterable(horner)):
+        s = units[ij % n]
+        for h, x in entry:
+            site = tuple(map(add, h, g_inv))
+            flat = cells.get(site)
+            if flat is None:
+                flat = cells[site] = [zero] * (n * n)
+            flat[ij] = x * s % p if p else x * s
+    inv = tuple((site, tuple(zip(*[iter(flat)] * n))) for site, flat in sorted(cells.items()))
+    return det, GroupRingElement(grp, fld, n, inv)

@@ -95,16 +95,16 @@ MAX_TOWER_COORDINATES = 1_000_000
 # terms.  Past it with det(a), every search runs; past it with a^-1 alone,
 # the determinant prunes still run.  Either way a^-1 is searched for over
 # growing balls (_regular_inverse).
-# Measured on 2 vCPUs (Python 3.11): about 1 us per pair over F_5 and Q.
-# Random radius-1 maps need at most a few thousand pairs up to n = 6 on
-# Z^3; a dense radius-1 map on Z^3 needs 0.59 M pairs (0.66 s over Q) at
-# n = 5 and 2.1 M at n = 6, so a map that wide runs its searches unpruned,
-# after at most about a second spent on the determinant.  The inverse
-# needs about as many pairs again: a unit L U on Z^3, with L and U
-# unitriangular and dense within radius 1, needs 0.17 M pairs for det(a)
-# and 0.11 M for a^-1 at n = 3 over F_5 (0.23 s), and 0.82 M and 0.87 M
-# at n = 4 over Q with 30 % of the entries filled, so that one falls back
-# to the ball systems.
+# Measured on 2 vCPUs (Python 3.11): about 0.6-0.7 us per pair over F_5
+# and Q.  Random radius-1 maps need at most a few thousand pairs up to
+# n = 6 on Z^3; a dense radius-1 map on Z^3 needs 0.59 M pairs (0.4 s
+# over Q) at n = 5 and 2.1 M at n = 6, so a map that wide runs its
+# searches unpruned, after at most about 0.7 s spent on the determinant.
+# The inverse needs about as many pairs again: a unit L U on Z^3, with L
+# and U unitriangular and dense within radius 1, needs 0.17 M pairs for
+# det(a) and 0.11 M for a^-1 at n = 3 over F_5 (0.16 s), and 0.82 M and
+# 0.87 M at n = 4 over Q with 30 % of the entries filled, so that one
+# falls back to the ball systems after about 0.7 s.
 MAX_DET_TERM_PAIRS = 1_000_000
 
 
@@ -698,6 +698,8 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
     A budget whose certificate search or kernel tower is past its size
     limit is refused before any search runs.
     """
+    if not isinstance(budget, SearchBudget):
+        raise UsageError(f"the verdict takes a SearchBudget, got {type(budget).__name__}")
     check_tower_depth(t.group, t.n, budget.depth, budget.window)
     check_search_radius(t.group, t.n, budget.max_radius)
     det = zd_determinant(t.element.regular, MAX_DET_TERM_PAIRS)

@@ -124,10 +124,14 @@ class TwistedElement(_Frozen):
         regular: GroupRingElement,
         singular: Mapping[Element, GroupRingElement] | Iterable[tuple[Element, GroupRingElement]] = (),
     ) -> "TwistedElement":
+        if not isinstance(regular, GroupRingElement):
+            raise UsageError(f"the regular part must be a group ring element, got {type(regular).__name__}")
         items = singular.items() if isinstance(singular, Mapping) else singular
         acc: dict[Element, GroupRingElement] = {}
         for g, part in items:
             regular.group.check(g)
+            if not isinstance(part, GroupRingElement):
+                raise UsageError(f"a singular part must be a group ring element, got {type(part).__name__}")
             if part.group != regular.group or part.field != regular.field or part.shape != regular.shape:
                 raise UsageError("singular parts disagree with the regular part")
             acc[g] = acc[g] + part if g in acc else part
@@ -370,6 +374,8 @@ def _acc_is(grp: GroupSpec, field: FieldSpec, shape: Shape, acc: dict, scale: in
 
 def embed(a: GroupRingElement) -> TwistedElement:
     """The canonical embedding of the group ring: a |-> (a, 0)."""
+    if not isinstance(a, GroupRingElement):
+        raise UsageError(f"embed takes a group ring element, got {type(a).__name__}")
     return TwistedElement(a, ())
 
 

@@ -3,6 +3,8 @@ change to it has to change the list below too, so it shows in a diff."""
 
 import dataclasses
 
+import pytest
+
 import d1ring
 
 PUBLIC_API = [
@@ -68,3 +70,25 @@ def test_ring_elements_are_slotted_classes():
     for cls in (d1ring.GroupRingElement, d1ring.TwistedElement):
         assert "__slots__" in cls.__dict__
         assert not dataclasses.is_dataclass(cls)
+
+
+Z1, F5 = d1ring.GroupSpec.zd(1), d1ring.FieldSpec.fp(5)
+ONE = d1ring.GroupRingElement.one(Z1, F5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: d1ring.embed(5), "embed takes a group ring element, got int"),
+        (lambda: d1ring.TwistedElement.make(5), "regular part must be a group ring element, got int"),
+        (lambda: d1ring.TwistedElement.make(ONE, [((0,), 5)]), "singular part must be a group ring element, got int"),
+        (
+            lambda: d1ring.stable_injectivity_verdict(d1ring.Nuca.identity(Z1, F5, 1), None),
+            "SearchBudget, got NoneType",
+        ),
+    ],
+    ids=["embed", "make-regular", "make-singular", "verdict-budget"],
+)
+def test_wrong_argument_types_are_refused(call, message):
+    with pytest.raises(d1ring.UsageError, match=message):
+        call()

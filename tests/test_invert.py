@@ -1223,13 +1223,19 @@ def in_ball(t, side, r):
         return solve_one_sided_inverse(t, InverseSearchParams.make(side, ball, ball))
 
 
-def det_pairs(a):
+def det_pairs(a, inverse=False):
     """The fewest pairs of terms with which zd_determinant(a) yields det(a),
-    found by raising the budget (by bisection) until det(a) appears."""
+    or with inverse a^-1, found by raising the budget (by bisection) until
+    it appears."""
+
+    def found(budget):
+        pair = zd_determinant(a, budget)
+        return pair is not None and (not inverse or pair[1] is not None)
+
     lo, hi = 0, MAX_DET_TERM_PAIRS
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if zd_determinant(a, mid) is None else (lo, mid)
+        lo, hi = (lo, mid) if found(mid) else (mid + 1, hi)
     return lo
 
 
@@ -1269,6 +1275,15 @@ def draw_map(rng, group, field, n, kind):
     return Nuca(u)
 
 
+# L U over Z^1 and F_5 with L = [[1, 0, 0], [x, 1, 0], [1 + x, 2, 1]] and
+# U = [[1, x, 0], [0, 1, 1 + x], [0, 0, 2x]]: det(a) = 2x, a^-1 of radius 2
+UNIT_3X3 = gre(Z1, F5, 3, [
+    ((0,), ((1, 0, 0), (0, 1, 1), (1, 2, 2))),
+    ((1,), ((0, 1, 0), (1, 0, 1), (1, 1, 4))),
+    ((2,), ((0, 0, 0), (0, 1, 0), (0, 1, 0))),
+])
+
+
 class TestZdDeterminant:
     def test_cancellation_to_zero(self):
         # [[1 + x, x + x^2], [1, x]]: every entry nonzero, det = 0
@@ -1301,6 +1316,60 @@ class TestZdDeterminant:
         a = decoy_nuca(Z2, F3, 3).element.regular
         assert zd_determinant(a, 10**6)[0] == leibniz_det(a)
         assert zd_determinant(a, 3) is None
+
+    @pytest.mark.parametrize(
+        "a, pairs, inverse_pairs",
+        [
+            # 3x: a^-1 costs no pair more at n = 1
+            (gre(Z1, F5, 1, [((1,), ((3,),))]), 1, 1),
+            # [[1 + x, x y], [3, 3y]]: det(a) = 3y
+            (gre(Z2, F5, 2, [
+                ((0, 0), ((1, 0), (3, 0))), ((0, 1), ((0, 0), (0, 3))),
+                ((1, 0), ((1, 0), (0, 0))), ((1, 1), ((0, 1), (0, 0))),
+            ]), 7, 12),
+            # [[1/2 + x, 1/3], [3x, 2/5]]: det(a) = 1/5 - 3x/5, no monomial
+            (gre(Z1, Q, 2, [
+                ((0,), ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5)))),
+                ((1,), ((1, 0), (3, 0))),
+            ]), 7, None),
+            (UNIT_3X3, 60, 144),
+        ],
+        ids=["z1-f5-n1-unit", "z2-f5-n2-unit", "z1-q-n2-non-monomial", "z1-f5-n3-unit"],
+    )
+    def test_pair_charges(self, a, pairs, inverse_pairs):
+        # every product of term lists is charged len(x) len(y) pairs, and
+        # each x times C_0 = 1 len(x) pairs, though that product is not made
+        assert det_pairs(a) == pairs
+        if inverse_pairs is None:
+            assert zd_determinant(a, MAX_DET_TERM_PAIRS)[1] is None
+        else:
+            assert det_pairs(a, inverse=True) == inverse_pairs
+
+    def test_a_budget_that_runs_out_inside_the_horner_loop(self, monkeypatch):
+        # past det(a) and P_1 = B + C_1, short of the products of P_2 = P_1 B + C_2
+        a, side_radius = UNIT_3X3, 2
+        t = Nuca(TwistedElement.make(a))
+        budget = SearchBudget(max_radius=side_radius, depth=1, window=1)
+        full = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        searched = {side: search_one_sided_inverse(t, side, side_radius) for side in ("left", "right")}
+        verdict = stable_injectivity_verdict(t, budget)
+        assert None not in searched.values() and verdict.kind == "proven_stably_injective"
+        pairs = det_pairs(a) + sum(1 for _, c in a.terms for row in c for x in row if x) + 1
+        assert pairs < det_pairs(a, inverse=True)
+        assert zd_determinant(a, pairs) == (full[0], None)
+        calls = []
+        ball_inverse = invert._regular_inverse
+
+        def recording(*args):
+            calls.append(args)
+            return ball_inverse(*args)
+
+        monkeypatch.setattr(invert, "MAX_DET_TERM_PAIRS", pairs)
+        monkeypatch.setattr(invert, "_regular_inverse", recording)
+        for side, hit in searched.items():
+            assert search_one_sided_inverse(t, side, side_radius) == hit
+        assert stable_injectivity_verdict(t, budget) == verdict
+        assert calls  # a^-1 came from the ball systems
 
     @settings(max_examples=60, deadline=None)
     @given(
