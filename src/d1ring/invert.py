@@ -397,7 +397,11 @@ def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
     """The largest radius up to max_radius whose ball system has at most
     MAX_UNKNOWNS unknowns (-1 if even radius 0 has more)."""
     r = -1
-    while r < max_radius and _ball_unknowns(group, n, r + 1) <= MAX_UNKNOWNS:
+    while r < max_radius:
+        # a ball past MAX_UNKNOWNS sites has more unknowns than that, uncounted
+        unknowns = _ball_unknowns(group, n, r + 1, MAX_UNKNOWNS)
+        if unknowns is None or unknowns > MAX_UNKNOWNS:
+            break
         r += 1
     return r
 
@@ -422,14 +426,17 @@ def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None
     The window coordinates of the levels the tower may build are summed
     until the sum passes the limit, so an accepted depth costs one
     ball_size per level and a refused one stops at the first level m past
-    the limit, however large the depth.  The largest depth within the
-    limit is the one whose last level is m - 1 (-1 if none)."""
+    the limit, however large the depth or the dimension: a ball past the
+    limit is not counted.  The largest depth within the limit is the one
+    whose last level is m - 1 (-1 if none)."""
     if group.kind != "Zd":
         return
     total = 0
     for m in range(depth + window + MAX_EXTRA_LEVELS + 1):
-        total += n * group.ball_size(m)
-        if total > MAX_TOWER_COORDINATES:
+        size = group.ball_size(m, MAX_TOWER_COORDINATES)
+        if size is not None:
+            total += n * size
+        if size is None or total > MAX_TOWER_COORDINATES:
             raise UsageError(
                 f"a kernel tower to depth {depth} with window {window} over {group.label()}"
                 f" with n = {n} would build more window coordinates over its levels than"

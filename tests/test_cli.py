@@ -215,6 +215,37 @@ class TestExitCodes:
             " 10^30 unknowns; the limit is 2000000 (largest radius within it: 5)\n"
         )
 
+    tower_refusal = (
+        "error: a kernel tower to depth 3 with window 2 over Zd:100000000 with n = 1 would build more"
+        " window coordinates over its levels than the limit of 1000000 (largest depth within it: -1)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (["verdict"], tower_refusal),
+            (["kernel-tower"], tower_refusal),
+            (
+                ["invert", "--max-radius", "1"],
+                "error: an inverse search to radius 1 over Zd:100000000 with n = 1 needs more than"
+                " 10^30 unknowns; the limit is 2000000 (largest radius within it: 0)\n",
+            ),
+        ],
+        ids=["verdict", "kernel-tower", "invert"],
+    )
+    def test_huge_dimension_is_refused_at_once(self, tmp_path, options, expected):
+        # a radius-1 ball of Z^(10^8) has 3^(10^8) sites; the refusals
+        # neither count them nor make a site of the group
+        src = tmp_path / "zero.json"
+        header = {"format_version": 1, "group": "Zd:100000000", "field": "Fp:3", "n": 1, "kind": "twisted"}
+        src.write_text(json.dumps({"header": header, "payload": {"regular": {"terms": []}, "singular": []}}))
+        start = time.monotonic()
+        code, out, err = run_cli([options[0], str(src), *options[1:], "-o", "-"])
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == expected
+
     def test_suite_n_past_the_limit_is_usage_error(self):
         code, out, err = run_cli(
             ["experiment", "direct-finiteness", "--group", "Zd:1", "--field", "Fp:2",

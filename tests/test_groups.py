@@ -1,3 +1,8 @@
+import copy
+import pickle
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +28,48 @@ class TestCompose:
         for grp, g in [(Z2, (3, -4)), (F2FREE, w(1, -2, 1))]:
             assert grp.compose(g, grp.identity) == g
             assert grp.compose(grp.identity, g) == g
+
+
+class TestUnrolledSiteFunctions:
+    """Z^d with d <= 12 carries compose, inverse and norm unrolled over its
+    coordinates; they agree with the class methods, which larger d use."""
+
+    @pytest.mark.parametrize("d", range(1, 14))
+    def test_agree_with_the_class_methods(self, d):
+        grp = GroupSpec.zd(d)
+        assert ("compose" in vars(grp)) == (d <= 12)
+        rng = random.Random(d)
+        # each coordinate in turn carries the largest value, of either sign
+        sites = [tuple(s * 9 if j == i else -j % 5 for j in range(d)) for i in range(d) for s in (1, -1)]
+        sites += [tuple(rng.randint(-(2**70), 2**70) for _ in range(d)) for _ in range(20)]
+        for g, h in zip(sites, sites[1:] + sites[:1]):
+            assert grp.compose(g, h) == GroupSpec.compose(grp, g, h)
+            assert grp.inverse(g) == GroupSpec.inverse(grp, g)
+            assert grp.norm(g) == GroupSpec.norm(grp, g)
+            assert type(grp.compose(g, h)) is tuple and type(grp.inverse(g)) is tuple
+
+    def test_made_once_per_dimension(self):
+        assert GroupSpec.zd(3).compose is GroupSpec("Zd", 3).compose
+        assert GroupSpec.zd(3).compose is not GroupSpec.zd(4).compose
+        assert "compose" not in vars(F2FREE)
+
+    def test_a_huge_dimension_constructs_at_once(self):
+        start = time.monotonic()
+        big = GroupSpec.zd(10**8)
+        assert GroupSpec.from_label("Zd:100000000") == big
+        assert time.monotonic() - start < 1
+        assert "compose" not in vars(big)
+
+    @pytest.mark.parametrize("grp", [Z1, Z2, GroupSpec.zd(13), F2FREE], ids=lambda g: g.label())
+    def test_value_semantics_are_the_fields(self, grp):
+        kind, dim = grp.kind, grp.dim
+        assert repr(grp) == f"GroupSpec(kind={kind!r}, dim={dim})"
+        assert grp == GroupSpec(kind, dim) and hash(grp) == hash((kind, dim))
+        e = grp.identity
+        for other in (pickle.loads(pickle.dumps(grp)), copy.copy(grp), copy.deepcopy(grp)):
+            assert other == grp and hash(other) == hash(grp)
+            assert vars(other).keys() == vars(grp).keys()
+            assert other.compose(e, e) == e and other.norm(e) == 0
 
 
 class TestInverse:
