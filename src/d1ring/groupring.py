@@ -123,7 +123,10 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 # -- convolution accumulator ----------------------------------------------------
 #
 # An accumulator {h: raw coefficient} sums terms without reducing them, an
-# n x n coefficient as a flat list of n^2 entries, row by row.
+# n x n coefficient as a flat list of n^2 entries, row by row.  Each flat
+# list belongs to its accumulator alone: whoever puts one in makes it
+# fresh (_convolve_into, _add_into, twisted.f_shuffle_inv,
+# invert._factored_inverse), so _convolve_into may add into it in place.
 # _convolve_into adds the products of two term lists; the twisted product
 # (twisted._mul_into), the one product of k[G] too, adds scalar products
 # in its own loops, as the same raw ints, and calls _convolve_into for
@@ -137,6 +140,11 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 # and has no scale.  _canonical_terms reduces each entry once, over Q by
 # one division by L, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw
 # entries, over Q by comparing the identity entry with L.
+#
+# For n <= MAX_KERNEL_N the n x n work of _convolve_into, and of
+# _canonical_terms over F_p, runs in kernels unrolled over the n^2 entries
+# (_matrix_kernels), generated once per n at first use, as dataclasses
+# generate their methods from source; larger n run the loops.
 
 def _denominator(shape: Shape, terms) -> int:
     """The lcm of the denominators of the entries of terms over Q."""
@@ -156,9 +164,81 @@ def _numerators(shape: Shape, terms, scale: int) -> tuple:
     )
 
 
+# n x n coefficients get unrolled kernels only up to this n, as the source
+# of convolve holds 2 n^3 products (two million at experiments.MAX_SUITE_N).
+# Measured on 2 vCPUs (Python 3.11): us per term pair of the loops and of
+# the kernel (3 x 3 terms on Z^2), and ms to make both kernels:
+#   n       1     2     3     4     5     6     7     8     9
+#   loops   1.22  2.11  4.13  6.80  10.8  16.4  22.1  33.8  41.7
+#   kernel  0.35  0.47  0.88  1.39  2.40  3.92  5.96  9.37  11.2
+#   make    0.23  0.32  0.59  0.87  1.34  2.03  2.93  4.52  6.44
+#   n       10    11    12    13    14    15    16    17    18
+#   loops   55.8  65.7  90.1  101   129   160   181   208   245
+#   kernel  18.9  19.2  31.8  37.2  41.8  58.1  75.7  91.2  112
+#   make    7.38  11.5  13.0  17.7  22.3  22.7  28.7  35.9  39.4
+# At 16 the kernel still runs 2.4 times as fast and is made in under 30 ms,
+# repaid after about 270 term pairs; past it the making grows as n^3 and
+# the speed-up keeps falling.
+MAX_KERNEL_N = 16
+
+# The two n x n kernels, for n = 2: convolve unpacks each coefficient in
+# its loop header and adds each product entry, a0 * b0 + a1 * b2 for entry
+# 0, as one expression into the flat list at g h, in place; reduce takes
+# each entry mod p once and builds the rows of a nonzero coefficient.
+_MATRIX_KERNELS = """\
+def convolve(acc, compose, a_terms, b_terms):
+    get = acc.get
+    for g, ({a}) in a_terms:
+        for h, ({b}) in b_terms:
+            k = compose(g, h)
+            c = get(k)
+            if c is None:
+                acc[k] = [{products}]
+            else:
+{adds}
+def reduce(acc, p):
+    items = []
+    for g, ({x}) in acc.items():
+        {x} = {residues}
+        if {nonzero}:
+            items.append((g, ({rows})))
+    return items
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_kernels(n: int) -> tuple:
+    """(convolve, reduce) for n x n coefficients, made once per n."""
+    cells = range(n * n)
+    x = [f"x{e}" for e in cells]
+
+    def rows(entries) -> str:
+        return "".join(f"({''.join(f'{v}, ' for v in entries[i : i + n])}), " for i in range(0, n * n, n))
+
+    products = [
+        " + ".join(f"a{i + m} * b{m * n + j}" for m in range(n)) for i in range(0, n * n, n) for j in range(n)
+    ]
+    source = _MATRIX_KERNELS.format(
+        a=rows([f"a{e}" for e in cells]),
+        b=rows([f"b{e}" for e in cells]),
+        products=", ".join(products),
+        adds="\n".join(f"                c[{e}] += {s}" for e, s in enumerate(products)),
+        x="".join(f"{v}, " for v in x),
+        residues="".join(f"{v} % p, " for v in x),
+        nonzero=" or ".join(x),
+        rows=rows(x),
+    )
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    return namespace["convolve"], namespace["reduce"]
+
+
 def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
     """Add a(g) b(h) at g h into acc for every term pair, as raw entries.
-    Each n x n right-hand coefficient is transposed once per call."""
+    n x n coefficients up to MAX_KERNEL_N go to the unrolled kernel of n,
+    which adds into a flat list already in acc in place, with no
+    transposition; past it each right-hand coefficient is transposed once
+    per call and each row and column summed by sum(map(mul, ...))."""
     compose = group.compose
     get = acc.get
     if shape is None:
@@ -166,6 +246,9 @@ def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) 
             for h, b in b_terms:
                 k = compose(g, h)
                 acc[k] = get(k, 0) + a * b
+        return
+    if shape <= MAX_KERNEL_N:
+        _matrix_kernels(shape)[0](acc, compose, a_terms, b_terms)
         return
     b_cols = [(h, tuple(zip(*b))) for h, b in b_terms]
     for g, a in a_terms:
@@ -205,6 +288,8 @@ def _canonical_terms(
             items = [(g, Fraction(c, div)) for g, c in acc.items() if c]
         else:
             items = [(g, c) for g, c in acc.items() if c]
+    elif p and shape <= MAX_KERNEL_N:
+        items = _matrix_kernels(shape)[1](acc, p)
     else:
         n, zero = shape, field.zero
         items = []
@@ -510,7 +595,7 @@ def zd_determinant(
     grp, fld, n = a.group, a.field, a.shape
     if grp.kind != "Zd":
         return None
-    p = fld.p
+    p, compose = fld.p, grp.compose
     entries = [[[(g, c[i][j]) for g, c in a.terms if c[i][j]] for j in range(n)] for i in range(n)]
     scales = [1] * n
     if p is None:
@@ -534,7 +619,7 @@ def zd_determinant(
                 raise _OverBudget
             for g, x in xs:
                 for h, y in ys:
-                    site = tuple(map(add, g, h))
+                    site = compose(g, h)
                     acc[site] = get(site, 0) + x * y
         if p:
             return [(g, r) for g, c in acc.items() if (r := c % p)]
@@ -592,7 +677,7 @@ def zd_determinant(
     for ij, entry in enumerate(chain.from_iterable(horner)):
         s = units[ij % n]
         for h, x in entry:
-            site = tuple(map(add, h, g_inv))
+            site = compose(h, g_inv)
             flat = cells.get(site)
             if flat is None:
                 flat = cells[site] = [zero] * (n * n)

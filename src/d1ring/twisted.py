@@ -22,11 +22,12 @@ In code each slot reduces to group ring convolutions:
 these three slot sums term by term into a single accumulator
 {site or None: {h: coefficient}}.  Scalar coefficients, the entries of
 every TwistedMatrix, are convolved in _mul_into's own loops; n x n
-coefficients go through groupring._convolve_into, which transposes each
-right-hand coefficient once per call.  A product, or a sum of products
-such as an entry of a matrix product, is one list of pairs (x, y),
-accumulated by the kernel (_accumulate) and made canonical once at the
-end (_built), not once per partial convolution and sum.
+coefficients go through groupring._convolve_into, which runs the
+convolution kernel unrolled for that n (up to groupring.MAX_KERNEL_N),
+each product entry one expression added in place.  A product, or a sum
+of products such as an entry of a matrix product, is one list of pairs
+(x, y), accumulated by the kernel (_accumulate) and made canonical once
+at the end (_built), not once per partial convolution and sum.
 
 The accumulator holds plain ints.  Over F_p the operands are read as
 they are.  Over Q each operand is read on its integer numerators over

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -9,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import FieldSpec, Matrix, inverse
-from d1ring.experiments import _unit_sites, rand_groupring
+from d1ring import groupring
+from d1ring.experiments import MAX_SUITE_N, _unit_sites, rand_groupring
 from d1ring.groupring import (
+    MAX_KERNEL_N,
     GroupRingElement,
+    _canonical_terms,
     _convolve_into,
+    _matrix_kernels,
     coeff_one,
     matrix_shuffle,
     matrix_unshuffle,
@@ -335,7 +340,7 @@ def assert_canonical_entries(a):
     seed=st.integers(0, 2**32 - 1),
     group=st.sampled_from(GROUPS),
     field=st.sampled_from([F2, F3, F5, Q]),
-    n=st.sampled_from([1, 2, 3]),
+    n=st.sampled_from([1, 2, 3, MAX_KERNEL_N, MAX_KERNEL_N + 1]),
 )
 def test_matrix_terms_and_products_agree_with_oracle(seed, group, field, n):
     rng = random.Random(seed)
@@ -369,7 +374,7 @@ def draw_invertible(rng, field, n):
     seed=st.integers(0, 2**32 - 1),
     group=st.sampled_from(GROUPS),
     field=st.sampled_from([F2, F3, F5, Q]),
-    n=st.sampled_from([1, 2, 3]),
+    n=st.sampled_from([1, 2, 3, MAX_KERNEL_N, MAX_KERNEL_N + 1]),
 )
 def test_matrix_product_is_one_on_raw_entries(seed, group, field, n):
     # a = c g (1 + N h) and b = (1 - N h) c^-1 g^-1 with N^2 = 0: the raw
@@ -446,6 +451,75 @@ def test_raw_identity_entries_are_reduced_before_the_check(group):
     assert a.product_is_one(b) and embed(a).product_is_one(embed(b))
     assert not a.product_is_one(c) and not embed(a).product_is_one(embed(c))
     assert a * b == GroupRingElement.one(group, F5, 2)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
+def test_unrolled_kernels_agree_with_the_loops(field, monkeypatch):
+    # each n x n kernel against the loops that serve n > MAX_KERNEL_N, on
+    # raw int entries (over Q the numerators over a scale of 6): products
+    # added into a site already in the accumulator, one site where they
+    # cancel to 0 exactly, over F_p one whose entries are multiples of p,
+    # and for each entry k a site where only entry k is nonzero
+    group, e, s = Z2, (0, 0), (1, 0)
+    for n in range(1, MAX_KERNEL_N + 2):
+        rng = random.Random(f"kernels {field.label()} {n}")
+
+        def coeff():
+            return tuple(tuple(rng.randint(-7, 7) for _ in range(n)) for _ in range(n))
+
+        c, d = coeff(), coeff()
+        minus_d = tuple(tuple(-x for x in row) for row in d)
+        # c d and -(c d) both land at s
+        a_terms = [(e, c), (s, c), ((0, 1), coeff())]
+        b_terms = [(s, d), (e, minus_d), ((-1, 1), coeff())]
+        start = {e: [rng.randint(-7, 7) for _ in range(n * n)]}
+        if field.p:
+            start[(5, 5)] = [field.p * rng.randint(-2, 2) for _ in range(n * n)]
+        lone = [(9, k) for k in range(n * n)]
+        start.update(((9, k), [field.p or 0] * k + [1] + [0] * (n * n - 1 - k)) for k in range(n * n))
+        runs = []
+        for cap in (MAX_KERNEL_N, 0):
+            monkeypatch.setattr(groupring, "MAX_KERNEL_N", cap)
+            acc = {g: flat.copy() for g, flat in start.items()}
+            _convolve_into(acc, group, n, a_terms, b_terms)
+            _convolve_into(acc, group, n, a_terms[:1], b_terms[1:2])  # into e again
+            runs.append((acc, _canonical_terms(group, field, n, acc, 6)))
+        (acc, terms), (loop_acc, loop_terms) = runs
+        assert acc == loop_acc
+        assert acc[s] == [0] * (n * n)
+        assert terms == loop_terms
+        assert repr(terms) == repr(loop_terms)
+        assert s not in dict(terms) and (5, 5) not in dict(terms)
+        assert set(lone) <= set(dict(terms))
+
+
+def test_kernels_are_made_once_per_n_up_to_the_cap():
+    _matrix_kernels.cache_clear()
+    for n in (1, 2, 2, 3, MAX_KERNEL_N, MAX_KERNEL_N + 1, MAX_KERNEL_N + 1):
+        for field in (F5, Q):
+            a = GroupRingElement.monomial(Z1, field, n, (1,), identity_matrix(n))
+            assert a * a == GroupRingElement.monomial(Z1, field, n, (2,), identity_matrix(n))
+            assert not a.product_is_one(a)
+    info = _matrix_kernels.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    assert _matrix_kernels(2) is _matrix_kernels(2)
+
+
+def test_a_product_at_the_suite_size_limit_makes_no_kernel():
+    # past MAX_KERNEL_N the loops run, so no source of n^3 products is made
+    rng = random.Random("suite size limit")
+    n = MAX_SUITE_N
+    a, b = (
+        gre(Z2, F5, n, [((0, 1), tuple(tuple(rng.randrange(5) for _ in range(n)) for _ in range(n)))])
+        for _ in range(2)
+    )
+    before = _matrix_kernels.cache_info()
+    start = time.perf_counter()
+    product = a * b
+    assert time.perf_counter() - start < 1
+    assert _matrix_kernels.cache_info() == before
+    ((g, c),) = product.terms
+    assert g == (0, 2) and c == o_mul(5, a.terms[0][1], b.terms[0][1])
 
 
 @pytest.mark.parametrize("shape", [True, 2.0, 0], ids=repr)

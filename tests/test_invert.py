@@ -205,6 +205,30 @@ class TestTowerSizeLimit:
         with pytest.raises(UsageError, match=f"largest depth within it: {limit}\\)"):
             check_tower_depth(group, n, limit + 1, 2)
 
+    def test_refusal_reads_the_same_from_both_entry_points(self):
+        t = decoy_nuca(Z2, F3, 1)
+        with pytest.raises(UsageError) as direct:
+            check_tower_depth(Z2, 1, 80, 2)
+        with pytest.raises(UsageError) as tower:
+            kernel_tower(t, 80, 2)
+        with pytest.raises(UsageError) as verdict:
+            stable_injectivity_verdict(t, SearchBudget(max_radius=1, depth=80))
+        assert str(tower.value) == str(verdict.value) == str(direct.value)
+
+    def test_verdict_checks_the_limit_once(self, monkeypatch):
+        # the verdict checks the tower's limit before its searches, and its
+        # tower is not checked again
+        calls = []
+        check = invert.check_tower_depth
+        monkeypatch.setattr(invert, "check_tower_depth", lambda *args: calls.append(args) or check(*args))
+        budget = SearchBudget(max_radius=1, depth=2, window=2)
+        verdict = stable_injectivity_verdict(decoy(), budget)
+        assert verdict.kind == "bounded_evidence"
+        assert calls == [(Z1, 1, 2, 2)]
+        # kernel_tower on its own checks once, and builds the same tower
+        assert verdict.tower == kernel_tower(decoy(), 2, 2)
+        assert calls == [(Z1, 1, 2, 2)] * 2
+
     def test_verdict_off_z_d_ignores_depth(self):
         t = Nuca.identity(F2FREE, F3, 1)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=0, depth=10**12))
