@@ -190,7 +190,13 @@ class Matrix:
     """An exact matrix over a FieldSpec, stored by rows: data[i] maps each
     column of row i that holds a nonzero entry to that entry, in canonical
     field form (an int in [0, p) or a Fraction).  Products, window maps,
-    subspace bases and linear systems all use it."""
+    subspace bases and linear systems all use it.  rank and kernel_basis
+    read each row over Q through its primitive integer multiple
+    (_integer_rows), so for them a row may be any nonzero integer multiple
+    of its field row, with int or Fraction entries, as
+    invert.finitely_supported_kernel passes them (Nuca._window_rows).
+    solve and inverse need the field rows, as each row pairs with its
+    right-hand side; over F_p every entry must be a residue."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -471,7 +477,11 @@ def rank(a: Matrix) -> int:
 
 
 def kernel_basis(a: Matrix) -> Subspace:
-    """Canonical echelon basis of the right null space {v : Av = 0}."""
+    """Canonical echelon basis of the right null space {v : Av = 0}.  Over
+    Q each row of a may be any nonzero integer multiple of its field row,
+    negative or with plain int entries: the kernel is that of the rows'
+    primitive integer multiples, which are the same for every such
+    multiple."""
     p = a.field.p
     # each row of the reduced basis leads at its last column
     basis = _reduced_echelon(p, _integer_rows(a.field, a.data), max)

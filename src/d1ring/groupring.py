@@ -125,26 +125,24 @@ def coerce_coeff(field: FieldSpec, shape: Shape, c):
 # An accumulator {h: raw coefficient} sums terms without reducing them, an
 # n x n coefficient as a flat list of n^2 entries, row by row.  Each flat
 # list belongs to its accumulator alone: whoever puts one in makes it
-# fresh (_convolve_into, _add_into, twisted.f_shuffle_inv,
-# invert._factored_inverse), so _convolve_into may add into it in place.
-# _convolve_into adds the products of two term lists; the twisted product
-# (twisted._mul_into), the one product of k[G] too, adds scalar products
-# in its own loops, as the same raw ints, and calls _convolve_into for
-# n x n coefficients.  Products accumulate plain ints: over F_p the
-# residues as they are, and over Q the integer numerators over one scale
-# L, so that the accumulator holds L times the sum.  Each operand over Q
-# is brought once to its numerators over the lcm of its denominators
-# (_denominator, _numerators; twisted._accumulate picks the scales, and
-# zd_determinant scales its rows with them).  An accumulator that adds
-# canonical coefficients as they are (_add_into) holds Fractions over Q
-# and has no scale.  _canonical_terms reduces each entry once, over Q by
-# one division by L, and _raw_is_one/_raw_is_zero decide 1 and 0 on raw
-# entries, over Q by comparing the identity entry with L.
-#
-# For n <= MAX_KERNEL_N the n x n work of _convolve_into, and of
-# _canonical_terms over F_p, runs in kernels unrolled over the n^2 entries
-# (_matrix_kernels), generated once per n at first use, as dataclasses
-# generate their methods from source; larger n run the loops.
+# fresh (convolve, _add_into, twisted.f_shuffle_inv,
+# invert._factored_inverse), so convolve may add into it in place.  The
+# twisted product (twisted._mul_into), the one product of k[G] too, adds
+# scalar products in its own loops and n x n ones by the convolve kernel
+# of n.  Products accumulate plain ints: over F_p the residues as they
+# are, and over Q the integer numerators over one scale L, so that the
+# accumulator holds L times the sum.  Each operand over Q is brought once
+# to its numerators over the lcm of its denominators (_denominator,
+# _numerators; twisted._accumulate picks the scales, and zd_determinant
+# scales its rows with them).  An accumulator that adds canonical
+# coefficients as they are (_add_into) holds Fractions over Q and has no
+# scale.  _canonical_terms reduces each entry once, n x n ones over F_p by
+# the reduce kernel of n and over Q by one division by L, and
+# _raw_is_one/_raw_is_zero decide 1 and 0 on raw entries, over Q by
+# comparing the identity entry with L.  The kernels of n (_kernels) are
+# unrolled over the n^2 entries up to MAX_KERNEL_N, generated once per n
+# at first use as dataclasses generate their methods from source, and
+# loops past it.
 
 def _denominator(shape: Shape, terms) -> int:
     """The lcm of the denominators of the entries of terms over Q."""
@@ -206,9 +204,17 @@ def reduce(acc, p):
 """
 
 
+def _kernels(n: int) -> tuple:
+    """The kernels of n, the one place n meets MAX_KERNEL_N:
+    convolve(acc, compose, a_terms, b_terms) adds a(g) b(h) at g h into acc
+    as raw entries, for each term pair; reduce(acc, p) gives acc's nonzero
+    coefficients mod p as unsorted terms."""
+    return _matrix_kernels(n) if n <= MAX_KERNEL_N else _loop_kernels(n)
+
+
 @functools.lru_cache(maxsize=None)
 def _matrix_kernels(n: int) -> tuple:
-    """(convolve, reduce) for n x n coefficients, made once per n."""
+    """The kernels of n unrolled over the n^2 entries, made once per n."""
     cells = range(n * n)
     x = [f"x{e}" for e in cells]
 
@@ -233,34 +239,33 @@ def _matrix_kernels(n: int) -> tuple:
     return namespace["convolve"], namespace["reduce"]
 
 
-def _convolve_into(acc: dict, group: GroupSpec, shape: Shape, a_terms, b_terms) -> None:
-    """Add a(g) b(h) at g h into acc for every term pair, as raw entries.
-    n x n coefficients up to MAX_KERNEL_N go to the unrolled kernel of n,
-    which adds into a flat list already in acc in place, with no
-    transposition; past it each right-hand coefficient is transposed once
-    per call and each row and column summed by sum(map(mul, ...))."""
-    compose = group.compose
-    get = acc.get
-    if shape is None:
+def _loop_kernels(n: int) -> tuple:
+    """The kernels of n as loops, with no source made: convolve transposes
+    each right-hand coefficient once per call."""
+
+    def convolve(acc, compose, a_terms, b_terms):
+        get = acc.get
+        b_cols = [(h, tuple(zip(*b))) for h, b in b_terms]
         for g, a in a_terms:
-            for h, b in b_terms:
+            for h, cols in b_cols:
                 k = compose(g, h)
-                acc[k] = get(k, 0) + a * b
-        return
-    if shape <= MAX_KERNEL_N:
-        _matrix_kernels(shape)[0](acc, compose, a_terms, b_terms)
-        return
-    b_cols = [(h, tuple(zip(*b))) for h, b in b_terms]
-    for g, a in a_terms:
-        for h, cols in b_cols:
-            k = compose(g, h)
-            c = [sum(map(mul, row, col)) for row in a for col in cols]
-            old = get(k)
-            acc[k] = c if old is None else list(map(add, old, c))
+                c = [sum(map(mul, row, col)) for row in a for col in cols]
+                old = get(k)
+                acc[k] = c if old is None else list(map(add, old, c))
+
+    def reduce(acc, p):
+        items = []
+        for g, flat in acc.items():
+            flat = [x % p for x in flat]
+            if any(flat):
+                items.append((g, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))))
+        return items
+
+    return convolve, reduce
 
 
 def _add_into(acc: dict, shape: Shape, terms) -> None:
-    """Add the terms into acc as _convolve_into adds products: raw entries."""
+    """Add the terms into acc as raw entries, as convolve adds products."""
     get = acc.get
     if shape is None:
         for h, c in terms:
@@ -275,10 +280,10 @@ def _add_into(acc: dict, shape: Shape, terms) -> None:
 def _canonical_terms(
     group: GroupSpec, field: FieldSpec, shape: Shape, acc: dict, scale: Optional[int] = None
 ) -> tuple:
-    """The canonical terms of an accumulator: each entry reduced once, zeros
-    dropped, sorted by group.key.  Over Q an accumulator of numerators over
-    `scale` has each entry divided by it, a Fraction even when the scale is
-    1; with no scale its entries are kept as they are."""
+    """The canonical terms of an accumulator: each entry reduced once, n x n
+    ones over F_p by the reduce kernel of n (_kernels), zeros dropped, and
+    sorted by group.key.  Over Q numerators over `scale` are each divided by
+    it, a Fraction even when it is 1; with no scale they stay as they are."""
     p = field.p
     div = None if p else scale
     if shape is None:
@@ -288,14 +293,12 @@ def _canonical_terms(
             items = [(g, Fraction(c, div)) for g, c in acc.items() if c]
         else:
             items = [(g, c) for g, c in acc.items() if c]
-    elif p and shape <= MAX_KERNEL_N:
-        items = _matrix_kernels(shape)[1](acc, p)
+    elif p:
+        items = _kernels(shape)[1](acc, p)
     else:
         n, zero = shape, field.zero
         items = []
         for g, flat in acc.items():
-            if p:
-                flat = [x % p for x in flat]
             if any(flat):
                 if div is not None:
                     flat = [Fraction(x, div) if x else zero for x in flat]

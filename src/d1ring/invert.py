@@ -421,28 +421,38 @@ def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
 def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None:
     """Refuse a kernel tower over Z^d whose levels may build more than
     MAX_TOWER_COORDINATES window coordinates before any work is done.
-    Other groups have no tower, so nothing is refused.
-
-    The window coordinates of the levels the tower may build are summed
-    until the sum passes the limit, so an accepted depth costs one
-    ball_size per level and a refused one stops at the first level m past
-    the limit, however large the depth or the dimension: a ball past the
-    limit is not counted.  The largest depth within the limit is the one
-    whose last level is m - 1 (-1 if none)."""
+    Other groups have no tower, so nothing is refused.  The largest depth
+    within the limit is the one whose last level is m - 1 (-1 if none),
+    for the first level m past it.  The levels are counted once per group,
+    n, last level and limit (_tower_overflow), as every verdict of one
+    budget asks the same."""
     if group.kind != "Zd":
         return
+    m = _tower_overflow(group, n, depth + window + MAX_EXTRA_LEVELS, MAX_TOWER_COORDINATES)
+    if m is not None:
+        raise UsageError(
+            f"a kernel tower to depth {depth} with window {window} over {group.label()}"
+            f" with n = {n} would build more window coordinates over its levels than"
+            f" the limit of {MAX_TOWER_COORDINATES}"
+            f" (largest depth within it: {max(m - 1 - window - MAX_EXTRA_LEVELS, -1)})"
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _tower_overflow(group: GroupSpec, n: int, last: int, limit: int) -> Optional[int]:
+    """The first level m <= last at which the window coordinates n *
+    ball_size of levels 0 .. m pass limit, None if none does.  The sum
+    stops there, so an accepted depth costs one ball_size per level and a
+    refused one stops at the first level m past the limit, however large
+    the depth or the dimension: a ball past the limit is not counted."""
     total = 0
-    for m in range(depth + window + MAX_EXTRA_LEVELS + 1):
-        size = group.ball_size(m, MAX_TOWER_COORDINATES)
+    for m in range(last + 1):
+        size = group.ball_size(m, limit)
         if size is not None:
             total += n * size
-        if size is None or total > MAX_TOWER_COORDINATES:
-            raise UsageError(
-                f"a kernel tower to depth {depth} with window {window} over {group.label()}"
-                f" with n = {n} would build more window coordinates over its levels than"
-                f" the limit of {MAX_TOWER_COORDINATES}"
-                f" (largest depth within it: {max(m - 1 - window - MAX_EXTRA_LEVELS, -1)})"
-            )
+        if size is None or total > limit:
+            return m
+    return None
 
 
 def search_one_sided_inverse(t: Nuca, side: str, max_radius: int) -> Optional[tuple[Nuca, int]]:

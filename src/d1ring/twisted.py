@@ -22,20 +22,19 @@ In code each slot reduces to group ring convolutions:
 these three slot sums term by term into a single accumulator
 {site or None: {h: coefficient}}.  Scalar coefficients, the entries of
 every TwistedMatrix, are convolved in _mul_into's own loops; n x n
-coefficients go through groupring._convolve_into, which runs the
-convolution kernel unrolled for that n (up to groupring.MAX_KERNEL_N),
-each product entry one expression added in place.  A product, or a sum
-of products such as an entry of a matrix product, is one list of pairs
-(x, y), accumulated by the kernel (_accumulate) and made canonical once
-at the end (_built), not once per partial convolution and sum.
+coefficients by the convolve kernel of n (groupring._kernels, unrolled
+up to groupring.MAX_KERNEL_N), bound once per product and called for
+each of a1 a2, a1 b2, b1 a2 and b1 b2.  A product, or a sum of products
+such as an entry of a matrix product, is one list of pairs (x, y),
+accumulated by the kernel (_accumulate) and made canonical once at the
+end (_built), not once per partial convolution and sum.
 
-The accumulator holds plain ints.  Over F_p the operands are read as
-they are.  Over Q each operand is read on its integer numerators over
-one scale, the lcm of the denominators of its regular and singular parts
-alike, since the kernel mixes them; a sum of several pairs is first
-brought to the lcm L of the pairs' scales (_accumulate).  So the
-accumulator holds L times the sum, and making it canonical divides each
-entry by L once, into a Fraction even when L = 1.
+The accumulator holds plain ints: over F_p the operands as they are, and
+over Q each operand's integer numerators over one scale for its regular
+and singular parts alike, since the kernel mixes them.  A sum of pairs is
+brought to the lcm L of the pairs' scales (_accumulate), so it holds L
+times the sum, and making it canonical divides each entry by L once,
+into a Fraction even when L = 1.
 
 Only the pairs that can contribute reach the kernel.  An entry of a
 matrix product (@) pairs the entries of its row and column where both
@@ -55,17 +54,9 @@ must reduce to zero (mod p over F_p), except that for 1 the regular
 slot's coefficient at the identity must reduce to 1, the identity
 matrix for n x n coefficients; over Q it must equal L times it, so
 nothing is divided.  TwistedElement.product_is_one answers "is this
-product 1?" with it.  TwistedMatrix.product_is_identity decides each
-entry of the product in the same way, on one raw accumulator of its
-own that the kernel fills directly, and stops at the first entry that
-fails.  Over Q it reads each row of the left factor and each column of
-the right factor once, on integer numerators over the lcm L_i or L_j of
-the line's scales, so entry (i, j) holds L_i L_j times its value; a
-line's lcm stays about as small as one entry's scale, where one lcm over
-a whole matrix would grow with its n^2 denominators.  Over F_p nothing
-is scaled, and scalar entries, the checks of the direct-finiteness
-suites, are decided by inline loops that stop at the first residue that
-fails.
+product 1?" with it, and TwistedMatrix.product_is_identity decides each
+entry of a matrix product in the same way, on one raw accumulator per
+entry, stopping at the first entry that fails.
 """
 
 from __future__ import annotations
@@ -82,8 +73,8 @@ from .groupring import (
     Shape,
     _Frozen,
     _canonical_terms,
-    _convolve_into,
     _denominator,
+    _kernels,
     _numerators,
     _raw_is_one,
     _raw_is_zero,
@@ -230,9 +221,10 @@ _set_regular, _set_singular = _slot_setters(TwistedElement)
 def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: TwistedElement) -> None:
     """Add the raw terms of x * y into acc = {site: {h: coefficient}}, with
     site None for the regular part; x and y are trusted to share grp, field
-    and shape.  Scalars are convolved in this function's own loops, one
-    raw int per entry as _convolve_into adds them, and n x n coefficients
-    by _convolve_into."""
+    and shape.  n x n coefficients go to the convolve kernel of n
+    (groupring._kernels), bound once per product; scalars stay in this
+    function's own loops, as a kernel call for them cost suite-df-free2-f5
+    1.7 % and pipeline-z2-f5 1.2 % (ROADMAP, measured and rejected)."""
     compose = grp.compose
     a1, a2 = x.regular.terms, y.regular.terms
     if shape is None:
@@ -270,14 +262,14 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
                         k = compose(t, h)
                         slot[k] = get(k, 0) + c * d
         return
-    _convolve_into(acc.setdefault(None, {}), grp, shape, a1, a2)
+    convolve = _kernels(shape)[0]
+    convolve(acc.setdefault(None, {}), compose, a1, a2)
     # a1 b2: the term t of a1 times b2(u) lands at site u t^-1
     if y.singular:
         for t, c in a1:
             t_inv = grp.inverse(t)
             for u, part in y.singular:
-                slot = acc.setdefault(compose(u, t_inv), {})
-                _convolve_into(slot, grp, shape, ((t, c),), part.terms)
+                convolve(acc.setdefault(compose(u, t_inv), {}), compose, ((t, c),), part.terms)
     if not x.singular:
         return
     # b1 a2 is sitewise; in b1 b2 only the terms t of b1(g) whose shifted
@@ -285,12 +277,12 @@ def _mul_into(acc: dict, grp: GroupSpec, shape: Shape, x: TwistedElement, y: Twi
     other_sites = dict(y.singular)
     for g, part in x.singular:
         slot = acc.setdefault(g, {})
-        _convolve_into(slot, grp, shape, part.terms, a2)
+        convolve(slot, compose, part.terms, a2)
         if other_sites:
             for t, c in part.terms:
                 hit = other_sites.get(compose(g, t))
                 if hit is not None:
-                    _convolve_into(slot, grp, shape, ((t, c),), hit.terms)
+                    convolve(slot, compose, ((t, c),), hit.terms)
 
 
 def _scale_of(x: TwistedElement) -> int:
@@ -503,8 +495,12 @@ class TwistedMatrix:
         it is 0.  Over Q each column of other, and each row of self as it
         is reached, is read once on integer numerators over the lcm L_j or
         L_i of its nonzero entries' scales, so the accumulator holds L_i L_j
-        times the entry.  Scalars over F_p are decided by inline loops, all
-        else by _acc_is."""
+        times the entry; a line's lcm stays about as small as one entry's
+        scale, where one lcm over the matrix would grow with its n^2
+        denominators.  Scalars over F_p, the checks of the direct-finiteness
+        suites, are decided by inline loops that stop at the first residue
+        that fails, all else by _acc_is: deciding them by _acc_is cost
+        suite-df-free2-f5 7.6 % (ROADMAP, measured and rejected)."""
         first = self._check_product(other)
         grp, field, shape = first.group, first.field, first.shape
         cols = list(zip(*other.entries))

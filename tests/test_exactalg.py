@@ -585,6 +585,28 @@ def test_kernel_basis_agrees_with_dense_reference(case):
             assert row[c] == 1
 
 
+NONZERO_SCALES = st.lists(st.integers(-9, 9).filter(bool), min_size=10, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rational_systems(), NONZERO_SCALES, NONZERO_SCALES)
+@example((Matrix.from_rows(Q, [[Fraction(1, 2), Fraction(-1, 3)], [1, Fraction(-2, 3)]]), []), [-1, 2], [-6, 1])
+def test_kernel_basis_reads_any_nonzero_integer_multiple_of_a_row(system, scales, int_scales):
+    # the integer-row contract invert.finitely_supported_kernel relies on:
+    # each row scaled by a nonzero integer, negative scales included, and
+    # each row as plain ints, a nonzero multiple of the lcm of its
+    # denominators, have the kernel of the field rows
+    a, _ = system
+    scaled = [{j: x * k for j, x in row.items()} for row, k in zip(a.data, scales)]
+    as_ints = []
+    for row, k in zip(a.data, int_scales):
+        den = math.lcm(*(x.denominator for x in row.values()))
+        as_ints.append({j: int(x * den * k) for j, x in row.items()})
+    kernel = kernel_basis(a)
+    for rows in (scaled, as_ints):
+        assert kernel_basis(Matrix(Q, a.rows, a.cols, rows)) == kernel
+
+
 # -- the integer Subspace against the dense reference --------------------------------
 
 SUBSPACE_FIELDS = [F2, FieldSpec.fp(3), Q]

@@ -16,7 +16,8 @@ from d1ring.groupring import (
     MAX_KERNEL_N,
     GroupRingElement,
     _canonical_terms,
-    _convolve_into,
+    _kernels,
+    _loop_kernels,
     _matrix_kernels,
     coeff_one,
     matrix_shuffle,
@@ -446,7 +447,7 @@ def test_raw_identity_entries_are_reduced_before_the_check(group):
     b = gre(group, F5, 2, [(e, ((3, 0), (0, 2)))])
     c = gre(group, F5, 2, [(e, ((3, 0), (0, 3)))])
     acc: dict = {}
-    _convolve_into(acc, group, 2, a.terms, b.terms)
+    _kernels(2)[0](acc, group.compose, a.terms, b.terms)
     assert acc == {e: [6, 0, 0, 6]}
     assert a.product_is_one(b) and embed(a).product_is_one(embed(b))
     assert not a.product_is_one(c) and not embed(a).product_is_one(embed(c))
@@ -454,12 +455,13 @@ def test_raw_identity_entries_are_reduced_before_the_check(group):
 
 
 @pytest.mark.parametrize("field", [F2, F5, Q], ids=lambda f: f.label())
-def test_unrolled_kernels_agree_with_the_loops(field, monkeypatch):
-    # each n x n kernel against the loops that serve n > MAX_KERNEL_N, on
-    # raw int entries (over Q the numerators over a scale of 6): products
-    # added into a site already in the accumulator, one site where they
-    # cancel to 0 exactly, over F_p one whose entries are multiples of p,
-    # and for each entry k a site where only entry k is nonzero
+def test_unrolled_kernels_agree_with_the_loops(field):
+    # the kernels of each n (_kernels) against the loops that serve n >
+    # MAX_KERNEL_N, on raw int entries (over Q the numerators over a scale
+    # of 6): products added into a site already in the accumulator, one
+    # site where they cancel to 0 exactly, over F_p one whose entries are
+    # multiples of p, and for each entry k a site where only entry k is
+    # nonzero
     group, e, s = Z2, (0, 0), (1, 0)
     for n in range(1, MAX_KERNEL_N + 2):
         rng = random.Random(f"kernels {field.label()} {n}")
@@ -478,17 +480,17 @@ def test_unrolled_kernels_agree_with_the_loops(field, monkeypatch):
         lone = [(9, k) for k in range(n * n)]
         start.update(((9, k), [field.p or 0] * k + [1] + [0] * (n * n - 1 - k)) for k in range(n * n))
         runs = []
-        for cap in (MAX_KERNEL_N, 0):
-            monkeypatch.setattr(groupring, "MAX_KERNEL_N", cap)
+        for convolve, reduce in (_kernels(n), _loop_kernels(n)):
             acc = {g: flat.copy() for g, flat in start.items()}
-            _convolve_into(acc, group, n, a_terms, b_terms)
-            _convolve_into(acc, group, n, a_terms[:1], b_terms[1:2])  # into e again
-            runs.append((acc, _canonical_terms(group, field, n, acc, 6)))
-        (acc, terms), (loop_acc, loop_terms) = runs
+            convolve(acc, group.compose, a_terms, b_terms)
+            convolve(acc, group.compose, a_terms[:1], b_terms[1:2])  # into e again
+            runs.append((acc, reduce(acc, field.p) if field.p else None))
+        (acc, items), (loop_acc, loop_items) = runs
         assert acc == loop_acc
         assert acc[s] == [0] * (n * n)
-        assert terms == loop_terms
-        assert repr(terms) == repr(loop_terms)
+        assert items == loop_items
+        assert repr(items) == repr(loop_items)
+        terms = _canonical_terms(group, field, n, acc, 6)
         assert s not in dict(terms) and (5, 5) not in dict(terms)
         assert set(lone) <= set(dict(terms))
 
@@ -502,7 +504,7 @@ def test_kernels_are_made_once_per_n_up_to_the_cap():
             assert not a.product_is_one(a)
     info = _matrix_kernels.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
-    assert _matrix_kernels(2) is _matrix_kernels(2)
+    assert _kernels(2) is _matrix_kernels(2) is _matrix_kernels(2)
 
 
 def test_a_product_at_the_suite_size_limit_makes_no_kernel():

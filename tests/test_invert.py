@@ -229,6 +229,28 @@ class TestTowerSizeLimit:
         assert verdict.tower == kernel_tower(decoy(), 2, 2)
         assert calls == [(Z1, 1, 2, 2)] * 2
 
+    def test_a_repeated_check_counts_no_level(self, monkeypatch):
+        # the levels of one (group, n, depth, window) are counted once, a
+        # refusal's too, and a patched limit is counted anew
+        calls = []
+        ball_size = GroupSpec.ball_size
+        monkeypatch.setattr(GroupSpec, "ball_size", lambda self, *args: calls.append(args) or ball_size(self, *args))
+        invert._tower_overflow.cache_clear()
+        check_tower_depth(Z2, 2, 3, 2)
+        assert len(calls) == 3 + 2 + MAX_EXTRA_LEVELS + 1
+        with pytest.raises(UsageError) as first:
+            check_tower_depth(Z2, 2, 80, 2)
+        counted = len(calls)
+        check_tower_depth(Z2, 2, 3, 2)
+        with pytest.raises(UsageError) as again:
+            check_tower_depth(Z2, 2, 80, 2)
+        assert len(calls) == counted
+        assert str(again.value) == str(first.value)
+        monkeypatch.setattr(invert, "MAX_TOWER_COORDINATES", 10)
+        with pytest.raises(UsageError, match=r"the limit of 10 \(largest depth within it: -1\)"):
+            check_tower_depth(Z2, 2, 3, 2)
+        assert len(calls) > counted
+
     def test_verdict_off_z_d_ignores_depth(self):
         t = Nuca.identity(F2FREE, F3, 1)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=0, depth=10**12))

@@ -15,7 +15,7 @@ from d1ring.experiments import (
     rand_scalar,
     rand_twisted,
 )
-from d1ring.groupring import GroupRingElement, coeff_one
+from d1ring.groupring import MAX_KERNEL_N, GroupRingElement, coeff_one
 from d1ring.groups import GroupSpec
 from d1ring import twisted
 from d1ring.twisted import (
@@ -28,7 +28,13 @@ from d1ring.twisted import (
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_pair, gre
 from oracles import field_modulus, naive_twisted_mul, o_add, o_is_zero, plain_twisted
-from test_groupring import assert_copies_equal, assert_frozen, reference_unshuffle
+from test_groupring import (
+    assert_copies_equal,
+    assert_frozen,
+    draw_invertible,
+    identity_matrix,
+    reference_unshuffle,
+)
 
 
 def assert_matches_oracle(u, v):
@@ -376,6 +382,37 @@ def test_matrix_mul_matches_oracle(group, field):
         u = rand_twisted(rng, group, field, 2, radius=2)
         v = rand_twisted(rng, group, field, 2, radius=2)
         assert_matches_oracle(u, v)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [MAX_KERNEL_N, MAX_KERNEL_N + 1])
+def test_products_at_the_kernel_cap_match_the_oracle(field, n):
+    # the largest n with unrolled kernels and the first with loops, through
+    # every slot of _mul_into: x = m (1 + b) and y = (1 - b) m^-1, with m =
+    # C g for an invertible C and b = N at s for N^2 = 0, have regular and
+    # singular parts on both sides, and b1 = m b has the term g at s g^-1,
+    # which hits b2 = -b m^-1 at s, so a1 b2 and b1 b2 both fire.  x y and
+    # y x are 1, and with y perturbed x y is not
+    rng = random.Random(f"kernel cap {field.label()} {n}")
+    group, g, s = Z2, (1, 0), (0, 1)
+    c, c_inv = draw_invertible(rng, field, n)
+    nil = tuple(tuple(rng.randint(1, 4) if i == 0 and j > 0 else 0 for j in range(n)) for i in range(n))
+    zero, one = GroupRingElement.zero(group, field, n), TwistedElement.one(group, field, n)
+    b = TwistedElement.make(zero, [(s, gre(group, field, n, [(group.identity, nil)]))])
+    x = embed(gre(group, field, n, [(g, c)])) * (one + b)
+    y = (one - b) * embed(gre(group, field, n, [(group.inverse(g), c_inv)]))
+    assert x.regular.terms and x.singular and y.regular.terms and y.singular
+    oracle_one = ({group.identity: identity_matrix(n)}, {})
+    p = field_modulus(field)
+    assert naive_twisted_mul(group.kind, p, plain_twisted(x), plain_twisted(y)) == oracle_one
+    assert_matches_oracle(x, y)
+    assert_matches_oracle(y, x)
+    assert x.product_is_one(y) and y.product_is_one(x)
+    bump = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+    y2 = y + TwistedElement.make(zero, [(s, gre(group, field, n, [(g, bump)]))])
+    assert_matches_oracle(x, y2)
+    expected = naive_twisted_mul(group.kind, p, plain_twisted(x), plain_twisted(y2)) == oracle_one
+    assert x.product_is_one(y2) == expected and not expected
 
 
 def cancelling_singular_parts(rng, field):
