@@ -194,7 +194,7 @@ class Matrix:
     read each row over Q through its primitive integer multiple
     (_integer_rows), so for them a row may be any nonzero integer multiple
     of its field row, with int or Fraction entries, as
-    invert.finitely_supported_kernel passes them (Nuca._window_rows).
+    invert.finitely_supported_kernel passes them (Nuca._kernel_rows).
     solve and inverse need the field rows, as each row pairs with its
     right-hand side; over F_p every entry must be a residue."""
 

@@ -84,10 +84,9 @@ def rand_groupring(
     shape,
     radius: int,
     max_terms: int = 3,
-    sites: Optional[tuple[Element, ...]] = None,
 ) -> GroupRingElement:
-    """Terms are drawn from `sites`, by default group.ball(radius)."""
-    return _draw_groupring(rng, group, field, shape, _draw_pool(group, radius, sites), max_terms)
+    """Terms are drawn from group.ball(radius)."""
+    return _draw_groupring(rng, group, field, shape, group.ball(radius), max_terms)
 
 
 def rand_twisted(
@@ -98,21 +97,9 @@ def rand_twisted(
     radius: int,
     max_sites: int = 2,
     max_terms: int = 2,
-    sites: Optional[tuple[Element, ...]] = None,
 ) -> TwistedElement:
-    """Sites and terms are drawn from `sites`, by default group.ball(radius)."""
-    pool = _draw_pool(group, radius, sites)
-    return _draw_twisted(rng, group, field, shape, pool, max_sites, max_terms)
-
-
-def _draw_pool(group: GroupSpec, radius: int, sites) -> tuple[Element, ...]:
-    """The sites a draw picks from: group.ball(radius), or the given sites
-    once each is checked to be an element of group."""
-    if sites is None:
-        return group.ball(radius)
-    for g in sites:
-        group.check(g)
-    return sites
+    """Sites and terms are drawn from group.ball(radius)."""
+    return _draw_twisted(rng, group, field, shape, group.ball(radius), max_sites, max_terms)
 
 
 def _draw_groupring(rng, group: GroupSpec, field: FieldSpec, shape, pool, max_terms: int) -> GroupRingElement:

@@ -520,13 +520,9 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
         raise UsageError("radius must be >= 0")
     grp, fld, n = t.group, t.field, t.n
     support = FiniteSubset.ball(grp, radius)
-    # the window map's rows placed straight at the support's columns, in
-    # its order; the domain sites outside it meet only zero entries of the
-    # vector, so they are left out.  Over Q the rows are the primitive
-    # integer multiples elimination reads (Nuca._window_rows), which have
-    # the kernel of the field rows
-    column = {u: k for k, u in enumerate(support)}.get
-    rows = t._window_rows(_kernel_window(t, support), column)
+    # over Q the rows are the primitive integer multiples elimination
+    # reads, which have the kernel of the field rows
+    rows = t._kernel_rows(support)
     ker = kernel_basis(Matrix(fld, len(rows), n * len(support), rows))
     if ker.dim == 0:
         return None
@@ -541,39 +537,24 @@ def finitely_supported_kernel(t: Nuca, radius: int) -> Optional[Configuration]:
     return witness
 
 
-def _kernel_window(t: Nuca, support: FiniteSubset) -> set:
-    """The sites whose rules read the support: support M^-1 and the
-    exceptional sites, as a plain set.  Its order only orders the window
-    rows, and neither the pivots nor the RREF kernel basis depend on that."""
-    grp = t.group
-    compose = grp.compose
-    inverses = [grp.inverse(h) for h in t.memory]
-    window = {compose(g, h) for g in support for h in inverses}
-    window.update(t.exceptional_set)
-    return window
-
-
 def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
     """The smallest r <= max_radius at which finitely_supported_kernel(t, r)
     finds a witness, or None, from one elimination.
 
-    The rows of the window map of ball(max_radius) are placed straight at
-    the columns of that ball, numbered shell by shell (ball(0), then the
-    sites of norm 1, of norm 2, ...), so the columns of each ball(r) form
-    a prefix; no window map is built or re-keyed.  A row that reads
-    ball(r) lies in the window of radius r, so those columns carry the
-    map finitely_supported_kernel(t, r) eliminates, less some zero rows.
-    Its kernel is nonzero iff a column of the prefix lies in the span of
-    the columns before it, which is when it is not a pivot of a basis
-    whose rows lead at their first column: the first radius is the shell
-    of the first column that is not a pivot.
+    The kernel rows of ball(max_radius) are taken with its sites in shell
+    order (ball(0), then the sites of norm 1, of norm 2, ...), so the
+    columns of each ball(r) form a prefix.  A row that reads ball(r) lies
+    in the window of radius r, so those columns carry the map
+    finitely_supported_kernel(t, r) eliminates, less some zero rows.  Its
+    kernel is nonzero iff a column of the prefix lies in the span of the
+    columns before it, which is when it is not a pivot of a basis whose
+    rows lead at their first column: the first radius is the shell of the
+    first column that is not a pivot.
     """
     grp, n = t.group, t.n
-    support = FiniteSubset.ball(grp, max_radius)
     # a stable sort keeps the canonical order within each shell
-    shells = sorted(support, key=grp.norm)
-    column = {u: k for k, u in enumerate(shells)}.get
-    pivots = _echelon(t.field.p, t._window_rows(_kernel_window(t, support), column), min)
+    shells = sorted(FiniteSubset.ball(grp, max_radius), key=grp.norm)
+    pivots = _echelon(t.field.p, t._kernel_rows(shells), min)
     for c in range(n * len(shells)):
         if c not in pivots:
             return grp.norm(shells[c // n])

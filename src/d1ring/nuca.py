@@ -16,8 +16,8 @@ arrives, sums the vectors given for one site as plain ints or Fractions
 and reduces each sum once, and drops zero vectors.  So sums and scalings
 hand it raw sums, with no reduction per operation.  The action reduces
 each output entry once itself and builds its result directly, as its
-sites are composed from validated elements; `value_at` reduces the one
-sum it returns.
+sites are composed from validated elements; `value_at` and `restrict`
+reduce each sum they return.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class Configuration:
 
     def value_at(self, g: Element) -> Vector:
         self.group.check(g)
-        return self._value_at(g)
-
-    def _value_at(self, g: Element) -> Vector:
-        """value_at for a site already known to be in the group."""
         for h, v in self.deviation:
             if h == g:
                 coerce = self.field.coerce
@@ -118,7 +114,12 @@ class Configuration:
         subset's group is checked, as its sites are elements of it."""
         if sites.group != self.group:
             raise UsageError("sites must be a subset of the configuration's group")
-        return Pattern(self.group, self.field, self.n, sites, tuple(self._value_at(g) for g in sites))
+        dev, base, coerce = dict(self.deviation), self.base, self.field.coerce
+        values = tuple(
+            base if (v := dev.get(g)) is None else tuple(coerce(a + b) for a, b in zip(base, v))
+            for g in sites
+        )
+        return Pattern(self.group, self.field, self.n, sites, values)
 
     def _check_compatible(self, other: "Configuration") -> None:
         if (self.group, self.field, self.n) != (other.group, other.field, other.n):
@@ -234,9 +235,10 @@ class Nuca:
         elif name == "_rules":
             # the rule table: the _rule_rows of the constant rule a and {g:
             # those of a + b(g)} for the exceptional sites g, each from the
-            # terms that sum to it.  rule_at lays its blocks out from it,
-            # induced_local_map the field rows, _window_rows and
-            # invert.kernel_tower the integer rows
+            # terms that sum to it.  rule_at lays its blocks out from the
+            # field rows; _window_rows places the field rows for
+            # induced_local_map and the integer rows for _kernel_rows, and
+            # invert.kernel_tower places the integer rows itself
             field, n, position = self.field, self.n, self.memory.position
             a = self.element.regular.terms
             exceptional = {g: _rule_rows(field, n, position, a + b.terms) for g, b in self.element.singular}
@@ -354,44 +356,55 @@ class Nuca:
 
     def induced_local_map(self, window: FiniteSubset) -> InducedLocalMap:
         """The matrix of the action restricted to a finite window E, with
-        domain EM; block (g, q) is the rule-at-g block at h = g^-1 q.
-
-        Row i of the block row of g is row i of the rule at g placed at
-        the sites g M, read from the rule rows made once per rule and NUCA
-        (_rules)."""
+        domain EM; block (g, q) is the rule-at-g block at h = g^-1 q,
+        placed from the field rows of the rule table (_window_rows)."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        constant_rule, exceptional = self._rules
-        compose, position, memory = grp.compose, domain.position, self.memory.elements
-        rows: list[dict] = []
-        for g in window:
-            rule_rows, _, read = exceptional.get(g, constant_rule)
-            # the first column of the block of each memory site the rule reads, at g
-            base = {k: position(compose(g, memory[k])) * n for k in read}
-            rows.extend({base[k] + j: x for k, j, x in entries} for entries in rule_rows)
+        rows = self._window_rows(window, domain.position, integer=False)
         mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
 
+    def _kernel_rows(self, sites: Sequence[Element]) -> list[dict]:
+        """The integer rows of the window whose rules read the sites (the
+        sites composed with M^-1, and the exceptional sites), with
+        coordinate j of sites[k] at column k n + j.  The domain sites
+        outside the sites meet only zero entries of a vector supported on
+        them, so they are left out.  The window is a plain set: its order
+        only orders the rows, and neither the pivots nor an RREF kernel
+        basis depend on that."""
+        grp = self.group
+        compose = grp.compose
+        inverses = [grp.inverse(h) for h in self.memory]
+        window = {compose(g, h) for g in sites for h in inverses}
+        window.update(self.exceptional_set)
+        return self._window_rows(window, {u: k for k, u in enumerate(sites)}.get)
+
     def _window_rows(
-        self, window: Iterable[Element], column: Callable[[Element], Optional[int]]
+        self,
+        window: Iterable[Element],
+        column: Callable[[Element], Optional[int]],
+        integer: bool = True,
     ) -> list[dict]:
-        """The window map's rows as the integer rows elimination reads
-        (exactalg._integer_rows): the integer rows of the rule table
-        (_rules) placed with the coordinate j of each domain site u at
-        column column(u) * n + j; the sites where column(u) is None are
-        left out.  Over Q a row that loses entries is divided by its
-        content, so it stays the primitive multiple of its field row."""
-        n, q = self.n, not self.field.p
+        """The rows of the rules at the window's sites, from the rule table
+        (_rules), with the coordinate j of each domain site u at column
+        column(u) * n + j; the sites where column(u) is None are left out.
+        The rows are the integer rows elimination reads
+        (exactalg._integer_rows), or with integer=False the field rows,
+        which are placed only at a numbering of every domain site
+        (induced_local_map).  Over Q an integer row that loses entries is
+        divided by its content, so it stays the primitive multiple of its
+        field row."""
+        n, q = self.n, integer and not self.field.p
         compose, memory = self.group.compose, self.memory.elements
         constant_rule, exceptional = self._rules
         rows: list[dict] = []
         for g in window:
-            _, rule_ints, read = exceptional.get(g, constant_rule)
+            rule_rows, rule_ints, read = exceptional.get(g, constant_rule)
             # the number of each memory site the rule reads, at g
             ks = {k: column(compose(g, memory[k])) for k in read}
-            for entries in rule_ints:
+            for entries in rule_ints if integer else rule_rows:
                 row = {ks[k] * n + j: z for k, j, z in entries if ks[k] is not None}
                 rows.append(_content_free(row) if q and len(row) < len(entries) else row)
         return rows

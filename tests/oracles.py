@@ -208,3 +208,88 @@ def sum_scalars(p, xs):
     for x in xs:
         acc = o_scalar_add(p, acc, x)
     return acc
+
+
+# -- one-sided inverses on a ball, by their own elimination -----------------------------
+
+def one_sided_inverse(kind: str, p: int, u, ball, side: str):
+    """A v with u v = 1 (side "right") or v u = 1 (side "left") over F_p,
+    in plain (regular, singular) form, whose regular part lies on the ball
+    and whose singular parts sit at ball sites, each supported on the ball;
+    None if there is none.  The unknowns are the entries of each slot, a
+    regular coefficient at h or a singular coefficient at (g, h): the
+    column of one is the naive product of u with that slot's unit vector,
+    entry by entry, and the system (columns) v = 1 is solved by
+    Gauss-Jordan elimination mod p with the free unknowns at 0."""
+    reg, sing = u
+    coeffs = list(reg.values()) + [c for part in sing.values() for c in part.values()]
+    if not coeffs:
+        return None  # the zero map inverts nothing
+    n = len(coeffs[0])
+    e = o_compose(kind, ball[0], o_inverse(kind, ball[0]))
+    slots = [(h,) for h in ball] + [(g, h) for g in ball for h in ball]
+    unknowns = [(slot, i, j) for slot in slots for i in range(n) for j in range(n)]
+
+    def element(values: dict) -> tuple[dict, dict]:
+        """The plain element whose slot entries are values[(slot, i, j)]."""
+        out_reg: dict = {}
+        out_sing: dict = {}
+        for slot in slots:
+            c = tuple(tuple(values.get((slot, i, j), 0) for j in range(n)) for i in range(n))
+            if o_is_zero(c):
+                continue
+            if len(slot) == 1:
+                out_reg[slot[0]] = c
+            else:
+                out_sing.setdefault(slot[0], {})[slot[1]] = c
+        return out_reg, out_sing
+
+    rows: dict = {}  # equation -> {unknown number: coefficient}
+    for k, x in enumerate(unknowns):
+        unit = element({x: 1})
+        left, right = (u, unit) if side == "right" else (unit, u)
+        prod_reg, prod_sing = naive_twisted_mul(kind, p, left, right)
+        entries = [(("r", h), c) for h, c in prod_reg.items()]
+        entries += [(("s", g, h), c) for g, part in prod_sing.items() for h, c in part.items()]
+        for where, c in entries:
+            for i in range(n):
+                for j in range(n):
+                    if c[i][j] % p:
+                        rows.setdefault((where, i, j), {})[k] = c[i][j] % p
+    width = len(unknowns)  # the right-hand side's column
+    for i in range(n):
+        rows.setdefault((("r", e), i, i), {})[width] = 1
+    solution = _gauss_jordan_mod_p(p, rows.values(), width)
+    return None if solution is None else element({unknowns[k]: x for k, x in solution.items()})
+
+
+def _gauss_jordan_mod_p(p: int, rows, width: int):
+    """{pivot column: value} solving the augmented rows ({column: entry},
+    column `width` the right-hand side) mod p, the free columns at 0;
+    None if the rows are inconsistent.  The pivot rows are kept fully
+    reduced: each is 1 at its pivot and 0 at every other pivot."""
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c, prow in pivots.items():
+            x = row.get(c)
+            if x:
+                for k, y in prow.items():
+                    row[k] = (row.get(k, 0) - x * y) % p
+        row = {k: x for k, x in row.items() if x}
+        if not row:
+            continue
+        c = min(row)
+        if c == width:
+            return None  # 0 = a nonzero right-hand side
+        inv = pow(row[c], -1, p)
+        row = {k: x * inv % p for k, x in row.items()}
+        for prow in pivots.values():
+            x = prow.get(c)
+            if x:
+                for k, y in row.items():
+                    prow[k] = (prow.get(k, 0) - x * y) % p
+                for k in [k for k, y in prow.items() if not y]:
+                    del prow[k]
+        pivots[c] = row
+    return {c: row.get(width, 0) for c, row in pivots.items()}

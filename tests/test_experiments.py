@@ -15,7 +15,6 @@ from d1ring.experiments import (
     decoy_nuca,
     element_radius,
     gen_unit,
-    rand_groupring,
     rand_twisted,
     run_direct_finiteness,
     run_surjunctivity_pipeline,
@@ -422,16 +421,6 @@ def test_element_radius():
     u, _ = f3_pair()
     assert element_radius(u) == 1
     assert element_radius(TwistedElement.one(Z1, F3)) == 0
-
-
-@pytest.mark.parametrize("group, bad", [(Z2, (1,)), (Z2, (0, 0.5)), (F2FREE, (1, -1)), (F2FREE, (3,))])
-def test_draws_refuse_a_bad_site_pool(group, bad):
-    # the pool is checked whole, so a bad site is refused even if no draw picks it
-    pool = (group.identity, bad)
-    for draw in (rand_groupring, rand_twisted):
-        for seed in range(5):
-            with pytest.raises(UsageError):
-                draw(random.Random(seed), group, F5, None, 1, sites=pool)
 
 
 @pytest.mark.parametrize("group", [Z2, F2FREE], ids=lambda g: g.label())

@@ -9,10 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, inverse, solve
-from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_groupring, rand_twisted
+from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
 from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
-from d1ring import exactalg, invert
+from d1ring import exactalg, experiments, invert
 from d1ring.invert import (
     MAX_BLOCK_COORDINATES,
     MAX_DET_TERM_PAIRS,
@@ -39,6 +39,7 @@ from d1ring.nuca import Configuration, Nuca, basis_configuration, constant_part
 from d1ring.twisted import TwistedElement
 
 from conftest import F2, F2FREE, F3, F5, GROUPS, Q, Z1, Z2, f3_nuca_pair, gre, nilpotent_nuca
+from oracles import naive_twisted_mul, one_sided_inverse, plain_twisted
 from test_exactalg import reference_canonical, reference_kernel
 
 Z3 = GroupSpec.zd(3)
@@ -735,7 +736,7 @@ def singular_block_map(rng, group, field, n):
     c = (tuple(row),) * n if n > 1 else ((0,),)  # repeated rows (n = 1: zero)
     minus_one = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(c)]
     pool = [g for g in group.ball(1) if g != group.identity]
-    extra = rand_groupring(rng, group, field, n, radius=1, sites=pool)
+    extra = experiments._draw_groupring(rng, group, field, n, pool, 3)
     s = GroupRingElement.from_terms(group, field, n, [(group.identity, minus_one)] + list(extra.terms))
     one = GroupRingElement.one(group, field, n)
     return Nuca(a * TwistedElement.make(one, [(rng.choice(group.ball(1)), s)]))
@@ -767,6 +768,38 @@ def test_search_agrees_with_reference_ball_loop(seed, group, field, n, side, kin
         # the kernel lies on V, inside ball(2)
         verdict = stable_injectivity_verdict(t, SearchBudget(max_radius=2, depth=1, window=1))
         assert (verdict.kind, verdict.witness_scope) == ("proven_not_injective", "self")
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, F2FREE], ids=lambda g: g.label())
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_agrees_with_the_one_sided_inverse_oracle(group, field, n):
+    # units of one or two factors and a random map: every inverse the
+    # oracle finds on the ball is two-sided, and the search finds the same
+    # element inside the ball exactly when the oracle finds one
+    rng = random.Random(f"inverse oracle|{group.label()}|{field.label()}|{n}")
+    radius = 2 if group == Z1 else 1
+    ball, kind, p = group.ball(radius), group.kind, field.p
+    one = ({group.identity: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}, {})
+    maps = [
+        Nuca.from_matrix(gen_unit(rng, SuiteConfig(0, 1, group, field, n, max_factors=f))[0])
+        for f in (1, 2)
+    ]
+    maps.append(Nuca(rand_twisted(rng, group, field, n, radius=1)))
+    found = 0
+    for t in maps:
+        u = plain_twisted(t.element)
+        for side in ("left", "right"):
+            v = one_sided_inverse(kind, p, u, ball, side)
+            hit = search_one_sided_inverse(t, side, radius)
+            if v is None:
+                assert hit is None
+                continue
+            assert naive_twisted_mul(kind, p, u, v) == one == naive_twisted_mul(kind, p, v, u)
+            assert plain_twisted(hit[0].element) == v
+            found += 1
+    # a one-factor unit's inverse lies in ball(1), on both sides
+    assert found >= 2
 
 
 def test_exceptional_sites_past_the_window_stop_the_search(monkeypatch):

@@ -1,5 +1,7 @@
 import random
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -473,6 +475,44 @@ def test_window_rows_are_the_restricted_integer_rows(case):
     assert all(type(z) is int for row in rows for z in row.values())
 
 
+@st.composite
+def kernel_sites(draw):
+    """(t, sites): a radius-1 NUCA over Z^1, Z^2 or free:2 and F_2, F_5 or
+    Q with n = 1 or 2, and some sites of ball(2) in a random order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    group = draw(st.sampled_from(GROUPS))
+    field = draw(st.sampled_from([F2, F5, Q]))
+    t = rand_nuca(rng, group, field, draw(st.sampled_from([1, 2])), max_sites=3)
+    return t, rng.sample(group.ball(2), rng.randint(1, 5))
+
+
+def _row_counts(rows):
+    return Counter(frozenset(row.items()) for row in rows if row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_sites())
+def test_kernel_rows_are_every_rule_row_that_reads_the_sites(case):
+    # the window map of ball(3), which holds every site whose rule reads
+    # ball(2), cut to the sites' columns in their order: its nonzero rows
+    # are those of the kernel rows, each once, and the kernel rows hold n
+    # rows per site of their window, whatever they read
+    t, sites = case
+    n, group = t.n, t.group
+    local = t.induced_local_map(FiniteSubset.ball(group, 3))
+    domain = local.domain_set
+    cols = {
+        domain.position(u) * n + j: k * n + j
+        for k, u in enumerate(sites) if u in set(domain) for j in range(n)
+    }
+    restricted = local.matrix.restrict(cols, n * len(sites))
+    rows = t._kernel_rows(sites)
+    assert _row_counts(rows) == _row_counts(_integer_rows(t.field, restricted.data))
+    window = {group.compose(g, group.inverse(h)) for g in sites for h in t.memory}
+    assert len(rows) == n * len(window | set(t.exceptional_set))
+    assert all(type(z) is int for row in rows for z in row.values())
+
+
 class TestShift:
     def test_identity_shift(self, rng):
         t = rand_nuca(rng, Z2, F3, 1)
@@ -530,6 +570,25 @@ class TestSiteQueries:
         x = Configuration.make(Z2, F3, 1, [2], [((0, 0), [1])])
         with pytest.raises(UsageError, match="subset of the configuration's group"):
             x.restrict(FiniteSubset.make(GroupSpec.zd(3), [(1, 2, 3)]))
+
+    def test_restrict_is_linear_in_the_sites(self):
+        # a deviation at each of the 19,881 sites of ball(70) on Z^2, read
+        # on that ball: one dict read per site, where a scan of the whole
+        # deviation per site took seconds
+        rng = random.Random("restrict|ball(70)")
+        ball = FiniteSubset.ball(Z2, 70)
+        x = Configuration.make(
+            Z2, F5, 2, [3, 1], [(g, [rng.randrange(1, 5), rng.randrange(5)]) for g in ball]
+        )
+        assert len(x.deviation) == len(ball) == 19_881
+        start = time.monotonic()
+        pattern = x.restrict(ball)
+        assert time.monotonic() - start < 1.0
+        assert pattern.domain == ball and len(pattern.values) == len(ball)
+        # sampled sites, some of them past the ball and so off the deviation
+        sites = FiniteSubset.make(Z2, rng.sample(Z2.ball(72), 50) + [(71, 0), (0, -72)])
+        assert x.restrict(sites).values == tuple(x.value_at(g) for g in sites)
+        assert x.value_at((71, 0)) == (3, 1)
 
 
 class TestLocality:
