@@ -22,12 +22,18 @@ lead at their last column, where they come out as the canonical basis
 with no second elimination.  `_echelon` may also sift rows into a basis
 it is given, so that a caller can grow one basis block by block and
 read ranks off its pivots (a kernel tower does so, level by level).
+
+FieldSpec.from_label returns one object per label (at most 64 labels
+kept), and over Q parse_scalar reads each "n/d" text of at most
+MAX_CACHED_RATIONAL_TEXT (32) characters once per process (at most 1,024
+texts kept); a refused text raises on every read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -66,6 +72,14 @@ def _is_prime(n: int) -> bool:
 
 # Fractions are immutable, so every zero and one over Q can be these two
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+# An envelope over Q repeats a few short texts ("1/2", "-3/1", ...), so
+# parse_scalar reads each once per process and every reader shares the
+# (Fraction, repaired) pair.  The cache (_cached_rational) holds at most
+# 1,024 texts of at most MAX_CACHED_RATIONAL_TEXT characters, so it stays
+# within a few hundred KB; a longer text is read on every call, and a
+# refused one raises on every call, as a cache keeps no exception.
+MAX_CACHED_RATIONAL_TEXT = 32
 
 
 @dataclass(frozen=True)
@@ -141,20 +155,12 @@ class FieldSpec:
     @staticmethod
     def from_label(label: str) -> "FieldSpec":
         """The field of a label in its canonical form: "Q", or "Fp:" then p
-        in ASCII digits with no sign, space, underscore or leading zero."""
-        if label == "Q":
-            return FieldSpec.rationals()
-        if isinstance(label, str) and label.startswith("Fp:"):
-            try:
-                p = int(label[3:])
-            except ValueError:
-                raise FormatError(f"bad field label {label!r}") from None
-            if str(p) == label[3:]:
-                try:
-                    return FieldSpec.fp(p)
-                except UsageError as exc:
-                    raise FormatError(str(exc)) from None
-        raise FormatError(f"bad field label {label!r}")
+        in ASCII digits with no sign, space, underscore or leading zero.
+        Each label is read once per process, and every read returns the
+        same object (_field_of_label)."""
+        if not isinstance(label, str):
+            raise FormatError(f"bad field label {label!r}")
+        return _field_of_label(label)
 
     def encode_scalar(self, x):
         """JSON value: residue int for F_p, "num/den" string for Q."""
@@ -166,7 +172,9 @@ class FieldSpec:
         return f"{f.numerator}/{f.denominator}"
 
     def parse_scalar(self, value) -> tuple:
-        """Parse a JSON scalar; returns (value, repaired)."""
+        """Parse a JSON scalar; returns (value, repaired).  Over Q a text of
+        at most MAX_CACHED_RATIONAL_TEXT characters is read once per
+        process (_cached_rational); a longer one is read on every call."""
         if self.kind == "Fp":
             if not isinstance(value, int) or isinstance(value, bool):
                 raise FormatError(f"expected an integer residue: {value!r}")
@@ -175,15 +183,44 @@ class FieldSpec:
             return Fraction(value), True
         if not isinstance(value, str):
             raise FormatError(f"expected a 'num/den' string: {value!r}")
+        if len(value) <= MAX_CACHED_RATIONAL_TEXT:
+            return _cached_rational(value)
+        return _parse_rational(value)
+
+
+@lru_cache(maxsize=64)
+def _field_of_label(label: str) -> FieldSpec:
+    """FieldSpec.from_label past its type check.  A label that is refused
+    raises on every read, as a cache keeps no exception."""
+    if label == "Q":
+        return FieldSpec.rationals()
+    if label.startswith("Fp:"):
         try:
-            num, _, den = value.partition("/")
-            n, d = int(num), int(den) if den else 1
-            f = Fraction(n, d)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad rational {value!r}") from None
-        # the canonical encoding is "n/d" with n/d already in lowest terms
-        # and d > 0 (Fraction left both as read), each written as str writes it
-        return f, not (f.denominator == d and f.numerator == n and den == str(d) and num == str(n))
+            p = int(label[3:])
+        except ValueError:
+            raise FormatError(f"bad field label {label!r}") from None
+        if str(p) == label[3:]:
+            try:
+                return FieldSpec.fp(p)
+            except UsageError as exc:
+                raise FormatError(str(exc)) from None
+    raise FormatError(f"bad field label {label!r}")
+
+
+def _parse_rational(text: str) -> tuple:
+    """(Fraction, repaired) for a "num/den" text over Q."""
+    try:
+        num, _, den = text.partition("/")
+        n, d = int(num), int(den) if den else 1
+        f = Fraction(n, d)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"bad rational {text!r}") from None
+    # the canonical encoding is "n/d" with n/d already in lowest terms
+    # and d > 0 (Fraction left both as read), each written as str writes it
+    return f, not (f.denominator == d and f.numerator == n and den == str(d) and num == str(n))
+
+
+_cached_rational = lru_cache(maxsize=1024)(_parse_rational)
 
 
 class Matrix:

@@ -223,8 +223,12 @@ def gen_unit(
     the sum of x times row k.  No operation reads a line that another
     operation of its generator sets, so they apply one after another.  The
     unit is the identity with the column operations applied in factor
-    order, and the inverse the identity with the row operations applied
-    from the last factor to the first.  Each new entry is built as an entry
+    order, f1 f2 ... fk.  The loop for the inverse applies the row
+    operations from the last factor to the first, which builds b1 b2 ... bk
+    from the factors' inverses b_i.  That is the inverse bk ... b1 of the
+    unit only when the factors commute; otherwise the u v check rejects the
+    draw and it is drawn again.  This order is a defect, not the design
+    (ROADMAP, Known defects).  Each new entry is built as an entry
     of @ is, on one raw accumulator of its nonzero pairs
     (twisted._accumulate, _built), so it is the entry the matrix product
     with the generator would give.

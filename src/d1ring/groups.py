@@ -12,6 +12,9 @@ radius-1 ball within MAX_BALL_SIZE), each instance carries its own
 compose, inverse and norm, unrolled over the d coordinates and generated
 once per d, so a caller that binds grp.compose gets a plain function with
 no kind test; larger d and free groups use the class methods.
+GroupSpec.from_label reads each label once per process and returns one
+object per label (at most 64 labels kept), so every cache keyed on a group
+finds the group of an envelope by identity.
 """
 
 from __future__ import annotations
@@ -240,17 +243,11 @@ class GroupSpec:
     def from_label(label: str) -> "GroupSpec":
         """The group of a label in its canonical form: "Zd:" or "free:" then
         the dimension in ASCII digits with no sign, space, underscore or
-        leading zero."""
+        leading zero.  Each label is read once per process, and every read
+        returns the same object (_group_of_label)."""
         if not isinstance(label, str):
             raise FormatError(f"bad group label {label!r}: expected a string")
-        try:
-            kind, dim = label.split(":")
-            d = int(dim)
-            if str(d) != dim:
-                raise ValueError(f"{dim!r} is not a canonical integer")
-            return GroupSpec(kind, d)
-        except (ValueError, UsageError) as exc:
-            raise FormatError(f"bad group label {label!r}: {exc}") from None
+        return _group_of_label(label)
 
     def encode_element(self, g: Element):
         """JSON value for g: integer array for Z^d, letter string for free."""
@@ -288,6 +285,20 @@ class GroupSpec:
             letters.append(c)
         word = reduce_word(letters)
         return word, foreign or len(word) != len(letters)
+
+
+@lru_cache(maxsize=64)
+def _group_of_label(label: str) -> GroupSpec:
+    """GroupSpec.from_label past its type check.  A label that is refused
+    raises on every read, as a cache keeps no exception."""
+    try:
+        kind, dim = label.split(":")
+        d = int(dim)
+        if str(d) != dim:
+            raise ValueError(f"{dim!r} is not a canonical integer")
+        return GroupSpec(kind, d)
+    except (ValueError, UsageError) as exc:
+        raise FormatError(f"bad group label {label!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,13 @@ Five complementary tools:
   det(a) = 0.  The searches these rule out are skipped.
 
 Certificates and witnesses are re-verified before they are returned.
+
+What depends only on a small key is worked out once per process: the size
+checks per (group, n, radius or depth, limit), with the limit read at call
+time so that a patched limit is a new key (_radius_limit, _search_refusal
+and _tower_overflow, 64 keys each), and the sites the verdict and the
+tower read per (group, radius) (_shell_ordered_ball and _box_shell, 32
+each).
 """
 
 from __future__ import annotations
@@ -56,6 +63,14 @@ from .twisted import TwistedElement, element_radius, embed
 # unknowns, and then from one block on the exceptional sites of a^-1 t
 # (MAX_BLOCK_COORDINATES), so the count bounds the radii a caller may ask
 # for, not the memory used.  free:26 at radius 2 would count 7.3 M.
+# The verdict checks its budget with the same count (check_search_radius),
+# and apart from MAX_BALL_SIZE that count is what bounds its first-witness
+# elimination, which has n |ball(max_radius)| columns: a Z^2 verdict with
+# n = 2 stops at radius 12 (a ball of 625 sites).  Counting only the
+# n^2 |M| unknowns that _regular_inverse builds would admit radius 353 there,
+# about 1 M columns in one elimination, so that elimination needs its own
+# measured limit before this count may change.  Each count is made once per
+# group, n, radius and limit (_radius_limit, _search_refusal).
 MAX_UNKNOWNS = 2_000_000
 
 # The block M of S = a^-1 t on the sites V it reads and writes
@@ -395,12 +410,19 @@ def _ball_unknowns(group: GroupSpec, n: int, radius: int, cap: Optional[int] = N
 
 def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
     """The largest radius up to max_radius whose ball system has at most
-    MAX_UNKNOWNS unknowns (-1 if even radius 0 has more)."""
+    MAX_UNKNOWNS unknowns (-1 if even radius 0 has more).  It is counted
+    once per group, n, radius and limit (_radius_limit), as every trial of
+    a suite asks the same."""
+    return _radius_limit(group, n, max_radius, MAX_UNKNOWNS)
+
+
+@functools.lru_cache(maxsize=64)
+def _radius_limit(group: GroupSpec, n: int, max_radius: int, limit: int) -> int:
     r = -1
     while r < max_radius:
-        # a ball past MAX_UNKNOWNS sites has more unknowns than that, uncounted
-        unknowns = _ball_unknowns(group, n, r + 1, MAX_UNKNOWNS)
-        if unknowns is None or unknowns > MAX_UNKNOWNS:
+        # a ball past limit sites has more unknowns than that, uncounted
+        unknowns = _ball_unknowns(group, n, r + 1, limit)
+        if unknowns is None or unknowns > limit:
             break
         r += 1
     return r
@@ -408,14 +430,27 @@ def search_radius_limit(group: GroupSpec, n: int, max_radius: int) -> int:
 
 def check_search_radius(group: GroupSpec, n: int, max_radius: int) -> None:
     """Refuse a ball search up to max_radius whose last system would have
-    more than MAX_UNKNOWNS unknowns, before any work is done."""
+    more than MAX_UNKNOWNS unknowns, before any work is done.  The verdict
+    checks its budget here too, and this is also what bounds its
+    first-witness elimination, which has n |ball(max_radius)| columns
+    (see MAX_UNKNOWNS).  The count is made once per group, n, radius and
+    limit (_search_refusal), as every verdict of one budget asks the same."""
+    refusal = _search_refusal(group, n, max_radius, MAX_UNKNOWNS)
+    if refusal is not None:
+        raise UsageError(refusal)
+
+
+@functools.lru_cache(maxsize=64)
+def _search_refusal(group: GroupSpec, n: int, max_radius: int, limit: int) -> Optional[str]:
+    """check_search_radius's refusal for limit, None if the search fits."""
     unknowns = _ball_unknowns(group, n, max_radius, MAX_SHOWN_COUNT)
-    if unknowns is None or unknowns > MAX_UNKNOWNS:
-        raise UsageError(
+    if unknowns is None or unknowns > limit:
+        return (
             f"an inverse search to radius {max_radius} over {group.label()} with n = {n}"
-            f" needs {shown_count(unknowns)} unknowns; the limit is {MAX_UNKNOWNS}"
-            f" (largest radius within it: {search_radius_limit(group, n, max_radius)})"
+            f" needs {shown_count(unknowns)} unknowns; the limit is {limit}"
+            f" (largest radius within it: {_radius_limit(group, n, max_radius, limit)})"
         )
+    return None
 
 
 def check_tower_depth(group: GroupSpec, n: int, depth: int, window: int) -> None:
@@ -552,13 +587,22 @@ def _first_witness_radius(t: Nuca, max_radius: int) -> Optional[int]:
     first column that is not a pivot.
     """
     grp, n = t.group, t.n
-    # a stable sort keeps the canonical order within each shell
-    shells = sorted(FiniteSubset.ball(grp, max_radius), key=grp.norm)
+    shells = _shell_ordered_ball(grp, max_radius)
     pivots = _echelon(t.field.p, t._kernel_rows(shells), min)
     for c in range(n * len(shells)):
         if c not in pivots:
             return grp.norm(shells[c // n])
     return None
+
+
+@functools.lru_cache(maxsize=32)
+def _shell_ordered_ball(group: GroupSpec, radius: int) -> tuple:
+    """ball(radius) in shell order, made once per (group, radius), as every
+    verdict of one budget asks the same.  The verdict asks only for balls
+    its search size check admits (check_search_radius), so each holds at
+    most about 1,400 sites."""
+    # a stable sort keeps the canonical order within each shell
+    return tuple(sorted(group.ball(radius), key=group.norm))
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,7 +1,11 @@
+import functools
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import d1ring
 from d1ring.exactalg import FieldSpec
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
@@ -58,3 +62,30 @@ def nilpotent_nuca():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def package_caches() -> dict:
+    """Every functools.lru_cache wrapper that a module of d1ring defines, at
+    module level or in a class, by "module.name"."""
+    caches = {}
+    for info in pkgutil.iter_modules(d1ring.__path__):
+        module = importlib.import_module(f"d1ring.{info.name}")
+        spaces = [vars(module)] + [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for space in spaces:
+            for name, obj in space.items():
+                obj = obj.__func__ if isinstance(obj, (staticmethod, classmethod)) else obj
+                if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
+                    caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every cache of the package before and after the test, so that
+    a test that counts work sees the work of a fresh process."""
+    caches = package_caches().values()
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -15,6 +15,7 @@ from d1ring.exactalg import FieldSpec
 from d1ring.experiments import MAX_SUITE_FACTORS, MAX_SUITE_N, SuiteConfig, decoy_nuca
 from d1ring.groupring import GroupRingElement
 from d1ring.groups import GroupSpec
+from d1ring import invert
 from d1ring.invert import SearchBudget
 from d1ring.nuca import Nuca
 from d1ring.twisted import TwistedElement, TwistedMatrix
@@ -214,6 +215,23 @@ class TestExitCodes:
             f"error: an inverse search to radius {10**7} over free:2 with n = 1 needs more than"
             " 10^30 unknowns; the limit is 2000000 (largest radius within it: 5)\n"
         )
+
+    def test_z2_verdict_stops_at_radius_12(self, tmp_path, monkeypatch):
+        # MAX_UNKNOWNS counts |B|(1 + |B|) n^2, and it is also what bounds
+        # the verdict's first-witness elimination (n |B| columns), so a Z^2
+        # verdict with n = 2 stops at radius 12, before any work
+        assert invert.search_radius_limit(GroupSpec.zd(2), 2, 1000) == 12
+        calls = []
+        record = lambda *args: calls.append(args)
+        for name in ("zd_determinant", "_search_inverse", "_first_witness_radius", "_kernel_tower"):
+            monkeypatch.setattr(invert, name, record)
+        src = tmp_path / "decoy.json"
+        src.write_text(serialize_envelope(envelope_for(decoy_nuca(GroupSpec.zd(2), FieldSpec.fp(3), 2))))
+        code, out, err = run_cli(["verdict", str(src), "--max-radius", "13", "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert "largest radius within it: 12" in err
+        assert calls == []
 
     tower_refusal = (
         "error: a kernel tower to depth 3 with window 2 over Zd:100000000 with n = 1 would build more"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from d1ring import exactalg
 from d1ring.errors import FormatError, UsageError
 from d1ring.exactalg import (
     FieldSpec,
@@ -69,6 +70,38 @@ class TestFieldSpec:
     def test_non_canonical_labels_refused(self, label):
         with pytest.raises(FormatError, match="bad field label"):
             FieldSpec.from_label(label)
+
+    def test_a_label_gives_one_field(self, cold_caches):
+        for label in ("Q", "Fp:5"):
+            assert FieldSpec.from_label(label) is FieldSpec.from_label(label)
+        for label, message in [("Fp:4", "p must be prime (got 4)"), ("Fp:05", "bad field label 'Fp:05'"),
+                               (5, "bad field label 5")]:
+            for _ in range(2):
+                with pytest.raises(FormatError) as refusal:
+                    FieldSpec.from_label(label)
+                assert str(refusal.value) == message
+
+    def test_a_rational_text_read_twice_reads_the_same(self, cold_caches):
+        # a short text is read once and its pair shared; a refused text is
+        # refused on every read, and a text past the length bound is read
+        # every time and not kept
+        for text, value, repaired in [("2/4", Fraction(1, 2), True), ("1/02", Fraction(1, 2), True),
+                                      ("+1/2", Fraction(1, 2), True), ("-0/1", Fraction(0), True),
+                                      ("1/2", Fraction(1, 2), False)]:
+            first = Q.parse_scalar(text)
+            assert first == (value, repaired) and type(first[0]) is Fraction
+            assert Q.parse_scalar(text) is first
+        for text in ("1/0", "x"):
+            for _ in range(2):
+                with pytest.raises(FormatError, match=f"bad rational '{text}'"):
+                    Q.parse_scalar(text)
+        kept = exactalg._cached_rational.cache_info().currsize
+        num = 10**exactalg.MAX_CACHED_RATIONAL_TEXT
+        long_text = f"{num}/3"
+        assert len(long_text) > exactalg.MAX_CACHED_RATIONAL_TEXT
+        for _ in range(2):
+            assert Q.parse_scalar(long_text) == (Fraction(num, 3), False)
+        assert exactalg._cached_rational.cache_info().currsize == kept
 
     def test_inverse(self):
         assert F5.inv(3) * 3 % 5 == 1

@@ -180,7 +180,7 @@ class TestProductCount:
 
 
 class TestDrawCosts:
-    def test_words_encoded_once_and_constants_shared(self, monkeypatch):
+    def test_words_encoded_once_and_constants_shared(self, monkeypatch, cold_caches):
         # a monomial word's sites and coefficients are encoded once, for the
         # draw that is accepted, and 1 and 0 are made once per (group,
         # field, radius), not per trial; field.inv runs once per monomial
@@ -195,9 +195,7 @@ class TestDrawCosts:
         monkeypatch.setattr(FieldSpec, "inv", counted("drawn", FieldSpec.inv))
         for name in ("one", "zero"):
             monkeypatch.setattr(TwistedElement, name, staticmethod(counted(name, getattr(TwistedElement, name))))
-        experiments._unit_sites.cache_clear()
         rep = run_direct_finiteness(cfg(trials=40, group=F2FREE, field=F5, n=2, max_factors=3))
-        experiments._unit_sites.cache_clear()
         assert rep.failures == 0
         accepted = sum(len(w["sites"]) for o in rep.outcomes for w in o["word"] if w["kind"] == "monomial")
         assert counts["site"] == counts["coeff"] == accepted > 0

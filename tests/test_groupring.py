@@ -495,8 +495,7 @@ def test_unrolled_kernels_agree_with_the_loops(field):
         assert set(lone) <= set(dict(terms))
 
 
-def test_kernels_are_made_once_per_n_up_to_the_cap():
-    _matrix_kernels.cache_clear()
+def test_kernels_are_made_once_per_n_up_to_the_cap(cold_caches):
     for n in (1, 2, 2, 3, MAX_KERNEL_N, MAX_KERNEL_N + 1, MAX_KERNEL_N + 1):
         for field in (F5, Q):
             a = GroupRingElement.monomial(Z1, field, n, (1,), identity_matrix(n))

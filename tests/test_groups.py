@@ -223,6 +223,24 @@ class TestSerialization:
     def test_label_round_trip(self, label):
         assert GroupSpec.from_label(label).label() == label
 
+    def test_a_label_gives_one_group(self, cold_caches):
+        # every read of a label returns the same object; a refused label is
+        # refused with the same message on every read
+        for label in ("Zd:2", "free:2"):
+            assert GroupSpec.from_label(label) is GroupSpec.from_label(label)
+        refusals = {
+            "Zd:0": "bad group label 'Zd:0': group dimension/rank must be >= 1",
+            "Zd:01": "bad group label 'Zd:01': '01' is not a canonical integer",
+            "free:27": "bad group label 'free:27': free rank capped at 26",
+            "zd:1": "bad group label 'zd:1': unknown group kind 'zd'",
+            5: "bad group label 5: expected a string",
+        }
+        for label, message in refusals.items():
+            for _ in range(2):
+                with pytest.raises(FormatError) as refusal:
+                    GroupSpec.from_label(label)
+                assert str(refusal.value) == message
+
     @pytest.mark.parametrize(
         "label",
         ["Zd:1_0", "Zd:01", "Zd:+1", "Zd: 1", "Zd:1\n", "Zd:\u0661", "free:\uff12", "zd:1",

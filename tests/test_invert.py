@@ -139,6 +139,33 @@ class TestSearchSizeLimit:
         with pytest.raises(UsageError, match="largest radius within it: 1"):
             check_search_radius(free26, 1, 2)
 
+    def test_a_repeated_check_counts_no_ball(self, monkeypatch, cold_caches):
+        # the balls of one (group, n, radius) are counted once, a refusal's
+        # too, and a patched limit is counted anew
+        calls = []
+        ball_size = GroupSpec.ball_size
+        monkeypatch.setattr(GroupSpec, "ball_size", lambda self, *args: calls.append(args) or ball_size(self, *args))
+        check_search_radius(Z2, 2, 3)
+        assert search_radius_limit(Z2, 2, 3) == 3
+        with pytest.raises(UsageError) as first:
+            check_search_radius(Z2, 2, 13)
+        counted = len(calls)
+        assert counted > 0
+        check_search_radius(Z2, 2, 3)
+        assert search_radius_limit(Z2, 2, 3) == 3
+        with pytest.raises(UsageError) as again:
+            check_search_radius(Z2, 2, 13)
+        assert len(calls) == counted
+        assert str(again.value) == str(first.value) == (
+            "an inverse search to radius 13 over Zd:2 with n = 2 needs 2128680 unknowns;"
+            " the limit is 2000000 (largest radius within it: 12)"
+        )
+        monkeypatch.setattr(invert, "MAX_UNKNOWNS", 2)
+        with pytest.raises(UsageError, match=r"the limit is 2 \(largest radius within it: -1\)"):
+            check_search_radius(Z2, 2, 3)
+        assert search_radius_limit(Z2, 2, 3) == -1
+        assert len(calls) > counted
+
     def test_refused_before_any_work(self, monkeypatch):
         # the identity has an inverse at radius 0, but a search to radius 2
         # in free:26 is refused before radius 0 runs
@@ -230,13 +257,12 @@ class TestTowerSizeLimit:
         assert verdict.tower == kernel_tower(decoy(), 2, 2)
         assert calls == [(Z1, 1, 2, 2)] * 2
 
-    def test_a_repeated_check_counts_no_level(self, monkeypatch):
+    def test_a_repeated_check_counts_no_level(self, monkeypatch, cold_caches):
         # the levels of one (group, n, depth, window) are counted once, a
         # refusal's too, and a patched limit is counted anew
         calls = []
         ball_size = GroupSpec.ball_size
         monkeypatch.setattr(GroupSpec, "ball_size", lambda self, *args: calls.append(args) or ball_size(self, *args))
-        invert._tower_overflow.cache_clear()
         check_tower_depth(Z2, 2, 3, 2)
         assert len(calls) == 3 + 2 + MAX_EXTRA_LEVELS + 1
         with pytest.raises(UsageError) as first:
