@@ -151,6 +151,8 @@ def _cmd_local_map(args) -> int:
         raw = json.loads(args.sites)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--sites must be a JSON array of group elements: {exc}") from None
+    except RecursionError:
+        raise UsageError("--sites must be a JSON array of group elements: nested too deeply") from None
     if not isinstance(raw, list):
         raise UsageError("--sites must be a JSON array of group elements")
     sites = [t.group.parse_element(v)[0] for v in raw]

@@ -390,6 +390,8 @@ def parse_envelope(text: str) -> Envelope:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "header" not in doc or "payload" not in doc:
         raise FormatError("envelope needs 'header' and 'payload'")
     header = doc["header"]

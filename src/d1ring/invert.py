@@ -692,7 +692,7 @@ def _kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTower
             for g in _box_shell(grp, len(dims)):
                 # the first column of each memory site's block, read at g
                 cols = [number(compose(g, h), n * len(ids)) for h in memory]
-                for entries in exceptional.get(g, constant_rule)[1]:
+                for entries in exceptional.get(g, constant_rule)[0]:
                     rows.append({cols[k] + j: z for k, j, z in entries})
             before = len(basis)
             _echelon(p, rows, max, basis)

@@ -209,13 +209,14 @@ class Nuca:
 
     The memory set (element.memory()), the exceptional set
     (element.singular_support()), the map {site: singular part} that
-    apply reads, and the rule table that rule_at and every window placed
-    read are made on first read, into their slots (__getattr__): the
-    inverse search builds NUCA it only multiplies and checks, and a slot
-    once filled reads as a plain attribute.
+    apply reads, the rule table that every window placed reads, and its
+    field rows that rule_at and the window maps read are made on first
+    read, into their slots (__getattr__): the inverse search builds NUCA
+    it only multiplies and checks, the verdict reads no field row, and a
+    slot once filled reads as a plain attribute.
     """
 
-    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules")
+    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules", "_field_rules")
 
     def __init__(self, element: TwistedElement):
         if not isinstance(element, TwistedElement):
@@ -235,14 +236,21 @@ class Nuca:
         elif name == "_rules":
             # the rule table: the _rule_rows of the constant rule a and {g:
             # those of a + b(g)} for the exceptional sites g, each from the
-            # terms that sum to it.  rule_at lays its blocks out from the
-            # field rows; _window_rows places the field rows for
-            # induced_local_map and the integer rows for _kernel_rows, and
-            # invert.kernel_tower places the integer rows itself
+            # terms that sum to it.  _window_rows places its integer rows
+            # for _kernel_rows, and invert.kernel_tower places them itself
             field, n, position = self.field, self.n, self.memory.position
             a = self.element.regular.terms
             exceptional = {g: _rule_rows(field, n, position, a + b.terms) for g, b in self.element.singular}
             value = (_rule_rows(field, n, position, a), exceptional)
+        elif name == "_field_rules":
+            # the rule table with the field rows in place of the integer
+            # rows, made from it on first read: rule_at lays its blocks
+            # out from them and _window_rows places them for
+            # induced_local_map.  Over F_p they are the integer rows
+            value = self._rules
+            if not self.field.p:
+                constant_rule, exceptional = value
+                value = (_field_rule(constant_rule), {g: _field_rule(r) for g, r in exceptional.items()})
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
@@ -287,9 +295,9 @@ class Nuca:
 
     def rule_at(self, g: Element) -> LocalRule:
         """The local rule used at site g, over this NUCA's memory set, laid
-        out from its rows in the rule table (_rules)."""
+        out from its field rows (_field_rules)."""
         self.group.check(g)
-        constant_rule, exceptional = self._rules
+        constant_rule, exceptional = self._field_rules
         n, zero = self.n, self.field.zero
         blocks = [[[zero] * n for _ in range(n)] for _ in self.memory]
         for i, entries in enumerate(exceptional.get(g, constant_rule)[0]):
@@ -391,20 +399,20 @@ class Nuca:
         (_rules), with the coordinate j of each domain site u at column
         column(u) * n + j; the sites where column(u) is None are left out.
         The rows are the integer rows elimination reads
-        (exactalg._integer_rows), or with integer=False the field rows,
-        which are placed only at a numbering of every domain site
-        (induced_local_map).  Over Q an integer row that loses entries is
-        divided by its content, so it stays the primitive multiple of its
-        field row."""
+        (exactalg._integer_rows), or with integer=False the field rows
+        (_field_rules), which are placed only at a numbering of every
+        domain site (induced_local_map).  Over Q an integer row that loses
+        entries is divided by its content, so it stays the primitive
+        multiple of its field row."""
         n, q = self.n, integer and not self.field.p
         compose, memory = self.group.compose, self.memory.elements
-        constant_rule, exceptional = self._rules
+        constant_rule, exceptional = self._rules if integer else self._field_rules
         rows: list[dict] = []
         for g in window:
-            rule_rows, rule_ints, read = exceptional.get(g, constant_rule)
+            rule = exceptional.get(g, constant_rule)
             # the number of each memory site the rule reads, at g
-            ks = {k: column(compose(g, memory[k])) for k in read}
-            for entries in rule_ints if integer else rule_rows:
+            ks = {k: column(compose(g, memory[k])) for k in rule[1]}
+            for entries in rule[0]:
                 row = {ks[k] * n + j: z for k, j, z in entries if ks[k] is not None}
                 rows.append(_content_free(row) if q and len(row) < len(entries) else row)
         return rows
@@ -412,13 +420,14 @@ class Nuca:
 
 def _rule_rows(field: FieldSpec, n: int, position: Callable[[Element], int], terms) -> tuple:
     """The rule that the (h, block) terms sum to, h a memory site numbered
-    position(h), as (rows, ints, read): for each row i of the rule, the
-    sorted triples (k, j, x) for its nonzero entries x at column j of the
-    block of the memory site numbered k; the same triples for the integer
-    row elimination reads, the residues themselves over F_p (ints is rows)
-    and the row's primitive integer multiple over Q; and the sorted
-    positions k that hold an entry.  The entries are summed in one pass as
-    plain ints, over Q the numerators over one scale."""
+    position(h), as (ints, read, fractions): for each row i of the rule,
+    the sorted triples (k, j, z) of the integer row elimination reads, for
+    its nonzero entries at column j of the block of the memory site
+    numbered k (the residues themselves over F_p, the row's primitive
+    integer multiple over Q); the sorted positions k that hold an entry;
+    and over Q (None over F_p) the rows' numerators over one scale, as
+    ({(k, j): x}, scale), which _field_rule turns into the field rows.
+    The entries are summed in one pass as plain ints."""
     p = field.p
     scale = 1 if p else _denominator(n, terms)
     raw: list[dict] = [{} for _ in range(n)]
@@ -428,13 +437,20 @@ def _rule_rows(field: FieldSpec, n: int, position: Callable[[Element], int], ter
             for j, x in enumerate(entries):
                 if x:
                     row[k, j] = row.get((k, j), 0) + x
-    # each sum reduced once: to its residue over F_p, over Q to its
-    # Fraction of the scale (the integer row keeps the numerators)
+    # each sum reduced once: to its residue over F_p, over Q to a nonzero
+    # numerator over the scale
     raw = [{kj: r for kj, x in sorted(row.items()) if (r := x % p if p else x)} for row in raw]
-    rows = [[(k, j, x if p else Fraction(x, scale)) for (k, j), x in row.items()] for row in raw]
-    ints = rows if p else [[(k, j, z) for (k, j), z in _content_free(row).items()] for row in raw]
     read = sorted({k for row in raw for k, _ in row})
-    return rows, ints, read
+    if p:
+        return [[(k, j, x) for (k, j), x in row.items()] for row in raw], read, None
+    return [[(k, j, z) for (k, j), z in _content_free(row).items()] for row in raw], read, (raw, scale)
+
+
+def _field_rule(rule: tuple) -> tuple:
+    """A rule of the table over Q with its field rows, the Fractions of its
+    numerators over its scale, in place of its integer rows."""
+    _, read, (raw, scale) = rule
+    return [[(k, j, Fraction(x, scale)) for (k, j), x in row.items()] for row in raw], read
 
 
 def constant_part(t: Nuca) -> Nuca:

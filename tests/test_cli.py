@@ -140,6 +140,25 @@ class TestExitCodes:
         assert out == ""
         assert "bad matrix size True" in err
 
+    @pytest.mark.parametrize("argv", [["fmt"], ["verdict"]], ids=["fmt", "verdict"])
+    def test_deeply_nested_envelope_is_format_error(self, tmp_path, argv):
+        # json.loads raises RecursionError, not JSONDecodeError, on an array
+        # nested about 1,000 deep; that was once a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli([*argv, str(deep)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
+    def test_deeply_nested_sites_is_usage_error(self):
+        code, out, err = run_cli(
+            ["local-map", "-t", path("nuca_apply_f3.json"), "--sites", "[" * 100_000 + "]" * 100_000]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --sites must be a JSON array of group elements: nested too deeply\n"
+
     def test_shape_mismatch_between_inputs(self):
         code, _, err = run_cli(
             ["mul", "-a", path("u_f3.json"), "-b", path("nuca_u_f3.json"), "-o", "-"]

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from d1ring.errors import UsageError
 from d1ring.exactalg import Matrix, inverse, solve
 from d1ring.experiments import SuiteConfig, decoy_nuca, gen_unit, rand_twisted
-from d1ring.groupring import GroupRingElement, matrix_shuffle, zd_determinant
+from d1ring.groupring import GroupRingElement, _berkowitz, _scaled_entries, matrix_shuffle, zd_determinant
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import exactalg, experiments, invert
 from d1ring.invert import (
@@ -1494,6 +1494,38 @@ class TestZdDeterminant:
             assert len(det.terms) == 1
         if kind == "singular":
             assert det.is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        group=st.sampled_from([Z1, Z2, Z3]),
+        field=st.sampled_from([F2, F5, Q]),
+        kind=st.sampled_from(["random", "unit", "singular"]),
+    )
+    @example(seed=0, group=Z2, field=F5, kind="unit")
+    @example(seed=0, group=Z2, field=Q, kind="singular")
+    @example(seed=1, group=Z1, field=Q, kind="random")
+    def test_closed_form_2x2_is_berkowitz(self, seed, group, field, kind):
+        # the n = 2 closed form gives Berkowitz's (det(a), a^-1), with the
+        # same entry types, at every budget: its charges are Berkowitz's
+        a = draw_map(random.Random(seed), group, field, 2, kind).element.regular
+
+        def berkowitz(budget):
+            return _berkowitz(a, *_scaled_entries(a), budget)
+
+        full = zd_determinant(a, MAX_DET_TERM_PAIRS)
+        assert full == berkowitz(MAX_DET_TERM_PAIRS) and repr(full) == repr(berkowitz(MAX_DET_TERM_PAIRS))
+        det, a_inv = full
+        assert det == leibniz_det(a)
+        assert (a_inv is not None) == (len(det.terms) == 1)
+        if kind == "unit":
+            assert len(det.terms) == 1
+        if kind == "singular":
+            assert det.is_zero()
+        thresholds = [det_pairs(a)] + ([det_pairs(a, inverse=True)] if a_inv is not None else [])
+        for pairs in thresholds:
+            for budget in (pairs - 1, pairs):
+                assert zd_determinant(a, budget) == berkowitz(budget)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ from d1ring.exactalg import Matrix, _integer_rows
 from d1ring.experiments import rand_groupring, rand_twisted
 from d1ring.groups import FiniteSubset, GroupSpec
 from d1ring import nuca
+from d1ring.invert import SearchBudget, stable_injectivity_verdict
 from d1ring.nuca import Configuration, Nuca, basis_configuration
 from d1ring.twisted import TwistedElement
 
@@ -410,6 +411,30 @@ class TestInducedLocalMap:
         for t in maps:
             t._rules
         assert added == []
+
+    def test_a_verdict_over_q_makes_no_field_rows(self):
+        # the verdict places only the integer rows of the rule table; the
+        # field rows are made from it when a window map first reads them
+        def filled(t, slot):
+            try:
+                getattr(Nuca, slot).__get__(t, Nuca)
+            except AttributeError:
+                return False
+            return True
+
+        rng = random.Random("Q verdict|field rows")
+        read = []
+        for _ in range(12):
+            t = rand_nuca(rng, Z1, Q, 2, max_sites=3)
+            stable_injectivity_verdict(t, SearchBudget(max_radius=1, depth=2, window=1))
+            assert not filled(t, "_field_rules")
+            if filled(t, "_rules") and len(t.exceptional_set):
+                read.append(t)
+        assert read
+        for t in read:
+            window = FiniteSubset.ball(Z1, 1)
+            assert t.induced_local_map(window) == Nuca(t.element).induced_local_map(window)
+            assert filled(t, "_field_rules")
 
     def test_blocks_vanish_off_translated_memory(self, rng):
         t = rand_nuca(rng, Z1, F5, 1)
