@@ -13,11 +13,12 @@ are read back, its parser.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .errors import FormatError
+from .errors import FormatError, UsageError
 from .exactalg import FieldSpec
 from .experiments import SuiteConfig, SuiteReport
 from .groupring import GroupRingElement, Shape, coeff_encode, coeff_is_zero, coeff_parse
@@ -134,14 +135,14 @@ def suite_config_payload(c: SuiteConfig) -> dict:
     }
 
 
-def suite_report_payload(r: SuiteReport, omit_timing: bool = False) -> dict:
+def suite_report_payload(r: SuiteReport) -> dict:
     return {
         "suite": r.suite,
         "config": suite_config_payload(r.config),
         "note": r.note,
         "passes": r.passes,
         "failures": r.failures,
-        "wall_clock_s": None if omit_timing else r.wall_clock_s,
+        "wall_clock_s": r.wall_clock_s,
         "outcomes": list(r.outcomes),
     }
 
@@ -306,26 +307,26 @@ class Envelope:
     payload: object  # the live object
     canonicalized: bool = False  # True when parsing repaired the payload
 
-    def payload_obj(self, omit_timing: bool = False):
-        encode = _kind(self.kind)[0]
-        if self.kind == "suite_report":
-            return encode(self.payload, omit_timing=omit_timing)
-        return encode(self.payload)
+    def payload_obj(self):
+        return _kind(self.kind)[0](self.payload)
 
 
-def serialize_envelope(env: Envelope, omit_timing: bool = False) -> str:
-    doc = {
-        "header": {
-            "format_version": FORMAT_VERSION,
-            "group": env.group.label(),
-            "field": env.field.label(),
-            "n": env.n,
-            "kind": env.kind,
-        },
-        "payload": env.payload_obj(omit_timing=omit_timing),
+def serialize_envelope(env: Envelope) -> str:
+    header = {
+        "format_version": FORMAT_VERSION,
+        "group": env.group.label(),
+        "field": env.field.label(),
+        "n": env.n,
+        "kind": env.kind,
     }
     out: list[str] = []
-    _write_json(doc, "", out)
+    try:
+        _write_json({"header": header, "payload": env.payload_obj()}, "", out)
+    except UsageError:  # the package's own ValueError, such as an unknown kind
+        raise
+    except ValueError:  # an integer past int's text limit could not be read back
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"cannot write a {env.kind} with an integer of more than {limit} digits") from None
     out.append("\n")
     return "".join(out)
 
@@ -385,13 +386,21 @@ def _write_json(value, indent: str, out: list) -> None:
         out.append("\n" + indent + "]")
 
 
-def parse_envelope(text: str) -> Envelope:
+def load_json(text: str, what: str = "invalid JSON"):
+    """json.loads, each way it fails raised as FormatError, a UsageError,
+    with a message that starts with what."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
+        raise FormatError(f"{what}: {exc}") from None
     except RecursionError:
-        raise FormatError("invalid JSON: nested too deeply") from None
+        raise FormatError(f"{what}: nested too deeply") from None
+    except ValueError:  # an integer past int's text limit, which is not raised
+        raise FormatError(f"{what}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def parse_envelope(text: str) -> Envelope:
+    doc = load_json(text)
     if not isinstance(doc, dict) or "header" not in doc or "payload" not in doc:
         raise FormatError("envelope needs 'header' and 'payload'")
     header = doc["header"]

@@ -523,17 +523,13 @@ _set_group, _set_field, _set_shape, _set_terms = _slot_setters(GroupRingElement)
 
 def matrix_shuffle(a: GroupRingElement) -> list[list[GroupRingElement]]:
     """M_n(k)[G] -> M_n(k[G]): entry (i,j) collects the (i,j) slots of
-    every coefficient.  A ring isomorphism; inverse is matrix_unshuffle."""
+    every coefficient, as the regular parts of twisted.f_shuffle on the
+    embedded element.  A ring isomorphism; inverse is matrix_unshuffle."""
+    from .twisted import embed, f_shuffle
+
     if a.shape is None:
         raise UsageError("matrix_shuffle requires matrix-shaped coefficients")
-    n = a.shape
-    return [
-        [
-            GroupRingElement.from_terms(a.group, a.field, None, ((g, c[i][j]) for g, c in a.terms))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    return [[e.regular for e in row] for row in f_shuffle(embed(a)).entries]
 
 
 def matrix_unshuffle(grid: list[list[GroupRingElement]]) -> GroupRingElement:
@@ -585,8 +581,8 @@ def zd_determinant(
     makes Berkowitz's two products at n = 2, P_2 = b10 b01 (reduced on its
     own) and b11 b00, reduces each sum once and sorts det(a) once, and
     charges the budget exactly as _berkowitz does, each charge before its
-    product: len(b00), len(b10) len(b01), len(b11) + len(P_2),
-    len(b11) len(b00), and for a^-1 the four entries' lengths.  So the
+    product: len(b00), len(b10) len(b01) or 1, len(b11) + len(P_2),
+    len(b11) len(b00) or 1, and for a^-1 the four entries' lengths.  So the
     answer at every budget is _berkowitz's.  _berkowitz serves every other
     n, and is the reference the tests hold the closed form to.
     """
@@ -655,8 +651,8 @@ def _det_2x2(a: GroupRingElement, entries: list, scales: list, max_term_pairs: i
     p, compose = a.field.p, a.group.compose
     (b00, b01), (b10, b11) = entries
     # the charges only grow, so two in a row are checked at the second:
-    # b00 times C_0, then P_2 = b10 b01
-    left = max_term_pairs - len(b00) - len(b10) * len(b01)
+    # b00 times C_0, then P_2 = b10 b01, at least one pair as in _berkowitz
+    left = max_term_pairs - len(b00) - (len(b10) * len(b01) or 1)
     if left < 0:
         return None
     acc = {}
@@ -667,7 +663,7 @@ def _det_2x2(a: GroupRingElement, entries: list, scales: list, max_term_pairs: i
             acc[site] = get(site, 0) + x * y
     p2 = _reduced(acc, p)
     # b11 and P_2 times C_0, then b11 times C_1 = -b00
-    left -= len(b11) + len(p2) + len(b11) * len(b00)
+    left -= len(b11) + len(p2) + (len(b11) * len(b00) or 1)
     if left < 0:
         return None
     acc = {g: -x for g, x in p2}
@@ -710,7 +706,8 @@ def _berkowitz(a: GroupRingElement, entries: list, scales: list, max_term_pairs:
     multiplied: each P_i C_0 is added as -P_i, and Horner starts from P_1,
     read off B.  The budget is charged as though C_0 were multiplied:
     len(x) len(y) pairs for each product x y of term lists, before it is
-    made, and len(x) for each x times C_0.
+    made, and at least one, so that a map of empty entries still runs out
+    of it; and len(x) for each x times C_0.
     """
     grp, n = a.group, a.shape
     p, compose = a.field.p, grp.compose
@@ -726,7 +723,7 @@ def _berkowitz(a: GroupRingElement, entries: list, scales: list, max_term_pairs:
             for g, x in terms:
                 acc[g] = get(g, 0) + x
         for xs, ys in pairs:
-            left -= len(xs) * len(ys)
+            left -= len(xs) * len(ys) or 1  # an empty product costs its step too
             if left < 0:
                 raise _OverBudget
             for g, x in xs:

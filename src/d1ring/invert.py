@@ -670,12 +670,6 @@ def kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerR
     if depth < 0 or stabilization_window < 1:
         raise UsageError("depth must be >= 0 and window >= 1")
     check_tower_depth(t.group, t.n, depth, stabilization_window)
-    return _kernel_tower(t, depth, stabilization_window)
-
-
-def _kernel_tower(t: Nuca, depth: int, stabilization_window: int) -> KernelTowerReport:
-    """kernel_tower past its checks: t lives on Z^d, and the depth and
-    window are in range and within check_tower_depth's limit."""
     grp, n, p = t.group, t.n, t.field.p
     max_level = depth + stabilization_window + MAX_EXTRA_LEVELS
     basis: dict[int, dict] = {}  # {pivot: integer row}, each row leads at its last column
@@ -782,6 +776,6 @@ def stable_injectivity_verdict(t: Nuca, budget: SearchBudget = SearchBudget()) -
             witness_scope=scope,
             witness_radius=radius,
         )
-    # the budget's fields are in range, and check_tower_depth passed above
-    tower = _kernel_tower(t, budget.depth, budget.window) if t.group.kind == "Zd" else None
+    # its check_tower_depth repeats the one above: one _tower_overflow cache hit
+    tower = kernel_tower(t, budget.depth, budget.window) if t.group.kind == "Zd" else None
     return InjectivityVerdict(kind="bounded_evidence", budget=budget, tower=tower)

@@ -80,7 +80,6 @@ from .groupring import (
     _raw_is_zero,
     _slot_setters,
     coeff_one,
-    matrix_shuffle,
 )
 from .groups import Element, FiniteSubset, GroupSpec
 
@@ -552,20 +551,26 @@ class TwistedMatrix:
 def f_shuffle(x: TwistedElement) -> TwistedMatrix:
     """The entry-shuffle isomorphism from matrix-coefficient twisted
     elements to matrices of scalar-coefficient twisted elements:
-    entry (i,j) of the result is (regular_(ij), sum_g singular(g)_(ij) g)."""
+    entry (i,j) of the result is (regular_(ij), sum_g singular(g)_(ij) g).
+    The mirror of f_shuffle_inv: one pass over each part's canonical terms,
+    whose order every entry keeps, so nothing is made canonical again."""
     if x.shape is None:
         raise UsageError("f_shuffle requires matrix-shaped coefficients")
-    n = x.shape
-    reg_grid = matrix_shuffle(x.regular)
-    sing_grids = [(g, matrix_shuffle(part)) for g, part in x.singular]
-    # make drops the parts that are zero in entry (i, j)
-    return TwistedMatrix(n, tuple(
-        tuple(
-            TwistedElement.make(reg_grid[i][j], [(g, grid[i][j]) for g, grid in sing_grids])
-            for j in range(n)
-        )
-        for i in range(n)
-    ))
+    grp, fld, n = x.group, x.field, x.shape
+
+    def entries(terms) -> list[GroupRingElement]:
+        cells: list[list] = [[] for _ in range(n * n)]  # row-major
+        for h, c in terms:
+            for cell, v in zip(cells, chain.from_iterable(c)):
+                if v:
+                    cell.append((h, v))
+        return [GroupRingElement(grp, fld, None, tuple(t)) for t in cells]
+
+    singular = [(g, entries(b.terms)) for g, b in x.singular]
+    # a singular part with no term in entry (i, j) is dropped there
+    flat = [TwistedElement(r, tuple((g, e[k]) for g, e in singular if e[k].terms))
+            for k, r in enumerate(entries(x.regular.terms))]
+    return TwistedMatrix._trusted(n, tuple(zip(*[iter(flat)] * n)))
 
 
 def f_shuffle_inv(m: TwistedMatrix) -> TwistedElement:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -159,6 +160,62 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: --sites must be a JSON array of group elements: nested too deeply\n"
 
+    # json.loads raises ValueError, neither JSONDecodeError nor
+    # RecursionError, on an integer past the interpreter's limit for
+    # integer text (4,300 digits by default); that was once a traceback
+    digits_limit = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+    def test_overlong_integer_in_envelope_is_format_error(self, tmp_path):
+        doc = json.loads(Path(path("a_f2.json")).read_text())
+        doc["payload"]["terms"][1][0] = ["BIG"]
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 5000))
+        code, out, err = run_cli(["fmt", str(big)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid JSON: {self.digits_limit}\n"
+
+    def test_overlong_integer_in_sites_is_usage_error(self):
+        code, out, err = run_cli(
+            ["local-map", "-t", path("nuca_apply_f3.json"), "--sites", "[[1" + "0" * 5000 + "]]"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --sites must be a JSON array of group elements: {self.digits_limit}\n"
+
+    def test_overlong_product_is_not_written(self, tmp_path):
+        # a Q coefficient of 3,000 digits is written and read back; its
+        # square, of 6,000, could not be read back, so it is not written
+        big = GroupRingElement.from_terms(GroupSpec.zd(1), FieldSpec.rationals(), None, [((0,), 10**2999 + 1)])
+        src = tmp_path / "big.json"
+        src.write_text(serialize_envelope(envelope_for(TwistedElement(big, ()))))
+        out_file = tmp_path / "square.json"
+        code, out, err = run_cli(["mul", "-a", str(src), "-b", str(src), "-o", str(out_file)])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot write a twisted with an integer of more than {sys.get_int_max_str_digits()} digits\n"
+        )
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["f-shuffle", "-a", path("u_f3.json")], "f_shuffle requires matrix-shaped coefficients"),
+            (["f-shuffle", "--inverse", "-a", "matrix.json"], "f_shuffle_inv expects scalar-shaped entries"),
+        ],
+        ids=["forward", "inverse"],
+    )
+    def test_f_shuffle_of_the_wrong_shape_is_usage_error(self, tmp_path, monkeypatch, argv, expected):
+        # the library's shape checks are the command's
+        monkeypatch.chdir(tmp_path)
+        identity = TwistedMatrix.identity(1, GroupSpec.zd(1), FieldSpec.fp(2), 2)
+        (tmp_path / "matrix.json").write_text(serialize_envelope(envelope_for(identity)))
+        code, out, err = run_cli([*argv, "-o", "-"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {expected}\n"
+
     def test_shape_mismatch_between_inputs(self):
         code, _, err = run_cli(
             ["mul", "-a", path("u_f3.json"), "-b", path("nuca_u_f3.json"), "-o", "-"]
@@ -242,7 +299,7 @@ class TestExitCodes:
         assert invert.search_radius_limit(GroupSpec.zd(2), 2, 1000) == 12
         calls = []
         record = lambda *args: calls.append(args)
-        for name in ("zd_determinant", "_search_inverse", "_first_witness_radius", "_kernel_tower"):
+        for name in ("zd_determinant", "_search_inverse", "_first_witness_radius", "kernel_tower"):
             monkeypatch.setattr(invert, name, record)
         src = tmp_path / "decoy.json"
         src.write_text(serialize_envelope(envelope_for(decoy_nuca(GroupSpec.zd(2), FieldSpec.fp(3), 2))))
@@ -320,6 +377,39 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "block of 201 coordinates" in err and "limit is 200" in err
+
+    @pytest.mark.parametrize(
+        "command, expected_code",
+        [(["invert"], 1), (["verdict", "--depth", "0", "--window", "1"], 0)],
+        ids=["invert", "verdict"],
+    )
+    def test_zero_map_of_size_1000_is_quick(self, tmp_path, command, expected_code):
+        # each product of term lists costs at least one pair of
+        # MAX_DET_TERM_PAIRS, so the O(n^4) empty products of a zero map's
+        # determinant run out of the budget; they once ran for free
+        src = tmp_path / "zero.json"
+        src.write_text(serialize_envelope(envelope_for(Nuca(TwistedElement.zero(GroupSpec.zd(1), FieldSpec.fp(5), 1000)))))
+        start = time.monotonic()
+        code, out, err = run_cli([command[0], str(src), "--max-radius", "0", *command[1:], "-o", "-"])
+        assert time.monotonic() - start < 5
+        assert code == expected_code
+        assert err == ""
+        assert out
+
+    def test_pipeline_past_the_block_limit_stops_at_once(self):
+        # the first trial at n = 100 needs a block past MAX_BLOCK_COORDINATES;
+        # the determinants of the trials before it once took seconds each
+        start = time.monotonic()
+        code, out, err = run_cli(
+            ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:5", "--n", "100", "-o", "-"]
+        )
+        assert time.monotonic() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the inverse needs a block of 400 coordinates on the 4 sites its factor a^-1 t"
+            f" reads and writes; the limit is {invert.MAX_BLOCK_COORDINATES}\n"
+        )
 
     @pytest.mark.parametrize("command", ["kernel-tower", "verdict"])
     def test_oversized_tower_depth_is_usage_error(self, tmp_path, monkeypatch, command):

@@ -243,19 +243,22 @@ class TestTowerSizeLimit:
             stable_injectivity_verdict(t, SearchBudget(max_radius=1, depth=80))
         assert str(tower.value) == str(verdict.value) == str(direct.value)
 
-    def test_verdict_checks_the_limit_once(self, monkeypatch):
-        # the verdict checks the tower's limit before its searches, and its
-        # tower is not checked again
+    def test_verdict_checks_the_limit_before_its_searches(self, monkeypatch, cold_caches):
+        # the verdict checks the tower's limit before its searches; its
+        # tower runs through kernel_tower, whose check is one cache hit
         calls = []
-        check = invert.check_tower_depth
+        check, search = invert.check_tower_depth, invert._search_inverse
         monkeypatch.setattr(invert, "check_tower_depth", lambda *args: calls.append(args) or check(*args))
+        monkeypatch.setattr(invert, "_search_inverse", lambda *args: calls.append("search") or search(*args))
         budget = SearchBudget(max_radius=1, depth=2, window=2)
         verdict = stable_injectivity_verdict(decoy(), budget)
         assert verdict.kind == "bounded_evidence"
-        assert calls == [(Z1, 1, 2, 2)]
+        assert calls == [(Z1, 1, 2, 2), "search", (Z1, 1, 2, 2)]
+        info = invert._tower_overflow.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         # kernel_tower on its own checks once, and builds the same tower
         assert verdict.tower == kernel_tower(decoy(), 2, 2)
-        assert calls == [(Z1, 1, 2, 2)] * 2
+        assert calls[3:] == [(Z1, 1, 2, 2)]
 
     def test_a_repeated_check_counts_no_level(self, monkeypatch, cold_caches):
         # the levels of one (group, n, depth, window) are counted once, a
@@ -1438,13 +1441,15 @@ class TestZdDeterminant:
                 ((0,), ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5)))),
                 ((1,), ((1, 0), (3, 0))),
             ]), 7, None),
-            (UNIT_3X3, 60, 144),
+            # a02 = 0, and each product with it costs one pair
+            (UNIT_3X3, 63, 153),
         ],
         ids=["z1-f5-n1-unit", "z2-f5-n2-unit", "z1-q-n2-non-monomial", "z1-f5-n3-unit"],
     )
     def test_pair_charges(self, a, pairs, inverse_pairs):
-        # every product of term lists is charged len(x) len(y) pairs, and
-        # each x times C_0 = 1 len(x) pairs, though that product is not made
+        # every product of term lists is charged len(x) len(y) pairs, at
+        # least one, and each x times C_0 = 1 len(x) pairs, though that
+        # product is not made
         assert det_pairs(a) == pairs
         if inverse_pairs is None:
             assert zd_determinant(a, MAX_DET_TERM_PAIRS)[1] is None

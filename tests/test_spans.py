@@ -39,3 +39,16 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     assert metrics["invert.kernel_tower.calls"] == 1
     assert metrics["invert.finitely_supported_kernel.calls"] == 1
     assert metrics["exactalg.kernel_basis.calls"] == 1
+
+
+def test_a_bounded_evidence_verdict_counts_its_tower():
+    # the verdict builds its tower through the module's kernel_tower, so
+    # the tracer's span sees it
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        verdict = invert.stable_injectivity_verdict(decoy_nuca(Z1, F5, 1), invert.SearchBudget(max_radius=1))
+    finally:
+        tracer.uninstall()
+    assert verdict.kind == "bounded_evidence"
+    assert tracer.metrics()["invert.kernel_tower.calls"] == 1
