@@ -16,11 +16,10 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import FormatError, UsageError
 from .exactalg import FieldSpec
-from .experiments import SuiteConfig, SuiteReport
 from .groupring import GroupRingElement, Shape, coeff_encode, coeff_is_zero, coeff_parse
 from .groups import GroupSpec
 from .invert import (
@@ -30,6 +29,9 @@ from .invert import (
 )
 from .nuca import Configuration, InducedLocalMap, Nuca
 from .twisted import TwistedElement, TwistedMatrix
+
+if TYPE_CHECKING:
+    from .experiments import SuiteConfig, SuiteReport
 
 FORMAT_VERSION = 1
 
@@ -341,8 +343,8 @@ def _write_json(value, indent: str, out: list) -> None:
     call; here the containers are laid out directly and the leaves go
     through the C encoder, so a call leaves no cyclic garbage.  A value is
     dispatched on its exact type first (the payloads hold only str, int,
-    None, dict and list); subclasses and other leaves take the isinstance
-    fallbacks after."""
+    None, dict and list); subclasses of dict, list and tuple are laid out
+    as those, and every other leaf goes through json.dumps."""
     t = type(value)
     if t is str:
         out.append(_encode_str(value))
@@ -357,12 +359,9 @@ def _write_json(value, indent: str, out: list) -> None:
         if isinstance(value, dict):
             t = dict
         elif not isinstance(value, (list, tuple)):
-            if isinstance(value, str):
-                out.append(_encode_str(value))
-            elif isinstance(value, int) and not isinstance(value, bool):
-                out.append(int.__repr__(value))
-            else:
-                out.append(json.dumps(value))
+            # str and int subclasses included: json.dumps writes the bytes
+            # of the exact types' branches above
+            out.append(json.dumps(value))
             return
     if not value:
         out.append("{}" if t is dict else "[]")

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .envelope import twisted_matrix_payload, twisted_payload
 from .errors import UsageError, _check_int
 from .exactalg import FieldSpec
 from .groupring import GroupRingElement, _add_into, _canonical_terms, coeff_one
@@ -380,8 +381,6 @@ def _run_suite(suite: str, config: SuiteConfig, trial: Callable[[int], dict]) ->
 
 def run_direct_finiteness(config: SuiteConfig) -> SuiteReport:
     """Per trial: build (u, v) with u*v = 1 and assert v*u = 1."""
-    from .envelope import twisted_matrix_payload  # local import to avoid a cycle
-
     def trial(index: int) -> dict:
         rng = _trial_rng(config, index)
         unit, inverse, word = gen_unit(rng, config)
@@ -408,7 +407,6 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
     Decoy trials (when configured) run the non-injective control and are
     expected to end in bounded evidence, not in a certificate.
     """
-    from .envelope import twisted_payload  # local import to avoid a cycle
     from .invert import stable_injectivity_verdict
 
     check_search_radius(config.group, config.n, config.budget.max_radius)
@@ -430,7 +428,10 @@ def run_surjunctivity_pipeline(config: SuiteConfig) -> SuiteReport:
         tau = Nuca.from_matrix(unit)
         outcome: dict = {"trial": index, "decoy": False, "word": word}
         radius, reason = _search_radius(config, inverse)
-        hit = search_left_inverse(tau, radius)
+        try:
+            hit = search_left_inverse(tau, radius)
+        except UsageError as refusal:  # the inverse's block is past MAX_BLOCK_COORDINATES
+            hit, reason = None, str(refusal)
         if hit is None:
             outcome.update(ok=False, reason=reason, unit=twisted_payload(tau.element))
             return outcome

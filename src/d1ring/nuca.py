@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UsageError, _check_int
@@ -209,14 +210,16 @@ class Nuca:
 
     The memory set (element.memory()), the exceptional set
     (element.singular_support()), the map {site: singular part} that
-    apply reads, the rule table that every window placed reads, and its
-    field rows that rule_at and the window maps read are made on first
-    read, into their slots (__getattr__): the inverse search builds NUCA
-    it only multiplies and checks, the verdict reads no field row, and a
-    slot once filled reads as a plain attribute.
+    apply reads, and the rule table that every window placed and rule_at
+    read are made on first read, into their slots (__getattr__): the
+    inverse search builds NUCA it only multiplies and checks, and a slot
+    once filled reads as a plain attribute.  The table holds integer rows
+    only; over Q rule_at and the window maps read each field value off
+    its integer entry as z content / scale, so the verdict makes no
+    Fraction from it.
     """
 
-    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules", "_field_rules")
+    __slots__ = ("element", "memory", "exceptional_set", "_parts", "_rules")
 
     def __init__(self, element: TwistedElement):
         if not isinstance(element, TwistedElement):
@@ -237,20 +240,12 @@ class Nuca:
             # the rule table: the _rule_rows of the constant rule a and {g:
             # those of a + b(g)} for the exceptional sites g, each from the
             # terms that sum to it.  _window_rows places its integer rows
-            # for _kernel_rows, and invert.kernel_tower places them itself
+            # for _kernel_rows and induced_local_map, invert.kernel_tower
+            # places them itself, and rule_at lays them out as blocks
             field, n, position = self.field, self.n, self.memory.position
             a = self.element.regular.terms
             exceptional = {g: _rule_rows(field, n, position, a + b.terms) for g, b in self.element.singular}
             value = (_rule_rows(field, n, position, a), exceptional)
-        elif name == "_field_rules":
-            # the rule table with the field rows in place of the integer
-            # rows, made from it on first read: rule_at lays its blocks
-            # out from them and _window_rows places them for
-            # induced_local_map.  Over F_p they are the integer rows
-            value = self._rules
-            if not self.field.p:
-                constant_rule, exceptional = value
-                value = (_field_rule(constant_rule), {g: _field_rule(r) for g, r in exceptional.items()})
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
@@ -295,14 +290,16 @@ class Nuca:
 
     def rule_at(self, g: Element) -> LocalRule:
         """The local rule used at site g, over this NUCA's memory set, laid
-        out from its field rows (_field_rules)."""
+        out from its rows in the rule table (_rules): over Q the entry z of
+        row i is the field value z content_i / scale_i, over F_p it is z."""
         self.group.check(g)
-        constant_rule, exceptional = self._field_rules
+        constant_rule, exceptional = self._rules
         n, zero = self.n, self.field.zero
         blocks = [[[zero] * n for _ in range(n)] for _ in self.memory]
-        for i, entries in enumerate(exceptional.get(g, constant_rule)[0]):
-            for k, j, x in entries:
-                blocks[k][i][j] = x
+        rows, _, scales = exceptional.get(g, constant_rule)
+        for i, entries in enumerate(rows):
+            for k, j, z in entries:
+                blocks[k][i][j] = z if scales is None else Fraction(z * scales[i][0], scales[i][1])
         blocks = tuple(tuple(map(tuple, block)) for block in blocks)
         return LocalRule(self.group, self.field, n, self.memory, blocks)
 
@@ -365,12 +362,19 @@ class Nuca:
     def induced_local_map(self, window: FiniteSubset) -> InducedLocalMap:
         """The matrix of the action restricted to a finite window E, with
         domain EM; block (g, q) is the rule-at-g block at h = g^-1 q,
-        placed from the field rows of the rule table (_window_rows)."""
+        placed from the rule table (_window_rows).  Every domain site is
+        numbered, so no row loses an entry and the placed rows are the
+        rule rows in window order; over Q each is scaled back to its field
+        row by its content / scale."""
         if window.group != self.group:
             raise UsageError("window lives in a different group")
         grp, field, n = self.group, self.field, self.n
         domain = window.product(self.memory) if len(self.memory) else FiniteSubset.make(grp, ())
-        rows = self._window_rows(window, domain.position, integer=False)
+        rows = self._window_rows(window, domain.position)
+        if not field.p:
+            constant_rule, exceptional = self._rules
+            scales = [s for g in window for s in exceptional.get(g, constant_rule)[2]]
+            rows = [{c: Fraction(z * a, b) for c, z in row.items()} for row, (a, b) in zip(rows, scales)]
         mat = Matrix(field, n * len(window), n * len(domain), rows)
         return InducedLocalMap(grp, field, n, domain, window, mat)
 
@@ -389,24 +393,16 @@ class Nuca:
         window.update(self.exceptional_set)
         return self._window_rows(window, {u: k for k, u in enumerate(sites)}.get)
 
-    def _window_rows(
-        self,
-        window: Iterable[Element],
-        column: Callable[[Element], Optional[int]],
-        integer: bool = True,
-    ) -> list[dict]:
-        """The rows of the rules at the window's sites, from the rule table
-        (_rules), with the coordinate j of each domain site u at column
-        column(u) * n + j; the sites where column(u) is None are left out.
-        The rows are the integer rows elimination reads
-        (exactalg._integer_rows), or with integer=False the field rows
-        (_field_rules), which are placed only at a numbering of every
-        domain site (induced_local_map).  Over Q an integer row that loses
-        entries is divided by its content, so it stays the primitive
+    def _window_rows(self, window: Iterable[Element], column: Callable[[Element], Optional[int]]) -> list[dict]:
+        """The integer rows elimination reads (exactalg._integer_rows) of the
+        rules at the window's sites, from the rule table (_rules), with the
+        coordinate j of each domain site u at column column(u) * n + j; the
+        sites where column(u) is None are left out.  Over Q a row that
+        loses entries is divided by its content, so it stays the primitive
         multiple of its field row."""
-        n, q = self.n, integer and not self.field.p
+        n, q = self.n, not self.field.p
         compose, memory = self.group.compose, self.memory.elements
-        constant_rule, exceptional = self._rules if integer else self._field_rules
+        constant_rule, exceptional = self._rules
         rows: list[dict] = []
         for g in window:
             rule = exceptional.get(g, constant_rule)
@@ -420,14 +416,14 @@ class Nuca:
 
 def _rule_rows(field: FieldSpec, n: int, position: Callable[[Element], int], terms) -> tuple:
     """The rule that the (h, block) terms sum to, h a memory site numbered
-    position(h), as (ints, read, fractions): for each row i of the rule,
-    the sorted triples (k, j, z) of the integer row elimination reads, for
-    its nonzero entries at column j of the block of the memory site
-    numbered k (the residues themselves over F_p, the row's primitive
-    integer multiple over Q); the sorted positions k that hold an entry;
-    and over Q (None over F_p) the rows' numerators over one scale, as
-    ({(k, j): x}, scale), which _field_rule turns into the field rows.
-    The entries are summed in one pass as plain ints."""
+    position(h), as (ints, read, scales): for each row i of the rule, the
+    sorted triples (k, j, z) of the integer row elimination reads, for its
+    nonzero entries at column j of the block of the memory site numbered
+    k (the residues themselves over F_p, the row's primitive integer
+    multiple over Q); the sorted positions k that hold an entry; and over
+    Q (None over F_p) one pair of ints (content, scale) per row, so that
+    the field row is the integer row times content / scale.  The entries
+    are summed in one pass as plain ints and no Fraction is made."""
     p = field.p
     scale = 1 if p else _denominator(n, terms)
     raw: list[dict] = [{} for _ in range(n)]
@@ -443,14 +439,9 @@ def _rule_rows(field: FieldSpec, n: int, position: Callable[[Element], int], ter
     read = sorted({k for row in raw for k, _ in row})
     if p:
         return [[(k, j, x) for (k, j), x in row.items()] for row in raw], read, None
-    return [[(k, j, z) for (k, j), z in _content_free(row).items()] for row in raw], read, (raw, scale)
-
-
-def _field_rule(rule: tuple) -> tuple:
-    """A rule of the table over Q with its field rows, the Fractions of its
-    numerators over its scale, in place of its integer rows."""
-    _, read, (raw, scale) = rule
-    return [[(k, j, Fraction(x, scale)) for (k, j), x in row.items()] for row in raw], read
+    contents = [gcd(*row.values()) for row in raw]
+    ints = [[(k, j, x // c) for (k, j), x in row.items()] for row, c in zip(raw, contents)]
+    return ints, read, [(c, scale) for c in contents]
 
 
 def constant_part(t: Nuca) -> Nuca:

@@ -397,19 +397,41 @@ class TestExitCodes:
         assert out
 
     def test_pipeline_past_the_block_limit_stops_at_once(self):
-        # the first trial at n = 100 needs a block past MAX_BLOCK_COORDINATES;
-        # the determinants of the trials before it once took seconds each
+        # the first trial at n = 100 needs a block past MAX_BLOCK_COORDINATES
+        # and is refused before its block is built; the determinants of the
+        # trials before it once took seconds each
         start = time.monotonic()
         code, out, err = run_cli(
-            ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:5", "--n", "100", "-o", "-"]
+            ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:5", "--n", "100", "--trials", "1", "-o", "-"]
         )
         assert time.monotonic() - start < 5
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: the inverse needs a block of 400 coordinates on the 4 sites its factor a^-1 t"
-            f" reads and writes; the limit is {invert.MAX_BLOCK_COORDINATES}\n"
+        assert code == 1
+        assert err == ""
+        (outcome,) = json.loads(out)["payload"]["outcomes"]
+        assert not outcome["ok"]
+        assert outcome["reason"] == (
+            "the inverse needs a block of 400 coordinates on the 4 sites its factor a^-1 t"
+            f" reads and writes; the limit is {invert.MAX_BLOCK_COORDINATES}"
         )
+
+    def test_pipeline_records_a_trial_past_the_block_limit_and_goes_on(self):
+        # trial 0 needs a block of 240 coordinates; it is recorded as failed,
+        # as a trial past the search radius is, and trials 1 and 2 still run
+        code, out, err = run_cli(
+            ["experiment", "pipeline", "--group", "Zd:1", "--field", "Fp:5", "--n", "60",
+             "--trials", "3", "--seed", "0", "-o", "-"]
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)["payload"]
+        assert (report["passes"], report["failures"]) == (2, 1)
+        first, *rest = report["outcomes"]
+        assert [o["trial"] for o in report["outcomes"]] == [0, 1, 2]
+        assert not first["ok"] and "unit" in first
+        assert first["reason"] == (
+            "the inverse needs a block of 240 coordinates on the 4 sites its factor a^-1 t"
+            f" reads and writes; the limit is {invert.MAX_BLOCK_COORDINATES}"
+        )
+        assert all(o["ok"] for o in rest)
 
     @pytest.mark.parametrize("command", ["kernel-tower", "verdict"])
     def test_oversized_tower_depth_is_usage_error(self, tmp_path, monkeypatch, command):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import gc
 import json
 import random
@@ -535,18 +536,44 @@ def test_layout_matches_golden_bytes(path):
     assert "".join(out) + "\n" == text
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
 _leaves = (
     st.none()
     | st.booleans()
     | st.integers(-(10**30), 10**30)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=6)
+    | st.text(max_size=6).map(_Str)
+    | st.integers(-(10**30), 10**30).map(_Int)
+    | st.sampled_from(_Level)
 )
 _payloads = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(_List)
     | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=4) | st.integers(-5, 5) | st.booleans() | st.none(), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=4) | st.integers(-5, 5) | st.booleans() | st.none(), inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(_Dict),
     max_leaves=25,
 )
 
